@@ -151,22 +151,26 @@ def _to_bool(tok, line):
 
 
 def _preset(tokens, line, kinds):
+    """(kind, *typed args); kinds maps a kind to its argument converters,
+    with the optional trailing ones in a second tuple."""
     kind = tokens[0]
     if kind not in kinds:
         raise ParseError(line, f"unknown preset {kind!r} (choose from {sorted(kinds)})")
-    want = kinds[kind]
+    required, optional = kinds[kind]
     args = tokens[1:]
-    if want >= 0 and len(args) != want:
-        raise ParseError(line, f"preset {kind!r} takes {want} argument(s)")
-    return (kind,) + tuple(float(a) if _is_number(a) else a for a in args)
+    n_min, n_max = len(required), len(required) + len(optional)
+    if not n_min <= len(args) <= n_max:
+        count = n_min if n_min == n_max else f"{n_min} to {n_max}"
+        raise ParseError(line, f"preset {kind!r} takes {count} argument(s)")
+    return (kind,) + tuple(conv(tok, line) for conv, tok in zip(required + optional, args))
 
 
-def _is_number(tok):
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+def _to_path(tok, line):
+    return tok
+
+
+_VEC3 = ((_to_float,) * 3, ())
+_NO_ARGS = ((), ())
 
 
 # section -> key -> (attr, converter); converters get (tokens, line)
@@ -234,14 +238,19 @@ _SCHEMA = {
         "frozen": ("frozen", _scalar(_to_bool)),
     },
     "initial": {
-        "m": ("m0", lambda toks, ln: _preset(
-            toks, ln, {"uniform": 3, "vortexish": 0, "random": -1, "snapshot": -1})),
+        "m": ("m0", lambda toks, ln: _preset(toks, ln, {
+            "uniform": _VEC3, "vortexish": _NO_ARGS,
+            "random": ((_to_int,), (_to_float,)),   # seed [smooth_cells]
+            "snapshot": ((_to_path,), ())})),
         "h0": ("h0", lambda toks, ln: _preset(
-            toks, ln, {"zero": 0, "magnetostatic": 0, "uniform": 3})),
-        "e0": ("e0", lambda toks, ln: _preset(toks, ln, {"zero": 0, "uniform": 3})),
+            toks, ln, {"zero": _NO_ARGS, "magnetostatic": _NO_ARGS, "uniform": _VEC3})),
+        "e0": ("e0", lambda toks, ln: _preset(
+            toks, ln, {"zero": _NO_ARGS, "uniform": _VEC3})),
     },
     "current": {
-        "f": ("f", lambda toks, ln: _preset(toks, ln, {"zero": 0, "pulse": 5})),
+        # pulse ax ay az t0 width
+        "f": ("f", lambda toks, ln: _preset(
+            toks, ln, {"zero": _NO_ARGS, "pulse": ((_to_float,) * 5, ())})),
     },
     "output": {
         "directory": ("directory", lambda toks, ln: " ".join(toks)),
@@ -312,10 +321,8 @@ def _validate(config: RunConfig):
         raise ValidationError("run.t_end", "must be nonnegative")
     if config.bc_mode == "thin_layer" and config.eta is None:
         raise ValidationError("geometry.eta", "required in thin_layer mode")
-    if config.m0[0] == "random" and len(config.m0) not in (2, 3):
-        raise ValidationError("initial.m", "random preset takes seed [smooth_cells]")
-    if config.m0[0] == "snapshot" and len(config.m0) != 2:
-        raise ValidationError("initial.m", "snapshot preset takes a path")
+    if config.m0[0] == "random" and config.m0[1] < 0:
+        raise ValidationError("initial.m", "seed must be nonnegative")
 
 
 @dataclass
@@ -396,11 +403,16 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
     if kind == "vortexish":
         return presets.vortexish_m(geom)
     if kind == "random":
-        smooth = float(config.m0[2]) if len(config.m0) == 3 else 1.5
-        seed = config.seed if config.seed else int(config.m0[1])
+        smooth = config.m0[2] if len(config.m0) == 3 else 1.5
+        if config.seed < 0:
+            raise ValidationError("run.seed", "must be nonnegative")
+        seed = config.seed if config.seed else config.m0[1]
         return presets.random_unit_m(geom, seed, smooth_cells=smooth)
     if kind == "snapshot":
-        fid, dims, _, _, arrays = snapshots.read_snapshot(config.m0[1])
+        try:
+            fid, dims, _, _, arrays = snapshots.read_snapshot(config.m0[1])
+        except (OSError, ValueError) as exc:
+            raise ValidationError("initial.m", f"cannot read snapshot: {exc}") from exc
         if fid != snapshots.FIELD_M or dims != (geom.nx, geom.ny, geom.nz_total):
             raise ValidationError("initial.m", "snapshot does not match the geometry")
         return arrays[0]

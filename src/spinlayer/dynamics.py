@@ -211,11 +211,18 @@ def step(state: SimState, accum: Optional[dict] = None,
 
     m_dot_eff = (m_new - m) / dt
     if not scheme.frozen_em and state.em is not None:
+        box = state.em.box
+        # the realized rate is constant over the step: transfer it once
+        m_dot_faces = None
+        if np.any(m_dot_eff):
+            m_dot_faces = maxwell.cells_to_faces(
+                maxwell.embed_cell_field(m_dot_eff, box), box)
         dt_sub = dt / scheme.subcycles
+        no_current = np.zeros(3)
         for i in range(scheme.subcycles):
             t_mid = state.t + (i + 0.5) * dt_sub
-            f_val = f.value(t_mid) if f is not None else np.zeros(3)
-            fdtd_step(state.em, m_dot_eff, f_val, params, dt_sub, accum)
+            f_val = f.value(t_mid) if f is not None else no_current
+            fdtd_step(state.em, m_dot_faces, f_val, params, dt_sub, accum)
         state.em.assert_finite()
 
     if accum is not None:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.fft
 
 from .errors import CFLViolation, SolverDiverged
 from .geometry import DomainGeometry
@@ -83,27 +82,46 @@ def face_shapes(box: BoxGeometry) -> tuple:
             (n[0], n[1], n[2] + 1))
 
 
+def _body_edge_slabs(box: BoxGeometry) -> tuple:
+    """Index slabs of the edges whose midpoint lies strictly inside the body.
+
+    An edge along an axis is inside when its cell index along that axis is
+    a body cell and its node indices along the other two axes are interior
+    body nodes, so each component's body edges form one rectangular block.
+    """
+    def half(o, m):
+        return slice(o, o + m)
+
+    def node(o, m):
+        return slice(o + 1, o + m)
+
+    return ((half(box.ox, box.mx), node(box.oy, box.my), node(box.oz, box.mz)),
+            (node(box.ox, box.mx), half(box.oy, box.my), node(box.oz, box.mz)),
+            (node(box.ox, box.mx), node(box.oy, box.my), half(box.oz, box.mz)))
+
+
 def _body_edge_masks(box: BoxGeometry) -> tuple:
-    """Boolean masks of edges whose midpoint lies strictly inside the body."""
-    def inside_half(o, m, n_samples):
-        idx = np.arange(n_samples)
-        return (idx >= o) & (idx < o + m)
+    """Boolean masks of the body edge slabs."""
+    masks = []
+    for shape, slab in zip(edge_shapes(box), _body_edge_slabs(box)):
+        mask = np.zeros(shape, dtype=bool)
+        mask[slab] = True
+        masks.append(mask)
+    return tuple(masks)
 
-    def inside_node(o, m, n_samples):
-        idx = np.arange(n_samples)
-        return (idx > o) & (idx < o + m)
 
-    sx, sy, sz = edge_shapes(box)
-    mx = (inside_half(box.ox, box.mx, sx[0])[:, None, None]
-          & inside_node(box.oy, box.my, sx[1])[None, :, None]
-          & inside_node(box.oz, box.mz, sx[2])[None, None, :])
-    my = (inside_node(box.ox, box.mx, sy[0])[:, None, None]
-          & inside_half(box.oy, box.my, sy[1])[None, :, None]
-          & inside_node(box.oz, box.mz, sy[2])[None, None, :])
-    mz = (inside_node(box.ox, box.mx, sz[0])[:, None, None]
-          & inside_node(box.oy, box.my, sz[1])[None, :, None]
-          & inside_half(box.oz, box.mz, sz[2])[None, None, :])
-    return mx, my, mz
+class _Workspace:
+    """Preallocated buffers of one EMState's leapfrog step.
+
+    `ce` holds curl h on edges (its boundary edges are never written and
+    stay zero), `ch` curl e on faces, `tmp` the two difference quotients
+    of either curl.
+    """
+
+    def __init__(self, box: BoxGeometry):
+        self.ce = tuple(np.zeros(s) for s in edge_shapes(box))
+        self.ch = tuple(np.empty(s) for s in face_shapes(box))
+        self.tmp = np.empty(2 * max(a.size for a in self.ce + self.ch))
 
 
 @dataclass
@@ -118,12 +136,18 @@ class EMState:
     bc: str = PEC
     div0: Optional[np.ndarray] = None
     omega_masks: tuple = field(default=None, repr=False)
+    work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "EMState":
         return EMState(self.box, self.ex.copy(), self.ey.copy(), self.ez.copy(),
                        self.hx.copy(), self.hy.copy(), self.hz.copy(),
                        self.bc, None if self.div0 is None else self.div0.copy(),
                        self.omega_masks)
+
+    def workspace(self) -> _Workspace:
+        if self.work is None:
+            self.work = _Workspace(self.box)
+        return self.work
 
     def assert_finite(self):
         for a in (self.ex, self.ey, self.ez, self.hx, self.hy, self.hz):
@@ -176,29 +200,64 @@ class AppliedCurrent:
 # staggered-grid operators
 
 
-def curl_e(ex, ey, ez, box: BoxGeometry) -> tuple:
-    """Edge field -> curl on faces."""
-    dx, dy, dz = box.dx, box.dy, box.dz
-    chx = (ez[:, 1:, :] - ez[:, :-1, :]) / dy - (ey[:, :, 1:] - ey[:, :, :-1]) / dz
-    chy = (ex[:, :, 1:] - ex[:, :, :-1]) / dz - (ez[1:, :, :] - ez[:-1, :, :]) / dx
-    chz = (ey[1:, :, :] - ey[:-1, :, :]) / dx - (ex[:, 1:, :] - ex[:, :-1, :]) / dy
-    return chx, chy, chz
+def _curl_component(p_hi, p_lo, hp, q_hi, q_lo, hq, out, tmp):
+    """out = (p_hi - p_lo)/hp - (q_hi - q_lo)/hq.
+
+    Both quotients are formed in contiguous slices of tmp (at least twice
+    the size of out), so only the last subtraction writes into out, which
+    may be a strided view.
+    """
+    n = out.size
+    p = tmp[:n].reshape(out.shape)
+    q = tmp[n:2 * n].reshape(out.shape)
+    np.subtract(p_hi, p_lo, out=p)
+    np.divide(p, hp, out=p)
+    np.subtract(q_hi, q_lo, out=q)
+    np.divide(q, hq, out=q)
+    np.subtract(p, q, out=out)
 
 
-def curl_h(hx, hy, hz, box: BoxGeometry) -> tuple:
-    """Face field -> curl on interior edges; boundary edges stay zero."""
+def curl_e(ex, ey, ez, box: BoxGeometry, out=None, tmp=None) -> tuple:
+    """Edge field -> curl on faces.
+
+    `out` (three face arrays) and `tmp` (a flat float array of at least
+    twice the largest face size) make the call allocation-free.
+    """
     dx, dy, dz = box.dx, box.dy, box.dz
-    es = edge_shapes(box)
-    cex = np.zeros(es[0])
-    cey = np.zeros(es[1])
-    cez = np.zeros(es[2])
-    cex[:, 1:-1, 1:-1] = ((hz[:, 1:, 1:-1] - hz[:, :-1, 1:-1]) / dy
-                          - (hy[:, 1:-1, 1:] - hy[:, 1:-1, :-1]) / dz)
-    cey[1:-1, :, 1:-1] = ((hx[1:-1, :, 1:] - hx[1:-1, :, :-1]) / dz
-                          - (hz[1:, :, 1:-1] - hz[:-1, :, 1:-1]) / dx)
-    cez[1:-1, 1:-1, :] = ((hy[1:, 1:-1, :] - hy[:-1, 1:-1, :]) / dx
-                          - (hx[1:-1, 1:, :] - hx[1:-1, :-1, :]) / dy)
-    return cex, cey, cez
+    if out is None:
+        out = tuple(np.empty(s) for s in face_shapes(box))
+    if tmp is None:
+        tmp = np.empty(2 * max(a.size for a in out))
+    chx, chy, chz = out
+    _curl_component(ez[:, 1:, :], ez[:, :-1, :], dy, ey[:, :, 1:], ey[:, :, :-1], dz,
+                    chx, tmp)
+    _curl_component(ex[:, :, 1:], ex[:, :, :-1], dz, ez[1:, :, :], ez[:-1, :, :], dx,
+                    chy, tmp)
+    _curl_component(ey[1:, :, :], ey[:-1, :, :], dx, ex[:, 1:, :], ex[:, :-1, :], dy,
+                    chz, tmp)
+    return out
+
+
+def curl_h(hx, hy, hz, box: BoxGeometry, out=None, tmp=None) -> tuple:
+    """Face field -> curl on interior edges; boundary edges stay zero.
+
+    `out` (three edge arrays whose boundary edges are zero) and `tmp` (a
+    flat float array of at least twice the largest edge size) make the call
+    allocation-free; only the interior edges of `out` are written.
+    """
+    dx, dy, dz = box.dx, box.dy, box.dz
+    if out is None:
+        out = tuple(np.zeros(s) for s in edge_shapes(box))
+    if tmp is None:
+        tmp = np.empty(2 * max(a.size for a in out))
+    cex, cey, cez = out
+    _curl_component(hz[:, 1:, 1:-1], hz[:, :-1, 1:-1], dy,
+                    hy[:, 1:-1, 1:], hy[:, 1:-1, :-1], dz, cex[:, 1:-1, 1:-1], tmp)
+    _curl_component(hx[1:-1, :, 1:], hx[1:-1, :, :-1], dz,
+                    hz[1:, :, 1:-1], hz[:-1, :, 1:-1], dx, cey[1:-1, :, 1:-1], tmp)
+    _curl_component(hy[1:, 1:-1, :], hy[:-1, 1:-1, :], dx,
+                    hx[1:-1, 1:, :], hx[1:-1, :-1, :], dy, cez[1:-1, 1:-1, :], tmp)
+    return out
 
 
 def div_faces(fx, fy, fz, box: BoxGeometry) -> np.ndarray:
@@ -253,33 +312,25 @@ def interp_h_to_cells(em: EMState, geom: DomainGeometry) -> np.ndarray:
 # Poisson projection
 
 
-def _poisson_matrix(box: BoxGeometry) -> scipy.sparse.csc_matrix:
-    def lap1d(n, h):
-        main = -2.0 * np.ones(n)
-        off = np.ones(n - 1)
-        return scipy.sparse.diags([off, main, off], [-1, 0, 1]) / h**2
-
-    ix = scipy.sparse.identity(box.nx)
-    iy = scipy.sparse.identity(box.ny)
-    iz = scipy.sparse.identity(box.nz)
-    lap = (scipy.sparse.kron(scipy.sparse.kron(lap1d(box.nx, box.dx), iy), iz)
-           + scipy.sparse.kron(scipy.sparse.kron(ix, lap1d(box.ny, box.dy)), iz)
-           + scipy.sparse.kron(scipy.sparse.kron(ix, iy), lap1d(box.nz, box.dz)))
-    return lap.tocsc()
-
-
-_poisson_cache = {}
+def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues of the 1-D 3-point Laplacian with zero ghosts at -1 and n."""
+    k = np.arange(1, n + 1)
+    return -4.0 * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2 / h**2
 
 
 def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
-    """Solve Lap(phi) = rhs at cell centers with zero-Dirichlet ghosts."""
-    key = (box.nx, box.ny, box.nz, box.dx, box.dy, box.dz)
-    lu = _poisson_cache.get(key)
-    if lu is None:
-        lu = scipy.sparse.linalg.splu(_poisson_matrix(box))
-        _poisson_cache[key] = lu
-    phi = lu.solve(rhs.ravel()).reshape(rhs.shape)
-    return phi
+    """Solve Lap(phi) = rhs at cell centers with zero-Dirichlet ghosts.
+
+    The 7-point Laplacian of the box is the Kronecker sum of three 1-D
+    Dirichlet Laplacians, each diagonalised exactly by the type-I discrete
+    sine transform, so the solve is a forward DST-I, a division by the
+    summed eigenvalues and an inverse DST-I (the fast Poisson solver of
+    Buzbee, Golub & Nielson 1970): O(N log N), no factorisation.
+    """
+    lam = (_dirichlet_eigenvalues(box.nx, box.dx)[:, None, None]
+           + _dirichlet_eigenvalues(box.ny, box.dy)[None, :, None]
+           + _dirichlet_eigenvalues(box.nz, box.dz)[None, None, :])
+    return scipy.fft.idstn(scipy.fft.dstn(rhs, type=1) / lam, type=1)
 
 
 def init_divfree(m0_cells: np.ndarray, h0_spec, box: BoxGeometry,
@@ -384,60 +435,59 @@ def _capture_mur_old(em: EMState) -> dict:
     return old
 
 
-def fdtd_step(em: EMState, m_dot_cells: Optional[np.ndarray], f_value: np.ndarray,
+def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
               params: MaterialParams, dt: float, accum: Optional[dict] = None) -> EMState:
     """One leapfrog step: e update (semi-implicit conduction), then h.
 
-    m_dot_cells is the body magnetization rate (body shape) or None; its
-    zero extension is transferred to faces by the adjoint of the
-    face-to-cell average.  When `accum` is given, the Ohmic and source
-    work of this step is added under keys "ohmic" and "source" using the
-    midpoint e, which matches the semi-implicit update identity exactly.
+    m_dot_faces is the magnetization rate already transferred to the box
+    faces (`cells_to_faces` of its zero extension), or None.  The fields
+    are updated in place through buffers the state owns, so a warm step
+    allocates nothing box-sized.  When `accum` is given, the Ohmic and
+    source work of this step is added under keys "ohmic" and "source"
+    using the midpoint e, which matches the semi-implicit update identity
+    exactly.
     """
     box = em.box
     limit = cfl_limit(box, params)
     if dt > limit * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt:g} exceeds the Yee bound {limit:g}")
 
-    cex, cey, cez = curl_h(em.hx, em.hy, em.hz, box)
+    work = em.workspace()
+    curl_h(em.hx, em.hy, em.hz, box, out=work.ce, tmp=work.tmp)
     mur_old = _capture_mur_old(em) if em.bc == MUR1 else None
 
     sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
     dV = box.cell_volume
-    for comp, ce, mask, fc in ((0, cex, em.omega_masks[0], f_value[0]),
-                               (1, cey, em.omega_masks[1], f_value[1]),
-                               (2, cez, em.omega_masks[2], f_value[2])):
-        e = (em.ex, em.ey, em.ez)[comp]
-        if sigma == 0.0:
-            e_new = e + (dt / eps0) * ce
-        else:
-            beta = (sigma * dt / (2.0 * eps0)) * mask
-            rhs = (1.0 - beta) * e + (dt / eps0) * (ce - (sigma * fc) * mask)
-            e_new = rhs / (1.0 + beta)
-        if accum is not None and sigma != 0.0:
-            e_mid = 0.5 * (e + e_new)
-            accum["ohmic"] += dt * (sigma / mu0) * dV * esum((e_mid * e_mid)[mask])
-            if fc != 0.0:
-                accum["source"] += dt * (sigma / mu0) * dV * esum(fc * e_mid[mask])
-        if comp == 0:
-            em.ex = e_new
-        elif comp == 1:
-            em.ey = e_new
-        else:
-            em.ez = e_new
+    k = dt / eps0
+    beta = sigma * dt / (2.0 * eps0)
+    for e, ce, slab, fc in zip((em.ex, em.ey, em.ez), work.ce, _body_edge_slabs(box),
+                               f_value):
+        if sigma != 0.0:
+            # conduction acts on the body edges only; outside them the
+            # update is the vacuum one below
+            e_body = e[slab]
+            e_new = ((1.0 - beta) * e_body + k * (ce[slab] - sigma * fc)) / (1.0 + beta)
+            if accum is not None:
+                e_mid = 0.5 * (e_body + e_new)
+                accum["ohmic"] += dt * (sigma / mu0) * dV * esum(e_mid * e_mid)
+                if fc != 0.0:
+                    accum["source"] += dt * (sigma / mu0) * dV * esum(fc * e_mid)
+        np.multiply(ce, k, out=ce)
+        np.add(e, ce, out=e)
+        if sigma != 0.0:
+            e[slab] = e_new
 
     if em.bc == MUR1:
         _apply_mur(em, mur_old, params, dt)
 
-    chx, chy, chz = curl_e(em.ex, em.ey, em.ez, box)
-    em.hx -= (dt / mu0) * chx
-    em.hy -= (dt / mu0) * chy
-    em.hz -= (dt / mu0) * chz
-    if m_dot_cells is not None and np.any(m_dot_cells):
-        mdx, mdy, mdz = cells_to_faces(embed_cell_field(m_dot_cells, box), box)
-        em.hx -= dt * mdx
-        em.hy -= dt * mdy
-        em.hz -= dt * mdz
+    curl_e(em.ex, em.ey, em.ez, box, out=work.ch, tmp=work.tmp)
+    faces = m_dot_faces if m_dot_faces is not None else (None, None, None)
+    for h, ch, mf in zip((em.hx, em.hy, em.hz), work.ch, faces):
+        np.multiply(ch, dt / mu0, out=ch)
+        np.subtract(h, ch, out=h)
+        if mf is not None:
+            np.multiply(mf, dt, out=ch)
+            np.subtract(h, ch, out=h)
     return em
 
 

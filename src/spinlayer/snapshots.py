@@ -62,6 +62,8 @@ def read_snapshot(path):
     """Returns (field_id, dims, spacings, t, list of arrays)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated snapshot header")
         magic, field_id, nx, ny, nz, dx, dy, dz, t = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad snapshot magic {magic!r}")

@@ -45,6 +45,9 @@ t_end = 0.02
 """
 
 
+M_LINE = MINIMAL.splitlines().index("m = random 11") + 1
+
+
 def minimal_config(outdir):
     return MINIMAL.format(outdir=outdir)
 
@@ -99,6 +102,19 @@ class TestParse:
             "dt = 0.002", "dt = 0.002\nbc_mode = thin_layer")
         with pytest.raises(ValidationError):
             parse_config(text)
+
+    def test_preset_arguments_typed(self, tmp_path):
+        cfg = parse_config(minimal_config(tmp_path).replace(
+            "m = random 11", "m = random 11 2"))
+        assert cfg.m0 == ("random", 11, 2.0)
+        assert isinstance(cfg.m0[1], int) and isinstance(cfg.m0[2], float)
+        cfg = parse_config(minimal_config(tmp_path).replace(
+            "m = random 11", "m = snapshot 123"))
+        assert cfg.m0 == ("snapshot", "123")
+        with pytest.raises(ParseError) as err:
+            parse_config(minimal_config(tmp_path).replace(
+                "m = random 11", "m = random 1.5"))
+        assert err.value.line == M_LINE
 
     def test_round_trip(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path / "out"))
@@ -173,6 +189,28 @@ class TestCli:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("[geometry]\nbogus = 1\n")
         assert main(["check", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("preset, where", [
+        ("snapshot 123", "initial.m"),   # a path, never the number 123.0
+        ("random abc", f"line {M_LINE}:"),
+        ("random 1.5", f"line {M_LINE}:"),   # no silent truncation to seed 1
+    ])
+    def test_bad_preset_argument_exit_2(self, tmp_path, capsys, monkeypatch,
+                                        preset, where):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "run.cfg"
+        text = minimal_config(tmp_path / "out").replace("m = random 11", f"m = {preset}")
+        cfg_path.write_text(text)
+        assert main(["check", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ")
+        assert where in err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "out"))
+        assert main(["--seed", "-1", "check", str(cfg_path)]) == 2
+        assert "run.seed" in capsys.readouterr().err
 
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.cfg")]) == 4

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from spinlayer import maxwell as mx
 from spinlayer.energetics import MaterialParams, maxwell_energy
@@ -127,6 +130,40 @@ class TestInitDivfree:
         assert center[2] < -0.1
 
 
+def kron_laplacian(box):
+    """Assembled 7-point zero-Dirichlet Laplacian (test oracle only)."""
+    def lap1d(n, h):
+        return scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                                  [-1, 0, 1]) / h**2
+
+    ix, iy, iz = (scipy.sparse.identity(n) for n in (box.nx, box.ny, box.nz))
+    return (scipy.sparse.kron(scipy.sparse.kron(lap1d(box.nx, box.dx), iy), iz)
+            + scipy.sparse.kron(scipy.sparse.kron(ix, lap1d(box.ny, box.dy)), iz)
+            + scipy.sparse.kron(scipy.sparse.kron(ix, iy), lap1d(box.nz, box.dz)))
+
+
+class TestPoisson:
+    def test_matches_assembled_laplacian(self):
+        # non-cubic box, unequal spacings: every axis has its own spectrum
+        box = mx.BoxGeometry(nx=5, ny=7, nz=9, dx=0.1, dy=0.2, dz=0.05,
+                             ox=1, oy=1, oz=1, mx=2, my=2, mz=2)
+        rhs = np.random.default_rng(20).standard_normal((5, 7, 9))
+        phi = mx.poisson_solve(rhs, box)
+        assert phi.shape == rhs.shape
+        resid = kron_laplacian(box) @ phi.ravel() - rhs.ravel()
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_w1_projection_residual(self):
+        # the 32^3 Yee box of the criterion-3 runs
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
+        box = mx.make_box(geom, padding=8)
+        m_box = mx.embed_cell_field(random_unit_field(geom, seed=21), box)
+        h = mx.init_divfree(m_box, "magnetostatic", box)
+        mf = mx.cells_to_faces(m_box, box)
+        div = mx.div_faces(h[0] + mf[0], h[1] + mf[1], h[2] + mf[2], box)
+        assert np.abs(div).max() < mx.POISSON_TOL
+
+
 class TestFdtdStep:
     def test_cfl_enforced(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
@@ -156,6 +193,28 @@ class TestFdtdStep:
         mask = em.omega_masks[0]
         assert np.allclose(em.ex[mask], factor * before[mask])
         assert np.array_equal(em.ex[~mask], before[~mask])
+
+    def test_warm_step_allocates_nothing_box_sized(self):
+        # the subcycle runs 8x per step; box-sized temporaries there cost
+        # page faults whenever the allocator hands out fresh pages
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
+        box = mx.make_box(geom, padding=8)
+        em = random_em(box, seed=22)
+        params = em_params(sigma=10.0)
+        dt = 0.5 * mx.cfl_limit(box, params)
+        m_dot = np.random.default_rng(23).standard_normal(geom.field_shape())
+        m_dot_faces = mx.cells_to_faces(mx.embed_cell_field(m_dot, box), box)
+        f_value = np.array([0.1, 0.0, -0.2])
+        accum = {"ohmic": 0.0, "source": 0.0}
+        mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)   # warm
+        tracemalloc.start()
+        try:
+            for _ in range(8):
+                mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < em.ex.nbytes
 
     def test_plane_wave_speed(self):
         # Gaussian pulse in vacuum propagates at 1/sqrt(mu0 eps0) within 2%.
@@ -209,8 +268,9 @@ class TestDivergencePropagation:
         dt = 0.9 * mx.cfl_limit(box, params)
         rng = np.random.default_rng(11)
         m_dot = rng.standard_normal(geom.field_shape())
+        m_dot_faces = mx.cells_to_faces(mx.embed_cell_field(m_dot, box), box)
         for _ in range(1000):
-            mx.fdtd_step(em, m_dot, np.zeros(3), params, dt)
+            mx.fdtd_step(em, m_dot_faces, np.zeros(3), params, dt)
             m = m + dt * m_dot
         assert mx.divergence_drift(em, m, geom) < 1e-12 * 1000
 
