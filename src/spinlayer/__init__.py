@@ -1,18 +1,15 @@
 """Finite-difference simulator of coupled magnetization/Maxwell dynamics
 in a bilayered ferromagnet with spacer surface energies."""
 
-from .errors import (AsymmetricSlabs, CFLViolation, ConfigError, EtaTooLarge,
-                     NonFinite, NonTilingGrid, ParseError, SimulationError,
-                     SolverDiverged, ThinLayerInactive, ValidationError,
-                     WindowOutOfRange, ZeroExchange)
-from .geometry import (DomainGeometry, GeometryConfig, SpacerTraces,
-                       build_geometry, extract_traces, mirror, outward_normal)
+from .errors import (CFLViolation, ConfigError, EtaTooLarge, NonFinite,
+                     NonTilingGrid, ParseError, SimulationError, SolverDiverged,
+                     ThinLayerInactive, ValidationError, WindowOutOfRange)
+from .geometry import DomainGeometry, GeometryConfig, build_geometry
 from .energetics import (EnergyBreakdown, MaterialParams, anisotropy_energy,
                          exchange_energy, maxwell_energy, penalty_energy,
-                         superexchange_energy, surface_anisotropy_energy,
                          thin_layer_energy, total_energy, uniform_k_matrix)
 from .effective_field import (FieldAssembly, assemble_h_tot, laplacian_neumann,
-                              nonlinear_bc_ghost, penalty_field, thin_layer_field)
+                              penalty_field, thin_layer_field)
 from .maxwell import (AppliedCurrent, EMState, divergence_drift, empty_em_state,
                       fdtd_step, init_divfree, interp_h_to_cells, make_box)
 from .dynamics import (SchemeConfig, SimState, Trajectory, gilbert_solve,

@@ -53,10 +53,6 @@ def _load_config(path: str, args) -> RunConfig:
         config.snapshots_on = args.snapshots == "on"
     if args.seed is not None:
         config.seed = args.seed
-    if args.threads is not None:
-        config.threads = args.threads
-    elif os.environ.get("SPINLAYER_THREADS"):
-        config.threads = int(os.environ["SPINLAYER_THREADS"])
     return config
 
 
@@ -216,9 +212,6 @@ def main(argv=None) -> int:
         prog="spinlayer",
         description="coupled magnetization/Maxwell simulator for a "
                     "bilayer ferromagnet with a spacer")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (0 = auto); recorded in the "
-                             "effective config")
     parser.add_argument("--log-every", type=int, default=None,
                         help="ledger row cadence in steps")
     parser.add_argument("--snapshots", choices=("on", "off"), default=None)

@@ -40,7 +40,7 @@ class RunConfig:
     nz_minus: int = 4
     nz_plus: int = 4
     eta: Optional[float] = None
-    trace_order: int = 1
+    trace_order: int = 1   # only 1 is accepted
     # material
     a_exch: float = 0.0
     k_diag: Optional[tuple] = None
@@ -77,7 +77,6 @@ class RunConfig:
     # run
     t_end: float = 0.0
     seed: int = 0
-    threads: int = 0
 
     def to_text(self) -> str:
         lines = ["[geometry]"]
@@ -122,7 +121,6 @@ class RunConfig:
         lines.append("[run]")
         lines.append(f"t_end = {_fmt(self.t_end)}")
         lines.append(f"seed = {self.seed}")
-        lines.append(f"threads = {self.threads}")
         lines.append("")
         return "\n".join(lines)
 
@@ -260,7 +258,6 @@ _SCHEMA = {
     "run": {
         "t_end": ("t_end", _scalar(_to_float)),
         "seed": ("seed", _scalar(_to_int)),
-        "threads": ("threads", _scalar(_to_int)),
     },
 }
 
@@ -305,8 +302,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(config: RunConfig):
-    if config.trace_order not in (1, 2):
-        raise ValidationError("geometry.trace_order", "must be 1 or 2")
+    if config.trace_order != 1:
+        raise ValidationError("geometry.trace_order", "must be 1")
     if config.alpha <= 0:
         raise ValidationError("material.alpha", "must be positive")
     if config.dt <= 0:

@@ -13,9 +13,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import maxwell
+from .effective_field import thin_layer_field
 from .energetics import EnergyBreakdown, MaterialParams, apply_k
 from .errors import WindowOutOfRange
-from .geometry import DomainGeometry, extract_traces
+from .geometry import DomainGeometry
 from .summation import esum
 
 CSV_COLUMNS = (
@@ -297,35 +298,18 @@ def _face_quadrature_terms(m: np.ndarray, phi_cells: np.ndarray,
     return total
 
 
-def _surface_terms(m: np.ndarray, phi_cells: np.ndarray, geom: DomainGeometry,
-                   params: MaterialParams) -> float:
-    """Spacer integrals of the stationarity/weak forms (both faces).
+def _torque(m: np.ndarray, h_cells: np.ndarray, geom: DomainGeometry,
+            params: MaterialParams) -> np.ndarray:
+    """m x (h + h_surf - K m) per cell, h_surf the one-cell surface field.
 
-    The test function is traced the same way as the magnetization
-    (adjacent cell sample per side).
+    Its pairing with a test field is minus the anisotropy, Zeeman and
+    spacer terms of the weak and stationary forms: the spacer integrals
+    of the nonlinear condition equal -dV sum (m x h_surf) . phi.
     """
-    traces = extract_traces(m, geom, order=1)
-    s = geom.spacer_index
-    phi_plus = phi_cells[:, :, s, :]
-    phi_minus = phi_cells[:, :, s - 1, :]
-    dA = geom.face_area
-    total = 0.0
-    for gamma, gamma_star, nu_z, phi_gamma in (
-            (traces.gamma_plus, traces.gamma_minus, -1.0, phi_plus),
-            (traces.gamma_minus, traces.gamma_plus, +1.0, phi_minus)):
-        if params.ks != 0.0:
-            nu = np.zeros_like(gamma)
-            nu[..., 2] = nu_z
-            nu_dot = nu_z * gamma[..., 2]
-            total -= params.ks * dA * esum(
-                nu_dot[..., None] * np.cross(gamma, nu) * phi_gamma)
-        wedge = np.cross(gamma, gamma_star)
-        if params.j1 != 0.0:
-            total -= params.j1 * dA * esum(wedge * phi_gamma)
-        if params.j2 != 0.0:
-            dot = np.sum(gamma * gamma_star, axis=-1)
-            total -= 2.0 * params.j2 * dA * esum(dot[..., None] * wedge * phi_gamma)
-    return total
+    h = thin_layer_field(m, geom, params, cells=1, out=h_cells.copy())
+    if params.k_matrix is not None:
+        h -= apply_k(params, m)
+    return np.cross(m, h)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +345,7 @@ def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
         lhs += dt * dV * (esum(m_dot * phi_cells)
                           - alpha * esum(np.cross(m_mid, m_dot) * phi_cells))
         term = _face_quadrature_terms(m_mid, phi_cells, geom) * params.a_exch
-        if params.k_matrix is not None:
-            term += dV * esum(np.cross(m_mid, apply_k(params, m_mid)) * phi_cells)
-        term -= dV * esum(np.cross(m_mid, h_mid) * phi_cells)
-        term += _surface_terms(m_mid, phi_cells, geom, params)
+        term -= dV * esum(_torque(m_mid, h_mid, geom, params) * phi_cells)
         rhs += dt * one_a2 * term
     resid = lhs - rhs
     return resid if signed else abs(resid)
@@ -377,14 +358,9 @@ def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
 def stationarity_form(u: np.ndarray, H_cells: np.ndarray, params: MaterialParams,
                       geom: DomainGeometry, test_fn: TestFunction) -> float:
     """Signed value of the six-term stationary weak form for one test field."""
-    dV = geom.cell_volume
     phi_cells = eval_on_cells(test_fn, geom)
-    total = params.a_exch * _face_quadrature_terms(u, phi_cells, geom)
-    if params.k_matrix is not None:
-        total += dV * esum(np.cross(u, apply_k(params, u)) * phi_cells)
-    total -= dV * esum(np.cross(u, H_cells) * phi_cells)
-    total += _surface_terms(u, phi_cells, geom, params)
-    return total
+    return (params.a_exch * _face_quadrature_terms(u, phi_cells, geom)
+            - geom.cell_volume * esum(_torque(u, H_cells, geom, params) * phi_cells))
 
 
 def stationarity_report(u, H_cells, params, geom,

@@ -1,9 +1,15 @@
 """Effective-field assembly.
 
-h_tot = h - K m + A*Lap(m) plus, depending on the run mode, the
-volumized thin-layer field or the saturation penalty field.  In sharp
-mode the spacer surface physics enters through nonlinear ghost values in
-the Laplacian stencil instead.
+h_tot = h - K m + A*Lap(m) + the spacer surface field, plus the
+saturation penalty field under the penalized constraint.  Every term is
+minus the per-cell gradient of its energy in `energetics` over the cell
+volume, in both boundary modes.
+
+The surface field lives on the cell layers hugging the spacer: eta/dz
+cells per side in thin-layer mode, one cell per side in sharp mode.
+Sharp mode is the thin layer at eta = dz; on unit fields the tangential
+part of its surface field is the nonlinear spacer condition imposed one
+cell from the spacer.
 
 The exchange contribution carries a plus sign on the Laplacian: with the
 energy (A/2) int |grad m|^2, minus the energy gradient is +A Lap m, and
@@ -16,10 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ThinLayerInactive, ZeroExchange
-from .geometry import (DomainGeometry, SpacerTraces, extract_traces,
-                       mirror_layer, normal_z)
-from .energetics import MaterialParams, apply_k
+from .geometry import DomainGeometry
+from .energetics import MaterialParams, apply_k, layer_cells
 
 SHARP = "sharp"
 THIN_LAYER = "thin_layer"
@@ -42,138 +46,59 @@ class FieldAssembly:
             raise ValueError(f"unknown constraint {self.constraint!r}")
 
 
-@dataclass
-class GhostValues:
-    """Spacer ghost planes and the prescribed normal-derivative vectors.
+def laplacian_neumann(m: np.ndarray, geom: DomainGeometry) -> np.ndarray:
+    """7-point Laplacian, homogeneous Neumann on the outer boundary and
+    on both sides of the spacer.
 
-    ghost_plus feeds the upper slab's stencil below the face, ghost_minus
-    the lower slab's above it; deriv_plus/minus are the corresponding
-    normal-derivative prescriptions, kept for testing.
+    Written as the divergence of the face difference quotients with the
+    spacer face left out, it is the exact gradient of the exchange face
+    sum: A * laplacian_neumann(m) = -grad(exchange_energy) / dV.
     """
-
-    ghost_plus: np.ndarray
-    ghost_minus: np.ndarray
-    deriv_plus: np.ndarray
-    deriv_minus: np.ndarray
-
-
-def _lap_axis_edge(m: np.ndarray, axis: int, h2: float) -> np.ndarray:
-    """Second difference along one axis with mirror (edge) ghosts."""
-    pad = [(0, 0)] * m.ndim
-    pad[axis] = (1, 1)
-    pm = np.pad(m, pad, mode="edge")
-    sl_hi = [slice(None)] * m.ndim
-    sl_lo = [slice(None)] * m.ndim
-    sl_hi[axis] = slice(2, None)
-    sl_lo[axis] = slice(None, -2)
-    return (pm[tuple(sl_hi)] - 2.0 * m + pm[tuple(sl_lo)]) / h2
-
-
-def _bc_derivative(gamma: np.ndarray, gamma_star: np.ndarray, nu_z: float,
-                   params: MaterialParams) -> np.ndarray:
-    """Prescribed normal derivative on one spacer face.
-
-    Tangential form of the stationarity condition: every term lies in the
-    orthogonal complement of the trace when the trace has unit norm.
-    """
-    A = params.a_exch
-    nu_dot = nu_z * gamma[..., 2]                      # nu . gamma
-    dot = np.sum(gamma * gamma_star, axis=-1)          # gamma . gamma*
-    g = np.zeros_like(gamma)
-    if params.ks != 0.0:
-        nu_vec = np.zeros_like(gamma)
-        nu_vec[..., 2] = nu_z
-        g += (params.ks / A) * nu_dot[..., None] * (nu_vec - nu_dot[..., None] * gamma)
-    tang = gamma_star - dot[..., None] * gamma
-    if params.j1 != 0.0:
-        g += (params.j1 / A) * tang
-    if params.j2 != 0.0:
-        g += (2.0 * params.j2 / A) * dot[..., None] * tang
-    return g
-
-
-def nonlinear_bc_ghost(traces: SpacerTraces, params: MaterialParams,
-                       geom: DomainGeometry, m: np.ndarray) -> GhostValues:
-    """Ghost planes realizing the nonlinear spacer boundary condition.
-
-    The ghost g satisfies (g - interior)/dz = prescribed normal
-    derivative, with the face normal -e_z above the spacer and +e_z
-    below.  Raises ZeroExchange when surface constants are active but the
-    exchange constant vanishes.
-    """
-    surface_active = params.ks > 0 or params.j1 > 0 or params.j2 > 0
-    if params.a_exch == 0.0:
-        if surface_active:
-            raise ZeroExchange("nonlinear spacer condition needs a_exch > 0")
-        zero2d = np.zeros((geom.nx, geom.ny, 3))
-        s = geom.spacer_index
-        return GhostValues(m[:, :, s, :].copy(), m[:, :, s - 1, :].copy(),
-                           zero2d, zero2d.copy())
-
-    deriv_plus = _bc_derivative(traces.gamma_plus, traces.gamma_minus, -1.0, params)
-    deriv_minus = _bc_derivative(traces.gamma_minus, traces.gamma_plus, +1.0, params)
+    lap = np.zeros_like(m)
     s = geom.spacer_index
-    ghost_plus = m[:, :, s, :] + geom.dz * deriv_plus
-    ghost_minus = m[:, :, s - 1, :] + geom.dz * deriv_minus
-    return GhostValues(ghost_plus, ghost_minus, deriv_plus, deriv_minus)
-
-
-def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
-                      spacer_ghosts: Optional[GhostValues] = None) -> np.ndarray:
-    """7-point Laplacian with mirror ghosts on the outer boundary.
-
-    At the spacer faces the ghost is the adjacent interior value
-    (homogeneous Neumann) unless explicit ghost planes are supplied.
-    """
-    lap = _lap_axis_edge(m, 0, geom.dx**2)
-    lap += _lap_axis_edge(m, 1, geom.dy**2)
-
-    s = geom.spacer_index
-    lower = m[:, :, :s, :]
-    upper = m[:, :, s:, :]
-    if spacer_ghosts is None:
-        lap[:, :, :s, :] += _lap_axis_edge(lower, 2, geom.dz**2)
-        lap[:, :, s:, :] += _lap_axis_edge(upper, 2, geom.dz**2)
-    else:
-        dz2 = geom.dz**2
-        lap[:, :, :s, :] += _lap_z_with_ghosts(
-            lower, bottom=lower[:, :, 0, :], top=spacer_ghosts.ghost_minus, dz2=dz2)
-        lap[:, :, s:, :] += _lap_z_with_ghosts(
-            upper, bottom=spacer_ghosts.ghost_plus, top=upper[:, :, -1, :], dz2=dz2)
+    for axis, h in ((0, geom.dx), (1, geom.dy), (2, geom.dz)):
+        lo = [slice(None)] * m.ndim
+        hi = [slice(None)] * m.ndim
+        lo[axis] = slice(None, -1)
+        hi[axis] = slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        flux = m[hi] - m[lo]
+        flux *= 1.0 / h**2
+        if axis == 2:
+            flux[:, :, s - 1] = 0.0   # no exchange across the spacer
+        lap[lo] += flux
+        lap[hi] -= flux
     return lap
 
 
-def _lap_z_with_ghosts(slab: np.ndarray, bottom: np.ndarray, top: np.ndarray,
-                       dz2: float) -> np.ndarray:
-    padded = np.concatenate([bottom[:, :, None, :], slab, top[:, :, None, :]], axis=2)
-    return (padded[:, :, 2:, :] - 2.0 * slab + padded[:, :, :-2, :]) / dz2
+def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
+                     cells: Optional[int] = None,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Spacer surface field on the 2*cells layers hugging the spacer.
 
-
-def thin_layer_field(m: np.ndarray, geom: DomainGeometry,
-                     params: MaterialParams) -> np.ndarray:
-    """Volumized surface field, supported exactly on the flagged layers."""
-    if not geom.thin_layer_active:
-        raise ThinLayerInactive("thin_layer_field needs eta_cells >= 1")
-    sl = geom.layer_slice()
+    Minus the gradient of `thin_layer_energy` with the same `cells` over
+    the cell volume; cells defaults to the geometry's thin layer and is 1
+    in sharp mode.  The field is added into `out` (a fresh zero field
+    when omitted), touching only the layer planes, and `out` is returned.
+    """
+    if cells is None:
+        cells = geom.eta_cells
+    sl = geom.layer_slice(cells)
+    if out is None:
+        out = np.zeros_like(m)
     ml = m[:, :, sl, :]
-    ms = mirror_layer(m, geom)
-    w = 1.0 / (2.0 * geom.eta)
-
-    out = np.zeros_like(m)
-    layer = np.zeros_like(ml)
+    ms = ml[:, :, ::-1, :]              # reflection across the spacer
+    f = out[:, :, sl, :]
+    w = 1.0 / (cells * geom.dz)         # 2 / (2 eta)
     if params.ks != 0.0:
-        nz_sign = normal_z(geom)[sl]
-        m_dot_nu = ml[..., 2] * nz_sign
-        proj = np.zeros_like(ml)
-        proj[..., 2] = m_dot_nu * nz_sign
-        layer += 2.0 * params.ks * (proj - ml)
+        # Ks ((m.nu) nu - m) with nu = +-e_z keeps only the in-plane part
+        f[..., :2] -= (params.ks * w) * ml[..., :2]
     if params.j1 != 0.0:
-        layer += 2.0 * params.j1 * (ms - ml)
+        f += (params.j1 * w) * (ms - ml)
     if params.j2 != 0.0:
-        mdotms = np.sum(ml * ms, axis=-1)[..., None]
-        msms = np.sum(ms * ms, axis=-1)[..., None]
-        layer += 4.0 * params.j2 * (mdotms * ms - msms * ml)
-    out[:, :, sl, :] = w * layer
+        mdotms = np.sum(ml * ms, axis=-1, keepdims=True)
+        msms = np.sum(ms * ms, axis=-1, keepdims=True)
+        f += (2.0 * params.j2 * w) * (mdotms * ms - msms * ml)
     return out
 
 
@@ -187,10 +112,9 @@ def assemble_h_tot(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
                    assembly: FieldAssembly) -> np.ndarray:
     """Volume effective field for the active mode, h frozen.
 
-    With the constraint handled variationally (thin layer, penalty) this
-    equals minus the per-cell energy gradient over the cell volume; in
-    sharp mode the spacer contribution is the tangential ghost-condition
-    realization.
+    h plus minus the per-cell gradient of the non-Maxwell terms of
+    `total_energy` over the cell volume, in both boundary modes and both
+    constraint modes.
     """
     if assembly.h_field is not None:
         h_tot = assembly.h_field.copy()
@@ -199,17 +123,9 @@ def assemble_h_tot(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
     if params.k_matrix is not None:
         h_tot -= apply_k(params, m)
     if params.a_exch != 0.0:
-        if assembly.mode == SHARP:
-            traces = extract_traces(m, geom)
-            ghosts = nonlinear_bc_ghost(traces, params, geom, m)
-            h_tot += params.a_exch * laplacian_neumann(m, geom, ghosts)
-        else:
-            h_tot += params.a_exch * laplacian_neumann(m, geom)
-    elif assembly.mode == SHARP:
-        # A = 0: validate the configuration even though the stencil is skipped
-        nonlinear_bc_ghost(extract_traces(m, geom), params, geom, m)
-    if assembly.mode == THIN_LAYER:
-        h_tot += thin_layer_field(m, geom, params)
+        h_tot += params.a_exch * laplacian_neumann(m, geom)
+    thin_layer_field(m, geom, params, cells=layer_cells(geom, assembly.mode),
+                     out=h_tot)
     if assembly.constraint == PENALIZED and params.penalty_k != 0.0:
         h_tot += penalty_field(m, params)
     return h_tot

@@ -2,8 +2,8 @@
 
 Volume terms (exchange, anisotropy, Maxwell field energy), the two spacer
 surface energies (quadratic + biquadratic super-exchange, surface
-anisotropy), their thin-layer volumization, the saturation penalty, and
-the assembled total.
+anisotropy) volumized over the cell layers hugging the spacer, the
+saturation penalty, and the assembled total.
 
 Discretization notes:
 
@@ -11,10 +11,12 @@ Discretization notes:
   with no face across the spacer plane and none across the outer
   boundary.  Its exact per-cell gradient is then the homogeneous-Neumann
   7-point Laplacian used by the effective-field module.
-* Spacer integrals use the cell footprint dx*dy per column (midpoint
-  rule), matching the cell-centered traces.
-* The quadratic super-exchange and biquadratic terms integrate once over
-  the spacer; surface anisotropy integrates over both faces.
+* The surface energies live on `cells` whole cell layers per side with
+  weight 1/(2 eta), eta = cells*dz: eta/dz cells in thin-layer mode, one
+  cell in sharp mode.  With one cell the layer sums are exactly the
+  midpoint-rule spacer integrals of the adjacent-cell traces (footprint
+  dx*dy per column): super-exchange once over the spacer, surface
+  anisotropy over both faces.
 """
 
 from dataclasses import dataclass
@@ -22,8 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ThinLayerInactive
-from .geometry import DomainGeometry, SpacerTraces, extract_traces, normal_z
+from .geometry import DomainGeometry
 from .summation import esum, fsum
 
 _PSD_TOL = 1e-10
@@ -145,55 +146,43 @@ def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     return 0.5 * geom.cell_volume * esum(km * m)
 
 
-def superexchange_energy(traces: SpacerTraces, params: MaterialParams,
-                         geom: DomainGeometry) -> Tuple[float, float]:
-    """Quadratic and biquadratic spacer terms, integrated once over the spacer."""
-    dA = geom.face_area
-    jump = traces.gamma_plus - traces.gamma_minus
-    e_q = 0.5 * params.j1 * dA * esum(jump * jump)
-    wedge = np.cross(traces.gamma_plus, traces.gamma_minus)
-    e_biq = params.j2 * dA * esum(wedge * wedge)
-    return e_q, e_biq
-
-
-def surface_anisotropy_energy(traces: SpacerTraces, params: MaterialParams,
-                              geom: DomainGeometry) -> float:
-    """(Ks/2) * integral over both spacer faces of |trace wedge normal|^2.
-
-    The normal is +-e_z on each face, so the integrand reduces to
-    |gamma|^2 - gamma_z^2 on either side.
-    """
-    dA = geom.face_area
-    acc = 0.0
-    for g in (traces.gamma_plus, traces.gamma_minus):
-        acc += esum(g * g) - esum(g[..., 2] * g[..., 2])
-    return 0.5 * params.ks * dA * acc
+def layer_cells(geom: DomainGeometry, bc_mode: str) -> int:
+    """Depth in cells of the surface layer on each side of the spacer:
+    1 in sharp mode (the thin layer at eta = dz), eta/dz in thin-layer
+    mode."""
+    if bc_mode == "sharp":
+        return 1
+    if bc_mode == "thin_layer":
+        return geom.eta_cells
+    raise ValueError(f"unknown bc_mode {bc_mode!r}")
 
 
 def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
-                      split: bool = False):
-    """Volumized surface energy over the eta layers on both spacer sides.
+                      split: bool = False, cells: Optional[int] = None):
+    """Volumized surface energy over the 2*cells layers hugging the spacer.
 
-    With split=True returns (surface-anisotropy part, quadratic part,
-    biquadratic part) so the breakdown can report the same columns in
-    both boundary modes.
+    cells defaults to the geometry's thin layer; sharp mode uses 1.  With
+    split=True returns (surface-anisotropy part, quadratic part,
+    biquadratic part) so the breakdown reports the same columns in both
+    boundary modes.
     """
-    if not geom.thin_layer_active:
-        raise ThinLayerInactive("thin_layer_energy needs eta_cells >= 1")
-    sl = geom.layer_slice()
-    ml = m[:, :, sl, :]
-    ms = ml[:, :, ::-1, :]          # reflection within the layer
-    w = geom.cell_volume / (2.0 * geom.eta)
+    if cells is None:
+        cells = geom.eta_cells
+    ml = m[:, :, geom.layer_slice(cells), :]
+    ms = ml[:, :, ::-1, :]                  # reflection across the spacer
+    w = geom.face_area / (2.0 * cells)      # dV / (2 eta)
 
-    nz_sign = normal_z(geom)[sl]
-    m_dot_nu = ml[..., 2] * nz_sign  # (m . nu) since nu = -+ e_z
-    mm = np.sum(ml * ml, axis=-1)
-    e_ks = params.ks * w * esum(mm - m_dot_nu**2)
-
-    msms = np.sum(ms * ms, axis=-1)
-    mdotms = np.sum(ml * ms, axis=-1)
-    e_q = params.j1 * w * esum(0.5 * (mm + msms) - mdotms)
-    e_biq = params.j2 * w * esum(msms * mm - mdotms**2)
+    e_ks = e_q = e_biq = 0.0
+    if params.ks != 0.0:
+        # |m x nu|^2 with nu = +-e_z is the in-plane part of |m|^2
+        inplane = ml[..., :2]
+        e_ks = params.ks * w * esum(inplane * inplane)
+    if params.j1 != 0.0:
+        jump = ml - ms
+        e_q = 0.5 * params.j1 * w * esum(jump * jump)
+    if params.j2 != 0.0:
+        wedge = np.cross(ml, ms)
+        e_biq = params.j2 * w * esum(wedge * wedge)
     if split:
         return e_ks, e_q, e_biq
     return fsum([e_ks, e_q, e_biq])
@@ -220,21 +209,15 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
                  bc_mode: str = "sharp", constraint: str = "projected") -> EnergyBreakdown:
     """Assemble the full energy for the active mode.
 
-    bc_mode "sharp" uses the spacer surface integrals, "thin_layer" the
-    volumized replacement; the penalty term enters only under the
-    penalized constraint.
+    The surface energies sit on the one-cell layer in sharp mode and on
+    the eta layer in thin-layer mode; the penalty term enters only under
+    the penalized constraint.
     """
     e_h = e_e = 0.0
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)
-    if bc_mode == "sharp":
-        traces = extract_traces(m, geom)
-        sq, sb = superexchange_energy(traces, params, geom)
-        sa = surface_anisotropy_energy(traces, params, geom)
-    elif bc_mode == "thin_layer":
-        sa, sq, sb = thin_layer_energy(m, geom, params, split=True)
-    else:
-        raise ValueError(f"unknown bc_mode {bc_mode!r}")
+    sa, sq, sb = thin_layer_energy(m, geom, params, split=True,
+                                   cells=layer_cells(geom, bc_mode))
     pen = penalty_energy(m, geom, params) if constraint == "penalized" else 0.0
     return EnergyBreakdown.assemble(
         exchange=exchange_energy(m, geom, params),

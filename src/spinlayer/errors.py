@@ -13,16 +13,8 @@ class EtaTooLarge(SimulationError):
     """Thin-layer thickness exceeds a slab height."""
 
 
-class AsymmetricSlabs(SimulationError):
-    """Full mirror requested on a geometry with unequal slab cell counts."""
-
-
 class ThinLayerInactive(SimulationError):
     """Thin-layer operation requested but the geometry has no layer cells."""
-
-
-class ZeroExchange(SimulationError):
-    """Nonlinear spacer boundary condition is ill-posed without exchange."""
 
 
 class CFLViolation(SimulationError):

@@ -1,18 +1,22 @@
-"""Bilayer domain, grid bookkeeping, spacer traces and mirror maps.
+"""Bilayer domain and grid bookkeeping.
 
 The magnetic body is a rectangular box B x ]-l_minus, l_plus[ split by a
 zero-thickness spacer at z = 0.  Magnetization lives at cell centers in an
 array of shape (nx, ny, nz_total, 3); z-index k < nz_minus is the lower
 slab, k >= nz_minus the upper one, and the plane z = 0 is always a cell
 face shared by the two slabs, never a cell center.
+
+The spacer surface energies act on a layer of whole cells on each side of
+the spacer (`layer_slice`): one cell deep in sharp mode, eta/dz cells deep
+in thin-layer mode.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import AsymmetricSlabs, EtaTooLarge, NonTilingGrid, ThinLayerInactive
+from .errors import EtaTooLarge, NonTilingGrid, ThinLayerInactive
 
 _REL_TOL = 1e-9
 
@@ -28,7 +32,7 @@ class GeometryConfig:
     nz_minus: int
     nz_plus: int
     eta: Optional[float] = None
-    trace_order: int = 1
+    trace_order: int = 1   # only 1 is accepted
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,6 @@ class DomainGeometry:
     dz: float
     eta: Optional[float]
     eta_cells: int
-    trace_order: int = 1
 
     @property
     def nz_total(self) -> int:
@@ -77,25 +80,19 @@ class DomainGeometry:
         k = np.arange(self.nz_total)
         return (k - self.nz_minus + 0.5) * self.dz
 
-    def layer_slice(self) -> slice:
-        """z-slice of the 2*eta_cells cell layers hugging the spacer."""
-        if not self.thin_layer_active:
+    def layer_slice(self, cells: Optional[int] = None) -> slice:
+        """z-slice of the 2*cells cell layers hugging the spacer.
+
+        cells defaults to the thin layer's eta_cells; sharp mode uses 1.
+        """
+        if cells is None:
+            cells = self.eta_cells
+        if cells < 1:
             raise ThinLayerInactive("geometry was built without a thin layer")
-        return slice(self.nz_minus - self.eta_cells, self.nz_minus + self.eta_cells)
+        return slice(self.nz_minus - cells, self.nz_minus + cells)
 
     def field_shape(self) -> tuple:
         return (self.nx, self.ny, self.nz_total, 3)
-
-
-@dataclass
-class SpacerTraces:
-    """Per-column magnetization values on the two sides of the spacer."""
-
-    gamma_plus: np.ndarray   # (nx, ny, 3), limit from above
-    gamma_minus: np.ndarray  # (nx, ny, 3), limit from below
-
-    def swapped(self) -> "SpacerTraces":
-        return SpacerTraces(self.gamma_minus, self.gamma_plus)
 
 
 def _is_multiple(value: float, step: float) -> bool:
@@ -106,9 +103,9 @@ def _is_multiple(value: float, step: float) -> bool:
 def build_geometry(config: GeometryConfig) -> DomainGeometry:
     """Validate a geometry request and derive grid spacings.
 
-    Raises NonTilingGrid when the two slabs demand different dz or when
-    eta is not a whole number of cell layers, and EtaTooLarge when the
-    thin layer would not fit inside a slab.
+    Raises NonTilingGrid when the two slabs demand different dz, when
+    eta is not a whole number of cell layers or when trace_order is not
+    1, and EtaTooLarge when the thin layer would not fit inside a slab.
     """
     for name in ("base_lx", "base_ly", "l_minus", "l_plus"):
         if getattr(config, name) <= 0:
@@ -116,8 +113,8 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
     for name in ("nx", "ny", "nz_minus", "nz_plus"):
         if getattr(config, name) < 1:
             raise NonTilingGrid(f"{name} must be at least 1")
-    if config.trace_order not in (1, 2):
-        raise NonTilingGrid("trace_order must be 1 or 2")
+    if config.trace_order != 1:
+        raise NonTilingGrid("trace_order must be 1")
 
     dx = config.base_lx / config.nx
     dy = config.base_ly / config.ny
@@ -157,65 +154,5 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
         dz=dz,
         eta=config.eta,
         eta_cells=eta_cells,
-        trace_order=config.trace_order,
     )
 
-
-def extract_traces(m: np.ndarray, geom: DomainGeometry, order: Optional[int] = None) -> SpacerTraces:
-    """Spacer traces of a cell-centered field.
-
-    order=1 copies the adjacent cell value; order=2 extrapolates linearly
-    from the two cells nearest the face on each side.
-    """
-    if m.shape != geom.field_shape():
-        raise ValueError(f"field shape {m.shape} does not match geometry {geom.field_shape()}")
-    if order is None:
-        order = geom.trace_order
-    s = geom.spacer_index
-    if order == 1:
-        gp = m[:, :, s, :].copy()
-        gm = m[:, :, s - 1, :].copy()
-    elif order == 2:
-        if geom.nz_plus < 2 or geom.nz_minus < 2:
-            raise ValueError("second-order traces need at least two cells per slab")
-        gp = 1.5 * m[:, :, s, :] - 0.5 * m[:, :, s + 1, :]
-        gm = 1.5 * m[:, :, s - 1, :] - 0.5 * m[:, :, s - 2, :]
-    else:
-        raise ValueError("trace order must be 1 or 2")
-    return SpacerTraces(gamma_plus=gp, gamma_minus=gm)
-
-
-def mirror(m: np.ndarray, geom: DomainGeometry) -> np.ndarray:
-    """Reflection (x, y, z) -> (x, y, -z), exact on symmetric slabs."""
-    if geom.nz_minus != geom.nz_plus:
-        raise AsymmetricSlabs(
-            "full mirror needs nz_minus == nz_plus; use the thin-layer ops "
-            "for reflections restricted to the eta layers"
-        )
-    return m[:, :, ::-1, :].copy()
-
-
-def mirror_layer(m: np.ndarray, geom: DomainGeometry) -> np.ndarray:
-    """Reflected field restricted to the thin layer (shape of layer_slice)."""
-    sl = geom.layer_slice()
-    layer = m[:, :, sl, :]
-    return layer[:, :, ::-1, :]
-
-
-def outward_normal(geom: DomainGeometry) -> np.ndarray:
-    """Extension of the spacer normal: -e_z above the spacer, +e_z below.
-
-    Returned per z layer with shape (nz_total, 3); the normal does not
-    depend on (x, y).
-    """
-    nu = np.zeros((geom.nz_total, 3))
-    nu[: geom.nz_minus, 2] = 1.0
-    nu[geom.nz_minus:, 2] = -1.0
-    return nu
-
-
-def normal_z(geom: DomainGeometry) -> np.ndarray:
-    """z-component of the extended normal per layer: +1 below, -1 above."""
-    s = np.ones(geom.nz_total)
-    s[geom.nz_minus:] = -1.0
-    return s

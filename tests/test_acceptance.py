@@ -25,10 +25,11 @@ from spinlayer.effective_field import (PENALIZED, PROJECTED, SHARP, THIN_LAYER,
                                        FieldAssembly, assemble_h_tot)
 from spinlayer.energetics import (MaterialParams, anisotropy_energy,
                                   exchange_energy, penalty_energy,
-                                  superexchange_energy, surface_anisotropy_energy,
                                   thin_layer_energy, uniform_k_matrix)
-from spinlayer.geometry import GeometryConfig, build_geometry, extract_traces
+from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.presets import random_unit_m
+
+from conftest import spacer_oracle
 
 
 def report(num, name, detail):
@@ -115,10 +116,9 @@ def test_criterion_2_variational_consistency():
     assert rel_thin < 1e-6
 
     def sharp_energy(mm):
-        tr = extract_traces(mm, geom)
-        eq, eb = superexchange_energy(tr, params, geom)
+        # closed-form spacer integrals of the adjacent-cell traces
         return (exchange_energy(mm, geom, params) + anisotropy_energy(mm, geom, params)
-                + surface_anisotropy_energy(tr, params, geom) + eq + eb)
+                + sum(spacer_oracle(mm, geom, params)))
 
     field_s = assemble_h_tot(m, geom, params,
                              FieldAssembly(mode=SHARP, constraint=PROJECTED))
@@ -127,8 +127,8 @@ def test_criterion_2_variational_consistency():
     def tangential(v):
         return v - np.sum(v * m, axis=-1, keepdims=True) * m
 
-    # the sharp-mode ghost realizes the tangential stationarity condition;
-    # on unit fields it must match the energy gradient in the tangent space
+    # on unit fields the sharp field must match the energy gradient in the
+    # tangent space, where projected runs use it
     rel_sharp = (np.linalg.norm(tangential(field_s) - tangential(ref_s), axis=-1)
                  / (1.0 + np.linalg.norm(ref_s, axis=-1))).max()
     assert rel_sharp < 1e-6
@@ -439,7 +439,6 @@ directory = {outdir}
 [run]
 t_end = 0.2
 seed = 5
-threads = 1
 """
 
 

@@ -97,6 +97,11 @@ class TestParse:
             build_setup(parse_config(text))
         assert "geometry" in err.value.field
 
+    def test_threads_key_unknown(self):
+        with pytest.raises(ParseError) as err:
+            parse_config("[run]\nthreads = 2\n")
+        assert err.value.line == 2
+
     def test_thin_layer_requires_eta(self, tmp_path):
         text = minimal_config(tmp_path).replace(
             "dt = 0.002", "dt = 0.002\nbc_mode = thin_layer")
@@ -189,6 +194,20 @@ class TestCli:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("[geometry]\nbogus = 1\n")
         assert main(["check", str(cfg_path)]) == 2
+
+    def test_check_trace_order_two_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "out").replace(
+            "nz_plus = 2", "nz_plus = 2\ntrace_order = 2"))
+        assert main(["check", str(cfg_path)]) == 2
+        assert "geometry.trace_order" in capsys.readouterr().err
+
+    def test_threads_env_ignored(self, tmp_path, capsys, monkeypatch):
+        # nothing reads SPINLAYER_THREADS; a malformed value must not matter
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "out"))
+        monkeypatch.setenv("SPINLAYER_THREADS", "abc")
+        assert main(["check", str(cfg_path)]) == 0
 
     @pytest.mark.parametrize("preset, where", [
         ("snapshot 123", "initial.m"),   # a path, never the number 123.0
@@ -294,12 +313,11 @@ class TestCli:
         outdir = tmp_path / "out"
         cfg_path.write_text(minimal_config(outdir))
         assert main(["--log-every", "5", "--snapshots", "on", "--seed", "42",
-                     "--threads", "2", "run", str(cfg_path)]) == 0
+                     "run", str(cfg_path)]) == 0
         eff = parse_config((outdir / "effective_config").read_text())
         assert eff.cadence == 5
         assert eff.snapshots_on is True
         assert eff.seed == 42
-        assert eff.threads == 2
         assert any(n.startswith("m_") and n.endswith(".snap")
                    for n in os.listdir(outdir))
 
@@ -328,15 +346,6 @@ class TestRunVariants:
             "padding = 2", "padding = 3\nbc = mur1")
         cfg_path.write_text(text)
         assert main(["run", str(cfg_path)]) == 0
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg_path = tmp_path / "run.cfg"
-        outdir = tmp_path / "out"
-        cfg_path.write_text(minimal_config(outdir))
-        monkeypatch.setenv("SPINLAYER_THREADS", "3")
-        assert main(["run", str(cfg_path)]) == 0
-        eff = parse_config((outdir / "effective_config").read_text())
-        assert eff.threads == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_output_preserved_on_midrun_failure(self, tmp_path):

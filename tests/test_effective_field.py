@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from spinlayer import maxwell as mx
+from spinlayer.dynamics import SchemeConfig, run
 from spinlayer.effective_field import (PENALIZED, PROJECTED, SHARP, THIN_LAYER,
                                        FieldAssembly, assemble_h_tot,
-                                       laplacian_neumann, nonlinear_bc_ghost,
-                                       penalty_field, thin_layer_field)
+                                       laplacian_neumann, penalty_field,
+                                       thin_layer_field)
 from spinlayer.energetics import (MaterialParams, anisotropy_energy,
                                   exchange_energy, penalty_energy,
-                                  superexchange_energy, surface_anisotropy_energy,
-                                  thin_layer_energy, uniform_k_matrix)
-from spinlayer.errors import ThinLayerInactive, ZeroExchange
-from spinlayer.geometry import (GeometryConfig, SpacerTraces, build_geometry,
-                                extract_traces)
+                                  thin_layer_energy, total_energy,
+                                  uniform_k_matrix)
+from spinlayer.errors import ThinLayerInactive
+from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import fd_gradient, random_unit_field
+from conftest import fd_gradient, random_unit_field, spacer_oracle
 
 
 def plain_params(**overrides):
@@ -78,75 +79,53 @@ class TestLaplacian:
 
 
 class TestNonlinearGhost:
-    def _uniform_traces(self, geom, gp, gm):
-        p = np.zeros((geom.nx, geom.ny, 3))
-        q = np.zeros((geom.nx, geom.ny, 3))
-        p[...] = gp
-        q[...] = gm
-        return SpacerTraces(p, q)
+    """The nonlinear spacer condition in sharp mode: the surface field of
+    the one-cell layer on the two cells next to the spacer."""
+
+    def _params(self):
+        return plain_params(ks=0.5, j1=0.7, j2=0.3)
 
     def test_inplane_equal_traces_give_homogeneous(self, small_geom):
-        m = random_unit_field(small_geom)
-        tr = self._uniform_traces(small_geom, [1, 0, 0], [1, 0, 0])
-        params = plain_params(ks=0.5, j1=0.7, j2=0.3)
-        gh = nonlinear_bc_ghost(tr, params, small_geom, m)
-        assert np.abs(gh.deriv_plus).max() < 1e-15
-        assert np.abs(gh.deriv_minus).max() < 1e-15
+        # equal in-plane traces: no torque, the field is parallel to m
+        m = np.zeros(small_geom.field_shape())
+        m[..., 0] = 1.0
+        field = assemble_h_tot(m, small_geom, self._params(),
+                               FieldAssembly(mode=SHARP, constraint=PROJECTED))
+        assert np.abs(np.cross(m, field)).max() < 1e-15
 
     def test_aligned_normal_state_stationary(self, small_geom):
-        m = random_unit_field(small_geom)
-        tr = self._uniform_traces(small_geom, [0, 0, 1], [0, 0, 1])
-        params = plain_params(ks=0.5, j1=0.7, j2=0.3)
-        gh = nonlinear_bc_ghost(tr, params, small_geom, m)
-        assert np.abs(gh.deriv_plus).max() < 1e-15
-        assert np.abs(gh.deriv_minus).max() < 1e-15
+        m = np.zeros(small_geom.field_shape())
+        m[..., 2] = 1.0
+        field = assemble_h_tot(m, small_geom, self._params(),
+                               FieldAssembly(mode=SHARP, constraint=PROJECTED))
+        assert np.abs(field).max() < 1e-15
 
     def test_wedge_identity(self, small_geom):
-        # A gamma x G = Ks (nu.g)(g x nu) + J1 g x g* + 2 J2 (g.g*)(g x g*)
-        rng = np.random.default_rng(5)
-        gp = rng.standard_normal((small_geom.nx, small_geom.ny, 3))
-        gm = rng.standard_normal((small_geom.nx, small_geom.ny, 3))
-        gp /= np.linalg.norm(gp, axis=-1, keepdims=True)
-        gm /= np.linalg.norm(gm, axis=-1, keepdims=True)
-        tr = SpacerTraces(gp, gm)
-        params = plain_params(a_exch=0.8, ks=0.5, j1=0.7, j2=0.3)
-        m = random_unit_field(small_geom)
-        gh = nonlinear_bc_ghost(tr, params, small_geom, m)
-        for gamma, gstar, nu_z, G in ((gp, gm, -1.0, gh.deriv_plus),
-                                      (gm, gp, +1.0, gh.deriv_minus)):
+        # dz gamma x h_surf = Ks (nu.g)(g x nu) + J1 g x g* + 2 J2 (g.g*)(g x g*)
+        # on each spacer cell, nu = -e_z above the spacer and +e_z below
+        m = random_unit_field(small_geom, seed=5)
+        params = self._params()
+        h = thin_layer_field(m, small_geom, params, cells=1)
+        s = small_geom.spacer_index
+        gp, gm = m[:, :, s], m[:, :, s - 1]
+        for gamma, gstar, nu_z, hs in ((gp, gm, -1.0, h[:, :, s]),
+                                       (gm, gp, +1.0, h[:, :, s - 1])):
             nu = np.zeros_like(gamma)
             nu[..., 2] = nu_z
-            lhs = params.a_exch * np.cross(gamma, G)
+            lhs = small_geom.dz * np.cross(gamma, hs)
             rhs = (params.ks * np.sum(nu * gamma, -1)[..., None] * np.cross(gamma, nu)
                    + params.j1 * np.cross(gamma, gstar)
                    + 2 * params.j2 * np.sum(gamma * gstar, -1)[..., None]
                    * np.cross(gamma, gstar))
             assert np.abs(lhs - rhs).max() < 1e-14
-
-    def test_ghost_realizes_derivative(self, small_geom):
-        m = random_unit_field(small_geom, seed=9)
-        tr = extract_traces(m, small_geom)
-        params = plain_params(a_exch=0.8, ks=0.5, j1=0.7, j2=0.3)
-        gh = nonlinear_bc_ghost(tr, params, small_geom, m)
-        s = small_geom.spacer_index
-        dz = small_geom.dz
-        assert np.allclose((gh.ghost_plus - m[:, :, s]) / dz, gh.deriv_plus)
-        assert np.allclose((gh.ghost_minus - m[:, :, s - 1]) / dz, gh.deriv_minus)
-
-    def test_zero_exchange_rejected_when_surface_active(self, small_geom):
-        m = random_unit_field(small_geom)
-        tr = extract_traces(m, small_geom)
-        params = plain_params(a_exch=0.0, ks=0.5)
-        with pytest.raises(ZeroExchange):
-            nonlinear_bc_ghost(tr, params, small_geom, m)
+        # supported exactly on the two spacer cells
+        mask = np.ones(small_geom.nz_total, dtype=bool)
+        mask[[s - 1, s]] = False
+        assert np.abs(h[:, :, mask]).max() == 0.0
 
     def test_homogeneous_when_constants_vanish(self, small_geom):
         m = random_unit_field(small_geom, seed=2)
-        tr = extract_traces(m, small_geom)
-        gh = nonlinear_bc_ghost(tr, plain_params(), small_geom, m)
-        s = small_geom.spacer_index
-        assert np.array_equal(gh.ghost_plus, m[:, :, s])
-        assert np.array_equal(gh.ghost_minus, m[:, :, s - 1])
+        assert not thin_layer_field(m, small_geom, plain_params(), cells=1).any()
 
 
 class TestThinLayerField:
@@ -207,11 +186,12 @@ class TestPenaltyField:
         assert np.allclose(f, -g / small_geom.cell_volume, atol=1e-6)
 
 
-def sharp_energy(m, geom, params):
-    tr = extract_traces(m, geom)
-    eq, eb = superexchange_energy(tr, params, geom)
-    return (exchange_energy(m, geom, params) + anisotropy_energy(m, geom, params)
-            + surface_anisotropy_energy(tr, params, geom) + eq + eb)
+def sharp_energy(m, geom, params, penalized=False):
+    e = (exchange_energy(m, geom, params) + anisotropy_energy(m, geom, params)
+         + sum(spacer_oracle(m, geom, params)))
+    if penalized:
+        e += penalty_energy(m, geom, params)
+    return e
 
 
 def thin_energy(m, geom, params, penalized=False):
@@ -265,9 +245,8 @@ class TestAssembleHTot:
         assert rel.max() < 1e-6
 
     def test_variational_sharp_tangential(self, small_geom):
-        # the ghost realization matches the energy gradient in the tangent
-        # space of unit m; the component along m is not prescribed by the
-        # tangential boundary condition
+        # the sharp field matches the gradient of the closed-form spacer
+        # integrals in the tangent space of unit m
         rng = np.random.default_rng(31)
         m = rng.standard_normal(small_geom.field_shape())
         m /= np.linalg.norm(m, axis=-1, keepdims=True)
@@ -291,3 +270,61 @@ class TestAssembleHTot:
         sharp = assemble_h_tot(m, small_geom, params,
                                FieldAssembly(mode=SHARP, constraint=PROJECTED))
         assert np.allclose(sharp, 0.9 * laplacian_neumann(m, small_geom), atol=1e-13)
+
+    def test_variational_sharp_penalized_full_gradient(self, small_geom):
+        # sharp + penalized runs are unconstrained, so the whole field,
+        # including its component along m, must be minus the gradient
+        rng = np.random.default_rng(41)
+        m = 1.3 * rng.standard_normal(small_geom.field_shape())
+        params = self._params(small_geom, penalty_k=2.0)
+        field = assemble_h_tot(m, small_geom, params,
+                               FieldAssembly(mode=SHARP, constraint=PENALIZED))
+        g = fd_gradient(lambda mm: sharp_energy(mm, small_geom, params, True), m)
+        ref = -g / small_geom.cell_volume
+        rel = np.linalg.norm(field - ref, axis=-1) / (1.0 + np.linalg.norm(ref, axis=-1))
+        assert rel.max() < 1e-6
+
+
+def _smooth_profile(geom, b=0.8, c=0.4):
+    # criterion 6's in-plane profile: a phase jump 2c across the spacer
+    z = geom.z_centers()
+    ang = b * z + c * np.sign(z)
+    m = np.zeros(geom.field_shape())
+    m[..., 0] = np.cos(ang)
+    m[..., 1] = np.sin(ang)
+    return m
+
+
+def test_eta_to_zero_converges_to_sharp():
+    # eta = 2 dz against sharp mode (eta = dz) on the same grid, with dz
+    # and eta refined together: the gaps are real discretization error
+    params = MaterialParams(a_exch=0.02, k_matrix=None, ks=0.3, j1=0.4,
+                            j2=0.25, alpha=1.0)
+    dt, t_end = 2.5e-4, 0.1
+    energy_gaps, traj_gaps, dzs = [], [], []
+    for nz in (4, 8, 16):
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, nz, nz,
+                                             eta=2 * 0.5 / nz))
+        m = _smooth_profile(geom)
+        e_sharp = total_energy(m, None, geom, params, bc_mode=SHARP).total
+        e_thin = total_energy(m, None, geom, params, bc_mode=THIN_LAYER).total
+        energy_gaps.append(abs(e_thin - e_sharp))
+        dzs.append(geom.dz)
+
+        x = (np.arange(geom.nx) + 0.5) * geom.dx
+        m[..., 2] += 0.2 * np.sin(np.pi * x)[:, None, None]
+        m /= np.linalg.norm(m, axis=-1, keepdims=True)
+        em = mx.empty_em_state(mx.make_box(geom, padding=4))
+        em.hx[...] = 0.1
+        em.hz[...] = 0.05
+        finals = []
+        for mode in (SHARP, THIN_LAYER):
+            scheme = SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=mode,
+                                  frozen_em=True)
+            finals.append(run(geom, params, scheme, m, em.copy(), None, t_end,
+                              log_every=1000).final_state.m)
+        traj_gaps.append(float(np.sqrt(np.sum((finals[1] - finals[0]) ** 2)
+                                       * geom.cell_volume)))
+    slope = float(np.polyfit(np.log(dzs), np.log(energy_gaps), 1)[0])
+    assert 0.8 <= slope <= 1.2, (slope, energy_gaps)
+    assert traj_gaps[0] > traj_gaps[1] > traj_gaps[2], traj_gaps

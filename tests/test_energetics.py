@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from spinlayer.energetics import (EnergyBreakdown, MaterialParams,
                                   anisotropy_energy, exchange_energy,
                                   maxwell_energy, penalty_energy,
-                                  superexchange_energy, surface_anisotropy_energy,
                                   thin_layer_energy, total_energy,
                                   uniform_k_matrix)
 from spinlayer.errors import ThinLayerInactive
-from spinlayer.geometry import (GeometryConfig, SpacerTraces, build_geometry,
-                                extract_traces)
+from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer import maxwell as mx
 
-from conftest import random_unit_field
+from conftest import random_unit_field, spacer_oracle
 
 
 def plain_params(geom=None, **overrides):
@@ -128,57 +126,82 @@ class TestAnisotropy:
         assert anisotropy_energy(m, small_geom, params) == pytest.approx(expected, rel=1e-12)
 
 
+def sharp_surface(m, geom, params):
+    """(surf_anis, superexch_q, superexch_biq) of the sharp-mode breakdown."""
+    bd = total_energy(m, None, geom, params, bc_mode="sharp")
+    return bd.surf_anis, bd.superexch_q, bd.superexch_biq
+
+
 class TestSurfaceEnergies:
+    """Sharp-mode spacer energies: the one-cell layer next to the spacer."""
+
     def _traces(self, geom, gp, gm):
-        shape = (geom.nx, geom.ny, 3)
-        p = np.zeros(shape)
-        m = np.zeros(shape)
-        p[...] = gp
-        m[...] = gm
-        return SpacerTraces(p, m)
+        # gamma_plus on the upper slab, gamma_minus on the lower one
+        m = np.zeros(geom.field_shape())
+        s = geom.spacer_index
+        m[:, :, s:] = gp
+        m[:, :, :s] = gm
+        return m
 
     def test_equal_traces_zero(self, small_geom):
-        tr = self._traces(small_geom, [1, 0, 0], [1, 0, 0])
+        m = self._traces(small_geom, [1, 0, 0], [1, 0, 0])
         params = plain_params(j1=2.0, j2=3.0)
-        assert superexchange_energy(tr, params, small_geom) == (0.0, 0.0)
+        assert sharp_surface(m, small_geom, params)[1:] == (0.0, 0.0)
 
     def test_antiparallel_closed_form(self, small_geom):
         # jump^2 = 4, wedge = 0, |spacer| = 1
-        tr = self._traces(small_geom, [1, 0, 0], [-1, 0, 0])
+        m = self._traces(small_geom, [1, 0, 0], [-1, 0, 0])
         params = plain_params(j1=0.7, j2=3.0)
-        eq, eb = superexchange_energy(tr, params, small_geom)
+        _, eq, eb = sharp_surface(m, small_geom, params)
         assert eq == pytest.approx(2.0 * 0.7, rel=1e-12)
         assert eb == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_closed_form(self, small_geom):
-        tr = self._traces(small_geom, [1, 0, 0], [0, 1, 0])
+        m = self._traces(small_geom, [1, 0, 0], [0, 1, 0])
         params = plain_params(j1=0.7, j2=0.3)
-        eq, eb = superexchange_energy(tr, params, small_geom)
+        _, eq, eb = sharp_surface(m, small_geom, params)
         assert eq == pytest.approx(0.7, rel=1e-12)      # J1/2 * 2
         assert eb == pytest.approx(0.3, rel=1e-12)      # J2 * 1
 
     def test_swap_symmetric(self, small_geom):
+        # exchanging the two spacer cells swaps the traces
         rng = np.random.default_rng(8)
-        tr = SpacerTraces(rng.standard_normal((4, 4, 3)), rng.standard_normal((4, 4, 3)))
-        params = plain_params(j1=1.3, j2=0.4)
-        assert superexchange_energy(tr, params, small_geom) == pytest.approx(
-            superexchange_energy(tr.swapped(), params, small_geom))
+        m = rng.standard_normal(small_geom.field_shape())
+        s = small_geom.spacer_index
+        swapped = m.copy()
+        swapped[:, :, [s - 1, s]] = m[:, :, [s, s - 1]]
+        params = plain_params(ks=0.6, j1=1.3, j2=0.4)
+        assert sharp_surface(m, small_geom, params) == pytest.approx(
+            sharp_surface(swapped, small_geom, params), rel=1e-14)
 
     def test_surface_anisotropy_aligned_zero(self, small_geom):
-        tr = self._traces(small_geom, [0, 0, 1], [0, 0, -1])
-        assert surface_anisotropy_energy(tr, plain_params(ks=2.0), small_geom) == 0.0
+        m = self._traces(small_geom, [0, 0, 1], [0, 0, -1])
+        assert sharp_surface(m, small_geom, plain_params(ks=2.0))[0] == 0.0
 
     def test_surface_anisotropy_inplane(self, small_geom):
         # Ks/2 per face, two faces, unit spacer area
-        tr = self._traces(small_geom, [1, 0, 0], [1, 0, 0])
-        e = surface_anisotropy_energy(tr, plain_params(ks=2.0), small_geom)
+        m = self._traces(small_geom, [1, 0, 0], [1, 0, 0])
+        e = sharp_surface(m, small_geom, plain_params(ks=2.0))[0]
         assert e == pytest.approx(2.0, rel=1e-12)
 
     def test_surface_anisotropy_tilted(self, small_geom):
         v = [math.sqrt(0.5), 0.0, math.sqrt(0.5)]
-        tr = self._traces(small_geom, v, v)
-        e = surface_anisotropy_energy(tr, plain_params(ks=2.0), small_geom)
+        m = self._traces(small_geom, v, v)
+        e = sharp_surface(m, small_geom, plain_params(ks=2.0))[0]
         assert e == pytest.approx(1.0, rel=1e-12)       # Ks/2 at 45 degrees
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_spacer_oracle_asymmetric(self, seed):
+        # random non-unit fields on unequal slabs: the one-cell layer sums
+        # are the closed-form spacer integrals of the adjacent-cell traces
+        geom = build_geometry(GeometryConfig(1.0, 0.8, 0.5, 0.25, 5, 3, 4, 2))
+        rng = np.random.default_rng(seed)
+        m = 1.7 * rng.standard_normal(geom.field_shape())
+        params = plain_params(ks=0.3, j1=0.7, j2=0.45)
+        got = sharp_surface(m, geom, params)
+        want = spacer_oracle(m, geom, params)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-14, abs=0.0)
 
 
 class TestThinLayer:
@@ -202,10 +225,8 @@ class TestThinLayer:
         e = thin_layer_energy(m, small_geom, params)
         assert e == pytest.approx(0.8 + 2 * 0.6, rel=1e-12)
         # matches the sharp surface energies of the same trace data
-        tr = extract_traces(m, small_geom)
-        eq, eb = superexchange_energy(tr, params, small_geom)
-        ea = surface_anisotropy_energy(tr, params, small_geom)
-        assert e == pytest.approx(ea + eq + eb, rel=1e-12)
+        assert e == pytest.approx(sum(spacer_oracle(m, small_geom, params)), rel=1e-12)
+        assert e == pytest.approx(sum(sharp_surface(m, small_geom, params)), rel=1e-12)
 
     def test_layer_quadrature_oracle(self, small_geom):
         # naive per-cell sum over the layer
@@ -331,11 +352,14 @@ class TestTotalEnergy:
         m = rng.standard_normal(small_geom.field_shape())
         params = plain_params(a_exch=0.3, ks=0.2, j1=0.1, j2=0.4)
         bd = total_energy(m, None, small_geom, params, bc_mode="sharp")
-        tr = extract_traces(m, small_geom)
-        eq, eb = superexchange_energy(tr, params, small_geom)
         assert bd.exchange == exchange_energy(m, small_geom, params)
-        assert bd.surf_anis == surface_anisotropy_energy(tr, params, small_geom)
-        assert (bd.superexch_q, bd.superexch_biq) == (eq, eb)
+        assert (bd.surf_anis, bd.superexch_q, bd.superexch_biq) == \
+            thin_layer_energy(m, small_geom, params, split=True, cells=1)
+        assert (bd.surf_anis, bd.superexch_q, bd.superexch_biq) == pytest.approx(
+            spacer_oracle(m, small_geom, params), rel=1e-14)
+        bd_thin = total_energy(m, None, small_geom, params, bc_mode="thin_layer")
+        assert (bd_thin.surf_anis, bd_thin.superexch_q, bd_thin.superexch_biq) == \
+            thin_layer_energy(m, small_geom, params, split=True)
         assert bd.penalty == 0.0  # projected mode
 
     def test_penalty_only_in_penalized_mode(self, small_geom):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlayer.errors import AsymmetricSlabs, EtaTooLarge, NonTilingGrid
-from spinlayer.geometry import (GeometryConfig, build_geometry,
-                                extract_traces, mirror, normal_z, outward_normal)
+from spinlayer.errors import EtaTooLarge, NonTilingGrid
+from spinlayer.geometry import GeometryConfig, build_geometry
 
 from conftest import random_unit_field
 
@@ -41,6 +40,12 @@ class TestBuildGeometry:
         with pytest.raises(NonTilingGrid):
             build_geometry(GeometryConfig(0.0, 1.0, 0.5, 0.5, 8, 8, 4, 4))
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_trace_order_other_than_one_rejected(self, order):
+        with pytest.raises(NonTilingGrid):
+            build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2,
+                                          trace_order=order))
+
     def test_spacer_is_a_face(self):
         g = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 4, 4, 3, 2))
         z = g.z_centers()
@@ -51,86 +56,33 @@ class TestBuildGeometry:
 
 
 class TestTraces:
+    """The spacer traces are the two cells of the one-cell layer that
+    sharp mode uses: layer_slice(1), lower plane first."""
+
     def test_uniform(self, small_geom):
         m = np.zeros(small_geom.field_shape())
         m[..., 2] = 1.0
-        tr = extract_traces(m, small_geom)
-        assert np.allclose(tr.gamma_plus, [0, 0, 1])
-        assert np.allclose(tr.gamma_minus, [0, 0, 1])
+        layer = m[:, :, small_geom.layer_slice(1)]
+        assert layer.shape == (small_geom.nx, small_geom.ny, 2, 3)
+        assert np.allclose(layer, [0, 0, 1])
 
     def test_sign_split(self, small_geom):
         m = np.zeros(small_geom.field_shape())
         s = small_geom.spacer_index
         m[:, :, s:, 0] = 1.0
         m[:, :, :s, 0] = -1.0
-        tr = extract_traces(m, small_geom)
-        assert np.allclose(tr.gamma_plus[..., 0], 1.0)
-        assert np.allclose(tr.gamma_minus[..., 0], -1.0)
+        layer = m[:, :, small_geom.layer_slice(1)]
+        assert np.allclose(layer[:, :, 1, 0], 1.0)
+        assert np.allclose(layer[:, :, 0, 0], -1.0)
 
     def test_against_direct_indexing(self, small_geom):
         m = random_unit_field(small_geom, seed=11)
-        tr = extract_traces(m, small_geom)
+        layer = m[:, :, small_geom.layer_slice(1)]
         s = small_geom.spacer_index
         for i in range(small_geom.nx):
             for j in range(small_geom.ny):
-                assert np.array_equal(tr.gamma_plus[i, j], m[i, j, s])
-                assert np.array_equal(tr.gamma_minus[i, j], m[i, j, s - 1])
-
-    def test_second_order_is_linear_extrapolation(self, small_geom):
-        # a field linear in z is reproduced exactly at the face
-        m = np.zeros(small_geom.field_shape())
-        z = small_geom.z_centers()
-        m[..., 0] = 2.0 + 3.0 * z
-        tr = extract_traces(m, small_geom, order=2)
-        assert np.allclose(tr.gamma_plus[..., 0], 2.0)
-        assert np.allclose(tr.gamma_minus[..., 0], 2.0)
-
-
-class TestMirror:
-    def test_involution(self, small_geom):
-        m = random_unit_field(small_geom, seed=3)
-        assert np.array_equal(mirror(mirror(m, small_geom), small_geom), m)
-
-    def test_uniform_fixed(self, small_geom):
-        m = np.zeros(small_geom.field_shape())
-        m[..., 1] = 1.0
-        assert np.array_equal(mirror(m, small_geom), m)
-
-    def test_sign_flip_profile(self, small_geom):
-        m = np.zeros(small_geom.field_shape())
-        sz = np.sign(small_geom.z_centers())
-        m[..., 0] = sz
-        assert np.allclose(mirror(m, small_geom)[..., 0], -sz)
-
-    def test_swaps_traces(self, small_geom):
-        m = random_unit_field(small_geom, seed=5)
-        tr = extract_traces(m, small_geom)
-        trm = extract_traces(mirror(m, small_geom), small_geom)
-        assert np.allclose(trm.gamma_plus, tr.gamma_minus)
-        assert np.allclose(trm.gamma_minus, tr.gamma_plus)
-
-    def test_asymmetric_slabs_rejected(self):
-        g = build_geometry(GeometryConfig(1.0, 1.0, 0.75, 0.5, 4, 4, 3, 2))
-        m = np.zeros(g.field_shape())
-        with pytest.raises(AsymmetricSlabs):
-            mirror(m, g)
-
-
-class TestNormal:
-    def test_orientation(self, small_geom):
-        nu = outward_normal(small_geom)
-        z = small_geom.z_centers()
-        for k, zk in enumerate(z):
-            expected = -1.0 if zk > 0 else 1.0
-            assert nu[k, 2] == expected
-
-    def test_unit_and_z_only(self, small_geom):
-        nu = outward_normal(small_geom)
-        assert np.allclose(np.linalg.norm(nu, axis=-1), 1.0)
-        assert np.all(nu[:, :2] == 0.0)
-
-    def test_normal_z_matches(self, small_geom):
-        assert np.array_equal(normal_z(small_geom), outward_normal(small_geom)[:, 2])
+                assert np.array_equal(layer[i, j, 1], m[i, j, s])
+                assert np.array_equal(layer[i, j, 0], m[i, j, s - 1])
 
 
 @settings(max_examples=25, deadline=None)
