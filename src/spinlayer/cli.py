@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 import argparse
 import os
 import sys
+import time
 
 from . import dynamics, maxwell, snapshots
 from .config import RunConfig, build_setup, parse_config
@@ -41,6 +42,16 @@ def _atomic_write_text(path: str, text: str):
 def _fail(code: int, kind: str, message: str) -> int:
     print(f"error: {kind}: {message}", file=sys.stderr)
     return code
+
+
+def _lock_owner(lock: str) -> str:
+    """The owner recorded in a lock file ("pid N started T")."""
+    try:
+        with open(lock) as fh:
+            owner = fh.read().strip()
+    except OSError as exc:
+        return f"an unknown owner (unreadable: {exc})"
+    return owner or "an unknown owner (empty lock file)"
 
 
 def _load_config(path: str, args) -> RunConfig:
@@ -98,10 +109,25 @@ def _cmd_run(args) -> int:
     lock = os.path.join(outdir, "lock")
     try:
         os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        return _fail(4, "io", f"cannot create output directory: {exc}")
+    try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
+    except FileExistsError:
+        return _fail(4, "io", f"output directory is locked: {lock} is held by "
+                              f"{_lock_owner(lock)}; remove it if that run has ended")
     except OSError as exc:
         return _fail(4, "io", f"cannot lock output directory: {exc}")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"pid {os.getpid()} started "
+                     f"{time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
+    except OSError as exc:
+        try:
+            os.remove(lock)
+        except OSError:
+            pass
+        return _fail(4, "io", f"cannot write the lock file: {exc}")
 
     csv_tmp = os.path.join(outdir, "energy.csv.partial")
     code = 0
@@ -181,7 +207,8 @@ def recompute_final_row(outdir: str):
               + (saturation_deviation(m_arr), drift))
 
     H = omega_limit_field_cells(m_arr, setup.box, geom)
-    stationarity = stationarity_report(m_arr, H, setup.params, geom)
+    stationarity = stationarity_report(m_arr, H, setup.params, geom,
+                                       bc_mode=config.bc_mode)
     return dict(zip(DIAG_COLUMNS, values)), stationarity
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import maxwell, presets, snapshots
 from .dynamics import SchemeConfig
-from .energetics import MaterialParams, uniform_k_matrix
+from .energetics import MaterialParams
 from .errors import ParseError, SimulationError, ValidationError
 from .geometry import GeometryConfig, build_geometry
 from .maxwell import AppliedCurrent
@@ -353,15 +353,14 @@ def build_setup(config: RunConfig) -> RunSetup:
     except SimulationError as exc:
         raise ValidationError("geometry", str(exc)) from exc
 
-    k_field = None
+    k = None
     if config.k_matrix is not None:
-        k = np.asarray(config.k_matrix, dtype=float).reshape(3, 3)
-        k_field = uniform_k_matrix(k, geom)
+        k = np.reshape(config.k_matrix, (3, 3))
     elif config.k_diag is not None:
-        k_field = uniform_k_matrix(np.diag(config.k_diag), geom)
+        k = np.diag(config.k_diag)
     try:
         params = MaterialParams(
-            a_exch=config.a_exch, k_matrix=k_field, ks=config.ks,
+            a_exch=config.a_exch, k_matrix=k, ks=config.ks,
             j1=config.j1, j2=config.j2, alpha=config.alpha,
             mu0=config.mu0, eps0=config.eps0, sigma=config.sigma,
             penalty_k=config.penalty_k)

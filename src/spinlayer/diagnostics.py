@@ -14,7 +14,8 @@ import numpy as np
 
 from . import maxwell
 from .effective_field import thin_layer_field
-from .energetics import EnergyBreakdown, MaterialParams, apply_k
+from .energetics import (EnergyBreakdown, MaterialParams, _dot, _scalars,
+                         apply_k, layer_cells)
 from .errors import WindowOutOfRange
 from .geometry import DomainGeometry
 from .summation import esum
@@ -88,8 +89,12 @@ def energy_inequality_residual(ledger: EnergyLedger, T: float) -> float:
 
 def saturation_deviation(m: np.ndarray) -> float:
     """max over cells of | |m| - 1 |."""
-    norms = np.sqrt(np.sum(m * m, axis=-1))
-    return float(np.max(np.abs(norms - 1.0)))
+    dev, tmp = _scalars(None, m.shape[:-1], 2)
+    _dot(m, m, dev, tmp)
+    np.sqrt(dev, out=dev)
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    return float(dev.max())
 
 
 # ---------------------------------------------------------------------------
@@ -265,51 +270,54 @@ def eval_on_cells(test_fn: TestFunction, geom: DomainGeometry) -> np.ndarray:
     return test_fn(*_cell_coords(geom))
 
 
-def _face_quadrature_terms(m: np.ndarray, phi_cells: np.ndarray,
-                           geom: DomainGeometry) -> float:
-    """sum over interior faces of (m x D_i m) . D_i phi times dV.
+def _stationary_terms(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
+                      geom: DomainGeometry, bc_mode: str):
+    """The parts of the stationary form that do not depend on the test
+    field: per interior face family its (hi, lo) cell slices, spacing and
+    m_f x D_i m, and the torque m x (h + h_surf - K m).
 
-    The test-function gradient enters as the difference quotient of its
-    cell samples, which makes this sum the exact summation-by-parts dual
-    of the homogeneous-Neumann 7-point Laplacian: residuals then measure
-    model error rather than quadrature mismatch.
+    h_surf is the surface field of `bc_mode` (one cell per side in sharp
+    mode, eta/dz in thin-layer mode).  Its pairing with a test field is
+    minus the anisotropy, Zeeman and spacer terms of the weak and
+    stationary forms: the spacer integrals of the nonlinear condition
+    equal -dV sum (m x h_surf) . phi.
     """
-    dV = geom.cell_volume
-    s = geom.spacer_index
-    total = 0.0
-    for axis, h in ((0, geom.dx), (1, geom.dy)):
-        sl_hi = [slice(None)] * 4
-        sl_lo = [slice(None)] * 4
-        sl_hi[axis] = slice(1, None)
-        sl_lo[axis] = slice(None, -1)
-        dmi = (m[tuple(sl_hi)] - m[tuple(sl_lo)]) / h
-        mf = 0.5 * (m[tuple(sl_hi)] + m[tuple(sl_lo)])
-        dphi = (phi_cells[tuple(sl_hi)] - phi_cells[tuple(sl_lo)]) / h
-        total += esum(np.cross(mf, dmi) * dphi) * dV
-    for sl in (slice(0, s), slice(s, geom.nz_total)):
-        ms = m[:, :, sl]
-        ps = phi_cells[:, :, sl]
-        if ms.shape[2] < 2:
-            continue
-        dmi = (ms[:, :, 1:] - ms[:, :, :-1]) / geom.dz
-        mf = 0.5 * (ms[:, :, 1:] + ms[:, :, :-1])
-        dphi = (ps[:, :, 1:] - ps[:, :, :-1]) / geom.dz
-        total += esum(np.cross(mf, dmi) * dphi) * dV
-    return total
-
-
-def _torque(m: np.ndarray, h_cells: np.ndarray, geom: DomainGeometry,
-            params: MaterialParams) -> np.ndarray:
-    """m x (h + h_surf - K m) per cell, h_surf the one-cell surface field.
-
-    Its pairing with a test field is minus the anisotropy, Zeeman and
-    spacer terms of the weak and stationary forms: the spacer integrals
-    of the nonlinear condition equal -dV sum (m x h_surf) . phi.
-    """
-    h = thin_layer_field(m, geom, params, cells=1, out=h_cells.copy())
+    s, nz = geom.spacer_index, geom.nz_total
+    families = [((slice(1, None),), (slice(None, -1),), geom.dx),
+                ((slice(None), slice(1, None)), (slice(None), slice(None, -1)), geom.dy)]
+    # z faces within each slab; none across the spacer
+    for z0, z1 in ((0, s), (s, nz)):
+        if z1 - z0 >= 2:
+            families.append(((slice(None), slice(None), slice(z0 + 1, z1)),
+                             (slice(None), slice(None), slice(z0, z1 - 1)), geom.dz))
+    faces = []
+    for hi, lo, h in families:
+        dmi = (m[hi] - m[lo]) / h
+        mf = 0.5 * (m[hi] + m[lo])
+        faces.append((hi, lo, h, np.cross(mf, dmi)))
+    h = thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode),
+                         out=h_cells.copy())
     if params.k_matrix is not None:
         h -= apply_k(params, m)
-    return np.cross(m, h)
+    return faces, np.cross(m, h)
+
+
+def _stationary_value(terms, phi_cells: np.ndarray, geom: DomainGeometry,
+                      params: MaterialParams) -> float:
+    """Signed stationary form of `_stationary_terms` paired with phi.
+
+    The face sum pairs m_f x D_i m with the difference quotient of the
+    test field's cell samples, which makes it the exact summation-by-parts
+    dual of the homogeneous-Neumann 7-point Laplacian: residuals then
+    measure model error rather than quadrature mismatch.
+    """
+    faces, torque = terms
+    dV = geom.cell_volume
+    total = 0.0
+    for hi, lo, h, wedge in faces:
+        dphi = (phi_cells[hi] - phi_cells[lo]) / h
+        total += esum(wedge * dphi) * dV
+    return params.a_exch * total - dV * esum(torque * phi_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +325,15 @@ def _torque(m: np.ndarray, h_cells: np.ndarray, geom: DomainGeometry,
 
 
 def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
-                    params: MaterialParams, signed: bool = False) -> float:
+                    params: MaterialParams, signed: bool = False,
+                    bc_mode: str = "sharp") -> float:
     """Discrete mismatch of the magnetization weak form over the stored run.
 
     Requires field samples at every step (sample cadence 1).  Midpoint
     quadrature in time: rates from consecutive samples, states averaged
     to the interval midpoint.  Smallness is evidence, not proof, since
-    the test-function library is finite.
+    the test-function library is finite.  bc_mode is the run's boundary
+    mode; it picks the surface layer of the spacer terms.
     """
     ms = trajectory.m_samples
     hs = trajectory.h_cell_samples
@@ -344,9 +354,8 @@ def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
         h_mid = 0.5 * (hs[n + 1] + hs[n])
         lhs += dt * dV * (esum(m_dot * phi_cells)
                           - alpha * esum(np.cross(m_mid, m_dot) * phi_cells))
-        term = _face_quadrature_terms(m_mid, phi_cells, geom) * params.a_exch
-        term -= dV * esum(_torque(m_mid, h_mid, geom, params) * phi_cells)
-        rhs += dt * one_a2 * term
+        terms = _stationary_terms(m_mid, h_mid, params, geom, bc_mode)
+        rhs += dt * one_a2 * _stationary_value(terms, phi_cells, geom, params)
     resid = lhs - rhs
     return resid if signed else abs(resid)
 
@@ -356,25 +365,32 @@ def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
 
 
 def stationarity_form(u: np.ndarray, H_cells: np.ndarray, params: MaterialParams,
-                      geom: DomainGeometry, test_fn: TestFunction) -> float:
-    """Signed value of the six-term stationary weak form for one test field."""
-    phi_cells = eval_on_cells(test_fn, geom)
-    return (params.a_exch * _face_quadrature_terms(u, phi_cells, geom)
-            - geom.cell_volume * esum(_torque(u, H_cells, geom, params) * phi_cells))
+                      geom: DomainGeometry, test_fn: TestFunction,
+                      bc_mode: str = "sharp") -> float:
+    """Signed value of the six-term stationary weak form for one test
+    field; bc_mode picks the surface layer of the spacer terms."""
+    terms = _stationary_terms(u, H_cells, params, geom, bc_mode)
+    return _stationary_value(terms, eval_on_cells(test_fn, geom), geom, params)
 
 
 def stationarity_report(u, H_cells, params, geom,
-                        test_fns: Optional[Sequence[TestFunction]] = None):
+                        test_fns: Optional[Sequence[TestFunction]] = None,
+                        bc_mode: str = "sharp"):
+    """(name, |stationary form|) per test field; the test-field-free
+    terms are computed once for the whole library."""
     if test_fns is None:
         test_fns = test_function_library(geom)
-    return [(fn.name, abs(stationarity_form(u, H_cells, params, geom, fn)))
+    terms = _stationary_terms(u, H_cells, params, geom, bc_mode)
+    coords = _cell_coords(geom)
+    return [(fn.name, abs(_stationary_value(terms, fn(*coords), geom, params)))
             for fn in test_fns]
 
 
 def stationarity_residual(u, H_cells, params, geom,
-                          test_fns: Optional[Sequence[TestFunction]] = None) -> float:
+                          test_fns: Optional[Sequence[TestFunction]] = None,
+                          bc_mode: str = "sharp") -> float:
     """Max of |stationary weak form| over the test-function library."""
-    report = stationarity_report(u, H_cells, params, geom, test_fns)
+    report = stationarity_report(u, H_cells, params, geom, test_fns, bc_mode)
     return max(r for _, r in report)
 
 

@@ -19,7 +19,7 @@ from . import maxwell
 from .diagnostics import EnergyLedger, saturation_deviation
 from .effective_field import (PENALIZED, PROJECTED, SHARP, THIN_LAYER,
                               FieldAssembly, assemble_h_tot)
-from .energetics import MaterialParams, total_energy
+from .energetics import MaterialParams, _dot, _scalars, total_energy
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState, fdtd_step, interp_h_to_cells
@@ -75,17 +75,62 @@ def validate_stability(scheme: SchemeConfig, geom: DomainGeometry,
                 f"Yee bound {yee:g}; raise subcycles")
 
 
-def gilbert_solve(m: np.ndarray, F: np.ndarray, alpha: float) -> np.ndarray:
-    """Unique solution v of alpha v + m x v = F (closed form).
+def gilbert_solve(m: np.ndarray, F: np.ndarray, alpha: float,
+                  out: Optional[np.ndarray] = None,
+                  tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unique solution v of alpha v + m x v = F (closed form)
 
-    Valid for any m (unit norm not required); alpha must be positive.
+        v = (alpha^2 F - alpha m x F + (m.F) m) / (alpha (alpha^2 + |m|^2)).
+
+    Valid for any m (unit norm not required); alpha must be positive.  m
+    and F have the same shape (..., 3).  `out` (aliasing neither) receives
+    v; `tmp` (a flat float array of at least 2 * m.size // 3 entries)
+    makes the call allocation-free.
     """
     m = np.asarray(m, dtype=float)
     F = np.asarray(F, dtype=float)
-    mxF = np.cross(m, F)
-    mdF = np.sum(m * F, axis=-1, keepdims=True)
-    m2 = np.sum(m * m, axis=-1, keepdims=True)
-    return (alpha**2 * F - alpha * mxF + mdF * m) / (alpha * (alpha**2 + m2))
+    if out is None:
+        out = np.empty_like(F)
+    mdf, t = _scalars(tmp, m.shape[:-1], 2)
+    a2 = alpha**2
+    m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
+    f0, f1, f2 = F[..., 0], F[..., 1], F[..., 2]
+    v0, v1, v2 = out[..., 0], out[..., 1], out[..., 2]
+    _dot(m, F, mdf, t)
+    # m x F, using the component not yet written (then t) as scratch
+    np.multiply(m1, f2, out=v0)
+    np.multiply(m2, f1, out=v2)
+    v0 -= v2
+    np.multiply(m2, f0, out=v1)
+    np.multiply(m0, f2, out=v2)
+    v1 -= v2
+    np.multiply(m0, f1, out=v2)
+    np.multiply(m1, f0, out=t)
+    v2 -= t
+    out *= alpha
+    for v, f, mi in ((v0, f0, m0), (v1, f1, m1), (v2, f2, m2)):
+        np.multiply(f, a2, out=t)
+        np.subtract(t, v, out=v)
+        np.multiply(mdf, mi, out=t)
+        v += t
+    _dot(m, m, t, mdf)
+    t += a2
+    t *= alpha
+    np.divide(out, t[..., None], out=out)
+    return out
+
+
+class _Workspace:
+    """Preallocated buffers of one SimState's LLG stages.
+
+    `k` holds the stage rates (two for Heun, four for RK4), `m_stage` the
+    stage magnetization and `tmp` the scratch of `llg_rhs`.
+    """
+
+    def __init__(self, shape: tuple, stages: int):
+        self.k = [np.empty(shape) for _ in range(stages)]
+        self.m_stage = np.empty(shape)
+        self.tmp = np.empty(3 * int(np.prod(shape)))
 
 
 @dataclass
@@ -97,6 +142,7 @@ class SimState:
     params: MaterialParams
     scheme: SchemeConfig
     h_cells_frozen: Optional[np.ndarray] = None
+    work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.m).all():
@@ -114,14 +160,22 @@ class SimState:
             return self.h_cells_frozen
         return self._interp_h()
 
+    def workspace(self) -> _Workspace:
+        if self.work is None:
+            stages = 2 if self.scheme.integrator == HEUN else 4
+            self.work = _Workspace(self.m.shape, stages)
+        return self.work
+
     def energy(self) -> "object":
         return total_energy(self.m, self.em, self.geom, self.params,
                             bc_mode=self.scheme.bc_mode,
                             constraint=self.scheme.constraint)
 
 
-def llg_rhs(m: np.ndarray, h_cells: np.ndarray, geom: DomainGeometry,
-            params: MaterialParams, scheme: SchemeConfig) -> np.ndarray:
+def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
+            params: MaterialParams, scheme: SchemeConfig,
+            out: Optional[np.ndarray] = None,
+            tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """Magnetization rate of the Gilbert-form system at frozen h.
 
     Penalized mode returns the raw inversion (the doubly penalized flow
@@ -131,37 +185,85 @@ def llg_rhs(m: np.ndarray, h_cells: np.ndarray, geom: DomainGeometry,
     Landau-Lifshitz form -m x h_tot - alpha m x (m x h_tot), so dropping
     it realizes the constrained system and keeps the integrator at its
     nominal order.
+
+    h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
+    `tmp` (a flat float array of at least 3 * m.size entries) makes the
+    call allocation-free apart from layer-sized surface-field temporaries.
     """
+    if out is None:
+        out = np.empty_like(m)
+    if tmp is None:
+        tmp = np.empty(3 * m.size)
     assembly = FieldAssembly(mode=scheme.bc_mode, constraint=scheme.constraint,
                              h_field=h_cells)
-    F = (1.0 + params.alpha**2) * assemble_h_tot(m, geom, params, assembly)
-    v = gilbert_solve(m, F, params.alpha)
+    F = assemble_h_tot(m, geom, params, assembly, out=tmp[:m.size].reshape(m.shape),
+                       tmp=tmp[m.size:])
+    F *= 1.0 + params.alpha**2
+    gilbert_solve(m, F, params.alpha, out=out, tmp=tmp[m.size:])
     if scheme.constraint == PROJECTED:
-        m2 = np.sum(m * m, axis=-1, keepdims=True)
-        v = v - (np.sum(v * m, axis=-1, keepdims=True) / np.maximum(m2, 1e-300)) * m
-    return v
+        # out -= (out.m / max(|m|^2, 1e-300)) m, with F as scratch
+        m2, vm = _scalars(tmp[m.size:], m.shape[:-1], 2)
+        t = F[..., 0]
+        _dot(m, m, m2, t)
+        np.maximum(m2, 1e-300, out=m2)
+        _dot(out, m, vm, t)
+        vm /= m2
+        for i in range(3):
+            np.multiply(vm, m[..., i], out=t)
+            out[..., i] -= t
+    return out
 
 
-def _renormalize(m: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.sum(m * m, axis=-1, keepdims=True))
-    if not np.isfinite(norms).all() or np.any(norms == 0.0):
-        raise NonFinite("renormalization hit a zero or non-finite cell")
-    return m / norms
+def _first_bad_cell(bad: np.ndarray) -> tuple:
+    """Index of the first cell flagged in the boolean cell mask `bad`."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
-def _advance_m(m, h_cells, dt, geom, params, scheme):
-    def rhs(mm):
-        return llg_rhs(mm, h_cells, geom, params, scheme)
+def _renormalize(m: np.ndarray, t: float, tmp: np.ndarray):
+    """Scale every cell of m to unit norm in place; tmp is a flat float
+    array of at least 2 * m.size // 3 entries."""
+    norms, scratch = _scalars(tmp, m.shape[:-1], 2)
+    _dot(m, m, norms, scratch)
+    np.sqrt(norms, out=norms)
+    # min/max propagate NaN, so this one test catches zero, inf and NaN
+    if not (norms.min() > 0.0 and norms.max() < np.inf):
+        cell = _first_bad_cell(~(np.isfinite(norms) & (norms > 0.0)))
+        raise NonFinite(f"renormalization of m at t={t:g} hit a zero or "
+                        f"non-finite norm, first at cell {cell}")
+    np.divide(m, norms[..., None], out=m)
+
+
+def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
+    """One Heun or RK4 step of m at frozen h into `out` (not aliasing m),
+    using only the buffers of `work`."""
+    k, m_stage = work.k, work.m_stage
+
+    def rhs(mm, kk):
+        return llg_rhs(mm, h_cells, geom, params, scheme, out=kk, tmp=work.tmp)
+
+    def stage(c, kk):
+        np.multiply(kk, c, out=m_stage)
+        return np.add(m, m_stage, out=m_stage)
 
     if scheme.integrator == HEUN:
-        k1 = rhs(m)
-        k2 = rhs(m + dt * k1)
-        return m + (0.5 * dt) * (k1 + k2)
-    k1 = rhs(m)
-    k2 = rhs(m + (0.5 * dt) * k1)
-    k3 = rhs(m + (0.5 * dt) * k2)
-    k4 = rhs(m + dt * k3)
-    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1, k2 = k
+        rhs(m, k1)
+        rhs(stage(dt, k1), k2)
+        k1 += k2
+        k1 *= 0.5 * dt
+    else:
+        k1, k2, k3, k4 = k
+        rhs(m, k1)
+        rhs(stage(0.5 * dt, k1), k2)
+        rhs(stage(0.5 * dt, k2), k3)
+        rhs(stage(dt, k3), k4)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+    return np.add(m, k1, out=out)
 
 
 def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
@@ -194,22 +296,28 @@ def step(state: SimState, accum: Optional[dict] = None,
     scheme = state.scheme
     geom, params = state.geom, state.params
     dt = scheme.dt
-    h_cells = state.h_cells()
+    h_cells = state.h_cells() if state.em is not None else None   # None: h = 0
 
+    work = state.workspace()
     m = state.m
-    if scheme.frozen_em or state.em is None:
-        m_new = _advance_m(m, h_cells, dt, geom, params, scheme)
-    else:
-        m_pred = _advance_m(m, h_cells, dt, geom, params, scheme)
-        h_mid = _midpoint_h_cells(state, (m_pred - m) / dt)
-        m_new = _advance_m(m, h_mid, dt, geom, params, scheme)
+    m_new = np.empty_like(m)
+    _advance_m(m, h_cells, dt, geom, params, scheme, work, m_new)
+    if not scheme.frozen_em and state.em is not None:
+        # predicted rate (m_pred - m)/dt, then the step at the midpoint h
+        m_new -= m
+        m_new /= dt
+        h_mid = _midpoint_h_cells(state, m_new)
+        _advance_m(m, h_mid, dt, geom, params, scheme, work, m_new)
 
     if not np.isfinite(m_new).all():
-        raise NonFinite(f"magnetization became non-finite at t={state.t:g}")
+        cell = _first_bad_cell(~np.isfinite(m_new).all(axis=-1))
+        raise NonFinite(f"magnetization m became non-finite at t={state.t:g}, "
+                        f"first at cell {cell}")
     if scheme.constraint == PROJECTED:
-        m_new = _renormalize(m_new)
+        _renormalize(m_new, state.t, work.tmp)
 
-    m_dot_eff = (m_new - m) / dt
+    m_dot_eff = np.subtract(m_new, m, out=work.k[0])
+    m_dot_eff /= dt
     if not scheme.frozen_em and state.em is not None:
         box = state.em.box
         # the realized rate is constant over the step: transfer it once
@@ -223,12 +331,13 @@ def step(state: SimState, accum: Optional[dict] = None,
             t_mid = state.t + (i + 0.5) * dt_sub
             f_val = f.value(t_mid) if f is not None else no_current
             fdtd_step(state.em, m_dot_faces, f_val, params, dt_sub, accum)
-        state.em.assert_finite()
+        state.em.assert_finite(state.t)
 
     if accum is not None:
         alpha = params.alpha
+        rate2 = np.multiply(m_dot_eff, m_dot_eff, out=work.k[1])
         accum["dissipation"] += (dt * alpha / (1.0 + alpha**2)
-                                 * geom.cell_volume * esum(m_dot_eff * m_dot_eff))
+                                 * geom.cell_volume * esum(rate2))
     state.m = m_new
     state.t += dt
     return state
@@ -319,5 +428,6 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
             sample()
         if on_state is not None and logged:
             on_state(state, n)
+    state.work = None   # the stage buffers are only needed while stepping
     traj.final_state = state
     return traj

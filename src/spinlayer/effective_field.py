@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import DomainGeometry
-from .energetics import MaterialParams, apply_k, layer_cells
+from .energetics import MaterialParams, _dot, _scalars, apply_k, layer_cells
 
 SHARP = "sharp"
 THIN_LAYER = "thin_layer"
@@ -46,15 +46,25 @@ class FieldAssembly:
             raise ValueError(f"unknown constraint {self.constraint!r}")
 
 
-def laplacian_neumann(m: np.ndarray, geom: DomainGeometry) -> np.ndarray:
+def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
+                      out: Optional[np.ndarray] = None,
+                      tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """7-point Laplacian, homogeneous Neumann on the outer boundary and
     on both sides of the spacer.
 
     Written as the divergence of the face difference quotients with the
     spacer face left out, it is the exact gradient of the exchange face
     sum: A * laplacian_neumann(m) = -grad(exchange_energy) / dV.
+
+    `out` (not aliasing m) receives the Laplacian; `tmp` (a flat float
+    array of at least m.size entries) holds the face differences.  With
+    both the call is allocation-free.
     """
-    lap = np.zeros_like(m)
+    if out is None:
+        out = np.empty_like(m)
+    if tmp is None:
+        tmp = np.empty(m.size)
+    out[...] = 0.0
     s = geom.spacer_index
     for axis, h in ((0, geom.dx), (1, geom.dy), (2, geom.dz)):
         lo = [slice(None)] * m.ndim
@@ -62,13 +72,15 @@ def laplacian_neumann(m: np.ndarray, geom: DomainGeometry) -> np.ndarray:
         lo[axis] = slice(None, -1)
         hi[axis] = slice(1, None)
         lo, hi = tuple(lo), tuple(hi)
-        flux = m[hi] - m[lo]
+        m_hi = m[hi]
+        flux = tmp[:m_hi.size].reshape(m_hi.shape)
+        np.subtract(m_hi, m[lo], out=flux)
         flux *= 1.0 / h**2
         if axis == 2:
             flux[:, :, s - 1] = 0.0   # no exchange across the spacer
-        lap[lo] += flux
-        lap[hi] -= flux
-    return lap
+        out[lo] += flux
+        out[hi] -= flux
+    return out
 
 
 def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -96,36 +108,67 @@ def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams
     if params.j1 != 0.0:
         f += (params.j1 * w) * (ms - ml)
     if params.j2 != 0.0:
-        mdotms = np.sum(ml * ms, axis=-1, keepdims=True)
-        msms = np.sum(ms * ms, axis=-1, keepdims=True)
-        f += (2.0 * params.j2 * w) * (mdotms * ms - msms * ml)
+        # 2 J2 ((m.ms) ms - |ms|^2 m), component by component
+        mdotms, msms, t = _scalars(None, ml.shape[:-1], 3)
+        _dot(ml, ms, mdotms, t)
+        _dot(ms, ms, msms, t)
+        c = 2.0 * params.j2 * w
+        for i in range(3):
+            np.multiply(mdotms, ms[..., i], out=t)
+            t -= msms * ml[..., i]
+            t *= c
+            f[..., i] += t
     return out
 
 
-def penalty_field(m: np.ndarray, params: MaterialParams) -> np.ndarray:
-    """-k (|m|^2 - 1) m per cell."""
-    dev = np.sum(m * m, axis=-1) - 1.0
-    return -params.penalty_k * dev[..., None] * m
+def penalty_field(m: np.ndarray, params: MaterialParams,
+                  out: Optional[np.ndarray] = None,
+                  tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """-k (|m|^2 - 1) m per cell.
+
+    `out` (not aliasing m) receives the field; `tmp` (a flat float array of
+    at least m.size // 3 entries) makes the call allocation-free.
+    """
+    if out is None:
+        out = np.empty_like(m)
+    (p,) = _scalars(tmp, m.shape[:-1], 1)
+    _dot(m, m, p, out[..., 0])           # out is scratch until written
+    p -= 1.0
+    p *= -params.penalty_k
+    for i in range(3):
+        np.multiply(p, m[..., i], out=out[..., i])
+    return out
 
 
 def assemble_h_tot(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
-                   assembly: FieldAssembly) -> np.ndarray:
+                   assembly: FieldAssembly, out: Optional[np.ndarray] = None,
+                   tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """Volume effective field for the active mode, h frozen.
 
     h plus minus the per-cell gradient of the non-Maxwell terms of
     `total_energy` over the cell volume, in both boundary modes and both
-    constraint modes.
+    constraint modes.  `out` (not aliasing m) receives the field; `tmp` (a
+    flat float array of at least 2 * m.size entries) makes the call
+    allocation-free apart from layer-sized surface-field temporaries.
     """
+    if out is None:
+        out = np.empty_like(m)
+    if tmp is None:
+        tmp = np.empty(2 * m.size)
+    term = tmp[:m.size].reshape(m.shape)
+    rest = tmp[m.size:]
     if assembly.h_field is not None:
-        h_tot = assembly.h_field.copy()
+        np.copyto(out, assembly.h_field)
     else:
-        h_tot = np.zeros_like(m)
+        out[...] = 0.0
     if params.k_matrix is not None:
-        h_tot -= apply_k(params, m)
+        out -= apply_k(params, m, out=term, tmp=rest)
     if params.a_exch != 0.0:
-        h_tot += params.a_exch * laplacian_neumann(m, geom)
+        laplacian_neumann(m, geom, out=term, tmp=rest)
+        term *= params.a_exch
+        out += term
     thin_layer_field(m, geom, params, cells=layer_cells(geom, assembly.mode),
-                     out=h_tot)
+                     out=out)
     if assembly.constraint == PENALIZED and params.penalty_k != 0.0:
-        h_tot += penalty_field(m, params)
-    return h_tot
+        out += penalty_field(m, params, out=term, tmp=rest)
+    return out

@@ -19,6 +19,7 @@ Discretization notes:
   anisotropy over both faces.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -34,10 +35,10 @@ _PSD_TOL = 1e-10
 class MaterialParams:
     """Material and model constants.
 
-    k_matrix is the full 3x3 symmetric positive-semidefinite anisotropy
-    matrix per cell, shape (nx, ny, nz, 3, 3); it stays a full field even
-    when spatially uniform.  penalty_k is the saturation penalty
-    coefficient; sigma the conductivity inside the body.
+    k_matrix is the one symmetric positive-semidefinite 3x3 anisotropy
+    matrix of the body (the anisotropy is uniform), or None.  penalty_k is
+    the saturation penalty coefficient; sigma the conductivity inside the
+    body.
     """
 
     a_exch: float
@@ -60,15 +61,16 @@ class MaterialParams:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.k_matrix is not None:
-            k = self.k_matrix
-            if k.shape[-2:] != (3, 3):
-                raise ValueError("k_matrix must have trailing shape (3, 3)")
-            asym = np.max(np.abs(k - np.swapaxes(k, -1, -2)))
+            k = np.array(self.k_matrix, dtype=float)   # kept as a validated copy
+            if k.shape != (3, 3):
+                raise ValueError(f"k_matrix must be one 3x3 matrix, not shape {k.shape}")
+            asym = np.max(np.abs(k - k.T))
             if asym > _PSD_TOL:
                 raise ValueError(f"k_matrix not symmetric (max |K-K^T| = {asym:g})")
             eigmin = np.min(np.linalg.eigvalsh(k))
             if eigmin < -_PSD_TOL:
                 raise ValueError(f"k_matrix not positive semidefinite (min eig = {eigmin:g})")
+            object.__setattr__(self, "k_matrix", k)
 
     @property
     def speed_of_light(self) -> float:
@@ -76,10 +78,29 @@ class MaterialParams:
 
 
 def uniform_k_matrix(k: np.ndarray, geom: DomainGeometry) -> np.ndarray:
-    """Tile one 3x3 anisotropy matrix over every cell."""
-    k = np.asarray(k, dtype=float)
-    out = np.empty(geom.field_shape()[:3] + (3, 3))
-    out[...] = k
+    """The anisotropy matrix k as a float 3x3 copy, the form
+    MaterialParams.k_matrix takes (and validates).  geom is not used."""
+    return np.array(k, dtype=float)
+
+
+def _scalars(tmp: Optional[np.ndarray], shape: tuple, count: int) -> list:
+    """`count` scalar fields of `shape` carved from the flat float buffer
+    tmp, or fresh ones when tmp is None."""
+    n = math.prod(shape)
+    if tmp is None:
+        tmp = np.empty(count * n)
+    return [tmp[i * n:(i + 1) * n].reshape(shape) for i in range(count)]
+
+
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Per-cell a . b of two (..., 3) fields into out, summed in component
+    order (as np.sum over the last axis does); tmp is scratch shaped like
+    out."""
+    np.multiply(a[..., 0], b[..., 0], out=out)
+    np.multiply(a[..., 1], b[..., 1], out=tmp)
+    out += tmp
+    np.multiply(a[..., 2], b[..., 2], out=tmp)
+    out += tmp
     return out
 
 
@@ -132,11 +153,30 @@ def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams)
     return 0.5 * params.a_exch * dV * acc
 
 
-def apply_k(params: MaterialParams, m: np.ndarray) -> np.ndarray:
-    """K(x) m per cell; zeros when no anisotropy is configured."""
+def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = None,
+            tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """K m per cell; zeros when no anisotropy is configured.
+
+    `out` (not aliasing m) receives the result; `tmp` (a flat float array
+    of at least m.size // 3 entries) makes the call allocation-free.
+    """
+    if out is None:
+        out = np.empty_like(m)
     if params.k_matrix is None:
-        return np.zeros_like(m)
-    return np.einsum("...ij,...j->...i", params.k_matrix, m)
+        out[...] = 0.0
+        return out
+    k = params.k_matrix
+    (t,) = _scalars(tmp, m.shape[:-1], 1)
+    for i in range(3):
+        # (K_i0 m0 + K_i2 m2) + K_i1 m1: the summation order of
+        # np.einsum("ij,...j->...i"), so both agree bit for bit
+        o = out[..., i]
+        np.multiply(m[..., 0], k[i, 0], out=o)
+        np.multiply(m[..., 2], k[i, 2], out=t)
+        o += t
+        np.multiply(m[..., 1], k[i, 1], out=t)
+        o += t
+    return out
 
 
 def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams) -> float:

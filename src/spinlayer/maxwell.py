@@ -149,11 +149,16 @@ class EMState:
             self.work = _Workspace(self.box)
         return self.work
 
-    def assert_finite(self):
-        for a in (self.ex, self.ey, self.ez, self.hx, self.hy, self.hz):
+    def assert_finite(self, t: float):
+        """Raise NonFinite naming t, the first non-finite component and
+        its first bad index."""
+        for name in ("ex", "ey", "ez", "hx", "hy", "hz"):
+            a = getattr(self, name)
             if not np.isfinite(a).all():
                 from .errors import NonFinite
-                raise NonFinite("electromagnetic field is not finite")
+                index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+                raise NonFinite(f"electromagnetic field {name} became non-finite "
+                                f"at t={t:g}, first at index {index}")
 
 
 def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from spinlayer import snapshots
+from spinlayer import dynamics, snapshots
 from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
 from spinlayer.errors import ParseError, ValidationError
@@ -286,6 +286,27 @@ class TestCli:
         os.makedirs(outdir)
         (outdir / "lock").write_text("")
         assert main(["run", str(cfg_path)]) == 4
+
+    def test_lock_names_its_owner(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        seen = []
+        real_run = dynamics.run
+
+        def run_with_second_attempt(*args, **kwargs):
+            seen.append((outdir / "lock").read_text())
+            seen.append(main(["run", str(cfg_path)]))
+            seen.append(capsys.readouterr().err)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "run", run_with_second_attempt)
+        assert main(["run", str(cfg_path)]) == 0
+        owner, code, err = seen
+        assert owner.startswith(f"pid {os.getpid()} started ")
+        assert code == 4
+        assert owner.strip() in err
+        assert not (outdir / "lock").exists()
 
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -5,13 +5,15 @@ import pytest
 
 from spinlayer import maxwell as mx
 from spinlayer.diagnostics import (AveragingWindow, EnergyLedger, TestFunction,
-                                   energy_inequality_residual, omega_limit_field,
-                                   omega_limit_field_cells, saturation_deviation,
-                                   stationarity_residual,
+                                   energy_inequality_residual, eval_on_cells,
+                                   omega_limit_field, omega_limit_field_cells,
+                                   saturation_deviation, stationarity_form,
+                                   stationarity_report, stationarity_residual,
                                    time_average_fields, weak_residual_m,
                                    window_quadrature)
 from spinlayer.diagnostics import test_function_library as fn_library
 from spinlayer.dynamics import SchemeConfig, Trajectory, run
+from spinlayer.effective_field import thin_layer_field
 from spinlayer.energetics import MaterialParams, uniform_k_matrix
 from spinlayer.errors import WindowOutOfRange
 from spinlayer.geometry import GeometryConfig, build_geometry
@@ -226,6 +228,40 @@ class TestStationarity:
         H = np.zeros(geom.field_shape())
         lib = fn_library(geom)
         assert stationarity_residual(u, H, params, geom, lib) < 1e-15
+
+    def _random_case(self, geom):
+        params = plain_params(a_exch=0.3, ks=0.2, j1=0.4, j2=0.1,
+                              k_matrix=np.diag([0.1, 0.05, 0.0]))
+        u = random_unit_field(geom, seed=5)
+        H = np.random.default_rng(6).standard_normal(geom.field_shape())
+        return params, u, H
+
+    @pytest.mark.parametrize("bc_mode", ["sharp", "thin_layer"])
+    def test_report_equals_per_function_form(self, small_geom, bc_mode):
+        params, u, H = self._random_case(small_geom)
+        lib = fn_library(small_geom)
+        report = stationarity_report(u, H, params, small_geom, lib, bc_mode=bc_mode)
+        assert report == [
+            (fn.name, abs(stationarity_form(u, H, params, small_geom, fn,
+                                            bc_mode=bc_mode)))
+            for fn in lib]
+
+    def test_thin_layer_pairs_with_eta_surface_field(self, small_geom):
+        # the two modes differ only in the surface field of the torque:
+        # thin - sharp = -dV sum (u x (h_surf(eta) - h_surf(dz))) . phi
+        assert small_geom.eta_cells == 2
+        params, u, H = self._random_case(small_geom)
+        dh = (thin_layer_field(u, small_geom, params, cells=2)
+              - thin_layer_field(u, small_geom, params, cells=1))
+        torque = np.cross(u, dh)
+        gaps = []
+        for fn in fn_library(small_geom):
+            thin = stationarity_form(u, H, params, small_geom, fn, bc_mode="thin_layer")
+            sharp = stationarity_form(u, H, params, small_geom, fn, bc_mode="sharp")
+            want = -small_geom.cell_volume * np.sum(torque * eval_on_cells(fn, small_geom))
+            assert thin - sharp == pytest.approx(want, rel=1e-9, abs=1e-13)
+            gaps.append(abs(thin - sharp))
+        assert max(gaps) > 1e-3
 
     def test_library_has_27_entries(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 3, 3, 2, 2))

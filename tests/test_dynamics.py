@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from spinlayer import maxwell as mx
-from spinlayer.dynamics import (SchemeConfig, SimState, exchange_dt_bound,
-                                gilbert_solve, llg_rhs, run, step,
-                                validate_stability)
+from spinlayer.dynamics import (SchemeConfig, SimState, _advance_m,
+                                exchange_dt_bound, gilbert_solve, llg_rhs, run,
+                                step, validate_stability)
 from spinlayer.energetics import MaterialParams
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import GeometryConfig, build_geometry
@@ -205,6 +206,28 @@ class TestStep:
         with pytest.raises(NonFinite):
             step(state)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("constraint, bad_value, message", [
+        ("penalized", 1e200, "magnetization m became non-finite at t=0.25, "
+                             "first at cell (2, 1, 3)"),
+        ("projected", 0.0, "renormalization of m at t=0.25 hit a zero or "
+                           "non-finite norm, first at cell (2, 1, 3)"),
+    ])
+    def test_nonfinite_names_time_field_and_cell(self, constraint, bad_value, message):
+        # a huge cell overflows the penalty field, a zero cell cannot be
+        # renormalized; without exchange or surface coupling the bad cells
+        # stay the only ones
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        m = random_unit_field(geom, seed=9)
+        m[2, 1, 3] = bad_value
+        m[3, 3, 3] = bad_value
+        scheme = SchemeConfig(dt=1e-3, constraint=constraint)
+        state = SimState(t=0.25, m=m, em=None, geom=geom,
+                         params=plain_params(penalty_k=1.0), scheme=scheme)
+        with pytest.raises(NonFinite) as err:
+            step(state)
+        assert str(err.value) == message
+
     def test_exchange_stability_bound_enforced(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
         params = plain_params(a_exch=1.0)
@@ -291,3 +314,30 @@ class TestRun:
                               bc_mode="sharp")
         traj = run(geom, params, scheme, m0, em, None, t_end=0.1)
         assert traj.ledger.rows[-1].divergence_drift < 1e-12
+
+
+@pytest.mark.parametrize("integrator, constraint, bc_mode", [
+    ("heun", "projected", "sharp"),
+    ("rk4", "penalized", "thin_layer"),
+])
+def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc_mode):
+    # every LLG stage works in the state's workspace; what remains is
+    # layer-sized surface-field temporaries and small bookkeeping
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 32, 32, 16, 16,
+                                         eta=2 * 0.5 / 16))
+    params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
+                          ks=0.01, j1=0.01, j2=0.01, penalty_k=10.0)
+    scheme = SchemeConfig(dt=1e-5, integrator=integrator, constraint=constraint,
+                          bc_mode=bc_mode)
+    state = SimState(t=0.0, m=random_unit_field(geom, seed=11), em=None,
+                     geom=geom, params=params, scheme=scheme)
+    out = np.empty_like(state.m)
+    advance = (state.m, None, scheme.dt, geom, params, scheme, state.workspace(), out)
+    _advance_m(*advance)
+    tracemalloc.start()
+    try:
+        _advance_m(*advance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.m.nbytes

@@ -39,6 +39,11 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             plain_params(k_matrix=k)
 
+    def test_rejects_per_cell_k(self, small_geom):
+        k = np.broadcast_to(np.eye(3), small_geom.field_shape()[:3] + (3, 3))
+        with pytest.raises(ValueError, match="one 3x3"):
+            plain_params(k_matrix=k)
+
     def test_rejects_negative_constants(self):
         for name in ("a_exch", "ks", "j1", "j2", "sigma", "penalty_k"):
             with pytest.raises(ValueError):
@@ -113,15 +118,15 @@ class TestAnisotropy:
 
     def test_random_against_dense_oracle(self, small_geom):
         rng = np.random.default_rng(42)
-        kraw = rng.standard_normal(small_geom.field_shape()[:3] + (3, 3))
-        k = np.einsum("...ij,...kj->...ik", kraw, kraw)  # SPD per cell
+        kraw = rng.standard_normal((3, 3))
+        k = kraw @ kraw.T  # SPD
         params = plain_params(k_matrix=k)
         m = rng.standard_normal(small_geom.field_shape())
         acc = 0.0
         for i in range(small_geom.nx):
             for j in range(small_geom.ny):
                 for kk in range(small_geom.nz_total):
-                    acc += 0.5 * m[i, j, kk] @ k[i, j, kk] @ m[i, j, kk]
+                    acc += 0.5 * m[i, j, kk] @ k @ m[i, j, kk]
         expected = acc * small_geom.cell_volume
         assert anisotropy_energy(m, small_geom, params) == pytest.approx(expected, rel=1e-12)
 
