@@ -20,12 +20,14 @@ from . import dynamics, maxwell, snapshots
 from .config import RunConfig, build_setup, parse_config
 from .diagnostics import (CSV_COLUMNS, omega_limit_field_cells,
                           saturation_deviation, stationarity_report)
-from .energetics import total_energy
+from .energetics import EnergyBreakdown, total_energy
 from .errors import ConfigError, SimulationError
 
-DIAG_COLUMNS = ("t", "exchange", "anisotropy", "maxwell_h", "maxwell_e",
-                "surf_anis", "superexch_q", "superexch_biq", "penalty",
-                "total", "saturation_dev", "divergence_drift")
+# numeric failures (exit 3): the simulator's own, and float overflow or
+# division by zero in Python arithmetic on extreme inputs
+_NUMERIC_ERRORS = (SimulationError, ArithmeticError)
+
+DIAG_COLUMNS = ("t",) + EnergyBreakdown.COLUMNS + ("saturation_dev", "divergence_drift")
 
 
 def _fmt_row(values) -> str:
@@ -88,7 +90,7 @@ def _cmd_check(args) -> int:
         return _fail(4, "io", str(exc))
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
-    except SimulationError as exc:
+    except _NUMERIC_ERRORS as exc:
         return _fail(3, "numeric", str(exc))
     sys.stdout.write(config.to_text())
     return 0
@@ -102,7 +104,7 @@ def _cmd_run(args) -> int:
         return _fail(4, "io", str(exc))
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
-    except SimulationError as exc:
+    except _NUMERIC_ERRORS as exc:
         return _fail(3, "numeric", str(exc))
 
     outdir = config.directory
@@ -155,7 +157,7 @@ def _cmd_run(args) -> int:
                                 setup.em, setup.f, config.t_end,
                                 log_every=config.cadence,
                                 on_row=on_row, on_state=on_state)
-        except SimulationError as exc:
+        except _NUMERIC_ERRORS as exc:
             csv_fh.close()
             return _fail(3, "numeric", str(exc))
         csv_fh.close()
@@ -200,8 +202,7 @@ def recompute_final_row(outdir: str):
     em.hx, em.hy, em.hz = h_arrays
     em.ex, em.ey, em.ez = e_arrays
 
-    breakdown = total_energy(m_arr, em, geom, setup.params,
-                             bc_mode=config.bc_mode, constraint=config.constraint)
+    breakdown = total_energy(m_arr, em, geom, setup.params, bc_mode=config.bc_mode)
     drift = maxwell.divergence_drift(em, m_arr, geom)
     values = ((t_final,) + breakdown.as_tuple()
               + (saturation_deviation(m_arr), drift))
@@ -219,7 +220,7 @@ def _cmd_diag(args) -> int:
         return _fail(4, "io", str(exc))
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
-    except SimulationError as exc:
+    except _NUMERIC_ERRORS as exc:
         return _fail(3, "numeric", str(exc))
     text = ",".join(DIAG_COLUMNS) + "\n" + _fmt_row(row.values()) + "\n"
     stat_text = "test_fn,residual\n" + "".join(

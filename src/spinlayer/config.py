@@ -1,11 +1,14 @@
 """Run-configuration text format and validation.
 
 Sectioned key = value text, one assignment per line, '#' comments.
-Unknown sections or keys are rejected with the offending line number;
+Values are split like a shell command line, so quotes keep a space or a
+'#' inside one value.  Unknown sections or keys, malformed quoting and
+non-finite numbers are rejected with the offending line number;
 semantic problems surface as ValidationError naming the field.  The
 canonical echo from `to_text` parses back to an identical config.
 """
 
+import math
 import shlex
 from dataclasses import dataclass
 from typing import Optional
@@ -13,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import maxwell, presets, snapshots
-from .dynamics import SchemeConfig
-from .energetics import MaterialParams
+from .dynamics import (CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED,
+                       SchemeConfig)
+from .energetics import BC_MODES, SHARP, THIN_LAYER, MaterialParams
 from .errors import ParseError, SimulationError, ValidationError
 from .geometry import GeometryConfig, build_geometry
 from .maxwell import AppliedCurrent
@@ -25,6 +29,8 @@ def _fmt(v) -> str:
         return "on" if v else "off"
     if isinstance(v, float):
         return format(v, ".17g")
+    if isinstance(v, str):
+        return shlex.quote(v)
     return str(v)
 
 
@@ -55,14 +61,14 @@ class RunConfig:
     penalty_k: float = 0.0
     # scheme
     dt: float = 1e-3
-    integrator: str = "heun"
-    constraint: str = "projected"
-    bc_mode: str = "sharp"
+    integrator: str = HEUN
+    constraint: str = PROJECTED
+    bc_mode: str = SHARP
     subcycles: int = 1
     stability_c: float = 0.25
     # maxwell
     padding: int = 8
-    bc: str = "pec"
+    bc: str = maxwell.PEC
     frozen: bool = False
     # initial
     m0: tuple = ("uniform", 0.0, 0.0, 1.0)
@@ -79,57 +85,29 @@ class RunConfig:
     seed: int = 0
 
     def to_text(self) -> str:
-        lines = ["[geometry]"]
-        for key in ("lx", "ly", "l_minus", "l_plus", "nx", "ny", "nz_minus", "nz_plus"):
-            lines.append(f"{key} = {_fmt(getattr(self, key))}")
-        if self.eta is not None:
-            lines.append(f"eta = {_fmt(self.eta)}")
-        lines.append(f"trace_order = {self.trace_order}")
-        lines.append("")
-        lines.append("[material]")
-        for key in ("a_exch", "ks", "j1", "j2", "alpha", "mu0", "eps0", "sigma",
-                    "penalty_k"):
-            lines.append(f"{key} = {_fmt(getattr(self, key))}")
-        if self.k_diag is not None:
-            lines.append("k_diag = " + " ".join(_fmt(v) for v in self.k_diag))
-        if self.k_matrix is not None:
-            lines.append("k_matrix = " + " ".join(_fmt(v) for v in self.k_matrix))
-        lines.append("")
-        lines.append("[scheme]")
-        for key in ("dt", "integrator", "constraint", "bc_mode", "subcycles",
-                    "stability_c"):
-            lines.append(f"{key} = {_fmt(getattr(self, key))}")
-        lines.append("")
-        lines.append("[maxwell]")
-        lines.append(f"padding = {self.padding}")
-        lines.append(f"bc = {self.bc}")
-        lines.append(f"frozen = {_fmt(self.frozen)}")
-        lines.append("")
-        lines.append("[initial]")
-        lines.append("m = " + " ".join(_fmt(v) for v in self.m0))
-        lines.append("h0 = " + " ".join(_fmt(v) for v in self.h0))
-        lines.append("e0 = " + " ".join(_fmt(v) for v in self.e0))
-        lines.append("")
-        lines.append("[current]")
-        lines.append("f = " + " ".join(_fmt(v) for v in self.f))
-        lines.append("")
-        lines.append("[output]")
-        lines.append(f"directory = {self.directory}")
-        lines.append(f"cadence = {self.cadence}")
-        lines.append(f"snapshots = {_fmt(self.snapshots_on)}")
-        lines.append("")
-        lines.append("[run]")
-        lines.append(f"t_end = {_fmt(self.t_end)}")
-        lines.append(f"seed = {self.seed}")
-        lines.append("")
+        """The canonical echo: every key of every section in schema order,
+        unset optional keys left out; it parses back to this config."""
+        lines = []
+        for section, keys in _SCHEMA.items():
+            lines.append(f"[{section}]")
+            for key, (attr, _) in keys.items():
+                value = getattr(self, attr)
+                if value is None:
+                    continue
+                values = value if isinstance(value, tuple) else (value,)
+                lines.append(f"{key} = " + " ".join(_fmt(v) for v in values))
+            lines.append("")
         return "\n".join(lines)
 
 
 def _to_float(tok, line):
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise ParseError(line, f"expected a number, got {tok!r}")
+    if not math.isfinite(value):
+        raise ParseError(line, f"expected a finite number, got {tok!r}")
+    return value
 
 
 def _to_int(tok, line):
@@ -211,8 +189,6 @@ _SCHEMA = {
     },
     "material": {
         "a_exch": ("a_exch", _scalar(_to_float)),
-        "k_diag": ("k_diag", _floats(3)),
-        "k_matrix": ("k_matrix", _floats(9)),
         "ks": ("ks", _scalar(_to_float)),
         "j1": ("j1", _scalar(_to_float)),
         "j2": ("j2", _scalar(_to_float)),
@@ -221,18 +197,20 @@ _SCHEMA = {
         "eps0": ("eps0", _scalar(_to_float)),
         "sigma": ("sigma", _scalar(_to_float)),
         "penalty_k": ("penalty_k", _scalar(_to_float)),
+        "k_diag": ("k_diag", _floats(3)),
+        "k_matrix": ("k_matrix", _floats(9)),
     },
     "scheme": {
         "dt": ("dt", _scalar(_to_float)),
-        "integrator": ("integrator", _choice({"heun", "rk4"})),
-        "constraint": ("constraint", _choice({"projected", "penalized"})),
-        "bc_mode": ("bc_mode", _choice({"sharp", "thin_layer"})),
+        "integrator": ("integrator", _choice(INTEGRATORS)),
+        "constraint": ("constraint", _choice(CONSTRAINTS)),
+        "bc_mode": ("bc_mode", _choice(BC_MODES)),
         "subcycles": ("subcycles", _scalar(_to_int)),
         "stability_c": ("stability_c", _scalar(_to_float)),
     },
     "maxwell": {
         "padding": ("padding", _scalar(_to_int)),
-        "bc": ("bc", _choice({"pec", "mur1"})),
+        "bc": ("bc", _choice(maxwell.BOUNDARIES)),
         "frozen": ("frozen", _scalar(_to_bool)),
     },
     "initial": {
@@ -273,21 +251,26 @@ def parse_config(text: str) -> RunConfig:
     section = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SCHEMA:
-                raise ParseError(lineno, f"unknown section [{section}]")
-            continue
-        if "=" not in line:
+        key, eq, value = raw.partition("=")
+        if "#" in key:                 # a comment starts before any '='
+            key, eq = key.split("#", 1)[0], ""
+        key = key.strip()
+        if not eq:
+            if not key:
+                continue
+            if key.startswith("[") and key.endswith("]"):
+                section = key[1:-1].strip()
+                if section not in _SCHEMA:
+                    raise ParseError(lineno, f"unknown section [{section}]")
+                continue
             raise ParseError(lineno, "expected 'key = value'")
         if section is None:
             raise ParseError(lineno, "assignment before any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        tokens = shlex.split(value.strip())
+        try:
+            # shell quoting; '#' starts a comment outside quotes
+            tokens = shlex.split(value, comments=True)
+        except ValueError as exc:
+            raise ParseError(lineno, f"bad value for {key!r}: {exc}")
         if key not in _SCHEMA[section]:
             raise ParseError(lineno, f"unknown key {key!r} in [{section}]")
         if not tokens:
@@ -316,7 +299,7 @@ def _validate(config: RunConfig):
         raise ValidationError("output.cadence", "must be at least 1")
     if config.t_end < 0:
         raise ValidationError("run.t_end", "must be nonnegative")
-    if config.bc_mode == "thin_layer" and config.eta is None:
+    if config.bc_mode == THIN_LAYER and config.eta is None:
         raise ValidationError("geometry.eta", "required in thin_layer mode")
     if config.m0[0] == "random" and config.m0[1] < 0:
         raise ValidationError("initial.m", "seed must be nonnegative")
@@ -379,7 +362,7 @@ def build_setup(config: RunConfig) -> RunSetup:
     m0_box = maxwell.embed_cell_field(m0, box)
     em.hx, em.hy, em.hz = maxwell.init_divfree(m0_box, _h0_spec(config), box)
     _set_e0(config, em)
-    if config.bc == "pec":
+    if config.bc == maxwell.PEC:
         maxwell.zero_boundary_tangential_e(em)
     maxwell.record_div0(em, m0, geom)
 

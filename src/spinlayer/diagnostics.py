@@ -13,19 +13,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import maxwell
-from .effective_field import thin_layer_field
-from .energetics import (EnergyBreakdown, MaterialParams, _dot, _scalars,
-                         apply_k, layer_cells)
+from .effective_field import assemble_h_tot
+from .energetics import SHARP, EnergyBreakdown, MaterialParams, _dot, _scalars
 from .errors import WindowOutOfRange
 from .geometry import DomainGeometry
 from .summation import esum
 
-CSV_COLUMNS = (
-    "t", "exchange", "anisotropy", "maxwell_h", "maxwell_e", "surf_anis",
-    "superexch_q", "superexch_biq", "penalty", "total",
-    "dissipation_integral", "ohmic_integral", "source_integral",
-    "saturation_dev", "divergence_drift",
-)
+CSV_COLUMNS = (("t",) + EnergyBreakdown.COLUMNS
+               + ("dissipation_integral", "ohmic_integral", "source_integral",
+                  "saturation_dev", "divergence_drift"))
 
 
 @dataclass
@@ -270,54 +266,25 @@ def eval_on_cells(test_fn: TestFunction, geom: DomainGeometry) -> np.ndarray:
     return test_fn(*_cell_coords(geom))
 
 
-def _stationary_terms(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
-                      geom: DomainGeometry, bc_mode: str):
-    """The parts of the stationary form that do not depend on the test
-    field: per interior face family its (hi, lo) cell slices, spacing and
-    m_f x D_i m, and the torque m x (h + h_surf - K m).
+def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
+            geom: DomainGeometry, bc_mode: str) -> np.ndarray:
+    """m x h_tot, the test-field-free part of the stationary form, with
+    the effective field of the stepper for `bc_mode`."""
+    return np.cross(m, assemble_h_tot(m, h_cells, geom, params, bc_mode))
 
-    h_surf is the surface field of `bc_mode` (one cell per side in sharp
-    mode, eta/dz in thin-layer mode).  Its pairing with a test field is
-    minus the anisotropy, Zeeman and spacer terms of the weak and
-    stationary forms: the spacer integrals of the nonlinear condition
-    equal -dV sum (m x h_surf) . phi.
+
+def _stationary_value(torque: np.ndarray, phi_cells: np.ndarray,
+                      geom: DomainGeometry) -> float:
+    """Signed stationary form -dV sum (m x h_tot) . phi.
+
+    By summation by parts the exchange part, -A dV sum (m x Lap m) . phi,
+    is the face sum A dV sum_f (m_f x D_f m) . D_f phi over the interior
+    faces off the spacer, with the test field's cell samples differenced
+    across each face; the spacer pairing -dV sum (m x h_surf) . phi
+    equals the spacer integrals of the nonlinear condition.  Residuals
+    then measure model error rather than quadrature mismatch.
     """
-    s, nz = geom.spacer_index, geom.nz_total
-    families = [((slice(1, None),), (slice(None, -1),), geom.dx),
-                ((slice(None), slice(1, None)), (slice(None), slice(None, -1)), geom.dy)]
-    # z faces within each slab; none across the spacer
-    for z0, z1 in ((0, s), (s, nz)):
-        if z1 - z0 >= 2:
-            families.append(((slice(None), slice(None), slice(z0 + 1, z1)),
-                             (slice(None), slice(None), slice(z0, z1 - 1)), geom.dz))
-    faces = []
-    for hi, lo, h in families:
-        dmi = (m[hi] - m[lo]) / h
-        mf = 0.5 * (m[hi] + m[lo])
-        faces.append((hi, lo, h, np.cross(mf, dmi)))
-    h = thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode),
-                         out=h_cells.copy())
-    if params.k_matrix is not None:
-        h -= apply_k(params, m)
-    return faces, np.cross(m, h)
-
-
-def _stationary_value(terms, phi_cells: np.ndarray, geom: DomainGeometry,
-                      params: MaterialParams) -> float:
-    """Signed stationary form of `_stationary_terms` paired with phi.
-
-    The face sum pairs m_f x D_i m with the difference quotient of the
-    test field's cell samples, which makes it the exact summation-by-parts
-    dual of the homogeneous-Neumann 7-point Laplacian: residuals then
-    measure model error rather than quadrature mismatch.
-    """
-    faces, torque = terms
-    dV = geom.cell_volume
-    total = 0.0
-    for hi, lo, h, wedge in faces:
-        dphi = (phi_cells[hi] - phi_cells[lo]) / h
-        total += esum(wedge * dphi) * dV
-    return params.a_exch * total - dV * esum(torque * phi_cells)
+    return -geom.cell_volume * esum(torque * phi_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +293,7 @@ def _stationary_value(terms, phi_cells: np.ndarray, geom: DomainGeometry,
 
 def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
                     params: MaterialParams, signed: bool = False,
-                    bc_mode: str = "sharp") -> float:
+                    bc_mode: str = SHARP) -> float:
     """Discrete mismatch of the magnetization weak form over the stored run.
 
     Requires field samples at every step (sample cadence 1).  Midpoint
@@ -354,8 +321,8 @@ def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
         h_mid = 0.5 * (hs[n + 1] + hs[n])
         lhs += dt * dV * (esum(m_dot * phi_cells)
                           - alpha * esum(np.cross(m_mid, m_dot) * phi_cells))
-        terms = _stationary_terms(m_mid, h_mid, params, geom, bc_mode)
-        rhs += dt * one_a2 * _stationary_value(terms, phi_cells, geom, params)
+        torque = _torque(m_mid, h_mid, params, geom, bc_mode)
+        rhs += dt * one_a2 * _stationary_value(torque, phi_cells, geom)
     resid = lhs - rhs
     return resid if signed else abs(resid)
 
@@ -366,29 +333,29 @@ def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
 
 def stationarity_form(u: np.ndarray, H_cells: np.ndarray, params: MaterialParams,
                       geom: DomainGeometry, test_fn: TestFunction,
-                      bc_mode: str = "sharp") -> float:
+                      bc_mode: str = SHARP) -> float:
     """Signed value of the six-term stationary weak form for one test
     field; bc_mode picks the surface layer of the spacer terms."""
-    terms = _stationary_terms(u, H_cells, params, geom, bc_mode)
-    return _stationary_value(terms, eval_on_cells(test_fn, geom), geom, params)
+    torque = _torque(u, H_cells, params, geom, bc_mode)
+    return _stationary_value(torque, eval_on_cells(test_fn, geom), geom)
 
 
 def stationarity_report(u, H_cells, params, geom,
                         test_fns: Optional[Sequence[TestFunction]] = None,
-                        bc_mode: str = "sharp"):
-    """(name, |stationary form|) per test field; the test-field-free
-    terms are computed once for the whole library."""
+                        bc_mode: str = SHARP):
+    """(name, |stationary form|) per test field; the torque m x h_tot is
+    computed once for the whole library."""
     if test_fns is None:
         test_fns = test_function_library(geom)
-    terms = _stationary_terms(u, H_cells, params, geom, bc_mode)
+    torque = _torque(u, H_cells, params, geom, bc_mode)
     coords = _cell_coords(geom)
-    return [(fn.name, abs(_stationary_value(terms, fn(*coords), geom, params)))
+    return [(fn.name, abs(_stationary_value(torque, fn(*coords), geom)))
             for fn in test_fns]
 
 
 def stationarity_residual(u, H_cells, params, geom,
                           test_fns: Optional[Sequence[TestFunction]] = None,
-                          bc_mode: str = "sharp") -> float:
+                          bc_mode: str = SHARP) -> float:
     """Max of |stationary weak form| over the test-function library."""
     report = stationarity_report(u, H_cells, params, geom, test_fns, bc_mode)
     return max(r for _, r in report)

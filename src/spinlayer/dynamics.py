@@ -17,9 +17,8 @@ import numpy as np
 
 from . import maxwell
 from .diagnostics import EnergyLedger, saturation_deviation
-from .effective_field import (PENALIZED, PROJECTED, SHARP, THIN_LAYER,
-                              FieldAssembly, assemble_h_tot)
-from .energetics import MaterialParams, _dot, _scalars, total_energy
+from .effective_field import assemble_h_tot
+from .energetics import BC_MODES, SHARP, MaterialParams, _dot, _scalars, total_energy
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState, fdtd_step, interp_h_to_cells
@@ -27,6 +26,10 @@ from .summation import esum
 
 HEUN = "heun"
 RK4 = "rk4"
+INTEGRATORS = (HEUN, RK4)
+PROJECTED = "projected"
+PENALIZED = "penalized"
+CONSTRAINTS = (PROJECTED, PENALIZED)
 
 
 @dataclass
@@ -44,12 +47,11 @@ class SchemeConfig:
             raise ValueError("dt must be positive")
         if self.subcycles < 1:
             raise ValueError("subcycles must be at least 1")
-        if self.integrator not in (HEUN, RK4):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.constraint not in (PROJECTED, PENALIZED):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
-        if self.bc_mode not in (SHARP, THIN_LAYER):
-            raise ValueError(f"unknown bc_mode {self.bc_mode!r}")
+        for name, options in (("integrator", INTEGRATORS),
+                              ("constraint", CONSTRAINTS), ("bc_mode", BC_MODES)):
+            if getattr(self, name) not in options:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r} "
+                                 f"(choose from {options})")
 
 
 def exchange_dt_bound(geom: DomainGeometry, params: MaterialParams,
@@ -168,8 +170,7 @@ class SimState:
 
     def energy(self) -> "object":
         return total_energy(self.m, self.em, self.geom, self.params,
-                            bc_mode=self.scheme.bc_mode,
-                            constraint=self.scheme.constraint)
+                            bc_mode=self.scheme.bc_mode)
 
 
 def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
@@ -194,10 +195,8 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
         out = np.empty_like(m)
     if tmp is None:
         tmp = np.empty(3 * m.size)
-    assembly = FieldAssembly(mode=scheme.bc_mode, constraint=scheme.constraint,
-                             h_field=h_cells)
-    F = assemble_h_tot(m, geom, params, assembly, out=tmp[:m.size].reshape(m.shape),
-                       tmp=tmp[m.size:])
+    F = assemble_h_tot(m, h_cells, geom, params, scheme.bc_mode,
+                       out=tmp[:m.size].reshape(m.shape), tmp=tmp[m.size:])
     F *= 1.0 + params.alpha**2
     gilbert_solve(m, F, params.alpha, out=out, tmp=tmp[m.size:])
     if scheme.constraint == PROJECTED:

@@ -1,9 +1,9 @@
 """Effective-field assembly.
 
-h_tot = h - K m + A*Lap(m) + the spacer surface field, plus the
-saturation penalty field under the penalized constraint.  Every term is
-minus the per-cell gradient of its energy in `energetics` over the cell
-volume, in both boundary modes.
+h_tot = h - K m + A*Lap(m) + the spacer surface field + the saturation
+penalty field.  Every term is minus the per-cell gradient of its energy
+in `energetics` over the cell volume, in both boundary modes; the
+penalty term is zero when params.penalty_k is.
 
 The surface field lives on the cell layers hugging the spacer: eta/dz
 cells per side in thin-layer mode, one cell per side in sharp mode.
@@ -17,33 +17,13 @@ that is the sign under which the assembled field drives a dissipative
 flow.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geometry import DomainGeometry
-from .energetics import MaterialParams, _dot, _scalars, apply_k, layer_cells
-
-SHARP = "sharp"
-THIN_LAYER = "thin_layer"
-PROJECTED = "projected"
-PENALIZED = "penalized"
-
-
-@dataclass
-class FieldAssembly:
-    """Mode flags plus the Maxwell h already interpolated to m cells."""
-
-    mode: str = SHARP                   # SHARP or THIN_LAYER
-    constraint: str = PROJECTED         # PROJECTED or PENALIZED
-    h_field: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.mode not in (SHARP, THIN_LAYER):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.constraint not in (PROJECTED, PENALIZED):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
+from .energetics import (SHARP, MaterialParams, _dot, _scalars, apply_k,
+                         layer_cells)
 
 
 def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
@@ -140,16 +120,19 @@ def penalty_field(m: np.ndarray, params: MaterialParams,
     return out
 
 
-def assemble_h_tot(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
-                   assembly: FieldAssembly, out: Optional[np.ndarray] = None,
+def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
+                   geom: DomainGeometry, params: MaterialParams,
+                   bc_mode: str = SHARP, out: Optional[np.ndarray] = None,
                    tmp: Optional[np.ndarray] = None) -> np.ndarray:
-    """Volume effective field for the active mode, h frozen.
+    """Volume effective field at frozen h.
 
-    h plus minus the per-cell gradient of the non-Maxwell terms of
-    `total_energy` over the cell volume, in both boundary modes and both
-    constraint modes.  `out` (not aliasing m) receives the field; `tmp` (a
-    flat float array of at least 2 * m.size entries) makes the call
-    allocation-free apart from layer-sized surface-field temporaries.
+    h_cells (the Maxwell h on m cells; None means h = 0) plus minus the
+    per-cell gradient of the non-Maxwell terms of `total_energy` over the
+    cell volume, the saturation penalty included whenever
+    params.penalty_k is nonzero.  bc_mode picks the spacer layer.  `out`
+    (not aliasing m) receives the field; `tmp` (a flat float array of at
+    least 2 * m.size entries) makes the call allocation-free apart from
+    layer-sized surface-field temporaries.
     """
     if out is None:
         out = np.empty_like(m)
@@ -157,8 +140,8 @@ def assemble_h_tot(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
         tmp = np.empty(2 * m.size)
     term = tmp[:m.size].reshape(m.shape)
     rest = tmp[m.size:]
-    if assembly.h_field is not None:
-        np.copyto(out, assembly.h_field)
+    if h_cells is not None:
+        np.copyto(out, h_cells)
     else:
         out[...] = 0.0
     if params.k_matrix is not None:
@@ -167,8 +150,7 @@ def assemble_h_tot(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
         laplacian_neumann(m, geom, out=term, tmp=rest)
         term *= params.a_exch
         out += term
-    thin_layer_field(m, geom, params, cells=layer_cells(geom, assembly.mode),
-                     out=out)
-    if assembly.constraint == PENALIZED and params.penalty_k != 0.0:
+    thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode), out=out)
+    if params.penalty_k != 0.0:
         out += penalty_field(m, params, out=term, tmp=rest)
     return out

@@ -30,6 +30,10 @@ from .summation import esum, fsum
 
 _PSD_TOL = 1e-10
 
+SHARP = "sharp"
+THIN_LAYER = "thin_layer"
+BC_MODES = (SHARP, THIN_LAYER)
+
 
 @dataclass(frozen=True)
 class MaterialParams:
@@ -190,11 +194,9 @@ def layer_cells(geom: DomainGeometry, bc_mode: str) -> int:
     """Depth in cells of the surface layer on each side of the spacer:
     1 in sharp mode (the thin layer at eta = dz), eta/dz in thin-layer
     mode."""
-    if bc_mode == "sharp":
-        return 1
-    if bc_mode == "thin_layer":
-        return geom.eta_cells
-    raise ValueError(f"unknown bc_mode {bc_mode!r}")
+    if bc_mode not in BC_MODES:
+        raise ValueError(f"unknown bc_mode {bc_mode!r} (choose from {BC_MODES})")
+    return 1 if bc_mode == SHARP else geom.eta_cells
 
 
 def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -246,19 +248,19 @@ def maxwell_energy(em, params: MaterialParams) -> Tuple[float, float]:
 
 
 def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams,
-                 bc_mode: str = "sharp", constraint: str = "projected") -> EnergyBreakdown:
-    """Assemble the full energy for the active mode.
+                 bc_mode: str = SHARP) -> EnergyBreakdown:
+    """Assemble the full energy for the boundary mode.
 
     The surface energies sit on the one-cell layer in sharp mode and on
-    the eta layer in thin-layer mode; the penalty term enters only under
-    the penalized constraint.
+    the eta layer in thin-layer mode; the penalty term enters whenever
+    params.penalty_k is nonzero, the energy whose gradient
+    `effective_field.assemble_h_tot` is.
     """
     e_h = e_e = 0.0
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)
     sa, sq, sb = thin_layer_energy(m, geom, params, split=True,
                                    cells=layer_cells(geom, bc_mode))
-    pen = penalty_energy(m, geom, params) if constraint == "penalized" else 0.0
     return EnergyBreakdown.assemble(
         exchange=exchange_energy(m, geom, params),
         anisotropy=anisotropy_energy(m, geom, params),
@@ -267,5 +269,5 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
         surf_anis=sa,
         superexch_q=sq,
         superexch_biq=sb,
-        penalty=pen,
+        penalty=penalty_energy(m, geom, params),
     )

@@ -24,6 +24,7 @@ from .summation import esum
 
 PEC = "pec"
 MUR1 = "mur1"
+BOUNDARIES = (PEC, MUR1)
 
 POISSON_TOL = 1e-10
 
@@ -162,6 +163,9 @@ class EMState:
 
 
 def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
+    """Zero fields on the box with outer boundary bc (PEC or MUR1)."""
+    if bc not in BOUNDARIES:
+        raise ValueError(f"unknown boundary {bc!r} (choose from {BOUNDARIES})")
     es = edge_shapes(box)
     fs = face_shapes(box)
     state = EMState(box, np.zeros(es[0]), np.zeros(es[1]), np.zeros(es[2]),

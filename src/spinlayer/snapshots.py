@@ -16,6 +16,7 @@ Files are written to "<path>.partial" and renamed into place so a crash
 never leaves a truncated file under the final name.
 """
 
+import math
 import os
 import struct
 
@@ -68,9 +69,13 @@ def read_snapshot(path):
         if magic != MAGIC:
             raise ValueError(f"{path}: bad snapshot magic {magic!r}")
         dims = (nx, ny, nz)
+        shapes = _payload_shapes(field_id, dims)
+        # check the size before reading: the header's counts are outside input
+        counts = [math.prod(shape) for shape in shapes]
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + 8 * sum(counts):
+            raise ValueError(f"{path}: truncated snapshot payload")
         arrays = []
-        for shape in _payload_shapes(field_id, dims):
-            count = int(np.prod(shape))
+        for shape, count in zip(shapes, counts):
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated snapshot payload")

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from spinlayer.effective_field import thin_layer_field
+from spinlayer.energetics import apply_k, layer_cells
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 
@@ -60,3 +62,33 @@ def spacer_oracle(m, geom, params):
     return (0.5 * params.ks * dA * ks,
             0.5 * params.j1 * dA * math.fsum((jump * jump).ravel()),
             params.j2 * dA * math.fsum((wedge * wedge).ravel()))
+
+
+def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
+    """The stationary form written as a face sum, the reference for
+    `diagnostics.stationarity_form` and the weak form's right-hand side.
+
+    A dV sum over the interior faces off the spacer of
+    (m_f x D_f m) . D_f phi, with m_f the face midpoint and D_f the
+    difference quotient across the face, minus
+    dV sum (m x (h + h_surf - K m)) . phi with h_surf the surface field of
+    bc_mode.  The penalty field is parallel to m and pairs to zero.
+    """
+    s, nz = geom.spacer_index, geom.nz_total
+    families = [((slice(1, None),), (slice(None, -1),), geom.dx),
+                ((slice(None), slice(1, None)), (slice(None), slice(None, -1)), geom.dy)]
+    for z0, z1 in ((0, s), (s, nz)):       # z faces within each slab
+        if z1 - z0 >= 2:
+            families.append(((slice(None), slice(None), slice(z0 + 1, z1)),
+                             (slice(None), slice(None), slice(z0, z1 - 1)), geom.dz))
+    dV = geom.cell_volume
+    exchange = 0.0
+    for hi, lo, d in families:
+        wedge = np.cross(0.5 * (m[hi] + m[lo]), (m[hi] - m[lo]) / d)
+        exchange += math.fsum((wedge * (phi_cells[hi] - phi_cells[lo]) / d).ravel())
+    h = thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode),
+                         out=h_cells.copy())
+    if params.k_matrix is not None:
+        h -= apply_k(params, m)
+    torque = np.cross(m, h)
+    return params.a_exch * dV * exchange - dV * math.fsum((torque * phi_cells).ravel())

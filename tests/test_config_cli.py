@@ -1,7 +1,11 @@
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlayer import dynamics, snapshots
 from spinlayer.cli import main
@@ -131,8 +135,24 @@ class TestParse:
                         h0=("uniform", 0.1, 0.0, 0.0),
                         e0=("uniform", 0.0, 0.1, 0.0),
                         f=("pulse", 0.1, 0.0, 0.0, 1.0, 0.5),
-                        k_diag=(0.1, 0.2, 0.3), snapshots_on=True)
+                        k_diag=(0.1, 0.2, 0.3), snapshots_on=True,
+                        directory="my out#1")
         assert parse_config(cfg.to_text()) == cfg
+        # quoted strings: a space and a '#' inside a preset's path
+        cfg = RunConfig(m0=("snapshot", "/tmp/my run#2/m.snap"), directory="it's")
+        assert parse_config(cfg.to_text()) == cfg
+
+    def test_quoted_hash_is_not_a_comment(self):
+        cfg = parse_config('[output]\ndirectory = "out#1"  # a comment\n')
+        assert cfg.directory == "out#1"
+        cfg = parse_config("[output]\ndirectory = out#1\n")
+        assert cfg.directory == "out"
+
+    @pytest.mark.parametrize("value", ['"out', "'out#1", "out\\"])
+    def test_unbalanced_quote_reports_line(self, value):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"[output]\ncadence = 1\ndirectory = {value}\n")
+        assert err.value.line == 3
 
 
 class TestBuildSetup:
@@ -176,6 +196,16 @@ class TestSnapshots:
         _, _, _, _, arrays = snapshots.read_snapshot(path)
         for a, b in zip(arrays, (hx, hy, hz)):
             assert np.array_equal(a, b)
+
+
+    def test_header_counts_beyond_the_file_rejected(self, tmp_path):
+        # counts far beyond the file: rejected before any payload is read
+        path = tmp_path / "m.snap"
+        path.write_bytes(struct.pack("<16s4s3I3dd", snapshots.MAGIC, snapshots.FIELD_M,
+                                     2**32 - 1, 2**32 - 1, 2**32 - 1, 1.0, 1.0, 1.0, 0.0)
+                         + bytes(24))
+        with pytest.raises(ValueError, match="truncated snapshot payload"):
+            snapshots.read_snapshot(path)
 
 
 class TestCli:
@@ -230,6 +260,15 @@ class TestCli:
         cfg_path.write_text(minimal_config(tmp_path / "out"))
         assert main(["--seed", "-1", "check", str(cfg_path)]) == 2
         assert "run.seed" in capsys.readouterr().err
+
+    def test_unbalanced_quote_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        text = minimal_config(tmp_path / "out")
+        cfg_path.write_text(text.replace(f"directory = {tmp_path / 'out'}",
+                                         'directory = "out'))
+        assert main(["check", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: line ") and "quotation" in err
 
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.cfg")]) == 4
@@ -414,3 +453,72 @@ class TestPresets:
         b = build_setup(cfg).m0
         assert np.array_equal(a, b)
         assert np.allclose(np.linalg.norm(a, axis=-1), 1.0)
+
+
+def _readme_config():
+    """The complete example config of README.md."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    return readme.split("### Configuration", 1)[1].split("```")[1]
+
+
+README_CONFIG = _readme_config()
+README_LINES = README_CONFIG.splitlines()
+# lines of README_CONFIG that assign a value; fuzzing keeps every grid
+# axis at 16 cells or fewer and the padding at 12 or less
+ASSIGNMENTS = [i for i, line in enumerate(README_LINES)
+               if "=" in line.split("#", 1)[0]]
+
+TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["nan", "inf", "-0.0", "1e308", "1e-300", "heun", "thin_layer",
+                     "banana", "on", "random", "uniform 1 0", "pulse 1 0 0 0 0",
+                     '"', "'", '"out', "'a b'", "#", '"a#b"', "\\", ""]))
+
+
+@st.composite
+def snapshot_bytes(draw):
+    """A snapshot file: header fields (magic, field id, dims <= 16) and a
+    payload of any length up to the full one."""
+    magic = draw(st.sampled_from([snapshots.MAGIC, b"SPINLAYERSNAP000"]))
+    fid = draw(st.sampled_from([snapshots.FIELD_M, snapshots.FIELD_H, b"XXXX"]))
+    dims = draw(st.sampled_from([(16, 16, 16), (0, 16, 16), (4, 4, 4),
+                                 (16, 16, 15)]))
+    fill = draw(st.sampled_from([1.0, 0.0, float("nan"), float("inf")]))
+    count = int(np.prod(dims)) * 3
+    payload = np.full(count, fill)
+    payload[::7] = 0.5
+    raw = payload.astype("<f8").tobytes()
+    cut = draw(st.sampled_from([0, 1, 8, len(raw)]))
+    header = struct.pack("<16s4s3I3dd", magic, fid, *dims, 0.1, 0.1, 0.1, 0.0)
+    return header + raw[:len(raw) - cut]
+
+
+class TestFuzz:
+    """`spinlayer check` on the README config with one value replaced:
+    always exit 0, 2, 3 or 4, never a traceback."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(line=st.sampled_from(ASSIGNMENTS), token=TOKENS)
+    def test_check_one_value_replaced(self, line, token):
+        lines = list(README_LINES)
+        key = lines[line].split("=", 1)[0]
+        lines[line] = f"{key}= {token}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines))
+            assert main(["check", path]) in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=snapshot_bytes())
+    def test_check_snapshot_preset(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            snap = os.path.join(tmp, "m.snap")
+            with open(snap, "wb") as fh:
+                fh.write(data)
+            text = README_CONFIG.replace("m = random 1234 4.0", f"m = snapshot {snap}")
+            assert text != README_CONFIG
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            assert main(["check", path]) in (0, 2, 3, 4)

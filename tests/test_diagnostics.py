@@ -18,7 +18,7 @@ from spinlayer.energetics import MaterialParams, uniform_k_matrix
 from spinlayer.errors import WindowOutOfRange
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import random_unit_field
+from conftest import face_stationary_form, random_unit_field
 
 
 def plain_params(**overrides):
@@ -262,6 +262,49 @@ class TestStationarity:
             assert thin - sharp == pytest.approx(want, rel=1e-9, abs=1e-13)
             gaps.append(abs(thin - sharp))
         assert max(gaps) > 1e-3
+
+    @pytest.mark.parametrize("bc_mode", ["sharp", "thin_layer"])
+    def test_forms_equal_face_sum_oracle(self, small_geom, bc_mode):
+        # m x h_tot paired with phi is the face-sum form, for any field
+        # (non-unit m, penalty on) and every library function
+        rng = np.random.default_rng(8)
+        shape = small_geom.field_shape()
+        kraw = rng.standard_normal((3, 3))
+        params = plain_params(a_exch=0.7, ks=0.5, j1=0.4, j2=0.25, alpha=0.5,
+                              penalty_k=2.0, k_matrix=kraw @ kraw.T)
+        ms = [1.3 * rng.standard_normal(shape) for _ in range(3)]
+        hs = [rng.standard_normal(shape) for _ in range(3)]
+        times = [0.0, 0.01, 0.03]
+        traj = Trajectory(ledger=EnergyLedger(), sample_times=times,
+                          m_samples=ms, h_cell_samples=hs)
+        dV, one_a2 = small_geom.cell_volume, 1.0 + params.alpha**2
+        lib = fn_library(small_geom)
+        stat, weak = [], []
+        for fn in lib:
+            phi = eval_on_cells(fn, small_geom)
+            want = face_stationary_form(ms[0], hs[0], params, small_geom, phi, bc_mode)
+            got = stationarity_form(ms[0], hs[0], params, small_geom, fn, bc_mode)
+            stat.append((got, want))
+            want = 0.0
+            for n in range(2):
+                dt = times[n + 1] - times[n]
+                m_dot = (ms[n + 1] - ms[n]) / dt
+                m_mid = 0.5 * (ms[n + 1] + ms[n])
+                h_mid = 0.5 * (hs[n + 1] + hs[n])
+                want += dt * dV * (np.sum(m_dot * phi)
+                                   - params.alpha * np.sum(np.cross(m_mid, m_dot) * phi))
+                want -= dt * one_a2 * face_stationary_form(m_mid, h_mid, params,
+                                                           small_geom, phi, bc_mode)
+            got = weak_residual_m(traj, fn, small_geom, params, signed=True,
+                                  bc_mode=bc_mode)
+            weak.append((got, want))
+        # relative to the largest value over the library
+        for pairs in (stat, weak):
+            scale = max(abs(want) for _, want in pairs)
+            assert max(abs(got - want) for got, want in pairs) <= 1e-13 * scale
+        report = stationarity_report(ms[0], hs[0], params, small_geom, lib,
+                                     bc_mode=bc_mode)
+        assert report == [(fn.name, abs(got)) for fn, (got, _) in zip(lib, stat)]
 
     def test_library_has_27_entries(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 3, 3, 2, 2))

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from spinlayer import maxwell as mx
-from spinlayer.dynamics import SchemeConfig, run
-from spinlayer.effective_field import (PENALIZED, PROJECTED, SHARP, THIN_LAYER,
-                                       FieldAssembly, assemble_h_tot,
-                                       laplacian_neumann, penalty_field,
-                                       thin_layer_field)
-from spinlayer.energetics import (MaterialParams, anisotropy_energy,
-                                  exchange_energy, penalty_energy,
+from spinlayer.dynamics import PROJECTED, SchemeConfig, run
+from spinlayer.effective_field import (assemble_h_tot, laplacian_neumann,
+                                       penalty_field, thin_layer_field)
+from spinlayer.energetics import (SHARP, THIN_LAYER, MaterialParams,
+                                  anisotropy_energy, exchange_energy, penalty_energy,
                                   thin_layer_energy, total_energy,
                                   uniform_k_matrix)
 from spinlayer.errors import ThinLayerInactive
@@ -89,15 +87,13 @@ class TestNonlinearGhost:
         # equal in-plane traces: no torque, the field is parallel to m
         m = np.zeros(small_geom.field_shape())
         m[..., 0] = 1.0
-        field = assemble_h_tot(m, small_geom, self._params(),
-                               FieldAssembly(mode=SHARP, constraint=PROJECTED))
+        field = assemble_h_tot(m, None, small_geom, self._params(), SHARP)
         assert np.abs(np.cross(m, field)).max() < 1e-15
 
     def test_aligned_normal_state_stationary(self, small_geom):
         m = np.zeros(small_geom.field_shape())
         m[..., 2] = 1.0
-        field = assemble_h_tot(m, small_geom, self._params(),
-                               FieldAssembly(mode=SHARP, constraint=PROJECTED))
+        field = assemble_h_tot(m, None, small_geom, self._params(), SHARP)
         assert np.abs(field).max() < 1e-15
 
     def test_wedge_identity(self, small_geom):
@@ -218,8 +214,7 @@ class TestAssembleHTot:
         m = np.zeros(small_geom.field_shape())
         m[..., 2] = 1.0
         params = plain_params(a_exch=0.7)
-        asm = FieldAssembly(mode=SHARP, constraint=PROJECTED, h_field=None)
-        field = assemble_h_tot(m, small_geom, params, asm)
+        field = assemble_h_tot(m, None, small_geom, params, SHARP)
         assert np.abs(field).max() < 1e-14
 
     def test_pure_zeeman(self, small_geom):
@@ -228,8 +223,7 @@ class TestAssembleHTot:
         h = np.zeros(small_geom.field_shape())
         h[..., 0] = 1.7
         params = plain_params(a_exch=0.0)
-        asm = FieldAssembly(mode=SHARP, constraint=PROJECTED, h_field=h)
-        field = assemble_h_tot(m, small_geom, params, asm)
+        field = assemble_h_tot(m, h, small_geom, params, SHARP)
         assert np.allclose(field, h)
 
     def test_variational_thin_layer_penalized(self, small_geom):
@@ -237,8 +231,7 @@ class TestAssembleHTot:
         m = rng.standard_normal(small_geom.field_shape())
         m /= np.linalg.norm(m, axis=-1, keepdims=True)
         params = self._params(small_geom, penalty_k=2.0)
-        asm = FieldAssembly(mode=THIN_LAYER, constraint=PENALIZED, h_field=None)
-        field = assemble_h_tot(m, small_geom, params, asm)
+        field = assemble_h_tot(m, None, small_geom, params, THIN_LAYER)
         g = fd_gradient(lambda mm: thin_energy(mm, small_geom, params, True), m)
         ref = -g / small_geom.cell_volume
         rel = np.linalg.norm(field - ref, axis=-1) / (1.0 + np.linalg.norm(ref, axis=-1))
@@ -251,8 +244,7 @@ class TestAssembleHTot:
         m = rng.standard_normal(small_geom.field_shape())
         m /= np.linalg.norm(m, axis=-1, keepdims=True)
         params = self._params(small_geom)
-        asm = FieldAssembly(mode=SHARP, constraint=PROJECTED, h_field=None)
-        field = assemble_h_tot(m, small_geom, params, asm)
+        field = assemble_h_tot(m, None, small_geom, params, SHARP)
         g = fd_gradient(lambda mm: sharp_energy(mm, small_geom, params), m)
         ref = -g / small_geom.cell_volume
 
@@ -267,8 +259,7 @@ class TestAssembleHTot:
         rng = np.random.default_rng(37)
         m = rng.standard_normal(small_geom.field_shape())
         params = plain_params(a_exch=0.9)
-        sharp = assemble_h_tot(m, small_geom, params,
-                               FieldAssembly(mode=SHARP, constraint=PROJECTED))
+        sharp = assemble_h_tot(m, None, small_geom, params, SHARP)
         assert np.allclose(sharp, 0.9 * laplacian_neumann(m, small_geom), atol=1e-13)
 
     def test_variational_sharp_penalized_full_gradient(self, small_geom):
@@ -277,8 +268,7 @@ class TestAssembleHTot:
         rng = np.random.default_rng(41)
         m = 1.3 * rng.standard_normal(small_geom.field_shape())
         params = self._params(small_geom, penalty_k=2.0)
-        field = assemble_h_tot(m, small_geom, params,
-                               FieldAssembly(mode=SHARP, constraint=PENALIZED))
+        field = assemble_h_tot(m, None, small_geom, params, SHARP)
         g = fd_gradient(lambda mm: sharp_energy(mm, small_geom, params, True), m)
         ref = -g / small_geom.cell_volume
         rel = np.linalg.norm(field - ref, axis=-1) / (1.0 + np.linalg.norm(ref, axis=-1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinlayer.effective_field import assemble_h_tot, penalty_field
 from spinlayer.energetics import (EnergyBreakdown, MaterialParams,
                                   anisotropy_energy, exchange_energy,
                                   maxwell_energy, penalty_energy,
@@ -346,8 +347,7 @@ class TestTotalEnergy:
         params = plain_params(
             a_exch=0.3, ks=0.2, j1=0.1, j2=0.4, penalty_k=1.5,
             k_matrix=uniform_k_matrix(np.diag([0.2, 0.1, 0.3]), small_geom))
-        bd = total_energy(m, em, small_geom, params, bc_mode="thin_layer",
-                          constraint="penalized")
+        bd = total_energy(m, em, small_geom, params, bc_mode="thin_layer")
         parts = [bd.exchange, bd.anisotropy, bd.maxwell_h, bd.maxwell_e,
                  bd.surf_anis, bd.superexch_q, bd.superexch_biq, bd.penalty]
         assert bd.total == math.fsum(parts)
@@ -365,18 +365,26 @@ class TestTotalEnergy:
         bd_thin = total_energy(m, None, small_geom, params, bc_mode="thin_layer")
         assert (bd_thin.surf_anis, bd_thin.superexch_q, bd_thin.superexch_biq) == \
             thin_layer_energy(m, small_geom, params, split=True)
-        assert bd.penalty == 0.0  # projected mode
+        assert bd.penalty == 0.0  # penalty_k = 0
 
-    def test_penalty_only_in_penalized_mode(self, small_geom):
+    def test_penalty_enters_iff_penalty_k_nonzero(self, small_geom):
+        # energy and field alike, whatever constraint the stepper applies
         rng = np.random.default_rng(14)
         m = 1.5 * rng.standard_normal(small_geom.field_shape())
-        params = plain_params(penalty_k=2.0)
-        proj = total_energy(m, None, small_geom, params, bc_mode="sharp",
-                            constraint="projected")
-        pen = total_energy(m, None, small_geom, params, bc_mode="sharp",
-                           constraint="penalized")
-        assert proj.penalty == 0.0
-        assert pen.penalty > 0.0
+        h = rng.standard_normal(small_geom.field_shape())
+        free = plain_params(a_exch=0.3, ks=0.2, j1=0.1, j2=0.4)
+        pen = plain_params(a_exch=0.3, ks=0.2, j1=0.1, j2=0.4, penalty_k=2.0)
+        p_field = penalty_field(m, pen)
+        assert np.abs(p_field).max() > 1.0
+        for mode in ("sharp", "thin_layer"):
+            e_free = total_energy(m, None, small_geom, free, bc_mode=mode)
+            e_pen = total_energy(m, None, small_geom, pen, bc_mode=mode)
+            assert e_free.penalty == 0.0
+            assert e_pen.penalty == penalty_energy(m, small_geom, pen) > 0.0
+            assert e_pen.total == math.fsum(e_free.as_tuple()[:-1] + (e_pen.penalty,))
+            f_free = assemble_h_tot(m, h, small_geom, free, mode)
+            f_pen = assemble_h_tot(m, h, small_geom, pen, mode)
+            assert np.allclose(f_pen - f_free, p_field, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
@@ -389,6 +397,6 @@ def test_every_component_nonnegative(seed):
     params = MaterialParams(a_exch=0.5, k_matrix=uniform_k_matrix(kraw @ kraw.T, geom),
                             ks=0.3, j1=0.2, j2=0.6, alpha=1.0, penalty_k=1.0)
     for mode in ("sharp", "thin_layer"):
-        bd = total_energy(m, None, geom, params, bc_mode=mode, constraint="penalized")
+        bd = total_energy(m, None, geom, params, bc_mode=mode)
         for name in EnergyBreakdown.COLUMNS:
             assert getattr(bd, name) >= -1e-13, f"{name} negative in {mode}"

@@ -172,6 +172,12 @@ class TestFdtdStep:
         with pytest.raises(CFLViolation):
             mx.fdtd_step(em, None, np.zeros(3), params, 10.0 * mx.cfl_limit(box, params))
 
+    def test_unknown_boundary_rejected(self, small_geom):
+        box = mx.make_box(small_geom, padding=2)
+        assert [mx.empty_em_state(box, bc=bc).bc for bc in mx.BOUNDARIES] == ["pec", "mur1"]
+        with pytest.raises(ValueError, match="'mur'"):
+            mx.empty_em_state(box, bc="mur")
+
     def test_nothing_moves(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
         em = mx.empty_em_state(box)
