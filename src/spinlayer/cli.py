@@ -196,7 +196,7 @@ def recompute_final_row(outdir: str):
     _, _, _, _, e_arrays = snapshots.read_snapshot(
         os.path.join(outdir, "state_final_e.snap"))
 
-    em = maxwell.empty_em_state(setup.box, bc=config.bc)
+    em = setup.em   # its fields are replaced by the stored ones
     em.hx, em.hy, em.hz = h0_arrays
     maxwell.record_div0(em, m0_arr, geom)
     em.hx, em.hy, em.hz = h_arrays

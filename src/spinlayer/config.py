@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import maxwell, presets, snapshots
+from . import dynamics, maxwell, presets, snapshots
 from .dynamics import (CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED,
                        SchemeConfig)
 from .energetics import BC_MODES, SHARP, THIN_LAYER, MaterialParams
@@ -323,8 +323,10 @@ def build_setup(config: RunConfig) -> RunSetup:
     """Materialize grids, parameters and initial fields.
 
     Geometry and material violations are reported as ValidationError so
-    the command line can attribute them to config fields.  A nonzero
-    [run] seed overrides the seed of a random magnetization preset.
+    the command line can attribute them to config fields; a dt beyond the
+    exchange or Yee stability bound raises CFLViolation, as `dynamics.run`
+    would.  A nonzero [run] seed overrides the seed of a random
+    magnetization preset.
     """
     try:
         geom = build_geometry(GeometryConfig(
@@ -355,9 +357,12 @@ def build_setup(config: RunConfig) -> RunSetup:
         constraint=config.constraint, bc_mode=config.bc_mode,
         stability_c=config.stability_c, frozen_em=config.frozen)
 
+    box = maxwell.make_box(geom, config.padding)
+    # the bounds `dynamics.run` enforces, so `check` rejects what `run` would
+    dynamics.validate_stability(scheme, geom, params, box)
+
     m0 = _build_m0(config, geom)
 
-    box = maxwell.make_box(geom, config.padding)
     em = maxwell.empty_em_state(box, bc=config.bc)
     m0_box = maxwell.embed_cell_field(m0, box)
     em.hx, em.hy, em.hz = maxwell.init_divfree(m0_box, _h0_spec(config), box)

@@ -17,7 +17,7 @@ from .effective_field import assemble_h_tot
 from .energetics import SHARP, EnergyBreakdown, MaterialParams, _dot, _scalars
 from .errors import WindowOutOfRange
 from .geometry import DomainGeometry
-from .summation import esum
+from .summation import dot
 
 CSV_COLUMNS = (("t",) + EnergyBreakdown.COLUMNS
                + ("dissipation_integral", "ohmic_integral", "source_integral",
@@ -195,7 +195,6 @@ class TestFunction:
 
     name: str
     shape: Callable          # (x, y, z) -> scalar array
-    shape_grad: Callable     # (x, y, z) -> (..., 3) array
     direction: int           # 0, 1, 2
 
     def __call__(self, x, y, z) -> np.ndarray:
@@ -203,17 +202,6 @@ class TestFunction:
         out = np.zeros(np.shape(s) + (3,))
         out[..., self.direction] = s
         return out
-
-    def partials(self, x, y, z) -> np.ndarray:
-        """partial_i of the vector field: (..., 3 axes, 3 components)."""
-        g = self.shape_grad(x, y, z)
-        out = np.zeros(g.shape[:-1] + (3, 3))
-        out[..., :, self.direction] = g
-        return out
-
-
-def _stack_grad(gx, gy, gz):
-    return np.stack(np.broadcast_arrays(gx, gy, gz), axis=-1)
 
 
 def test_function_library(geom: DomainGeometry) -> List[TestFunction]:
@@ -224,31 +212,18 @@ def test_function_library(geom: DomainGeometry) -> List[TestFunction]:
     kx, ky, kz = np.pi / lx, np.pi / ly, np.pi / lz
 
     shapes = [
-        ("one", lambda x, y, z: np.ones(np.broadcast(x, y, z).shape),
-         lambda x, y, z: _stack_grad(np.zeros(np.broadcast(x, y, z).shape), 0.0, 0.0)),
-        ("x", lambda x, y, z: x + 0 * y + 0 * z,
-         lambda x, y, z: _stack_grad(np.ones(np.broadcast(x, y, z).shape), 0.0, 0.0)),
-        ("y", lambda x, y, z: y + 0 * x + 0 * z,
-         lambda x, y, z: _stack_grad(0.0, np.ones(np.broadcast(x, y, z).shape), 0.0)),
-        ("z", lambda x, y, z: z + 0 * x + 0 * y,
-         lambda x, y, z: _stack_grad(0.0, 0.0, np.ones(np.broadcast(x, y, z).shape))),
-        ("sin_x", lambda x, y, z: np.sin(kx * x) + 0 * y + 0 * z,
-         lambda x, y, z: _stack_grad(kx * np.cos(kx * x) + 0 * y + 0 * z, 0.0, 0.0)),
-        ("sin_y", lambda x, y, z: np.sin(ky * y) + 0 * x + 0 * z,
-         lambda x, y, z: _stack_grad(0.0, ky * np.cos(ky * y) + 0 * x + 0 * z, 0.0)),
-        ("sin_z", lambda x, y, z: np.sin(kz * (z - z0)) + 0 * x + 0 * y,
-         lambda x, y, z: _stack_grad(0.0, 0.0, kz * np.cos(kz * (z - z0)) + 0 * x + 0 * y)),
-        ("cos_xy", lambda x, y, z: np.cos(kx * x) * np.cos(ky * y) + 0 * z,
-         lambda x, y, z: _stack_grad(-kx * np.sin(kx * x) * np.cos(ky * y) + 0 * z,
-                                     -ky * np.cos(kx * x) * np.sin(ky * y) + 0 * z, 0.0)),
-        ("xyz", lambda x, y, z: x * y * z,
-         lambda x, y, z: _stack_grad(y * z, x * z, x * y)),
+        ("one", lambda x, y, z: np.ones(np.broadcast(x, y, z).shape)),
+        ("x", lambda x, y, z: x + 0 * y + 0 * z),
+        ("y", lambda x, y, z: y + 0 * x + 0 * z),
+        ("z", lambda x, y, z: z + 0 * x + 0 * y),
+        ("sin_x", lambda x, y, z: np.sin(kx * x) + 0 * y + 0 * z),
+        ("sin_y", lambda x, y, z: np.sin(ky * y) + 0 * x + 0 * z),
+        ("sin_z", lambda x, y, z: np.sin(kz * (z - z0)) + 0 * x + 0 * y),
+        ("cos_xy", lambda x, y, z: np.cos(kx * x) * np.cos(ky * y) + 0 * z),
+        ("xyz", lambda x, y, z: x * y * z),
     ]
-    lib = []
-    for sname, s, gs in shapes:
-        for d, dname in enumerate("xyz"):
-            lib.append(TestFunction(f"{sname}.e{dname}", s, gs, d))
-    return lib
+    return [TestFunction(f"{sname}.e{dname}", s, d)
+            for sname, s in shapes for d, dname in enumerate("xyz")]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +259,7 @@ def _stationary_value(torque: np.ndarray, phi_cells: np.ndarray,
     equals the spacer integrals of the nonlinear condition.  Residuals
     then measure model error rather than quadrature mismatch.
     """
-    return -geom.cell_volume * esum(torque * phi_cells)
+    return -geom.cell_volume * dot(torque, phi_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +294,8 @@ def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
         m_dot = (ms[n + 1] - ms[n]) / dt
         m_mid = 0.5 * (ms[n + 1] + ms[n])
         h_mid = 0.5 * (hs[n + 1] + hs[n])
-        lhs += dt * dV * (esum(m_dot * phi_cells)
-                          - alpha * esum(np.cross(m_mid, m_dot) * phi_cells))
+        lhs += dt * dV * (dot(m_dot, phi_cells)
+                          - alpha * dot(np.cross(m_mid, m_dot), phi_cells))
         torque = _torque(m_mid, h_mid, params, geom, bc_mode)
         rhs += dt * one_a2 * _stationary_value(torque, phi_cells, geom)
     resid = lhs - rhs

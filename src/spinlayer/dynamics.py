@@ -22,7 +22,7 @@ from .energetics import BC_MODES, SHARP, MaterialParams, _dot, _scalars, total_e
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState, fdtd_step, interp_h_to_cells
-from .summation import esum
+from .summation import dot
 
 HEUN = "heun"
 RK4 = "rk4"
@@ -144,6 +144,7 @@ class SimState:
     params: MaterialParams
     scheme: SchemeConfig
     h_cells_frozen: Optional[np.ndarray] = None
+    n: int = 0   # steps taken
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -218,17 +219,18 @@ def _first_bad_cell(bad: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
-def _renormalize(m: np.ndarray, t: float, tmp: np.ndarray):
+def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
     """Scale every cell of m to unit norm in place; tmp is a flat float
-    array of at least 2 * m.size // 3 entries."""
+    array of at least 2 * m.size // 3 entries.  step_no and t name the
+    step in a NonFinite message."""
     norms, scratch = _scalars(tmp, m.shape[:-1], 2)
     _dot(m, m, norms, scratch)
     np.sqrt(norms, out=norms)
     # min/max propagate NaN, so this one test catches zero, inf and NaN
     if not (norms.min() > 0.0 and norms.max() < np.inf):
         cell = _first_bad_cell(~(np.isfinite(norms) & (norms > 0.0)))
-        raise NonFinite(f"renormalization of m at t={t:g} hit a zero or "
-                        f"non-finite norm, first at cell {cell}")
+        raise NonFinite(f"renormalization of m at step {step_no}, t={t:g} hit a "
+                        f"zero or non-finite norm, first at cell {cell}")
     np.divide(m, norms[..., None], out=m)
 
 
@@ -279,14 +281,20 @@ def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
     em = state.em
     dt = state.scheme.dt
     box = em.box
-    chx, chy, chz = maxwell.curl_e(em.ex, em.ey, em.ez, box)
-    mdx, mdy, mdz = maxwell.cells_to_faces(
-        maxwell.embed_cell_field(m_dot_pred, box), box)
+    work = em.workspace()
+    # the body cells average only the body face slabs: take curl e there,
+    # from the edges bounding the body, with the rate moved to the same faces
+    faces = maxwell.curl_e(*em.body_cell_edges(), box, out=work.body_faces,
+                           tmp=work.tmp)
+    rate = maxwell.cells_to_faces(m_dot_pred, box, out=work.rate_faces)
     half = 0.5 * dt
-    hx = em.hx - (half / state.params.mu0) * chx - half * mdx
-    hy = em.hy - (half / state.params.mu0) * chy - half * mdy
-    hz = em.hz - (half / state.params.mu0) * chz - half * mdz
-    return maxwell.faces_to_cells(hx, hy, hz)[box.body_slices()]
+    for f, h, r in zip(faces, em.body_h(), rate):
+        # f = h - (half/mu0) curl e - half m_dot, in that order
+        f *= half / state.params.mu0
+        np.subtract(h, f, out=f)
+        r *= half
+        f -= r
+    return maxwell.faces_to_cells(*faces, out=work.body_cells)
 
 
 def step(state: SimState, accum: Optional[dict] = None,
@@ -308,37 +316,38 @@ def step(state: SimState, accum: Optional[dict] = None,
         h_mid = _midpoint_h_cells(state, m_new)
         _advance_m(m, h_mid, dt, geom, params, scheme, work, m_new)
 
+    step_no = state.n + 1
     if not np.isfinite(m_new).all():
         cell = _first_bad_cell(~np.isfinite(m_new).all(axis=-1))
-        raise NonFinite(f"magnetization m became non-finite at t={state.t:g}, "
-                        f"first at cell {cell}")
+        raise NonFinite(f"magnetization m became non-finite at step {step_no}, "
+                        f"t={state.t:g}, first at cell {cell}")
     if scheme.constraint == PROJECTED:
-        _renormalize(m_new, state.t, work.tmp)
+        _renormalize(m_new, step_no, state.t, work.tmp)
 
     m_dot_eff = np.subtract(m_new, m, out=work.k[0])
     m_dot_eff /= dt
     if not scheme.frozen_em and state.em is not None:
-        box = state.em.box
-        # the realized rate is constant over the step: transfer it once
+        # the realized rate is constant over the step and zero outside the
+        # body: transfer it once, onto the body face slabs
         m_dot_faces = None
         if np.any(m_dot_eff):
             m_dot_faces = maxwell.cells_to_faces(
-                maxwell.embed_cell_field(m_dot_eff, box), box)
+                m_dot_eff, state.em.box, out=state.em.workspace().rate_faces)
         dt_sub = dt / scheme.subcycles
         no_current = np.zeros(3)
         for i in range(scheme.subcycles):
             t_mid = state.t + (i + 0.5) * dt_sub
             f_val = f.value(t_mid) if f is not None else no_current
             fdtd_step(state.em, m_dot_faces, f_val, params, dt_sub, accum)
-        state.em.assert_finite(state.t)
+        state.em.assert_finite(step_no, state.t)
 
     if accum is not None:
         alpha = params.alpha
-        rate2 = np.multiply(m_dot_eff, m_dot_eff, out=work.k[1])
         accum["dissipation"] += (dt * alpha / (1.0 + alpha**2)
-                                 * geom.cell_volume * esum(rate2))
+                                 * geom.cell_volume * dot(m_dot_eff, m_dot_eff))
     state.m = m_new
     state.t += dt
+    state.n = step_no
     return state
 
 

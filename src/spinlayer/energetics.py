@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import DomainGeometry
-from .summation import esum, fsum
+from .summation import dot, fsum
 
 _PSD_TOL = 1e-10
 
@@ -143,18 +143,20 @@ def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams)
     """(A/2) * sum over interior faces of |difference quotient|^2 * dV."""
     if params.a_exch == 0.0:
         return 0.0
-    dV = geom.cell_volume
     s = geom.spacer_index
-    acc = 0.0
-    dmx = m[1:, :, :, :] - m[:-1, :, :, :]
-    acc += esum(dmx * dmx) / geom.dx**2
-    dmy = m[:, 1:, :, :] - m[:, :-1, :, :]
-    acc += esum(dmy * dmy) / geom.dy**2
+    buf = np.empty(m.size)
+
+    def squares(hi, lo):
+        d = buf[:hi.size].reshape(hi.shape)
+        np.subtract(hi, lo, out=d)
+        return dot(d, d)
+
+    acc = squares(m[1:, :, :, :], m[:-1, :, :, :]) / geom.dx**2
+    acc += squares(m[:, 1:, :, :], m[:, :-1, :, :]) / geom.dy**2
     # z faces per slab; the spacer face carries no exchange coupling
-    dml = m[:, :, 1:s, :] - m[:, :, : s - 1, :]
-    dmu = m[:, :, s + 1:, :] - m[:, :, s:-1, :]
-    acc += (esum(dml * dml) + esum(dmu * dmu)) / geom.dz**2
-    return 0.5 * params.a_exch * dV * acc
+    acc += (squares(m[:, :, 1:s, :], m[:, :, :s - 1, :])
+            + squares(m[:, :, s + 1:, :], m[:, :, s:-1, :])) / geom.dz**2
+    return 0.5 * params.a_exch * geom.cell_volume * acc
 
 
 def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = None,
@@ -187,7 +189,7 @@ def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     if params.k_matrix is None:
         return 0.0
     km = apply_k(params, m)
-    return 0.5 * geom.cell_volume * esum(km * m)
+    return 0.5 * geom.cell_volume * dot(km, m)
 
 
 def layer_cells(geom: DomainGeometry, bc_mode: str) -> int:
@@ -218,13 +220,13 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     if params.ks != 0.0:
         # |m x nu|^2 with nu = +-e_z is the in-plane part of |m|^2
         inplane = ml[..., :2]
-        e_ks = params.ks * w * esum(inplane * inplane)
+        e_ks = params.ks * w * dot(inplane, inplane)
     if params.j1 != 0.0:
         jump = ml - ms
-        e_q = 0.5 * params.j1 * w * esum(jump * jump)
+        e_q = 0.5 * params.j1 * w * dot(jump, jump)
     if params.j2 != 0.0:
         wedge = np.cross(ml, ms)
-        e_biq = params.j2 * w * esum(wedge * wedge)
+        e_biq = params.j2 * w * dot(wedge, wedge)
     if split:
         return e_ks, e_q, e_biq
     return fsum([e_ks, e_q, e_biq])
@@ -235,15 +237,15 @@ def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams) 
     if params.penalty_k == 0.0:
         return 0.0
     dev = np.sum(m * m, axis=-1) - 1.0
-    return 0.25 * params.penalty_k * geom.cell_volume * esum(dev * dev)
+    return 0.25 * params.penalty_k * geom.cell_volume * dot(dev, dev)
 
 
 def maxwell_energy(em, params: MaterialParams) -> Tuple[float, float]:
     """(field energy of h, field energy of e) over the computational box."""
     dV = em.box.cell_volume
-    e_h = 0.5 * dV * fsum([esum(em.hx * em.hx), esum(em.hy * em.hy), esum(em.hz * em.hz)])
+    e_h = 0.5 * dV * fsum([dot(em.hx, em.hx), dot(em.hy, em.hy), dot(em.hz, em.hz)])
     e_e = (0.5 * params.eps0 / params.mu0) * dV * fsum(
-        [esum(em.ex * em.ex), esum(em.ey * em.ey), esum(em.ez * em.ez)])
+        [dot(em.ex, em.ex), dot(em.ey, em.ey), dot(em.ez, em.ez)])
     return e_h, e_e
 
 

@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 import scipy.fft
 
-from .errors import CFLViolation, SolverDiverged
+from .errors import CFLViolation, NonFinite, SolverDiverged
 from .geometry import DomainGeometry
 from .energetics import MaterialParams
-from .summation import esum
+from .summation import dot, esum
 
 PEC = "pec"
 MUR1 = "mur1"
@@ -83,6 +83,21 @@ def face_shapes(box: BoxGeometry) -> tuple:
             (n[0], n[1], n[2] + 1))
 
 
+def _along(axis: int, index) -> tuple:
+    """Index of a 3-D array taking `index` (an int or a slice) along axis."""
+    sl = [slice(None)] * 3
+    sl[axis] = index
+    return tuple(sl)
+
+
+def _body_ranges(box: BoxGeometry) -> list:
+    """Per axis, the index ranges (cells, nodes, inner nodes) of the body:
+    its cells (and the edges along the axis between its nodes), all its
+    nodes, and its interior nodes."""
+    return [(slice(o, o + m), slice(o, o + m + 1), slice(o + 1, o + m))
+            for o, m in ((box.ox, box.mx), (box.oy, box.my), (box.oz, box.mz))]
+
+
 def _body_edge_slabs(box: BoxGeometry) -> tuple:
     """Index slabs of the edges whose midpoint lies strictly inside the body.
 
@@ -90,15 +105,18 @@ def _body_edge_slabs(box: BoxGeometry) -> tuple:
     a body cell and its node indices along the other two axes are interior
     body nodes, so each component's body edges form one rectangular block.
     """
-    def half(o, m):
-        return slice(o, o + m)
+    (cx, _, ix), (cy, _, iy), (cz, _, iz) = _body_ranges(box)
+    return ((cx, iy, iz), (ix, cy, iz), (ix, iy, cz))
 
-    def node(o, m):
-        return slice(o + 1, o + m)
 
-    return ((half(box.ox, box.mx), node(box.oy, box.my), node(box.oz, box.mz)),
-            (node(box.ox, box.mx), half(box.oy, box.my), node(box.oz, box.mz)),
-            (node(box.ox, box.mx), node(box.oy, box.my), half(box.oz, box.mz)))
+def _body_face_slabs(box: BoxGeometry) -> tuple:
+    """Index slabs of the faces of the body cells.
+
+    These are the faces `cells_to_faces` of a body cell field reaches, so
+    a cell field that vanishes outside the body moves only these faces.
+    """
+    (cx, nx, _), (cy, ny, _), (cz, nz, _) = _body_ranges(box)
+    return ((nx, cy, cz), (cx, ny, cz), (cx, cy, nz))
 
 
 def _body_edge_masks(box: BoxGeometry) -> tuple:
@@ -112,17 +130,29 @@ def _body_edge_masks(box: BoxGeometry) -> tuple:
 
 
 class _Workspace:
-    """Preallocated buffers of one EMState's leapfrog step.
+    """Preallocated buffers of one EMState.
 
     `ce` holds curl h on edges (its boundary edges are never written and
     stay zero), `ch` curl e on faces, `tmp` the two difference quotients
-    of either curl.
+    of either curl.  `rate_faces` (a triple of the body face slabs) holds
+    the magnetization rate on faces while a step's subcycles run; the
+    midpoint-h predictor forms its h in `body_faces` and its cell average
+    in `body_cells`.  Between steps the ledger's divergence drift forms
+    m_bar in `rate_faces`, h + m_bar in `ch` and the divergence in `tmp`.
+    `mur` holds the boundary planes of a Mur1 substep, allocated on the
+    first one.
     """
 
     def __init__(self, box: BoxGeometry):
         self.ce = tuple(np.zeros(s) for s in edge_shapes(box))
         self.ch = tuple(np.empty(s) for s in face_shapes(box))
         self.tmp = np.empty(2 * max(a.size for a in self.ce + self.ch))
+        mx, my, mz = box.mx, box.my, box.mz
+        body_face_shapes = ((mx + 1, my, mz), (mx, my + 1, mz), (mx, my, mz + 1))
+        self.rate_faces = tuple(np.empty(s) for s in body_face_shapes)
+        self.body_faces = tuple(np.empty(s) for s in body_face_shapes)
+        self.body_cells = np.empty((mx, my, mz, 3))
+        self.mur = None
 
 
 @dataclass
@@ -150,16 +180,27 @@ class EMState:
             self.work = _Workspace(self.box)
         return self.work
 
-    def assert_finite(self, t: float):
-        """Raise NonFinite naming t, the first non-finite component and
-        its first bad index."""
+    def body_h(self) -> tuple:
+        """Views of h on the body face slabs."""
+        return tuple(h[slab] for h, slab in zip((self.hx, self.hy, self.hz),
+                                                _body_face_slabs(self.box)))
+
+    def body_cell_edges(self) -> tuple:
+        """Views of the edges that bound the body cells: an edge field on a
+        box of the body's size, whose curl is curl e on the body face
+        slabs."""
+        (cx, nx, _), (cy, ny, _), (cz, nz, _) = _body_ranges(self.box)
+        return self.ex[cx, ny, nz], self.ey[nx, cy, nz], self.ez[nx, ny, cz]
+
+    def assert_finite(self, step: int, t: float):
+        """Raise NonFinite naming the step, t, the first non-finite
+        component and its first bad index."""
         for name in ("ex", "ey", "ez", "hx", "hy", "hz"):
             a = getattr(self, name)
             if not np.isfinite(a).all():
-                from .errors import NonFinite
                 index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
                 raise NonFinite(f"electromagnetic field {name} became non-finite "
-                                f"at t={t:g}, first at index {index}")
+                                f"at step {step}, t={t:g}, first at index {index}")
 
 
 def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
@@ -285,23 +326,44 @@ def grad_cells(phi: np.ndarray, box: BoxGeometry) -> tuple:
     return gx, gy, gz
 
 
-def cells_to_faces(c: np.ndarray, box: BoxGeometry) -> tuple:
-    """Cell 3-vector field -> face samples (adjoint of faces_to_cells)."""
-    px = np.pad(c[..., 0], ((1, 1), (0, 0), (0, 0)))
-    py = np.pad(c[..., 1], ((0, 0), (1, 1), (0, 0)))
-    pz = np.pad(c[..., 2], ((0, 0), (0, 0), (1, 1)))
-    fx = 0.5 * (px[1:, :, :] + px[:-1, :, :])
-    fy = 0.5 * (py[:, 1:, :] + py[:, :-1, :])
-    fz = 0.5 * (pz[:, :, 1:] + pz[:, :, :-1])
-    return fx, fy, fz
+def cells_to_faces(c: np.ndarray, box: BoxGeometry, out=None) -> tuple:
+    """Cell 3-vector field -> face samples (adjoint of faces_to_cells).
+
+    Each face averages its two cells, with zero cells beyond the field, so
+    a body field gives the faces of the body cells and a zero-extended one
+    the whole box.  `out` (three face arrays of the field's cells) makes
+    the call allocation-free.
+    """
+    if out is None:
+        n = c.shape[:3]
+        out = tuple(np.empty(tuple(k + (i == axis) for i, k in enumerate(n)))
+                    for axis in range(3))
+    for axis, f in enumerate(out):
+        ci = c[..., axis]
+        np.add(ci[_along(axis, slice(1, None))], ci[_along(axis, slice(None, -1))],
+               out=f[_along(axis, slice(1, -1))])
+        # the outermost faces average with a zero ghost cell; adding the
+        # 0.0 keeps the bits of that sum (-0.0 + 0.0 is +0.0)
+        np.add(ci[_along(axis, 0)], 0.0, out=f[_along(axis, 0)])
+        np.add(ci[_along(axis, -1)], 0.0, out=f[_along(axis, -1)])
+        f *= 0.5
+    return out
 
 
-def faces_to_cells(fx, fy, fz) -> np.ndarray:
-    """Face field -> cell-centered 3-vector by adjacent averaging."""
-    cx = 0.5 * (fx[1:, :, :] + fx[:-1, :, :])
-    cy = 0.5 * (fy[:, 1:, :] + fy[:, :-1, :])
-    cz = 0.5 * (fz[:, :, 1:] + fz[:, :, :-1])
-    return np.stack([cx, cy, cz], axis=-1)
+def faces_to_cells(fx, fy, fz, out=None) -> np.ndarray:
+    """Face field -> cell-centered 3-vector by adjacent averaging.
+
+    `out` (a cell 3-vector field) makes the call allocation-free.
+    """
+    if out is None:
+        out = np.empty((fx.shape[0] - 1,) + fx.shape[1:] + (3,))
+    for i, (lo, hi) in enumerate(((fx[:-1, :, :], fx[1:, :, :]),
+                                  (fy[:, :-1, :], fy[:, 1:, :]),
+                                  (fz[:, :, :-1], fz[:, :, 1:]))):
+        c = out[..., i]
+        np.add(hi, lo, out=c)
+        c *= 0.5
+    return out
 
 
 def embed_cell_field(m: np.ndarray, box: BoxGeometry) -> np.ndarray:
@@ -312,9 +374,9 @@ def embed_cell_field(m: np.ndarray, box: BoxGeometry) -> np.ndarray:
 
 
 def interp_h_to_cells(em: EMState, geom: DomainGeometry) -> np.ndarray:
-    """Magnetic excitation averaged to body cell centers."""
-    cells = faces_to_cells(em.hx, em.hy, em.hz)
-    return cells[em.box.body_slices()]
+    """Magnetic excitation averaged to body cell centers, from the body
+    face slabs only."""
+    return faces_to_cells(*em.body_h())
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +438,48 @@ def init_divfree(m0_cells: np.ndarray, h0_spec, box: BoxGeometry,
     return h
 
 
-def divergence_field(em: EMState, m_cells_box: np.ndarray) -> np.ndarray:
-    mf = cells_to_faces(m_cells_box, em.box)
-    return div_faces(em.hx + mf[0], em.hy + mf[1], em.hz + mf[2], em.box)
+def _divergence(em: EMState, m: np.ndarray) -> np.ndarray:
+    """div(h + m_bar) at the box cell centers for the body field m.
+
+    h + m_bar is formed in the workspace's face buffers, m_bar added on
+    the body face slabs only (it vanishes elsewhere), and the divergence
+    in the front of its `tmp`, which the returned array views: valid
+    until the workspace is next used.  The operation order is that of
+    `div_faces`, so the values are those of div_faces(h + m_bar).
+    """
+    box = em.box
+    work = em.workspace()
+    m_faces = cells_to_faces(m, box, out=work.rate_faces)
+    for f, h, mf, slab in zip(work.ch, (em.hx, em.hy, em.hz), m_faces,
+                              _body_face_slabs(box)):
+        np.copyto(f, h)
+        f[slab] += mf
+    fx, fy, fz = work.ch
+    n = box.nx * box.ny * box.nz
+    div = work.tmp[:n].reshape(box.nx, box.ny, box.nz)
+    t = work.tmp[n:2 * n].reshape(div.shape)
+    np.subtract(fx[1:, :, :], fx[:-1, :, :], out=div)
+    div /= box.dx
+    np.subtract(fy[:, 1:, :], fy[:, :-1, :], out=t)
+    t /= box.dy
+    div += t
+    np.subtract(fz[:, :, 1:], fz[:, :, :-1], out=t)
+    t /= box.dz
+    div += t
+    return div
 
 
 def divergence_drift(em: EMState, m: np.ndarray, geom: DomainGeometry) -> float:
     """Max deviation of div(h + m_bar) from its recorded initial values."""
-    current = divergence_field(em, embed_cell_field(m, em.box))
-    if em.div0 is None:
-        return float(np.max(np.abs(current)))
-    return float(np.max(np.abs(current - em.div0)))
+    current = _divergence(em, m)
+    if em.div0 is not None:
+        current -= em.div0
+    np.abs(current, out=current)
+    return float(current.max())
 
 
 def record_div0(em: EMState, m: np.ndarray, geom: DomainGeometry):
-    em.div0 = divergence_field(em, embed_cell_field(m, em.box))
+    em.div0 = _divergence(em, m).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -407,49 +496,43 @@ def _mur_coef(params: MaterialParams, dt: float, h: float) -> float:
     return (c * dt - h) / (c * dt + h)
 
 
+# the tangential e components on the box faces normal to each axis
+_MUR_PLANES = (("ey", 0), ("ez", 0), ("ex", 1), ("ez", 1), ("ex", 2), ("ey", 2))
+
+
 def _apply_mur(em: EMState, old: dict, params: MaterialParams, dt: float):
     """First-order absorbing update of tangential e on the six box faces."""
-    cx = _mur_coef(params, dt, em.box.dx)
-    cy = _mur_coef(params, dt, em.box.dy)
-    cz = _mur_coef(params, dt, em.box.dz)
-    for name, comp, axis, coef in (
-            ("ey", em.ey, 0, cx), ("ez", em.ez, 0, cx),
-            ("ex", em.ex, 1, cy), ("ez", em.ez, 1, cy),
-            ("ex", em.ex, 2, cz), ("ey", em.ey, 2, cz)):
+    coefs = [_mur_coef(params, dt, h) for h in (em.box.dx, em.box.dy, em.box.dz)]
+    for name, axis in _MUR_PLANES:
+        comp = getattr(em, name)
+        coef = coefs[axis]
         lo_old, lo_in_old, hi_old, hi_in_old = old[(name, axis)]
-        sl0 = [slice(None)] * 3
-        sl1 = [slice(None)] * 3
-        sl0[axis] = 0
-        sl1[axis] = 1
-        comp[tuple(sl0)] = lo_in_old + coef * (comp[tuple(sl1)] - lo_old)
-        sl0[axis] = -1
-        sl1[axis] = -2
-        comp[tuple(sl0)] = hi_in_old + coef * (comp[tuple(sl1)] - hi_old)
+        comp[_along(axis, 0)] = lo_in_old + coef * (comp[_along(axis, 1)] - lo_old)
+        comp[_along(axis, -1)] = hi_in_old + coef * (comp[_along(axis, -2)] - hi_old)
 
 
 def _capture_mur_old(em: EMState) -> dict:
-    old = {}
-    for name, comp, axis in (("ey", em.ey, 0), ("ez", em.ez, 0),
-                             ("ex", em.ex, 1), ("ez", em.ez, 1),
-                             ("ex", em.ex, 2), ("ey", em.ey, 2)):
-        sl0 = [slice(None)] * 3
-        sl1 = [slice(None)] * 3
-        sl0[axis] = 0
-        sl1[axis] = 1
-        lo, lo_in = comp[tuple(sl0)].copy(), comp[tuple(sl1)].copy()
-        sl0[axis] = -1
-        sl1[axis] = -2
-        hi, hi_in = comp[tuple(sl0)].copy(), comp[tuple(sl1)].copy()
-        old[(name, axis)] = (lo, lo_in, hi, hi_in)
-    return old
+    """The boundary and next-inner planes of the tangential e components,
+    copied into the workspace (allocated on the first call)."""
+    work = em.workspace()
+    if work.mur is None:
+        work.mur = {(name, axis): tuple(np.empty_like(getattr(em, name)[_along(axis, 0)])
+                                        for _ in range(4))
+                    for name, axis in _MUR_PLANES}
+    for name, axis in _MUR_PLANES:
+        comp = getattr(em, name)
+        for buf, index in zip(work.mur[(name, axis)], (0, 1, -1, -2)):
+            np.copyto(buf, comp[_along(axis, index)])
+    return work.mur
 
 
 def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
               params: MaterialParams, dt: float, accum: Optional[dict] = None) -> EMState:
     """One leapfrog step: e update (semi-implicit conduction), then h.
 
-    m_dot_faces is the magnetization rate already transferred to the box
-    faces (`cells_to_faces` of its zero extension), or None.  The fields
+    m_dot_faces is the magnetization rate already transferred to the body
+    face slabs (`cells_to_faces` of the body rate), or None; the rate
+    vanishes outside the body, so only those slabs feel it.  The fields
     are updated in place through buffers the state owns, so a warm step
     allocates nothing box-sized.  When `accum` is given, the Ohmic and
     source work of this step is added under keys "ohmic" and "source"
@@ -478,7 +561,7 @@ def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
             e_new = ((1.0 - beta) * e_body + k * (ce[slab] - sigma * fc)) / (1.0 + beta)
             if accum is not None:
                 e_mid = 0.5 * (e_body + e_new)
-                accum["ohmic"] += dt * (sigma / mu0) * dV * esum(e_mid * e_mid)
+                accum["ohmic"] += dt * (sigma / mu0) * dV * dot(e_mid, e_mid)
                 if fc != 0.0:
                     accum["source"] += dt * (sigma / mu0) * dV * esum(fc * e_mid)
         np.multiply(ce, k, out=ce)
@@ -490,13 +573,14 @@ def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
         _apply_mur(em, mur_old, params, dt)
 
     curl_e(em.ex, em.ey, em.ez, box, out=work.ch, tmp=work.tmp)
-    faces = m_dot_faces if m_dot_faces is not None else (None, None, None)
-    for h, ch, mf in zip((em.hx, em.hy, em.hz), work.ch, faces):
+    for h, ch in zip((em.hx, em.hy, em.hz), work.ch):
         np.multiply(ch, dt / mu0, out=ch)
         np.subtract(h, ch, out=h)
-        if mf is not None:
-            np.multiply(mf, dt, out=ch)
-            np.subtract(h, ch, out=h)
+    if m_dot_faces is not None:
+        for h, mf in zip(em.body_h(), m_dot_faces):
+            rate = work.tmp[:mf.size].reshape(mf.shape)
+            np.multiply(mf, dt, out=rate)
+            h -= rate
     return em
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinlayer import maxwell as mx
 from spinlayer.effective_field import thin_layer_field
 from spinlayer.energetics import apply_k, layer_cells
 from spinlayer.geometry import GeometryConfig, build_geometry
@@ -92,3 +93,57 @@ def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
         h -= apply_k(params, m)
     torque = np.cross(m, h)
     return params.a_exch * dV * exchange - dV * math.fsum((torque * phi_cells).ravel())
+
+
+# ---------------------------------------------------------------------------
+# the box forms of the body-local Maxwell coupling: the magnetization
+# rate and m_bar zero-extended to the whole Yee box, and every face
+# updated.  The library's body-local forms must agree with them bit for bit.
+
+
+def padded_cells_to_faces(c):
+    """Cell 3-vector field -> faces, each the mean of its two cells with
+    zero-padded ghosts."""
+    px = np.pad(c[..., 0], ((1, 1), (0, 0), (0, 0)))
+    py = np.pad(c[..., 1], ((0, 0), (1, 1), (0, 0)))
+    pz = np.pad(c[..., 2], ((0, 0), (0, 0), (1, 1)))
+    return (0.5 * (px[1:, :, :] + px[:-1, :, :]),
+            0.5 * (py[:, 1:, :] + py[:, :-1, :]),
+            0.5 * (pz[:, :, 1:] + pz[:, :, :-1]))
+
+
+def box_faces_to_body_cells(hx, hy, hz, box):
+    """Face field averaged to cells over the whole box, then cut to the
+    body."""
+    cells = np.stack([0.5 * (hx[1:, :, :] + hx[:-1, :, :]),
+                      0.5 * (hy[:, 1:, :] + hy[:, :-1, :]),
+                      0.5 * (hz[:, :, 1:] + hz[:, :, :-1])], axis=-1)
+    return cells[box.body_slices()]
+
+
+def box_midpoint_h_cells(em, m_dot_pred, dt, mu0):
+    """The midpoint-h predictor with curl e on every face of the box and
+    the rate embedded into the box."""
+    box = em.box
+    chx, chy, chz = mx.curl_e(em.ex, em.ey, em.ez, box)
+    mdx, mdy, mdz = padded_cells_to_faces(mx.embed_cell_field(m_dot_pred, box))
+    half = 0.5 * dt
+    hx = em.hx - (half / mu0) * chx - half * mdx
+    hy = em.hy - (half / mu0) * chy - half * mdy
+    hz = em.hz - (half / mu0) * chz - half * mdz
+    return box_faces_to_body_cells(hx, hy, hz, box)
+
+
+def box_fdtd_step(em, m_dot, f_value, params, dt, accum=None):
+    """One leapfrog step with dt times the box-face transfer of the
+    embedded rate subtracted from h on every face."""
+    mx.fdtd_step(em, None, f_value, params, dt, accum)
+    rate = padded_cells_to_faces(mx.embed_cell_field(m_dot, em.box))
+    for h, mf in zip((em.hx, em.hy, em.hz), rate):
+        h -= mf * dt
+
+
+def box_divergence(em, m):
+    """div(h + m_bar) with m embedded into the box."""
+    mf = padded_cells_to_faces(mx.embed_cell_field(m, em.box))
+    return mx.div_faces(em.hx + mf[0], em.hy + mf[1], em.hz + mf[2], em.box)

@@ -347,6 +347,21 @@ class TestCli:
         assert owner.strip() in err
         assert not (outdir / "lock").exists()
 
+    def test_check_rejects_what_run_rejects(self, tmp_path, capsys):
+        # the README config at dt = 5 breaks the exchange stability bound:
+        # check and run both exit 3, and run writes nothing
+        outdir = tmp_path / "out"
+        text = README_CONFIG.replace("dt = 0.012", "dt = 5").replace(
+            "directory = out", f"directory = {outdir}")
+        assert "dt = 5\n" in text and str(outdir) in text
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        for command in ("check", "run"):
+            assert main([command, str(cfg_path)]) == 3
+            err = capsys.readouterr().err
+            assert "dt=5 exceeds the exchange stability bound" in err
+        assert not outdir.exists()
+
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"

@@ -9,13 +9,14 @@ from scipy.integrate import solve_ivp
 
 from spinlayer import maxwell as mx
 from spinlayer.dynamics import (SchemeConfig, SimState, _advance_m,
-                                exchange_dt_bound, gilbert_solve, llg_rhs, run,
-                                step, validate_stability)
+                                _midpoint_h_cells, exchange_dt_bound,
+                                gilbert_solve, llg_rhs, run, step,
+                                validate_stability)
 from spinlayer.energetics import MaterialParams
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import random_unit_field
+from conftest import box_midpoint_h_cells, random_unit_field
 
 
 def plain_params(**overrides):
@@ -208,25 +209,45 @@ class TestStep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("constraint, bad_value, message", [
-        ("penalized", 1e200, "magnetization m became non-finite at t=0.25, "
-                             "first at cell (2, 1, 3)"),
-        ("projected", 0.0, "renormalization of m at t=0.25 hit a zero or "
-                           "non-finite norm, first at cell (2, 1, 3)"),
+        ("penalized", 1e200, "magnetization m became non-finite at step 251, "
+                             "t=0.25, first at cell (2, 1, 3)"),
+        ("projected", 0.0, "renormalization of m at step 251, t=0.25 hit a zero "
+                           "or non-finite norm, first at cell (2, 1, 3)"),
     ])
     def test_nonfinite_names_time_field_and_cell(self, constraint, bad_value, message):
         # a huge cell overflows the penalty field, a zero cell cannot be
         # renormalized; without exchange or surface coupling the bad cells
-        # stay the only ones
+        # stay the only ones.  The state has taken 250 steps of 1e-3.
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
         m = random_unit_field(geom, seed=9)
         m[2, 1, 3] = bad_value
         m[3, 3, 3] = bad_value
         scheme = SchemeConfig(dt=1e-3, constraint=constraint)
         state = SimState(t=0.25, m=m, em=None, geom=geom,
-                         params=plain_params(penalty_k=1.0), scheme=scheme)
+                         params=plain_params(penalty_k=1.0), scheme=scheme, n=250)
         with pytest.raises(NonFinite) as err:
             step(state)
         assert str(err.value) == message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_em_names_step_time_field_and_index(self):
+        # a NaN on a wall face, outside the body, spreads through the
+        # fields but never reaches m within one step
+        geom, params, em, m, h = single_spin_setup()
+        em.hx[0, 0, 0] = np.nan
+        scheme = SchemeConfig(dt=1e-3)
+        state = SimState(t=0.25, m=m, em=em, geom=geom, params=params,
+                         scheme=scheme, n=250)
+        with pytest.raises(NonFinite) as err:
+            step(state)
+        assert str(err.value).startswith("electromagnetic field ")
+        assert " became non-finite at step 251, t=0.25, first at index (" in str(err.value)
+
+    def test_steps_are_counted(self):
+        geom, params, em, m, h = single_spin_setup()
+        scheme = SchemeConfig(dt=1e-3)
+        traj = run(geom, params, scheme, m, em, None, t_end=5e-3)
+        assert traj.final_state.n == 5
 
     def test_exchange_stability_bound_enforced(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
@@ -341,3 +362,22 @@ def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc
     finally:
         tracemalloc.stop()
     assert peak < state.m.nbytes
+
+
+def test_midpoint_h_matches_box_form():
+    # curl e and the rate on the body faces only: the predicted body h is
+    # bit-identical to the form that embeds the rate into the whole box
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 6, 5, 3, 2))
+    box = mx.make_box(geom, padding=3)
+    em = mx.empty_em_state(box)
+    rng = np.random.default_rng(40)
+    for a in (em.ex, em.ey, em.ez, em.hx, em.hy, em.hz):
+        a[...] = rng.standard_normal(a.shape)
+    params = plain_params(mu0=1.7)
+    state = SimState(t=0.0, m=random_unit_field(geom, seed=41), em=em, geom=geom,
+                     params=params, scheme=SchemeConfig(dt=3e-3))
+    m_dot = rng.standard_normal(geom.field_shape())
+    want = box_midpoint_h_cells(em, m_dot, state.scheme.dt, params.mu0)
+    for _ in range(2):   # the second call reuses the workspace buffers
+        got = _midpoint_h_cells(state, m_dot)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

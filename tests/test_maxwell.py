@@ -9,7 +9,8 @@ from spinlayer.energetics import MaterialParams, maxwell_energy
 from spinlayer.errors import CFLViolation
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import random_unit_field
+from conftest import (box_divergence, box_faces_to_body_cells, box_fdtd_step,
+                      padded_cells_to_faces, random_unit_field)
 
 
 def em_params(**overrides):
@@ -209,7 +210,7 @@ class TestFdtdStep:
         params = em_params(sigma=10.0)
         dt = 0.5 * mx.cfl_limit(box, params)
         m_dot = np.random.default_rng(23).standard_normal(geom.field_shape())
-        m_dot_faces = mx.cells_to_faces(mx.embed_cell_field(m_dot, box), box)
+        m_dot_faces = mx.cells_to_faces(m_dot, box)   # the body face triple
         f_value = np.array([0.1, 0.0, -0.2])
         accum = {"ohmic": 0.0, "source": 0.0}
         mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)   # warm
@@ -251,6 +252,61 @@ class TestFdtdStep:
         assert travelled == pytest.approx(c * n_steps * dt, rel=0.02)
 
 
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBodyLocal:
+    """The rate, m_bar and the stage-begin h touch only the body's faces;
+    each must agree bit for bit with its embed-into-the-box form."""
+
+    def test_cells_to_faces_matches_padded_form(self, small_geom):
+        # signed zeros on the outermost cells keep their padded-form bits
+        box = mx.make_box(small_geom, padding=2)
+        c = np.random.default_rng(29).standard_normal(small_geom.field_shape())
+        c[0, :, :, 0] = -0.0
+        c[:, -1, :, 1] = -0.0
+        out = tuple(np.full_like(f, np.nan) for f in padded_cells_to_faces(c))
+        for got in (mx.cells_to_faces(c, box), mx.cells_to_faces(c, box, out=out)):
+            for a, b in zip(got, padded_cells_to_faces(c)):
+                assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("bc", mx.BOUNDARIES)
+    def test_fdtd_step_matches_box_form(self, bc):
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 6, 5, 3, 2))
+        box = mx.make_box(geom, padding=3)
+        em = random_em(box, seed=30, pec=bc == mx.PEC)
+        em.bc = bc
+        ref = em.copy()
+        params = em_params(sigma=2.0)
+        dt = 0.5 * mx.cfl_limit(box, params)
+        m_dot = np.random.default_rng(31).standard_normal(geom.field_shape())
+        f_value = np.array([0.3, -0.1, 0.2])
+        accum = {"ohmic": 0.0, "source": 0.0}
+        accum_ref = dict(accum)
+        m_dot_faces = mx.cells_to_faces(m_dot, box)
+        for _ in range(4):
+            mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
+            box_fdtd_step(ref, m_dot, f_value, params, dt, accum_ref)
+        for name in ("ex", "ey", "ez", "hx", "hy", "hz"):
+            assert_same_bits(getattr(em, name), getattr(ref, name))
+        assert accum == accum_ref
+
+    def test_drift_and_interp_match_box_form(self, small_geom):
+        box = mx.make_box(small_geom, padding=2)
+        em = random_em(box, seed=32, pec=False)
+        m0 = random_unit_field(small_geom, seed=33)
+        mx.record_div0(em, m0, small_geom)
+        assert_same_bits(em.div0, box_divergence(em, m0))
+        div0 = em.div0.copy()
+        m = random_unit_field(small_geom, seed=34)
+        em.hx *= 1.5
+        drift = np.max(np.abs(box_divergence(em, m) - div0))
+        assert mx.divergence_drift(em, m, small_geom) == drift
+        assert_same_bits(mx.interp_h_to_cells(em, small_geom),
+                         box_faces_to_body_cells(em.hx, em.hy, em.hz, box))
+
+
 class TestDivergencePropagation:
     def test_zero_at_start(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
@@ -274,7 +330,7 @@ class TestDivergencePropagation:
         dt = 0.9 * mx.cfl_limit(box, params)
         rng = np.random.default_rng(11)
         m_dot = rng.standard_normal(geom.field_shape())
-        m_dot_faces = mx.cells_to_faces(mx.embed_cell_field(m_dot, box), box)
+        m_dot_faces = mx.cells_to_faces(m_dot, box)   # the body face triple
         for _ in range(1000):
             mx.fdtd_step(em, m_dot_faces, np.zeros(3), params, dt)
             m = m + dt * m_dot
