@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import dynamics, maxwell, snapshots
-from .config import RunConfig, build_setup, parse_config
+from .config import RunConfig, build_model, build_setup, parse_config
 from .diagnostics import (CSV_COLUMNS, omega_limit_field_cells,
                           saturation_deviation, stationarity_report)
 from .energetics import EnergyBreakdown, total_energy
@@ -182,7 +182,7 @@ def recompute_final_row(outdir: str):
     Returns (row dict, stationarity report rows)."""
     with open(os.path.join(outdir, "effective_config")) as fh:
         config = parse_config(fh.read())
-    setup = build_setup(config)
+    setup = build_model(config)   # the fields come from the snapshots
     geom = setup.geom
 
     _, _, _, _, (m0_arr,) = snapshots.read_snapshot(
@@ -196,7 +196,7 @@ def recompute_final_row(outdir: str):
     _, _, _, _, e_arrays = snapshots.read_snapshot(
         os.path.join(outdir, "state_final_e.snap"))
 
-    em = setup.em   # its fields are replaced by the stored ones
+    em = setup.em
     em.hx, em.hy, em.hz = h0_arrays
     maxwell.record_div0(em, m0_arr, geom)
     em.hx, em.hy, em.hz = h_arrays

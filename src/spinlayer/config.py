@@ -72,10 +72,10 @@ class RunConfig:
     frozen: bool = False
     # initial
     m0: tuple = ("uniform", 0.0, 0.0, 1.0)
-    h0: tuple = ("zero",)
+    h0: tuple = (maxwell.ZERO,)
     e0: tuple = ("zero",)
     # current
-    f: tuple = ("zero",)
+    f: tuple = (maxwell.ZERO,)
     # output
     directory: str = "out"
     cadence: int = 1
@@ -219,14 +219,14 @@ _SCHEMA = {
             "random": ((_to_int,), (_to_float,)),   # seed [smooth_cells]
             "snapshot": ((_to_path,), ())})),
         "h0": ("h0", lambda toks, ln: _preset(
-            toks, ln, {"zero": _NO_ARGS, "magnetostatic": _NO_ARGS, "uniform": _VEC3})),
+            toks, ln, {**dict.fromkeys(maxwell.H0_KINDS, _NO_ARGS), "uniform": _VEC3})),
         "e0": ("e0", lambda toks, ln: _preset(
             toks, ln, {"zero": _NO_ARGS, "uniform": _VEC3})),
     },
     "current": {
         # pulse ax ay az t0 width
         "f": ("f", lambda toks, ln: _preset(
-            toks, ln, {"zero": _NO_ARGS, "pulse": ((_to_float,) * 5, ())})),
+            toks, ln, {maxwell.ZERO: _NO_ARGS, maxwell.PULSE: ((_to_float,) * 5, ())})),
     },
     "output": {
         "directory": ("directory", lambda toks, ln: " ".join(toks)),
@@ -315,18 +315,26 @@ class RunSetup:
     scheme: SchemeConfig
     box: object
     em: object
-    m0: np.ndarray
+    m0: Optional[np.ndarray]   # None until `set_initial_fields`
     f: AppliedCurrent
 
 
 def build_setup(config: RunConfig) -> RunSetup:
-    """Materialize grids, parameters and initial fields.
+    """Materialize grids, parameters and initial fields: `build_model`,
+    then `set_initial_fields`."""
+    setup = build_model(config)
+    set_initial_fields(setup)
+    return setup
+
+
+def build_model(config: RunConfig) -> RunSetup:
+    """Grids, parameters, the applied current and a zero electromagnetic
+    state; `m0` is left None.
 
     Geometry and material violations are reported as ValidationError so
     the command line can attribute them to config fields; a dt beyond the
     exchange or Yee stability bound raises CFLViolation, as `dynamics.run`
-    would.  A nonzero [run] seed overrides the seed of a random
-    magnetization preset.
+    would.
     """
     try:
         geom = build_geometry(GeometryConfig(
@@ -361,19 +369,23 @@ def build_setup(config: RunConfig) -> RunSetup:
     # the bounds `dynamics.run` enforces, so `check` rejects what `run` would
     dynamics.validate_stability(scheme, geom, params, box)
 
-    m0 = _build_m0(config, geom)
+    return RunSetup(config=config, geom=geom, params=params, scheme=scheme,
+                    box=box, em=maxwell.empty_em_state(box, bc=config.bc), m0=None,
+                    f=_build_current(config))
 
-    em = maxwell.empty_em_state(box, bc=config.bc)
-    m0_box = maxwell.embed_cell_field(m0, box)
-    em.hx, em.hy, em.hz = maxwell.init_divfree(m0_box, _h0_spec(config), box)
+
+def set_initial_fields(setup: RunSetup):
+    """m0, the divergence-free initial h and e0 of the config, and the
+    recorded initial divergence.  A nonzero [run] seed overrides the seed
+    of a random magnetization preset."""
+    config, em = setup.config, setup.em
+    setup.m0 = _build_m0(config, setup.geom)
+    m0_box = maxwell.embed_cell_field(setup.m0, setup.box)
+    maxwell.init_divfree(m0_box, _h0_spec(config), setup.box, out=em.h)
     _set_e0(config, em)
     if config.bc == maxwell.PEC:
         maxwell.zero_boundary_tangential_e(em)
-    maxwell.record_div0(em, m0, geom)
-
-    f = _build_current(config)
-    return RunSetup(config=config, geom=geom, params=params, scheme=scheme,
-                    box=box, em=em, m0=m0, f=f)
+    maxwell.record_div0(em, setup.m0, setup.geom)
 
 
 def _build_m0(config: RunConfig, geom) -> np.ndarray:
@@ -405,7 +417,7 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
 
 def _h0_spec(config: RunConfig):
     kind = config.h0[0]
-    if kind in ("zero", "magnetostatic"):
+    if kind in maxwell.H0_KINDS:
         return kind
     return np.asarray(config.h0[1:4], dtype=float)
 
@@ -420,9 +432,9 @@ def _set_e0(config: RunConfig, em):
 
 
 def _build_current(config: RunConfig) -> AppliedCurrent:
-    if config.f[0] == "zero":
+    if config.f[0] == maxwell.ZERO:
         return AppliedCurrent.zero()
     ax, ay, az, t0, width = (float(v) for v in config.f[1:6])
     if width <= 0:
         raise ValidationError("current.f", "pulse width must be positive")
-    return AppliedCurrent(amplitude=(ax, ay, az), t0=t0, width=width, kind="pulse")
+    return AppliedCurrent(amplitude=(ax, ay, az), t0=t0, width=width, kind=maxwell.PULSE)

@@ -282,19 +282,19 @@ def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
     dt = state.scheme.dt
     box = em.box
     work = em.workspace()
-    # the body cells average only the body face slabs: take curl e there,
-    # from the edges bounding the body, with the rate moved to the same faces
-    faces = maxwell.curl_e(*em.body_cell_edges(), box, out=work.body_faces,
-                           tmp=work.tmp)
-    rate = maxwell.cells_to_faces(m_dot_pred, box, out=work.rate_faces)
     half = 0.5 * dt
-    for f, h, r in zip(faces, em.body_h(), rate):
+    # the body cells average only the body face slabs: take (half/mu0)
+    # curl e on the store window that holds them, with the rate moved to
+    # the same faces
+    maxwell.curl_e(em.e, box, half / state.params.mu0, out=work.curl, tmp=work.tmp,
+                   window=work.body_window)
+    rate = maxwell.cells_to_faces(m_dot_pred, box, out=work.rate_faces)
+    for f, h, c, r in zip(work.body_faces, em.body_h(), work.body_curl_faces, rate):
         # f = h - (half/mu0) curl e - half m_dot, in that order
-        f *= half / state.params.mu0
-        np.subtract(h, f, out=f)
+        np.subtract(h, c, out=f)
         r *= half
         f -= r
-    return maxwell.faces_to_cells(*faces, out=work.body_cells)
+    return maxwell.faces_to_cells(*work.body_faces, out=work.body_cells)
 
 
 def step(state: SimState, accum: Optional[dict] = None,

@@ -6,6 +6,17 @@ cell centers.  The h update carries the magnetization rate (zero outside
 the body), which makes div(h + m_bar) a conserved quantity of the
 coupled step up to roundoff.
 
+Storage is the common-index Yee array: e and h are each one C-contiguous
+"store" of shape (3, nx+1, ny+1, nz+1), component c of a field in
+store[c].  An edge component has n cells along its own axis and n + 1
+nodes along the other two, a face component n + 1 nodes along its own
+axis and n cells along the others; the store entries beyond a
+component's shape (one pad plane per short axis) are zero and stay zero.
+Because every component shares one index grid, a difference along an axis
+is a difference at a fixed offset (S0, S1 or 1) of the flattened store,
+so both curls are one kernel (`_curl`) of whole-array contiguous passes,
+and the leapfrog updates are single passes over the stores.
+
 The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
 sign-definite.
@@ -25,6 +36,13 @@ from .summation import dot, esum
 PEC = "pec"
 MUR1 = "mur1"
 BOUNDARIES = (PEC, MUR1)
+
+# kinds of the initial h and of the applied current
+ZERO = "zero"
+MAGNETOSTATIC = "magnetostatic"
+H0_KINDS = (ZERO, MAGNETOSTATIC)
+PULSE = "pulse"
+CURRENTS = (ZERO, PULSE)
 
 POISSON_TOL = 1e-10
 
@@ -83,6 +101,30 @@ def face_shapes(box: BoxGeometry) -> tuple:
             (n[0], n[1], n[2] + 1))
 
 
+def store_shape(box: BoxGeometry) -> tuple:
+    """Shape of an e or h store: three components on the node grid."""
+    return (3, box.nx + 1, box.ny + 1, box.nz + 1)
+
+
+def _strides(box: BoxGeometry) -> tuple:
+    """Flat offsets of one step along x, y and z in a store component."""
+    return ((box.ny + 1) * (box.nz + 1), box.nz + 1, 1)
+
+
+def edge_views(store: np.ndarray, box: BoxGeometry) -> tuple:
+    """The three edge components of an e store, as views."""
+    n = (box.nx, box.ny, box.nz)
+    return tuple(store[c][_along(c, slice(0, n[c]))] for c in range(3))
+
+
+def face_views(store: np.ndarray, box: BoxGeometry) -> tuple:
+    """The three face components of an h store, as views."""
+    n = (box.nx, box.ny, box.nz)
+    return tuple(store[c][tuple(slice(None) if a == c else slice(0, n[a])
+                                for a in range(3))]
+                 for c in range(3))
+
+
 def _along(axis: int, index) -> tuple:
     """Index of a 3-D array taking `index` (an int or a slice) along axis."""
     sl = [slice(None)] * 3
@@ -119,6 +161,14 @@ def _body_face_slabs(box: BoxGeometry) -> tuple:
     return ((nx, cy, cz), (cx, ny, cz), (cx, cy, nz))
 
 
+def _flat_span(slab: tuple, box: BoxGeometry) -> slice:
+    """The range of flat store indices from the first to the last entry of
+    an index slab."""
+    strides = _strides(box)
+    return slice(sum(s.start * k for s, k in zip(slab, strides)),
+                 sum((s.stop - 1) * k for s, k in zip(slab, strides)) + 1)
+
+
 def _body_edge_masks(box: BoxGeometry) -> tuple:
     """Boolean masks of the body edge slabs."""
     masks = []
@@ -132,47 +182,88 @@ def _body_edge_masks(box: BoxGeometry) -> tuple:
 class _Workspace:
     """Preallocated buffers of one EMState.
 
-    `ce` holds curl h on edges (its boundary edges are never written and
-    stay zero), `ch` curl e on faces, `tmp` the two difference quotients
-    of either curl.  `rate_faces` (a triple of the body face slabs) holds
-    the magnetization rate on faces while a step's subcycles run; the
-    midpoint-h predictor forms its h in `body_faces` and its cell average
-    in `body_cells`.  Between steps the ledger's divergence drift forms
-    m_bar in `rate_faces`, h + m_bar in `ch` and the divergence in `tmp`.
-    `mur` holds the boundary planes of a Mur1 substep, allocated on the
-    first one.
+    `curl` is the output store of both curls (and, between steps, h +
+    m_bar for the ledger's divergence drift).  `body_window` is its window
+    (see `curl_e`) spanning the faces of the body cells, `body_curl_faces`
+    its views of those faces; from them the midpoint-h predictor forms its
+    h in `body_faces` and averages it to cells in `body_cells`.  `tmp` is a
+    flat scratch of two store components: the second difference quotient
+    of a curl, the two divergence terms, the rate times dt.  `e_new` and
+    `e_mid` (one block per component) hold the conduction update and the
+    midpoint e on the body edge slabs.  `rate_faces` (a triple of the body
+    face slabs) holds the magnetization rate on faces while a step's
+    subcycles run.  `mur` holds the boundary planes of a Mur1 substep with
+    their buffers and `mur_coefs` its coefficients, both made on the first
+    one.
     """
 
     def __init__(self, box: BoxGeometry):
-        self.ce = tuple(np.zeros(s) for s in edge_shapes(box))
-        self.ch = tuple(np.empty(s) for s in face_shapes(box))
-        self.tmp = np.empty(2 * max(a.size for a in self.ce + self.ch))
+        self.curl = np.zeros(store_shape(box))
+        self.curl_edges = edge_views(self.curl, box)
+        self.curl_faces = face_views(self.curl, box)
+        self.body_window = tuple(_flat_span(slab, box) for slab in _body_face_slabs(box))
+        self.body_curl_faces = tuple(f[slab] for f, slab in zip(self.curl_faces,
+                                                                _body_face_slabs(box)))
+        self.tmp = np.empty(2 * self.curl[0].size)
+        slab_shapes = [tuple(s.stop - s.start for s in slab)
+                       for slab in _body_edge_slabs(box)]
+        self.e_new = tuple(np.empty(s) for s in slab_shapes)
+        self.e_mid = tuple(np.empty(s) for s in slab_shapes)
         mx, my, mz = box.mx, box.my, box.mz
         body_face_shapes = ((mx + 1, my, mz), (mx, my + 1, mz), (mx, my, mz + 1))
         self.rate_faces = tuple(np.empty(s) for s in body_face_shapes)
         self.body_faces = tuple(np.empty(s) for s in body_face_shapes)
         self.body_cells = np.empty((mx, my, mz, 3))
         self.mur = None
+        self.mur_coefs = None
+
+
+def _component(index: int, doc: str) -> property:
+    """A field component as a view of its store; assigning copies into it."""
+    def get(self):
+        return self._views[index]
+
+    def put(self, value):
+        np.copyto(self._views[index], value)
+
+    return property(get, put, doc=doc)
 
 
 @dataclass
 class EMState:
+    """Electromagnetic state: the e and h stores (see the module
+    docstring) and the bookkeeping of the box.
+
+    `ex` ... `hz` are views of the stores, so writing into them writes
+    the fields; assigning to one (`em.hx = a`) copies `a` into the store.
+    """
+
     box: BoxGeometry
-    ex: np.ndarray
-    ey: np.ndarray
-    ez: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
-    hz: np.ndarray
+    e: np.ndarray
+    h: np.ndarray
     bc: str = PEC
     div0: Optional[np.ndarray] = None
     omega_masks: tuple = field(default=None, repr=False)
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
+    ex = _component(0, "e on x edges")
+    ey = _component(1, "e on y edges")
+    ez = _component(2, "e on z edges")
+    hx = _component(3, "h on x faces")
+    hy = _component(4, "h on y faces")
+    hz = _component(5, "h on z faces")
+
+    def __post_init__(self):
+        for name in ("e", "h"):
+            store = getattr(self, name)
+            if store.shape != store_shape(self.box) or not store.flags.c_contiguous:
+                raise ValueError(f"{name} must be a C-contiguous array of shape "
+                                 f"{store_shape(self.box)}")
+        self._views = edge_views(self.e, self.box) + face_views(self.h, self.box)
+
     def copy(self) -> "EMState":
-        return EMState(self.box, self.ex.copy(), self.ey.copy(), self.ez.copy(),
-                       self.hx.copy(), self.hy.copy(), self.hz.copy(),
-                       self.bc, None if self.div0 is None else self.div0.copy(),
+        return EMState(self.box, self.e.copy(), self.h.copy(), self.bc,
+                       None if self.div0 is None else self.div0.copy(),
                        self.omega_masks)
 
     def workspace(self) -> _Workspace:
@@ -182,35 +273,28 @@ class EMState:
 
     def body_h(self) -> tuple:
         """Views of h on the body face slabs."""
-        return tuple(h[slab] for h, slab in zip((self.hx, self.hy, self.hz),
+        return tuple(h[slab] for h, slab in zip(self._views[3:],
                                                 _body_face_slabs(self.box)))
-
-    def body_cell_edges(self) -> tuple:
-        """Views of the edges that bound the body cells: an edge field on a
-        box of the body's size, whose curl is curl e on the body face
-        slabs."""
-        (cx, nx, _), (cy, ny, _), (cz, nz, _) = _body_ranges(self.box)
-        return self.ex[cx, ny, nz], self.ey[nx, cy, nz], self.ez[nx, ny, cz]
 
     def assert_finite(self, step: int, t: float):
         """Raise NonFinite naming the step, t, the first non-finite
         component and its first bad index."""
-        for name in ("ex", "ey", "ez", "hx", "hy", "hz"):
-            a = getattr(self, name)
-            if not np.isfinite(a).all():
-                index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
-                raise NonFinite(f"electromagnetic field {name} became non-finite "
-                                f"at step {step}, t={t:g}, first at index {index}")
+        for store, first in ((self.e, 0), (self.h, 3)):
+            if np.isfinite(store).all():
+                continue
+            for name, a in zip(("ex", "ey", "ez", "hx", "hy", "hz")[first:first + 3],
+                               self._views[first:first + 3]):
+                if not np.isfinite(a).all():
+                    index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+                    raise NonFinite(f"electromagnetic field {name} became non-finite "
+                                    f"at step {step}, t={t:g}, first at index {index}")
 
 
 def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
     """Zero fields on the box with outer boundary bc (PEC or MUR1)."""
     if bc not in BOUNDARIES:
         raise ValueError(f"unknown boundary {bc!r} (choose from {BOUNDARIES})")
-    es = edge_shapes(box)
-    fs = face_shapes(box)
-    state = EMState(box, np.zeros(es[0]), np.zeros(es[1]), np.zeros(es[2]),
-                    np.zeros(fs[0]), np.zeros(fs[1]), np.zeros(fs[2]), bc=bc)
+    state = EMState(box, np.zeros(store_shape(box)), np.zeros(store_shape(box)), bc=bc)
     state.omega_masks = _body_edge_masks(box)
     return state
 
@@ -218,18 +302,19 @@ def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
 class AppliedCurrent:
     """Spatially uniform forcing current inside the body.
 
-    Presets: zero, or a Gaussian pulse amp * exp(-((t-t0)/width)^2 / 2).
+    Kinds (CURRENTS): zero, or a Gaussian pulse
+    amp * exp(-((t-t0)/width)^2 / 2).
     """
 
     def __init__(self, amplitude=(0.0, 0.0, 0.0), t0: float = 0.0,
-                 width: float = 1.0, kind: str = "zero"):
+                 width: float = 1.0, kind: str = ZERO):
         self.amplitude = np.asarray(amplitude, dtype=float)
         self.t0 = float(t0)
         self.width = float(width)
         self.kind = kind
-        if kind not in ("zero", "pulse"):
-            raise ValueError(f"unknown current preset {kind!r}")
-        if kind == "pulse" and self.width <= 0:
+        if kind not in CURRENTS:
+            raise ValueError(f"unknown current preset {kind!r} (choose from {CURRENTS})")
+        if kind == PULSE and self.width <= 0:
             raise ValueError("pulse width must be positive")
 
     @staticmethod
@@ -237,77 +322,97 @@ class AppliedCurrent:
         return AppliedCurrent()
 
     def value(self, t: float) -> np.ndarray:
-        if self.kind == "zero":
+        if self.kind == ZERO:
             return np.zeros(3)
         return self.amplitude * np.exp(-0.5 * ((t - self.t0) / self.width) ** 2)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or not np.any(self.amplitude)
+        return self.kind == ZERO or not np.any(self.amplitude)
 
 
 # ---------------------------------------------------------------------------
 # staggered-grid operators
 
 
-def _curl_component(p_hi, p_lo, hp, q_hi, q_lo, hq, out, tmp):
-    """out = (p_hi - p_lo)/hp - (q_hi - q_lo)/hq.
+def _flat(store: np.ndarray) -> np.ndarray:
+    """(3, N) view of a store; raises rather than copy."""
+    return np.reshape(store, (3, -1), copy=False)
 
-    Both quotients are formed in contiguous slices of tmp (at least twice
-    the size of out), so only the last subtraction writes into out, which
-    may be a strided view.
+
+def _curl(src, box: BoxGeometry, scale: float, out, tmp, forward: bool,
+          window: Optional[tuple]) -> np.ndarray:
+    """The one curl kernel: for each component c, with (a, b) the next two
+    axes in cyclic order,
+
+        out[c] = (scale/h_a) D_a src[b] - (scale/h_b) D_b src[a],
+
+    D the forward (edges -> faces) or backward (faces -> edges) difference,
+    a flat difference at the axis's offset.  The entries a flat difference
+    cannot reach, and those where it wraps to the next row or plane, all
+    lie on planes that are zeroed afterwards: the pad planes of each
+    component and, for the backward curl, the boundary edges.  With
+    `window` (per component, a range of flat indices) only those entries
+    of `out` are written, and nothing is zeroed.
     """
-    n = out.size
-    p = tmp[:n].reshape(out.shape)
-    q = tmp[n:2 * n].reshape(out.shape)
-    np.subtract(p_hi, p_lo, out=p)
-    np.divide(p, hp, out=p)
-    np.subtract(q_hi, q_lo, out=q)
-    np.divide(q, hq, out=q)
-    np.subtract(p, q, out=out)
-
-
-def curl_e(ex, ey, ez, box: BoxGeometry, out=None, tmp=None) -> tuple:
-    """Edge field -> curl on faces.
-
-    `out` (three face arrays) and `tmp` (a flat float array of at least
-    twice the largest face size) make the call allocation-free.
-    """
-    dx, dy, dz = box.dx, box.dy, box.dz
+    n = (box.nx, box.ny, box.nz)
+    spacing = (box.dx, box.dy, box.dz)
+    strides = _strides(box)
     if out is None:
-        out = tuple(np.empty(s) for s in face_shapes(box))
+        out = np.empty(store_shape(box))
+    size = out[0].size
     if tmp is None:
-        tmp = np.empty(2 * max(a.size for a in out))
-    chx, chy, chz = out
-    _curl_component(ez[:, 1:, :], ez[:, :-1, :], dy, ey[:, :, 1:], ey[:, :, :-1], dz,
-                    chx, tmp)
-    _curl_component(ex[:, :, 1:], ex[:, :, :-1], dz, ez[1:, :, :], ez[:-1, :, :], dx,
-                    chy, tmp)
-    _curl_component(ey[1:, :, :], ey[:-1, :, :], dx, ex[:, 1:, :], ex[:, :-1, :], dy,
-                    chz, tmp)
+        tmp = np.empty(size)
+    s_flat, o_flat = _flat(src), _flat(out)
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        sa, sb = strides[a], strides[b]
+        reach = max(sa, sb)
+        lo, hi = (0, size - reach) if forward else (reach, size)
+        if window is not None:
+            lo, hi = max(lo, window[c].start), min(hi, window[c].stop)
+        # (minuend, subtrahend) offsets of the two differences
+        pa, pb = ((sa, 0), (sb, 0)) if forward else ((0, -sa), (0, -sb))
+        p, q, o, t = s_flat[b], s_flat[a], o_flat[c][lo:hi], tmp[:hi - lo]
+        np.subtract(p[lo + pa[0]:hi + pa[0]], p[lo + pa[1]:hi + pa[1]], out=o)
+        o *= scale / spacing[a]
+        np.subtract(q[lo + pb[0]:hi + pb[0]], q[lo + pb[1]:hi + pb[1]], out=t)
+        t *= scale / spacing[b]
+        o -= t
+        if window is not None:
+            continue
+        # pads: faces are short along a and b, edges along c; the
+        # backward curl also clears the boundary edges (index 0 and n)
+        if forward:
+            zero = ((a, n[a]), (b, n[b]))
+        else:
+            zero = ((c, n[c]), (a, 0), (a, n[a]), (b, 0), (b, n[b]))
+        for axis, index in zero:
+            out[c][_along(axis, index)] = 0.0
     return out
 
 
-def curl_h(hx, hy, hz, box: BoxGeometry, out=None, tmp=None) -> tuple:
-    """Face field -> curl on interior edges; boundary edges stay zero.
+def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None, tmp=None,
+           window: Optional[tuple] = None) -> np.ndarray:
+    """scale * curl of an e store, on faces, as an h store.
 
-    `out` (three edge arrays whose boundary edges are zero) and `tmp` (a
-    flat float array of at least twice the largest edge size) make the call
-    allocation-free; only the interior edges of `out` are written.
+    `out` (a store) and `tmp` (a flat float array of at least one store
+    component) make the call allocation-free.  With `window` (per
+    component, a slice of flat store indices) only those entries of `out`
+    are computed, and the rest of `out` is left as it was.
     """
-    dx, dy, dz = box.dx, box.dy, box.dz
-    if out is None:
-        out = tuple(np.zeros(s) for s in edge_shapes(box))
-    if tmp is None:
-        tmp = np.empty(2 * max(a.size for a in out))
-    cex, cey, cez = out
-    _curl_component(hz[:, 1:, 1:-1], hz[:, :-1, 1:-1], dy,
-                    hy[:, 1:-1, 1:], hy[:, 1:-1, :-1], dz, cex[:, 1:-1, 1:-1], tmp)
-    _curl_component(hx[1:-1, :, 1:], hx[1:-1, :, :-1], dz,
-                    hz[1:, :, 1:-1], hz[:-1, :, 1:-1], dx, cey[1:-1, :, 1:-1], tmp)
-    _curl_component(hy[1:, 1:-1, :], hy[:-1, 1:-1, :], dx,
-                    hx[1:-1, 1:, :], hx[1:-1, :-1, :], dy, cez[1:-1, 1:-1, :], tmp)
-    return out
+    return _curl(e, box, scale, out, tmp, True, window)
+
+
+def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
+           tmp=None) -> np.ndarray:
+    """scale * curl of an h store, on the interior edges, as an e store;
+    the boundary edges are zero.
+
+    `out` (a store) and `tmp` (a flat float array of at least one store
+    component) make the call allocation-free.
+    """
+    return _curl(h, box, scale, out, tmp, False, None)
 
 
 def div_faces(fx, fy, fz, box: BoxGeometry) -> np.ndarray:
@@ -405,32 +510,36 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
 
 
 def init_divfree(m0_cells: np.ndarray, h0_spec, box: BoxGeometry,
-                 tol: float = POISSON_TOL) -> tuple:
+                 tol: float = POISSON_TOL, out: Optional[np.ndarray] = None) -> tuple:
     """Magnetic excitation with div(h + m_bar) = 0 at every cell center.
 
-    h0_spec: "magnetostatic" (h = -grad phi with Lap phi = div m_bar),
-    "zero", a length-3 uniform vector, or an explicit (hx, hy, hz) face
-    triple; explicit data is corrected by a gradient.  m0_cells is the
-    body magnetization already zero-extended to the box.
+    h0_spec: a kind of H0_KINDS ("magnetostatic": h = -grad phi with
+    Lap phi = div m_bar; "zero"), a length-3 uniform vector, or an
+    explicit (hx, hy, hz) face triple; explicit data is corrected by a
+    gradient.  m0_cells is the body magnetization already zero-extended
+    to the box.  Returns the face triple: views of `out` (an h store with
+    zero pads, written in place) when it is given.
     """
     mf = cells_to_faces(m0_cells, box)
-    if isinstance(h0_spec, str) and h0_spec in ("magnetostatic", "zero"):
-        fs = face_shapes(box)
-        h_raw = (np.zeros(fs[0]), np.zeros(fs[1]), np.zeros(fs[2]))
+    fs = face_shapes(box)
+    if isinstance(h0_spec, str) and h0_spec in H0_KINDS:
+        h_raw = tuple(np.zeros(s) for s in fs)
     elif isinstance(h0_spec, tuple) and len(h0_spec) == 3 and np.ndim(h0_spec[0]) == 3:
         h_raw = h0_spec
     else:
         vec = np.asarray(h0_spec, dtype=float).reshape(3)
-        fs = face_shapes(box)
-        h_raw = (np.full(fs[0], vec[0]), np.full(fs[1], vec[1]), np.full(fs[2], vec[2]))
+        h_raw = tuple(np.full(s, v) for s, v in zip(fs, vec))
+    h = face_views(out, box) if out is not None else tuple(np.empty(s) for s in fs)
 
-    if isinstance(h0_spec, str) and h0_spec == "zero" and not np.any(m0_cells):
-        return h_raw
+    if isinstance(h0_spec, str) and h0_spec == ZERO and not np.any(m0_cells):
+        for a in h:
+            a[...] = 0.0
+        return h
 
     rhs = div_faces(h_raw[0] + mf[0], h_raw[1] + mf[1], h_raw[2] + mf[2], box)
     phi = poisson_solve(rhs, box)
-    gx, gy, gz = grad_cells(phi, box)
-    h = (h_raw[0] - gx, h_raw[1] - gy, h_raw[2] - gz)
+    for a, raw, g in zip(h, h_raw, grad_cells(phi, box)):
+        np.subtract(raw, g, out=a)
 
     resid = np.max(np.abs(div_faces(h[0] + mf[0], h[1] + mf[1], h[2] + mf[2], box)))
     if not np.isfinite(resid) or resid > tol * (1.0 + np.max(np.abs(rhs))):
@@ -441,32 +550,31 @@ def init_divfree(m0_cells: np.ndarray, h0_spec, box: BoxGeometry,
 def _divergence(em: EMState, m: np.ndarray) -> np.ndarray:
     """div(h + m_bar) at the box cell centers for the body field m.
 
-    h + m_bar is formed in the workspace's face buffers, m_bar added on
-    the body face slabs only (it vanishes elsewhere), and the divergence
-    in the front of its `tmp`, which the returned array views: valid
-    until the workspace is next used.  The operation order is that of
-    `div_faces`, so the values are those of div_faces(h + m_bar).
+    h + m_bar is formed in the workspace's curl store, m_bar added on the
+    body face slabs only (it vanishes elsewhere), and the divergence as
+    flat offset differences in its `tmp`, which the returned array views:
+    valid until the workspace is next used.  The operation order is that
+    of `div_faces`, so the values are those of div_faces(h + m_bar).
     """
     box = em.box
     work = em.workspace()
     m_faces = cells_to_faces(m, box, out=work.rate_faces)
-    for f, h, mf, slab in zip(work.ch, (em.hx, em.hy, em.hz), m_faces,
-                              _body_face_slabs(box)):
-        np.copyto(f, h)
+    np.copyto(work.curl, em.h)
+    for f, mf, slab in zip(work.curl_faces, m_faces, _body_face_slabs(box)):
         f[slab] += mf
-    fx, fy, fz = work.ch
-    n = box.nx * box.ny * box.nz
-    div = work.tmp[:n].reshape(box.nx, box.ny, box.nz)
-    t = work.tmp[n:2 * n].reshape(div.shape)
-    np.subtract(fx[1:, :, :], fx[:-1, :, :], out=div)
+    f = _flat(work.curl)
+    s0, s1, s2 = _strides(box)
+    n = box.nx * s0              # the flat range of the cells' x-planes
+    div, t = work.tmp[:n], work.tmp[n:2 * n]
+    np.subtract(f[0][s0:s0 + n], f[0][:n], out=div)
     div /= box.dx
-    np.subtract(fy[:, 1:, :], fy[:, :-1, :], out=t)
+    np.subtract(f[1][s1:s1 + n], f[1][:n], out=t)
     t /= box.dy
     div += t
-    np.subtract(fz[:, :, 1:], fz[:, :, :-1], out=t)
+    np.subtract(f[2][s2:s2 + n], f[2][:n], out=t)
     t /= box.dz
     div += t
-    return div
+    return div.reshape(box.nx, box.ny + 1, box.nz + 1)[:, :box.ny, :box.nz]
 
 
 def divergence_drift(em: EMState, m: np.ndarray, geom: DomainGeometry) -> float:
@@ -500,30 +608,48 @@ def _mur_coef(params: MaterialParams, dt: float, h: float) -> float:
 _MUR_PLANES = (("ey", 0), ("ez", 0), ("ex", 1), ("ez", 1), ("ex", 2), ("ey", 2))
 
 
-def _apply_mur(em: EMState, old: dict, params: MaterialParams, dt: float):
-    """First-order absorbing update of tangential e on the six box faces."""
-    coefs = [_mur_coef(params, dt, h) for h in (em.box.dx, em.box.dy, em.box.dz)]
-    for name, axis in _MUR_PLANES:
-        comp = getattr(em, name)
-        coef = coefs[axis]
-        lo_old, lo_in_old, hi_old, hi_in_old = old[(name, axis)]
-        comp[_along(axis, 0)] = lo_in_old + coef * (comp[_along(axis, 1)] - lo_old)
-        comp[_along(axis, -1)] = hi_in_old + coef * (comp[_along(axis, -2)] - hi_old)
-
-
-def _capture_mur_old(em: EMState) -> dict:
-    """The boundary and next-inner planes of the tangential e components,
-    copied into the workspace (allocated on the first call)."""
+def _mur_planes(em: EMState) -> list:
+    """Per boundary plane of a tangential e component: its axis, the plane
+    and its inner neighbour (views of the store), and buffers for the two
+    planes' old values and the update.  Made on the first Mur1 substep."""
     work = em.workspace()
     if work.mur is None:
-        work.mur = {(name, axis): tuple(np.empty_like(getattr(em, name)[_along(axis, 0)])
-                                        for _ in range(4))
-                    for name, axis in _MUR_PLANES}
-    for name, axis in _MUR_PLANES:
-        comp = getattr(em, name)
-        for buf, index in zip(work.mur[(name, axis)], (0, 1, -1, -2)):
-            np.copyto(buf, comp[_along(axis, index)])
+        work.mur = []
+        for name, axis in _MUR_PLANES:
+            comp = getattr(em, name)
+            for plane, inner in ((0, 1), (-1, -2)):
+                dst = comp[_along(axis, plane)]
+                work.mur.append((axis, dst, comp[_along(axis, inner)],
+                                 np.empty(dst.shape), np.empty(dst.shape),
+                                 np.empty(dst.shape)))
     return work.mur
+
+
+def _capture_mur_old(em: EMState) -> list:
+    """Copy the boundary and next-inner planes of the tangential e
+    components into their buffers."""
+    planes = _mur_planes(em)
+    for _, dst, inner, old, inner_old, _ in planes:
+        np.copyto(old, dst)
+        np.copyto(inner_old, inner)
+    return planes
+
+
+def _apply_mur(em: EMState, planes: list, params: MaterialParams, dt: float):
+    """First-order absorbing update of tangential e on the six box faces,
+    plane = inner_old + coef * (inner - old), with no temporaries."""
+    work = em.workspace()
+    key = (dt, params.speed_of_light)
+    if work.mur_coefs is None or work.mur_coefs[0] != key:
+        work.mur_coefs = (key, [_mur_coef(params, dt, h)
+                                for h in (em.box.dx, em.box.dy, em.box.dz)])
+    coefs = work.mur_coefs[1]
+    for axis, dst, inner, old, inner_old, new in planes:
+        # the sum is taken the other way round, which keeps its bits
+        np.subtract(inner, old, out=new)
+        new *= coefs[axis]
+        new += inner_old
+        np.copyto(dst, new)
 
 
 def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
@@ -545,37 +671,43 @@ def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
         raise CFLViolation(f"dt={dt:g} exceeds the Yee bound {limit:g}")
 
     work = em.workspace()
-    curl_h(em.hx, em.hy, em.hz, box, out=work.ce, tmp=work.tmp)
+    sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
+    k = dt / eps0
+    curl_h(em.h, box, k, out=work.curl, tmp=work.tmp)
     mur_old = _capture_mur_old(em) if em.bc == MUR1 else None
 
-    sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
-    dV = box.cell_volume
-    k = dt / eps0
-    beta = sigma * dt / (2.0 * eps0)
-    for e, ce, slab, fc in zip((em.ex, em.ey, em.ez), work.ce, _body_edge_slabs(box),
-                               f_value):
-        if sigma != 0.0:
-            # conduction acts on the body edges only; outside them the
-            # update is the vacuum one below
+    slabs = _body_edge_slabs(box)
+    if sigma != 0.0:
+        # conduction acts on the body edges only, where e becomes
+        # ((1 - beta) e + k (curl h - sigma f)) / (1 + beta); outside them
+        # the update is the vacuum one below
+        dV = box.cell_volume
+        beta = sigma * dt / (2.0 * eps0)
+        for e, ce, slab, fc, e_new, e_mid in zip(
+                (em.ex, em.ey, em.ez), work.curl_edges, slabs, f_value, work.e_new,
+                work.e_mid):
             e_body = e[slab]
-            e_new = ((1.0 - beta) * e_body + k * (ce[slab] - sigma * fc)) / (1.0 + beta)
+            np.subtract(ce[slab], k * sigma * fc, out=e_new)
+            np.multiply(e_body, 1.0 - beta, out=e_mid)
+            e_new += e_mid
+            e_new /= 1.0 + beta
             if accum is not None:
-                e_mid = 0.5 * (e_body + e_new)
+                np.add(e_body, e_new, out=e_mid)
+                e_mid *= 0.5
                 accum["ohmic"] += dt * (sigma / mu0) * dV * dot(e_mid, e_mid)
                 if fc != 0.0:
-                    accum["source"] += dt * (sigma / mu0) * dV * esum(fc * e_mid)
-        np.multiply(ce, k, out=ce)
-        np.add(e, ce, out=e)
-        if sigma != 0.0:
+                    e_mid *= fc
+                    accum["source"] += dt * (sigma / mu0) * dV * esum(e_mid)
+    np.add(em.e, work.curl, out=em.e)
+    if sigma != 0.0:
+        for e, slab, e_new in zip((em.ex, em.ey, em.ez), slabs, work.e_new):
             e[slab] = e_new
 
     if em.bc == MUR1:
         _apply_mur(em, mur_old, params, dt)
 
-    curl_e(em.ex, em.ey, em.ez, box, out=work.ch, tmp=work.tmp)
-    for h, ch in zip((em.hx, em.hy, em.hz), work.ch):
-        np.multiply(ch, dt / mu0, out=ch)
-        np.subtract(h, ch, out=h)
+    curl_e(em.e, box, dt / mu0, out=work.curl, tmp=work.tmp)
+    np.subtract(em.h, work.curl, out=em.h)
     if m_dot_faces is not None:
         for h, mf in zip(em.body_h(), m_dot_faces):
             rate = work.tmp[:mf.size].reshape(mf.shape)

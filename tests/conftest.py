@@ -122,15 +122,15 @@ def box_faces_to_body_cells(hx, hy, hz, box):
 
 
 def box_midpoint_h_cells(em, m_dot_pred, dt, mu0):
-    """The midpoint-h predictor with curl e on every face of the box and
-    the rate embedded into the box."""
+    """The midpoint-h predictor with (dt/2 mu0) curl e on every face of the
+    box and the rate embedded into the box."""
     box = em.box
-    chx, chy, chz = mx.curl_e(em.ex, em.ey, em.ez, box)
-    mdx, mdy, mdz = padded_cells_to_faces(mx.embed_cell_field(m_dot_pred, box))
     half = 0.5 * dt
-    hx = em.hx - (half / mu0) * chx - half * mdx
-    hy = em.hy - (half / mu0) * chy - half * mdy
-    hz = em.hz - (half / mu0) * chz - half * mdz
+    chx, chy, chz = mx.face_views(mx.curl_e(em.e, box, half / mu0), box)
+    mdx, mdy, mdz = padded_cells_to_faces(mx.embed_cell_field(m_dot_pred, box))
+    hx = em.hx - chx - half * mdx
+    hy = em.hy - chy - half * mdy
+    hz = em.hz - chz - half * mdz
     return box_faces_to_body_cells(hx, hy, hz, box)
 
 
@@ -147,3 +147,91 @@ def box_divergence(em, m):
     """div(h + m_bar) with m embedded into the box."""
     mf = padded_cells_to_faces(mx.embed_cell_field(m, em.box))
     return mx.div_faces(em.hx + mf[0], em.hy + mf[1], em.hz + mf[2], em.box)
+
+
+# ---------------------------------------------------------------------------
+# the plain-array Yee step: six separate component arrays, each curl
+# component in 5 passes, (p_hi - p_lo)/hp - (q_hi - q_lo)/hq, scaled after.
+# The store kernel folds the scale into the quotients, so the two agree to
+# roundoff.
+
+FIELD_NAMES = ("ex", "ey", "ez", "hx", "hy", "hz")
+
+
+def edge_store(components, box):
+    """An e store holding three edge arrays (zero pads)."""
+    store = np.zeros(mx.store_shape(box))
+    for view, a in zip(mx.edge_views(store, box), components):
+        view[...] = a
+    return store
+
+
+def face_store(components, box):
+    """An h store holding three face arrays (zero pads)."""
+    store = np.zeros(mx.store_shape(box))
+    for view, a in zip(mx.face_views(store, box), components):
+        view[...] = a
+    return store
+
+
+def plain_curl_e(ex, ey, ez, box):
+    """Edge field -> curl on faces."""
+    dx, dy, dz = box.dx, box.dy, box.dz
+    return ((ez[:, 1:, :] - ez[:, :-1, :]) / dy - (ey[:, :, 1:] - ey[:, :, :-1]) / dz,
+            (ex[:, :, 1:] - ex[:, :, :-1]) / dz - (ez[1:, :, :] - ez[:-1, :, :]) / dx,
+            (ey[1:, :, :] - ey[:-1, :, :]) / dx - (ex[:, 1:, :] - ex[:, :-1, :]) / dy)
+
+
+def plain_curl_h(hx, hy, hz, box):
+    """Face field -> curl on interior edges; boundary edges zero."""
+    dx, dy, dz = box.dx, box.dy, box.dz
+    cex, cey, cez = (np.zeros(s) for s in mx.edge_shapes(box))
+    cex[:, 1:-1, 1:-1] = ((hz[:, 1:, 1:-1] - hz[:, :-1, 1:-1]) / dy
+                          - (hy[:, 1:-1, 1:] - hy[:, 1:-1, :-1]) / dz)
+    cey[1:-1, :, 1:-1] = ((hx[1:-1, :, 1:] - hx[1:-1, :, :-1]) / dz
+                          - (hz[1:, :, 1:-1] - hz[:-1, :, 1:-1]) / dx)
+    cez[1:-1, 1:-1, :] = ((hy[1:, 1:-1, :] - hy[:-1, 1:-1, :]) / dx
+                          - (hx[1:-1, 1:, :] - hx[1:-1, :-1, :]) / dy)
+    return cex, cey, cez
+
+
+def plain_fields(em):
+    """Copies of the six components of an EMState, by name."""
+    return {name: getattr(em, name).copy() for name in FIELD_NAMES}
+
+
+def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, accum):
+    """One leapfrog step on the plain arrays `f` (by name), in place: e
+    with semi-implicit conduction on the body edges, Mur1 on the six box
+    faces, then h with dt times the body rate `m_dot` (cells) transferred
+    to faces."""
+    ex, ey, ez = f["ex"], f["ey"], f["ez"]
+    mur_planes = (("ey", 0), ("ez", 0), ("ex", 1), ("ez", 1), ("ex", 2), ("ey", 2))
+    old = {(name, axis): [np.take(f[name], i, axis=axis).copy() for i in (0, 1, -1, -2)]
+           for name, axis in mur_planes}
+    sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
+    k = dt / eps0
+    beta = sigma * dt / (2.0 * eps0)
+    dV = box.cell_volume
+    masks = mx.empty_em_state(box).omega_masks
+    for e, ce, mask, fc in zip((ex, ey, ez), plain_curl_h(f["hx"], f["hy"], f["hz"], box),
+                               masks, f_value):
+        e_body = e[mask]
+        e_new = ((1.0 - beta) * e_body + k * (ce[mask] - sigma * fc)) / (1.0 + beta)
+        e_mid = 0.5 * (e_body + e_new)
+        accum["ohmic"] += dt * (sigma / mu0) * dV * math.fsum(e_mid * e_mid)
+        accum["source"] += dt * (sigma / mu0) * dV * math.fsum(fc * e_mid)
+        e += k * ce
+        e[mask] = e_new
+    if bc == mx.MUR1:
+        c = params.speed_of_light
+        for name, axis in mur_planes:
+            h = (box.dx, box.dy, box.dz)[axis]
+            coef = (c * dt - h) / (c * dt + h)
+            a = np.moveaxis(f[name], axis, 0)
+            lo_old, lo_in_old, hi_old, hi_in_old = old[(name, axis)]
+            a[0] = lo_in_old + coef * (a[1] - lo_old)
+            a[-1] = hi_in_old + coef * (a[-2] - hi_old)
+    rate = padded_cells_to_faces(mx.embed_cell_field(m_dot, box))
+    for name, ch, r in zip(("hx", "hy", "hz"), plain_curl_e(ex, ey, ez, box), rate):
+        f[name] -= (dt / mu0) * ch + dt * r

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlayer import dynamics, snapshots
+from spinlayer import config as config_module
+from spinlayer import dynamics, maxwell, snapshots
 from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
 from spinlayer.errors import ParseError, ValidationError
@@ -141,6 +142,24 @@ class TestParse:
         # quoted strings: a space and a '#' inside a preset's path
         cfg = RunConfig(m0=("snapshot", "/tmp/my run#2/m.snap"), directory="it's")
         assert parse_config(cfg.to_text()) == cfg
+
+    def test_preset_kinds_are_the_library_tuples(self):
+        # the h0 and current kinds are spelled once, in maxwell
+        base = MINIMAL.format(outdir="out")
+        for kind in maxwell.H0_KINDS:
+            text = base.replace("h0 = magnetostatic", f"h0 = {kind}")
+            assert parse_config(text).h0 == (kind,)
+        args = {maxwell.ZERO: "", maxwell.PULSE: " 1 0 0 0.01 0.005"}
+        assert set(args) == set(maxwell.CURRENTS)
+        for kind, tail in args.items():
+            config = parse_config(base + f"[current]\nf = {kind}{tail}\n")
+            assert build_setup(config).f.kind == kind
+        for bad in (base.replace("h0 = magnetostatic", "h0 = dipole"),
+                    base + "[current]\nf = step\n"):
+            with pytest.raises(ParseError):
+                parse_config(bad)
+        with pytest.raises(ValueError, match="unknown current preset"):
+            maxwell.AppliedCurrent(kind="step")
 
     def test_quoted_hash_is_not_a_comment(self):
         cfg = parse_config('[output]\ndirectory = "out#1"  # a comment\n')
@@ -317,6 +336,22 @@ class TestCli:
         stat_rows = (outdir / "stationarity.csv").read_text().splitlines()
         assert stat_rows[0] == "test_fn,residual"
         assert len(stat_rows) == 1 + 27
+
+    def test_diag_builds_no_initial_fields(self, tmp_path, monkeypatch):
+        # diag replaces m0, h and e by the stored snapshots, so it never
+        # builds the config's initial fields
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["run", str(cfg_path)]) == 0
+
+        def refuse(setup):
+            raise AssertionError("diag built the initial fields")
+        monkeypatch.setattr(config_module, "set_initial_fields", refuse)
+        assert main(["diag", str(outdir)]) == 0
+        last = (outdir / "energy.csv").read_text().splitlines()[-1].split(",")
+        diag = (outdir / "diag_report.csv").read_text().splitlines()[1].split(",")
+        assert set(diag) <= set(last)
 
     def test_lock_busy_exit_4(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -19,7 +19,7 @@ from spinlayer.energetics import MaterialParams, total_energy, uniform_k_matrix
 from spinlayer.errors import WindowOutOfRange
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import face_stationary_form, random_unit_field
+from conftest import face_stationary_form, face_store, random_unit_field
 
 
 def plain_params(**overrides):
@@ -362,8 +362,7 @@ class TestOmegaLimitField:
         box = mx.make_box(geom, padding=4)
         u = random_unit_field(geom, seed=12)
         H = omega_limit_field(u, box)
-        curl = mx.curl_h(*H, box)
-        assert max(np.abs(c).max() for c in curl) < 1e-12
+        assert np.abs(mx.curl_h(face_store(H, box), box)).max() < 1e-12
         u_box = mx.embed_cell_field(u, box)
         uf = mx.cells_to_faces(u_box, box)
         div = mx.div_faces(H[0] + uf[0], H[1] + uf[1], H[2] + uf[2], box)

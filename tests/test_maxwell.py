@@ -9,8 +9,10 @@ from spinlayer.energetics import MaterialParams, maxwell_energy
 from spinlayer.errors import CFLViolation
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import (box_divergence, box_faces_to_body_cells, box_fdtd_step,
-                      padded_cells_to_faces, random_unit_field)
+from conftest import (FIELD_NAMES, box_divergence, box_faces_to_body_cells,
+                      box_fdtd_step, edge_store, face_store, padded_cells_to_faces,
+                      plain_curl_e, plain_curl_h, plain_fdtd_step, plain_fields,
+                      random_unit_field)
 
 
 def em_params(**overrides):
@@ -31,26 +33,63 @@ def random_em(box, seed=0, pec=True):
 
 class TestOperators:
     def test_curl_adjointness(self, small_geom):
+        # the pads of both stores are zero, so whole-store sums are the
+        # edge and face sums
         box = mx.make_box(small_geom, padding=3)
         em = random_em(box, seed=1)
-        ce = mx.curl_h(em.hx, em.hy, em.hz, box)
-        ch = mx.curl_e(em.ex, em.ey, em.ez, box)
-        lhs = sum(float(np.sum(c * e)) for c, e in zip(ce, (em.ex, em.ey, em.ez)))
-        rhs = sum(float(np.sum(h * c)) for h, c in zip((em.hx, em.hy, em.hz), ch))
+        lhs = float(np.sum(mx.curl_h(em.h, box) * em.e))
+        rhs = float(np.sum(em.h * mx.curl_e(em.e, box)))
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_div_curl_zero(self, small_geom):
         box = mx.make_box(small_geom, padding=3)
         em = random_em(box, seed=2, pec=False)
-        ch = mx.curl_e(em.ex, em.ey, em.ez, box)
+        ch = mx.face_views(mx.curl_e(em.e, box), box)
         assert np.abs(mx.div_faces(*ch, box)).max() < 1e-12
 
     def test_curl_grad_zero(self, small_geom):
         box = mx.make_box(small_geom, padding=3)
         rng = np.random.default_rng(3)
         phi = rng.standard_normal((box.nx, box.ny, box.nz))
-        g = mx.grad_cells(phi, box)
-        assert max(np.abs(c).max() for c in mx.curl_h(*g, box)) < 1e-12
+        g = face_store(mx.grad_cells(phi, box), box)
+        assert np.abs(mx.curl_h(g, box)).max() < 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_curls_match_plain_reference(self, scale):
+        # unequal spacings, so every difference quotient has its own scale;
+        # the kernel folds the scale in, the reference scales afterwards
+        box = mx.BoxGeometry(nx=7, ny=5, nz=6, dx=0.3, dy=0.2, dz=0.45,
+                             ox=2, oy=2, oz=2, mx=3, my=1, mz=2)
+        em = random_em(box, seed=7, pec=False)
+        ce, ch = mx.curl_h(em.h, box, scale), mx.curl_e(em.e, box, scale)
+        for got, want in zip(mx.edge_views(ce, box) + mx.face_views(ch, box),
+                             plain_curl_h(em.hx, em.hy, em.hz, box)
+                             + plain_curl_e(em.ex, em.ey, em.ez, box)):
+            assert np.abs(got - scale * want).max() <= 1e-13 * np.abs(want).max()
+        # and nothing lands on the pads: the stores hold the arrays alone
+        assert_same_bits(ce, edge_store(mx.edge_views(ce, box), box))
+        assert_same_bits(ch, face_store(mx.face_views(ch, box), box))
+
+    def test_curl_overwrites_a_used_buffer(self, small_geom):
+        # both curls share the workspace store: each must set every entry
+        box = mx.make_box(small_geom, padding=2)
+        em = random_em(box, seed=8, pec=False)
+        out = np.full(mx.store_shape(box), np.nan)
+        assert_same_bits(mx.curl_h(em.h, box, out=out), mx.curl_h(em.h, box))
+        out[...] = np.nan
+        assert_same_bits(mx.curl_e(em.e, box, out=out), mx.curl_e(em.e, box))
+
+    def test_window_matches_full_curl(self, small_geom):
+        # the predictor's window computes the body faces bit for bit
+        box = mx.make_box(small_geom, padding=2)
+        em = random_em(box, seed=9, pec=False)
+        work = em.workspace()
+        mx.curl_e(em.e, box, 0.25, out=work.curl)
+        want = [f.copy() for f in work.body_curl_faces]
+        work.curl[...] = np.nan
+        mx.curl_e(em.e, box, 0.25, out=work.curl, window=work.body_window)
+        for got, ref in zip(work.body_curl_faces, want):
+            assert_same_bits(got, ref)
 
     def test_transfer_adjointness(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
@@ -108,8 +147,8 @@ class TestInitDivfree:
         # h = curl A is discretely divergence-free: the projection is a no-op
         box = mx.make_box(small_geom, padding=3)
         rng = np.random.default_rng(6)
-        ea = tuple(rng.standard_normal(s) for s in mx.edge_shapes(box))
-        h_raw = mx.curl_e(*ea, box)
+        ea = edge_store([rng.standard_normal(s) for s in mx.edge_shapes(box)], box)
+        h_raw = mx.face_views(mx.curl_e(ea, box), box)
         m0 = np.zeros((box.nx, box.ny, box.nz, 3))
         h = mx.init_divfree(m0, h_raw, box)
         for a, b in zip(h, h_raw):
@@ -254,6 +293,118 @@ class TestFdtdStep:
 
 def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStores:
+    """e and h are two padded stores; the six components are views."""
+
+    @staticmethod
+    def _driven(bc, seed):
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 6, 5, 3, 2))
+        box = mx.make_box(geom, padding=3)
+        em = random_em(box, seed=seed, pec=bc == mx.PEC)
+        em.bc = bc
+        m_dot = np.random.default_rng(seed + 1).standard_normal(geom.field_shape())
+        return em, m_dot
+
+    @pytest.mark.parametrize("bc", mx.BOUNDARIES)
+    def test_fdtd_step_matches_plain_reference(self, bc):
+        # 50 substeps with conduction, a source, the rate and the wall;
+        # the tolerance, 1e-12 of the largest field entry, was fixed
+        # before measuring
+        em, m_dot = self._driven(bc, 50)
+        box = em.box
+        ref = plain_fields(em)
+        params = em_params(sigma=2.0)
+        dt = 0.5 * mx.cfl_limit(box, params)
+        f_value = np.array([0.3, -0.1, 0.2])
+        accum = {"ohmic": 0.0, "source": 0.0}
+        accum_ref = dict(accum)
+        m_dot_faces = mx.cells_to_faces(m_dot, box)
+        for _ in range(50):
+            mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
+            plain_fdtd_step(ref, box, bc, m_dot, f_value, params, dt, accum_ref)
+        scale = max(np.abs(a).max() for a in ref.values())
+        for name in FIELD_NAMES:
+            assert np.abs(getattr(em, name) - ref[name]).max() <= 1e-12 * scale
+        for key, value in accum.items():
+            assert value == pytest.approx(accum_ref[key], rel=1e-12)
+
+    def test_mur_planes_match_the_formula_bit_for_bit(self):
+        # with h = 0 and no conduction e moves only on the Mur1 planes,
+        # where in-place writes must keep the bits of
+        # in_old + coef * (inner - old)
+        em, _ = self._driven(mx.MUR1, 64)
+        em.h[...] = 0.0
+        box = em.box
+        ref = plain_fields(em)
+        params = em_params()
+        dt = 0.5 * mx.cfl_limit(box, params)
+        mx.fdtd_step(em, None, np.zeros(3), params, dt)
+        plain_fdtd_step(ref, box, mx.MUR1, np.zeros((box.mx, box.my, box.mz, 3)),
+                        np.zeros(3), params, dt, {"ohmic": 0.0, "source": 0.0})
+        for name in ("ex", "ey", "ez"):
+            assert_same_bits(getattr(em, name), ref[name])
+
+    @pytest.mark.parametrize("bc", mx.BOUNDARIES)
+    def test_pads_stay_zero_and_pec_walls_hold(self, bc):
+        em, m_dot = self._driven(bc, 60)
+        box = em.box
+        walls = {(name, axis, i): np.take(getattr(em, name), i, axis=axis).copy()
+                 for name, axis in (("ey", 0), ("ez", 0), ("ex", 1), ("ez", 1),
+                                    ("ex", 2), ("ey", 2))
+                 for i in (0, -1)}
+        params = em_params(sigma=2.0)
+        dt = 0.5 * mx.cfl_limit(box, params)
+        m_dot_faces = mx.cells_to_faces(m_dot, box)
+        for _ in range(50):
+            mx.fdtd_step(em, m_dot_faces, np.array([0.3, -0.1, 0.2]), params, dt)
+        for store, views in ((em.e, mx.edge_views), (em.h, mx.face_views)):
+            outside = np.ones(store.shape, dtype=bool)
+            for view in views(outside, box):
+                view[...] = False
+            assert outside.sum() > 0 and np.all(store[outside] == 0.0)
+        if bc == mx.PEC:
+            for (name, axis, i), plane in walls.items():
+                assert_same_bits(np.take(getattr(em, name), i, axis=axis), plane)
+
+    def test_assigned_component_still_aliases_the_store(self, small_geom):
+        box = mx.make_box(small_geom, padding=2)
+        em = mx.empty_em_state(box)
+        a = np.random.default_rng(61).standard_normal(em.hy.shape)
+        em.hy = a
+        assert np.shares_memory(em.hy, em.h) and not np.shares_memory(em.hy, a)
+        assert_same_bits(em.hy, a)
+        a[...] = 0.0                      # the store holds a copy
+        assert np.abs(em.hy).max() > 0.0
+        em.hy[1, 2, 3] = 7.0              # writes through the view land in the store
+        assert em.h[1, 1, 2, 3] == 7.0
+        with pytest.raises(ValueError):
+            em.hx = np.zeros((2, 2, 2))
+
+    def test_copy_is_independent(self, small_geom):
+        box = mx.make_box(small_geom, padding=2)
+        em = random_em(box, seed=62)
+        mx.record_div0(em, random_unit_field(small_geom, seed=63), small_geom)
+        before = (em.e.copy(), em.h.copy(), em.div0.copy())
+        dup = em.copy()
+        for a, b in zip((dup.e, dup.h, dup.div0), before):
+            assert_same_bits(a, b)
+        dup.hx += 1.0
+        dup.ez[...] = 0.0
+        dup.div0[...] = 0.0
+        assert np.shares_memory(dup.hx, dup.h) and np.shares_memory(dup.ez, dup.e)
+        for a, b in zip((em.e, em.h, em.div0), before):
+            assert_same_bits(a, b)
+
+    def test_store_must_be_c_contiguous_of_the_store_shape(self, small_geom):
+        box = mx.make_box(small_geom, padding=2)
+        good = np.zeros(mx.store_shape(box))
+        for bad in (np.asfortranarray(good), np.zeros((3, 2, 2, 2))):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                mx.EMState(box, bad, good.copy())
+            with pytest.raises(ValueError, match="C-contiguous"):
+                mx.EMState(box, good.copy(), bad)
 
 
 class TestBodyLocal:
