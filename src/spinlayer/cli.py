@@ -20,7 +20,7 @@ from . import dynamics, maxwell, snapshots
 from .config import RunConfig, build_model, build_setup, parse_config
 from .diagnostics import (CSV_COLUMNS, omega_limit_field_cells,
                           saturation_deviation, stationarity_report)
-from .energetics import EnergyBreakdown, total_energy
+from .energetics import EnergyBreakdown, _vector_copy, total_energy
 from .errors import ConfigError, SimulationError
 
 # numeric failures (exit 3): the simulator's own, and float overflow or
@@ -189,8 +189,10 @@ def recompute_final_row(outdir: str):
         os.path.join(outdir, "state_initial_m.snap"))
     _, _, _, _, h0_arrays = snapshots.read_snapshot(
         os.path.join(outdir, "state_initial_h.snap"))
-    _, _, _, t_final, (m_arr,) = snapshots.read_snapshot(
+    _, _, _, t_final, (m_file,) = snapshots.read_snapshot(
         os.path.join(outdir, "state_final_m.snap"))
+    # the ledger's sums run in memory order: reduce over the run's layout
+    m_arr = _vector_copy(m_file)
     _, _, _, _, h_arrays = snapshots.read_snapshot(
         os.path.join(outdir, "state_final_h.snap"))
     _, _, _, _, e_arrays = snapshots.read_snapshot(

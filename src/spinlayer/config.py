@@ -18,8 +18,8 @@ import numpy as np
 from . import dynamics, maxwell, presets, snapshots
 from .dynamics import (CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED,
                        SchemeConfig)
-from .energetics import BC_MODES, SHARP, THIN_LAYER, MaterialParams
-from .errors import ParseError, SimulationError, ValidationError
+from .energetics import BC_MODES, SHARP, THIN_LAYER, MaterialParams, _vector_copy
+from .errors import NonFinite, ParseError, SimulationError, ValidationError
 from .geometry import GeometryConfig, build_geometry
 from .maxwell import AppliedCurrent
 
@@ -321,9 +321,12 @@ class RunSetup:
 
 def build_setup(config: RunConfig) -> RunSetup:
     """Materialize grids, parameters and initial fields: `build_model`,
-    then `set_initial_fields`."""
+    then `set_initial_fields`, then `_check_first_rate`, so that `check`
+    rejects an initial state whose first step `run` could not take."""
     setup = build_model(config)
-    set_initial_fields(setup)
+    with np.errstate(all="ignore"):   # non-finite values raise NonFinite
+        set_initial_fields(setup)
+        _check_first_rate(setup)
     return setup
 
 
@@ -388,6 +391,19 @@ def set_initial_fields(setup: RunSetup):
     maxwell.record_div0(em, setup.m0, setup.geom)
 
 
+def _check_first_rate(setup: RunSetup):
+    """Evaluate the first LLG right-hand side at m0 and raise NonFinite
+    when it or the initial h on the body cells is not finite, naming the
+    field and its first bad cell."""
+    h = maxwell.interp_h_to_cells(setup.em, setup.geom)
+    rate = dynamics.llg_rhs(setup.m0, h, setup.geom, setup.params, setup.scheme)
+    for name, field in (("h on the body cells", h), ("rate dm/dt", rate)):
+        bad = ~np.isfinite(field).all(axis=-1)
+        if bad.any():
+            raise NonFinite(f"initial {name} is not finite at t=0, first at cell "
+                            f"{dynamics._first_bad_cell(bad)}")
+
+
 def _build_m0(config: RunConfig, geom) -> np.ndarray:
     kind = config.m0[0]
     if kind == "uniform":
@@ -411,7 +427,7 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
             raise ValidationError("initial.m", f"cannot read snapshot: {exc}") from exc
         if fid != snapshots.FIELD_M or dims != (geom.nx, geom.ny, geom.nz_total):
             raise ValidationError("initial.m", "snapshot does not match the geometry")
-        return arrays[0]
+        return _vector_copy(arrays[0])
     raise ValidationError("initial.m", f"unknown preset {kind!r}")
 
 

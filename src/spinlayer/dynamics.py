@@ -18,7 +18,8 @@ import numpy as np
 from . import maxwell
 from .diagnostics import EnergyLedger, saturation_deviation
 from .effective_field import assemble_h_tot
-from .energetics import BC_MODES, SHARP, MaterialParams, _dot, _scalars, total_energy
+from .energetics import (BC_MODES, SHARP, MaterialParams, _dot, _scalars,
+                         _vector_copy, _vector_field, total_energy)
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState, fdtd_step, interp_h_to_cells
@@ -126,12 +127,13 @@ class _Workspace:
     """Preallocated buffers of one SimState's LLG stages.
 
     `k` holds the stage rates (two for Heun, four for RK4), `m_stage` the
-    stage magnetization and `tmp` the scratch of `llg_rhs`.
+    stage magnetization and `tmp` the scratch of `llg_rhs`; the fields are
+    component-major, like the m that `run` steps.
     """
 
     def __init__(self, shape: tuple, stages: int):
-        self.k = [np.empty(shape) for _ in range(stages)]
-        self.m_stage = np.empty(shape)
+        self.k = [_vector_field(shape) for _ in range(stages)]
+        self.m_stage = _vector_field(shape)
         self.tmp = np.empty(3 * int(np.prod(shape)))
 
 
@@ -190,14 +192,14 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
 
     h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
     `tmp` (a flat float array of at least 3 * m.size entries) makes the
-    call allocation-free apart from layer-sized surface-field temporaries.
+    call allocation-free (see `assemble_h_tot` for the surface layers).
     """
     if out is None:
         out = np.empty_like(m)
     if tmp is None:
         tmp = np.empty(3 * m.size)
     F = assemble_h_tot(m, h_cells, geom, params, scheme.bc_mode,
-                       out=tmp[:m.size].reshape(m.shape), tmp=tmp[m.size:])
+                       out=_vector_field(m.shape, tmp), tmp=tmp[m.size:])
     F *= 1.0 + params.alpha**2
     gilbert_solve(m, F, params.alpha, out=out, tmp=tmp[m.size:])
     if scheme.constraint == PROJECTED:
@@ -231,7 +233,8 @@ def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
         cell = _first_bad_cell(~(np.isfinite(norms) & (norms > 0.0)))
         raise NonFinite(f"renormalization of m at step {step_no}, t={t:g} hit a "
                         f"zero or non-finite norm, first at cell {cell}")
-    np.divide(m, norms[..., None], out=m)
+    for i in range(3):
+        m[..., i] /= norms
 
 
 def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
@@ -387,7 +390,8 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         raise ValueError("t_end must be nonnegative")
     box = em.box if em is not None else None
     validate_stability(scheme, geom, params, box)
-    state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
+    # the stepped m is component-major
+    state = SimState(t=0.0, m=_vector_copy(m0), em=em, geom=geom, params=params,
                      scheme=scheme)
     if em is not None and em.div0 is None:
         maxwell.record_div0(em, state.m, geom)

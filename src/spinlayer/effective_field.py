@@ -17,13 +17,14 @@ that is the sign under which the assembled field drives a dissipative
 flow.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from .geometry import DomainGeometry
-from .energetics import (SHARP, MaterialParams, _dot, _scalars, apply_k,
-                         layer_cells)
+from .energetics import (SHARP, MaterialParams, _components, _dot, _face_differences,
+                         _scalars, _store, _vector_field, apply_k, layer_cells)
 
 
 def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
@@ -34,70 +35,95 @@ def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
 
     Written as the divergence of the face difference quotients with the
     spacer face left out, it is the exact gradient of the exchange face
-    sum: A * laplacian_neumann(m) = -grad(exchange_energy) / dV.
+    sum: A * laplacian_neumann(m) = -grad(exchange_energy) / dV.  The
+    faces are those of `exchange_energy` (`_face_differences` on the
+    component-major store); each flux is added to the cell below its face
+    and subtracted from the cell above as two flat passes at the axis'
+    stride.
 
     `out` (not aliasing m) receives the Laplacian; `tmp` (a flat float
-    array of at least m.size entries) holds the face differences.  With
-    both the call is allocation-free.
+    array of at least m.size entries) holds the face differences.  With a
+    component-major m and out (see `energetics._vector_field`) and tmp the
+    call is allocation-free; other layouts are copied through one.
     """
-    if out is None:
-        out = np.empty_like(m)
+    f = _store(m)
+    res = out
+    if out is None or not _components(out).flags.c_contiguous:
+        res = _vector_field(m.shape)
     if tmp is None:
         tmp = np.empty(m.size)
-    out[...] = 0.0
-    s = geom.spacer_index
-    for axis, h in ((0, geom.dx), (1, geom.dy), (2, geom.dz)):
-        lo = [slice(None)] * m.ndim
-        hi = [slice(None)] * m.ndim
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        m_hi = m[hi]
-        flux = tmp[:m_hi.size].reshape(m_hi.shape)
-        np.subtract(m_hi, m[lo], out=flux)
+    o = _store(res)
+    o[...] = 0.0
+    for axis, h in enumerate((geom.dx, geom.dy, geom.dz)):
+        flux, S = _face_differences(f, geom, axis, tmp)
         flux *= 1.0 / h**2
-        if axis == 2:
-            flux[:, :, s - 1] = 0.0   # no exchange across the spacer
-        out[lo] += flux
-        out[hi] -= flux
-    return out
+        o[:-S] += flux
+        o[S:] -= flux
+    if out is not None and res is not out:
+        np.copyto(out, res)
+        return out
+    return res
 
 
 def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
                      cells: Optional[int] = None,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+                     out: Optional[np.ndarray] = None,
+                     tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """Spacer surface field on the 2*cells layers hugging the spacer.
 
     Minus the gradient of `thin_layer_energy` with the same `cells` over
     the cell volume; cells defaults to the geometry's thin layer and is 1
     in sharp mode.  The field is added into `out` (a fresh zero field
     when omitted), touching only the layer planes, and `out` is returned.
+
+    The layers of m, of their reflection across the spacer and of out are
+    gathered into component-major (2*cells, nx, ny, 3) blocks (see
+    `energetics._vector_field`), so every pass is contiguous and no
+    operand runs backwards (numpy buffers a pass that mixes forward and
+    backward strides); the terms are added in the order ks, j1, j2 and
+    the block is copied back.  `tmp` (a flat float array of at least
+    12 * 2*cells * nx * ny entries) makes the call allocation-free; a
+    shorter one is replaced by a fresh buffer.
     """
     if cells is None:
         cells = geom.eta_cells
     sl = geom.layer_slice(cells)
     if out is None:
         out = np.zeros_like(m)
-    ml = m[:, :, sl, :]
-    ms = ml[:, :, ::-1, :]              # reflection across the spacer
-    f = out[:, :, sl, :]
+    shape = (2 * cells,) + m.shape[:2]
+    p = math.prod(shape)
+    if tmp is None or tmp.size < 12 * p:
+        tmp = np.empty(12 * p)
+    ml, ms, f = (_vector_field(shape + (3,), tmp[k * 3 * p:]) for k in range(3))
+    mdotms, msms, t = _scalars(tmp[9 * p:], shape, 3)
+    # the layers with z first: m[:, :, sl, :] in the index order of ml
+    layer = out[:, :, sl, :].transpose(2, 0, 1, 3)
+    np.copyto(ml, m[:, :, sl, :].transpose(2, 0, 1, 3))
+    np.copyto(ms, ml[::-1])             # reflection across the spacer
+    np.copyto(f, layer)
     w = 1.0 / (cells * geom.dz)         # 2 / (2 eta)
     if params.ks != 0.0:
         # Ks ((m.nu) nu - m) with nu = +-e_z keeps only the in-plane part
-        f[..., :2] -= (params.ks * w) * ml[..., :2]
+        for i in range(2):
+            np.multiply(ml[..., i], params.ks * w, out=t)
+            f[..., i] -= t
     if params.j1 != 0.0:
-        f += (params.j1 * w) * (ms - ml)
+        for i in range(3):
+            np.subtract(ms[..., i], ml[..., i], out=t)
+            t *= params.j1 * w
+            f[..., i] += t
     if params.j2 != 0.0:
         # 2 J2 ((m.ms) ms - |ms|^2 m), component by component
-        mdotms, msms, t = _scalars(None, ml.shape[:-1], 3)
         _dot(ml, ms, mdotms, t)
         _dot(ms, ms, msms, t)
         c = 2.0 * params.j2 * w
         for i in range(3):
             np.multiply(mdotms, ms[..., i], out=t)
-            t -= msms * ml[..., i]
+            ml[..., i] *= msms          # component i of ml is not read again
+            t -= ml[..., i]
             t *= c
             f[..., i] += t
+    np.copyto(layer, f)
     return out
 
 
@@ -131,14 +157,15 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     cell volume, the saturation penalty included whenever
     params.penalty_k is nonzero.  bc_mode picks the spacer layer.  `out`
     (not aliasing m) receives the field; `tmp` (a flat float array of at
-    least 2 * m.size entries) makes the call allocation-free apart from
-    layer-sized surface-field temporaries.
+    least 2 * m.size entries) makes the call allocation-free whenever the
+    surface layers fill at most a quarter of the body's depth, so that
+    the scratch blocks of `thin_layer_field` fit in it.
     """
     if out is None:
         out = np.empty_like(m)
     if tmp is None:
         tmp = np.empty(2 * m.size)
-    term = tmp[:m.size].reshape(m.shape)
+    term = _vector_field(m.shape, tmp)
     rest = tmp[m.size:]
     if h_cells is not None:
         np.copyto(out, h_cells)
@@ -150,7 +177,8 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
         laplacian_neumann(m, geom, out=term, tmp=rest)
         term *= params.a_exch
         out += term
-    thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode), out=out)
+    thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode), out=out,
+                     tmp=tmp)
     if params.penalty_k != 0.0:
         out += penalty_field(m, params, out=term, tmp=rest)
     return out

@@ -10,7 +10,13 @@ Discretization notes:
 * The exchange sum runs over interior cell faces only, one face one term,
   with no face across the spacer plane and none across the outer
   boundary.  Its exact per-cell gradient is then the homogeneous-Neumann
-  7-point Laplacian used by the effective-field module.
+  7-point Laplacian used by the effective-field module.  Both take their
+  face differences from one kernel, `_face_differences`.
+* Magnetization-shaped fields index as (nx, ny, nz, 3) but are stored
+  component-major (`_vector_field`): each component m[..., i] is one
+  contiguous block, so the component-wise kernels make contiguous passes
+  and a difference along an axis is a flat difference of the store at a
+  fixed offset.
 * The surface energies live on `cells` whole cell layers per side with
   weight 1/(2 eta), eta = cells*dz: eta/dz cells in thin-layer mode, one
   cell in sharp mode.  With one cell the layer sums are exactly the
@@ -96,6 +102,72 @@ def _scalars(tmp: Optional[np.ndarray], shape: tuple, count: int) -> list:
     return [tmp[i * n:(i + 1) * n].reshape(shape) for i in range(count)]
 
 
+def _vector_field(shape: tuple, buf: Optional[np.ndarray] = None) -> np.ndarray:
+    """A (..., 3) field of `shape` stored component-major.
+
+    The field is the np.moveaxis view of a C-contiguous (3, ...) store, so
+    it indexes like any (..., 3) array while every component a[..., i] is
+    one contiguous block.  The store is carved from the flat float buffer
+    buf (at least prod(shape) entries), or fresh when buf is None.
+    """
+    store_shape = tuple(shape[-1:]) + tuple(shape[:-1])
+    if buf is None:
+        store = np.empty(store_shape)
+    else:
+        store = buf[:math.prod(shape)].reshape(store_shape)
+    # np.moveaxis(store, 0, -1), without its argument handling (~2 us)
+    return store.transpose(tuple(range(1, store.ndim)) + (0,))
+
+
+def _components(a: np.ndarray) -> np.ndarray:
+    """The (3, ...) view of the (..., 3) field a; it is C-contiguous
+    exactly when a is component-major."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def _vector_copy(a) -> np.ndarray:
+    """A component-major copy of the (..., 3) field a."""
+    out = _vector_field(np.shape(a))
+    np.copyto(out, a)
+    return out
+
+
+def _store(a: np.ndarray) -> np.ndarray:
+    """The flat C-order store of the component-major field a (a view); a
+    field in another layout is first copied into a `_vector_field`."""
+    s = _components(a)
+    if not s.flags.c_contiguous:
+        s = _components(_vector_copy(a))
+    return s.reshape(-1)
+
+
+def _face_differences(f: np.ndarray, geom: DomainGeometry, axis: int,
+                      out: np.ndarray) -> tuple:
+    """Differences across the exchange faces normal to `axis`.
+
+    f is the flat store (`_store`) of a cell 3-vector field of the
+    geometry, out a flat float buffer of at least f.size entries.  With S
+    the flat stride of the axis, out[j] = f[j + S] - f[j] is the
+    difference from cell j to its neighbour along the axis; the entries
+    whose neighbour lies past the outer boundary (where the flat
+    difference wraps into the next row or component) and, along z, those
+    across the spacer face are set to 0, so every coupled face appears
+    once and no other.  Returns (out[:f.size - S], S).
+    """
+    dims = (3,) + geom.field_shape()[:-1]
+    S = math.prod(dims[axis + 2:])
+    n = f.size
+    d = out[:n - S]
+    np.subtract(f[S:], f[:-S], out=d)
+    faces = out[:n].reshape(dims)
+    last = [slice(None)] * 4
+    last[axis + 1] = -1
+    faces[tuple(last)] = 0.0       # the outer boundary
+    if axis == 2:
+        faces[:, :, :, geom.spacer_index - 1] = 0.0   # no exchange across the spacer
+    return d, S
+
+
 def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Per-cell a . b of two (..., 3) fields into out, summed in component
     order (as np.sum over the last axis does); tmp is scratch shaped like
@@ -140,22 +212,18 @@ class EnergyBreakdown:
 
 
 def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams) -> float:
-    """(A/2) * sum over interior faces of |difference quotient|^2 * dV."""
+    """(A/2) * sum over interior faces of |difference quotient|^2 * dV.
+
+    The face differences are those of `laplacian_neumann`, from the one
+    kernel `_face_differences`."""
     if params.a_exch == 0.0:
         return 0.0
-    s = geom.spacer_index
-    buf = np.empty(m.size)
-
-    def squares(hi, lo):
-        d = buf[:hi.size].reshape(hi.shape)
-        np.subtract(hi, lo, out=d)
-        return dot(d, d)
-
-    acc = squares(m[1:, :, :, :], m[:-1, :, :, :]) / geom.dx**2
-    acc += squares(m[:, 1:, :, :], m[:, :-1, :, :]) / geom.dy**2
-    # z faces per slab; the spacer face carries no exchange coupling
-    acc += (squares(m[:, :, 1:s, :], m[:, :, :s - 1, :])
-            + squares(m[:, :, s + 1:, :], m[:, :, s:-1, :])) / geom.dz**2
+    f = _store(m)
+    buf = np.empty(f.size)
+    acc = 0.0
+    for axis, h in enumerate((geom.dx, geom.dy, geom.dz)):
+        d, _ = _face_differences(f, geom, axis, buf)
+        acc += dot(d, d) / h**2
     return 0.5 * params.a_exch * geom.cell_volume * acc
 
 

@@ -30,7 +30,7 @@ import scipy.fft
 
 from .errors import CFLViolation, NonFinite, SolverDiverged
 from .geometry import DomainGeometry
-from .energetics import MaterialParams
+from .energetics import MaterialParams, _vector_field
 from .summation import dot, esum
 
 PEC = "pec"
@@ -213,7 +213,7 @@ class _Workspace:
         body_face_shapes = ((mx + 1, my, mz), (mx, my + 1, mz), (mx, my, mz + 1))
         self.rate_faces = tuple(np.empty(s) for s in body_face_shapes)
         self.body_faces = tuple(np.empty(s) for s in body_face_shapes)
-        self.body_cells = np.empty((mx, my, mz, 3))
+        self.body_cells = _vector_field((mx, my, mz, 3))
         self.mur = None
         self.mur_coefs = None
 
@@ -458,10 +458,11 @@ def cells_to_faces(c: np.ndarray, box: BoxGeometry, out=None) -> tuple:
 def faces_to_cells(fx, fy, fz, out=None) -> np.ndarray:
     """Face field -> cell-centered 3-vector by adjacent averaging.
 
-    `out` (a cell 3-vector field) makes the call allocation-free.
+    `out` (a cell 3-vector field) makes the call allocation-free; a fresh
+    one is component-major.
     """
     if out is None:
-        out = np.empty((fx.shape[0] - 1,) + fx.shape[1:] + (3,))
+        out = _vector_field((fx.shape[0] - 1,) + fx.shape[1:] + (3,))
     for i, (lo, hi) in enumerate(((fx[:-1, :, :], fx[1:, :, :]),
                                   (fy[:, :-1, :], fy[:, 1:, :]),
                                   (fz[:, :, :-1], fz[:, :, 1:]))):

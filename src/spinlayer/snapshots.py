@@ -52,10 +52,10 @@ def write_snapshot(path, field_id: bytes, dims: tuple, spacings: tuple,
     with open(tmp, "wb") as fh:
         fh.write(header)
         for arr, shape in zip(arrays, shapes):
-            a = np.ascontiguousarray(arr, dtype="<f8")
+            a = np.asarray(arr, dtype="<f8")
             if a.shape != shape:
                 raise ValueError(f"array shape {a.shape} does not match {shape}")
-            fh.write(a.tobytes())
+            fh.write(a.tobytes(order="C"))   # row-major bytes in any layout
     os.replace(tmp, path)
 
 

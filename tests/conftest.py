@@ -5,7 +5,7 @@ import pytest
 
 from spinlayer import maxwell as mx
 from spinlayer.effective_field import thin_layer_field
-from spinlayer.energetics import apply_k, layer_cells
+from spinlayer.energetics import _vector_field, apply_k, layer_cells
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 
@@ -24,9 +24,32 @@ def flat_geom():
 
 
 def random_unit_field(geom, seed=0):
+    """Seeded white unit field, component-major like the stepped m."""
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal(geom.field_shape())
-    return m / np.linalg.norm(m, axis=-1, keepdims=True)
+    m = _vector_field(geom.field_shape())
+    np.copyto(m, rng.standard_normal(m.shape))
+    return np.divide(m, np.linalg.norm(m, axis=-1, keepdims=True), out=m)
+
+
+def face_laplacian(m, geom):
+    """The Neumann Laplacian axis by axis on the (..., 3) index grid: each
+    face flux is added to the cell below the face and subtracted from the
+    cell above, with no flux across the spacer.  The reference that
+    `laplacian_neumann` reproduces bit for bit (up to the sign of zero)."""
+    out = np.zeros(m.shape)
+    s = geom.spacer_index
+    for axis, h in ((0, geom.dx), (1, geom.dy), (2, geom.dz)):
+        lo = [slice(None)] * 4
+        hi = [slice(None)] * 4
+        lo[axis] = slice(None, -1)
+        hi[axis] = slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        flux = (m[hi] - m[lo]) * (1.0 / h**2)
+        if axis == 2:
+            flux[:, :, s - 1] = 0.0
+        out[lo] += flux
+        out[hi] -= flux
+    return out
 
 
 def fd_gradient(energy_fn, m, step=1e-5):

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlayer import config as config_module
+from spinlayer import cli as cli_module
 from spinlayer import dynamics, maxwell, snapshots
 from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
@@ -396,6 +398,44 @@ class TestCli:
             err = capsys.readouterr().err
             assert "dt=5 exceeds the exchange stability bound" in err
         assert not outdir.exists()
+
+    def test_check_rejects_an_initial_field_the_first_step_overflows(
+            self, tmp_path, capsys):
+        # h0 = 1e308 overflows the cell average of h: build_setup evaluates
+        # the first right-hand side, so check and run both exit 3 with the
+        # field and the cell named, write nothing and warn nothing
+        outdir = tmp_path / "out"
+        text = README_CONFIG.replace(
+            "h0 = magnetostatic", "h0 = uniform 1e308 1e308 1e308").replace(
+            "directory = out", f"directory = {outdir}")
+        assert "h0 = uniform 1e308" in text and str(outdir) in text
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        for command in ("check", "run"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+                assert main([command, str(cfg_path)]) == 3
+            err = capsys.readouterr().err
+            assert err == ("error: numeric: initial h on the body cells is not "
+                           "finite at t=0, first at cell (0, 0, 0)\n")
+        assert not outdir.exists()
+
+    def test_diag_reduces_over_the_run_layout(self, tmp_path, monkeypatch):
+        # the final m snapshot is row-major on disk; diag reads it back into
+        # the component-major layout the run's ledger summed over
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        layouts = []
+        total_energy = cli_module.total_energy
+
+        def spy(m, *args, **kwargs):
+            layouts.append(np.moveaxis(m, -1, 0).flags.c_contiguous)
+            return total_energy(m, *args, **kwargs)
+        monkeypatch.setattr(cli_module, "total_energy", spy)
+        assert main(["run", str(cfg_path)]) == 0
+        assert main(["diag", str(outdir)]) == 0
+        assert layouts == [True]
 
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

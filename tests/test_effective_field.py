@@ -14,13 +14,46 @@ from spinlayer.energetics import (SHARP, THIN_LAYER, MaterialParams,
 from spinlayer.errors import ThinLayerInactive
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import fd_gradient, random_unit_field, spacer_oracle
+from conftest import face_laplacian, fd_gradient, random_unit_field, spacer_oracle
 
 
 def plain_params(**overrides):
     kw = dict(a_exch=1.0, k_matrix=None, ks=0.0, j1=0.0, j2=0.0, alpha=1.0)
     kw.update(overrides)
     return MaterialParams(**kw)
+
+
+IRREGULAR_GRIDS = [
+    GeometryConfig(1.0, 0.6, 0.4, 0.8, 5, 3, 2, 4),     # nx, ny, nz all differ
+    GeometryConfig(0.75, 1.0, 0.25, 0.75, 3, 4, 1, 3),  # a one-cell slab
+    GeometryConfig(0.5, 1.5, 0.5, 0.5, 2, 3, 1, 1),     # one cell per slab
+]
+IRREGULAR_IDS = ["5x3x(2+4)", "3x4x(1+3)", "2x3x(1+1)"]
+
+
+def sparse_neumann(geom):
+    """Brute-force homogeneous-Neumann matrix of the cell grid, no
+    coupling across the spacer."""
+    n = geom.nx * geom.ny * geom.nz_total
+    idx = np.arange(n).reshape(geom.nx, geom.ny, geom.nz_total)
+    L = np.zeros((n, n))
+    s = geom.spacer_index
+    for i in range(geom.nx):
+        for j in range(geom.ny):
+            for k in range(geom.nz_total):
+                row = idx[i, j, k]
+                for (di, dj, dk, h2) in ((1, 0, 0, geom.dx**2), (-1, 0, 0, geom.dx**2),
+                                         (0, 1, 0, geom.dy**2), (0, -1, 0, geom.dy**2),
+                                         (0, 0, 1, geom.dz**2), (0, 0, -1, geom.dz**2)):
+                    ii, jj, kk = i + di, j + dj, k + dk
+                    if not (0 <= ii < geom.nx and 0 <= jj < geom.ny
+                            and 0 <= kk < geom.nz_total):
+                        continue
+                    if dk and ((k < s) != (kk < s)):
+                        continue  # no coupling across the spacer
+                    L[row, idx[ii, jj, kk]] += 1.0 / h2
+                    L[row, row] -= 1.0 / h2
+    return L
 
 
 class TestLaplacian:
@@ -49,31 +82,43 @@ class TestLaplacian:
     def test_matches_sparse_oracle(self):
         # brute-force homogeneous-Neumann matrix on a 4x4x(2+2) grid
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
-        n = geom.nx * geom.ny * geom.nz_total
-        idx = np.arange(n).reshape(geom.nx, geom.ny, geom.nz_total)
-        L = np.zeros((n, n))
-        s = geom.spacer_index
-        for i in range(geom.nx):
-            for j in range(geom.ny):
-                for k in range(geom.nz_total):
-                    row = idx[i, j, k]
-                    for (di, dj, dk, h2) in ((1, 0, 0, geom.dx**2), (-1, 0, 0, geom.dx**2),
-                                             (0, 1, 0, geom.dy**2), (0, -1, 0, geom.dy**2),
-                                             (0, 0, 1, geom.dz**2), (0, 0, -1, geom.dz**2)):
-                        ii, jj, kk = i + di, j + dj, k + dk
-                        if not (0 <= ii < geom.nx and 0 <= jj < geom.ny
-                                and 0 <= kk < geom.nz_total):
-                            continue
-                        if dk and ((k < s) != (kk < s)):
-                            continue  # no coupling across the spacer
-                        L[row, idx[ii, jj, kk]] += 1.0 / h2
-                        L[row, row] -= 1.0 / h2
+        L = sparse_neumann(geom)
         rng = np.random.default_rng(0)
         m = rng.standard_normal(geom.field_shape())
         lap = laplacian_neumann(m, geom)
         for c in range(3):
             oracle = (L @ m[..., c].ravel()).reshape(m.shape[:3])
             assert np.allclose(lap[..., c], oracle, atol=1e-11)
+
+    @pytest.mark.parametrize("grid", IRREGULAR_GRIDS, ids=IRREGULAR_IDS)
+    def test_flat_kernel_matches_face_form_bit_for_bit(self, grid):
+        # the flat offset differences zero exactly the wrap-around and
+        # spacer faces: the same sums as the face form, in the same order
+        geom = build_geometry(grid)
+        m = random_unit_field(geom, seed=3)
+        m *= 1.0 + np.arange(m.size).reshape(m.shape) % 7   # not unit, not smooth
+        want = face_laplacian(m, geom)
+        assert np.array_equal(laplacian_neumann(m, geom), want)
+        # a row-major m is copied into the component-major layout first
+        assert np.array_equal(laplacian_neumann(np.ascontiguousarray(m), geom), want)
+        out = np.full(m.shape, np.nan)                      # a row-major out
+        laplacian_neumann(m, geom, out=out, tmp=np.full(m.size, np.nan))
+        assert np.array_equal(out, want)
+        L = sparse_neumann(geom)
+        for c in range(3):
+            oracle = (L @ m[..., c].ravel()).reshape(m.shape[:3])
+            assert np.allclose(want[..., c], oracle, atol=1e-11)
+
+    @pytest.mark.parametrize("grid", IRREGULAR_GRIDS, ids=IRREGULAR_IDS)
+    def test_exchange_gradient_is_the_laplacian(self, grid):
+        # criterion 2 for the exchange term: the energy and its gradient
+        # take their faces from the same kernel
+        geom = build_geometry(grid)
+        params = plain_params(a_exch=0.7)
+        m = random_unit_field(geom, seed=5)
+        g = fd_gradient(lambda mm: exchange_energy(mm, geom, params), m)
+        want = -params.a_exch * laplacian_neumann(m, geom) * geom.cell_volume
+        assert np.abs(g - want).max() < 1e-7 * np.abs(want).max()
 
 
 class TestNonlinearGhost:
