@@ -383,8 +383,7 @@ def set_initial_fields(setup: RunSetup):
     of a random magnetization preset."""
     config, em = setup.config, setup.em
     setup.m0 = _build_m0(config, setup.geom)
-    m0_box = maxwell.embed_cell_field(setup.m0, setup.box)
-    maxwell.init_divfree(m0_box, _h0_spec(config), setup.box, out=em.h)
+    maxwell.init_divfree(setup.m0, _h0_spec(config), setup.box, out=em.h)
     _set_e0(config, em)
     if config.bc == maxwell.PEC:
         maxwell.zero_boundary_tangential_e(em)

@@ -83,9 +83,10 @@ def energy_inequality_residual(ledger: EnergyLedger, T: float) -> float:
     return (row.breakdown.total + row.dissipation + row.ohmic + row.source) - e0
 
 
-def saturation_deviation(m: np.ndarray) -> float:
-    """max over cells of | |m| - 1 |."""
-    dev, tmp = _scalars(None, m.shape[:-1], 2)
+def saturation_deviation(m: np.ndarray, tmp: Optional[np.ndarray] = None) -> float:
+    """max over cells of | |m| - 1 |; `tmp` (a flat float array of at
+    least 2 * m.size // 3 entries) makes the call allocation-free."""
+    dev, tmp = _scalars(tmp, m.shape[:-1], 2)
     _dot(m, m, dev, tmp)
     np.sqrt(dev, out=dev)
     dev -= 1.0
@@ -343,13 +344,14 @@ def omega_limit_field(u: np.ndarray, box: maxwell.BoxGeometry,
     H = -grad(phi) with Lap(phi) = div(u_bar); gradients of cell scalars
     are exactly curl-free on the staggered grid.  Returns face components.
     """
-    u_box = maxwell.embed_cell_field(u, box)
-    return maxwell.init_divfree(u_box, "magnetostatic", box, tol=tol)
+    return maxwell.init_divfree(u, "magnetostatic", box, tol=tol)
 
 
 def omega_limit_field_cells(u: np.ndarray, box: maxwell.BoxGeometry,
                             geom: DomainGeometry,
                             tol: float = maxwell.POISSON_TOL) -> np.ndarray:
-    """omega_limit_field averaged to body cells, for the stationarity form."""
-    hx, hy, hz = omega_limit_field(u, box, tol)
-    return maxwell.faces_to_cells(hx, hy, hz)[box.body_slices()]
+    """omega_limit_field averaged to body cells (from the body face slabs
+    only), for the stationarity form."""
+    H = omega_limit_field(u, box, tol)
+    return maxwell.faces_to_cells(*(f[slab] for f, slab in
+                                    zip(H, maxwell._body_face_slabs(box))))

@@ -127,13 +127,16 @@ class _Workspace:
     """Preallocated buffers of one SimState's LLG stages.
 
     `k` holds the stage rates (two for Heun, four for RK4), `m_stage` the
-    stage magnetization and `tmp` the scratch of `llg_rhs`; the fields are
-    component-major, like the m that `run` steps.
+    stage magnetization, `m_next` the two buffers a step's new m
+    alternates between and `tmp` the scratch of `llg_rhs` and of the
+    ledger row; the fields are component-major, like the m that `run`
+    steps.
     """
 
     def __init__(self, shape: tuple, stages: int):
         self.k = [_vector_field(shape) for _ in range(stages)]
         self.m_stage = _vector_field(shape)
+        self.m_next = (_vector_field(shape), _vector_field(shape))
         self.tmp = np.empty(3 * int(np.prod(shape)))
 
 
@@ -153,17 +156,18 @@ class SimState:
         if not np.isfinite(self.m).all():
             raise NonFinite("initial magnetization is not finite")
         if self.scheme.frozen_em and self.h_cells_frozen is None:
-            self.h_cells_frozen = self._interp_h()
-
-    def _interp_h(self) -> np.ndarray:
-        if self.em is None:
-            return np.zeros(self.geom.field_shape())
-        return interp_h_to_cells(self.em, self.geom)
+            self.h_cells_frozen = (np.zeros(self.geom.field_shape()) if self.em is None
+                                   else interp_h_to_cells(self.em, self.geom))
 
     def h_cells(self) -> np.ndarray:
+        """h on the body cells: the frozen field, or the Maxwell h averaged
+        into the Maxwell workspace's `body_cells` (valid until the
+        workspace is next used)."""
         if self.scheme.frozen_em:
             return self.h_cells_frozen
-        return self._interp_h()
+        if self.em is None:
+            return np.zeros(self.geom.field_shape())
+        return interp_h_to_cells(self.em, self.geom, out=self.em.workspace().body_cells)
 
     def workspace(self) -> _Workspace:
         if self.work is None:
@@ -173,7 +177,7 @@ class SimState:
 
     def energy(self) -> "object":
         return total_energy(self.m, self.em, self.geom, self.params,
-                            bc_mode=self.scheme.bc_mode)
+                            bc_mode=self.scheme.bc_mode, tmp=self.workspace().tmp)
 
 
 def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
@@ -302,7 +306,12 @@ def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
 
 def step(state: SimState, accum: Optional[dict] = None,
          f: Optional[AppliedCurrent] = None) -> SimState:
-    """Advance the coupled state by one dt (in place)."""
+    """Advance the coupled state by one dt (in place).
+
+    The new m is one of the workspace's two `m_next` buffers (the one the
+    old m is not), so an m from two steps back is overwritten: copy it to
+    keep it.
+    """
     scheme = state.scheme
     geom, params = state.geom, state.params
     dt = scheme.dt
@@ -310,7 +319,7 @@ def step(state: SimState, accum: Optional[dict] = None,
 
     work = state.workspace()
     m = state.m
-    m_new = np.empty_like(m)
+    m_new = work.m_next[m is work.m_next[0]]
     _advance_m(m, h_cells, dt, geom, params, scheme, work, m_new)
     if not scheme.frozen_em and state.em is not None:
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
@@ -412,7 +421,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
             t=state.t, breakdown=breakdown,
             dissipation=accum["dissipation"], ohmic=accum["ohmic"],
             source=accum["source"],
-            saturation_dev=saturation_deviation(state.m),
+            saturation_dev=saturation_deviation(state.m, state.workspace().tmp),
             divergence_drift=drift)
         if on_row is not None:
             on_row(row)

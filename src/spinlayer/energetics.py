@@ -211,15 +211,17 @@ class EnergyBreakdown:
         return tuple(getattr(self, c) for c in self.COLUMNS)
 
 
-def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams) -> float:
+def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
+                    tmp: Optional[np.ndarray] = None) -> float:
     """(A/2) * sum over interior faces of |difference quotient|^2 * dV.
 
     The face differences are those of `laplacian_neumann`, from the one
-    kernel `_face_differences`."""
+    kernel `_face_differences`; `tmp` (a flat float array of at least
+    m.size entries) holds them."""
     if params.a_exch == 0.0:
         return 0.0
     f = _store(m)
-    buf = np.empty(f.size)
+    buf = np.empty(f.size) if tmp is None else tmp
     acc = 0.0
     for axis, h in enumerate((geom.dx, geom.dy, geom.dz)):
         d, _ = _face_differences(f, geom, axis, buf)
@@ -253,10 +255,16 @@ def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = N
     return out
 
 
-def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams) -> float:
+def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
+                      tmp: Optional[np.ndarray] = None) -> float:
+    """(dV/2) sum of K m . m; `tmp` (a flat float array of at least
+    4 * m.size // 3 entries) holds K m and its scratch."""
     if params.k_matrix is None:
         return 0.0
-    km = apply_k(params, m)
+    if tmp is None:
+        km = apply_k(params, m)
+    else:
+        km = apply_k(params, m, out=_vector_field(m.shape, tmp), tmp=tmp[m.size:])
     return 0.5 * geom.cell_volume * dot(km, m)
 
 
@@ -300,11 +308,15 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     return fsum([e_ks, e_q, e_biq])
 
 
-def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams) -> float:
-    """(k/4) * integral of (|m|^2 - 1)^2."""
+def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
+                   tmp: Optional[np.ndarray] = None) -> float:
+    """(k/4) * integral of (|m|^2 - 1)^2; `tmp` (a flat float array of at
+    least 2 * m.size // 3 entries) holds the per-cell terms."""
     if params.penalty_k == 0.0:
         return 0.0
-    dev = np.sum(m * m, axis=-1) - 1.0
+    dev, t = _scalars(tmp, m.shape[:-1], 2)
+    _dot(m, m, dev, t)
+    dev -= 1.0
     return 0.25 * params.penalty_k * geom.cell_volume * dot(dev, dev)
 
 
@@ -318,13 +330,14 @@ def maxwell_energy(em, params: MaterialParams) -> Tuple[float, float]:
 
 
 def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams,
-                 bc_mode: str = SHARP) -> EnergyBreakdown:
+                 bc_mode: str = SHARP, tmp: Optional[np.ndarray] = None) -> EnergyBreakdown:
     """Assemble the full energy for the boundary mode.
 
     The surface energies sit on the one-cell layer in sharp mode and on
     the eta layer in thin-layer mode; the penalty term enters whenever
     params.penalty_k is nonzero, the energy whose gradient
-    `effective_field.assemble_h_tot` is.
+    `effective_field.assemble_h_tot` is.  `tmp` (a flat float array of at
+    least 4 * m.size // 3 entries) is the volume terms' scratch.
     """
     e_h = e_e = 0.0
     if em is not None:
@@ -332,12 +345,12 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
     sa, sq, sb = thin_layer_energy(m, geom, params, split=True,
                                    cells=layer_cells(geom, bc_mode))
     return EnergyBreakdown.assemble(
-        exchange=exchange_energy(m, geom, params),
-        anisotropy=anisotropy_energy(m, geom, params),
+        exchange=exchange_energy(m, geom, params, tmp),
+        anisotropy=anisotropy_energy(m, geom, params, tmp),
         maxwell_h=e_h,
         maxwell_e=e_e,
         surf_anis=sa,
         superexch_q=sq,
         superexch_biq=sb,
-        penalty=penalty_energy(m, geom, params),
+        penalty=penalty_energy(m, geom, params, tmp),
     )

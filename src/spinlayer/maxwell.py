@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.fft
+from numpy.fft import rfft
 
 from .errors import CFLViolation, NonFinite, SolverDiverged
 from .geometry import DomainGeometry
@@ -186,15 +186,16 @@ class _Workspace:
     m_bar for the ledger's divergence drift).  `body_window` is its window
     (see `curl_e`) spanning the faces of the body cells, `body_curl_faces`
     its views of those faces; from them the midpoint-h predictor forms its
-    h in `body_faces` and averages it to cells in `body_cells`.  `tmp` is a
-    flat scratch of two store components: the second difference quotient
-    of a curl, the two divergence terms, the rate times dt.  `e_new` and
-    `e_mid` (one block per component) hold the conduction update and the
-    midpoint e on the body edge slabs.  `rate_faces` (a triple of the body
-    face slabs) holds the magnetization rate on faces while a step's
-    subcycles run.  `mur` holds the boundary planes of a Mur1 substep with
-    their buffers and `mur_coefs` its coefficients, both made on the first
-    one.
+    h in `body_faces` and averages it to cells in `body_cells`, which
+    before that holds the step's stage-begin cell h (`SimState.h_cells`).
+    `tmp` is a flat scratch of two store components: the second difference
+    quotient of a curl, the two divergence terms, the rate times dt.
+    `e_new` and `e_mid` (one block per component) hold the conduction
+    update and the midpoint e on the body edge slabs.  `rate_faces` (a
+    triple of the body face slabs) holds the magnetization rate on faces
+    while a step's subcycles run.  `mur` holds the boundary planes of a
+    Mur1 substep with their buffers and `mur_coefs` its coefficients, both
+    made on the first one.
     """
 
     def __init__(self, box: BoxGeometry):
@@ -280,7 +281,8 @@ class EMState:
         """Raise NonFinite naming the step, t, the first non-finite
         component and its first bad index."""
         for store, first in ((self.e, 0), (self.h, 3)):
-            if np.isfinite(store).all():
+            # min/max propagate NaN, so these two reductions catch inf and NaN
+            if np.isfinite(store.min()) and np.isfinite(store.max()):
                 continue
             for name, a in zip(("ex", "ey", "ez", "hx", "hy", "hz")[first:first + 3],
                                self._views[first:first + 3]):
@@ -415,20 +417,38 @@ def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
     return _curl(h, box, scale, out, tmp, False, None)
 
 
-def div_faces(fx, fy, fz, box: BoxGeometry) -> np.ndarray:
-    """Face field -> divergence at cell centers."""
-    return ((fx[1:, :, :] - fx[:-1, :, :]) / box.dx
-            + (fy[:, 1:, :] - fy[:, :-1, :]) / box.dy
-            + (fz[:, :, 1:] - fz[:, :, :-1]) / box.dz)
+def div_faces(fx, fy, fz, box: BoxGeometry, out=None, tmp=None) -> np.ndarray:
+    """Face field -> divergence at cell centers.
+
+    `out` and `tmp` (cell arrays of the box) make the call
+    allocation-free; `out` receives the divergence.
+    """
+    out = np.subtract(fx[1:, :, :], fx[:-1, :, :], out=out)
+    out /= box.dx
+    t = np.subtract(fy[:, 1:, :], fy[:, :-1, :], out=tmp)
+    t /= box.dy
+    out += t
+    np.subtract(fz[:, :, 1:], fz[:, :, :-1], out=t)
+    t /= box.dz
+    out += t
+    return out
 
 
-def grad_cells(phi: np.ndarray, box: BoxGeometry) -> tuple:
-    """Cell scalar -> gradient on faces, zero-Dirichlet ghosts outside."""
-    p = np.pad(phi, 1)
-    gx = (p[1:, 1:-1, 1:-1] - p[:-1, 1:-1, 1:-1]) / box.dx
-    gy = (p[1:-1, 1:, 1:-1] - p[1:-1, :-1, 1:-1]) / box.dy
-    gz = (p[1:-1, 1:-1, 1:] - p[1:-1, 1:-1, :-1]) / box.dz
-    return gx, gy, gz
+def grad_cells(phi: np.ndarray, box: BoxGeometry, out=None) -> tuple:
+    """Cell scalar -> gradient on faces, zero-Dirichlet ghosts outside.
+
+    `out` (a face triple of the box) receives the gradient.
+    """
+    if out is None:
+        out = tuple(np.empty(s) for s in face_shapes(box))
+    for axis, (g, h) in enumerate(zip(out, (box.dx, box.dy, box.dz))):
+        np.subtract(phi[_along(axis, slice(1, None))], phi[_along(axis, slice(None, -1))],
+                    out=g[_along(axis, slice(1, -1))])
+        # the outermost faces difference against a zero ghost cell
+        np.subtract(phi[_along(axis, 0)], 0.0, out=g[_along(axis, 0)])
+        np.subtract(0.0, phi[_along(axis, -1)], out=g[_along(axis, -1)])
+        g /= h
+    return out
 
 
 def cells_to_faces(c: np.ndarray, box: BoxGeometry, out=None) -> tuple:
@@ -472,17 +492,11 @@ def faces_to_cells(fx, fy, fz, out=None) -> np.ndarray:
     return out
 
 
-def embed_cell_field(m: np.ndarray, box: BoxGeometry) -> np.ndarray:
-    """Zero-extend a body cell field to the full box."""
-    out = np.zeros((box.nx, box.ny, box.nz, 3))
-    out[box.body_slices()] = m
-    return out
-
-
-def interp_h_to_cells(em: EMState, geom: DomainGeometry) -> np.ndarray:
+def interp_h_to_cells(em: EMState, geom: DomainGeometry, out=None) -> np.ndarray:
     """Magnetic excitation averaged to body cell centers, from the body
-    face slabs only."""
-    return faces_to_cells(*em.body_h())
+    face slabs only; `out` (a body cell 3-vector field) makes the call
+    allocation-free."""
+    return faces_to_cells(*em.body_h(), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +507,40 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     """Eigenvalues of the 1-D 3-point Laplacian with zero ghosts at -1 and n."""
     k = np.arange(1, n + 1)
     return -4.0 * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2 / h**2
+
+
+def _dst1(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Type-I discrete sine transform of the 3-D array x along axes 0, 1
+    and 2, in that order, the result along axis 0 times `scale`: the bits
+    of scipy.fft.dstn(x, type=1), and with scale = 1/prod(2(n+1)) those
+    of its idstn.
+
+    Each axis is pocketfft's DST-I of length n: the real FFT of the odd
+    extension (0, x, 0, -x reversed) of length 2(n+1), whose negated
+    imaginary parts 1..n are the transform.  The axis being
+    transformed is last in one reused extension buffer, filled from the
+    previous pass's imaginary parts with the axes turned one step (so
+    after three passes they are back in order) and with that pass's sign
+    and scale as one factor.
+    """
+    size = x.size
+    ext = np.empty(max(size // n * 2 * (n + 1) for n in x.shape))
+    spec = np.empty(max(size // n * (n + 2) for n in x.shape), dtype=complex)
+    im, factor = x, 1.0
+    for axis, n in enumerate(x.shape):
+        src = im.transpose(1, 2, 0)
+        lines = src.shape[:-1]
+        e = ext[:size // n * 2 * (n + 1)].reshape(lines + (2 * (n + 1),))
+        np.multiply(src, factor, out=e[..., 1:n + 1])
+        e[..., 0] = 0.0
+        e[..., n + 1] = 0.0
+        np.negative(e[..., n:0:-1], out=e[..., n + 2:])
+        s = spec[:size // n * (n + 2)].reshape(lines + (n + 2,))
+        rfft(e, axis=-1, out=s)
+        im = s.imag[..., 1:n + 1]
+        # -(im * scale) is im * -scale bit for bit
+        factor = -scale if axis == 0 else -1.0
+    return np.negative(im)
 
 
 def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
@@ -507,43 +555,54 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
     lam = (_dirichlet_eigenvalues(box.nx, box.dx)[:, None, None]
            + _dirichlet_eigenvalues(box.ny, box.dy)[None, :, None]
            + _dirichlet_eigenvalues(box.nz, box.dz)[None, None, :])
-    return scipy.fft.idstn(scipy.fft.dstn(rhs, type=1) / lam, type=1)
+    # idstn's normalisation as pocketfft forms it, in long double
+    scale = float(1 / np.longdouble(8 * (box.nx + 1) * (box.ny + 1) * (box.nz + 1)))
+    return _dst1(_dst1(rhs) / lam, scale)
 
 
-def init_divfree(m0_cells: np.ndarray, h0_spec, box: BoxGeometry,
+def init_divfree(m0: np.ndarray, h0_spec, box: BoxGeometry,
                  tol: float = POISSON_TOL, out: Optional[np.ndarray] = None) -> tuple:
     """Magnetic excitation with div(h + m_bar) = 0 at every cell center.
 
     h0_spec: a kind of H0_KINDS ("magnetostatic": h = -grad phi with
     Lap phi = div m_bar; "zero"), a length-3 uniform vector, or an
     explicit (hx, hy, hz) face triple; explicit data is corrected by a
-    gradient.  m0_cells is the body magnetization already zero-extended
-    to the box.  Returns the face triple: views of `out` (an h store with
-    zero pads, written in place) when it is given.
+    gradient.  m0 is the body magnetization; m_bar, its zero extension to
+    the box, lives on the body face slabs.  Returns the face triple: views
+    of `out` (an h store with zero pads, written in place) when it is
+    given.
     """
-    mf = cells_to_faces(m0_cells, box)
-    fs = face_shapes(box)
+    h = face_views(out, box) if out is not None else tuple(np.empty(s) for s in face_shapes(box))
     if isinstance(h0_spec, str) and h0_spec in H0_KINDS:
-        h_raw = tuple(np.zeros(s) for s in fs)
+        h_raw = (0.0, 0.0, 0.0)
+        if h0_spec == ZERO and not np.any(m0):
+            for a in h:
+                a[...] = 0.0
+            return h
     elif isinstance(h0_spec, tuple) and len(h0_spec) == 3 and np.ndim(h0_spec[0]) == 3:
         h_raw = h0_spec
     else:
-        vec = np.asarray(h0_spec, dtype=float).reshape(3)
-        h_raw = tuple(np.full(s, v) for s, v in zip(fs, vec))
-    h = face_views(out, box) if out is not None else tuple(np.empty(s) for s in fs)
+        h_raw = tuple(np.asarray(h0_spec, dtype=float).reshape(3))
+    mf = cells_to_faces(m0, box)
+    faces = tuple(np.empty(s) for s in face_shapes(box))
 
-    if isinstance(h0_spec, str) and h0_spec == ZERO and not np.any(m0_cells):
-        for a in h:
-            a[...] = 0.0
-        return h
+    def plus_m_bar(base):
+        """base + m_bar on the box faces, in `faces`; beyond the body face
+        slabs the sum is base + 0.0."""
+        for f, b, m, slab in zip(faces, base, mf, _body_face_slabs(box)):
+            np.add(b, 0.0, out=f)
+            np.add(b[slab] if np.ndim(b) else b, m, out=f[slab])
+        return faces
 
-    rhs = div_faces(h_raw[0] + mf[0], h_raw[1] + mf[1], h_raw[2] + mf[2], box)
+    rhs = div_faces(*plus_m_bar(h_raw), box)
     phi = poisson_solve(rhs, box)
-    for a, raw, g in zip(h, h_raw, grad_cells(phi, box)):
+    for a, raw, g in zip(h, h_raw, grad_cells(phi, box, out=faces)):
         np.subtract(raw, g, out=a)
 
-    resid = np.max(np.abs(div_faces(h[0] + mf[0], h[1] + mf[1], h[2] + mf[2], box)))
-    if not np.isfinite(resid) or resid > tol * (1.0 + np.max(np.abs(rhs))):
+    # the residual over the whole box, in the buffers of rhs and phi
+    rhs_max = np.abs(rhs, out=rhs).max()
+    resid = np.abs(div_faces(*plus_m_bar(h), box, out=rhs, tmp=phi), out=rhs).max()
+    if not np.isfinite(resid) or resid > tol * (1.0 + rhs_max):
         raise SolverDiverged(f"divergence projection residual {resid:g} above tolerance")
     return h
 

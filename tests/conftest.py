@@ -124,6 +124,13 @@ def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
 # updated.  The library's body-local forms must agree with them bit for bit.
 
 
+def embed_cell_field(m, box):
+    """Zero-extend a body cell field to the full box."""
+    out = np.zeros((box.nx, box.ny, box.nz, 3))
+    out[box.body_slices()] = m
+    return out
+
+
 def padded_cells_to_faces(c):
     """Cell 3-vector field -> faces, each the mean of its two cells with
     zero-padded ghosts."""
@@ -150,7 +157,7 @@ def box_midpoint_h_cells(em, m_dot_pred, dt, mu0):
     box = em.box
     half = 0.5 * dt
     chx, chy, chz = mx.face_views(mx.curl_e(em.e, box, half / mu0), box)
-    mdx, mdy, mdz = padded_cells_to_faces(mx.embed_cell_field(m_dot_pred, box))
+    mdx, mdy, mdz = padded_cells_to_faces(embed_cell_field(m_dot_pred, box))
     hx = em.hx - chx - half * mdx
     hy = em.hy - chy - half * mdy
     hz = em.hz - chz - half * mdz
@@ -161,14 +168,14 @@ def box_fdtd_step(em, m_dot, f_value, params, dt, accum=None):
     """One leapfrog step with dt times the box-face transfer of the
     embedded rate subtracted from h on every face."""
     mx.fdtd_step(em, None, f_value, params, dt, accum)
-    rate = padded_cells_to_faces(mx.embed_cell_field(m_dot, em.box))
+    rate = padded_cells_to_faces(embed_cell_field(m_dot, em.box))
     for h, mf in zip((em.hx, em.hy, em.hz), rate):
         h -= mf * dt
 
 
 def box_divergence(em, m):
     """div(h + m_bar) with m embedded into the box."""
-    mf = padded_cells_to_faces(mx.embed_cell_field(m, em.box))
+    mf = padded_cells_to_faces(embed_cell_field(m, em.box))
     return mx.div_faces(em.hx + mf[0], em.hy + mf[1], em.hz + mf[2], em.box)
 
 
@@ -255,6 +262,6 @@ def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, accum):
             lo_old, lo_in_old, hi_old, hi_in_old = old[(name, axis)]
             a[0] = lo_in_old + coef * (a[1] - lo_old)
             a[-1] = hi_in_old + coef * (a[-2] - hi_old)
-    rate = padded_cells_to_faces(mx.embed_cell_field(m_dot, box))
+    rate = padded_cells_to_faces(embed_cell_field(m_dot, box))
     for name, ch, r in zip(("hx", "hy", "hz"), plain_curl_e(ex, ey, ez, box), rate):
         f[name] -= (dt / mu0) * ch + dt * r

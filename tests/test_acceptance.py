@@ -30,7 +30,7 @@ from spinlayer.energetics import (SHARP, THIN_LAYER, MaterialParams,
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.presets import random_unit_m
 
-from conftest import face_store, spacer_oracle
+from conftest import embed_cell_field, face_store, spacer_oracle
 
 
 def report(num, name, detail):
@@ -160,8 +160,7 @@ def energy_runs():
         m0 = random_unit_m(geom, seed=1234, smooth_cells=4.0)
         box = mx.make_box(geom, padding=8)
         em = mx.empty_em_state(box)  # PEC
-        em.hx, em.hy, em.hz = mx.init_divfree(
-            mx.embed_cell_field(m0, box), "magnetostatic", box)
+        em.hx, em.hy, em.hz = mx.init_divfree(m0, "magnetostatic", box)
         t0 = time.time()
         traj = run(geom, params, scheme, m0, em, None,
                    t_end=ENERGY_RUN_STEPS * dt, log_every=1)
@@ -319,8 +318,7 @@ def test_criterion_7_omega_limit_probe():
     scheme = SchemeConfig(dt=dt, subcycles=sub, constraint=PROJECTED, bc_mode=SHARP)
     m0 = random_unit_m(geom, seed=7, smooth_cells=2.0)
     em = mx.empty_em_state(box)
-    em.hx, em.hy, em.hz = mx.init_divfree(
-        mx.embed_cell_field(m0, box), "magnetostatic", box)
+    em.hx, em.hy, em.hz = mx.init_divfree(m0, "magnetostatic", box)
     lib = fn_library(geom)
 
     r0 = stationarity_residual(m0, omega_limit_field_cells(m0, box, geom),
@@ -343,7 +341,7 @@ def test_criterion_7_omega_limit_probe():
     H = omega_limit_field(mT, box)
     curl_max = float(np.abs(mx.curl_h(face_store(H, box), box)).max())
     assert curl_max <= 1e-12
-    u_box = mx.embed_cell_field(mT, box)
+    u_box = embed_cell_field(mT, box)
     uf = mx.cells_to_faces(u_box, box)
     div_max = float(np.abs(mx.div_faces(
         H[0] + uf[0], H[1] + uf[1], H[2] + uf[2], box)).max())

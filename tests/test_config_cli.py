@@ -1,5 +1,7 @@
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -612,3 +614,31 @@ class TestFuzz:
             with open(path, "w") as fh:
                 fh.write(text)
             assert main(["check", path]) in (0, 2, 3, 4)
+
+
+def _run_python(code: str) -> str:
+    """stdout of `code` in a fresh interpreter that imports this spinlayer."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(config_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_cli_imports_no_scipy():
+    code = ("import sys, spinlayer.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code).strip() == "[]"
+
+
+def test_build_setup_imports_nothing():
+    # every module a set-up needs (numpy.random, numpy.fft) loads with the
+    # package, so the set-up time holds no import
+    code = ("import sys\n"
+            "from spinlayer import cli, config\n"
+            f"cfg = config.parse_config({README_CONFIG!r})\n"
+            "before = set(sys.modules)\n"
+            "config.build_setup(cfg)\n"
+            "print(sorted(set(sys.modules) - before))")
+    assert _run_python(code).strip() == "[]"

@@ -19,7 +19,8 @@ from spinlayer.energetics import MaterialParams, total_energy, uniform_k_matrix
 from spinlayer.errors import WindowOutOfRange
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import face_stationary_form, face_store, random_unit_field
+from conftest import (embed_cell_field, face_stationary_form, face_store,
+                      random_unit_field)
 
 
 def plain_params(**overrides):
@@ -30,32 +31,38 @@ def plain_params(**overrides):
 
 def test_ledger_row_allocates_nothing_box_sized():
     # the W1 ledger row (every energy term, the divergence drift and the
-    # saturation deviation) reduces from the fields and the state's
-    # workspace; what remains is body-sized temporaries
+    # saturation deviation) reduces from the fields, the Maxwell workspace
+    # and a flat scratch like the state's; what remains is body-sized at
+    # most, and the energy terms alone stay below one body field
     geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
                           ks=0.01, j1=0.01, j2=0.01, sigma=10.0)
     box = mx.make_box(geom, padding=8)
     m = random_unit_field(geom, seed=60)
     em = mx.empty_em_state(box)
-    em.hx, em.hy, em.hz = mx.init_divfree(mx.embed_cell_field(m, box),
-                                          "magnetostatic", box)
+    em.hx, em.hy, em.hz = mx.init_divfree(m, "magnetostatic", box)
     mx.record_div0(em, m, geom)
     m = random_unit_field(geom, seed=61)
+    tmp = np.empty(3 * m.size)
+
+    def energy():
+        return total_energy(m, em, geom, params, tmp=tmp)
 
     def row():
-        return (total_energy(m, em, geom, params), mx.divergence_drift(em, m, geom),
-                saturation_deviation(m))
+        return (energy(), mx.divergence_drift(em, m, geom), saturation_deviation(m, tmp))
 
     warm = row()
-    tracemalloc.start()
-    try:
-        again = row()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert again == warm
-    assert peak < em.ex.nbytes
+    peaks = []
+    for f in (row, energy):
+        tracemalloc.start()
+        try:
+            again = f()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert again == warm[0] == total_energy(m, em, geom, params)
+    assert peaks[0] < em.ex.nbytes
+    assert peaks[1] < m.nbytes
 
 
 class TestEnergyInequality:
@@ -363,7 +370,7 @@ class TestOmegaLimitField:
         u = random_unit_field(geom, seed=12)
         H = omega_limit_field(u, box)
         assert np.abs(mx.curl_h(face_store(H, box), box)).max() < 1e-12
-        u_box = mx.embed_cell_field(u, box)
+        u_box = embed_cell_field(u, box)
         uf = mx.cells_to_faces(u_box, box)
         div = mx.div_faces(H[0] + uf[0], H[1] + uf[1], H[2] + uf[2], box)
         assert np.abs(div).max() < 1e-10

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.ndimage import gaussian_filter
 
 from spinlayer import maxwell as mx
 from spinlayer import presets
@@ -312,8 +313,7 @@ class TestRun:
 
         def one_run():
             em = mx.empty_em_state(box)
-            em.hx, em.hy, em.hz = mx.init_divfree(
-                mx.embed_cell_field(m0, box), "magnetostatic", box)
+            em.hx, em.hy, em.hz = mx.init_divfree(m0, "magnetostatic", box)
             scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                                   bc_mode="sharp")
             return run(geom, params, scheme, m0, em, None, t_end=0.05)
@@ -330,8 +330,7 @@ class TestRun:
         m0 = random_unit_field(geom, seed=8)
         box = mx.make_box(geom, padding=3)
         em = mx.empty_em_state(box)
-        em.hx, em.hy, em.hz = mx.init_divfree(
-            mx.embed_cell_field(m0, box), "magnetostatic", box)
+        em.hx, em.hy, em.hz = mx.init_divfree(m0, "magnetostatic", box)
         scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                               bc_mode="sharp")
         traj = run(geom, params, scheme, m0, em, None, t_end=0.1)
@@ -366,8 +365,7 @@ class TestLayout:
         results = []
         for m_in in (np.ascontiguousarray(m0), m0):
             em = mx.empty_em_state(box)
-            mx.init_divfree(mx.embed_cell_field(m_in, box), "magnetostatic", box,
-                            out=em.h)
+            mx.init_divfree(m_in, "magnetostatic", box, out=em.h)
             traj = run(geom, params, scheme, m_in, em, None, t_end=20 * scheme.dt)
             results.append(traj)
         a, b = results
@@ -398,6 +396,63 @@ class TestLayout:
         for m in (presets.uniform_m((0.0, 0.6, 0.8), geom), presets.vortexish_m(geom),
                   presets.random_unit_m(geom, 4), presets.random_unit_m(geom, 4, 0.0)):
             assert m.shape == geom.field_shape() and component_major(m)
+
+
+def scipy_random_unit_m(geom, seed, smooth_cells):
+    """The random preset with scipy.ndimage's Gaussian (test oracle)."""
+    m = np.random.default_rng(seed).standard_normal(geom.field_shape())
+    if smooth_cells > 0:
+        for c in range(3):
+            m[..., c] = gaussian_filter(m[..., c], sigma=smooth_cells, mode="nearest")
+    return m / np.linalg.norm(m, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("grid", [(1.0, 1.0, 0.5, 0.5, 4, 4, 1, 1),
+                                  (1.0, 0.75, 0.5, 0.75, 4, 3, 2, 3),
+                                  (1.0, 1.0, 0.5, 0.5, 8, 8, 4, 4)])
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 4.0])
+def test_random_preset_matches_scipy_gaussian(grid, sigma):
+    # the numpy Gaussian repeats scipy.ndimage's arithmetic bit for bit, also
+    # where its radius (up to 16 cells) exceeds the axis (4x4x2, 4x3x5)
+    geom = build_geometry(GeometryConfig(*grid))
+    got = presets.random_unit_m(geom, 9, sigma)
+    want = scipy_random_unit_m(geom, 9, sigma)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_warm_coupled_step_allocates_less_than_a_body_field():
+    # the stage-begin cell h, the new m, the predictor, the subcycles and
+    # the ledger's energy all work in the state's buffers; what remains is
+    # numpy's iterator buffers (fixed size) and small bookkeeping
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 24, 24, 12, 12))
+    params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
+                          ks=0.01, j1=0.01, j2=0.01, sigma=10.0)
+    box = mx.make_box(geom, padding=2)
+    em = mx.empty_em_state(box)
+    m0 = random_unit_field(geom, seed=12)
+    mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+    m_in = m0.copy()
+    state = SimState(t=0.0, m=m_in, em=em, geom=geom, params=params,
+                     scheme=SchemeConfig(dt=1e-4, subcycles=2))
+    accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
+    for _ in range(3):
+        step(state, accum)
+    state.energy()
+    peaks = []
+    for f in (lambda: step(state, accum), state.energy):
+        tracemalloc.start()
+        try:
+            f()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < m0.nbytes
+    # the new m alternates between two workspace buffers, never the
+    # caller's, so the m of the step before stays intact
+    before, kept = state.m, state.m.copy()
+    step(state, accum)
+    assert state.m is not before and np.array_equal(before, kept)
+    assert np.array_equal(m_in, m0)
 
 
 @pytest.mark.parametrize("integrator, constraint, bc_mode", [
