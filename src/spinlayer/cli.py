@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import dynamics, maxwell, snapshots
-from .config import RunConfig, build_model, build_setup, parse_config
+from .config import RunConfig, _parse, _validate, build_model, build_setup, parse_config
 from .diagnostics import (CSV_COLUMNS, omega_limit_field_cells,
                           saturation_deviation, stationarity_report)
 from .energetics import EnergyBreakdown, _vector_copy, total_energy
@@ -57,15 +57,18 @@ def _lock_owner(lock: str) -> str:
 
 
 def _load_config(path: str, args) -> RunConfig:
+    """The config file with the command-line overrides applied, then
+    validated."""
     with open(path) as fh:
         text = fh.read()
-    config = parse_config(text)
+    config = _parse(text)
     if args.log_every is not None:
         config.cadence = args.log_every
     if args.snapshots is not None:
         config.snapshots_on = args.snapshots == "on"
     if args.seed is not None:
         config.seed = args.seed
+    _validate(config)
     return config
 
 
@@ -200,12 +203,12 @@ def recompute_final_row(outdir: str):
 
     em = setup.em
     em.hx, em.hy, em.hz = h0_arrays
-    maxwell.record_div0(em, m0_arr, geom)
+    maxwell.record_div0(em, m0_arr)
     em.hx, em.hy, em.hz = h_arrays
     em.ex, em.ey, em.ez = e_arrays
 
     breakdown = total_energy(m_arr, em, geom, setup.params, bc_mode=config.bc_mode)
-    drift = maxwell.divergence_drift(em, m_arr, geom)
+    drift = maxwell.divergence_drift(em, m_arr)
     values = ((t_final,) + breakdown.as_tuple()
               + (saturation_deviation(m_arr), drift))
 

@@ -247,6 +247,14 @@ def parse_config(text: str) -> RunConfig:
     field name (ValidationError); the returned config has all defaults
     filled in.
     """
+    config = _parse(text)
+    _validate(config)
+    return config
+
+
+def _parse(text: str) -> RunConfig:
+    """Configuration text -> RunConfig, checked line by line but not yet
+    validated as a whole (`_validate`)."""
     config = RunConfig()
     section = None
     seen = set()
@@ -280,11 +288,13 @@ def parse_config(text: str) -> RunConfig:
         seen.add((section, key))
         attr, converter = _SCHEMA[section][key]
         setattr(config, attr, converter(tokens, lineno))
-    _validate(config)
     return config
 
 
 def _validate(config: RunConfig):
+    """Raise ValidationError naming the first field whose value the run
+    cannot take; the one check of values from the text and from
+    command-line overrides alike."""
     if config.trace_order != 1:
         raise ValidationError("geometry.trace_order", "must be 1")
     if config.alpha <= 0:
@@ -303,6 +313,8 @@ def _validate(config: RunConfig):
         raise ValidationError("geometry.eta", "required in thin_layer mode")
     if config.m0[0] == "random" and config.m0[1] < 0:
         raise ValidationError("initial.m", "seed must be nonnegative")
+    if config.m0[0] == "random" and config.seed < 0:
+        raise ValidationError("run.seed", "must be nonnegative")
 
 
 @dataclass
@@ -387,14 +399,14 @@ def set_initial_fields(setup: RunSetup):
     _set_e0(config, em)
     if config.bc == maxwell.PEC:
         maxwell.zero_boundary_tangential_e(em)
-    maxwell.record_div0(em, setup.m0, setup.geom)
+    maxwell.record_div0(em, setup.m0)
 
 
 def _check_first_rate(setup: RunSetup):
     """Evaluate the first LLG right-hand side at m0 and raise NonFinite
     when it or the initial h on the body cells is not finite, naming the
     field and its first bad cell."""
-    h = maxwell.interp_h_to_cells(setup.em, setup.geom)
+    h = maxwell.interp_h_to_cells(setup.em)
     rate = dynamics.llg_rhs(setup.m0, h, setup.geom, setup.params, setup.scheme)
     for name, field in (("h on the body cells", h), ("rate dm/dt", rate)):
         bad = ~np.isfinite(field).all(axis=-1)
@@ -415,8 +427,6 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
         return presets.vortexish_m(geom)
     if kind == "random":
         smooth = config.m0[2] if len(config.m0) == 3 else 1.5
-        if config.seed < 0:
-            raise ValidationError("run.seed", "must be nonnegative")
         seed = config.seed if config.seed else config.m0[1]
         return presets.random_unit_m(geom, seed, smooth_cells=smooth)
     if kind == "snapshot":
@@ -448,7 +458,7 @@ def _set_e0(config: RunConfig, em):
 
 def _build_current(config: RunConfig) -> AppliedCurrent:
     if config.f[0] == maxwell.ZERO:
-        return AppliedCurrent.zero()
+        return AppliedCurrent()
     ax, ay, az, t0, width = (float(v) for v in config.f[1:6])
     if width <= 0:
         raise ValidationError("current.f", "pulse width must be positive")

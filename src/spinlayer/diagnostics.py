@@ -337,21 +337,17 @@ def stationarity_residual(u, H_cells, params, geom,
     return max(r for _, r in report)
 
 
-def omega_limit_field(u: np.ndarray, box: maxwell.BoxGeometry,
-                      tol: float = maxwell.POISSON_TOL):
+def omega_limit_field(u: np.ndarray, box: maxwell.BoxGeometry) -> np.ndarray:
     """Field H with div(H + u_bar) = 0 and curl H = 0 on the box.
 
     H = -grad(phi) with Lap(phi) = div(u_bar); gradients of cell scalars
-    are exactly curl-free on the staggered grid.  Returns face components.
+    are exactly curl-free on the staggered grid.  Returns an h store.
     """
-    return maxwell.init_divfree(u, "magnetostatic", box, tol=tol)
+    return maxwell.init_divfree(u, maxwell.MAGNETOSTATIC, box)
 
 
 def omega_limit_field_cells(u: np.ndarray, box: maxwell.BoxGeometry,
-                            geom: DomainGeometry,
-                            tol: float = maxwell.POISSON_TOL) -> np.ndarray:
-    """omega_limit_field averaged to body cells (from the body face slabs
-    only), for the stationarity form."""
-    H = omega_limit_field(u, box, tol)
-    return maxwell.faces_to_cells(*(f[slab] for f, slab in
-                                    zip(H, maxwell._body_face_slabs(box))))
+                            geom: DomainGeometry) -> np.ndarray:
+    """omega_limit_field averaged to the body cells (from the body face
+    slabs only), for the stationarity form; geom is not read."""
+    return maxwell._body_cells(omega_limit_field(u, box), box)

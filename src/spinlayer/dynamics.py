@@ -157,7 +157,7 @@ class SimState:
             raise NonFinite("initial magnetization is not finite")
         if self.scheme.frozen_em and self.h_cells_frozen is None:
             self.h_cells_frozen = (np.zeros(self.geom.field_shape()) if self.em is None
-                                   else interp_h_to_cells(self.em, self.geom))
+                                   else interp_h_to_cells(self.em))
 
     def h_cells(self) -> np.ndarray:
         """h on the body cells: the frozen field, or the Maxwell h averaged
@@ -167,7 +167,7 @@ class SimState:
             return self.h_cells_frozen
         if self.em is None:
             return np.zeros(self.geom.field_shape())
-        return interp_h_to_cells(self.em, self.geom, out=self.em.workspace().body_cells)
+        return interp_h_to_cells(self.em, out=self.em.workspace().body_cells)
 
     def workspace(self) -> _Workspace:
         if self.work is None:
@@ -295,7 +295,7 @@ def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
     # the same faces
     maxwell.curl_e(em.e, box, half / state.params.mu0, out=work.curl, tmp=work.tmp,
                    window=work.body_window)
-    rate = maxwell.cells_to_faces(m_dot_pred, box, out=work.rate_faces)
+    rate = maxwell.cells_to_faces(m_dot_pred, out=work.rate_faces)
     for f, h, c, r in zip(work.body_faces, em.body_h(), work.body_curl_faces, rate):
         # f = h - (half/mu0) curl e - half m_dot, in that order
         np.subtract(h, c, out=f)
@@ -344,7 +344,7 @@ def step(state: SimState, accum: Optional[dict] = None,
         m_dot_faces = None
         if np.any(m_dot_eff):
             m_dot_faces = maxwell.cells_to_faces(
-                m_dot_eff, state.em.box, out=state.em.workspace().rate_faces)
+                m_dot_eff, out=state.em.workspace().rate_faces)
         dt_sub = dt / scheme.subcycles
         no_current = np.zeros(3)
         for i in range(scheme.subcycles):
@@ -374,12 +374,6 @@ class Trajectory:
     em_samples: list = field(default_factory=list)   # (h faces, e edges) tuples
     final_state: Optional[SimState] = None
 
-    @property
-    def dt_sample(self) -> float:
-        if len(self.sample_times) < 2:
-            raise ValueError("need at least two stored samples")
-        return self.sample_times[1] - self.sample_times[0]
-
 
 def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         m0: np.ndarray, em: Optional[EMState], f: Optional[AppliedCurrent],
@@ -397,13 +391,15 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
+    if log_every < 1:
+        raise ValueError("log_every must be at least 1")
     box = em.box if em is not None else None
     validate_stability(scheme, geom, params, box)
     # the stepped m is component-major
     state = SimState(t=0.0, m=_vector_copy(m0), em=em, geom=geom, params=params,
                      scheme=scheme)
     if em is not None and em.div0 is None:
-        maxwell.record_div0(em, state.m, geom)
+        maxwell.record_div0(em, state.m)
 
     n_steps = int(round(t_end / scheme.dt)) if t_end > 0 else 0
     if sample_every is None:
@@ -415,7 +411,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
 
     def record(step_idx: int):
         breakdown = state.energy()
-        drift = (maxwell.divergence_drift(state.em, state.m, geom)
+        drift = (maxwell.divergence_drift(state.em, state.m)
                  if state.em is not None else 0.0)
         row = ledger.append(
             t=state.t, breakdown=breakdown,

@@ -161,6 +161,11 @@ def _body_face_slabs(box: BoxGeometry) -> tuple:
     return ((nx, cy, cz), (cx, ny, cz), (cx, cy, nz))
 
 
+def _body_faces(h: np.ndarray, box: BoxGeometry) -> tuple:
+    """Views of an h store on the body face slabs."""
+    return tuple(h[c][slab] for c, slab in enumerate(_body_face_slabs(box)))
+
+
 def _flat_span(slab: tuple, box: BoxGeometry) -> slice:
     """The range of flat store indices from the first to the last entry of
     an index slab."""
@@ -201,20 +206,16 @@ class _Workspace:
     def __init__(self, box: BoxGeometry):
         self.curl = np.zeros(store_shape(box))
         self.curl_edges = edge_views(self.curl, box)
-        self.curl_faces = face_views(self.curl, box)
         self.body_window = tuple(_flat_span(slab, box) for slab in _body_face_slabs(box))
-        self.body_curl_faces = tuple(f[slab] for f, slab in zip(self.curl_faces,
-                                                                _body_face_slabs(box)))
+        self.body_curl_faces = _body_faces(self.curl, box)
         self.tmp = np.empty(2 * self.curl[0].size)
         slab_shapes = [tuple(s.stop - s.start for s in slab)
                        for slab in _body_edge_slabs(box)]
         self.e_new = tuple(np.empty(s) for s in slab_shapes)
         self.e_mid = tuple(np.empty(s) for s in slab_shapes)
-        mx, my, mz = box.mx, box.my, box.mz
-        body_face_shapes = ((mx + 1, my, mz), (mx, my + 1, mz), (mx, my, mz + 1))
-        self.rate_faces = tuple(np.empty(s) for s in body_face_shapes)
-        self.body_faces = tuple(np.empty(s) for s in body_face_shapes)
-        self.body_cells = _vector_field((mx, my, mz, 3))
+        self.rate_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
+        self.body_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
+        self.body_cells = _vector_field((box.mx, box.my, box.mz, 3))
         self.mur = None
         self.mur_coefs = None
 
@@ -274,8 +275,7 @@ class EMState:
 
     def body_h(self) -> tuple:
         """Views of h on the body face slabs."""
-        return tuple(h[slab] for h, slab in zip(self._views[3:],
-                                                _body_face_slabs(self.box)))
+        return _body_faces(self.h, self.box)
 
     def assert_finite(self, step: int, t: float):
         """Raise NonFinite naming the step, t, the first non-finite
@@ -319,18 +319,10 @@ class AppliedCurrent:
         if kind == PULSE and self.width <= 0:
             raise ValueError("pulse width must be positive")
 
-    @staticmethod
-    def zero() -> "AppliedCurrent":
-        return AppliedCurrent()
-
     def value(self, t: float) -> np.ndarray:
         if self.kind == ZERO:
             return np.zeros(3)
         return self.amplitude * np.exp(-0.5 * ((t - self.t0) / self.width) ** 2)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == ZERO or not np.any(self.amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +345,9 @@ def _curl(src, box: BoxGeometry, scale: float, out, tmp, forward: bool,
     a flat difference at the axis's offset.  The entries a flat difference
     cannot reach, and those where it wraps to the next row or plane, all
     lie on planes that are zeroed afterwards: the pad planes of each
-    component and, for the backward curl, the boundary edges.  With
-    `window` (per component, a range of flat indices) only those entries
-    of `out` are written, and nothing is zeroed.
+    component and, for the backward curl, the wall edges (`_zero_walls`).
+    With `window` (per component, a range of flat indices) only those
+    entries of `out` are written, and nothing is zeroed.
     """
     n = (box.nx, box.ny, box.nz)
     spacing = (box.dx, box.dy, box.dz)
@@ -381,17 +373,23 @@ def _curl(src, box: BoxGeometry, scale: float, out, tmp, forward: bool,
         np.subtract(q[lo + pb[0]:hi + pb[0]], q[lo + pb[1]:hi + pb[1]], out=t)
         t *= scale / spacing[b]
         o -= t
-        if window is not None:
-            continue
-        # pads: faces are short along a and b, edges along c; the
-        # backward curl also clears the boundary edges (index 0 and n)
-        if forward:
-            zero = ((a, n[a]), (b, n[b]))
-        else:
-            zero = ((c, n[c]), (a, 0), (a, n[a]), (b, 0), (b, n[b]))
-        for axis, index in zero:
-            out[c][_along(axis, index)] = 0.0
+        if window is None:
+            # pads: faces are short along a and b, edges along c
+            for axis in ((a, b) if forward else (c,)):
+                out[c][_along(axis, n[axis])] = 0.0
+    if window is None and not forward:
+        _zero_walls(out, box)
     return out
+
+
+def _zero_walls(store: np.ndarray, box: BoxGeometry):
+    """Zero the edges of an e store that lie on the box walls: for each
+    component, its first and last node plane along the other two axes."""
+    n = (box.nx, box.ny, box.nz)
+    for c in range(3):
+        for axis in ((c + 1) % 3, (c + 2) % 3):
+            store[c][_along(axis, 0)] = 0.0
+            store[c][_along(axis, n[axis])] = 0.0
 
 
 def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None, tmp=None,
@@ -417,23 +415,6 @@ def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
     return _curl(h, box, scale, out, tmp, False, None)
 
 
-def div_faces(fx, fy, fz, box: BoxGeometry, out=None, tmp=None) -> np.ndarray:
-    """Face field -> divergence at cell centers.
-
-    `out` and `tmp` (cell arrays of the box) make the call
-    allocation-free; `out` receives the divergence.
-    """
-    out = np.subtract(fx[1:, :, :], fx[:-1, :, :], out=out)
-    out /= box.dx
-    t = np.subtract(fy[:, 1:, :], fy[:, :-1, :], out=tmp)
-    t /= box.dy
-    out += t
-    np.subtract(fz[:, :, 1:], fz[:, :, :-1], out=t)
-    t /= box.dz
-    out += t
-    return out
-
-
 def grad_cells(phi: np.ndarray, box: BoxGeometry, out=None) -> tuple:
     """Cell scalar -> gradient on faces, zero-Dirichlet ghosts outside.
 
@@ -451,7 +432,7 @@ def grad_cells(phi: np.ndarray, box: BoxGeometry, out=None) -> tuple:
     return out
 
 
-def cells_to_faces(c: np.ndarray, box: BoxGeometry, out=None) -> tuple:
+def cells_to_faces(c: np.ndarray, out=None) -> tuple:
     """Cell 3-vector field -> face samples (adjoint of faces_to_cells).
 
     Each face averages its two cells, with zero cells beyond the field, so
@@ -492,11 +473,52 @@ def faces_to_cells(fx, fy, fz, out=None) -> np.ndarray:
     return out
 
 
-def interp_h_to_cells(em: EMState, geom: DomainGeometry, out=None) -> np.ndarray:
-    """Magnetic excitation averaged to body cell centers, from the body
-    face slabs only; `out` (a body cell 3-vector field) makes the call
+def _body_cells(h: np.ndarray, box: BoxGeometry, out=None) -> np.ndarray:
+    """An h store averaged to the body cell centers, from the body face
+    slabs only; `out` (a body cell 3-vector field) makes the call
     allocation-free."""
-    return faces_to_cells(*em.body_h(), out=out)
+    return faces_to_cells(*_body_faces(h, box), out=out)
+
+
+def interp_h_to_cells(em: EMState, out=None) -> np.ndarray:
+    """Magnetic excitation averaged to body cell centers (`_body_cells`)."""
+    return _body_cells(em.h, em.box, out)
+
+
+def _plus_m_bar(h: np.ndarray, m_faces: tuple, box: BoxGeometry,
+                out: np.ndarray) -> np.ndarray:
+    """h + m_bar in the store `out`, for an h store and m_faces, the body
+    face slabs of m_bar (`cells_to_faces` of the body m): out = h + 0.0
+    everywhere, then m_bar added on the body face slabs only, since it
+    vanishes elsewhere."""
+    np.add(h, 0.0, out=out)
+    for f, mf in zip(_body_faces(out, box), m_faces):
+        f += mf
+    return out
+
+
+def _divergence(f: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
+    """Divergence of the face field of the store f at the box cell centers.
+
+    Each difference is a flat one at the axis's offset, over the flat
+    range of the cells' x-planes, taken as (D_x f_x)/dx + (D_y f_y)/dy,
+    then + (D_z f_z)/dz.  `out` is a flat scratch of at least
+    2 nx (ny+1) (nz+1) entries; the returned (nx, ny, nz) array views its
+    first part.
+    """
+    f = _flat(f)
+    s0, s1, s2 = _strides(box)
+    n = box.nx * s0
+    div, t = out[:n], out[n:2 * n]
+    np.subtract(f[0][s0:s0 + n], f[0][:n], out=div)
+    div /= box.dx
+    np.subtract(f[1][s1:s1 + n], f[1][:n], out=t)
+    t /= box.dy
+    div += t
+    np.subtract(f[2][s2:s2 + n], f[2][:n], out=t)
+    t /= box.dz
+    div += t
+    return div.reshape(box.nx, box.ny + 1, box.nz + 1)[:, :box.ny, :box.nz]
 
 
 # ---------------------------------------------------------------------------
@@ -561,93 +583,67 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
 
 
 def init_divfree(m0: np.ndarray, h0_spec, box: BoxGeometry,
-                 tol: float = POISSON_TOL, out: Optional[np.ndarray] = None) -> tuple:
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Magnetic excitation with div(h + m_bar) = 0 at every cell center.
 
-    h0_spec: a kind of H0_KINDS ("magnetostatic": h = -grad phi with
-    Lap phi = div m_bar; "zero"), a length-3 uniform vector, or an
-    explicit (hx, hy, hz) face triple; explicit data is corrected by a
-    gradient.  m0 is the body magnetization; m_bar, its zero extension to
-    the box, lives on the body face slabs.  Returns the face triple: views
-    of `out` (an h store with zero pads, written in place) when it is
-    given.
+    h0_spec: a kind of H0_KINDS or a length-3 uniform vector, the raw
+    field h_raw (zero for both kinds), corrected by a gradient: h = h_raw
+    - grad phi with Lap phi = div(h_raw + m_bar), so "zero" and
+    "magnetostatic" give the same field.  m0 is the body magnetization;
+    m_bar, its zero extension to the box, lives on the body face slabs.
+    Returns the h store: `out` (its pads zero), written in place, or a
+    fresh one.
     """
-    h = face_views(out, box) if out is not None else tuple(np.empty(s) for s in face_shapes(box))
+    h = np.zeros(store_shape(box)) if out is None else out
+    faces = face_views(h, box)
     if isinstance(h0_spec, str) and h0_spec in H0_KINDS:
         h_raw = (0.0, 0.0, 0.0)
-        if h0_spec == ZERO and not np.any(m0):
-            for a in h:
-                a[...] = 0.0
-            return h
-    elif isinstance(h0_spec, tuple) and len(h0_spec) == 3 and np.ndim(h0_spec[0]) == 3:
-        h_raw = h0_spec
     else:
         h_raw = tuple(np.asarray(h0_spec, dtype=float).reshape(3))
-    mf = cells_to_faces(m0, box)
-    faces = tuple(np.empty(s) for s in face_shapes(box))
-
-    def plus_m_bar(base):
-        """base + m_bar on the box faces, in `faces`; beyond the body face
-        slabs the sum is base + 0.0."""
-        for f, b, m, slab in zip(faces, base, mf, _body_face_slabs(box)):
-            np.add(b, 0.0, out=f)
-            np.add(b[slab] if np.ndim(b) else b, m, out=f[slab])
-        return faces
-
-    rhs = div_faces(*plus_m_bar(h_raw), box)
+    for a, raw in zip(faces, h_raw):
+        a[...] = raw
+    # h holds h_raw + m_bar for the rhs, then grad phi, then h_raw - grad phi
+    n = box.nx * _strides(box)[0]
+    scratch = np.empty(3 * n)
+    rhs = _divergence(_plus_m_bar(h, cells_to_faces(m0), box, h), box, scratch)
     phi = poisson_solve(rhs, box)
-    for a, raw, g in zip(h, h_raw, grad_cells(phi, box, out=faces)):
-        np.subtract(raw, g, out=a)
+    grad_cells(phi, box, out=faces)
 
-    # the residual over the whole box, in the buffers of rhs and phi
+    # the solve's residual div(grad phi) - rhs over the whole box, which
+    # is -div(h + m_bar) of the final h up to roundoff
+    resid = _divergence(h, box, scratch[n:])
+    resid -= rhs
+    resid = np.abs(resid, out=resid).max()
     rhs_max = np.abs(rhs, out=rhs).max()
-    resid = np.abs(div_faces(*plus_m_bar(h), box, out=rhs, tmp=phi), out=rhs).max()
-    if not np.isfinite(resid) or resid > tol * (1.0 + rhs_max):
+    for a, raw in zip(faces, h_raw):
+        np.subtract(raw, a, out=a)
+    if not np.isfinite(resid) or resid > POISSON_TOL * (1.0 + rhs_max):
         raise SolverDiverged(f"divergence projection residual {resid:g} above tolerance")
     return h
 
 
-def _divergence(em: EMState, m: np.ndarray) -> np.ndarray:
-    """div(h + m_bar) at the box cell centers for the body field m.
+def divergence_drift(em: EMState, m: np.ndarray) -> float:
+    """Max deviation of div(h + m_bar) from its recorded initial values.
 
-    h + m_bar is formed in the workspace's curl store, m_bar added on the
-    body face slabs only (it vanishes elsewhere), and the divergence as
-    flat offset differences in its `tmp`, which the returned array views:
-    valid until the workspace is next used.  The operation order is that
-    of `div_faces`, so the values are those of div_faces(h + m_bar).
-    """
-    box = em.box
-    work = em.workspace()
-    m_faces = cells_to_faces(m, box, out=work.rate_faces)
-    np.copyto(work.curl, em.h)
-    for f, mf, slab in zip(work.curl_faces, m_faces, _body_face_slabs(box)):
-        f[slab] += mf
-    f = _flat(work.curl)
-    s0, s1, s2 = _strides(box)
-    n = box.nx * s0              # the flat range of the cells' x-planes
-    div, t = work.tmp[:n], work.tmp[n:2 * n]
-    np.subtract(f[0][s0:s0 + n], f[0][:n], out=div)
-    div /= box.dx
-    np.subtract(f[1][s1:s1 + n], f[1][:n], out=t)
-    t /= box.dy
-    div += t
-    np.subtract(f[2][s2:s2 + n], f[2][:n], out=t)
-    t /= box.dz
-    div += t
-    return div.reshape(box.nx, box.ny + 1, box.nz + 1)[:, :box.ny, :box.nz]
-
-
-def divergence_drift(em: EMState, m: np.ndarray, geom: DomainGeometry) -> float:
-    """Max deviation of div(h + m_bar) from its recorded initial values."""
-    current = _divergence(em, m)
+    h + m_bar is formed in the workspace's curl store and its divergence
+    in its `tmp`."""
+    current = _div_h_plus_m_bar(em, m)
     if em.div0 is not None:
         current -= em.div0
     np.abs(current, out=current)
     return float(current.max())
 
 
-def record_div0(em: EMState, m: np.ndarray, geom: DomainGeometry):
-    em.div0 = _divergence(em, m).copy()
+def record_div0(em: EMState, m: np.ndarray):
+    em.div0 = _div_h_plus_m_bar(em, m).copy()
+
+
+def _div_h_plus_m_bar(em: EMState, m: np.ndarray) -> np.ndarray:
+    """div(h + m_bar) for the body field m, in the workspace (valid until
+    it is next used)."""
+    work = em.workspace()
+    m_faces = cells_to_faces(m, out=work.rate_faces)
+    return _divergence(_plus_m_bar(em.h, m_faces, em.box, work.curl), em.box, work.tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -778,15 +774,4 @@ def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
 
 def zero_boundary_tangential_e(em: EMState):
     """Enforce the perfectly conducting wall on tangential e."""
-    em.ex[:, 0, :] = 0.0
-    em.ex[:, -1, :] = 0.0
-    em.ex[:, :, 0] = 0.0
-    em.ex[:, :, -1] = 0.0
-    em.ey[0, :, :] = 0.0
-    em.ey[-1, :, :] = 0.0
-    em.ey[:, :, 0] = 0.0
-    em.ey[:, :, -1] = 0.0
-    em.ez[0, :, :] = 0.0
-    em.ez[-1, :, :] = 0.0
-    em.ez[:, 0, :] = 0.0
-    em.ez[:, -1, :] = 0.0
+    _zero_walls(em.e, em.box)

@@ -173,10 +173,21 @@ def box_fdtd_step(em, m_dot, f_value, params, dt, accum=None):
         h -= mf * dt
 
 
-def box_divergence(em, m):
-    """div(h + m_bar) with m embedded into the box."""
-    mf = padded_cells_to_faces(embed_cell_field(m, em.box))
-    return mx.div_faces(em.hx + mf[0], em.hy + mf[1], em.hz + mf[2], em.box)
+def box_divergence(h, m, box):
+    """div(h + m_bar) of an h store, with m embedded into the box."""
+    mf = padded_cells_to_faces(embed_cell_field(m, box))
+    return plain_div(*(a + b for a, b in zip(mx.face_views(h, box), mf)), box)
+
+
+def plain_init_divfree(m0, h0_spec, box):
+    """The projection on face triples: h = h_raw - grad phi with
+    Lap phi = div(h_raw + m_bar), h_raw zero for a kind and uniform for a
+    vector, m_bar embedded into the box."""
+    raw = (0.0,) * 3 if isinstance(h0_spec, str) else tuple(float(v) for v in h0_spec)
+    mf = padded_cells_to_faces(embed_cell_field(m0, box))
+    rhs = plain_div(*(r + 0.0 + f for r, f in zip(raw, mf)), box)
+    phi = mx.poisson_solve(rhs, box)
+    return tuple(r - g for r, g in zip(raw, mx.grad_cells(phi, box)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +221,12 @@ def plain_curl_e(ex, ey, ez, box):
     return ((ez[:, 1:, :] - ez[:, :-1, :]) / dy - (ey[:, :, 1:] - ey[:, :, :-1]) / dz,
             (ex[:, :, 1:] - ex[:, :, :-1]) / dz - (ez[1:, :, :] - ez[:-1, :, :]) / dx,
             (ey[1:, :, :] - ey[:-1, :, :]) / dx - (ex[:, 1:, :] - ex[:, :-1, :]) / dy)
+
+
+def plain_div(fx, fy, fz, box):
+    """Face field -> divergence at cell centers."""
+    return (np.diff(fx, axis=0) / box.dx + np.diff(fy, axis=1) / box.dy
+            + np.diff(fz, axis=2) / box.dz)
 
 
 def plain_curl_h(hx, hy, hz, box):

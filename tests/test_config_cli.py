@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import os
 import struct
 import subprocess
@@ -283,6 +286,19 @@ class TestCli:
         cfg_path.write_text(minimal_config(tmp_path / "out"))
         assert main(["--seed", "-1", "check", str(cfg_path)]) == 2
         assert "run.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, log_every", [("check", "0"), ("run", "0"),
+                                                    ("run", "-2")])
+    def test_log_every_flag_below_one_exit_2(self, tmp_path, capsys, command, log_every):
+        # the override is validated like the file's cadence: nothing runs
+        # and no output directory appears
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["--log-every", log_every, command, str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert "output.cadence" in captured.err and captured.out == ""
+        assert not outdir.exists()
 
     def test_unbalanced_quote_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -585,21 +601,48 @@ def snapshot_bytes(draw):
     return header + raw[:len(raw) - cut]
 
 
+def _check(argv):
+    """(exit code, stdout) of `spinlayer <argv>`, stderr discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+FLAGS = st.fixed_dictionaries({
+    "--log-every": st.one_of(st.none(), st.integers(-3, 12)),
+    "--seed": st.one_of(st.none(), st.integers(-3, 2**40)),
+})
+
+
 class TestFuzz:
     """`spinlayer check` on the README config with one value replaced:
     always exit 0, 2, 3 or 4, never a traceback."""
 
     @settings(max_examples=120, deadline=None)
-    @given(line=st.sampled_from(ASSIGNMENTS), token=TOKENS)
-    def test_check_one_value_replaced(self, line, token):
+    @given(line=st.sampled_from(ASSIGNMENTS), token=TOKENS, flags=FLAGS)
+    def test_check_one_value_replaced(self, line, token, flags):
+        # with the flag overrides drawn too; whenever check accepts, its
+        # echo parses back to the same config and is accepted in turn
         lines = list(README_LINES)
         key = lines[line].split("=", 1)[0]
         lines[line] = f"{key}= {token}"
+        argv = [str(a) for flag, value in flags.items() if value is not None
+                for a in (flag, value)]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.cfg")
             with open(path, "w") as fh:
                 fh.write("\n".join(lines))
-            assert main(["check", path]) in (0, 2, 3, 4)
+            code, echo = _check(argv + ["check", path])
+            assert code in (0, 2, 3, 4)
+            if code != 0:
+                return
+            args = argparse.Namespace(log_every=flags["--log-every"], snapshots=None,
+                                      seed=flags["--seed"])
+            assert parse_config(echo) == cli_module._load_config(path, args)
+            with open(path, "w") as fh:
+                fh.write(echo)
+            assert _check(["check", path]) == (0, echo)
 
     @settings(max_examples=40, deadline=None)
     @given(data=snapshot_bytes())

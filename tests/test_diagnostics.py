@@ -19,8 +19,7 @@ from spinlayer.energetics import MaterialParams, total_energy, uniform_k_matrix
 from spinlayer.errors import WindowOutOfRange
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import (embed_cell_field, face_stationary_form, face_store,
-                      random_unit_field)
+from conftest import box_divergence, face_stationary_form, random_unit_field
 
 
 def plain_params(**overrides):
@@ -40,8 +39,8 @@ def test_ledger_row_allocates_nothing_box_sized():
     box = mx.make_box(geom, padding=8)
     m = random_unit_field(geom, seed=60)
     em = mx.empty_em_state(box)
-    em.hx, em.hy, em.hz = mx.init_divfree(m, "magnetostatic", box)
-    mx.record_div0(em, m, geom)
+    mx.init_divfree(m, "magnetostatic", box, out=em.h)
+    mx.record_div0(em, m)
     m = random_unit_field(geom, seed=61)
     tmp = np.empty(3 * m.size)
 
@@ -49,7 +48,7 @@ def test_ledger_row_allocates_nothing_box_sized():
         return total_energy(m, em, geom, params, tmp=tmp)
 
     def row():
-        return (energy(), mx.divergence_drift(em, m, geom), saturation_deviation(m, tmp))
+        return (energy(), mx.divergence_drift(em, m), saturation_deviation(m, tmp))
 
     warm = row()
     peaks = []
@@ -352,7 +351,7 @@ class TestOmegaLimitField:
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 3, 3, 2, 2))
         box = mx.make_box(geom, padding=3)
         H = omega_limit_field(np.zeros(geom.field_shape()), box)
-        assert all(np.abs(a).max() == 0.0 for a in H)
+        assert H.shape == mx.store_shape(box) and np.abs(H).max() == 0.0
 
     def test_uniform_slab_demag(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.25, 0.25, 8, 8, 2, 2))
@@ -369,8 +368,5 @@ class TestOmegaLimitField:
         box = mx.make_box(geom, padding=4)
         u = random_unit_field(geom, seed=12)
         H = omega_limit_field(u, box)
-        assert np.abs(mx.curl_h(face_store(H, box), box)).max() < 1e-12
-        u_box = embed_cell_field(u, box)
-        uf = mx.cells_to_faces(u_box, box)
-        div = mx.div_faces(H[0] + uf[0], H[1] + uf[1], H[2] + uf[2], box)
-        assert np.abs(div).max() < 1e-10
+        assert np.abs(mx.curl_h(H, box)).max() < 1e-12
+        assert np.abs(box_divergence(H, u, box)).max() < 1e-10

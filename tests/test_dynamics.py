@@ -94,7 +94,7 @@ class TestLlgRhs:
     def test_aligned_state_is_stationary(self):
         geom, params, em, m, h = single_spin_setup(h=(0, 0, 1), m0=(0, 0, 1))
         scheme = SchemeConfig(dt=1e-3, frozen_em=True)
-        h_cells = mx.interp_h_to_cells(em, geom)
+        h_cells = mx.interp_h_to_cells(em)
         m_dot = llg_rhs(m, h_cells, geom, params, scheme)
         assert np.abs(m_dot).max() < 1e-14
 
@@ -102,7 +102,7 @@ class TestLlgRhs:
         # m perpendicular to h, projected mode: -m x h - alpha m x (m x h)
         geom, params, em, m, h = single_spin_setup(alpha=0.3)
         scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected")
-        h_cells = mx.interp_h_to_cells(em, geom)
+        h_cells = mx.interp_h_to_cells(em)
         m_dot = llg_rhs(m, h_cells, geom, params, scheme)
         expected = -np.cross(m, h_cells) - 0.3 * np.cross(m, np.cross(m, h_cells))
         assert np.abs(m_dot - expected).max() < 1e-12
@@ -296,6 +296,13 @@ class TestRun:
         assert len(traj.ledger.rows) == 1
         assert traj.ledger.rows[0].t == 0.0
 
+    @pytest.mark.parametrize("log_every", [0, -2])
+    def test_log_every_below_one_rejected(self, log_every):
+        geom, params, em, m, h = single_spin_setup()
+        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
+        with pytest.raises(ValueError, match="log_every"):
+            run(geom, params, scheme, m, em, None, t_end=3e-3, log_every=log_every)
+
     def test_nonfinite_m0_rejected_at_step_zero(self):
         geom, params, em, m, h = single_spin_setup()
         m = m.copy()
@@ -313,7 +320,7 @@ class TestRun:
 
         def one_run():
             em = mx.empty_em_state(box)
-            em.hx, em.hy, em.hz = mx.init_divfree(m0, "magnetostatic", box)
+            mx.init_divfree(m0, "magnetostatic", box, out=em.h)
             scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                                   bc_mode="sharp")
             return run(geom, params, scheme, m0, em, None, t_end=0.05)
@@ -330,7 +337,7 @@ class TestRun:
         m0 = random_unit_field(geom, seed=8)
         box = mx.make_box(geom, padding=3)
         em = mx.empty_em_state(box)
-        em.hx, em.hy, em.hz = mx.init_divfree(m0, "magnetostatic", box)
+        mx.init_divfree(m0, "magnetostatic", box, out=em.h)
         scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                               bc_mode="sharp")
         traj = run(geom, params, scheme, m0, em, None, t_end=0.1)

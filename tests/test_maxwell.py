@@ -11,9 +11,9 @@ from spinlayer.errors import CFLViolation
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 from conftest import (FIELD_NAMES, box_divergence, box_faces_to_body_cells,
-                      box_fdtd_step, edge_store, embed_cell_field, face_store,
-                      padded_cells_to_faces, plain_curl_e, plain_curl_h,
-                      plain_fdtd_step, plain_fields, random_unit_field)
+                      box_fdtd_step, edge_store, face_store, padded_cells_to_faces,
+                      plain_curl_e, plain_curl_h, plain_div, plain_fdtd_step,
+                      plain_fields, plain_init_divfree, random_unit_field)
 
 
 def em_params(**overrides):
@@ -46,7 +46,7 @@ class TestOperators:
         box = mx.make_box(small_geom, padding=3)
         em = random_em(box, seed=2, pec=False)
         ch = mx.face_views(mx.curl_e(em.e, box), box)
-        assert np.abs(mx.div_faces(*ch, box)).max() < 1e-12
+        assert np.abs(plain_div(*ch, box)).max() < 1e-12
 
     def test_curl_grad_zero(self, small_geom):
         box = mx.make_box(small_geom, padding=3)
@@ -97,7 +97,7 @@ class TestOperators:
         rng = np.random.default_rng(4)
         c = rng.standard_normal((box.nx, box.ny, box.nz, 3))
         f = tuple(rng.standard_normal(s) for s in mx.face_shapes(box))
-        cf = mx.cells_to_faces(c, box)
+        cf = mx.cells_to_faces(c)
         fc = mx.faces_to_cells(*f)
         lhs = sum(float(np.sum(a * b)) for a, b in zip(f, cf))
         rhs = float(np.sum(fc * c))
@@ -111,7 +111,7 @@ class TestInterp:
         em.hx[...] = 0.3
         em.hy[...] = -0.1
         em.hz[...] = 0.7
-        cells = mx.interp_h_to_cells(em, small_geom)
+        cells = mx.interp_h_to_cells(em)
         assert np.allclose(cells, [0.3, -0.1, 0.7])
 
     def test_linear_exact(self, small_geom):
@@ -119,7 +119,7 @@ class TestInterp:
         em = mx.empty_em_state(box)
         x_face = np.arange(box.nx + 1) * box.dx
         em.hx[...] = (2.0 * x_face + 1.0)[:, None, None]
-        cells = mx.interp_h_to_cells(em, small_geom)
+        cells = mx.interp_h_to_cells(em)
         x_cell = (np.arange(box.nx) + 0.5) * box.dx
         expected = (2.0 * x_cell + 1.0)[box.ox:box.ox + small_geom.nx]
         assert np.allclose(cells[..., 0], expected[:, None, None])
@@ -127,7 +127,7 @@ class TestInterp:
     def test_random_against_direct_average(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
         em = random_em(box, seed=5, pec=False)
-        cells = mx.interp_h_to_cells(em, small_geom)
+        cells = mx.interp_h_to_cells(em)
         sx, sy, sz = box.body_slices()
         i, j, k = 1, 2, 3
         bi, bj, bk = i + box.ox, j + box.oy, k + box.oz
@@ -142,29 +142,50 @@ class TestInitDivfree:
         box = mx.make_box(small_geom, padding=3)
         m0 = np.zeros(small_geom.field_shape())
         h = mx.init_divfree(m0, "zero", box)
-        assert all(np.abs(a).max() == 0.0 for a in h)
+        assert h.shape == mx.store_shape(box) and np.abs(h).max() == 0.0
 
-    def test_curl_potential_unchanged(self, small_geom):
-        # h = curl A is discretely divergence-free: the projection is a no-op
+    def test_uniform_unchanged_without_magnetization(self, small_geom):
+        # a uniform h is discretely divergence-free: the projection is a no-op
         box = mx.make_box(small_geom, padding=3)
-        rng = np.random.default_rng(6)
-        ea = edge_store([rng.standard_normal(s) for s in mx.edge_shapes(box)], box)
-        h_raw = mx.face_views(mx.curl_e(ea, box), box)
         m0 = np.zeros(small_geom.field_shape())
-        h = mx.init_divfree(m0, h_raw, box)
-        for a, b in zip(h, h_raw):
-            assert np.abs(a - b).max() < 1e-9
+        h = mx.init_divfree(m0, (0.1, -0.2, 0.3), box)
+        assert_same_bits(h, face_store([np.full(f.shape, v) for f, v in
+                                        zip(mx.face_views(h, box), (0.1, -0.2, 0.3))], box))
+
+    def test_uniform_is_magnetostatic_plus_the_vector(self, small_geom):
+        box = mx.make_box(small_geom, padding=3)
+        m = random_unit_field(small_geom, seed=6)
+        h = mx.init_divfree(m, (0.1, -0.2, 0.3), box)
+        want = mx.init_divfree(m, "magnetostatic", box)
+        for a, b, v in zip(mx.face_views(h, box), mx.face_views(want, box), (0.1, -0.2, 0.3)):
+            assert np.abs(a - (b + v)).max() < 1e-12
+
+    @pytest.mark.parametrize("geom, padding", [
+        (GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8), 8),               # coupled
+        (GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8, eta=0.125), 8),    # cli
+        (GeometryConfig(1.0, 0.9, 0.25, 0.5, 5, 3, 2, 4), 3),                # uneven
+    ])
+    @pytest.mark.parametrize("h0", ["zero", "magnetostatic", (0.1, -0.2, 0.3), (-0.0, 0.0, 2.5)])
+    def test_matches_plain_projection_bit_for_bit(self, geom, padding, h0):
+        # the store projection repeats the face-triple arithmetic, pads zero
+        geom = build_geometry(geom)
+        box = mx.make_box(geom, padding=padding)
+        m = random_unit_field(geom, seed=24)
+        out = np.zeros(mx.store_shape(box))
+        for f in mx.face_views(out, box):
+            f[...] = np.nan                       # every face is written
+        want = face_store(plain_init_divfree(m, h0, box), box)
+        assert_same_bits(mx.init_divfree(m, h0, box, out=out), want)
+        assert_same_bits(mx.init_divfree(m, h0, box), want)
 
     def test_magnetostatic_residual(self, small_geom):
         box = mx.make_box(small_geom, padding=4)
         m = np.zeros(small_geom.field_shape())
         m[..., 2] = 1.0
         h = mx.init_divfree(m, "magnetostatic", box)
-        mf = mx.cells_to_faces(embed_cell_field(m, box), box)
-        div = mx.div_faces(h[0] + mf[0], h[1] + mf[1], h[2] + mf[2], box)
-        assert np.abs(div).max() < 1e-10
+        assert np.abs(box_divergence(h, m, box)).max() < 1e-10
         # slab interior field opposes the magnetization
-        cells = mx.faces_to_cells(*h)[box.body_slices()]
+        cells = box_faces_to_body_cells(*mx.face_views(h, box), box)
         center = cells[small_geom.nx // 2, small_geom.ny // 2,
                        small_geom.nz_total // 2]
         assert center[2] < -0.1
@@ -217,9 +238,7 @@ class TestPoisson:
         box = mx.make_box(geom, padding=8)
         m = random_unit_field(geom, seed=21)
         h = mx.init_divfree(m, "magnetostatic", box)
-        mf = mx.cells_to_faces(embed_cell_field(m, box), box)
-        div = mx.div_faces(h[0] + mf[0], h[1] + mf[1], h[2] + mf[2], box)
-        assert np.abs(div).max() < mx.POISSON_TOL
+        assert np.abs(box_divergence(h, m, box)).max() < mx.POISSON_TOL
 
 
 class TestFdtdStep:
@@ -267,7 +286,7 @@ class TestFdtdStep:
         params = em_params(sigma=10.0)
         dt = 0.5 * mx.cfl_limit(box, params)
         m_dot = np.random.default_rng(23).standard_normal(geom.field_shape())
-        m_dot_faces = mx.cells_to_faces(m_dot, box)   # the body face triple
+        m_dot_faces = mx.cells_to_faces(m_dot)   # the body face triple
         f_value = np.array([0.1, 0.0, -0.2])
         accum = {"ohmic": 0.0, "source": 0.0}
         mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)   # warm
@@ -338,7 +357,7 @@ class TestStores:
         f_value = np.array([0.3, -0.1, 0.2])
         accum = {"ohmic": 0.0, "source": 0.0}
         accum_ref = dict(accum)
-        m_dot_faces = mx.cells_to_faces(m_dot, box)
+        m_dot_faces = mx.cells_to_faces(m_dot)
         for _ in range(50):
             mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
             plain_fdtd_step(ref, box, bc, m_dot, f_value, params, dt, accum_ref)
@@ -374,7 +393,7 @@ class TestStores:
                  for i in (0, -1)}
         params = em_params(sigma=2.0)
         dt = 0.5 * mx.cfl_limit(box, params)
-        m_dot_faces = mx.cells_to_faces(m_dot, box)
+        m_dot_faces = mx.cells_to_faces(m_dot)
         for _ in range(50):
             mx.fdtd_step(em, m_dot_faces, np.array([0.3, -0.1, 0.2]), params, dt)
         for store, views in ((em.e, mx.edge_views), (em.h, mx.face_views)):
@@ -385,6 +404,18 @@ class TestStores:
         if bc == mx.PEC:
             for (name, axis, i), plane in walls.items():
                 assert_same_bits(np.take(getattr(em, name), i, axis=axis), plane)
+
+    def test_pec_wall_zeroing_is_the_twelve_tangential_planes(self, small_geom):
+        box = mx.make_box(small_geom, padding=2)
+        em = random_em(box, seed=65, pec=False)
+        ref = plain_fields(em)
+        for name, axis in (("ex", 1), ("ex", 2), ("ey", 0), ("ey", 2), ("ez", 0), ("ez", 1)):
+            plane = np.moveaxis(ref[name], axis, 0)
+            plane[0] = 0.0
+            plane[-1] = 0.0
+        mx.zero_boundary_tangential_e(em)
+        assert_same_bits(em.e, edge_store([ref[n] for n in ("ex", "ey", "ez")], box))
+        assert_same_bits(em.h, face_store([ref[n] for n in ("hx", "hy", "hz")], box))
 
     def test_assigned_component_still_aliases_the_store(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
@@ -403,7 +434,7 @@ class TestStores:
     def test_copy_is_independent(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
         em = random_em(box, seed=62)
-        mx.record_div0(em, random_unit_field(small_geom, seed=63), small_geom)
+        mx.record_div0(em, random_unit_field(small_geom, seed=63))
         before = (em.e.copy(), em.h.copy(), em.div0.copy())
         dup = em.copy()
         for a, b in zip((dup.e, dup.h, dup.div0), before):
@@ -436,7 +467,7 @@ class TestBodyLocal:
         c[0, :, :, 0] = -0.0
         c[:, -1, :, 1] = -0.0
         out = tuple(np.full_like(f, np.nan) for f in padded_cells_to_faces(c))
-        for got in (mx.cells_to_faces(c, box), mx.cells_to_faces(c, box, out=out)):
+        for got in (mx.cells_to_faces(c), mx.cells_to_faces(c, out=out)):
             for a, b in zip(got, padded_cells_to_faces(c)):
                 assert_same_bits(a, b)
 
@@ -453,7 +484,7 @@ class TestBodyLocal:
         f_value = np.array([0.3, -0.1, 0.2])
         accum = {"ohmic": 0.0, "source": 0.0}
         accum_ref = dict(accum)
-        m_dot_faces = mx.cells_to_faces(m_dot, box)
+        m_dot_faces = mx.cells_to_faces(m_dot)
         for _ in range(4):
             mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
             box_fdtd_step(ref, m_dot, f_value, params, dt, accum_ref)
@@ -465,14 +496,14 @@ class TestBodyLocal:
         box = mx.make_box(small_geom, padding=2)
         em = random_em(box, seed=32, pec=False)
         m0 = random_unit_field(small_geom, seed=33)
-        mx.record_div0(em, m0, small_geom)
-        assert_same_bits(em.div0, box_divergence(em, m0))
+        mx.record_div0(em, m0)
+        assert_same_bits(em.div0, box_divergence(em.h, m0, box))
         div0 = em.div0.copy()
         m = random_unit_field(small_geom, seed=34)
         em.hx *= 1.5
-        drift = np.max(np.abs(box_divergence(em, m) - div0))
-        assert mx.divergence_drift(em, m, small_geom) == drift
-        assert_same_bits(mx.interp_h_to_cells(em, small_geom),
+        drift = np.max(np.abs(box_divergence(em.h, m, box) - div0))
+        assert mx.divergence_drift(em, m) == drift
+        assert_same_bits(mx.interp_h_to_cells(em),
                          box_faces_to_body_cells(em.hx, em.hy, em.hz, box))
 
 
@@ -481,9 +512,9 @@ class TestDivergencePropagation:
         box = mx.make_box(small_geom, padding=2)
         em = mx.empty_em_state(box)
         m = random_unit_field(small_geom)
-        em.hx, em.hy, em.hz = mx.init_divfree(m, "magnetostatic", box)
-        mx.record_div0(em, m, small_geom)
-        assert mx.divergence_drift(em, m, small_geom) == 0.0
+        mx.init_divfree(m, "magnetostatic", box, out=em.h)
+        mx.record_div0(em, m)
+        assert mx.divergence_drift(em, m) == 0.0
 
     def test_thousand_steps(self):
         # 16^3 box: drift stays at roundoff scale over 1000 coupled steps
@@ -491,28 +522,28 @@ class TestDivergencePropagation:
         box = mx.make_box(geom, padding=4)
         em = mx.empty_em_state(box)
         m = random_unit_field(geom, seed=10)
-        em.hx, em.hy, em.hz = mx.init_divfree(m, "magnetostatic", box)
-        mx.record_div0(em, m, geom)
+        mx.init_divfree(m, "magnetostatic", box, out=em.h)
+        mx.record_div0(em, m)
         params = em_params(sigma=0.5)
         dt = 0.9 * mx.cfl_limit(box, params)
         rng = np.random.default_rng(11)
         m_dot = rng.standard_normal(geom.field_shape())
-        m_dot_faces = mx.cells_to_faces(m_dot, box)   # the body face triple
+        m_dot_faces = mx.cells_to_faces(m_dot)   # the body face triple
         for _ in range(1000):
             mx.fdtd_step(em, m_dot_faces, np.zeros(3), params, dt)
             m = m + dt * m_dot
-        assert mx.divergence_drift(em, m, geom) < 1e-12 * 1000
+        assert mx.divergence_drift(em, m) < 1e-12 * 1000
 
     def test_invariant_under_constant_shift(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
         em = mx.empty_em_state(box)
         m = random_unit_field(small_geom)
-        mx.record_div0(em, m, small_geom)
-        d0 = mx.divergence_drift(em, m, small_geom)
+        mx.record_div0(em, m)
+        d0 = mx.divergence_drift(em, m)
         em.hx += 2.5
         em.hy -= 0.7
         em.hz += 1.2
-        assert mx.divergence_drift(em, m, small_geom) == pytest.approx(d0, abs=1e-12)
+        assert mx.divergence_drift(em, m) == pytest.approx(d0, abs=1e-12)
 
 
 class TestEnergyBehavior:
