@@ -320,13 +320,27 @@ def stationarity_report(u, H_cells, params, geom,
                         test_fns: Optional[Sequence[TestFunction]] = None,
                         bc_mode: str = SHARP):
     """(name, |stationary form|) per test field; the torque m x h_tot is
-    computed once for the whole library."""
+    computed once for the whole library.
+
+    Each test field is its shape written into one zeroed field at its
+    direction and cleared again after the pairing, and a shape shared by
+    consecutive test fields (the library's three directions) is evaluated
+    once, so the values are those of the per-function form bit for bit.
+    """
     if test_fns is None:
         test_fns = test_function_library(geom)
     torque = _torque(u, H_cells, params, geom, bc_mode)
     coords = _cell_coords(geom)
-    return [(fn.name, abs(_stationary_value(torque, fn(*coords), geom)))
-            for fn in test_fns]
+    phi = np.zeros(coords[0].shape + (3,))
+    report = []
+    shape = values = None
+    for fn in test_fns:
+        if fn.shape is not shape:
+            shape, values = fn.shape, fn.shape(*coords)
+        phi[..., fn.direction] = values
+        report.append((fn.name, abs(_stationary_value(torque, phi, geom))))
+        phi[..., fn.direction] = 0.0
+    return report
 
 
 def stationarity_residual(u, H_cells, params, geom,

@@ -18,8 +18,8 @@ import numpy as np
 from . import maxwell
 from .diagnostics import EnergyLedger, saturation_deviation
 from .effective_field import assemble_h_tot
-from .energetics import (BC_MODES, SHARP, MaterialParams, _dot, _scalars,
-                         _vector_copy, _vector_field, total_energy)
+from .energetics import (BC_MODES, SHARP, MaterialParams, _dot, _flat_stores,
+                         _scalars, _vector_copy, _vector_field, total_energy)
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState, fdtd_step, interp_h_to_cells
@@ -119,7 +119,8 @@ def gilbert_solve(m: np.ndarray, F: np.ndarray, alpha: float,
     _dot(m, m, t, mdf)
     t += a2
     t *= alpha
-    np.divide(out, t[..., None], out=out)
+    for v in (v0, v1, v2):
+        v /= t
     return out
 
 
@@ -186,13 +187,20 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
             tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """Magnetization rate of the Gilbert-form system at frozen h.
 
-    Penalized mode returns the raw inversion (the doubly penalized flow
-    is genuinely unconstrained; the penalty controls the norm).  In
-    projected mode the component along m is removed: on the constraint
-    that component vanishes identically and the tangential part is the
-    Landau-Lifshitz form -m x h_tot - alpha m x (m x h_tot), so dropping
-    it realizes the constrained system and keeps the integrator at its
-    nominal order.
+    Penalized mode returns the raw inversion (`gilbert_solve` of
+    (1 + alpha^2) h_tot; the doubly penalized flow is genuinely
+    unconstrained, the penalty controls the norm).  Projected mode
+    returns the part of that inversion orthogonal to m, in the closed
+    Landau-Lifshitz form
+
+        v = (1 + alpha^2) / (alpha^2 + |m|^2)
+            * (alpha (F - (m.F) m / |m|^2) - m x F),    F = h_tot,
+
+    with |m|^2 guarded below by 1e-300.  This is the inversion followed
+    by the projection, for any m: on the constraint the component along
+    m vanishes identically and v is -m x h_tot - alpha m x (m x h_tot),
+    so dropping it realizes the constrained system and keeps the
+    integrator at its nominal order.
 
     h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
     `tmp` (a flat float array of at least 3 * m.size entries) makes the
@@ -202,21 +210,31 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
         out = np.empty_like(m)
     if tmp is None:
         tmp = np.empty(3 * m.size)
+    alpha = params.alpha
     F = assemble_h_tot(m, h_cells, geom, params, scheme.bc_mode,
                        out=_vector_field(m.shape, tmp), tmp=tmp[m.size:])
-    F *= 1.0 + params.alpha**2
-    gilbert_solve(m, F, params.alpha, out=out, tmp=tmp[m.size:])
-    if scheme.constraint == PROJECTED:
-        # out -= (out.m / max(|m|^2, 1e-300)) m, with F as scratch
-        m2, vm = _scalars(tmp[m.size:], m.shape[:-1], 2)
-        t = F[..., 0]
-        _dot(m, m, m2, t)
-        np.maximum(m2, 1e-300, out=m2)
-        _dot(out, m, vm, t)
-        vm /= m2
-        for i in range(3):
-            np.multiply(vm, m[..., i], out=t)
-            out[..., i] -= t
+    if scheme.constraint == PENALIZED:
+        tmp[:m.size] *= 1.0 + alpha**2     # the store of F
+        return gilbert_solve(m, F, alpha, out=out, tmp=tmp[m.size:])
+    w, s, t = _scalars(tmp[m.size:], m.shape[:-1], 3)
+    _dot(m, m, w, t)
+    np.maximum(w, 1e-300, out=w)
+    _dot(m, F, s, t)
+    s /= w                                    # (m.F) / |m|^2
+    w += alpha**2
+    np.divide(1.0 + alpha**2, w, out=w)       # (1 + alpha^2) / (alpha^2 + |m|^2)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        v = out[..., i]
+        # v = -(m x F)_i = m_k F_j - m_j F_k, then + alpha (F_i - s m_i), then * w
+        np.multiply(m[..., k], F[..., j], out=v)
+        np.multiply(m[..., j], F[..., k], out=t)
+        v -= t
+        np.multiply(s, m[..., i], out=t)
+        np.subtract(F[..., i], t, out=t)
+        t *= alpha
+        v += t
+        v *= w
     return out
 
 
@@ -243,35 +261,39 @@ def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
 
 def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
     """One Heun or RK4 step of m at frozen h into `out` (not aliasing m),
-    using only the buffers of `work`."""
+    using only the buffers of `work`.  The stage combinations run on the
+    flat stores when every field is component-major."""
     k, m_stage = work.k, work.m_stage
+    fm, fs, fo, *fk = _flat_stores(m, m_stage, out, *k)
 
     def rhs(mm, kk):
         return llg_rhs(mm, h_cells, geom, params, scheme, out=kk, tmp=work.tmp)
 
-    def stage(c, kk):
-        np.multiply(kk, c, out=m_stage)
-        return np.add(m, m_stage, out=m_stage)
+    def stage(c, fkk):
+        np.multiply(fkk, c, out=fs)
+        np.add(fm, fs, out=fs)
+        return m_stage
 
     if scheme.integrator == HEUN:
-        k1, k2 = k
-        rhs(m, k1)
-        rhs(stage(dt, k1), k2)
-        k1 += k2
-        k1 *= 0.5 * dt
+        f1, f2 = fk
+        rhs(m, k[0])
+        rhs(stage(dt, f1), k[1])
+        f1 += f2
+        f1 *= 0.5 * dt
     else:
-        k1, k2, k3, k4 = k
-        rhs(m, k1)
-        rhs(stage(0.5 * dt, k1), k2)
-        rhs(stage(0.5 * dt, k2), k3)
-        rhs(stage(dt, k3), k4)
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
-        k1 *= dt / 6.0
-    return np.add(m, k1, out=out)
+        f1, f2, f3, f4 = fk
+        rhs(m, k[0])
+        rhs(stage(0.5 * dt, f1), k[1])
+        rhs(stage(0.5 * dt, f2), k[2])
+        rhs(stage(dt, f3), k[3])
+        f2 *= 2.0
+        f1 += f2
+        f3 *= 2.0
+        f1 += f3
+        f1 += f4
+        f1 *= dt / 6.0
+    np.add(fm, f1, out=fo)
+    return out
 
 
 def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
@@ -321,28 +343,30 @@ def step(state: SimState, accum: Optional[dict] = None,
     m = state.m
     m_new = work.m_next[m is work.m_next[0]]
     _advance_m(m, h_cells, dt, geom, params, scheme, work, m_new)
+    m_dot_eff = work.k[0]
+    f_rate, f_new, f_m = _flat_stores(m_dot_eff, m_new, m)
     if not scheme.frozen_em and state.em is not None:
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
-        m_new -= m
-        m_new /= dt
+        f_new -= f_m
+        f_new /= dt
         h_mid = _midpoint_h_cells(state, m_new)
         _advance_m(m, h_mid, dt, geom, params, scheme, work, m_new)
 
     step_no = state.n + 1
-    if not np.isfinite(m_new).all():
+    if not np.isfinite(f_new).all():
         cell = _first_bad_cell(~np.isfinite(m_new).all(axis=-1))
         raise NonFinite(f"magnetization m became non-finite at step {step_no}, "
                         f"t={state.t:g}, first at cell {cell}")
     if scheme.constraint == PROJECTED:
         _renormalize(m_new, step_no, state.t, work.tmp)
 
-    m_dot_eff = np.subtract(m_new, m, out=work.k[0])
-    m_dot_eff /= dt
+    np.subtract(f_new, f_m, out=f_rate)
+    f_rate /= dt
     if not scheme.frozen_em and state.em is not None:
         # the realized rate is constant over the step and zero outside the
         # body: transfer it once, onto the body face slabs
         m_dot_faces = None
-        if np.any(m_dot_eff):
+        if np.any(f_rate):
             m_dot_faces = maxwell.cells_to_faces(
                 m_dot_eff, out=state.em.workspace().rate_faces)
         dt_sub = dt / scheme.subcycles
@@ -393,6 +417,8 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         raise ValueError("t_end must be nonnegative")
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
+    if sample_every is not None and sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
     box = em.box if em is not None else None
     validate_stability(scheme, geom, params, box)
     # the stepped m is component-major

@@ -24,7 +24,25 @@ import numpy as np
 
 from .geometry import DomainGeometry
 from .energetics import (SHARP, MaterialParams, _components, _dot, _face_differences,
-                         _scalars, _store, _vector_field, apply_k, layer_cells)
+                         _flat_stores, _scalars, _store, _vector_field, apply_k,
+                         layer_cells)
+
+
+def _add_exchange_fluxes(f: np.ndarray, geom: DomainGeometry, coef: float,
+                         o: np.ndarray, tmp: np.ndarray):
+    """Add coef times the Neumann Laplacian of the flat store f into the
+    flat store o (both `_store`s of cell 3-vector fields of the geometry).
+
+    Per axis the face differences of `_face_differences` (in tmp, a flat
+    float array of at least f.size entries), scaled by coef/h^2, are added
+    to the cell below each face and subtracted from the cell above, as two
+    flat passes at the axis' stride.
+    """
+    for axis, h in enumerate((geom.dx, geom.dy, geom.dz)):
+        flux, S = _face_differences(f, geom, axis, tmp)
+        flux *= coef / h**2
+        o[:-S] += flux
+        o[S:] -= flux
 
 
 def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
@@ -36,33 +54,37 @@ def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
     Written as the divergence of the face difference quotients with the
     spacer face left out, it is the exact gradient of the exchange face
     sum: A * laplacian_neumann(m) = -grad(exchange_energy) / dV.  The
-    faces are those of `exchange_energy` (`_face_differences` on the
-    component-major store); each flux is added to the cell below its face
-    and subtracted from the cell above as two flat passes at the axis'
-    stride.
+    faces are those of `exchange_energy`; the Laplacian is the flux
+    kernel `assemble_h_tot` adds its exchange field with, at coefficient
+    1 on a zeroed field.
 
     `out` (not aliasing m) receives the Laplacian; `tmp` (a flat float
     array of at least m.size entries) holds the face differences.  With a
     component-major m and out (see `energetics._vector_field`) and tmp the
     call is allocation-free; other layouts are copied through one.
     """
-    f = _store(m)
-    res = out
-    if out is None or not _components(out).flags.c_contiguous:
-        res = _vector_field(m.shape)
+    res = _component_major(out, m.shape)
     if tmp is None:
         tmp = np.empty(m.size)
     o = _store(res)
     o[...] = 0.0
-    for axis, h in enumerate((geom.dx, geom.dy, geom.dz)):
-        flux, S = _face_differences(f, geom, axis, tmp)
-        flux *= 1.0 / h**2
-        o[:-S] += flux
-        o[S:] -= flux
-    if out is not None and res is not out:
-        np.copyto(out, res)
+    _add_exchange_fluxes(_store(m), geom, 1.0, o, tmp)
+    return _deliver(res, out)
+
+
+def _component_major(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """`out` when it is a component-major field, else a fresh one."""
+    if out is not None and _components(out).flags.c_contiguous:
         return out
-    return res
+    return _vector_field(shape)
+
+
+def _deliver(res: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """res, copied into the caller's `out` when that is another array."""
+    if out is None or res is out:
+        return res
+    np.copyto(out, res)
+    return out
 
 
 def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -155,30 +177,34 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     h_cells (the Maxwell h on m cells; None means h = 0) plus minus the
     per-cell gradient of the non-Maxwell terms of `total_energy` over the
     cell volume, the saturation penalty included whenever
-    params.penalty_k is nonzero.  bc_mode picks the spacer layer.  `out`
-    (not aliasing m) receives the field; `tmp` (a flat float array of at
-    least 2 * m.size entries) makes the call allocation-free whenever the
-    surface layers fill at most a quarter of the body's depth, so that
+    params.penalty_k is nonzero.  bc_mode picks the spacer layer.
+
+    The field is summed in place in a component-major field: h - K m (or
+    0 - K m) is written in one pass over K m, the exchange face fluxes
+    scaled by A/h^2 are added straight into it (the kernel of
+    `laplacian_neumann`), then the surface field on its layer planes and
+    the penalty field.  `out` (not aliasing m) receives the field, through
+    a copy when it is not component-major; `tmp` (a flat float array of
+    at least 2 * m.size entries) makes the call allocation-free whenever
+    the surface layers fill at most a quarter of the body's depth, so that
     the scratch blocks of `thin_layer_field` fit in it.
     """
-    if out is None:
-        out = np.empty_like(m)
+    res = _component_major(out, m.shape)
     if tmp is None:
         tmp = np.empty(2 * m.size)
-    term = _vector_field(m.shape, tmp)
-    rest = tmp[m.size:]
-    if h_cells is not None:
-        np.copyto(out, h_cells)
-    else:
-        out[...] = 0.0
+    o = _store(res)
+    h, r = (0.0, o) if h_cells is None else _flat_stores(h_cells, res)
     if params.k_matrix is not None:
-        out -= apply_k(params, m, out=term, tmp=rest)
+        apply_k(params, m, out=res, tmp=tmp)
+        np.subtract(h, r, out=r)
+    else:
+        np.copyto(r, h)
     if params.a_exch != 0.0:
-        laplacian_neumann(m, geom, out=term, tmp=rest)
-        term *= params.a_exch
-        out += term
-    thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode), out=out,
+        _add_exchange_fluxes(_store(m), geom, params.a_exch, o, tmp)
+    thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode), out=res,
                      tmp=tmp)
     if params.penalty_k != 0.0:
-        out += penalty_field(m, params, out=term, tmp=rest)
-    return out
+        term = _vector_field(m.shape, tmp)
+        penalty_field(m, params, out=term, tmp=tmp[m.size:])
+        o += _store(term)
+    return _deliver(res, out)

@@ -141,6 +141,26 @@ def _store(a: np.ndarray) -> np.ndarray:
     return s.reshape(-1)
 
 
+def _flat_stores(*fields) -> tuple:
+    """The flat stores of the (..., 3) fields when every one is
+    component-major, so that an element-wise operation on them is one
+    contiguous pass; otherwise the fields themselves (the same values
+    through numpy's general iterator)."""
+    stores = [_components(a) for a in fields]
+    if all(s.flags.c_contiguous for s in stores):
+        return tuple(s.reshape(-1) for s in stores)
+    return fields
+
+
+def _empty_like(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """An array shaped like `a` and laid out in memory as `np.empty_like(a)`
+    and numpy's element-wise results lay it out (axes in decreasing order
+    of |stride|), carved from the flat float buffer buf."""
+    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+    store = buf[:a.size].reshape([a.shape[i] for i in order])
+    return store.transpose([order.index(i) for i in range(a.ndim)])
+
+
 def _face_differences(f: np.ndarray, geom: DomainGeometry, axis: int,
                       out: np.ndarray) -> tuple:
     """Differences across the exchange faces normal to `axis`.
@@ -278,18 +298,27 @@ def layer_cells(geom: DomainGeometry, bc_mode: str) -> int:
 
 
 def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
-                      split: bool = False, cells: Optional[int] = None):
+                      split: bool = False, cells: Optional[int] = None,
+                      tmp: Optional[np.ndarray] = None):
     """Volumized surface energy over the 2*cells layers hugging the spacer.
 
     cells defaults to the geometry's thin layer; sharp mode uses 1.  With
     split=True returns (surface-anisotropy part, quadratic part,
     biquadratic part) so the breakdown reports the same columns in both
     boundary modes.
+
+    The layers and their reflection across the spacer are copied into
+    blocks laid out like the layers of m, so the jump ml - ms is one flat
+    pass laid out as numpy lays out that difference, and the wedge ml x ms
+    is formed component by component in a row-major block, as `np.cross`
+    forms it; the sums therefore keep the bits of those fresh arrays.
+    `tmp` (a flat float array of at least 10 * 2*cells * nx * ny entries)
+    makes the call allocation-free; a shorter one is replaced by a fresh
+    buffer.
     """
     if cells is None:
         cells = geom.eta_cells
     ml = m[:, :, geom.layer_slice(cells), :]
-    ms = ml[:, :, ::-1, :]                  # reflection across the spacer
     w = geom.face_area / (2.0 * cells)      # dV / (2 eta)
 
     e_ks = e_q = e_biq = 0.0
@@ -297,12 +326,26 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
         # |m x nu|^2 with nu = +-e_z is the in-plane part of |m|^2
         inplane = ml[..., :2]
         e_ks = params.ks * w * dot(inplane, inplane)
-    if params.j1 != 0.0:
-        jump = ml - ms
-        e_q = 0.5 * params.j1 * w * dot(jump, jump)
-    if params.j2 != 0.0:
-        wedge = np.cross(ml, ms)
-        e_biq = params.j2 * w * dot(wedge, wedge)
+    if params.j1 != 0.0 or params.j2 != 0.0:
+        p = math.prod(ml.shape[:-1])
+        if tmp is None or tmp.size < 10 * p:
+            tmp = np.empty(10 * p)
+        flat = [tmp[k * 3 * p:(k + 1) * 3 * p] for k in range(3)]
+        gl, gs, jump = (_empty_like(ml, b) for b in flat)
+        np.copyto(gl, ml)
+        np.copyto(gs, ml[:, :, ::-1, :])    # reflection across the spacer
+        if params.j1 != 0.0:
+            np.subtract(flat[0], flat[1], out=flat[2])
+            e_q = 0.5 * params.j1 * w * dot(jump, jump)
+        if params.j2 != 0.0:
+            wedge = flat[2].reshape(ml.shape)          # row-major, as np.cross
+            t = tmp[9 * p:10 * p].reshape(ml.shape[:-1])
+            for i in range(3):
+                j, k = (i + 1) % 3, (i + 2) % 3
+                np.multiply(gl[..., j], gs[..., k], out=wedge[..., i])
+                np.multiply(gl[..., k], gs[..., j], out=t)
+                wedge[..., i] -= t
+            e_biq = params.j2 * w * dot(wedge, wedge)
     if split:
         return e_ks, e_q, e_biq
     return fsum([e_ks, e_q, e_biq])
@@ -337,13 +380,15 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
     the eta layer in thin-layer mode; the penalty term enters whenever
     params.penalty_k is nonzero, the energy whose gradient
     `effective_field.assemble_h_tot` is.  `tmp` (a flat float array of at
-    least 4 * m.size // 3 entries) is the volume terms' scratch.
+    least 4 * m.size // 3 entries) is the volume terms' scratch, and the
+    surface terms' whenever their layers fill at most 0.45 of the body's
+    depth (see `thin_layer_energy`).
     """
     e_h = e_e = 0.0
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)
     sa, sq, sb = thin_layer_energy(m, geom, params, split=True,
-                                   cells=layer_cells(geom, bc_mode))
+                                   cells=layer_cells(geom, bc_mode), tmp=tmp)
     return EnergyBreakdown.assemble(
         exchange=exchange_energy(m, geom, params, tmp),
         anisotropy=anisotropy_energy(m, geom, params, tmp),

@@ -194,7 +194,8 @@ class _Workspace:
     h in `body_faces` and averages it to cells in `body_cells`, which
     before that holds the step's stage-begin cell h (`SimState.h_cells`).
     `tmp` is a flat scratch of two store components: the second difference
-    quotient of a curl, the two divergence terms, the rate times dt.
+    quotient of a curl, m_bar's cells and faces, the two divergence terms
+    (and the drift's div0), the rate times dt.
     `e_new` and `e_mid` (one block per component) hold the conduction
     update and the midpoint e on the body edge slabs.  `rate_faces` (a
     triple of the body face slabs) holds the magnetization rate on faces
@@ -485,15 +486,33 @@ def interp_h_to_cells(em: EMState, out=None) -> np.ndarray:
     return _body_cells(em.h, em.box, out)
 
 
-def _plus_m_bar(h: np.ndarray, m_faces: tuple, box: BoxGeometry,
-                out: np.ndarray) -> np.ndarray:
-    """h + m_bar in the store `out`, for an h store and m_faces, the body
-    face slabs of m_bar (`cells_to_faces` of the body m): out = h + 0.0
-    everywhere, then m_bar added on the body face slabs only, since it
-    vanishes elsewhere."""
+def _plus_m_bar(h: np.ndarray, m: np.ndarray, box: BoxGeometry, out: np.ndarray,
+                tmp: np.ndarray) -> np.ndarray:
+    """h + m_bar in the store `out`, for an h store and the body field m.
+
+    out = h + 0.0 everywhere, then m_bar is added over each component's
+    flat window of the body face slab (`_flat_span`): the component of m
+    is written into the body cells of a zeroed store component in `tmp`
+    (a flat float array of at least two store components) and averaged
+    to faces as (E[j] + E[j - S]) * 0.5, which is the mean of the two
+    cells of a body face (a zero cell beyond the body) and +0.0 on every
+    other face of the window, where it leaves h + 0.0 unchanged.  Every
+    pass but the write of m is flat, so the call allocates nothing.
+    """
     np.add(h, 0.0, out=out)
-    for f, mf in zip(_body_faces(out, box), m_faces):
-        f += mf
+    size = out[0].size
+    cells = tmp[:size]
+    body = cells.reshape(out.shape[1:])[box.body_slices()]
+    for c, (S, slab) in enumerate(zip(_strides(box), _body_face_slabs(box))):
+        window = _flat_span(slab, box)
+        lo, hi = window.start, window.stop
+        cells[lo - S:hi] = 0.0
+        np.copyto(body, m[..., c])
+        face = tmp[size:size + hi - lo]
+        np.add(cells[lo:hi], cells[lo - S:hi - S], out=face)
+        face *= 0.5
+        dst = out[c].reshape(-1)[lo:hi]
+        dst += face
     return out
 
 
@@ -604,8 +623,8 @@ def init_divfree(m0: np.ndarray, h0_spec, box: BoxGeometry,
         a[...] = raw
     # h holds h_raw + m_bar for the rhs, then grad phi, then h_raw - grad phi
     n = box.nx * _strides(box)[0]
-    scratch = np.empty(3 * n)
-    rhs = _divergence(_plus_m_bar(h, cells_to_faces(m0), box, h), box, scratch)
+    scratch = np.empty(3 * h[0].size)
+    rhs = _divergence(_plus_m_bar(h, m0, box, h, scratch), box, scratch)
     phi = poisson_solve(rhs, box)
     grad_cells(phi, box, out=faces)
 
@@ -626,10 +645,21 @@ def divergence_drift(em: EMState, m: np.ndarray) -> float:
     """Max deviation of div(h + m_bar) from its recorded initial values.
 
     h + m_bar is formed in the workspace's curl store and its divergence
-    in its `tmp`."""
-    current = _div_h_plus_m_bar(em, m)
-    if em.div0 is not None:
-        current -= em.div0
+    in its `tmp`, on the box's x-planes of the store index grid
+    (`_divergence`); with the pad rows of those planes zeroed and div0
+    written into the same layout, the difference and its maximum are flat
+    passes, so the call allocates nothing."""
+    box = em.box
+    tmp = em.workspace().tmp
+    _div_h_plus_m_bar(em, m)
+    n = box.nx * _strides(box)[0]
+    current, ref = tmp[:n], tmp[n:2 * n]
+    planes = [a.reshape(box.nx, box.ny + 1, box.nz + 1) for a in (current, ref)]
+    planes[1][:, :box.ny, :box.nz] = 0.0 if em.div0 is None else em.div0
+    for p in planes:
+        p[:, box.ny, :] = 0.0
+        p[:, :, box.nz] = 0.0
+    np.subtract(current, ref, out=current)
     np.abs(current, out=current)
     return float(current.max())
 
@@ -642,8 +672,8 @@ def _div_h_plus_m_bar(em: EMState, m: np.ndarray) -> np.ndarray:
     """div(h + m_bar) for the body field m, in the workspace (valid until
     it is next used)."""
     work = em.workspace()
-    m_faces = cells_to_faces(m, out=work.rate_faces)
-    return _divergence(_plus_m_bar(em.h, m_faces, em.box, work.curl), em.box, work.tmp)
+    return _divergence(_plus_m_bar(em.h, m, em.box, work.curl, work.tmp), em.box,
+                       work.tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinlayer import maxwell as mx
-from spinlayer.effective_field import thin_layer_field
+from spinlayer.dynamics import PROJECTED, gilbert_solve
+from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_layer_field
 from spinlayer.energetics import _vector_field, apply_k, layer_cells
 from spinlayer.geometry import GeometryConfig, build_geometry
 
@@ -50,6 +51,31 @@ def face_laplacian(m, geom):
         out[lo] += flux
         out[hi] -= flux
     return out
+
+
+def gilbert_projection_rhs(m, h_cells, geom, params, scheme):
+    """The LLG rate assembled term by term and solved in Gilbert form: the
+    reference for `dynamics.llg_rhs`, which sums h_tot in place and takes
+    the projected rate in closed Landau-Lifshitz form.
+
+    h_tot = h - K m + A lap(m) + the surface field of scheme.bc_mode + the
+    penalty field; the rate is `gilbert_solve` of (1 + alpha^2) h_tot, and
+    in projected mode its component along m (over max(|m|^2, 1e-300)) is
+    removed.
+    """
+    h = np.zeros(m.shape) if h_cells is None else np.array(h_cells, dtype=float)
+    if params.k_matrix is not None:
+        h -= apply_k(params, m)
+    if params.a_exch != 0.0:
+        h += params.a_exch * laplacian_neumann(m, geom)
+    thin_layer_field(m, geom, params, cells=layer_cells(geom, scheme.bc_mode), out=h)
+    if params.penalty_k != 0.0:
+        h += penalty_field(m, params)
+    v = gilbert_solve(m, (1.0 + params.alpha**2) * h, params.alpha)
+    if scheme.constraint == PROJECTED:
+        m2 = np.maximum(np.sum(m * m, axis=-1), 1e-300)
+        v -= (np.sum(v * m, axis=-1) / m2)[..., None] * m
+    return v
 
 
 def fd_gradient(energy_fn, m, step=1e-5):

@@ -14,10 +14,11 @@ from spinlayer.diagnostics import (AveragingWindow, EnergyLedger, TestFunction,
                                    window_quadrature)
 from spinlayer.diagnostics import test_function_library as fn_library
 from spinlayer.dynamics import SchemeConfig, Trajectory, run
-from spinlayer.effective_field import thin_layer_field
+from spinlayer.effective_field import assemble_h_tot, thin_layer_field
 from spinlayer.energetics import MaterialParams, total_energy, uniform_k_matrix
 from spinlayer.errors import WindowOutOfRange
 from spinlayer.geometry import GeometryConfig, build_geometry
+from spinlayer.summation import dot
 
 from conftest import box_divergence, face_stationary_form, random_unit_field
 
@@ -31,11 +32,14 @@ def plain_params(**overrides):
 def test_ledger_row_allocates_nothing_box_sized():
     # the W1 ledger row (every energy term, the divergence drift and the
     # saturation deviation) reduces from the fields, the Maxwell workspace
-    # and a flat scratch like the state's; what remains is body-sized at
-    # most, and the energy terms alone stay below one body field
-    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
+    # and a flat scratch like the state's, in both boundary modes (the
+    # thin layer two cells deep, as in the README run): the whole row
+    # allocates less than an eighth of one body component, so neither a
+    # field-sized temporary nor a numpy iterator buffer
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8,
+                                         eta=2 * 0.5 / 8))
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
-                          ks=0.01, j1=0.01, j2=0.01, sigma=10.0)
+                          ks=0.01, j1=0.01, j2=0.01, sigma=10.0, penalty_k=10.0)
     box = mx.make_box(geom, padding=8)
     m = random_unit_field(geom, seed=60)
     em = mx.empty_em_state(box)
@@ -43,25 +47,21 @@ def test_ledger_row_allocates_nothing_box_sized():
     mx.record_div0(em, m)
     m = random_unit_field(geom, seed=61)
     tmp = np.empty(3 * m.size)
+    for bc_mode in ("sharp", "thin_layer"):
+        def row():
+            return (total_energy(m, em, geom, params, bc_mode=bc_mode, tmp=tmp),
+                    mx.divergence_drift(em, m), saturation_deviation(m, tmp))
 
-    def energy():
-        return total_energy(m, em, geom, params, tmp=tmp)
-
-    def row():
-        return (energy(), mx.divergence_drift(em, m), saturation_deviation(m, tmp))
-
-    warm = row()
-    peaks = []
-    for f in (row, energy):
+        warm = row()
         tracemalloc.start()
         try:
-            again = f()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            again = row()
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert again == warm[0] == total_energy(m, em, geom, params)
-    assert peaks[0] < em.ex.nbytes
-    assert peaks[1] < m.nbytes
+        assert again == warm
+        assert again[0] == total_energy(m, em, geom, params, bc_mode=bc_mode)
+        assert peak < m[..., 0].nbytes // 8, bc_mode
 
 
 class TestEnergyInequality:
@@ -280,6 +280,36 @@ class TestStationarity:
             (fn.name, abs(stationarity_form(u, H, params, small_geom, fn,
                                             bc_mode=bc_mode)))
             for fn in lib]
+
+    def test_report_evaluates_each_shape_once(self, small_geom):
+        # the report writes each shape into one test field a direction at
+        # a time: the same bits as the 27 fresh test fields, with each of
+        # the 9 shapes evaluated once; in a direction-major order every
+        # shape is evaluated again, never taken stale
+        params, u, H = self._random_case(small_geom)
+        calls = {}
+
+        def counted(fn):
+            def shape(x, y, z):
+                calls[fn.name] = calls.get(fn.name, 0) + 1
+                return fn.shape(x, y, z)
+            return shape
+
+        lib = fn_library(small_geom)
+        shapes = {}
+        counted_lib = [TestFunction(fn.name, shapes.setdefault(fn.shape, counted(fn)),
+                                    fn.direction) for fn in lib]
+        torque = np.cross(u, assemble_h_tot(u, H, small_geom, params))
+        fresh = [(fn.name, abs(-small_geom.cell_volume
+                               * dot(torque, eval_on_cells(fn, small_geom))))
+                 for fn in lib]
+        assert stationarity_report(u, H, params, small_geom, counted_lib) == fresh
+        assert len(calls) == 9 and set(calls.values()) == {1}
+        by_direction = sorted(counted_lib, key=lambda fn: fn.direction)
+        calls.clear()
+        report = stationarity_report(u, H, params, small_geom, by_direction)
+        assert sorted(report) == sorted(fresh)
+        assert set(calls.values()) == {3}
 
     def test_thin_layer_pairs_with_eta_surface_field(self, small_geom):
         # the two modes differ only in the surface field of the torque:

@@ -10,15 +10,15 @@ from scipy.ndimage import gaussian_filter
 
 from spinlayer import maxwell as mx
 from spinlayer import presets
-from spinlayer.dynamics import (SchemeConfig, SimState, _advance_m,
-                                _midpoint_h_cells, exchange_dt_bound,
+from spinlayer.dynamics import (CONSTRAINTS, PROJECTED, SchemeConfig, SimState,
+                                _advance_m, _midpoint_h_cells, exchange_dt_bound,
                                 gilbert_solve, llg_rhs, run, step,
                                 validate_stability)
-from spinlayer.energetics import MaterialParams, _vector_field
+from spinlayer.energetics import BC_MODES, MaterialParams, _vector_field
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import box_midpoint_h_cells, random_unit_field
+from conftest import box_midpoint_h_cells, gilbert_projection_rhs, random_unit_field
 
 
 def plain_params(**overrides):
@@ -118,6 +118,42 @@ class TestLlgRhs:
         # for F = (1+a^2) F0, m.m_dot = (m.F)/alpha exactly
         F = (1.0 + 0.25) * (-params.penalty_k * (np.sum(m * m, -1) - 1.0))[..., None] * m
         assert np.allclose(np.sum(m * m_dot, -1), np.sum(m * F, -1) / 0.5, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 10.0),
+       bc_mode=st.sampled_from(BC_MODES), constraint=st.sampled_from(CONSTRAINTS),
+       component_major=st.booleans())
+def test_llg_rhs_matches_gilbert_solve_then_projection(seed, alpha, bc_mode,
+                                                       constraint, component_major):
+    # the closed Landau-Lifshitz form and the in-place h_tot equal the
+    # term-by-term Gilbert solve (and projection) for any m: random norms
+    # in 0..2 with one zero cell, every energy term and the penalty on
+    geom = build_geometry(GeometryConfig(1.0, 0.75, 0.5, 0.5, 4, 3, 3, 3,
+                                         eta=2 * 0.5 / 3))
+    rng = np.random.default_rng(seed)
+    shape = geom.field_shape()
+    kraw = rng.standard_normal((3, 3))
+    params = plain_params(a_exch=rng.uniform(0.0, 0.5), k_matrix=kraw @ kraw.T,
+                          ks=rng.uniform(0.0, 0.5), j1=rng.uniform(0.0, 0.5),
+                          j2=rng.uniform(0.0, 0.5), alpha=alpha,
+                          penalty_k=rng.uniform(0.0, 5.0))
+    m = rng.standard_normal(shape)
+    m *= (2.0 * rng.random(shape[:-1]) / np.linalg.norm(m, axis=-1))[..., None]
+    m[1, 2, 0] = 0.0
+    if component_major:
+        cm = _vector_field(shape)
+        np.copyto(cm, m)
+        m = cm
+    h = rng.standard_normal(shape)
+    scheme = SchemeConfig(dt=1e-3, constraint=constraint, bc_mode=bc_mode)
+    got = llg_rhs(m, h, geom, params, scheme)
+    want = gilbert_projection_rhs(m, h, geom, params, scheme)
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    if constraint == PROJECTED:
+        # tangential to roundoff: |v . m| against the scale of v times |m|
+        assert np.abs(np.sum(got * m, axis=-1)).max() <= 1e-14 * scale * 2.0
 
 
 class TestStep:
@@ -302,6 +338,14 @@ class TestRun:
         scheme = SchemeConfig(dt=1e-3, frozen_em=True)
         with pytest.raises(ValueError, match="log_every"):
             run(geom, params, scheme, m, em, None, t_end=3e-3, log_every=log_every)
+
+    @pytest.mark.parametrize("sample_every", [0, -1])
+    def test_sample_every_below_one_rejected(self, sample_every):
+        geom, params, em, m, h = single_spin_setup()
+        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
+        with pytest.raises(ValueError, match="sample_every"):
+            run(geom, params, scheme, m, em, None, t_end=3e-3, keep_fields=True,
+                sample_every=sample_every)
 
     def test_nonfinite_m0_rejected_at_step_zero(self):
         geom, params, em, m, h = single_spin_setup()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlayer.effective_field import assemble_h_tot, penalty_field
-from spinlayer.energetics import (EnergyBreakdown, MaterialParams,
+from spinlayer.energetics import (EnergyBreakdown, MaterialParams, _vector_field,
                                   anisotropy_energy, exchange_energy,
                                   maxwell_energy, penalty_energy,
                                   thin_layer_energy, total_energy,
@@ -14,6 +14,7 @@ from spinlayer.energetics import (EnergyBreakdown, MaterialParams,
 from spinlayer.errors import ThinLayerInactive
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer import maxwell as mx
+from spinlayer.summation import dot
 
 from conftest import random_unit_field, spacer_oracle
 
@@ -254,6 +255,30 @@ class TestThinLayer:
         expected = acc * small_geom.cell_volume / (2 * small_geom.eta)
         e = thin_layer_energy(m, small_geom, params)
         assert e == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("component_major", [False, True])
+    def test_scratch_keeps_the_bits_of_fresh_arrays(self, small_geom, component_major):
+        # the jump and the wedge formed in copied layer blocks sum to the
+        # bits of the fresh ml - ms and np.cross(ml, ms), in either layout
+        # of m, with and without scratch, on the eta layer and the one-cell
+        rng = np.random.default_rng(5)
+        m = 1.3 * rng.standard_normal(small_geom.field_shape())
+        if component_major:
+            cm = _vector_field(m.shape)
+            np.copyto(cm, m)
+            m = cm
+        params = plain_params(ks=0.3, j1=0.7, j2=0.2)
+        for cells in (1, small_geom.eta_cells):
+            ml = m[:, :, small_geom.layer_slice(cells), :]
+            ms = ml[:, :, ::-1, :]
+            w = small_geom.face_area / (2.0 * cells)
+            jump, wedge = ml - ms, np.cross(ml, ms)
+            want = (params.ks * w * dot(ml[..., :2], ml[..., :2]),
+                    0.5 * params.j1 * w * dot(jump, jump),
+                    params.j2 * w * dot(wedge, wedge))
+            for tmp in (None, np.full(3 * m.size, np.nan)):
+                assert thin_layer_energy(m, small_geom, params, split=True,
+                                         cells=cells, tmp=tmp) == want
 
     def test_eta_limit_first_order(self):
         # smooth-in-z profile: |E_eta - E_sharp| = O(eta)
