@@ -3,7 +3,7 @@ in a bilayered ferromagnet with spacer surface energies."""
 
 from .errors import (CFLViolation, ConfigError, EtaTooLarge, NonFinite,
                      NonTilingGrid, ParseError, SimulationError, SolverDiverged,
-                     ThinLayerInactive, ValidationError, WindowOutOfRange)
+                     ThinLayerInactive, ValidationError)
 from .geometry import DomainGeometry, GeometryConfig, build_geometry
 from .energetics import (EnergyBreakdown, MaterialParams, anisotropy_energy,
                          exchange_energy, maxwell_energy, penalty_energy,
@@ -14,11 +14,9 @@ from .maxwell import (AppliedCurrent, EMState, divergence_drift, empty_em_state,
                       fdtd_step, init_divfree, interp_h_to_cells, make_box)
 from .dynamics import (SchemeConfig, SimState, Trajectory, gilbert_solve,
                        llg_rhs, run, step)
-from .diagnostics import (AveragingWindow, EnergyLedger,
-                          energy_inequality_residual, omega_limit_field,
-                          saturation_deviation, stationarity_residual,
-                          test_function_library, time_average_fields,
-                          weak_residual_m)
+from .diagnostics import (EnergyLedger, energy_inequality_residual,
+                          omega_limit_field, saturation_deviation,
+                          stationarity_residual, test_function_library)
 from .config import RunConfig, build_setup, parse_config
 
 __version__ = "0.1.0"

@@ -1,21 +1,16 @@
-"""Verifiable quantities: energy ledger, weak-form and stationarity
-residuals, saturation deviation, mollified time averages, and the
-curl-free field attached to a candidate long-time state.
-
-All time integrals use the same trapezoid/midpoint quadrature as the
-stepper's sampling cadence so residuals measure model error rather than
-quadrature mismatch.
+"""Verifiable quantities: energy ledger, stationarity residual,
+saturation deviation, and the curl-free field attached to a candidate
+long-time state.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import maxwell
 from .effective_field import assemble_h_tot
 from .energetics import SHARP, EnergyBreakdown, MaterialParams, _dot, _scalars
-from .errors import WindowOutOfRange
 from .geometry import DomainGeometry
 from .summation import dot
 
@@ -95,96 +90,6 @@ def saturation_deviation(m: np.ndarray, tmp: Optional[np.ndarray] = None) -> flo
 
 
 # ---------------------------------------------------------------------------
-# mollified time averaging
-
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 at t<=0, 1 at t>=1, max slope about 1.92."""
-    def f(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
-        return out
-    t = np.clip(t, 0.0, 1.0)
-    a = f(t)
-    b = f(1.0 - t)
-    return a / (a + b)
-
-
-@dataclass(frozen=True)
-class AveragingWindow:
-    """Cutoff rho on [-a, a]: 1 on [-a+1, a-1], 0 <= rho <= 1, |rho'| <= 2.
-
-    The default is the piecewise-linear trapezoid with unit-width ramps
-    (slopes +-1); kind="smooth" substitutes a C-infinity ramp whose slope
-    stays below 2.
-    """
-
-    a: float
-    kind: str = "trapezoid"
-
-    def __post_init__(self):
-        if self.a < 1.0:
-            raise ValueError("window half-width must be at least 1")
-        if self.kind not in ("trapezoid", "smooth"):
-            raise ValueError(f"unknown window kind {self.kind!r}")
-
-    def rho(self, s) -> np.ndarray:
-        s = np.abs(np.asarray(s, dtype=float))
-        ramp = np.clip(self.a - s, 0.0, 1.0)
-        if self.kind == "trapezoid":
-            return ramp
-        return _smoothstep(ramp)
-
-
-def window_quadrature(window: AveragingWindow, sample_times: Sequence[float],
-                      t_n: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample indices inside the window and trapezoid weights times rho/(2a).
-
-    Raises WindowOutOfRange when the stored samples do not cover
-    [t_n - a, t_n + a].
-    """
-    ts = np.asarray(sample_times, dtype=float)
-    lo, hi = t_n - window.a, t_n + window.a
-    if len(ts) < 2:
-        raise WindowOutOfRange("need at least two stored samples")
-    step = np.max(np.diff(ts))
-    if ts[0] > lo + step * (1 + 1e-9) or ts[-1] < hi - step * (1 + 1e-9):
-        raise WindowOutOfRange(
-            f"samples cover [{ts[0]:g}, {ts[-1]:g}] but the window needs "
-            f"[{lo:g}, {hi:g}]")
-    idx = np.where((ts >= lo - 1e-12) & (ts <= hi + 1e-12))[0]
-    tw = ts[idx]
-    w = np.zeros(len(tw))
-    if len(tw) >= 2:
-        d = np.diff(tw)
-        w[:-1] += 0.5 * d
-        w[1:] += 0.5 * d
-    weights = w * window.rho(tw - t_n) / (2.0 * window.a)
-    return idx, weights
-
-
-def time_average_fields(trajectory, t_n: float, window: AveragingWindow):
-    """Windowed averages of the raw electromagnetic fields around t_n.
-
-    Returns (h_avg, e_avg) as face/edge component triples, computed with
-    the trapezoid rule over the stored samples.
-    """
-    if not trajectory.em_samples:
-        raise ValueError("trajectory holds no electromagnetic samples")
-    idx, weights = window_quadrature(window, trajectory.sample_times, t_n)
-    h0, e0 = trajectory.em_samples[idx[0]]
-    h_avg = tuple(np.zeros_like(c) for c in h0)
-    e_avg = tuple(np.zeros_like(c) for c in e0)
-    for j, wgt in zip(idx, weights):
-        hj, ej = trajectory.em_samples[j]
-        for c in range(3):
-            h_avg[c][...] += wgt * hj[c]
-            e_avg[c][...] += wgt * ej[c]
-    return h_avg, e_avg
-
-
-# ---------------------------------------------------------------------------
 # test-function library
 
 
@@ -238,10 +143,6 @@ def _cell_coords(geom: DomainGeometry):
     return np.meshgrid(x, y, z, indexing="ij")
 
 
-def eval_on_cells(test_fn: TestFunction, geom: DomainGeometry) -> np.ndarray:
-    return test_fn(*_cell_coords(geom))
-
-
 def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
             geom: DomainGeometry, bc_mode: str) -> np.ndarray:
     """m x h_tot, the test-field-free part of the stationary form, with
@@ -264,56 +165,7 @@ def _stationary_value(torque: np.ndarray, phi_cells: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# weak-formulation residual
-
-
-def weak_residual_m(trajectory, test_fn: TestFunction, geom: DomainGeometry,
-                    params: MaterialParams, signed: bool = False,
-                    bc_mode: str = SHARP) -> float:
-    """Discrete mismatch of the magnetization weak form over the stored run.
-
-    Requires field samples at every step (sample cadence 1).  Midpoint
-    quadrature in time: rates from consecutive samples, states averaged
-    to the interval midpoint.  Smallness is evidence, not proof, since
-    the test-function library is finite.  bc_mode is the run's boundary
-    mode; it picks the surface layer of the spacer terms.
-    """
-    ms = trajectory.m_samples
-    hs = trajectory.h_cell_samples
-    ts = trajectory.sample_times
-    if len(ms) < 2:
-        raise ValueError("need at least two stored samples")
-    dV = geom.cell_volume
-    alpha = params.alpha
-    one_a2 = 1.0 + alpha**2
-    phi_cells = eval_on_cells(test_fn, geom)
-
-    lhs = 0.0
-    rhs = 0.0
-    for n in range(len(ms) - 1):
-        dt = ts[n + 1] - ts[n]
-        m_dot = (ms[n + 1] - ms[n]) / dt
-        m_mid = 0.5 * (ms[n + 1] + ms[n])
-        h_mid = 0.5 * (hs[n + 1] + hs[n])
-        lhs += dt * dV * (dot(m_dot, phi_cells)
-                          - alpha * dot(np.cross(m_mid, m_dot), phi_cells))
-        torque = _torque(m_mid, h_mid, params, geom, bc_mode)
-        rhs += dt * one_a2 * _stationary_value(torque, phi_cells, geom)
-    resid = lhs - rhs
-    return resid if signed else abs(resid)
-
-
-# ---------------------------------------------------------------------------
 # stationarity of candidate long-time states
-
-
-def stationarity_form(u: np.ndarray, H_cells: np.ndarray, params: MaterialParams,
-                      geom: DomainGeometry, test_fn: TestFunction,
-                      bc_mode: str = SHARP) -> float:
-    """Signed value of the six-term stationary weak form for one test
-    field; bc_mode picks the surface layer of the spacer terms."""
-    torque = _torque(u, H_cells, params, geom, bc_mode)
-    return _stationary_value(torque, eval_on_cells(test_fn, geom), geom)
 
 
 def stationarity_report(u, H_cells, params, geom,
@@ -325,7 +177,8 @@ def stationarity_report(u, H_cells, params, geom,
     Each test field is its shape written into one zeroed field at its
     direction and cleared again after the pairing, and a shape shared by
     consecutive test fields (the library's three directions) is evaluated
-    once, so the values are those of the per-function form bit for bit.
+    once, so the values are those of a fresh test field per function,
+    bit for bit.
     """
     if test_fns is None:
         test_fns = test_function_library(geom)

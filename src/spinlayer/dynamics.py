@@ -389,36 +389,30 @@ def step(state: SimState, accum: Optional[dict] = None,
 
 @dataclass
 class Trajectory:
-    """In-memory result of a run: ledger rows plus optional field samples."""
+    """In-memory result of a run: the ledger rows and the final state."""
 
     ledger: EnergyLedger
-    sample_times: list = field(default_factory=list)
-    m_samples: list = field(default_factory=list)
-    h_cell_samples: list = field(default_factory=list)
-    em_samples: list = field(default_factory=list)   # (h faces, e edges) tuples
     final_state: Optional[SimState] = None
 
 
 def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         m0: np.ndarray, em: Optional[EMState], f: Optional[AppliedCurrent],
-        t_end: float, log_every: int = 1, keep_fields: bool = False,
-        sample_every: Optional[int] = None,
+        t_end: float, log_every: int = 1,
         on_row: Optional[Callable] = None,
         on_state: Optional[Callable] = None) -> Trajectory:
-    """Run the coupled system to t_end and collect diagnostics.
+    """Run the coupled system to t_end and collect the energy ledger.
 
     A ledger row is recorded at t=0, every log_every-th step, and at the
-    final step.  With keep_fields=True, field snapshots (m, cell h, and
-    the raw electromagnetic arrays) are kept at the same cadence unless
-    sample_every overrides it.  on_row receives each ledger row as it is
-    produced, for streaming output.
+    final step.  The two hooks are the only way to see a run as it goes,
+    and run keeps no field samples: on_row receives each ledger row as it
+    is produced, for streaming output, and on_state receives the state
+    and the step number at the same cadence.  The state's buffers are
+    reused by later steps (see `step`), so a hook copies what it keeps.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
-    if sample_every is not None and sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
     box = em.box if em is not None else None
     validate_stability(scheme, geom, params, box)
     # the stepped m is component-major
@@ -428,11 +422,8 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         maxwell.record_div0(em, state.m)
 
     n_steps = int(round(t_end / scheme.dt)) if t_end > 0 else 0
-    if sample_every is None:
-        sample_every = log_every
 
     ledger = EnergyLedger()
-    traj = Trajectory(ledger=ledger)
     accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
 
     def record(step_idx: int):
@@ -448,18 +439,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         if on_row is not None:
             on_row(row)
 
-    def sample():
-        traj.sample_times.append(state.t)
-        traj.m_samples.append(state.m.copy())
-        traj.h_cell_samples.append(state.h_cells().copy())
-        if state.em is not None:
-            traj.em_samples.append(
-                ((state.em.hx.copy(), state.em.hy.copy(), state.em.hz.copy()),
-                 (state.em.ex.copy(), state.em.ey.copy(), state.em.ez.copy())))
-
     record(0)
-    if keep_fields:
-        sample()
     if on_state is not None:
         on_state(state, 0)
     for n in range(1, n_steps + 1):
@@ -467,10 +447,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         logged = n % log_every == 0 or n == n_steps
         if logged:
             record(n)
-        if keep_fields and (n % sample_every == 0 or n == n_steps):
-            sample()
         if on_state is not None and logged:
             on_state(state, n)
     state.work = None   # the stage buffers are only needed while stepping
-    traj.final_state = state
-    return traj
+    return Trajectory(ledger=ledger, final_state=state)

@@ -29,10 +29,6 @@ class SolverDiverged(SimulationError):
     """Poisson projection failed to reach the requested tolerance."""
 
 
-class WindowOutOfRange(SimulationError):
-    """Time-averaging window extends beyond the stored trajectory."""
-
-
 class ConfigError(SimulationError):
     """Base class for run-configuration problems (exit code 2)."""
 

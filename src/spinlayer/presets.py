@@ -10,6 +10,9 @@ from numpy.random import default_rng
 from .energetics import _vector_field
 from .geometry import DomainGeometry
 
+# z component of the vortex core, as a fraction of the shorter base side
+VORTEX_CORE = 0.25
+
 
 def uniform_m(vec, geom: DomainGeometry) -> np.ndarray:
     m = _vector_field(geom.field_shape())
@@ -17,12 +20,12 @@ def uniform_m(vec, geom: DomainGeometry) -> np.ndarray:
     return m
 
 
-def vortexish_m(geom: DomainGeometry, core: float = 0.25) -> np.ndarray:
+def vortexish_m(geom: DomainGeometry) -> np.ndarray:
     """In-plane circulation around the column axis with a soft z core."""
     x = (np.arange(geom.nx) + 0.5) * geom.dx - 0.5 * geom.base_lx
     y = (np.arange(geom.ny) + 0.5) * geom.dy - 0.5 * geom.base_ly
     X, Y = np.meshgrid(x, y, indexing="ij")
-    r_core = core * min(geom.base_lx, geom.base_ly)
+    r_core = VORTEX_CORE * min(geom.base_lx, geom.base_ly)
     m = _vector_field(geom.field_shape())
     m[..., 0] = -Y[:, :, None]
     m[..., 1] = X[:, :, None]

@@ -1,12 +1,15 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from spinlayer import maxwell as mx
+from spinlayer.diagnostics import _cell_coords, _stationary_value, _torque
 from spinlayer.dynamics import PROJECTED, gilbert_solve
 from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_layer_field
-from spinlayer.energetics import _vector_field, apply_k, layer_cells
+from spinlayer.energetics import SHARP, _vector_field, apply_k, layer_cells
+from spinlayer.summation import dot
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 
@@ -116,7 +119,7 @@ def spacer_oracle(m, geom, params):
 
 def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
     """The stationary form written as a face sum, the reference for
-    `diagnostics.stationarity_form` and the weak form's right-hand side.
+    `stationarity_form` and the weak form's right-hand side.
 
     A dV sum over the interior faces off the spacer of
     (m_f x D_f m) . D_f phi, with m_f the face midpoint and D_f the
@@ -143,6 +146,71 @@ def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
     torque = np.cross(m, h)
     return params.a_exch * dV * exchange - dV * math.fsum((torque * phi_cells).ravel())
 
+
+# ---------------------------------------------------------------------------
+# the weak and stationary forms per test function, over the torque of the
+# library's `stationarity_report`: the oracles of the weak-form tests
+
+
+@dataclass
+class FieldSamples:
+    """Field samples of a run, gathered as `dynamics.run`'s on_state hook
+    (at log_every=1, every step).  m and the cell h are copied: `step`
+    overwrites the m of two steps back, and the cell h lives in the
+    Maxwell workspace."""
+
+    times: list = field(default_factory=list)
+    m: list = field(default_factory=list)
+    h_cells: list = field(default_factory=list)
+
+    def __call__(self, state, n):
+        self.times.append(state.t)
+        self.m.append(state.m.copy())
+        self.h_cells.append(state.h_cells().copy())
+
+
+def eval_on_cells(test_fn, geom):
+    """A test function sampled at the body cell centers."""
+    return test_fn(*_cell_coords(geom))
+
+
+def stationarity_form(u, H_cells, params, geom, test_fn, bc_mode=SHARP):
+    """Signed value of the six-term stationary weak form for one test
+    field; bc_mode picks the surface layer of the spacer terms."""
+    torque = _torque(u, H_cells, params, geom, bc_mode)
+    return _stationary_value(torque, eval_on_cells(test_fn, geom), geom)
+
+
+def weak_residual_m(samples, test_fn, geom, params, signed=False, bc_mode=SHARP):
+    """Discrete mismatch of the magnetization weak form over the
+    `FieldSamples` of a run.
+
+    Midpoint quadrature in time: rates from consecutive samples, states
+    averaged to the interval midpoint.  Smallness is evidence, not proof,
+    since the test-function library is finite.  bc_mode is the run's
+    boundary mode; it picks the surface layer of the spacer terms.
+    """
+    ms, hs, ts = samples.m, samples.h_cells, samples.times
+    if len(ms) < 2:
+        raise ValueError("need at least two stored samples")
+    dV = geom.cell_volume
+    alpha = params.alpha
+    one_a2 = 1.0 + alpha**2
+    phi_cells = eval_on_cells(test_fn, geom)
+
+    lhs = 0.0
+    rhs = 0.0
+    for n in range(len(ms) - 1):
+        dt = ts[n + 1] - ts[n]
+        m_dot = (ms[n + 1] - ms[n]) / dt
+        m_mid = 0.5 * (ms[n + 1] + ms[n])
+        h_mid = 0.5 * (hs[n + 1] + hs[n])
+        lhs += dt * dV * (dot(m_dot, phi_cells)
+                          - alpha * dot(np.cross(m_mid, m_dot), phi_cells))
+        torque = _torque(m_mid, h_mid, params, geom, bc_mode)
+        rhs += dt * one_a2 * _stationary_value(torque, phi_cells, geom)
+    resid = lhs - rhs
+    return resid if signed else abs(resid)
 
 # ---------------------------------------------------------------------------
 # the box forms of the body-local Maxwell coupling: the magnetization

@@ -339,10 +339,11 @@ class TestCli:
             csvs.append((outdir / "energy.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    def test_diag_reproduces_final_row(self, tmp_path):
+    def _run_and_diag(self, tmp_path, text):
+        """`run` then `diag` on one config; diag's row must be run's last."""
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
-        cfg_path.write_text(minimal_config(outdir))
+        cfg_path.write_text(text)
         assert main(["run", str(cfg_path)]) == 0
         assert main(["diag", str(outdir)]) == 0
         energy_rows = (outdir / "energy.csv").read_text().splitlines()
@@ -356,6 +357,19 @@ class TestCli:
         stat_rows = (outdir / "stationarity.csv").read_text().splitlines()
         assert stat_rows[0] == "test_fn,residual"
         assert len(stat_rows) == 1 + 27
+        return outdir
+
+    def test_diag_reproduces_final_row(self, tmp_path):
+        self._run_and_diag(tmp_path, minimal_config(tmp_path / "out"))
+
+    def test_diag_rereads_the_default_h0(self, tmp_path):
+        # a config without h0 echoes the default kind, `zero`, into
+        # effective_config, and diag parses that file again: the kind must
+        # stay valid for diag to read such a run
+        text = minimal_config(tmp_path / "out").replace("h0 = magnetostatic\n", "")
+        assert "h0" not in text
+        outdir = self._run_and_diag(tmp_path, text)
+        assert "h0 = zero" in (outdir / "effective_config").read_text().splitlines()
 
     def test_diag_builds_no_initial_fields(self, tmp_path, monkeypatch):
         # diag replaces m0, h and e by the stored snapshots, so it never

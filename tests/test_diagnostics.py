@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from spinlayer import maxwell as mx
-from spinlayer.diagnostics import (AveragingWindow, EnergyLedger, TestFunction,
-                                   energy_inequality_residual, eval_on_cells,
+from spinlayer.diagnostics import (TestFunction, energy_inequality_residual,
                                    omega_limit_field, omega_limit_field_cells,
-                                   saturation_deviation, stationarity_form,
-                                   stationarity_report, stationarity_residual,
-                                   time_average_fields, weak_residual_m,
-                                   window_quadrature)
+                                   saturation_deviation, stationarity_report,
+                                   stationarity_residual)
 from spinlayer.diagnostics import test_function_library as fn_library
-from spinlayer.dynamics import SchemeConfig, Trajectory, run
+from spinlayer.dynamics import SchemeConfig, run
 from spinlayer.effective_field import assemble_h_tot, thin_layer_field
 from spinlayer.energetics import MaterialParams, total_energy, uniform_k_matrix
-from spinlayer.errors import WindowOutOfRange
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.summation import dot
 
-from conftest import box_divergence, face_stationary_form, random_unit_field
+from conftest import (FieldSamples, box_divergence, eval_on_cells, face_stationary_form,
+                      random_unit_field, stationarity_form, weak_residual_m)
 
 
 def plain_params(**overrides):
@@ -93,84 +90,6 @@ class TestEnergyInequality:
         assert saturation_deviation(m) == pytest.approx(0.1, abs=1e-12)
 
 
-class TestAveragingWindow:
-    def test_half_width_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            AveragingWindow(a=0.5)
-
-    @pytest.mark.parametrize("kind", ["trapezoid", "smooth"])
-    def test_stated_bounds(self, kind):
-        w = AveragingWindow(a=3.0, kind=kind)
-        s = np.linspace(-3.5, 3.5, 20001)
-        rho = w.rho(s)
-        assert np.all(rho >= 0.0) and np.all(rho <= 1.0)
-        flat = np.abs(s) <= 2.0
-        assert np.allclose(rho[flat], 1.0)
-        outside = np.abs(s) >= 3.0
-        assert np.allclose(rho[outside], 0.0)
-        slope = np.diff(rho) / np.diff(s)
-        assert np.abs(slope).max() <= 2.0
-
-    def test_trapezoid_integral_closed_form(self):
-        # integral of rho over [-a, a] is 2a - 1; aligned sampling is exact
-        a = 2.0
-        w = AveragingWindow(a=a)
-        ts = np.arange(0.0, 12.0 + 1e-12, 0.05)
-        idx, weights = window_quadrature(w, ts, t_n=6.0)
-        assert math.fsum(weights) == pytest.approx((2 * a - 1) / (2 * a), rel=1e-12)
-
-    def test_window_out_of_range(self):
-        w = AveragingWindow(a=2.0)
-        ts = np.arange(0.0, 3.0, 0.1)
-        with pytest.raises(WindowOutOfRange):
-            window_quadrature(w, ts, t_n=1.0)
-
-
-def _fake_trajectory(box, hs, es, ts):
-    traj = Trajectory(ledger=EnergyLedger())
-    traj.sample_times = list(ts)
-    traj.em_samples = [(h, e) for h, e in zip(hs, es)]
-    traj.m_samples = [None] * len(ts)
-    traj.h_cell_samples = [None] * len(ts)
-    return traj
-
-
-class TestTimeAverage:
-    def _box(self):
-        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 2, 2, 1, 1))
-        return mx.make_box(geom, padding=1)
-
-    def test_constant_field(self):
-        box = self._box()
-        ts = np.arange(0.0, 12.0 + 1e-12, 0.05)
-        fs = mx.face_shapes(box)
-        es = mx.edge_shapes(box)
-        h_const = tuple(np.full(s, 0.7) for s in fs)
-        e_const = tuple(np.full(s, -0.2) for s in es)
-        traj = _fake_trajectory(box, [h_const] * len(ts), [e_const] * len(ts), ts)
-        w = AveragingWindow(a=2.0)
-        h_avg, e_avg = time_average_fields(traj, 6.0, w)
-        _, weights = window_quadrature(w, ts, 6.0)
-        scale = math.fsum(weights)
-        assert np.allclose(h_avg[0], 0.7 * scale)
-        assert np.allclose(e_avg[2], -0.2 * scale)
-
-    def test_bounded_by_twice_sup(self):
-        # discrete form of the averaging estimate
-        box = self._box()
-        rng = np.random.default_rng(9)
-        ts = np.arange(0.0, 10.0 + 1e-12, 0.1)
-        fs = mx.face_shapes(box)
-        es = mx.edge_shapes(box)
-        hs = [tuple(rng.standard_normal(s) for s in fs) for _ in ts]
-        ees = [tuple(rng.standard_normal(s) for s in es) for _ in ts]
-        traj = _fake_trajectory(box, hs, ees, ts)
-        h_avg, _ = time_average_fields(traj, 5.0, AveragingWindow(a=1.5))
-        norm_avg = math.sqrt(sum(float(np.sum(a * a)) for a in h_avg))
-        sup = max(math.sqrt(sum(float(np.sum(a * a)) for a in h)) for h in hs)
-        assert norm_avg <= 2.0 * sup
-
-
 class TestWeakResidual:
     def _short_run(self, nx, nz, dt, t_end):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, nx, nx, nz, nz))
@@ -190,15 +109,15 @@ class TestWeakResidual:
         m0 /= np.linalg.norm(m0, axis=-1, keepdims=True)
         scheme = SchemeConfig(dt=dt, frozen_em=True, constraint="projected",
                               bc_mode="sharp")
-        traj = run(geom, params, scheme, m0, em, None, t_end=t_end,
-                   keep_fields=True, sample_every=1)
-        return geom, params, traj
+        samples = FieldSamples()
+        run(geom, params, scheme, m0, em, None, t_end=t_end, on_state=samples)
+        return geom, params, samples
 
     def test_zero_test_function_gives_zero(self):
-        geom, params, traj = self._short_run(4, 2, 2e-3, 0.02)
+        geom, params, samples = self._short_run(4, 2, 2e-3, 0.02)
         zero = TestFunction(
             "zero.ex", lambda x, y, z: np.zeros(np.broadcast(x, y, z).shape), 0)
-        assert weak_residual_m(traj, zero, geom, params) == 0.0
+        assert weak_residual_m(samples, zero, geom, params) == 0.0
 
     def test_stationary_state_gives_zero(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 3, 3, 2, 2))
@@ -209,14 +128,14 @@ class TestWeakResidual:
         em = mx.empty_em_state(box)
         scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected",
                               bc_mode="sharp")
-        traj = run(geom, params, scheme, m0, em, None, t_end=0.01,
-                   keep_fields=True, sample_every=1)
+        samples = FieldSamples()
+        run(geom, params, scheme, m0, em, None, t_end=0.01, on_state=samples)
         lib = fn_library(geom)
         for fn in lib[:6]:
-            assert weak_residual_m(traj, fn, geom, params) < 1e-14
+            assert weak_residual_m(samples, fn, geom, params) < 1e-14
 
     def test_linearity_in_test_function(self):
-        geom, params, traj = self._short_run(4, 2, 2e-3, 0.02)
+        geom, params, samples = self._short_run(4, 2, 2e-3, 0.02)
         lib = fn_library(geom)
         f1, f2 = lib[3], lib[13]
 
@@ -227,9 +146,9 @@ class TestWeakResidual:
             def __call__(self, x, y, z):
                 return f1(x, y, z) + f2(x, y, z)
 
-        r1 = weak_residual_m(traj, f1, geom, params, signed=True)
-        r2 = weak_residual_m(traj, f2, geom, params, signed=True)
-        r12 = weak_residual_m(traj, Sum(), geom, params, signed=True)
+        r1 = weak_residual_m(samples, f1, geom, params, signed=True)
+        r2 = weak_residual_m(samples, f2, geom, params, signed=True)
+        r12 = weak_residual_m(samples, Sum(), geom, params, signed=True)
         assert r12 == pytest.approx(r1 + r2, abs=1e-12 + 1e-9 * abs(r1 + r2))
 
     def test_refinement_slope(self):
@@ -237,9 +156,9 @@ class TestWeakResidual:
         # because the spacer phase jump makes exchange rates grow as 1/dz^2
         resids = []
         for nx, nz, dt in ((4, 2, 2e-3), (8, 4, 5e-4)):
-            geom, params, traj = self._short_run(nx, nz, dt, 0.04)
+            geom, params, samples = self._short_run(nx, nz, dt, 0.04)
             lib = fn_library(geom)
-            resids.append(max(weak_residual_m(traj, fn, geom, params)
+            resids.append(max(weak_residual_m(samples, fn, geom, params)
                               for fn in lib))
         slope = math.log(resids[0] / resids[1]) / math.log(2.0)
         assert slope >= 1.0
@@ -340,8 +259,7 @@ class TestStationarity:
         ms = [1.3 * rng.standard_normal(shape) for _ in range(3)]
         hs = [rng.standard_normal(shape) for _ in range(3)]
         times = [0.0, 0.01, 0.03]
-        traj = Trajectory(ledger=EnergyLedger(), sample_times=times,
-                          m_samples=ms, h_cell_samples=hs)
+        samples = FieldSamples(times, ms, hs)
         dV, one_a2 = small_geom.cell_volume, 1.0 + params.alpha**2
         lib = fn_library(small_geom)
         stat, weak = [], []
@@ -360,7 +278,7 @@ class TestStationarity:
                                    - params.alpha * np.sum(np.cross(m_mid, m_dot) * phi))
                 want -= dt * one_a2 * face_stationary_form(m_mid, h_mid, params,
                                                            small_geom, phi, bc_mode)
-            got = weak_residual_m(traj, fn, small_geom, params, signed=True,
+            got = weak_residual_m(samples, fn, small_geom, params, signed=True,
                                   bc_mode=bc_mode)
             weak.append((got, want))
         # relative to the largest value over the library

@@ -339,14 +339,6 @@ class TestRun:
         with pytest.raises(ValueError, match="log_every"):
             run(geom, params, scheme, m, em, None, t_end=3e-3, log_every=log_every)
 
-    @pytest.mark.parametrize("sample_every", [0, -1])
-    def test_sample_every_below_one_rejected(self, sample_every):
-        geom, params, em, m, h = single_spin_setup()
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
-        with pytest.raises(ValueError, match="sample_every"):
-            run(geom, params, scheme, m, em, None, t_end=3e-3, keep_fields=True,
-                sample_every=sample_every)
-
     def test_nonfinite_m0_rejected_at_step_zero(self):
         geom, params, em, m, h = single_spin_setup()
         m = m.copy()
