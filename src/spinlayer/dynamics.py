@@ -78,52 +78,6 @@ def validate_stability(scheme: SchemeConfig, geom: DomainGeometry,
                 f"Yee bound {yee:g}; raise subcycles")
 
 
-def gilbert_solve(m: np.ndarray, F: np.ndarray, alpha: float,
-                  out: Optional[np.ndarray] = None,
-                  tmp: Optional[np.ndarray] = None) -> np.ndarray:
-    """Unique solution v of alpha v + m x v = F (closed form)
-
-        v = (alpha^2 F - alpha m x F + (m.F) m) / (alpha (alpha^2 + |m|^2)).
-
-    Valid for any m (unit norm not required); alpha must be positive.  m
-    and F have the same shape (..., 3).  `out` (aliasing neither) receives
-    v; `tmp` (a flat float array of at least 2 * m.size // 3 entries)
-    makes the call allocation-free.
-    """
-    m = np.asarray(m, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if out is None:
-        out = np.empty_like(F)
-    mdf, t = _scalars(tmp, m.shape[:-1], 2)
-    a2 = alpha**2
-    m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
-    f0, f1, f2 = F[..., 0], F[..., 1], F[..., 2]
-    v0, v1, v2 = out[..., 0], out[..., 1], out[..., 2]
-    _dot(m, F, mdf, t)
-    # m x F, using the component not yet written (then t) as scratch
-    np.multiply(m1, f2, out=v0)
-    np.multiply(m2, f1, out=v2)
-    v0 -= v2
-    np.multiply(m2, f0, out=v1)
-    np.multiply(m0, f2, out=v2)
-    v1 -= v2
-    np.multiply(m0, f1, out=v2)
-    np.multiply(m1, f0, out=t)
-    v2 -= t
-    out *= alpha
-    for v, f, mi in ((v0, f0, m0), (v1, f1, m1), (v2, f2, m2)):
-        np.multiply(f, a2, out=t)
-        np.subtract(t, v, out=v)
-        np.multiply(mdf, mi, out=t)
-        v += t
-    _dot(m, m, t, mdf)
-    t += a2
-    t *= alpha
-    for v in (v0, v1, v2):
-        v /= t
-    return out
-
-
 class _Workspace:
     """Preallocated buffers of one SimState's LLG stages.
 
@@ -149,14 +103,14 @@ class SimState:
     geom: DomainGeometry
     params: MaterialParams
     scheme: SchemeConfig
-    h_cells_frozen: Optional[np.ndarray] = None
+    h_cells_frozen: Optional[np.ndarray] = field(default=None, init=False)
     n: int = 0   # steps taken
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.m).all():
             raise NonFinite("initial magnetization is not finite")
-        if self.scheme.frozen_em and self.h_cells_frozen is None:
+        if self.scheme.frozen_em:
             self.h_cells_frozen = (np.zeros(self.geom.field_shape()) if self.em is None
                                    else interp_h_to_cells(self.em))
 
@@ -187,20 +141,22 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
             tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """Magnetization rate of the Gilbert-form system at frozen h.
 
-    Penalized mode returns the raw inversion (`gilbert_solve` of
-    (1 + alpha^2) h_tot; the doubly penalized flow is genuinely
-    unconstrained, the penalty controls the norm).  Projected mode
-    returns the part of that inversion orthogonal to m, in the closed
-    Landau-Lifshitz form
+    Both constraint modes take one closed form,
 
-        v = (1 + alpha^2) / (alpha^2 + |m|^2)
-            * (alpha (F - (m.F) m / |m|^2) - m x F),    F = h_tot,
+        v = w (-m x F + alpha (F - s m)),    F = h_tot,
+        w = (1 + alpha^2) / (alpha^2 + |m|^2),
 
-    with |m|^2 guarded below by 1e-300.  This is the inversion followed
-    by the projection, for any m: on the constraint the component along
-    m vanishes identically and v is -m x h_tot - alpha m x (m x h_tot),
-    so dropping it realizes the constrained system and keeps the
-    integrator at its nominal order.
+    with |m|^2 guarded below by 1e-300, and differ only in the scalar s:
+
+    - penalized, s = -(m.F) / alpha^2: v is the raw solution of
+      alpha v + m x v = (1 + alpha^2) h_tot for any m (the doubly
+      penalized flow is genuinely unconstrained, the penalty controls
+      the norm);
+    - projected, s = (m.F) / |m|^2: v is the part of that solution
+      orthogonal to m, for any m.  On the constraint the component along
+      m vanishes identically and v is -m x h_tot - alpha m x (m x h_tot),
+      so dropping it realizes the constrained system and keeps the
+      integrator at its nominal order.
 
     h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
     `tmp` (a flat float array of at least 3 * m.size entries) makes the
@@ -213,14 +169,14 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
     alpha = params.alpha
     F = assemble_h_tot(m, h_cells, geom, params, scheme.bc_mode,
                        out=_vector_field(m.shape, tmp), tmp=tmp[m.size:])
-    if scheme.constraint == PENALIZED:
-        tmp[:m.size] *= 1.0 + alpha**2     # the store of F
-        return gilbert_solve(m, F, alpha, out=out, tmp=tmp[m.size:])
     w, s, t = _scalars(tmp[m.size:], m.shape[:-1], 3)
     _dot(m, m, w, t)
     np.maximum(w, 1e-300, out=w)
     _dot(m, F, s, t)
-    s /= w                                    # (m.F) / |m|^2
+    if scheme.constraint == PENALIZED:
+        s /= -alpha**2                        # -(m.F) / alpha^2
+    else:
+        s /= w                                # (m.F) / |m|^2
     w += alpha**2
     np.divide(1.0 + alpha**2, w, out=w)       # (1 + alpha^2) / (alpha^2 + |m|^2)
     for i in range(3):
@@ -426,7 +382,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     ledger = EnergyLedger()
     accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
 
-    def record(step_idx: int):
+    def record():
         breakdown = state.energy()
         drift = (maxwell.divergence_drift(state.em, state.m)
                  if state.em is not None else 0.0)
@@ -439,14 +395,14 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         if on_row is not None:
             on_row(row)
 
-    record(0)
+    record()
     if on_state is not None:
         on_state(state, 0)
     for n in range(1, n_steps + 1):
         step(state, accum, f)
         logged = n % log_every == 0 or n == n_steps
         if logged:
-            record(n)
+            record()
         if on_state is not None and logged:
             on_state(state, n)
     state.work = None   # the stage buffers are only needed while stepping

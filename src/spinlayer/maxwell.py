@@ -246,7 +246,6 @@ class EMState:
     h: np.ndarray
     bc: str = PEC
     div0: Optional[np.ndarray] = None
-    omega_masks: tuple = field(default=None, repr=False)
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     ex = _component(0, "e on x edges")
@@ -266,8 +265,12 @@ class EMState:
 
     def copy(self) -> "EMState":
         return EMState(self.box, self.e.copy(), self.h.copy(), self.bc,
-                       None if self.div0 is None else self.div0.copy(),
-                       self.omega_masks)
+                       None if self.div0 is None else self.div0.copy())
+
+    @property
+    def omega_masks(self) -> tuple:
+        """Boolean masks of the body edge slabs, one per e component."""
+        return _body_edge_masks(self.box)
 
     def workspace(self) -> _Workspace:
         if self.work is None:
@@ -297,9 +300,7 @@ def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
     """Zero fields on the box with outer boundary bc (PEC or MUR1)."""
     if bc not in BOUNDARIES:
         raise ValueError(f"unknown boundary {bc!r} (choose from {BOUNDARIES})")
-    state = EMState(box, np.zeros(store_shape(box)), np.zeros(store_shape(box)), bc=bc)
-    state.omega_masks = _body_edge_masks(box)
-    return state
+    return EMState(box, np.zeros(store_shape(box)), np.zeros(store_shape(box)), bc=bc)
 
 
 class AppliedCurrent:

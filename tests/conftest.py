@@ -6,7 +6,7 @@ import pytest
 
 from spinlayer import maxwell as mx
 from spinlayer.diagnostics import _cell_coords, _stationary_value, _torque
-from spinlayer.dynamics import PROJECTED, gilbert_solve
+from spinlayer.dynamics import PROJECTED
 from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_layer_field
 from spinlayer.energetics import SHARP, _vector_field, apply_k, layer_cells
 from spinlayer.summation import dot
@@ -56,10 +56,26 @@ def face_laplacian(m, geom):
     return out
 
 
+def gilbert_solve(m, F, alpha):
+    """Unique solution v of alpha v + m x v = F, for any m and alpha > 0,
+    in closed form with `np.cross`:
+
+        v = (alpha^2 F - alpha m x F + (m.F) m) / (alpha (alpha^2 + |m|^2)).
+
+    m and F have the same shape (..., 3).  The oracle of the Gilbert
+    inversion that `dynamics.llg_rhs` takes in its own closed form.
+    """
+    m = np.asarray(m, dtype=float)
+    F = np.asarray(F, dtype=float)
+    mdf = np.sum(m * F, axis=-1)[..., None]
+    m2 = np.sum(m * m, axis=-1)[..., None]
+    return (alpha**2 * F - alpha * np.cross(m, F) + mdf * m) / (alpha * (alpha**2 + m2))
+
+
 def gilbert_projection_rhs(m, h_cells, geom, params, scheme):
     """The LLG rate assembled term by term and solved in Gilbert form: the
     reference for `dynamics.llg_rhs`, which sums h_tot in place and takes
-    the projected rate in closed Landau-Lifshitz form.
+    the rate of either constraint mode in one closed form.
 
     h_tot = h - K m + A lap(m) + the surface field of scheme.bc_mode + the
     penalty field; the rate is `gilbert_solve` of (1 + alpha^2) h_tot, and

@@ -6,7 +6,6 @@ The long coupled runs (criteria 3, 4, 7) share module-scoped fixtures.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -20,11 +19,10 @@ from spinlayer.diagnostics import (energy_inequality_residual,
                                    stationarity_residual)
 from spinlayer.diagnostics import test_function_library as fn_library
 from spinlayer.dynamics import (PENALIZED, PROJECTED, SchemeConfig, SimState,
-                                exchange_dt_bound, gilbert_solve, llg_rhs, run,
-                                step)
+                                exchange_dt_bound, llg_rhs, run, step)
 from spinlayer.effective_field import assemble_h_tot
 from spinlayer.energetics import (SHARP, THIN_LAYER, MaterialParams,
-                                  anisotropy_energy,
+                                  _vector_field, anisotropy_energy,
                                   exchange_energy, penalty_energy,
                                   thin_layer_energy, uniform_k_matrix)
 from spinlayer.geometry import GeometryConfig, build_geometry
@@ -60,11 +58,39 @@ def test_criterion_1_gilbert_inversion():
     bound = 1e-12 * (1.0 + np.linalg.norm(F, axis=-1))
     assert np.all(resid <= bound)
 
-    # the library routine gives the same answer (scalar alpha batches)
+    # the stepper's own rate: llg_rhs on a 1000-cell field with every
+    # energy term off, so that h_tot = h and its Gilbert right-hand side is
+    # F = (1 + alpha^2) h; norms of m up to 2 sqrt(3) and one zero cell
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 10, 10, 5, 5))
+    shape = geom.field_shape()
+    mc = m[:1000].reshape(shape).copy()
+    mc[0, 0, 0] = 0.0
+    h = F[:1000].reshape(shape)
+    m_major = _vector_field(shape)
+    np.copyto(m_major, mc)
+    m2 = np.sum(mc * mc, axis=-1)
+    worst = {PENALIZED: 0.0, PROJECTED: 0.0}
     for a in (0.01, 0.37, 10.0):
-        vv = gilbert_solve(m[:1000], F[:1000], a)
-        rr = np.linalg.norm(a * vv + np.cross(m[:1000], vv) - F[:1000], axis=-1)
-        assert np.all(rr <= 1e-12 * (1.0 + np.linalg.norm(F[:1000], axis=-1)))
+        params = MaterialParams(a_exch=0.0, k_matrix=None, ks=0.0, j1=0.0, j2=0.0,
+                                alpha=a)
+        Fa = (1.0 + a**2) * h
+        Fa_norm = np.linalg.norm(Fa, axis=-1)
+        # projected: the right-hand side less its part along m (none at m = 0)
+        along = np.sum(mc * Fa, axis=-1) / np.where(m2 > 0.0, m2, 1.0)
+        want = {PENALIZED: Fa, PROJECTED: Fa - along[..., None] * mc}
+        cap = 1e-12 * (1.0 + Fa_norm)
+        for layout in (mc, m_major):
+            for constraint in (PENALIZED, PROJECTED):
+                rate = llg_rhs(layout, h, geom, params,
+                               SchemeConfig(dt=1.0, constraint=constraint))
+                rr = np.linalg.norm(a * rate + np.cross(mc, rate) - want[constraint],
+                                    axis=-1)
+                assert np.all(rr <= cap)
+                worst[constraint] = max(worst[constraint], np.max(rr / cap))
+                if constraint == PROJECTED:
+                    # |v| <= |F| / alpha for the Gilbert solution and its projection
+                    mv = np.abs(np.sum(mc * rate, axis=-1))
+                    assert np.all(mv <= 1e-14 * np.sqrt(m2) * Fa_norm / a)
 
     # direct 3x3 solve oracle on a subsample
     eye = np.eye(3)
@@ -75,7 +101,8 @@ def test_criterion_1_gilbert_inversion():
         assert np.linalg.norm(v[i] - vo) <= 1e-12 * (1.0 + np.linalg.norm(vo))
     assert elapsed < 1.0
     report(1, "gilbert inversion",
-           f"worst residual ratio {np.max(resid / bound):.2e}, {elapsed * 1e3:.0f} ms")
+           f"worst residual ratio {np.max(resid / bound):.2e}, {elapsed * 1e3:.0f} ms; "
+           f"llg_rhs penalized {worst[PENALIZED]:.2e}, projected {worst[PROJECTED]:.2e}")
 
 
 # ---------------------------------------------------------------------------

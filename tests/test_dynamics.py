@@ -12,13 +12,13 @@ from spinlayer import maxwell as mx
 from spinlayer import presets
 from spinlayer.dynamics import (CONSTRAINTS, PROJECTED, SchemeConfig, SimState,
                                 _advance_m, _midpoint_h_cells, exchange_dt_bound,
-                                gilbert_solve, llg_rhs, run, step,
-                                validate_stability)
+                                llg_rhs, run, step, validate_stability)
 from spinlayer.energetics import BC_MODES, MaterialParams, _vector_field
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import box_midpoint_h_cells, gilbert_projection_rhs, random_unit_field
+from conftest import (box_midpoint_h_cells, gilbert_projection_rhs, gilbert_solve,
+                      random_unit_field)
 
 
 def plain_params(**overrides):

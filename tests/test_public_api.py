@@ -1,11 +1,13 @@
 """Every public top-level function and class of the package is reached by
-the package itself or by the benchmark, or is named here with a reason."""
+the package itself or by the benchmark, or is named here with a reason;
+and every module-level import of the package and of the tests is read."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spinlayer"
+TESTS = ROOT / "tests"
 
 # public names that only tests and the package exports reach, and why they stay
 REACHED_BY_TESTS_ONLY = {
@@ -47,3 +49,26 @@ def test_no_unreached_public_api():
     used = _referenced_names()
     unreached = sorted(name for name in _public_definitions() if name not in used)
     assert unreached == sorted(REACHED_BY_TESTS_ONLY)
+
+
+def _unused_imports(path):
+    """Names bound by the module-level imports of `path` that no Name in
+    the module reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports its exports, which nothing there reads
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += TESTS.glob("*.py")
+    unused = {path.relative_to(ROOT).as_posix(): sorted(names)
+              for path in sorted(paths) if (names := _unused_imports(path))}
+    assert unused == {}
