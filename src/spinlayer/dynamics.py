@@ -171,7 +171,9 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
                        out=_vector_field(m.shape, tmp), tmp=tmp[m.size:])
     w, s, t = _scalars(tmp[m.size:], m.shape[:-1], 3)
     _dot(m, m, w, t)
-    np.maximum(w, 1e-300, out=w)
+    # an array operand keeps numpy off its slow path for a scalar one
+    t.fill(1e-300)
+    np.maximum(w, t, out=w)
     _dot(m, F, s, t)
     if scheme.constraint == PENALIZED:
         s /= -alpha**2                        # -(m.F) / alpha^2
@@ -274,7 +276,7 @@ def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
     maxwell.curl_e(em.e, box, half / state.params.mu0, out=work.curl, tmp=work.tmp,
                    window=work.body_window)
     rate = maxwell.cells_to_faces(m_dot_pred, out=work.rate_faces)
-    for f, h, c, r in zip(work.body_faces, em.body_h(), work.body_curl_faces, rate):
+    for f, h, c, r in zip(work.body_faces, work.body_h, work.body_curl_faces, rate):
         # f = h - (half/mu0) curl e - half m_dot, in that order
         np.subtract(h, c, out=f)
         r *= half
@@ -320,17 +322,20 @@ def step(state: SimState, accum: Optional[dict] = None,
     f_rate /= dt
     if not scheme.frozen_em and state.em is not None:
         # the realized rate is constant over the step and zero outside the
-        # body: transfer it once, onto the body face slabs
-        m_dot_faces = None
-        if np.any(f_rate):
-            m_dot_faces = maxwell.cells_to_faces(
-                m_dot_eff, out=state.em.workspace().rate_faces)
+        # body: transfer it once, onto the body face slabs, as the
+        # increment dt_sub x rate of every substep
         dt_sub = dt / scheme.subcycles
+        dm_faces = None
+        if np.any(f_rate):
+            dm_faces = maxwell.cells_to_faces(
+                m_dot_eff, out=state.em.workspace().rate_faces)
+            for r in dm_faces:
+                r *= dt_sub
         no_current = np.zeros(3)
         for i in range(scheme.subcycles):
             t_mid = state.t + (i + 0.5) * dt_sub
             f_val = f.value(t_mid) if f is not None else no_current
-            fdtd_step(state.em, m_dot_faces, f_val, params, dt_sub, accum)
+            fdtd_step(state.em, dm_faces, f_val, params, dt_sub, accum)
         state.em.assert_finite(step_no, state.t)
 
     if accum is not None:

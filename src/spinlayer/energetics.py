@@ -264,14 +264,18 @@ def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = N
     k = params.k_matrix
     (t,) = _scalars(tmp, m.shape[:-1], 1)
     for i in range(3):
-        # (K_i0 m0 + K_i2 m2) + K_i1 m1: the summation order of
-        # np.einsum("ij,...j->...i"), so both agree bit for bit
+        # (K_i0 m0 + K_i2 m2) + K_i1 m1 over the nonzero entries: the
+        # summation order of np.einsum("ij,...j->...i"), whose zero terms
+        # add nothing to a finite m, so both agree up to the sign of zero
         o = out[..., i]
-        np.multiply(m[..., 0], k[i, 0], out=o)
-        np.multiply(m[..., 2], k[i, 2], out=t)
-        o += t
-        np.multiply(m[..., 1], k[i, 1], out=t)
-        o += t
+        terms = [j for j in (0, 2, 1) if k[i, j] != 0.0]
+        if not terms:
+            o[...] = 0.0
+            continue
+        np.multiply(m[..., terms[0]], k[i, terms[0]], out=o)
+        for j in terms[1:]:
+            np.multiply(m[..., j], k[i, j], out=t)
+            o += t
     return out
 
 
@@ -364,11 +368,11 @@ def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
 
 
 def maxwell_energy(em, params: MaterialParams) -> Tuple[float, float]:
-    """(field energy of h, field energy of e) over the computational box."""
+    """(field energy of h, field energy of e) over the computational box,
+    one sum over each store: its pads are zero."""
     dV = em.box.cell_volume
-    e_h = 0.5 * dV * fsum([dot(em.hx, em.hx), dot(em.hy, em.hy), dot(em.hz, em.hz)])
-    e_e = (0.5 * params.eps0 / params.mu0) * dV * fsum(
-        [dot(em.ex, em.ex), dot(em.ey, em.ey), dot(em.ez, em.ez)])
+    e_h = 0.5 * dV * dot(em.h, em.h)
+    e_e = (0.5 * params.eps0 / params.mu0) * dV * dot(em.e, em.e)
     return e_h, e_e
 
 

@@ -14,8 +14,10 @@ axis and n cells along the others; the store entries beyond a
 component's shape (one pad plane per short axis) are zero and stay zero.
 Because every component shares one index grid, a difference along an axis
 is a difference at a fixed offset (S0, S1 or 1) of the flattened store,
-so both curls are one kernel (`_curl`) of whole-array contiguous passes,
-and the leapfrog updates are single passes over the stores.
+so both curls are one kernel of whole-array contiguous passes, and the
+leapfrog updates are single passes over the stores.  The kernel is split
+in two: `_curl_views` slices the operands and `_apply_curl` runs the
+passes, so the leapfrog step applies view sets its workspace built once.
 
 The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
@@ -185,35 +187,45 @@ def _body_edge_masks(box: BoxGeometry) -> tuple:
 
 
 class _Workspace:
-    """Preallocated buffers of one EMState.
+    """Preallocated buffers of one EMState, and the views of its stores
+    that a leapfrog substep touches, built once.
 
     `curl` is the output store of both curls (and, between steps, h +
-    m_bar for the ledger's divergence drift).  `body_window` is its window
-    (see `curl_e`) spanning the faces of the body cells, `body_curl_faces`
-    its views of those faces; from them the midpoint-h predictor forms its
-    h in `body_faces` and averages it to cells in `body_cells`, which
-    before that holds the step's stage-begin cell h (`SimState.h_cells`).
+    m_bar for the ledger's divergence drift).  `curl_h_views` and
+    `curl_e_views` are the operands (`_curl_views`) of the backward curl
+    of the h store and the forward curl of the e store into it.
+    `body_window` is its window (see `curl_e`) spanning the faces of the
+    body cells, `body_curl_faces` its views of those faces; from them the
+    midpoint-h predictor forms its h in `body_faces` and averages it to
+    cells in `body_cells`, which before that holds the step's stage-begin
+    cell h (`SimState.h_cells`).  `body_h` views the h store on the same
+    faces, and `e_body` and `curl_body` view the e store and `curl` on the
+    body edge slabs.
     `tmp` is a flat scratch of two store components: the second difference
     quotient of a curl, m_bar's cells and faces, the two divergence terms
-    (and the drift's div0), the rate times dt.
+    (and the drift's div0).
     `e_new` and `e_mid` (one block per component) hold the conduction
-    update and the midpoint e on the body edge slabs.  `rate_faces` (a
-    triple of the body face slabs) holds the magnetization rate on faces
-    while a step's subcycles run.  `mur` holds the boundary planes of a
-    Mur1 substep with their buffers and `mur_coefs` its coefficients, both
-    made on the first one.
+    update and twice the midpoint e on the body edge slabs.  `rate_faces`
+    (a triple of the body face slabs) holds the magnetization increment
+    dt x rate on faces while a step's subcycles run.  `mur` holds the
+    boundary planes of a Mur1 substep with their buffers and `mur_coefs`
+    its coefficients, both made on the first one.
     """
 
-    def __init__(self, box: BoxGeometry):
+    def __init__(self, em: "EMState"):
+        box = em.box
         self.curl = np.zeros(store_shape(box))
-        self.curl_edges = edge_views(self.curl, box)
+        self.tmp = np.empty(2 * self.curl[0].size)
+        self.curl_h_views = _curl_views(em.h, box, self.curl, self.tmp, False)
+        self.curl_e_views = _curl_views(em.e, box, self.curl, self.tmp, True)
         self.body_window = tuple(_flat_span(slab, box) for slab in _body_face_slabs(box))
         self.body_curl_faces = _body_faces(self.curl, box)
-        self.tmp = np.empty(2 * self.curl[0].size)
-        slab_shapes = [tuple(s.stop - s.start for s in slab)
-                       for slab in _body_edge_slabs(box)]
-        self.e_new = tuple(np.empty(s) for s in slab_shapes)
-        self.e_mid = tuple(np.empty(s) for s in slab_shapes)
+        self.body_h = _body_faces(em.h, box)
+        slabs = _body_edge_slabs(box)
+        self.e_body = tuple(em.e[c][slab] for c, slab in enumerate(slabs))
+        self.curl_body = tuple(self.curl[c][slab] for c, slab in enumerate(slabs))
+        self.e_new = tuple(np.empty(e.shape) for e in self.e_body)
+        self.e_mid = tuple(np.empty(e.shape) for e in self.e_body)
         self.rate_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
         self.body_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
         self.body_cells = _vector_field((box.mx, box.my, box.mz, 3))
@@ -239,6 +251,8 @@ class EMState:
 
     `ex` ... `hz` are views of the stores, so writing into them writes
     the fields; assigning to one (`em.hx = a`) copies `a` into the store.
+    The stores are never rebound: the component views and the workspace
+    are built on them once.
     """
 
     box: BoxGeometry
@@ -274,12 +288,8 @@ class EMState:
 
     def workspace(self) -> _Workspace:
         if self.work is None:
-            self.work = _Workspace(self.box)
+            self.work = _Workspace(self)
         return self.work
-
-    def body_h(self) -> tuple:
-        """Views of h on the body face slabs."""
-        return _body_faces(self.h, self.box)
 
     def assert_finite(self, step: int, t: float):
         """Raise NonFinite naming the step, t, the first non-finite
@@ -336,30 +346,53 @@ def _flat(store: np.ndarray) -> np.ndarray:
     return np.reshape(store, (3, -1), copy=False)
 
 
-def _curl(src, box: BoxGeometry, scale: float, out, tmp, forward: bool,
-          window: Optional[tuple]) -> np.ndarray:
-    """The one curl kernel: for each component c, with (a, b) the next two
-    axes in cyclic order,
+def _off_axis(store: np.ndarray, axis: int, index) -> np.ndarray:
+    """The two components of a store other than `axis`, at `index` (an int
+    or a slice) along the axis, as one view."""
+    b, c = sorted(((axis + 1) % 3, (axis + 2) % 3))
+    return store[b:c + 1:c - b][(slice(None),) + _along(axis, index)]
 
-        out[c] = (scale/h_a) D_a src[b] - (scale/h_b) D_b src[a],
 
-    D the forward (edges -> faces) or backward (faces -> edges) difference,
-    a flat difference at the axis's offset.  The entries a flat difference
-    cannot reach, and those where it wraps to the next row or plane, all
-    lie on planes that are zeroed afterwards: the pad planes of each
-    component and, for the backward curl, the wall edges (`_zero_walls`).
-    With `window` (per component, a range of flat indices) only those
-    entries of `out` are written, and nothing is zeroed.
+def _wall_planes(store: np.ndarray, box: BoxGeometry) -> tuple:
+    """Per axis, the first and last node planes along it of the two other
+    components, as one view: in an e store, the edges on the box walls
+    normal to the axis, which are the tangential ones."""
+    n = (box.nx, box.ny, box.nz)
+    return tuple(_off_axis(store, axis, slice(0, n[axis] + 1, n[axis]))
+                 for axis in range(3))
+
+
+def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
+                forward: bool, window: Optional[tuple] = None) -> tuple:
+    """The operands of one curl of the store src into the store out, for
+    `_apply_curl`: for each component c, with (a, b) the next two axes in
+    cyclic order,
+
+        out[c] = (scale/h_b) (r D_a src[b] - D_b src[a]),   r = h_b/h_a,
+
+    which is (scale/h_a) D_a src[b] - (scale/h_b) D_b src[a] up to
+    roundoff; D is the forward (edges -> faces) or backward (faces ->
+    edges) difference, a flat difference at the axis's offset.  Per
+    component the views are (p1, p0, q1, q0, o, t, r, h_b): the minuend
+    and subtrahend of each difference, the output range, the scratch
+    `tmp` (a flat float array of at least one store component) cut to it,
+    and the two spacing factors.
+
+    The entries a flat difference cannot reach, and those where it wraps
+    to the next row or plane, all lie on planes that are zeroed after the
+    passes, the second item of the returned pair: the pad planes of each
+    component and, for the backward curl, the wall edges.  With `window`
+    (per component, a range of flat indices) only those entries of `out`
+    are written, and nothing is zeroed.
     """
     n = (box.nx, box.ny, box.nz)
     spacing = (box.dx, box.dy, box.dz)
     strides = _strides(box)
-    if out is None:
-        out = np.empty(store_shape(box))
     size = out[0].size
     if tmp is None:
         tmp = np.empty(size)
     s_flat, o_flat = _flat(src), _flat(out)
+    terms = []
     for c in range(3):
         a, b = (c + 1) % 3, (c + 2) % 3
         sa, sb = strides[a], strides[b]
@@ -369,29 +402,37 @@ def _curl(src, box: BoxGeometry, scale: float, out, tmp, forward: bool,
             lo, hi = max(lo, window[c].start), min(hi, window[c].stop)
         # (minuend, subtrahend) offsets of the two differences
         pa, pb = ((sa, 0), (sb, 0)) if forward else ((0, -sa), (0, -sb))
-        p, q, o, t = s_flat[b], s_flat[a], o_flat[c][lo:hi], tmp[:hi - lo]
-        np.subtract(p[lo + pa[0]:hi + pa[0]], p[lo + pa[1]:hi + pa[1]], out=o)
-        o *= scale / spacing[a]
-        np.subtract(q[lo + pb[0]:hi + pb[0]], q[lo + pb[1]:hi + pb[1]], out=t)
-        t *= scale / spacing[b]
+        p, q = s_flat[b], s_flat[a]
+        terms.append((p[lo + pa[0]:hi + pa[0]], p[lo + pa[1]:hi + pa[1]],
+                      q[lo + pb[0]:hi + pb[0]], q[lo + pb[1]:hi + pb[1]],
+                      o_flat[c][lo:hi], tmp[:hi - lo], spacing[b] / spacing[a],
+                      spacing[b]))
+    if window is not None:
+        zeros = ()
+    elif forward:
+        # faces are short along the two axes other than their own
+        zeros = tuple(_off_axis(out, axis, n[axis]) for axis in range(3))
+    else:
+        # edges are short along their own axis
+        zeros = (tuple(out[c][_along(c, n[c])] for c in range(3))
+                 + _wall_planes(out, box))
+    return tuple(terms), zeros
+
+
+def _apply_curl(views: tuple, scale: float):
+    """Run the curl whose operands `_curl_views` sliced: per component
+    (scale/h_b) (r D_a p - D_b q) in four passes, five when r != 1, then
+    the zero planes."""
+    terms, zeros = views
+    for p1, p0, q1, q0, o, t, r, h in terms:
+        np.subtract(p1, p0, out=o)
+        if r != 1.0:
+            o *= r
+        np.subtract(q1, q0, out=t)
         o -= t
-        if window is None:
-            # pads: faces are short along a and b, edges along c
-            for axis in ((a, b) if forward else (c,)):
-                out[c][_along(axis, n[axis])] = 0.0
-    if window is None and not forward:
-        _zero_walls(out, box)
-    return out
-
-
-def _zero_walls(store: np.ndarray, box: BoxGeometry):
-    """Zero the edges of an e store that lie on the box walls: for each
-    component, its first and last node plane along the other two axes."""
-    n = (box.nx, box.ny, box.nz)
-    for c in range(3):
-        for axis in ((c + 1) % 3, (c + 2) % 3):
-            store[c][_along(axis, 0)] = 0.0
-            store[c][_along(axis, n[axis])] = 0.0
+        o *= scale / h
+    for plane in zeros:
+        plane[...] = 0.0
 
 
 def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None, tmp=None,
@@ -403,7 +444,10 @@ def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None, tmp=No
     component, a slice of flat store indices) only those entries of `out`
     are computed, and the rest of `out` is left as it was.
     """
-    return _curl(e, box, scale, out, tmp, True, window)
+    if out is None:
+        out = np.empty(store_shape(box))
+    _apply_curl(_curl_views(e, box, out, tmp, True, window), scale)
+    return out
 
 
 def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
@@ -414,7 +458,10 @@ def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
     `out` (a store) and `tmp` (a flat float array of at least one store
     component) make the call allocation-free.
     """
-    return _curl(h, box, scale, out, tmp, False, None)
+    if out is None:
+        out = np.empty(store_shape(box))
+    _apply_curl(_curl_views(h, box, out, tmp, False), scale)
+    return out
 
 
 def grad_cells(phi: np.ndarray, box: BoxGeometry, out=None) -> tuple:
@@ -691,24 +738,20 @@ def _mur_coef(params: MaterialParams, dt: float, h: float) -> float:
     return (c * dt - h) / (c * dt + h)
 
 
-# the tangential e components on the box faces normal to each axis
-_MUR_PLANES = (("ey", 0), ("ez", 0), ("ex", 1), ("ez", 1), ("ex", 2), ("ey", 2))
-
-
 def _mur_planes(em: EMState) -> list:
-    """Per boundary plane of a tangential e component: its axis, the plane
-    and its inner neighbour (views of the store), and buffers for the two
-    planes' old values and the update.  Made on the first Mur1 substep."""
+    """Per axis: the boundary planes 0 and n of the two tangential e
+    components as one view of the store (`_wall_planes`), their inner
+    neighbours 1 and n - 1 as another, and buffers for the old values of
+    both.  Made on the first Mur1 substep; the box needs 3 cells or more
+    along every axis (`make_box` gives at least 3), so that no boundary
+    plane is another's neighbour."""
     work = em.workspace()
     if work.mur is None:
+        n = (em.box.nx, em.box.ny, em.box.nz)
         work.mur = []
-        for name, axis in _MUR_PLANES:
-            comp = getattr(em, name)
-            for plane, inner in ((0, 1), (-1, -2)):
-                dst = comp[_along(axis, plane)]
-                work.mur.append((axis, dst, comp[_along(axis, inner)],
-                                 np.empty(dst.shape), np.empty(dst.shape),
-                                 np.empty(dst.shape)))
+        for axis, dst in enumerate(_wall_planes(em.e, em.box)):
+            inner = _off_axis(em.e, axis, slice(1, n[axis], n[axis] - 2))
+            work.mur.append((axis, dst, inner, np.empty(dst.shape), np.empty(dst.shape)))
     return work.mur
 
 
@@ -716,7 +759,7 @@ def _capture_mur_old(em: EMState) -> list:
     """Copy the boundary and next-inner planes of the tangential e
     components into their buffers."""
     planes = _mur_planes(em)
-    for _, dst, inner, old, inner_old, _ in planes:
+    for _, dst, inner, old, inner_old in planes:
         np.copyto(old, dst)
         np.copyto(inner_old, inner)
     return planes
@@ -724,33 +767,36 @@ def _capture_mur_old(em: EMState) -> list:
 
 def _apply_mur(em: EMState, planes: list, params: MaterialParams, dt: float):
     """First-order absorbing update of tangential e on the six box faces,
-    plane = inner_old + coef * (inner - old), with no temporaries."""
+    plane = inner_old + coef * (inner - old), axis by axis (an edge on two
+    walls takes the later axis's value), with no temporaries: the update
+    is formed in the buffer of the old values."""
     work = em.workspace()
     key = (dt, params.speed_of_light)
     if work.mur_coefs is None or work.mur_coefs[0] != key:
         work.mur_coefs = (key, [_mur_coef(params, dt, h)
                                 for h in (em.box.dx, em.box.dy, em.box.dz)])
     coefs = work.mur_coefs[1]
-    for axis, dst, inner, old, inner_old, new in planes:
+    for axis, dst, inner, old, inner_old in planes:
         # the sum is taken the other way round, which keeps its bits
-        np.subtract(inner, old, out=new)
-        new *= coefs[axis]
-        new += inner_old
-        np.copyto(dst, new)
+        np.subtract(inner, old, out=old)
+        old *= coefs[axis]
+        old += inner_old
+        np.copyto(dst, old)
 
 
-def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
+def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
               params: MaterialParams, dt: float, accum: Optional[dict] = None) -> EMState:
     """One leapfrog step: e update (semi-implicit conduction), then h.
 
-    m_dot_faces is the magnetization rate already transferred to the body
-    face slabs (`cells_to_faces` of the body rate), or None; the rate
-    vanishes outside the body, so only those slabs feel it.  The fields
-    are updated in place through buffers the state owns, so a warm step
-    allocates nothing box-sized.  When `accum` is given, the Ohmic and
-    source work of this step is added under keys "ohmic" and "source"
-    using the midpoint e, which matches the semi-implicit update identity
-    exactly.
+    dm_faces is the magnetization increment of the step, dt times the
+    rate already transferred to the body face slabs (`cells_to_faces` of
+    the body rate), or None; the rate vanishes outside the body, so only
+    those slabs feel it.  The fields are updated in place through buffers
+    and views the state's workspace built once, so a warm step slices
+    nothing and allocates nothing box-sized.  When `accum` is given, the
+    Ohmic and source work of this step is added under keys "ohmic" and
+    "source" using the midpoint e, which matches the semi-implicit update
+    identity exactly.
     """
     box = em.box
     limit = cfl_limit(box, params)
@@ -760,49 +806,50 @@ def fdtd_step(em: EMState, m_dot_faces: Optional[tuple], f_value: np.ndarray,
     work = em.workspace()
     sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
     k = dt / eps0
-    curl_h(em.h, box, k, out=work.curl, tmp=work.tmp)
+    _apply_curl(work.curl_h_views, k)
     mur_old = _capture_mur_old(em) if em.bc == MUR1 else None
 
-    slabs = _body_edge_slabs(box)
     if sigma != 0.0:
         # conduction acts on the body edges only, where e becomes
         # ((1 - beta) e + k (curl h - sigma f)) / (1 + beta); outside them
         # the update is the vacuum one below
         dV = box.cell_volume
         beta = sigma * dt / (2.0 * eps0)
-        for e, ce, slab, fc, e_new, e_mid in zip(
-                (em.ex, em.ey, em.ez), work.curl_edges, slabs, f_value, work.e_new,
-                work.e_mid):
-            e_body = e[slab]
-            np.subtract(ce[slab], k * sigma * fc, out=e_new)
-            np.multiply(e_body, 1.0 - beta, out=e_mid)
-            e_new += e_mid
+        for e_body, ce, fc, e_new, e_mid in zip(work.e_body, work.curl_body, f_value,
+                                                work.e_new, work.e_mid):
+            if fc != 0.0:
+                np.subtract(ce, k * sigma * fc, out=e_new)
+                np.multiply(e_body, 1.0 - beta, out=e_mid)
+                e_new += e_mid
+            else:
+                np.multiply(e_body, 1.0 - beta, out=e_new)
+                e_new += ce
             e_new /= 1.0 + beta
             if accum is not None:
+                # e_mid is twice the midpoint e; the factors 0.25 and 0.5
+                # rescale exactly, so the sums keep the midpoint's bits
                 np.add(e_body, e_new, out=e_mid)
-                e_mid *= 0.5
-                accum["ohmic"] += dt * (sigma / mu0) * dV * dot(e_mid, e_mid)
+                accum["ohmic"] += dt * (sigma / mu0) * dV * (0.25 * dot(e_mid, e_mid))
                 if fc != 0.0:
-                    e_mid *= fc
+                    e_mid *= 0.5 * fc
                     accum["source"] += dt * (sigma / mu0) * dV * esum(e_mid)
     np.add(em.e, work.curl, out=em.e)
     if sigma != 0.0:
-        for e, slab, e_new in zip((em.ex, em.ey, em.ez), slabs, work.e_new):
-            e[slab] = e_new
+        for e_body, e_new in zip(work.e_body, work.e_new):
+            np.copyto(e_body, e_new)
 
     if em.bc == MUR1:
         _apply_mur(em, mur_old, params, dt)
 
-    curl_e(em.e, box, dt / mu0, out=work.curl, tmp=work.tmp)
+    _apply_curl(work.curl_e_views, dt / mu0)
     np.subtract(em.h, work.curl, out=em.h)
-    if m_dot_faces is not None:
-        for h, mf in zip(em.body_h(), m_dot_faces):
-            rate = work.tmp[:mf.size].reshape(mf.shape)
-            np.multiply(mf, dt, out=rate)
-            h -= rate
+    if dm_faces is not None:
+        for h, dm in zip(work.body_h, dm_faces):
+            h -= dm
     return em
 
 
 def zero_boundary_tangential_e(em: EMState):
     """Enforce the perfectly conducting wall on tangential e."""
-    _zero_walls(em.e, em.box)
+    for plane in _wall_planes(em.e, em.box):
+        plane[...] = 0.0

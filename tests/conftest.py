@@ -302,9 +302,10 @@ def plain_init_divfree(m0, h0_spec, box):
 
 # ---------------------------------------------------------------------------
 # the plain-array Yee step: six separate component arrays, each curl
-# component in 5 passes, (p_hi - p_lo)/hp - (q_hi - q_lo)/hq, scaled after.
-# The store kernel folds the scale into the quotients, so the two agree to
-# roundoff.
+# component (p_hi - p_lo)/hp - (q_hi - q_lo)/hq, scaled after, and the rate
+# times dt subtracted from h on every substep.  The store kernel takes
+# (scale/hq) (r (p_hi - p_lo) - (q_hi - q_lo)) with r = hq/hp, and the
+# stepper is handed dt times the rate, so the two agree to roundoff.
 
 FIELD_NAMES = ("ex", "ey", "ez", "hx", "hy", "hz")
 

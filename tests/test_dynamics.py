@@ -10,9 +10,11 @@ from scipy.ndimage import gaussian_filter
 
 from spinlayer import maxwell as mx
 from spinlayer import presets
-from spinlayer.dynamics import (CONSTRAINTS, PROJECTED, SchemeConfig, SimState,
-                                _advance_m, _midpoint_h_cells, exchange_dt_bound,
-                                llg_rhs, run, step, validate_stability)
+from spinlayer.dynamics import (CONSTRAINTS, PENALIZED, PROJECTED, SchemeConfig,
+                                SimState, _advance_m, _midpoint_h_cells,
+                                exchange_dt_bound, llg_rhs, run, step,
+                                validate_stability)
+from spinlayer.effective_field import assemble_h_tot
 from spinlayer.energetics import BC_MODES, MaterialParams, _vector_field
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import GeometryConfig, build_geometry
@@ -154,6 +156,43 @@ def test_llg_rhs_matches_gilbert_solve_then_projection(seed, alpha, bc_mode,
     if constraint == PROJECTED:
         # tangential to roundoff: |v . m| against the scale of v times |m|
         assert np.abs(np.sum(got * m, axis=-1)).max() <= 1e-14 * scale * 2.0
+
+
+def scalar_guard_rate(m, F, alpha, constraint):
+    """`llg_rhs`'s closed form pass by pass, with |m|^2 guarded by numpy's
+    scalar-operand maximum np.maximum(|m|^2, 1e-300)."""
+    w = m[..., 0] * m[..., 0] + m[..., 1] * m[..., 1] + m[..., 2] * m[..., 2]
+    w = np.maximum(w, 1e-300)
+    s = m[..., 0] * F[..., 0] + m[..., 1] * F[..., 1] + m[..., 2] * F[..., 2]
+    s = s / -alpha**2 if constraint == PENALIZED else s / w
+    w = (1.0 + alpha**2) / (w + alpha**2)
+    v = np.empty(m.shape)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        v[..., i] = ((m[..., k] * F[..., j] - m[..., j] * F[..., k])
+                     + (F[..., i] - s * m[..., i]) * alpha) * w
+    return v
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+def test_llg_rhs_guard_matches_the_scalar_form_bit_for_bit(constraint):
+    # the guard takes an array operand filled with 1e-300; a zero cell and
+    # a cell with |m|^2 = 3e-302 take the guard's value, which the latter's
+    # projected rate shows
+    geom = build_geometry(GeometryConfig(1.0, 0.75, 0.5, 0.5, 4, 3, 3, 3))
+    rng = np.random.default_rng(26)
+    params = plain_params(a_exch=0.3, k_matrix=np.diag([0.5, 0.2, 0.0]), alpha=0.7)
+    m = _vector_field(geom.field_shape())
+    np.copyto(m, rng.standard_normal(m.shape))
+    m[1, 2, 0] = 0.0
+    m[0, 1, 1] = 1e-151
+    h = rng.standard_normal(m.shape)
+    scheme = SchemeConfig(dt=1e-3, constraint=constraint)
+    F = assemble_h_tot(m, h, geom, params, scheme.bc_mode)
+    got = llg_rhs(m, h, geom, params, scheme)
+    want = scalar_guard_rate(m, F, params.alpha, constraint)
+    assert np.isfinite(want).all()
+    assert (np.ascontiguousarray(got).view(np.int64) == want.view(np.int64)).all()
 
 
 class TestStep:
@@ -432,7 +471,7 @@ class TestLayout:
             assert all(component_major(k) for k in work.k)
             assert len(work.k) == 4 and component_major(work.m_stage)
         assert component_major(em.workspace().body_cells)
-        assert component_major(mx.faces_to_cells(*em.body_h()))
+        assert component_major(mx.faces_to_cells(*em.workspace().body_h))
 
     def test_presets_are_component_major(self):
         geom = build_geometry(GeometryConfig(1.0, 0.75, 0.5, 0.75, 4, 3, 2, 3))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinlayer.effective_field import assemble_h_tot, penalty_field
 from spinlayer.energetics import (EnergyBreakdown, MaterialParams, _vector_field,
-                                  anisotropy_energy, exchange_energy,
+                                  anisotropy_energy, apply_k, exchange_energy,
                                   maxwell_energy, penalty_energy,
                                   thin_layer_energy, total_energy,
                                   uniform_k_matrix)
@@ -131,6 +131,22 @@ class TestAnisotropy:
                     acc += 0.5 * m[i, j, kk] @ k @ m[i, j, kk]
         expected = acc * small_geom.cell_volume
         assert anisotropy_energy(m, small_geom, params) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [
+        np.diag([0.05, 0.02, 0.03]),                                   # diagonal
+        np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.7]]),  # full
+        np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]),    # zero row
+        np.diag([0.05, 0.02, 0.0]),                      # the benchmark's K
+    ])
+    def test_apply_k_matches_einsum(self, small_geom, k):
+        # only the nonzero entries are multiplied, in einsum's order
+        params = plain_params(k_matrix=k)
+        m = np.random.default_rng(43).standard_normal(small_geom.field_shape())
+        m[1, 2, 0] = 0.0
+        want = np.einsum("ij,...j->...i", params.k_matrix, m)
+        out = _vector_field(m.shape)
+        for got in (apply_k(params, m), apply_k(params, m, out=out, tmp=np.empty(m.size))):
+            assert got.shape == want.shape and (got == want).all()
 
 
 def sharp_surface(m, geom, params):

@@ -57,19 +57,21 @@ class TestOperators:
 
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_curls_match_plain_reference(self, scale):
-        # unequal spacings, so every difference quotient has its own scale;
+        # unequal spacings, so every difference quotient has its own scale,
+        # and a cubic cell, where the kernel skips the ratio h_b/h_a = 1;
         # the kernel folds the scale in, the reference scales afterwards
-        box = mx.BoxGeometry(nx=7, ny=5, nz=6, dx=0.3, dy=0.2, dz=0.45,
-                             ox=2, oy=2, oz=2, mx=3, my=1, mz=2)
-        em = random_em(box, seed=7, pec=False)
-        ce, ch = mx.curl_h(em.h, box, scale), mx.curl_e(em.e, box, scale)
-        for got, want in zip(mx.edge_views(ce, box) + mx.face_views(ch, box),
-                             plain_curl_h(em.hx, em.hy, em.hz, box)
-                             + plain_curl_e(em.ex, em.ey, em.ez, box)):
-            assert np.abs(got - scale * want).max() <= 1e-13 * np.abs(want).max()
-        # and nothing lands on the pads: the stores hold the arrays alone
-        assert_same_bits(ce, edge_store(mx.edge_views(ce, box), box))
-        assert_same_bits(ch, face_store(mx.face_views(ch, box), box))
+        for dx, dy, dz in ((0.3, 0.2, 0.45), (0.25, 0.25, 0.25)):
+            box = mx.BoxGeometry(nx=7, ny=5, nz=6, dx=dx, dy=dy, dz=dz,
+                                 ox=2, oy=2, oz=2, mx=3, my=1, mz=2)
+            em = random_em(box, seed=7, pec=False)
+            ce, ch = mx.curl_h(em.h, box, scale), mx.curl_e(em.e, box, scale)
+            for got, want in zip(mx.edge_views(ce, box) + mx.face_views(ch, box),
+                                 plain_curl_h(em.hx, em.hy, em.hz, box)
+                                 + plain_curl_e(em.ex, em.ey, em.ez, box)):
+                assert np.abs(got - scale * want).max() <= 1e-13 * np.abs(want).max()
+            # and nothing lands on the pads: the stores hold the arrays alone
+            assert_same_bits(ce, edge_store(mx.edge_views(ce, box), box))
+            assert_same_bits(ch, face_store(mx.face_views(ch, box), box))
 
     def test_curl_overwrites_a_used_buffer(self, small_geom):
         # both curls share the workspace store: each must set every entry
@@ -286,18 +288,42 @@ class TestFdtdStep:
         params = em_params(sigma=10.0)
         dt = 0.5 * mx.cfl_limit(box, params)
         m_dot = np.random.default_rng(23).standard_normal(geom.field_shape())
-        m_dot_faces = mx.cells_to_faces(m_dot)   # the body face triple
+        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))   # body faces
         f_value = np.array([0.1, 0.0, -0.2])
         accum = {"ohmic": 0.0, "source": 0.0}
-        mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)   # warm
+        mx.fdtd_step(em, dm_faces, f_value, params, dt, accum)   # warm
         tracemalloc.start()
         try:
             for _ in range(8):
-                mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
+                mx.fdtd_step(em, dm_faces, f_value, params, dt, accum)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < em.ex.nbytes
+
+    def test_warm_substep_builds_no_views(self, monkeypatch):
+        # the first substep builds the workspace with its curl operands,
+        # body slabs and Mur1 planes; later ones only apply them
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 6, 5, 3, 2))
+        box = mx.make_box(geom, padding=3)
+        em = random_em(box, seed=24, pec=False)
+        em.bc = mx.MUR1
+        params = em_params(sigma=2.0)
+        dt = 0.5 * mx.cfl_limit(box, params)
+        m_dot = np.random.default_rng(25).standard_normal(geom.field_shape())
+        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))
+        f_value = np.array([0.3, 0.0, -0.2])
+        accum = {"ohmic": 0.0, "source": 0.0}
+        mx.fdtd_step(em, dm_faces, f_value, params, dt, accum)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm substep built a view")
+
+        for name in ("_curl_views", "_off_axis", "_wall_planes", "_along",
+                     "_body_faces", "_body_edge_slabs", "_body_face_slabs"):
+            monkeypatch.setattr(mx, name, forbidden)
+        for _ in range(8):
+            mx.fdtd_step(em, dm_faces, f_value, params, dt, accum)
 
     def test_plane_wave_speed(self):
         # Gaussian pulse in vacuum propagates at 1/sqrt(mu0 eps0) within 2%.
@@ -357,9 +383,9 @@ class TestStores:
         f_value = np.array([0.3, -0.1, 0.2])
         accum = {"ohmic": 0.0, "source": 0.0}
         accum_ref = dict(accum)
-        m_dot_faces = mx.cells_to_faces(m_dot)
+        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))
         for _ in range(50):
-            mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
+            mx.fdtd_step(em, dm_faces, f_value, params, dt, accum)
             plain_fdtd_step(ref, box, bc, m_dot, f_value, params, dt, accum_ref)
         scale = max(np.abs(a).max() for a in ref.values())
         for name in FIELD_NAMES:
@@ -393,9 +419,9 @@ class TestStores:
                  for i in (0, -1)}
         params = em_params(sigma=2.0)
         dt = 0.5 * mx.cfl_limit(box, params)
-        m_dot_faces = mx.cells_to_faces(m_dot)
+        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))
         for _ in range(50):
-            mx.fdtd_step(em, m_dot_faces, np.array([0.3, -0.1, 0.2]), params, dt)
+            mx.fdtd_step(em, dm_faces, np.array([0.3, -0.1, 0.2]), params, dt)
         for store, views in ((em.e, mx.edge_views), (em.h, mx.face_views)):
             outside = np.ones(store.shape, dtype=bool)
             for view in views(outside, box):
@@ -446,6 +472,27 @@ class TestStores:
         for a, b in zip((em.e, em.h, em.div0), before):
             assert_same_bits(a, b)
 
+    @pytest.mark.parametrize("bc", mx.BOUNDARIES)
+    def test_stepping_a_copy_leaves_the_original(self, bc):
+        # the workspace views the stores it was built on: a copy builds its
+        # own, so stepping it writes nothing into the original
+        em, m_dot = self._driven(bc, 66)
+        params = em_params(sigma=2.0)
+        dt = 0.5 * mx.cfl_limit(em.box, params)
+        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))
+        f_value = np.array([0.3, -0.1, 0.2])
+        mx.fdtd_step(em, dm_faces, f_value, params, dt)     # the original's workspace
+        before = (em.e.copy(), em.h.copy())
+        dup = em.copy()
+        for _ in range(4):
+            mx.fdtd_step(dup, dm_faces, f_value, params, dt)
+        assert_same_bits(em.e, before[0])
+        assert_same_bits(em.h, before[1])
+        assert dup.work is not None and dup.work is not em.work
+        assert not np.shares_memory(dup.work.curl, em.work.curl)
+        assert np.shares_memory(dup.work.body_h[0], dup.h)
+        assert np.abs(dup.e - em.e).max() > 0.0
+
     def test_store_must_be_c_contiguous_of_the_store_shape(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
         good = np.zeros(mx.store_shape(box))
@@ -484,9 +531,9 @@ class TestBodyLocal:
         f_value = np.array([0.3, -0.1, 0.2])
         accum = {"ohmic": 0.0, "source": 0.0}
         accum_ref = dict(accum)
-        m_dot_faces = mx.cells_to_faces(m_dot)
+        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))
         for _ in range(4):
-            mx.fdtd_step(em, m_dot_faces, f_value, params, dt, accum)
+            mx.fdtd_step(em, dm_faces, f_value, params, dt, accum)
             box_fdtd_step(ref, m_dot, f_value, params, dt, accum_ref)
         for name in ("ex", "ey", "ez", "hx", "hy", "hz"):
             assert_same_bits(getattr(em, name), getattr(ref, name))
@@ -528,9 +575,9 @@ class TestDivergencePropagation:
         dt = 0.9 * mx.cfl_limit(box, params)
         rng = np.random.default_rng(11)
         m_dot = rng.standard_normal(geom.field_shape())
-        m_dot_faces = mx.cells_to_faces(m_dot)   # the body face triple
+        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))   # body faces
         for _ in range(1000):
-            mx.fdtd_step(em, m_dot_faces, np.zeros(3), params, dt)
+            mx.fdtd_step(em, dm_faces, np.zeros(3), params, dt)
             m = m + dt * m_dot
         assert mx.divergence_drift(em, m) < 1e-12 * 1000
 
