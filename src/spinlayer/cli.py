@@ -18,9 +18,9 @@ import time
 
 from . import dynamics, maxwell, snapshots
 from .config import RunConfig, _parse, _validate, build_model, build_setup, parse_config
-from .diagnostics import (CSV_COLUMNS, omega_limit_field_cells,
-                          saturation_deviation, stationarity_report)
-from .energetics import EnergyBreakdown, _vector_copy, total_energy
+from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
+from .dynamics import _state_terms
+from .energetics import EnergyBreakdown, _vector_copy
 from .errors import ConfigError, SimulationError
 
 # numeric failures (exit 3): the simulator's own, and float overflow or
@@ -207,10 +207,9 @@ def recompute_final_row(outdir: str):
     em.hx, em.hy, em.hz = h_arrays
     em.ex, em.ey, em.ez = e_arrays
 
-    breakdown = total_energy(m_arr, em, geom, setup.params, bc_mode=config.bc_mode)
-    drift = maxwell.divergence_drift(em, m_arr)
-    values = ((t_final,) + breakdown.as_tuple()
-              + (saturation_deviation(m_arr), drift))
+    breakdown, saturation_dev, drift = _state_terms(m_arr, em, geom, setup.params,
+                                                    config.bc_mode)
+    values = (t_final,) + breakdown.as_tuple() + (saturation_dev, drift)
 
     H = omega_limit_field_cells(m_arr, setup.box, geom)
     stationarity = stationarity_report(m_arr, H, setup.params, geom,

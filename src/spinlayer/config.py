@@ -69,7 +69,7 @@ class RunConfig:
     # maxwell
     padding: int = 8
     bc: str = maxwell.PEC
-    frozen: bool = False
+    frozen: bool = False   # only off is accepted
     # initial
     m0: tuple = ("uniform", 0.0, 0.0, 1.0)
     h0: tuple = (maxwell.ZERO,)
@@ -305,6 +305,9 @@ def _validate(config: RunConfig):
         raise ValidationError("scheme.subcycles", "must be at least 1")
     if config.padding < 1:
         raise ValidationError("maxwell.padding", "must be at least 1")
+    if config.frozen:
+        # a frozen h has no Zeeman term in the energy ledger
+        raise ValidationError("maxwell.frozen", "only off is accepted")
     if config.cadence < 1:
         raise ValidationError("output.cadence", "must be at least 1")
     if config.t_end < 0:
@@ -378,7 +381,7 @@ def build_model(config: RunConfig) -> RunSetup:
     scheme = SchemeConfig(
         dt=config.dt, subcycles=config.subcycles, integrator=config.integrator,
         constraint=config.constraint, bc_mode=config.bc_mode,
-        stability_c=config.stability_c, frozen_em=config.frozen)
+        stability_c=config.stability_c)
 
     box = maxwell.make_box(geom, config.padding)
     # the bounds `dynamics.run` enforces, so `check` rejects what `run` would

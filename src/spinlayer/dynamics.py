@@ -22,7 +22,7 @@ from .energetics import (BC_MODES, SHARP, MaterialParams, _dot, _flat_stores,
                          _scalars, _vector_copy, _vector_field, total_energy)
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
-from .maxwell import AppliedCurrent, EMState, fdtd_step, interp_h_to_cells
+from .maxwell import AppliedCurrent, EMState, interp_h_to_cells
 from .summation import dot
 
 HEUN = "heun"
@@ -115,24 +115,19 @@ class SimState:
                                    else interp_h_to_cells(self.em))
 
     def h_cells(self) -> np.ndarray:
-        """h on the body cells: the frozen field, or the Maxwell h averaged
-        into the Maxwell workspace's `body_cells` (valid until the
-        workspace is next used)."""
+        """h on the body cells: the frozen field, or the Maxwell h
+        (`maxwell.stage_h_cells`, valid until its workspace is next used)."""
         if self.scheme.frozen_em:
             return self.h_cells_frozen
         if self.em is None:
             return np.zeros(self.geom.field_shape())
-        return interp_h_to_cells(self.em, out=self.em.workspace().body_cells)
+        return maxwell.stage_h_cells(self.em)
 
     def workspace(self) -> _Workspace:
         if self.work is None:
             stages = 2 if self.scheme.integrator == HEUN else 4
             self.work = _Workspace(self.m.shape, stages)
         return self.work
-
-    def energy(self) -> "object":
-        return total_energy(self.m, self.em, self.geom, self.params,
-                            bc_mode=self.scheme.bc_mode, tmp=self.workspace().tmp)
 
 
 def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
@@ -254,36 +249,6 @@ def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
     return out
 
 
-def _midpoint_h_cells(state: SimState, m_dot_pred: np.ndarray) -> np.ndarray:
-    """Predicted Maxwell h at the step midpoint, on magnetization cells.
-
-    Freezing h at its stage-begin value injects (dt^2/2)|R^T m_dot|^2 of
-    spurious electromagnetic energy per step, a sign-definite O(dt)
-    fraction of the dissipated energy that swamps the energy-inequality
-    diagnostic.  Centering the Zeeman coupling with an explicit predictor
-    reduces the coupling error to O(dt^3) per step at the cost of one
-    extra field evaluation; divergence bookkeeping is unaffected because
-    the h update still uses the realized rate.
-    """
-    em = state.em
-    dt = state.scheme.dt
-    box = em.box
-    work = em.workspace()
-    half = 0.5 * dt
-    # the body cells average only the body face slabs: take (half/mu0)
-    # curl e on the store window that holds them, with the rate moved to
-    # the same faces
-    maxwell.curl_e(em.e, box, half / state.params.mu0, out=work.curl, tmp=work.tmp,
-                   window=work.body_window)
-    rate = maxwell.cells_to_faces(m_dot_pred, out=work.rate_faces)
-    for f, h, c, r in zip(work.body_faces, work.body_h, work.body_curl_faces, rate):
-        # f = h - (half/mu0) curl e - half m_dot, in that order
-        np.subtract(h, c, out=f)
-        r *= half
-        f -= r
-    return maxwell.faces_to_cells(*work.body_faces, out=work.body_cells)
-
-
 def step(state: SimState, accum: Optional[dict] = None,
          f: Optional[AppliedCurrent] = None) -> SimState:
     """Advance the coupled state by one dt (in place).
@@ -307,7 +272,7 @@ def step(state: SimState, accum: Optional[dict] = None,
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
         f_new -= f_m
         f_new /= dt
-        h_mid = _midpoint_h_cells(state, m_new)
+        h_mid = maxwell._midpoint_h_cells(state.em, m_new, dt, params)
         _advance_m(m, h_mid, dt, geom, params, scheme, work, m_new)
 
     step_no = state.n + 1
@@ -321,22 +286,8 @@ def step(state: SimState, accum: Optional[dict] = None,
     np.subtract(f_new, f_m, out=f_rate)
     f_rate /= dt
     if not scheme.frozen_em and state.em is not None:
-        # the realized rate is constant over the step and zero outside the
-        # body: transfer it once, onto the body face slabs, as the
-        # increment dt_sub x rate of every substep
-        dt_sub = dt / scheme.subcycles
-        dm_faces = None
-        if np.any(f_rate):
-            dm_faces = maxwell.cells_to_faces(
-                m_dot_eff, out=state.em.workspace().rate_faces)
-            for r in dm_faces:
-                r *= dt_sub
-        no_current = np.zeros(3)
-        for i in range(scheme.subcycles):
-            t_mid = state.t + (i + 0.5) * dt_sub
-            f_val = f.value(t_mid) if f is not None else no_current
-            fdtd_step(state.em, dm_faces, f_val, params, dt_sub, accum)
-        state.em.assert_finite(step_no, state.t)
+        maxwell.advance(state.em, m_dot_eff, f, params, dt, scheme.subcycles,
+                        state.t, step_no, accum)
 
     if accum is not None:
         alpha = params.alpha
@@ -346,6 +297,18 @@ def step(state: SimState, accum: Optional[dict] = None,
     state.t += dt
     state.n = step_no
     return state
+
+
+def _state_terms(m: np.ndarray, em: Optional[EMState], geom: DomainGeometry,
+                 params: MaterialParams, bc_mode: str,
+                 tmp: Optional[np.ndarray] = None) -> tuple:
+    """The energy breakdown, saturation deviation and divergence drift of
+    a ledger row, `run`'s and `spinlayer diag`'s, for the body field m;
+    `tmp` is `total_energy`'s.  Private, so that the benchmark's tracer
+    (which wraps public functions) books the three terms under `run`."""
+    breakdown = total_energy(m, em, geom, params, bc_mode=bc_mode, tmp=tmp)
+    drift = maxwell.divergence_drift(em, m) if em is not None else 0.0
+    return breakdown, saturation_deviation(m, tmp), drift
 
 
 @dataclass
@@ -388,14 +351,12 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
 
     def record():
-        breakdown = state.energy()
-        drift = (maxwell.divergence_drift(state.em, state.m)
-                 if state.em is not None else 0.0)
+        breakdown, saturation_dev, drift = _state_terms(
+            state.m, em, geom, params, scheme.bc_mode, state.workspace().tmp)
         row = ledger.append(
             t=state.t, breakdown=breakdown,
             dissipation=accum["dissipation"], ohmic=accum["ohmic"],
-            source=accum["source"],
-            saturation_dev=saturation_deviation(state.m, state.workspace().tmp),
+            source=accum["source"], saturation_dev=saturation_dev,
             divergence_drift=drift)
         if on_row is not None:
             on_row(row)

@@ -71,10 +71,6 @@ class DomainGeometry:
         """Footprint of one cell column on the spacer, dx*dy."""
         return self.dx * self.dy
 
-    @property
-    def thin_layer_active(self) -> bool:
-        return self.eta_cells >= 1
-
     def z_centers(self) -> np.ndarray:
         """Cell-center z coordinates, negative below the spacer."""
         k = np.arange(self.nz_total)

@@ -17,7 +17,8 @@ is a difference at a fixed offset (S0, S1 or 1) of the flattened store,
 so both curls are one kernel of whole-array contiguous passes, and the
 leapfrog updates are single passes over the stores.  The kernel is split
 in two: `_curl_views` slices the operands and `_apply_curl` runs the
-passes, so the leapfrog step applies view sets its workspace built once.
+passes, so the coupled step, whose Maxwell half is `stage_h_cells`,
+`_midpoint_h_cells` and `advance`, applies view sets built once.
 
 The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
@@ -188,28 +189,26 @@ def _body_edge_masks(box: BoxGeometry) -> tuple:
 
 class _Workspace:
     """Preallocated buffers of one EMState, and the views of its stores
-    that a leapfrog substep touches, built once.
+    that a coupled step touches, built once.
 
-    `curl` is the output store of both curls (and, between steps, h +
-    m_bar for the ledger's divergence drift).  `curl_h_views` and
-    `curl_e_views` are the operands (`_curl_views`) of the backward curl
-    of the h store and the forward curl of the e store into it.
-    `body_window` is its window (see `curl_e`) spanning the faces of the
-    body cells, `body_curl_faces` its views of those faces; from them the
-    midpoint-h predictor forms its h in `body_faces` and averages it to
-    cells in `body_cells`, which before that holds the step's stage-begin
-    cell h (`SimState.h_cells`).  `body_h` views the h store on the same
-    faces, and `e_body` and `curl_body` view the e store and `curl` on the
-    body edge slabs.
+    `curl` is the output store of every curl (and, between steps, h +
+    m_bar for the ledger's divergence drift).  `curl_h_views`,
+    `curl_e_views` and `body_curl_e_views` are the operands (`_curl_views`)
+    of the backward curl of the h store, the forward curl of the e store
+    and the predictor's forward curl on the window spanning the faces of
+    the body cells, `body_curl_faces` its views of those faces.  The
+    predictor forms its h in `body_faces` and averages it into
+    `body_cells`, which before that holds the stage-begin cell h.
+    `body_h` views the h store on the same faces, and `e_body` and
+    `curl_body` view the e store and `curl` on the body edge slabs.
     `tmp` is a flat scratch of two store components: the second difference
     quotient of a curl, m_bar's cells and faces, the two divergence terms
     (and the drift's div0).
     `e_new` and `e_mid` (one block per component) hold the conduction
     update and twice the midpoint e on the body edge slabs.  `rate_faces`
-    (a triple of the body face slabs) holds the magnetization increment
-    dt x rate on faces while a step's subcycles run.  `mur` holds the
-    boundary planes of a Mur1 substep with their buffers and `mur_coefs`
-    its coefficients, both made on the first one.
+    (a triple of the body face slabs) holds the predicted rate, then the
+    increment dt x rate of a step's subcycles.  `mur` holds the Mur1
+    planes with their buffers (`_mur_planes`) if the state's `bc` is MUR1.
     """
 
     def __init__(self, em: "EMState"):
@@ -218,7 +217,8 @@ class _Workspace:
         self.tmp = np.empty(2 * self.curl[0].size)
         self.curl_h_views = _curl_views(em.h, box, self.curl, self.tmp, False)
         self.curl_e_views = _curl_views(em.e, box, self.curl, self.tmp, True)
-        self.body_window = tuple(_flat_span(slab, box) for slab in _body_face_slabs(box))
+        window = tuple(_flat_span(slab, box) for slab in _body_face_slabs(box))
+        self.body_curl_e_views = _curl_views(em.e, box, self.curl, self.tmp, True, window)
         self.body_curl_faces = _body_faces(self.curl, box)
         self.body_h = _body_faces(em.h, box)
         slabs = _body_edge_slabs(box)
@@ -229,8 +229,7 @@ class _Workspace:
         self.rate_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
         self.body_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
         self.body_cells = _vector_field((box.mx, box.my, box.mz, 3))
-        self.mur = None
-        self.mur_coefs = None
+        self.mur = _mur_planes(em.e, box) if em.bc == MUR1 else None
 
 
 def _component(index: int, doc: str) -> property:
@@ -435,18 +434,16 @@ def _apply_curl(views: tuple, scale: float):
         plane[...] = 0.0
 
 
-def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None, tmp=None,
-           window: Optional[tuple] = None) -> np.ndarray:
+def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
+           tmp=None) -> np.ndarray:
     """scale * curl of an e store, on faces, as an h store.
 
     `out` (a store) and `tmp` (a flat float array of at least one store
-    component) make the call allocation-free.  With `window` (per
-    component, a slice of flat store indices) only those entries of `out`
-    are computed, and the rest of `out` is left as it was.
+    component) make the call allocation-free.
     """
     if out is None:
         out = np.empty(store_shape(box))
-    _apply_curl(_curl_views(e, box, out, tmp, True, window), scale)
+    _apply_curl(_curl_views(e, box, out, tmp, True), scale)
     return out
 
 
@@ -522,16 +519,15 @@ def faces_to_cells(fx, fy, fz, out=None) -> np.ndarray:
     return out
 
 
-def _body_cells(h: np.ndarray, box: BoxGeometry, out=None) -> np.ndarray:
+def _body_cells(h: np.ndarray, box: BoxGeometry) -> np.ndarray:
     """An h store averaged to the body cell centers, from the body face
-    slabs only; `out` (a body cell 3-vector field) makes the call
-    allocation-free."""
-    return faces_to_cells(*_body_faces(h, box), out=out)
+    slabs only."""
+    return faces_to_cells(*_body_faces(h, box))
 
 
-def interp_h_to_cells(em: EMState, out=None) -> np.ndarray:
+def interp_h_to_cells(em: EMState) -> np.ndarray:
     """Magnetic excitation averaged to body cell centers (`_body_cells`)."""
-    return _body_cells(em.h, em.box, out)
+    return _body_cells(em.h, em.box)
 
 
 def _plus_m_bar(h: np.ndarray, m: np.ndarray, box: BoxGeometry, out: np.ndarray,
@@ -733,49 +729,27 @@ def cfl_limit(box: BoxGeometry, params: MaterialParams) -> float:
     return 1.0 / (c * np.sqrt(1.0 / box.dx**2 + 1.0 / box.dy**2 + 1.0 / box.dz**2))
 
 
-def _mur_coef(params: MaterialParams, dt: float, h: float) -> float:
-    c = params.speed_of_light
-    return (c * dt - h) / (c * dt + h)
-
-
-def _mur_planes(em: EMState) -> list:
+def _mur_planes(e: np.ndarray, box: BoxGeometry) -> list:
     """Per axis: the boundary planes 0 and n of the two tangential e
-    components as one view of the store (`_wall_planes`), their inner
+    components as one view of the e store (`_wall_planes`), their inner
     neighbours 1 and n - 1 as another, and buffers for the old values of
-    both.  Made on the first Mur1 substep; the box needs 3 cells or more
-    along every axis (`make_box` gives at least 3), so that no boundary
-    plane is another's neighbour."""
-    work = em.workspace()
-    if work.mur is None:
-        n = (em.box.nx, em.box.ny, em.box.nz)
-        work.mur = []
-        for axis, dst in enumerate(_wall_planes(em.e, em.box)):
-            inner = _off_axis(em.e, axis, slice(1, n[axis], n[axis] - 2))
-            work.mur.append((axis, dst, inner, np.empty(dst.shape), np.empty(dst.shape)))
-    return work.mur
-
-
-def _capture_mur_old(em: EMState) -> list:
-    """Copy the boundary and next-inner planes of the tangential e
-    components into their buffers."""
-    planes = _mur_planes(em)
-    for _, dst, inner, old, inner_old in planes:
-        np.copyto(old, dst)
-        np.copyto(inner_old, inner)
+    both.  The box needs 3 cells or more along every axis (`make_box`
+    gives at least 3), so that no boundary plane is another's neighbour."""
+    n = (box.nx, box.ny, box.nz)
+    planes = []
+    for axis, dst in enumerate(_wall_planes(e, box)):
+        inner = _off_axis(e, axis, slice(1, n[axis], n[axis] - 2))
+        planes.append((axis, dst, inner, np.empty(dst.shape), np.empty(dst.shape)))
     return planes
 
 
-def _apply_mur(em: EMState, planes: list, params: MaterialParams, dt: float):
+def _apply_mur(box: BoxGeometry, planes: list, params: MaterialParams, dt: float):
     """First-order absorbing update of tangential e on the six box faces,
     plane = inner_old + coef * (inner - old), axis by axis (an edge on two
     walls takes the later axis's value), with no temporaries: the update
     is formed in the buffer of the old values."""
-    work = em.workspace()
-    key = (dt, params.speed_of_light)
-    if work.mur_coefs is None or work.mur_coefs[0] != key:
-        work.mur_coefs = (key, [_mur_coef(params, dt, h)
-                                for h in (em.box.dx, em.box.dy, em.box.dz)])
-    coefs = work.mur_coefs[1]
+    c = params.speed_of_light
+    coefs = [(c * dt - h) / (c * dt + h) for h in (box.dx, box.dy, box.dz)]
     for axis, dst, inner, old, inner_old in planes:
         # the sum is taken the other way round, which keeps its bits
         np.subtract(inner, old, out=old)
@@ -807,7 +781,11 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
     sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
     k = dt / eps0
     _apply_curl(work.curl_h_views, k)
-    mur_old = _capture_mur_old(em) if em.bc == MUR1 else None
+    if em.bc == MUR1:
+        # the boundary and next-inner planes before the update
+        for _, dst, inner, old, inner_old in work.mur:
+            np.copyto(old, dst)
+            np.copyto(inner_old, inner)
 
     if sigma != 0.0:
         # conduction acts on the body edges only, where e becomes
@@ -839,7 +817,7 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
             np.copyto(e_body, e_new)
 
     if em.bc == MUR1:
-        _apply_mur(em, mur_old, params, dt)
+        _apply_mur(box, work.mur, params, dt)
 
     _apply_curl(work.curl_e_views, dt / mu0)
     np.subtract(em.h, work.curl, out=em.h)
@@ -847,6 +825,66 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
         for h, dm in zip(work.body_h, dm_faces):
             h -= dm
     return em
+
+
+def stage_h_cells(em: EMState) -> np.ndarray:
+    """The stage-begin h of a coupled step: `interp_h_to_cells` of the
+    workspace's `body_h` views, in its `body_cells` (valid until the
+    workspace is next used)."""
+    work = em.workspace()
+    return faces_to_cells(*work.body_h, out=work.body_cells)
+
+
+def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float,
+                      params: MaterialParams) -> np.ndarray:
+    """Predicted Maxwell h at the step midpoint, on magnetization cells.
+
+    Freezing h at its stage-begin value injects (dt^2/2)|R^T m_dot|^2 of
+    spurious electromagnetic energy per step, a sign-definite O(dt)
+    fraction of the dissipated energy that swamps the energy-inequality
+    diagnostic.  Centering the Zeeman coupling with an explicit predictor
+    reduces the coupling error to O(dt^3) per step at the cost of one
+    extra field evaluation; divergence bookkeeping is unaffected because
+    the h update still uses the realized rate.
+
+    The body cells average only the body face slabs, so (dt/2 mu0) curl e
+    and the rate m_dot are taken on those faces only; the result is the
+    workspace's `body_cells`.  Private, so that the benchmark's tracer
+    (which wraps public functions) books its transfers under the step.
+    """
+    work = em.workspace()
+    half = 0.5 * dt
+    _apply_curl(work.body_curl_e_views, half / params.mu0)
+    rate = cells_to_faces(m_dot, out=work.rate_faces)
+    for f, h, c, r in zip(work.body_faces, work.body_h, work.body_curl_faces, rate):
+        # f = h - (half/mu0) curl e - half m_dot, in that order
+        np.subtract(h, c, out=f)
+        r *= half
+        f -= r
+    return faces_to_cells(*work.body_faces, out=work.body_cells)
+
+
+def advance(em: EMState, m_dot: np.ndarray, f: Optional[AppliedCurrent],
+            params: MaterialParams, dt: float, subcycles: int, t: float, step: int,
+            accum: Optional[dict] = None):
+    """Advance em over the coupled step [t, t + dt] in `subcycles` leapfrog
+    substeps, with the current f (or none) at each substep's midpoint,
+    then check that the fields are finite (step and t name the step).
+
+    The realized magnetization rate m_dot is constant over the step and
+    zero outside the body, so it is transferred once, onto the body face
+    slabs, as the increment dt_sub x rate of every substep.
+    """
+    dt_sub = dt / subcycles
+    dm_faces = cells_to_faces(m_dot, out=em.workspace().rate_faces)
+    for r in dm_faces:
+        r *= dt_sub
+    no_current = np.zeros(3)
+    for i in range(subcycles):
+        t_mid = t + (i + 0.5) * dt_sub
+        f_value = f.value(t_mid) if f is not None else no_current
+        fdtd_step(em, dm_faces, f_value, params, dt_sub, accum)
+    em.assert_finite(step, t)
 
 
 def zero_boundary_tangential_e(em: EMState):

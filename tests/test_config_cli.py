@@ -258,6 +258,19 @@ class TestCli:
         assert main(["check", str(cfg_path)]) == 2
         assert "geometry.trace_order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_frozen_on_exit_2(self, tmp_path, capsys, command):
+        # a frozen h has no Zeeman term in the ledger, so the mode is
+        # rejected when the config is loaded; off still parses
+        outdir = tmp_path / "out"
+        cfg_path = tmp_path / "run.cfg"
+        text = minimal_config(outdir).replace("padding = 2", "padding = 2\nfrozen = off")
+        assert not parse_config(text).frozen
+        cfg_path.write_text(text.replace("frozen = off", "frozen = on"))
+        assert main([command, str(cfg_path)]) == 2
+        assert "maxwell.frozen" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_threads_env_ignored(self, tmp_path, capsys, monkeypatch):
         # nothing reads SPINLAYER_THREADS; a malformed value must not matter
         cfg_path = tmp_path / "run.cfg"
@@ -459,12 +472,12 @@ class TestCli:
         outdir = tmp_path / "out"
         cfg_path.write_text(minimal_config(outdir))
         layouts = []
-        total_energy = cli_module.total_energy
+        state_terms = cli_module._state_terms
 
         def spy(m, *args, **kwargs):
             layouts.append(np.moveaxis(m, -1, 0).flags.c_contiguous)
-            return total_energy(m, *args, **kwargs)
-        monkeypatch.setattr(cli_module, "total_energy", spy)
+            return state_terms(m, *args, **kwargs)
+        monkeypatch.setattr(cli_module, "_state_terms", spy)
         assert main(["run", str(cfg_path)]) == 0
         assert main(["diag", str(outdir)]) == 0
         assert layouts == [True]

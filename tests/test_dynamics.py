@@ -11,7 +11,7 @@ from scipy.ndimage import gaussian_filter
 from spinlayer import maxwell as mx
 from spinlayer import presets
 from spinlayer.dynamics import (CONSTRAINTS, PENALIZED, PROJECTED, SchemeConfig,
-                                SimState, _advance_m, _midpoint_h_cells,
+                                SimState, _advance_m, _state_terms,
                                 exchange_dt_bound, llg_rhs, run, step,
                                 validate_stability)
 from spinlayer.effective_field import assemble_h_tot
@@ -504,7 +504,7 @@ def test_random_preset_matches_scipy_gaussian(grid, sigma):
 
 def test_warm_coupled_step_allocates_less_than_a_body_field():
     # the stage-begin cell h, the new m, the predictor, the subcycles and
-    # the ledger's energy all work in the state's buffers; what remains is
+    # the ledger row's terms all work in the state's buffers; what remains is
     # numpy's iterator buffers (fixed size) and small bookkeeping
     geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 24, 24, 12, 12))
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
@@ -519,9 +519,12 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
     accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
     for _ in range(3):
         step(state, accum)
-    state.energy()
+
+    def ledger_terms():
+        return _state_terms(state.m, em, geom, params, "sharp", state.workspace().tmp)
+    ledger_terms()
     peaks = []
-    for f in (lambda: step(state, accum), state.energy):
+    for f in (lambda: step(state, accum), ledger_terms):
         tracemalloc.start()
         try:
             f()
@@ -574,10 +577,37 @@ def test_midpoint_h_matches_box_form():
     for a in (em.ex, em.ey, em.ez, em.hx, em.hy, em.hz):
         a[...] = rng.standard_normal(a.shape)
     params = plain_params(mu0=1.7)
-    state = SimState(t=0.0, m=random_unit_field(geom, seed=41), em=em, geom=geom,
-                     params=params, scheme=SchemeConfig(dt=3e-3))
+    dt = 3e-3
     m_dot = rng.standard_normal(geom.field_shape())
-    want = box_midpoint_h_cells(em, m_dot, state.scheme.dt, params.mu0)
+    want = box_midpoint_h_cells(em, m_dot, dt, params.mu0)
     for _ in range(2):   # the second call reuses the workspace buffers
-        got = _midpoint_h_cells(state, m_dot)
+        got = mx._midpoint_h_cells(em, m_dot, dt, params)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bc", mx.BOUNDARIES)
+def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
+    # the workspace builds the curl operands, the predictor's window, the
+    # body slabs and the Mur1 planes once; a warm coupled step (stage-begin
+    # h, predictor, rate transfer, subcycles) only applies them
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 6, 5, 3, 2))
+    params = plain_params(a_exch=0.01, sigma=2.0)
+    box = mx.make_box(geom, padding=2)
+    em = mx.empty_em_state(box, bc=bc)
+    m0 = random_unit_field(geom, seed=42)
+    mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+    state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
+                     scheme=SchemeConfig(dt=1e-3, subcycles=2))
+    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3, kind=mx.PULSE)
+    accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
+    step(state, accum, f)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm coupled step built a view")
+
+    for name in ("_curl_views", "_flat_span", "_mur_planes", "_off_axis", "_wall_planes",
+                 "_body_faces", "_body_edge_slabs", "_body_face_slabs"):
+        monkeypatch.setattr(mx, name, forbidden)
+    for _ in range(3):
+        step(state, accum, f)
+    assert accum["source"] != 0.0

@@ -97,6 +97,6 @@ def test_eta_layer_fits_or_raises(nzm, nzp, ec):
     else:
         g = build_geometry(cfg)
         assert g.eta_cells == (ec if eta is not None else 0)
-        if g.thin_layer_active:
+        if g.eta_cells >= 1:
             sl = g.layer_slice()
             assert sl.stop - sl.start == 2 * ec

@@ -15,6 +15,7 @@ REACHED_BY_TESTS_ONLY = {
     "stationarity_residual": "acceptance criterion 7 scores the end state with it",
     "laplacian_neumann": "the flux kernel at coefficient 1, the oracle of its tests",
     "curl_h": "the standalone backward curl the adjointness and reference tests check",
+    "curl_e": "the standalone forward curl the adjointness and reference tests check",
 }
 
 
@@ -50,6 +51,31 @@ def test_no_unreached_public_api():
     used = _referenced_names()
     unreached = sorted(name for name in _public_definitions() if name not in used)
     assert unreached == sorted(REACHED_BY_TESTS_ONLY)
+
+
+# the Maxwell half of a coupled step is behind `maxwell`'s coupling
+# functions: the stepper reads no Maxwell buffer and calls no Yee operator
+MAXWELL_OPERATORS = {"fdtd_step", "cells_to_faces", "faces_to_cells", "curl_e"}
+
+
+def test_dynamics_reads_no_maxwell_workspace():
+    tree = ast.parse((PACKAGE / "dynamics.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "workspace"):
+            # the SimState's own workspace is `state.workspace()` or, in
+            # its methods, `self.workspace()`
+            receiver = node.func.value
+            if not (isinstance(receiver, ast.Name) and receiver.id in ("state", "self")):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name in MAXWELL_OPERATORS]
+        elif (isinstance(node, ast.Attribute) and node.attr in MAXWELL_OPERATORS
+              and isinstance(node.value, ast.Name) and node.value.id == "maxwell"):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def _unused_imports(path):
