@@ -181,25 +181,25 @@ def _cmd_run(args) -> int:
 def recompute_final_row(outdir: str):
     """Diagnostics of the stored final state; values match the final
     energy.csv row bit for bit because the same routines produce both.
+    A snapshot that is not the run's raises `snapshots.SnapshotError`.
 
     Returns (row dict, stationarity report rows)."""
     with open(os.path.join(outdir, "effective_config")) as fh:
         config = parse_config(fh.read())
     setup = build_model(config)   # the fields come from the snapshots
-    geom = setup.geom
+    geom, box = setup.geom, setup.box
 
-    _, _, _, _, (m0_arr,) = snapshots.read_snapshot(
-        os.path.join(outdir, "state_initial_m.snap"))
-    _, _, _, _, h0_arrays = snapshots.read_snapshot(
-        os.path.join(outdir, "state_initial_h.snap"))
-    _, _, _, t_final, (m_file,) = snapshots.read_snapshot(
-        os.path.join(outdir, "state_final_m.snap"))
+    def read(name, field_id, dims):
+        return snapshots.read_field(os.path.join(outdir, name), field_id, dims)
+
+    cells, yee = (geom.nx, geom.ny, geom.nz_total), (box.nx, box.ny, box.nz)
+    _, (m0_arr,) = read("state_initial_m.snap", snapshots.FIELD_M, cells)
+    _, h0_arrays = read("state_initial_h.snap", snapshots.FIELD_H, yee)
+    t_final, (m_file,) = read("state_final_m.snap", snapshots.FIELD_M, cells)
     # the ledger's sums run in memory order: reduce over the run's layout
     m_arr = _vector_copy(m_file)
-    _, _, _, _, h_arrays = snapshots.read_snapshot(
-        os.path.join(outdir, "state_final_h.snap"))
-    _, _, _, _, e_arrays = snapshots.read_snapshot(
-        os.path.join(outdir, "state_final_e.snap"))
+    _, h_arrays = read("state_final_h.snap", snapshots.FIELD_H, yee)
+    _, e_arrays = read("state_final_e.snap", snapshots.FIELD_E, yee)
 
     em = setup.em
     em.hx, em.hy, em.hz = h0_arrays
@@ -211,7 +211,7 @@ def recompute_final_row(outdir: str):
                                                     config.bc_mode)
     values = (t_final,) + breakdown.as_tuple() + (saturation_dev, drift)
 
-    H = omega_limit_field_cells(m_arr, setup.box, geom)
+    H = omega_limit_field_cells(m_arr, box, geom)
     stationarity = stationarity_report(m_arr, H, setup.params, geom,
                                        bc_mode=config.bc_mode)
     return dict(zip(DIAG_COLUMNS, values)), stationarity

@@ -72,10 +72,10 @@ class RunConfig:
     frozen: bool = False   # only off is accepted
     # initial
     m0: tuple = ("uniform", 0.0, 0.0, 1.0)
-    h0: tuple = (maxwell.ZERO,)
+    h0: tuple = ("zero",)   # the magnetostatic field, as `magnetostatic`
     e0: tuple = ("zero",)
     # current
-    f: tuple = (maxwell.ZERO,)
+    f: tuple = ("zero",)    # no current
     # output
     directory: str = "out"
     cadence: int = 1
@@ -219,14 +219,14 @@ _SCHEMA = {
             "random": ((_to_int,), (_to_float,)),   # seed [smooth_cells]
             "snapshot": ((_to_path,), ())})),
         "h0": ("h0", lambda toks, ln: _preset(
-            toks, ln, {**dict.fromkeys(maxwell.H0_KINDS, _NO_ARGS), "uniform": _VEC3})),
+            toks, ln, {"zero": _NO_ARGS, "magnetostatic": _NO_ARGS, "uniform": _VEC3})),
         "e0": ("e0", lambda toks, ln: _preset(
             toks, ln, {"zero": _NO_ARGS, "uniform": _VEC3})),
     },
     "current": {
         # pulse ax ay az t0 width
         "f": ("f", lambda toks, ln: _preset(
-            toks, ln, {maxwell.ZERO: _NO_ARGS, maxwell.PULSE: ((_to_float,) * 5, ())})),
+            toks, ln, {"zero": _NO_ARGS, "pulse": ((_to_float,) * 5, ())})),
     },
     "output": {
         "directory": ("directory", lambda toks, ln: " ".join(toks)),
@@ -331,7 +331,7 @@ class RunSetup:
     box: object
     em: object
     m0: Optional[np.ndarray]   # None until `set_initial_fields`
-    f: AppliedCurrent
+    f: Optional[AppliedCurrent]   # None: no current
 
 
 def build_setup(config: RunConfig) -> RunSetup:
@@ -398,7 +398,7 @@ def set_initial_fields(setup: RunSetup):
     of a random magnetization preset."""
     config, em = setup.config, setup.em
     setup.m0 = _build_m0(config, setup.geom)
-    maxwell.init_divfree(setup.m0, _h0_spec(config), setup.box, out=em.h)
+    maxwell.init_divfree(setup.m0, _h_raw(config), setup.box, out=em.h)
     _set_e0(config, em)
     if config.bc == maxwell.PEC:
         maxwell.zero_boundary_tangential_e(em)
@@ -432,22 +432,19 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
         smooth = config.m0[2] if len(config.m0) == 3 else 1.5
         seed = config.seed if config.seed else config.m0[1]
         return presets.random_unit_m(geom, seed, smooth_cells=smooth)
-    if kind == "snapshot":
-        try:
-            fid, dims, _, _, arrays = snapshots.read_snapshot(config.m0[1])
-        except (OSError, ValueError) as exc:
-            raise ValidationError("initial.m", f"cannot read snapshot: {exc}") from exc
-        if fid != snapshots.FIELD_M or dims != (geom.nx, geom.ny, geom.nz_total):
-            raise ValidationError("initial.m", "snapshot does not match the geometry")
-        return _vector_copy(arrays[0])
-    raise ValidationError("initial.m", f"unknown preset {kind!r}")
+    # the parser admits one more preset, "snapshot"
+    try:
+        _, (m,) = snapshots.read_field(config.m0[1], snapshots.FIELD_M,
+                                       (geom.nx, geom.ny, geom.nz_total))
+    except snapshots.SnapshotError as exc:
+        raise ValidationError("initial.m", str(exc)) from exc
+    return _vector_copy(m)
 
 
-def _h0_spec(config: RunConfig):
-    kind = config.h0[0]
-    if kind in maxwell.H0_KINDS:
-        return kind
-    return np.asarray(config.h0[1:4], dtype=float)
+def _h_raw(config: RunConfig) -> tuple:
+    """The uniform raw h that `init_divfree` projects: zero for `zero` and
+    `magnetostatic`, the vector for `uniform`."""
+    return config.h0[1:4] if config.h0[0] == "uniform" else (0.0, 0.0, 0.0)
 
 
 def _set_e0(config: RunConfig, em):
@@ -459,10 +456,12 @@ def _set_e0(config: RunConfig, em):
     em.ez[...] = vec[2]
 
 
-def _build_current(config: RunConfig) -> AppliedCurrent:
-    if config.f[0] == maxwell.ZERO:
-        return AppliedCurrent()
-    ax, ay, az, t0, width = (float(v) for v in config.f[1:6])
-    if width <= 0:
-        raise ValidationError("current.f", "pulse width must be positive")
-    return AppliedCurrent(amplitude=(ax, ay, az), t0=t0, width=width, kind=maxwell.PULSE)
+def _build_current(config: RunConfig) -> Optional[AppliedCurrent]:
+    """The pulse of `f = pulse ax ay az t0 width`, or None for `f = zero`."""
+    if config.f[0] == "zero":
+        return None
+    ax, ay, az, t0, width = config.f[1:6]
+    try:
+        return AppliedCurrent((ax, ay, az), t0, width)
+    except ValueError as exc:
+        raise ValidationError("current.f", str(exc)) from exc

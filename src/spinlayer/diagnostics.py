@@ -210,7 +210,7 @@ def omega_limit_field(u: np.ndarray, box: maxwell.BoxGeometry) -> np.ndarray:
     H = -grad(phi) with Lap(phi) = div(u_bar); gradients of cell scalars
     are exactly curl-free on the staggered grid.  Returns an h store.
     """
-    return maxwell.init_divfree(u, maxwell.MAGNETOSTATIC, box)
+    return maxwell.init_divfree(u, (0.0, 0.0, 0.0), box)
 
 
 def omega_limit_field_cells(u: np.ndarray, box: maxwell.BoxGeometry,

@@ -18,8 +18,8 @@ import numpy as np
 from . import maxwell
 from .diagnostics import EnergyLedger, saturation_deviation
 from .effective_field import assemble_h_tot
-from .energetics import (BC_MODES, SHARP, MaterialParams, _dot, _flat_stores,
-                         _scalars, _vector_copy, _vector_field, total_energy)
+from .energetics import (BC_MODES, SHARP, MaterialParams, _dot, _scalars, _store,
+                         _vector_copy, _vector_field, total_energy)
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState, interp_h_to_cells
@@ -84,8 +84,7 @@ class _Workspace:
     `k` holds the stage rates (two for Heun, four for RK4), `m_stage` the
     stage magnetization, `m_next` the two buffers a step's new m
     alternates between and `tmp` the scratch of `llg_rhs` and of the
-    ledger row; the fields are component-major, like the m that `run`
-    steps.
+    ledger row; the fields are component-major, like the state's m.
     """
 
     def __init__(self, shape: tuple, stages: int):
@@ -97,6 +96,9 @@ class _Workspace:
 
 @dataclass
 class SimState:
+    """The stepped state.  m is taken in as a component-major copy that
+    the state owns, whatever layout the caller's m has."""
+
     t: float
     m: np.ndarray
     em: Optional[EMState]
@@ -108,19 +110,18 @@ class SimState:
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        self.m = _vector_copy(self.m)
         if not np.isfinite(self.m).all():
             raise NonFinite("initial magnetization is not finite")
-        if self.scheme.frozen_em:
-            self.h_cells_frozen = (np.zeros(self.geom.field_shape()) if self.em is None
-                                   else interp_h_to_cells(self.em))
+        if self.scheme.frozen_em and self.em is not None:
+            self.h_cells_frozen = interp_h_to_cells(self.em)
 
-    def h_cells(self) -> np.ndarray:
-        """h on the body cells: the frozen field, or the Maxwell h
-        (`maxwell.stage_h_cells`, valid until its workspace is next used)."""
-        if self.scheme.frozen_em:
+    def h_cells(self) -> Optional[np.ndarray]:
+        """h on the body cells, None for h = 0 (no Maxwell state): the
+        frozen field, or the Maxwell h (`maxwell.stage_h_cells`, valid
+        until its workspace is next used)."""
+        if self.scheme.frozen_em or self.em is None:
             return self.h_cells_frozen
-        if self.em is None:
-            return np.zeros(self.geom.field_shape())
         return maxwell.stage_h_cells(self.em)
 
     def workspace(self) -> _Workspace:
@@ -213,11 +214,11 @@ def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
 
 
 def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
-    """One Heun or RK4 step of m at frozen h into `out` (not aliasing m),
-    using only the buffers of `work`.  The stage combinations run on the
-    flat stores when every field is component-major."""
+    """One Heun or RK4 step of m at frozen h into `out` (component-major,
+    not aliasing m), using only the buffers of `work`.  The stage
+    combinations run on the flat stores (`_store`)."""
     k, m_stage = work.k, work.m_stage
-    fm, fs, fo, *fk = _flat_stores(m, m_stage, out, *k)
+    fm, fs, fo, *fk = map(_store, (m, m_stage, out, *k))
 
     def rhs(mm, kk):
         return llg_rhs(mm, h_cells, geom, params, scheme, out=kk, tmp=work.tmp)
@@ -260,14 +261,14 @@ def step(state: SimState, accum: Optional[dict] = None,
     scheme = state.scheme
     geom, params = state.geom, state.params
     dt = scheme.dt
-    h_cells = state.h_cells() if state.em is not None else None   # None: h = 0
+    h_cells = state.h_cells()
 
     work = state.workspace()
     m = state.m
     m_new = work.m_next[m is work.m_next[0]]
     _advance_m(m, h_cells, dt, geom, params, scheme, work, m_new)
     m_dot_eff = work.k[0]
-    f_rate, f_new, f_m = _flat_stores(m_dot_eff, m_new, m)
+    f_rate, f_new, f_m = map(_store, (m_dot_eff, m_new, m))
     if not scheme.frozen_em and state.em is not None:
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
         f_new -= f_m
@@ -339,9 +340,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         raise ValueError("log_every must be at least 1")
     box = em.box if em is not None else None
     validate_stability(scheme, geom, params, box)
-    # the stepped m is component-major
-    state = SimState(t=0.0, m=_vector_copy(m0), em=em, geom=geom, params=params,
-                     scheme=scheme)
+    state = SimState(t=0.0, m=m0, em=em, geom=geom, params=params, scheme=scheme)
     if em is not None and em.div0 is None:
         maxwell.record_div0(em, state.m)
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from .geometry import DomainGeometry
 from .energetics import (SHARP, MaterialParams, _components, _dot, _face_differences,
-                         _flat_stores, _scalars, _store, _vector_field, apply_k,
-                         layer_cells)
+                         _scalars, _store, _vector_field, apply_k, layer_cells)
 
 
 def _add_exchange_fluxes(f: np.ndarray, geom: DomainGeometry, coef: float,
@@ -186,19 +185,20 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     the penalty field.  `out` (not aliasing m) receives the field, through
     a copy when it is not component-major; `tmp` (a flat float array of
     at least 2 * m.size entries) makes the call allocation-free whenever
-    the surface layers fill at most a quarter of the body's depth, so that
-    the scratch blocks of `thin_layer_field` fit in it.
+    h_cells is component-major (another layout is read through a copy)
+    and the surface layers fill at most a quarter of the body's depth, so
+    that the scratch blocks of `thin_layer_field` fit in it.
     """
     res = _component_major(out, m.shape)
     if tmp is None:
         tmp = np.empty(2 * m.size)
     o = _store(res)
-    h, r = (0.0, o) if h_cells is None else _flat_stores(h_cells, res)
+    h = 0.0 if h_cells is None else _store(h_cells)
     if params.k_matrix is not None:
         apply_k(params, m, out=res, tmp=tmp)
-        np.subtract(h, r, out=r)
+        np.subtract(h, o, out=o)
     else:
-        np.copyto(r, h)
+        np.copyto(o, h)
     if params.a_exch != 0.0:
         _add_exchange_fluxes(_store(m), geom, params.a_exch, o, tmp)
     thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode), out=res,

@@ -134,22 +134,12 @@ def _vector_copy(a) -> np.ndarray:
 
 def _store(a: np.ndarray) -> np.ndarray:
     """The flat C-order store of the component-major field a (a view); a
-    field in another layout is first copied into a `_vector_field`."""
+    field in another layout is first copied into a `_vector_field`, so
+    only a field that is read may arrive in another layout."""
     s = _components(a)
     if not s.flags.c_contiguous:
         s = _components(_vector_copy(a))
     return s.reshape(-1)
-
-
-def _flat_stores(*fields) -> tuple:
-    """The flat stores of the (..., 3) fields when every one is
-    component-major, so that an element-wise operation on them is one
-    contiguous pass; otherwise the fields themselves (the same values
-    through numpy's general iterator)."""
-    stores = [_components(a) for a in fields]
-    if all(s.flags.c_contiguous for s in stores):
-        return tuple(s.reshape(-1) for s in stores)
-    return fields
 
 
 def _empty_like(a: np.ndarray, buf: np.ndarray) -> np.ndarray:

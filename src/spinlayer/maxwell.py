@@ -40,13 +40,6 @@ PEC = "pec"
 MUR1 = "mur1"
 BOUNDARIES = (PEC, MUR1)
 
-# kinds of the initial h and of the applied current
-ZERO = "zero"
-MAGNETOSTATIC = "magnetostatic"
-H0_KINDS = (ZERO, MAGNETOSTATIC)
-PULSE = "pulse"
-CURRENTS = (ZERO, PULSE)
-
 POISSON_TOL = 1e-10
 
 
@@ -313,26 +306,17 @@ def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
 
 
 class AppliedCurrent:
-    """Spatially uniform forcing current inside the body.
+    """Spatially uniform forcing current inside the body, the Gaussian
+    pulse amplitude * exp(-((t-t0)/width)^2 / 2).  No current is None."""
 
-    Kinds (CURRENTS): zero, or a Gaussian pulse
-    amp * exp(-((t-t0)/width)^2 / 2).
-    """
-
-    def __init__(self, amplitude=(0.0, 0.0, 0.0), t0: float = 0.0,
-                 width: float = 1.0, kind: str = ZERO):
+    def __init__(self, amplitude, t0: float, width: float):
         self.amplitude = np.asarray(amplitude, dtype=float)
         self.t0 = float(t0)
         self.width = float(width)
-        self.kind = kind
-        if kind not in CURRENTS:
-            raise ValueError(f"unknown current preset {kind!r} (choose from {CURRENTS})")
-        if kind == PULSE and self.width <= 0:
+        if not self.width > 0:
             raise ValueError("pulse width must be positive")
 
     def value(self, t: float) -> np.ndarray:
-        if self.kind == ZERO:
-            return np.zeros(3)
         return self.amplitude * np.exp(-0.5 * ((t - self.t0) / self.width) ** 2)
 
 
@@ -645,24 +629,19 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
     return _dst1(_dst1(rhs) / lam, scale)
 
 
-def init_divfree(m0: np.ndarray, h0_spec, box: BoxGeometry,
+def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Magnetic excitation with div(h + m_bar) = 0 at every cell center.
 
-    h0_spec: a kind of H0_KINDS or a length-3 uniform vector, the raw
-    field h_raw (zero for both kinds), corrected by a gradient: h = h_raw
-    - grad phi with Lap phi = div(h_raw + m_bar), so "zero" and
-    "magnetostatic" give the same field.  m0 is the body magnetization;
-    m_bar, its zero extension to the box, lives on the body face slabs.
-    Returns the h store: `out` (its pads zero), written in place, or a
-    fresh one.
+    h_raw, a uniform 3-vector, is corrected by a gradient: h = h_raw -
+    grad phi with Lap phi = div(h_raw + m_bar); h_raw = 0 gives the
+    magnetostatic field.  m0 is the body magnetization; m_bar, its zero
+    extension to the box, lives on the body face slabs.  Returns the h
+    store: `out` (its pads zero), written in place, or a fresh one.
     """
     h = np.zeros(store_shape(box)) if out is None else out
     faces = face_views(h, box)
-    if isinstance(h0_spec, str) and h0_spec in H0_KINDS:
-        h_raw = (0.0, 0.0, 0.0)
-    else:
-        h_raw = tuple(np.asarray(h0_spec, dtype=float).reshape(3))
+    h_raw = tuple(np.asarray(h_raw, dtype=float).reshape(3))
     for a, raw in zip(faces, h_raw):
         a[...] = raw
     # h holds h_raw + m_bar for the rhs, then grad phi, then h_raw - grad phi

@@ -289,11 +289,11 @@ def box_divergence(h, m, box):
     return plain_div(*(a + b for a, b in zip(mx.face_views(h, box), mf)), box)
 
 
-def plain_init_divfree(m0, h0_spec, box):
+def plain_init_divfree(m0, h_raw, box):
     """The projection on face triples: h = h_raw - grad phi with
-    Lap phi = div(h_raw + m_bar), h_raw zero for a kind and uniform for a
-    vector, m_bar embedded into the box."""
-    raw = (0.0,) * 3 if isinstance(h0_spec, str) else tuple(float(v) for v in h0_spec)
+    Lap phi = div(h_raw + m_bar), h_raw a uniform vector, m_bar embedded
+    into the box."""
+    raw = tuple(float(v) for v in h_raw)
     mf = padded_cells_to_faces(embed_cell_field(m0, box))
     rhs = plain_div(*(r + 0.0 + f for r, f in zip(raw, mf)), box)
     phi = mx.poisson_solve(rhs, box)

@@ -187,7 +187,7 @@ def energy_runs():
         m0 = random_unit_m(geom, seed=1234, smooth_cells=4.0)
         box = mx.make_box(geom, padding=8)
         em = mx.empty_em_state(box)  # PEC
-        mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+        mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
         t0 = time.time()
         traj = run(geom, params, scheme, m0, em, None,
                    t_end=ENERGY_RUN_STEPS * dt, log_every=1)
@@ -345,7 +345,7 @@ def test_criterion_7_omega_limit_probe():
     scheme = SchemeConfig(dt=dt, subcycles=sub, constraint=PROJECTED, bc_mode=SHARP)
     m0 = random_unit_m(geom, seed=7, smooth_cells=2.0)
     em = mx.empty_em_state(box)
-    mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+    mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
     lib = fn_library(geom)
 
     r0 = stationarity_residual(m0, omega_limit_field_cells(m0, box, geom),

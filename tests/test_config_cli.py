@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spinlayer import config as config_module
 from spinlayer import cli as cli_module
-from spinlayer import dynamics, maxwell, snapshots
+from spinlayer import dynamics, snapshots
 from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
 from spinlayer.errors import ParseError, ValidationError
@@ -150,23 +150,20 @@ class TestParse:
         cfg = RunConfig(m0=("snapshot", "/tmp/my run#2/m.snap"), directory="it's")
         assert parse_config(cfg.to_text()) == cfg
 
-    def test_preset_kinds_are_the_library_tuples(self):
-        # the h0 and current kinds are spelled once, in maxwell
-        base = MINIMAL.format(outdir="out")
-        for kind in maxwell.H0_KINDS:
-            text = base.replace("h0 = magnetostatic", f"h0 = {kind}")
-            assert parse_config(text).h0 == (kind,)
-        args = {maxwell.ZERO: "", maxwell.PULSE: " 1 0 0 0.01 0.005"}
-        assert set(args) == set(maxwell.CURRENTS)
-        for kind, tail in args.items():
-            config = parse_config(base + f"[current]\nf = {kind}{tail}\n")
-            assert build_setup(config).f.kind == kind
+    def test_preset_words_map_to_values(self, tmp_path):
+        # the h0 and current words are spelled in the config only: both h0
+        # words build the magnetostatic field, and `f = zero` is no current
+        base = minimal_config(tmp_path / "o")
+        h = [build_setup(parse_config(base.replace("h0 = magnetostatic", f"h0 = {word}"))).em.h
+             for word in ("zero", "magnetostatic")]
+        assert h[0].tobytes() == h[1].tobytes()
+        assert build_setup(parse_config(base + "[current]\nf = zero\n")).f is None
+        pulse = build_setup(parse_config(base + "[current]\nf = pulse 1 0 0 0.01 0.005\n")).f
+        assert (pulse.amplitude.tolist(), pulse.t0, pulse.width) == ([1.0, 0.0, 0.0], 0.01, 0.005)
         for bad in (base.replace("h0 = magnetostatic", "h0 = dipole"),
                     base + "[current]\nf = step\n"):
             with pytest.raises(ParseError):
                 parse_config(bad)
-        with pytest.raises(ValueError, match="unknown current preset"):
-            maxwell.AppliedCurrent(kind="step")
 
     def test_quoted_hash_is_not_a_comment(self):
         cfg = parse_config('[output]\ndirectory = "out#1"  # a comment\n')
@@ -234,6 +231,39 @@ class TestSnapshots:
             snapshots.read_snapshot(path)
 
 
+# ways to spoil one snapshot of a finished run; each returns the file
+
+
+def _truncated_m(outdir):
+    path = outdir / "state_final_m.snap"
+    path.write_bytes(path.read_bytes()[:-8])
+    return path
+
+
+def _bad_magic_e(outdir):
+    path = outdir / "state_final_e.snap"
+    path.write_bytes(b"SPINLAYERSNAP000" + path.read_bytes()[16:])
+    return path
+
+
+def _h_of_a_larger_box(outdir):
+    path = outdir / "state_final_h.snap"
+    _, dims, spacings, t, _ = snapshots.read_snapshot(path)
+    dims = tuple(n + 2 for n in dims)
+    faces = [np.zeros(s) for s in snapshots._payload_shapes(snapshots.FIELD_H, dims)]
+    snapshots.write_snapshot(path, snapshots.FIELD_H, dims, spacings, t, faces)
+    return path
+
+
+def _h_over_m(outdir):
+    path = outdir / "state_final_m.snap"
+    path.write_bytes((outdir / "state_final_h.snap").read_bytes())
+    return path
+
+
+SNAPSHOT_DAMAGE = [_truncated_m, _bad_magic_e, _h_of_a_larger_box, _h_over_m]
+
+
 class TestCli:
     def test_check_valid_no_files(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -299,6 +329,52 @@ class TestCli:
         cfg_path.write_text(minimal_config(tmp_path / "out"))
         assert main(["--seed", "-1", "check", str(cfg_path)]) == 2
         assert "run.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("alpha = 1.0", "alpha = 0", "material.alpha"),
+        ("dt = 0.002", "dt = -0.002", "scheme.dt"),
+        ("dt = 0.002", "dt = 0.002\nsubcycles = 0", "scheme.subcycles"),
+        ("padding = 2", "padding = 0", "maxwell.padding"),
+        ("t_end = 0.02", "t_end = -0.02", "run.t_end"),
+        ("m = random 11", "m = random -1", "initial.m"),
+        ("m = random 11", "m = uniform 0 0 0", "initial.m"),
+        ("[output]", "[current]\nf = pulse 1 0 0 0.01 0\n[output]", "current.f"),
+        ("[output]", "[current]\nf = pulse 1 0 0 0.01 -0.005\n[output]", "current.f"),
+    ])
+    def test_check_names_the_field_it_rejects(self, tmp_path, capsys, old, new, field):
+        outdir = tmp_path / "out"
+        text = minimal_config(outdir)
+        assert text.count(old) == 1
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text.replace(old, new))
+        assert main(["check", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config: {field}: ") and captured.out == ""
+        assert not outdir.exists()
+
+    def test_k_matrix_runs_the_bits_of_k_diag(self, tmp_path, capsys):
+        # a diagonal k_matrix is the matching k_diag; an indefinite one is
+        # rejected with the material named
+        outputs = []
+        for name, k in (("diag", "k_diag = 0.05 0.02 0.0"),
+                        ("matrix", "k_matrix = 0.05 0 0 0 0.02 0 0 0 0")):
+            outdir = tmp_path / name
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(minimal_config(outdir).replace("alpha = 1.0",
+                                                               f"alpha = 1.0\n{k}"))
+            assert main(["run", str(cfg_path)]) == 0
+            outputs.append([(outdir / f).read_bytes() for f in (
+                "energy.csv", "state_final_m.snap", "state_final_h.snap",
+                "state_final_e.snap")])
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][0].decode().splitlines()
+        col = rows[0].split(",").index("anisotropy")
+        assert float(rows[-1].split(",")[col]) > 0.0
+        cfg_path = tmp_path / "indefinite.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "bad").replace(
+            "alpha = 1.0", "alpha = 1.0\nk_matrix = 0.05 0 0 0 -0.02 0 0 0 0"))
+        assert main(["check", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: material: ")
 
     @pytest.mark.parametrize("command, log_every", [("check", "0"), ("run", "0"),
                                                     ("run", "-2")])
@@ -383,6 +459,22 @@ class TestCli:
         assert "h0" not in text
         outdir = self._run_and_diag(tmp_path, text)
         assert "h0 = zero" in (outdir / "effective_config").read_text().splitlines()
+
+    @pytest.mark.parametrize("damage", SNAPSHOT_DAMAGE, ids=lambda f: f.__name__[1:])
+    def test_diag_bad_snapshot_exit_4(self, tmp_path, capsys, damage):
+        # a snapshot that is not the run's is an I/O error naming the file:
+        # no traceback and no report
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["run", str(cfg_path)]) == 0
+        path = damage(outdir)
+        capsys.readouterr()
+        assert main(["diag", str(outdir)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: io: {path}: ") and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert not (outdir / "diag_report.csv").exists()
 
     def test_diag_builds_no_initial_fields(self, tmp_path, monkeypatch):
         # diag replaces m0, h and e by the stored snapshots, so it never
@@ -558,6 +650,32 @@ class TestRunVariants:
         assert "energy.csv" not in names
         assert "energy.csv.partial" in names
         assert "lock" not in names
+
+
+    @pytest.mark.parametrize("bc", ["pec", "mur1"])
+    def test_uniform_e0_on_the_interior_edges(self, tmp_path, bc):
+        # the vector fills the edges off the walls, PEC zeroes the wall
+        # (tangential) ones, and div(h + m_bar) stays conserved
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        text = minimal_config(outdir).replace("padding = 2", f"padding = 2\nbc = {bc}")
+        cfg_path.write_text(text.replace("h0 = magnetostatic",
+                                         "h0 = magnetostatic\ne0 = uniform 0.3 -0.2 0.1"))
+        assert main(["run", str(cfg_path)]) == 0
+        fid, _, _, _, edges = snapshots.read_snapshot(outdir / "state_initial_e.snap")
+        assert fid == snapshots.FIELD_E
+        for axis, (e, v) in enumerate(zip(edges, (0.3, -0.2, 0.1))):
+            # an edge along an axis lies on the walls normal to the other two
+            interior = tuple(slice(None) if a == axis else slice(1, -1) for a in range(3))
+            assert (e[interior] == v).all()
+            if bc == "pec":
+                wall = np.ones(e.shape, dtype=bool)
+                wall[interior] = False
+                assert (e[wall] == 0.0).all()
+        rows = (outdir / "energy.csv").read_text().splitlines()
+        col = rows[0].split(",").index("divergence_drift")
+        assert len(rows) == 12
+        assert all(float(r.split(",")[col]) <= 1e-10 for r in rows[1:])
 
 
 class TestPresets:

@@ -40,7 +40,7 @@ def test_ledger_row_allocates_nothing_box_sized():
     box = mx.make_box(geom, padding=8)
     m = random_unit_field(geom, seed=60)
     em = mx.empty_em_state(box)
-    mx.init_divfree(m, "magnetostatic", box, out=em.h)
+    mx.init_divfree(m, (0.0, 0.0, 0.0), box, out=em.h)
     mx.record_div0(em, m)
     m = random_unit_field(geom, seed=61)
     tmp = np.empty(3 * m.size)

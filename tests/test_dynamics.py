@@ -395,7 +395,7 @@ class TestRun:
 
         def one_run():
             em = mx.empty_em_state(box)
-            mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+            mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
             scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                                   bc_mode="sharp")
             return run(geom, params, scheme, m0, em, None, t_end=0.05)
@@ -412,7 +412,7 @@ class TestRun:
         m0 = random_unit_field(geom, seed=8)
         box = mx.make_box(geom, padding=3)
         em = mx.empty_em_state(box)
-        mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+        mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
         scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                               bc_mode="sharp")
         traj = run(geom, params, scheme, m0, em, None, t_end=0.1)
@@ -440,14 +440,14 @@ class TestLayout:
 
     @pytest.mark.parametrize("integrator", ["heun", "rk4"])
     def test_run_in_either_input_layout_gives_the_same_bits(self, integrator):
-        # run copies m0 into the component-major layout once at entry, so a
+        # SimState copies m0 into the component-major layout once, so a
         # row-major m0 takes no other code path
         geom, params, box, scheme = self._coupled(integrator)
         m0 = random_unit_field(geom, seed=21)
         results = []
         for m_in in (np.ascontiguousarray(m0), m0):
             em = mx.empty_em_state(box)
-            mx.init_divfree(m_in, "magnetostatic", box, out=em.h)
+            mx.init_divfree(m_in, (0.0, 0.0, 0.0), box, out=em.h)
             traj = run(geom, params, scheme, m_in, em, None, t_end=20 * scheme.dt)
             results.append(traj)
         a, b = results
@@ -512,7 +512,7 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
     box = mx.make_box(geom, padding=2)
     em = mx.empty_em_state(box)
     m0 = random_unit_field(geom, seed=12)
-    mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+    mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
     m_in = m0.copy()
     state = SimState(t=0.0, m=m_in, em=em, geom=geom, params=params,
                      scheme=SchemeConfig(dt=1e-4, subcycles=2))
@@ -595,10 +595,10 @@ def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
     box = mx.make_box(geom, padding=2)
     em = mx.empty_em_state(box, bc=bc)
     m0 = random_unit_field(geom, seed=42)
-    mx.init_divfree(m0, "magnetostatic", box, out=em.h)
+    mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
     state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
                      scheme=SchemeConfig(dt=1e-3, subcycles=2))
-    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3, kind=mx.PULSE)
+    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3)
     accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
     step(state, accum, f)
 

@@ -78,6 +78,21 @@ def test_dynamics_reads_no_maxwell_workspace():
     assert found == []
 
 
+# the words of the config's presets: the library takes the values they
+# stand for (a vector, a current or None), so only the config spells them
+PRESET_WORDS = {"zero", "magnetostatic", "pulse", "uniform", "random", "vortexish",
+                "snapshot"}
+
+
+def test_preset_words_are_spelled_in_config_only():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in PRESET_WORDS:
+                found.setdefault(node.value, set()).add(path.name)
+    assert found == {word: {"config.py"} for word in PRESET_WORDS}
+
+
 def _unused_imports(path):
     """Names bound by the module-level imports of `path` that no Name in
     the module reads."""
