@@ -297,12 +297,16 @@ def _validate(config: RunConfig):
     command-line overrides alike."""
     if config.trace_order != 1:
         raise ValidationError("geometry.trace_order", "must be 1")
+    if config.k_diag is not None and config.k_matrix is not None:
+        raise ValidationError("material.k_matrix", "give k_diag or k_matrix, not both")
     if config.alpha <= 0:
         raise ValidationError("material.alpha", "must be positive")
     if config.dt <= 0:
         raise ValidationError("scheme.dt", "must be positive")
     if config.subcycles < 1:
         raise ValidationError("scheme.subcycles", "must be at least 1")
+    if config.stability_c <= 0:
+        raise ValidationError("scheme.stability_c", "must be positive")
     if config.padding < 1:
         raise ValidationError("maxwell.padding", "must be at least 1")
     if config.frozen:

@@ -100,32 +100,34 @@ class TestFunction:
     __test__ = False  # not a pytest class, despite the name
 
     name: str
-    shape: Callable          # (x, y, z) -> scalar array
+    shape: Callable          # (x, y, z) -> values broadcastable against x, y, z
     direction: int           # 0, 1, 2
 
     def __call__(self, x, y, z) -> np.ndarray:
-        s = self.shape(x, y, z)
-        out = np.zeros(np.shape(s) + (3,))
-        out[..., self.direction] = s
+        out = np.zeros(np.broadcast(x, y, z).shape + (3,))
+        out[..., self.direction] = self.shape(x, y, z)
         return out
 
 
 def test_function_library(geom: DomainGeometry) -> List[TestFunction]:
-    """Nine low-order scalar shapes times the three axis directions."""
+    """Nine low-order scalar shapes times the three axis directions.  A
+    shape reads only the coordinates it depends on, so on the axis
+    coordinates of `stationarity_report` it makes no full-size array
+    unless it depends on all three."""
     lx, ly = geom.base_lx, geom.base_ly
     lz = geom.l_minus + geom.l_plus
     z0 = -geom.l_minus
     kx, ky, kz = np.pi / lx, np.pi / ly, np.pi / lz
 
     shapes = [
-        ("one", lambda x, y, z: np.ones(np.broadcast(x, y, z).shape)),
-        ("x", lambda x, y, z: x + 0 * y + 0 * z),
-        ("y", lambda x, y, z: y + 0 * x + 0 * z),
-        ("z", lambda x, y, z: z + 0 * x + 0 * y),
-        ("sin_x", lambda x, y, z: np.sin(kx * x) + 0 * y + 0 * z),
-        ("sin_y", lambda x, y, z: np.sin(ky * y) + 0 * x + 0 * z),
-        ("sin_z", lambda x, y, z: np.sin(kz * (z - z0)) + 0 * x + 0 * y),
-        ("cos_xy", lambda x, y, z: np.cos(kx * x) * np.cos(ky * y) + 0 * z),
+        ("one", lambda x, y, z: 1.0),
+        ("x", lambda x, y, z: x),
+        ("y", lambda x, y, z: y),
+        ("z", lambda x, y, z: z),
+        ("sin_x", lambda x, y, z: np.sin(kx * x)),
+        ("sin_y", lambda x, y, z: np.sin(ky * y)),
+        ("sin_z", lambda x, y, z: np.sin(kz * (z - z0))),
+        ("cos_xy", lambda x, y, z: np.cos(kx * x) * np.cos(ky * y)),
         ("xyz", lambda x, y, z: x * y * z),
     ]
     return [TestFunction(f"{sname}.e{dname}", s, d)
@@ -136,23 +138,44 @@ def test_function_library(geom: DomainGeometry) -> List[TestFunction]:
 # quadrature geometry helpers
 
 
-def _cell_coords(geom: DomainGeometry):
+def _axis_coords(geom: DomainGeometry):
+    """The cell-center coordinates as three broadcastable axis vectors,
+    x as (nx, 1, 1), y as (1, ny, 1) and z as (1, 1, nz)."""
     x = (np.arange(geom.nx) + 0.5) * geom.dx
     y = (np.arange(geom.ny) + 0.5) * geom.dy
     z = geom.z_centers()
-    return np.meshgrid(x, y, z, indexing="ij")
+    return x[:, None, None], y[None, :, None], z[None, None, :]
 
 
 def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
             geom: DomainGeometry, bc_mode: str) -> np.ndarray:
     """m x h_tot, the test-field-free part of the stationary form, with
-    the effective field of the stepper for `bc_mode`."""
-    return np.cross(m, assemble_h_tot(m, h_cells, geom, params, bc_mode))
+    the effective field of the stepper for `bc_mode`.
+
+    The torque overwrites the component-major h_tot F of
+    `assemble_h_tot`: components 0 and 1 are formed in the scratch of the
+    assembly and copied in after component 2, which reads only F_0 and
+    F_1, has been formed in place.  Each is formed as `np.cross` forms
+    it, m_j F_k - m_k F_j, so the torque has the bits of np.cross(m, F).
+    """
+    tmp = np.empty(2 * m.size)
+    f = assemble_h_tot(m, h_cells, geom, params, bc_mode, tmp=tmp)
+    t0, t1, t = _scalars(tmp, m.shape[:-1], 3)
+    for i, out in ((0, t0), (1, t1), (2, f[..., 2])):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(m[..., j], f[..., k], out=out)
+        np.multiply(m[..., k], f[..., j], out=t)
+        out -= t
+    np.copyto(f[..., 0], t0)
+    np.copyto(f[..., 1], t1)
+    return f
 
 
-def _stationary_value(torque: np.ndarray, phi_cells: np.ndarray,
+def _stationary_value(torque: np.ndarray, s: np.ndarray, direction: int,
                       geom: DomainGeometry) -> float:
-    """Signed stationary form -dV sum (m x h_tot) . phi.
+    """Signed stationary form -dV sum (m x h_tot) . phi of the test field
+    phi = s e_direction: one torque component paired with the cell
+    samples s of the shape.
 
     By summation by parts the exchange part, -A dV sum (m x Lap m) . phi,
     is the face sum A dV sum_f (m_f x D_f m) . D_f phi over the interior
@@ -161,7 +184,7 @@ def _stationary_value(torque: np.ndarray, phi_cells: np.ndarray,
     equals the spacer integrals of the nonlinear condition.  Residuals
     then measure model error rather than quadrature mismatch.
     """
-    return -geom.cell_volume * dot(torque, phi_cells)
+    return -geom.cell_volume * dot(torque[..., direction], s)
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +197,24 @@ def stationarity_report(u, H_cells, params, geom,
     """(name, |stationary form|) per test field; the torque m x h_tot is
     computed once for the whole library.
 
-    Each test field is its shape written into one zeroed field at its
-    direction and cleared again after the pairing, and a shape shared by
-    consecutive test fields (the library's three directions) is evaluated
-    once, so the values are those of a fresh test field per function,
-    bit for bit.
+    Each test field s e_d is paired as its one torque component against
+    the shape's cell samples: the shape is evaluated on the axis
+    coordinates (`_axis_coords`) into one scalar buffer, once for a run
+    of consecutive test fields that share it (the library's three
+    directions), so no vector test field is formed.
     """
     if test_fns is None:
         test_fns = test_function_library(geom)
     torque = _torque(u, H_cells, params, geom, bc_mode)
-    coords = _cell_coords(geom)
-    phi = np.zeros(coords[0].shape + (3,))
+    coords = _axis_coords(geom)
+    s = np.empty(torque.shape[:-1])
     report = []
-    shape = values = None
+    shape = None
     for fn in test_fns:
         if fn.shape is not shape:
-            shape, values = fn.shape, fn.shape(*coords)
-        phi[..., fn.direction] = values
-        report.append((fn.name, abs(_stationary_value(torque, phi, geom))))
-        phi[..., fn.direction] = 0.0
+            shape = fn.shape
+            np.copyto(s, shape(*coords))
+        report.append((fn.name, abs(_stationary_value(torque, s, fn.direction, geom))))
     return report
 
 

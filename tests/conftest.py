@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinlayer import maxwell as mx
-from spinlayer.diagnostics import _cell_coords, _stationary_value, _torque
+from spinlayer.diagnostics import _axis_coords, _stationary_value, _torque
 from spinlayer.dynamics import PROJECTED
 from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_layer_field
 from spinlayer.energetics import SHARP, _vector_field, apply_k, layer_cells
@@ -185,16 +185,36 @@ class FieldSamples:
         self.h_cells.append(state.h_cells().copy())
 
 
+def cell_coords(geom):
+    """The body cell centers as three (nx, ny, nz) meshgrid arrays."""
+    x = (np.arange(geom.nx) + 0.5) * geom.dx
+    y = (np.arange(geom.ny) + 0.5) * geom.dy
+    z = geom.z_centers()
+    return np.meshgrid(x, y, z, indexing="ij")
+
+
 def eval_on_cells(test_fn, geom):
-    """A test function sampled at the body cell centers."""
-    return test_fn(*_cell_coords(geom))
+    """A test function sampled at the body cell centers: the full
+    (nx, ny, nz, 3) test field."""
+    return test_fn(*cell_coords(geom))
+
+
+def field_stationary_value(torque, phi_cells, geom):
+    """-dV sum (m x h_tot) . phi over a full (..., 3) test field, every
+    component paired: the reference that the report's one-component
+    pairing (`diagnostics._stationary_value`) matches to roundoff."""
+    return -geom.cell_volume * dot(torque, phi_cells)
 
 
 def stationarity_form(u, H_cells, params, geom, test_fn, bc_mode=SHARP):
-    """Signed value of the six-term stationary weak form for one test
-    field; bc_mode picks the surface layer of the spacer terms."""
+    """Signed value of the six-term stationary weak form for one library
+    test field, paired as the report pairs it: the shape on the axis
+    coordinates in a fresh scalar field, against the torque component of
+    its direction; bc_mode picks the surface layer of the spacer terms."""
     torque = _torque(u, H_cells, params, geom, bc_mode)
-    return _stationary_value(torque, eval_on_cells(test_fn, geom), geom)
+    s = np.empty(torque.shape[:-1])
+    np.copyto(s, test_fn.shape(*_axis_coords(geom)))
+    return _stationary_value(torque, s, test_fn.direction, geom)
 
 
 def weak_residual_m(samples, test_fn, geom, params, signed=False, bc_mode=SHARP):
@@ -224,7 +244,7 @@ def weak_residual_m(samples, test_fn, geom, params, signed=False, bc_mode=SHARP)
         lhs += dt * dV * (dot(m_dot, phi_cells)
                           - alpha * dot(np.cross(m_mid, m_dot), phi_cells))
         torque = _torque(m_mid, h_mid, params, geom, bc_mode)
-        rhs += dt * one_a2 * _stationary_value(torque, phi_cells, geom)
+        rhs += dt * one_a2 * field_stationary_value(torque, phi_cells, geom)
     resid = lhs - rhs
     return resid if signed else abs(resid)
 

@@ -334,6 +334,10 @@ class TestCli:
         ("alpha = 1.0", "alpha = 0", "material.alpha"),
         ("dt = 0.002", "dt = -0.002", "scheme.dt"),
         ("dt = 0.002", "dt = 0.002\nsubcycles = 0", "scheme.subcycles"),
+        ("dt = 0.002", "dt = 0.002\nstability_c = 0", "scheme.stability_c"),
+        ("dt = 0.002", "dt = 0.002\nstability_c = -1", "scheme.stability_c"),
+        ("alpha = 1.0", "alpha = 1.0\nk_diag = 0.05 0.02 0.0\n"
+                        "k_matrix = 0.05 0 0 0 0.02 0 0 0 0", "material.k_matrix"),
         ("padding = 2", "padding = 0", "maxwell.padding"),
         ("t_end = 0.02", "t_end = -0.02", "run.t_end"),
         ("m = random 11", "m = random -1", "initial.m"),

@@ -17,7 +17,8 @@ from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.summation import dot
 
 from conftest import (FieldSamples, box_divergence, eval_on_cells, face_stationary_form,
-                      random_unit_field, stationarity_form, weak_residual_m)
+                      field_stationary_value, random_unit_field, stationarity_form,
+                      weak_residual_m)
 
 
 def plain_params(**overrides):
@@ -201,8 +202,9 @@ class TestStationarity:
             for fn in lib]
 
     def test_report_evaluates_each_shape_once(self, small_geom):
-        # the report writes each shape into one test field a direction at
-        # a time: the same bits as the 27 fresh test fields, with each of
+        # the report pairs each test field's one component, s e_d, with
+        # the torque component d: the same bits as the 27 fresh test
+        # fields paired that way with the np.cross torque, with each of
         # the 9 shapes evaluated once; in a direction-major order every
         # shape is evaluated again, never taken stale
         params, u, H = self._random_case(small_geom)
@@ -219,9 +221,12 @@ class TestStationarity:
         counted_lib = [TestFunction(fn.name, shapes.setdefault(fn.shape, counted(fn)),
                                     fn.direction) for fn in lib]
         torque = np.cross(u, assemble_h_tot(u, H, small_geom, params))
-        fresh = [(fn.name, abs(-small_geom.cell_volume
-                               * dot(torque, eval_on_cells(fn, small_geom))))
-                 for fn in lib]
+        fresh = []
+        for fn in lib:
+            d = fn.direction
+            phi_d = np.ascontiguousarray(eval_on_cells(fn, small_geom)[..., d])
+            fresh.append((fn.name, abs(-small_geom.cell_volume
+                                       * dot(np.ascontiguousarray(torque[..., d]), phi_d))))
         assert stationarity_report(u, H, params, small_geom, counted_lib) == fresh
         assert len(calls) == 9 and set(calls.values()) == {1}
         by_direction = sorted(counted_lib, key=lambda fn: fn.direction)
@@ -229,6 +234,51 @@ class TestStationarity:
         report = stationarity_report(u, H, params, small_geom, by_direction)
         assert sorted(report) == sorted(fresh)
         assert set(calls.values()) == {3}
+
+    @pytest.mark.parametrize("bc_mode", ["sharp", "thin_layer"])
+    def test_report_within_roundoff_of_full_field_pairing(self, flat_geom, bc_mode):
+        # pairing the one nonzero component of s e_d changes only the
+        # summation order of -dV sum (m x h_tot) . phi over the full test
+        # field: for a non-unit m with the penalty on, every value is
+        # within 1e-13 of the library's largest full-field value
+        rng = np.random.default_rng(9)
+        shape = flat_geom.field_shape()
+        kraw = rng.standard_normal((3, 3))
+        params = plain_params(a_exch=0.7, ks=0.5, j1=0.4, j2=0.25, alpha=0.5,
+                              penalty_k=2.0, k_matrix=kraw @ kraw.T)
+        u = 1.3 * rng.standard_normal(shape)
+        H = rng.standard_normal(shape)
+        torque = np.cross(u, assemble_h_tot(u, H, flat_geom, params, bc_mode))
+        lib = fn_library(flat_geom)
+        full = [abs(field_stationary_value(torque, eval_on_cells(fn, flat_geom), flat_geom))
+                for fn in lib]
+        report = stationarity_report(u, H, params, flat_geom, lib, bc_mode=bc_mode)
+        assert [name for name, _ in report] == [fn.name for fn in lib]
+        scale = max(full)
+        assert scale > 0.0
+        assert max(abs(got - want) for (_, got), want in zip(report, full)) <= 1e-13 * scale
+
+    def test_report_builds_no_vector_test_field(self):
+        # a warm report holds at most the h_tot assembly (the field and
+        # its two-field scratch), then the torque, one scalar shape buffer
+        # and a shape's temporaries: its peak stays below 3.5 body fields,
+        # so no (..., 3) test field or 3-D coordinate grid is formed
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8,
+                                             eta=2 * 0.5 / 8))
+        params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
+                              ks=0.01, j1=0.01, j2=0.01, penalty_k=10.0)
+        m = random_unit_field(geom, seed=62)
+        H = random_unit_field(geom, seed=63)
+        for bc_mode in ("sharp", "thin_layer"):
+            warm = stationarity_report(m, H, params, geom, bc_mode=bc_mode)
+            tracemalloc.start()
+            try:
+                again = stationarity_report(m, H, params, geom, bc_mode=bc_mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert again == warm
+            assert peak < 3.5 * m.nbytes, (bc_mode, peak / m.nbytes)
 
     def test_thin_layer_pairs_with_eta_surface_field(self, small_geom):
         # the two modes differ only in the surface field of the torque:
