@@ -3,7 +3,7 @@ in a bilayered ferromagnet with spacer surface energies."""
 
 from .errors import (CFLViolation, ConfigError, EtaTooLarge, NonFinite,
                      NonTilingGrid, ParseError, SimulationError, SolverDiverged,
-                     ThinLayerInactive, ValidationError)
+                     ValidationError)
 from .geometry import DomainGeometry, GeometryConfig, build_geometry
 from .energetics import (EnergyBreakdown, MaterialParams, anisotropy_energy,
                          exchange_energy, maxwell_energy, penalty_energy,

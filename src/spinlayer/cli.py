@@ -16,6 +16,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import dynamics, maxwell, snapshots
 from .config import RunConfig, _parse, _validate, build_model, build_setup, parse_config
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
@@ -156,10 +158,11 @@ def _cmd_run(args) -> int:
                     state.t, [state.m])
 
         try:
-            traj = dynamics.run(setup.geom, setup.params, setup.scheme, setup.m0,
-                                setup.em, setup.f, config.t_end,
-                                log_every=config.cadence,
-                                on_row=on_row, on_state=on_state)
+            with np.errstate(all="ignore"):   # non-finite values raise NonFinite
+                traj = dynamics.run(setup.geom, setup.params, setup.scheme,
+                                    setup.m0, setup.em, setup.f, config.t_end,
+                                    log_every=config.cadence,
+                                    on_row=on_row, on_state=on_state)
         except _NUMERIC_ERRORS as exc:
             csv_fh.close()
             return _fail(3, "numeric", str(exc))
@@ -207,13 +210,11 @@ def recompute_final_row(outdir: str):
     em.hx, em.hy, em.hz = h_arrays
     em.ex, em.ey, em.ez = e_arrays
 
-    breakdown, saturation_dev, drift = _state_terms(m_arr, em, geom, setup.params,
-                                                    config.bc_mode)
+    breakdown, saturation_dev, drift = _state_terms(m_arr, em, geom, setup.params)
     values = (t_final,) + breakdown.as_tuple() + (saturation_dev, drift)
 
     H = omega_limit_field_cells(m_arr, box, geom)
-    stationarity = stationarity_report(m_arr, H, setup.params, geom,
-                                       bc_mode=config.bc_mode)
+    stationarity = stationarity_report(m_arr, H, setup.params, geom)
     return dict(zip(DIAG_COLUMNS, values)), stationarity
 
 

@@ -10,15 +10,15 @@ canonical echo from `to_text` parses back to an identical config.
 
 import math
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import dynamics, maxwell, presets, snapshots
-from .dynamics import (CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED,
-                       SchemeConfig)
-from .energetics import BC_MODES, SHARP, THIN_LAYER, MaterialParams, _vector_copy
+from .dynamics import (BC_MODES, CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED, SHARP,
+                       THIN_LAYER, SchemeConfig)
+from .energetics import MaterialParams, _vector_copy
 from .errors import NonFinite, ParseError, SimulationError, ValidationError
 from .geometry import GeometryConfig, build_geometry
 from .maxwell import AppliedCurrent
@@ -353,20 +353,25 @@ def build_model(config: RunConfig) -> RunSetup:
     """Grids, parameters, the applied current and a zero electromagnetic
     state; `m0` is left None.
 
-    Geometry and material violations are reported as ValidationError so
-    the command line can attribute them to config fields; a dt beyond the
-    exchange or Yee stability bound raises CFLViolation, as `dynamics.run`
-    would.
+    The geometry's spacer layer is the eta layer in thin_layer mode and
+    the one-cell layer in sharp mode, where a given eta is validated but
+    not used.  Geometry and material violations are reported as
+    ValidationError so the command line can attribute them to config
+    fields; a dt beyond the exchange or Yee stability bound raises
+    CFLViolation, as `dynamics.run` would.
     """
+    request = GeometryConfig(
+        base_lx=config.lx, base_ly=config.ly,
+        l_minus=config.l_minus, l_plus=config.l_plus,
+        nx=config.nx, ny=config.ny,
+        nz_minus=config.nz_minus, nz_plus=config.nz_plus,
+        eta=config.eta, trace_order=config.trace_order)
     try:
-        geom = build_geometry(GeometryConfig(
-            base_lx=config.lx, base_ly=config.ly,
-            l_minus=config.l_minus, l_plus=config.l_plus,
-            nx=config.nx, ny=config.ny,
-            nz_minus=config.nz_minus, nz_plus=config.nz_plus,
-            eta=config.eta, trace_order=config.trace_order))
+        geom = build_geometry(request)
     except SimulationError as exc:
         raise ValidationError("geometry", str(exc)) from exc
+    if config.bc_mode == SHARP and geom.eta is not None:
+        geom = build_geometry(replace(request, eta=None))
 
     k = None
     if config.k_matrix is not None:

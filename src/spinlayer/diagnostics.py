@@ -10,7 +10,7 @@ import numpy as np
 
 from . import maxwell
 from .effective_field import assemble_h_tot
-from .energetics import SHARP, EnergyBreakdown, MaterialParams, _dot, _scalars
+from .energetics import EnergyBreakdown, MaterialParams, _dot, _scalars
 from .geometry import DomainGeometry
 from .summation import dot
 
@@ -148,9 +148,9 @@ def _axis_coords(geom: DomainGeometry):
 
 
 def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
-            geom: DomainGeometry, bc_mode: str) -> np.ndarray:
+            geom: DomainGeometry) -> np.ndarray:
     """m x h_tot, the test-field-free part of the stationary form, with
-    the effective field of the stepper for `bc_mode`.
+    the effective field of the stepper.
 
     The torque overwrites the component-major h_tot F of
     `assemble_h_tot`: components 0 and 1 are formed in the scratch of the
@@ -159,7 +159,7 @@ def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
     it, m_j F_k - m_k F_j, so the torque has the bits of np.cross(m, F).
     """
     tmp = np.empty(2 * m.size)
-    f = assemble_h_tot(m, h_cells, geom, params, bc_mode, tmp=tmp)
+    f = assemble_h_tot(m, h_cells, geom, params, tmp=tmp)
     t0, t1, t = _scalars(tmp, m.shape[:-1], 3)
     for i, out in ((0, t0), (1, t1), (2, f[..., 2])):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -192,8 +192,7 @@ def _stationary_value(torque: np.ndarray, s: np.ndarray, direction: int,
 
 
 def stationarity_report(u, H_cells, params, geom,
-                        test_fns: Optional[Sequence[TestFunction]] = None,
-                        bc_mode: str = SHARP):
+                        test_fns: Optional[Sequence[TestFunction]] = None):
     """(name, |stationary form|) per test field; the torque m x h_tot is
     computed once for the whole library.
 
@@ -205,7 +204,7 @@ def stationarity_report(u, H_cells, params, geom,
     """
     if test_fns is None:
         test_fns = test_function_library(geom)
-    torque = _torque(u, H_cells, params, geom, bc_mode)
+    torque = _torque(u, H_cells, params, geom)
     coords = _axis_coords(geom)
     s = np.empty(torque.shape[:-1])
     report = []
@@ -219,10 +218,9 @@ def stationarity_report(u, H_cells, params, geom,
 
 
 def stationarity_residual(u, H_cells, params, geom,
-                          test_fns: Optional[Sequence[TestFunction]] = None,
-                          bc_mode: str = SHARP) -> float:
+                          test_fns: Optional[Sequence[TestFunction]] = None) -> float:
     """Max of |stationary weak form| over the test-function library."""
-    report = stationarity_report(u, H_cells, params, geom, test_fns, bc_mode)
+    report = stationarity_report(u, H_cells, params, geom, test_fns)
     return max(r for _, r in report)
 
 

@@ -2,14 +2,14 @@
 
 h_tot = h - K m + A*Lap(m) + the spacer surface field + the saturation
 penalty field.  Every term is minus the per-cell gradient of its energy
-in `energetics` over the cell volume, in both boundary modes; the
-penalty term is zero when params.penalty_k is.
+in `energetics` over the cell volume; the penalty term is zero when
+params.penalty_k is.
 
-The surface field lives on the cell layers hugging the spacer: eta/dz
-cells per side in thin-layer mode, one cell per side in sharp mode.
-Sharp mode is the thin layer at eta = dz; on unit fields the tangential
-part of its surface field is the nonlinear spacer condition imposed one
-cell from the spacer.
+The surface field lives on the geometry's `layer_cells` cell layers on
+each side of the spacer: eta/dz with a thin layer, one without.  The
+one-cell layer is the sharp spacer, the thin layer at eta = dz; on unit
+fields the tangential part of its surface field is the nonlinear spacer
+condition imposed one cell from the spacer.
 
 The exchange contribution carries a plus sign on the Laplacian: with the
 energy (A/2) int |grad m|^2, minus the energy gradient is +A Lap m, and
@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import DomainGeometry
-from .energetics import (SHARP, MaterialParams, _components, _dot, _face_differences,
-                         _scalars, _store, _vector_field, apply_k, layer_cells)
+from .energetics import (MaterialParams, _components, _dot, _face_differences,
+                         _scalars, _store, _vector_field, apply_k)
 
 
 def _add_exchange_fluxes(f: np.ndarray, geom: DomainGeometry, coef: float,
@@ -87,28 +87,26 @@ def _deliver(res: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
 
 
 def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
-                     cells: Optional[int] = None,
                      out: Optional[np.ndarray] = None,
                      tmp: Optional[np.ndarray] = None) -> np.ndarray:
-    """Spacer surface field on the 2*cells layers hugging the spacer.
+    """Spacer surface field on the geometry's 2*layer_cells layers hugging
+    the spacer.
 
-    Minus the gradient of `thin_layer_energy` with the same `cells` over
-    the cell volume; cells defaults to the geometry's thin layer and is 1
-    in sharp mode.  The field is added into `out` (a fresh zero field
-    when omitted), touching only the layer planes, and `out` is returned.
+    Minus the gradient of `thin_layer_energy` over the cell volume.  The
+    field is added into `out` (a fresh zero field when omitted), touching
+    only the layer planes, and `out` is returned.
 
     The layers of m, of their reflection across the spacer and of out are
-    gathered into component-major (2*cells, nx, ny, 3) blocks (see
+    gathered into component-major (2*layer_cells, nx, ny, 3) blocks (see
     `energetics._vector_field`), so every pass is contiguous and no
     operand runs backwards (numpy buffers a pass that mixes forward and
     backward strides); the terms are added in the order ks, j1, j2 and
     the block is copied back.  `tmp` (a flat float array of at least
-    12 * 2*cells * nx * ny entries) makes the call allocation-free; a
-    shorter one is replaced by a fresh buffer.
+    12 * 2*layer_cells * nx * ny entries) makes the call allocation-free;
+    a shorter one is replaced by a fresh buffer.
     """
-    if cells is None:
-        cells = geom.eta_cells
-    sl = geom.layer_slice(cells)
+    cells = geom.layer_cells
+    sl = geom.layer_slice()
     if out is None:
         out = np.zeros_like(m)
     shape = (2 * cells,) + m.shape[:2]
@@ -169,14 +167,15 @@ def penalty_field(m: np.ndarray, params: MaterialParams,
 
 def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
                    geom: DomainGeometry, params: MaterialParams,
-                   bc_mode: str = SHARP, out: Optional[np.ndarray] = None,
+                   out: Optional[np.ndarray] = None,
                    tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """Volume effective field at frozen h.
 
     h_cells (the Maxwell h on m cells; None means h = 0) plus minus the
     per-cell gradient of the non-Maxwell terms of `total_energy` over the
     cell volume, the saturation penalty included whenever
-    params.penalty_k is nonzero.  bc_mode picks the spacer layer.
+    params.penalty_k is nonzero; the spacer terms act on the geometry's
+    layer.
 
     The field is summed in place in a component-major field: h - K m (or
     0 - K m) is written in one pass over K m, the exchange face fluxes
@@ -201,8 +200,7 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
         np.copyto(o, h)
     if params.a_exch != 0.0:
         _add_exchange_fluxes(_store(m), geom, params.a_exch, o, tmp)
-    thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode), out=res,
-                     tmp=tmp)
+    thin_layer_field(m, geom, params, out=res, tmp=tmp)
     if params.penalty_k != 0.0:
         term = _vector_field(m.shape, tmp)
         penalty_field(m, params, out=term, tmp=tmp[m.size:])

@@ -17,12 +17,12 @@ Discretization notes:
   contiguous block, so the component-wise kernels make contiguous passes
   and a difference along an axis is a flat difference of the store at a
   fixed offset.
-* The surface energies live on `cells` whole cell layers per side with
-  weight 1/(2 eta), eta = cells*dz: eta/dz cells in thin-layer mode, one
-  cell in sharp mode.  With one cell the layer sums are exactly the
-  midpoint-rule spacer integrals of the adjacent-cell traces (footprint
-  dx*dy per column): super-exchange once over the spacer, surface
-  anisotropy over both faces.
+* The surface energies live on the geometry's `layer_cells` whole cell
+  layers per side with weight 1/(2 eta), eta = layer_cells*dz: eta/dz
+  cells with a thin layer, one cell (the sharp layer) without.  With one
+  cell the layer sums are exactly the midpoint-rule spacer integrals of
+  the adjacent-cell traces (footprint dx*dy per column): super-exchange
+  once over the spacer, surface anisotropy over both faces.
 """
 
 import math
@@ -35,10 +35,6 @@ from .geometry import DomainGeometry
 from .summation import dot, fsum
 
 _PSD_TOL = 1e-10
-
-SHARP = "sharp"
-THIN_LAYER = "thin_layer"
-BC_MODES = (SHARP, THIN_LAYER)
 
 
 @dataclass(frozen=True)
@@ -282,38 +278,25 @@ def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     return 0.5 * geom.cell_volume * dot(km, m)
 
 
-def layer_cells(geom: DomainGeometry, bc_mode: str) -> int:
-    """Depth in cells of the surface layer on each side of the spacer:
-    1 in sharp mode (the thin layer at eta = dz), eta/dz in thin-layer
-    mode."""
-    if bc_mode not in BC_MODES:
-        raise ValueError(f"unknown bc_mode {bc_mode!r} (choose from {BC_MODES})")
-    return 1 if bc_mode == SHARP else geom.eta_cells
-
-
 def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
-                      split: bool = False, cells: Optional[int] = None,
-                      tmp: Optional[np.ndarray] = None):
-    """Volumized surface energy over the 2*cells layers hugging the spacer.
+                      split: bool = False, tmp: Optional[np.ndarray] = None):
+    """Volumized surface energy over the geometry's 2*layer_cells layers
+    hugging the spacer.
 
-    cells defaults to the geometry's thin layer; sharp mode uses 1.  With
-    split=True returns (surface-anisotropy part, quadratic part,
-    biquadratic part) so the breakdown reports the same columns in both
-    boundary modes.
+    With split=True returns (surface-anisotropy part, quadratic part,
+    biquadratic part), the columns of the breakdown.
 
     The layers and their reflection across the spacer are copied into
     blocks laid out like the layers of m, so the jump ml - ms is one flat
     pass laid out as numpy lays out that difference, and the wedge ml x ms
     is formed component by component in a row-major block, as `np.cross`
     forms it; the sums therefore keep the bits of those fresh arrays.
-    `tmp` (a flat float array of at least 10 * 2*cells * nx * ny entries)
-    makes the call allocation-free; a shorter one is replaced by a fresh
-    buffer.
+    `tmp` (a flat float array of at least 10 * 2*layer_cells * nx * ny
+    entries) makes the call allocation-free; a shorter one is replaced by a
+    fresh buffer.
     """
-    if cells is None:
-        cells = geom.eta_cells
-    ml = m[:, :, geom.layer_slice(cells), :]
-    w = geom.face_area / (2.0 * cells)      # dV / (2 eta)
+    ml = m[:, :, geom.layer_slice(), :]
+    w = geom.face_area / (2.0 * geom.layer_cells)      # dV / (2 eta)
 
     e_ks = e_q = e_biq = 0.0
     if params.ks != 0.0:
@@ -367,22 +350,20 @@ def maxwell_energy(em, params: MaterialParams) -> Tuple[float, float]:
 
 
 def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams,
-                 bc_mode: str = SHARP, tmp: Optional[np.ndarray] = None) -> EnergyBreakdown:
-    """Assemble the full energy for the boundary mode.
+                 tmp: Optional[np.ndarray] = None) -> EnergyBreakdown:
+    """Assemble the full energy.
 
-    The surface energies sit on the one-cell layer in sharp mode and on
-    the eta layer in thin-layer mode; the penalty term enters whenever
-    params.penalty_k is nonzero, the energy whose gradient
-    `effective_field.assemble_h_tot` is.  `tmp` (a flat float array of at
-    least 4 * m.size // 3 entries) is the volume terms' scratch, and the
-    surface terms' whenever their layers fill at most 0.45 of the body's
-    depth (see `thin_layer_energy`).
+    The surface energies sit on the geometry's spacer layer; the penalty
+    term enters whenever params.penalty_k is nonzero, the energy whose
+    gradient `effective_field.assemble_h_tot` is.  `tmp` (a flat float
+    array of at least 4 * m.size // 3 entries) is the volume terms'
+    scratch, and the surface terms' whenever their layers fill at most
+    0.45 of the body's depth (see `thin_layer_energy`).
     """
     e_h = e_e = 0.0
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)
-    sa, sq, sb = thin_layer_energy(m, geom, params, split=True,
-                                   cells=layer_cells(geom, bc_mode), tmp=tmp)
+    sa, sq, sb = thin_layer_energy(m, geom, params, split=True, tmp=tmp)
     return EnergyBreakdown.assemble(
         exchange=exchange_energy(m, geom, params, tmp),
         anisotropy=anisotropy_energy(m, geom, params, tmp),

@@ -13,10 +13,6 @@ class EtaTooLarge(SimulationError):
     """Thin-layer thickness exceeds a slab height."""
 
 
-class ThinLayerInactive(SimulationError):
-    """Thin-layer operation requested but the geometry has no layer cells."""
-
-
 class CFLViolation(SimulationError):
     """Time step violates a stability bound."""
 

@@ -6,9 +6,10 @@ array of shape (nx, ny, nz_total, 3); z-index k < nz_minus is the lower
 slab, k >= nz_minus the upper one, and the plane z = 0 is always a cell
 face shared by the two slabs, never a cell center.
 
-The spacer surface energies act on a layer of whole cells on each side of
-the spacer (`layer_slice`): one cell deep in sharp mode, eta/dz cells deep
-in thin-layer mode.
+The spacer surface energies act on a layer of `layer_cells` whole cells on
+each side of the spacer (`layer_slice`): eta/dz cells deep when the
+geometry has a thin layer, and one cell deep (the sharp layer, the thin
+layer at eta = dz) when it does not.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EtaTooLarge, NonTilingGrid, ThinLayerInactive
+from .errors import EtaTooLarge, NonTilingGrid
 
 _REL_TOL = 1e-9
 
@@ -51,7 +52,7 @@ class DomainGeometry:
     dy: float
     dz: float
     eta: Optional[float]
-    eta_cells: int
+    layer_cells: int   # eta/dz with a thin layer, else 1
 
     @property
     def nz_total(self) -> int:
@@ -76,16 +77,9 @@ class DomainGeometry:
         k = np.arange(self.nz_total)
         return (k - self.nz_minus + 0.5) * self.dz
 
-    def layer_slice(self, cells: Optional[int] = None) -> slice:
-        """z-slice of the 2*cells cell layers hugging the spacer.
-
-        cells defaults to the thin layer's eta_cells; sharp mode uses 1.
-        """
-        if cells is None:
-            cells = self.eta_cells
-        if cells < 1:
-            raise ThinLayerInactive("geometry was built without a thin layer")
-        return slice(self.nz_minus - cells, self.nz_minus + cells)
+    def layer_slice(self) -> slice:
+        """z-slice of the 2*layer_cells cell layers hugging the spacer."""
+        return slice(self.nz_minus - self.layer_cells, self.nz_minus + self.layer_cells)
 
     def field_shape(self) -> tuple:
         return (self.nx, self.ny, self.nz_total, 3)
@@ -97,7 +91,9 @@ def _is_multiple(value: float, step: float) -> bool:
 
 
 def build_geometry(config: GeometryConfig) -> DomainGeometry:
-    """Validate a geometry request and derive grid spacings.
+    """Validate a geometry request and derive grid spacings and the depth
+    of the spacer layer, `layer_cells`: eta/dz cells with a thin layer, one
+    without.
 
     Raises NonTilingGrid when the two slabs demand different dz, when
     eta is not a whole number of cell layers or when trace_order is not
@@ -123,7 +119,7 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
         )
     dz = dz_minus
 
-    eta_cells = 0
+    layer_cells = 1
     if config.eta is not None:
         if config.eta <= 0:
             raise NonTilingGrid("eta must be positive when given")
@@ -134,7 +130,7 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
             )
         if not _is_multiple(config.eta, dz):
             raise NonTilingGrid(f"eta={config.eta:g} is not a multiple of dz={dz:g}")
-        eta_cells = int(round(config.eta / dz))
+        layer_cells = int(round(config.eta / dz))
 
     return DomainGeometry(
         base_lx=config.base_lx,
@@ -149,6 +145,6 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
         dy=dy,
         dz=dz,
         eta=config.eta,
-        eta_cells=eta_cells,
+        layer_cells=layer_cells,
     )
 

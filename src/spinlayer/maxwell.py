@@ -317,7 +317,9 @@ class AppliedCurrent:
             raise ValueError("pulse width must be positive")
 
     def value(self, t: float) -> np.ndarray:
-        return self.amplitude * np.exp(-0.5 * ((t - self.t0) / self.width) ** 2)
+        z = (t - self.t0) / self.width
+        # beyond |z| = 40 the Gaussian underflows to 0 (and z**2 may overflow)
+        return self.amplitude * (np.exp(-0.5 * z ** 2) if abs(z) < 40.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------

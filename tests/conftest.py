@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -8,7 +9,7 @@ from spinlayer import maxwell as mx
 from spinlayer.diagnostics import _axis_coords, _stationary_value, _torque
 from spinlayer.dynamics import PROJECTED
 from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_layer_field
-from spinlayer.energetics import SHARP, _vector_field, apply_k, layer_cells
+from spinlayer.energetics import _vector_field, apply_k
 from spinlayer.summation import dot
 from spinlayer.geometry import GeometryConfig, build_geometry
 
@@ -18,6 +19,24 @@ def small_geom():
     """4x4x(3+3) box with a thin layer two cells deep."""
     return build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 3, 3,
                                          eta=2 * 0.5 / 3))
+
+
+@pytest.fixture
+def small_sharp_geom(small_geom):
+    """The grid of small_geom with the sharp one-cell spacer layer."""
+    return sharp_geom(small_geom)
+
+
+def sharp_geom(geom):
+    """The grid of geom with the sharp spacer layer, one cell deep: the
+    geometry `build_geometry` makes from the same request without eta."""
+    return dataclasses.replace(geom, eta=None, layer_cells=1)
+
+
+def layer_geom(geom, mode):
+    """geom itself for the mode word "thin_layer", its `sharp_geom` for
+    "sharp": the geometry a scheme of that bc_mode runs on."""
+    return geom if mode == "thin_layer" else sharp_geom(geom)
 
 
 @pytest.fixture
@@ -77,8 +96,8 @@ def gilbert_projection_rhs(m, h_cells, geom, params, scheme):
     reference for `dynamics.llg_rhs`, which sums h_tot in place and takes
     the rate of either constraint mode in one closed form.
 
-    h_tot = h - K m + A lap(m) + the surface field of scheme.bc_mode + the
-    penalty field; the rate is `gilbert_solve` of (1 + alpha^2) h_tot, and
+    h_tot = h - K m + A lap(m) + the surface field of the geometry's layer +
+    the penalty field; the rate is `gilbert_solve` of (1 + alpha^2) h_tot, and
     in projected mode its component along m (over max(|m|^2, 1e-300)) is
     removed.
     """
@@ -87,7 +106,7 @@ def gilbert_projection_rhs(m, h_cells, geom, params, scheme):
         h -= apply_k(params, m)
     if params.a_exch != 0.0:
         h += params.a_exch * laplacian_neumann(m, geom)
-    thin_layer_field(m, geom, params, cells=layer_cells(geom, scheme.bc_mode), out=h)
+    thin_layer_field(m, geom, params, out=h)
     if params.penalty_k != 0.0:
         h += penalty_field(m, params)
     v = gilbert_solve(m, (1.0 + params.alpha**2) * h, params.alpha)
@@ -133,7 +152,7 @@ def spacer_oracle(m, geom, params):
             params.j2 * dA * math.fsum((wedge * wedge).ravel()))
 
 
-def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
+def face_stationary_form(m, h_cells, params, geom, phi_cells):
     """The stationary form written as a face sum, the reference for
     `stationarity_form` and the weak form's right-hand side.
 
@@ -141,7 +160,8 @@ def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
     (m_f x D_f m) . D_f phi, with m_f the face midpoint and D_f the
     difference quotient across the face, minus
     dV sum (m x (h + h_surf - K m)) . phi with h_surf the surface field of
-    bc_mode.  The penalty field is parallel to m and pairs to zero.
+    the geometry's layer.  The penalty field is parallel to m and pairs to
+    zero.
     """
     s, nz = geom.spacer_index, geom.nz_total
     families = [((slice(1, None),), (slice(None, -1),), geom.dx),
@@ -155,8 +175,7 @@ def face_stationary_form(m, h_cells, params, geom, phi_cells, bc_mode="sharp"):
     for hi, lo, d in families:
         wedge = np.cross(0.5 * (m[hi] + m[lo]), (m[hi] - m[lo]) / d)
         exchange += math.fsum((wedge * (phi_cells[hi] - phi_cells[lo]) / d).ravel())
-    h = thin_layer_field(m, geom, params, cells=layer_cells(geom, bc_mode),
-                         out=h_cells.copy())
+    h = thin_layer_field(m, geom, params, out=h_cells.copy())
     if params.k_matrix is not None:
         h -= apply_k(params, m)
     torque = np.cross(m, h)
@@ -206,25 +225,25 @@ def field_stationary_value(torque, phi_cells, geom):
     return -geom.cell_volume * dot(torque, phi_cells)
 
 
-def stationarity_form(u, H_cells, params, geom, test_fn, bc_mode=SHARP):
+def stationarity_form(u, H_cells, params, geom, test_fn):
     """Signed value of the six-term stationary weak form for one library
     test field, paired as the report pairs it: the shape on the axis
     coordinates in a fresh scalar field, against the torque component of
-    its direction; bc_mode picks the surface layer of the spacer terms."""
-    torque = _torque(u, H_cells, params, geom, bc_mode)
+    its direction."""
+    torque = _torque(u, H_cells, params, geom)
     s = np.empty(torque.shape[:-1])
     np.copyto(s, test_fn.shape(*_axis_coords(geom)))
     return _stationary_value(torque, s, test_fn.direction, geom)
 
 
-def weak_residual_m(samples, test_fn, geom, params, signed=False, bc_mode=SHARP):
+def weak_residual_m(samples, test_fn, geom, params, signed=False):
     """Discrete mismatch of the magnetization weak form over the
     `FieldSamples` of a run.
 
     Midpoint quadrature in time: rates from consecutive samples, states
     averaged to the interval midpoint.  Smallness is evidence, not proof,
-    since the test-function library is finite.  bc_mode is the run's
-    boundary mode; it picks the surface layer of the spacer terms.
+    since the test-function library is finite.  geom is the run's; its
+    layer carries the spacer terms.
     """
     ms, hs, ts = samples.m, samples.h_cells, samples.times
     if len(ms) < 2:
@@ -243,7 +262,7 @@ def weak_residual_m(samples, test_fn, geom, params, signed=False, bc_mode=SHARP)
         h_mid = 0.5 * (hs[n + 1] + hs[n])
         lhs += dt * dV * (dot(m_dot, phi_cells)
                           - alpha * dot(np.cross(m_mid, m_dot), phi_cells))
-        torque = _torque(m_mid, h_mid, params, geom, bc_mode)
+        torque = _torque(m_mid, h_mid, params, geom)
         rhs += dt * one_a2 * field_stationary_value(torque, phi_cells, geom)
     resid = lhs - rhs
     return resid if signed else abs(resid)

@@ -18,17 +18,16 @@ from spinlayer.diagnostics import (energy_inequality_residual,
                                    omega_limit_field, omega_limit_field_cells,
                                    stationarity_residual)
 from spinlayer.diagnostics import test_function_library as fn_library
-from spinlayer.dynamics import (PENALIZED, PROJECTED, SchemeConfig, SimState,
-                                exchange_dt_bound, llg_rhs, run, step)
+from spinlayer.dynamics import (PENALIZED, PROJECTED, SHARP, THIN_LAYER, SchemeConfig,
+                                SimState, exchange_dt_bound, llg_rhs, run, step)
 from spinlayer.effective_field import assemble_h_tot
-from spinlayer.energetics import (SHARP, THIN_LAYER, MaterialParams,
-                                  _vector_field, anisotropy_energy,
+from spinlayer.energetics import (MaterialParams, _vector_field, anisotropy_energy,
                                   exchange_energy, penalty_energy,
                                   thin_layer_energy, uniform_k_matrix)
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.presets import random_unit_m
 
-from conftest import box_divergence, spacer_oracle
+from conftest import box_divergence, sharp_geom, spacer_oracle
 
 
 def report(num, name, detail):
@@ -136,7 +135,7 @@ def test_criterion_2_variational_consistency():
         return (exchange_energy(mm, geom, params) + anisotropy_energy(mm, geom, params)
                 + thin_layer_energy(mm, geom, params) + penalty_energy(mm, geom, params))
 
-    field = assemble_h_tot(m, None, geom, params, THIN_LAYER)
+    field = assemble_h_tot(m, None, geom, params)
     ref = -_fd_gradient(thin_energy, m) / geom.cell_volume
     rel_thin = (np.linalg.norm(field - ref, axis=-1)
                 / (1.0 + np.linalg.norm(ref, axis=-1))).max()
@@ -147,7 +146,7 @@ def test_criterion_2_variational_consistency():
         return (exchange_energy(mm, geom, params) + anisotropy_energy(mm, geom, params)
                 + sum(spacer_oracle(mm, geom, params)))
 
-    field_s = assemble_h_tot(m, None, geom, params, SHARP)
+    field_s = assemble_h_tot(m, None, sharp_geom(geom), params)
     ref_s = -_fd_gradient(sharp_energy, m) / geom.cell_volume
 
     def tangential(v):

@@ -630,6 +630,33 @@ class TestRunVariants:
             series = [float(v[key]) for v in values]
             assert all(b >= a for a, b in zip(series, series[1:]))
 
+    @pytest.mark.parametrize("pulse", ["1 0 0 1e300 1", "1 0 0 0.01 1e-200"])
+    def test_distant_or_narrow_pulse_runs(self, tmp_path, pulse):
+        # (t - t0)/width passes 1e154 at every substep, so its square would
+        # overflow a Python float: the Gaussian is 0 there and the run takes
+        # no current
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir).replace(
+            "[output]", f"[current]\nf = pulse {pulse}\n\n[output]"))
+        assert main(["run", str(cfg_path)]) == 0
+        rows = (outdir / "energy.csv").read_text().splitlines()
+        last = dict(zip(rows[0].split(","), rows[-1].split(",")))
+        assert float(last["source_integral"]) == 0.0
+
+    def test_nonfinite_run_writes_one_error_line(self, tmp_path):
+        # j2 = 1e300 overflows the surface field in the first step: numpy's
+        # RuntimeWarnings stay off stderr, where NonFinite names the failure
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "out").replace(
+            "j2 = 0.01", "j2 = 1e300"))
+        done = subprocess.run([sys.executable, "-m", "spinlayer.cli", "run", str(cfg_path)],
+                              env=_package_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 3
+        assert done.stderr == ("error: numeric: magnetization m became non-finite at "
+                               "step 1, t=0, first at cell (0, 0, 0)\n")
+
     def test_mur_boundary_via_config(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
@@ -808,13 +835,17 @@ class TestFuzz:
             assert main(["check", path]) in (0, 2, 3, 4)
 
 
+def _package_env() -> dict:
+    """The environment of a fresh interpreter that imports this spinlayer."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(config_module.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+
+
 def _run_python(code: str) -> str:
     """stdout of `code` in a fresh interpreter that imports this spinlayer."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(config_module.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
     return done.stdout
 
 

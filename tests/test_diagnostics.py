@@ -17,8 +17,8 @@ from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.summation import dot
 
 from conftest import (FieldSamples, box_divergence, eval_on_cells, face_stationary_form,
-                      field_stationary_value, random_unit_field, stationarity_form,
-                      weak_residual_m)
+                      field_stationary_value, layer_geom, random_unit_field,
+                      sharp_geom, stationarity_form, weak_residual_m)
 
 
 def plain_params(**overrides):
@@ -30,8 +30,8 @@ def plain_params(**overrides):
 def test_ledger_row_allocates_nothing_box_sized():
     # the W1 ledger row (every energy term, the divergence drift and the
     # saturation deviation) reduces from the fields, the Maxwell workspace
-    # and a flat scratch like the state's, in both boundary modes (the
-    # thin layer two cells deep, as in the README run): the whole row
+    # and a flat scratch like the state's, on the sharp layer and on the
+    # thin layer two cells deep (as in the README run): the whole row
     # allocates less than an eighth of one body component, so neither a
     # field-sized temporary nor a numpy iterator buffer
     geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8,
@@ -45,9 +45,9 @@ def test_ledger_row_allocates_nothing_box_sized():
     mx.record_div0(em, m)
     m = random_unit_field(geom, seed=61)
     tmp = np.empty(3 * m.size)
-    for bc_mode in ("sharp", "thin_layer"):
+    for g in (sharp_geom(geom), geom):
         def row():
-            return (total_energy(m, em, geom, params, bc_mode=bc_mode, tmp=tmp),
+            return (total_energy(m, em, g, params, tmp=tmp),
                     mx.divergence_drift(em, m), saturation_deviation(m, tmp))
 
         warm = row()
@@ -58,8 +58,8 @@ def test_ledger_row_allocates_nothing_box_sized():
         finally:
             tracemalloc.stop()
         assert again == warm
-        assert again[0] == total_energy(m, em, geom, params, bc_mode=bc_mode)
-        assert peak < m[..., 0].nbytes // 8, bc_mode
+        assert again[0] == total_energy(m, em, g, params)
+        assert peak < m[..., 0].nbytes // 8, g.layer_cells
 
 
 class TestEnergyInequality:
@@ -70,8 +70,7 @@ class TestEnergyInequality:
         m0[..., 2] = 1.0
         box = mx.make_box(geom, padding=2)
         em = mx.empty_em_state(box)
-        scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
-                              bc_mode="sharp")
+        scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected")
         return run(geom, params, scheme, m0, em, None, t_end=0.02)
 
     def test_residual_at_zero_is_zero(self):
@@ -108,8 +107,7 @@ class TestWeakResidual:
         x = (np.arange(geom.nx) + 0.5) * geom.dx
         m0[..., 2] += 0.3 * np.sin(np.pi * x)[:, None, None]
         m0 /= np.linalg.norm(m0, axis=-1, keepdims=True)
-        scheme = SchemeConfig(dt=dt, frozen_em=True, constraint="projected",
-                              bc_mode="sharp")
+        scheme = SchemeConfig(dt=dt, frozen_em=True, constraint="projected")
         samples = FieldSamples()
         run(geom, params, scheme, m0, em, None, t_end=t_end, on_state=samples)
         return geom, params, samples
@@ -127,8 +125,7 @@ class TestWeakResidual:
         m0[..., 2] = 1.0
         box = mx.make_box(geom, padding=2)
         em = mx.empty_em_state(box)
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected",
-                              bc_mode="sharp")
+        scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected")
         samples = FieldSamples()
         run(geom, params, scheme, m0, em, None, t_end=0.01, on_state=samples)
         lib = fn_library(geom)
@@ -193,13 +190,12 @@ class TestStationarity:
 
     @pytest.mark.parametrize("bc_mode", ["sharp", "thin_layer"])
     def test_report_equals_per_function_form(self, small_geom, bc_mode):
-        params, u, H = self._random_case(small_geom)
-        lib = fn_library(small_geom)
-        report = stationarity_report(u, H, params, small_geom, lib, bc_mode=bc_mode)
-        assert report == [
-            (fn.name, abs(stationarity_form(u, H, params, small_geom, fn,
-                                            bc_mode=bc_mode)))
-            for fn in lib]
+        geom = layer_geom(small_geom, bc_mode)
+        params, u, H = self._random_case(geom)
+        lib = fn_library(geom)
+        report = stationarity_report(u, H, params, geom, lib)
+        assert report == [(fn.name, abs(stationarity_form(u, H, params, geom, fn)))
+                          for fn in lib]
 
     def test_report_evaluates_each_shape_once(self, small_geom):
         # the report pairs each test field's one component, s e_d, with
@@ -241,6 +237,7 @@ class TestStationarity:
         # summation order of -dV sum (m x h_tot) . phi over the full test
         # field: for a non-unit m with the penalty on, every value is
         # within 1e-13 of the library's largest full-field value
+        flat_geom = layer_geom(flat_geom, bc_mode)
         rng = np.random.default_rng(9)
         shape = flat_geom.field_shape()
         kraw = rng.standard_normal((3, 3))
@@ -248,11 +245,11 @@ class TestStationarity:
                               penalty_k=2.0, k_matrix=kraw @ kraw.T)
         u = 1.3 * rng.standard_normal(shape)
         H = rng.standard_normal(shape)
-        torque = np.cross(u, assemble_h_tot(u, H, flat_geom, params, bc_mode))
+        torque = np.cross(u, assemble_h_tot(u, H, flat_geom, params))
         lib = fn_library(flat_geom)
         full = [abs(field_stationary_value(torque, eval_on_cells(fn, flat_geom), flat_geom))
                 for fn in lib]
-        report = stationarity_report(u, H, params, flat_geom, lib, bc_mode=bc_mode)
+        report = stationarity_report(u, H, params, flat_geom, lib)
         assert [name for name, _ in report] == [fn.name for fn in lib]
         scale = max(full)
         assert scale > 0.0
@@ -269,29 +266,30 @@ class TestStationarity:
                               ks=0.01, j1=0.01, j2=0.01, penalty_k=10.0)
         m = random_unit_field(geom, seed=62)
         H = random_unit_field(geom, seed=63)
-        for bc_mode in ("sharp", "thin_layer"):
-            warm = stationarity_report(m, H, params, geom, bc_mode=bc_mode)
+        for g in (sharp_geom(geom), geom):
+            warm = stationarity_report(m, H, params, g)
             tracemalloc.start()
             try:
-                again = stationarity_report(m, H, params, geom, bc_mode=bc_mode)
+                again = stationarity_report(m, H, params, g)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert again == warm
-            assert peak < 3.5 * m.nbytes, (bc_mode, peak / m.nbytes)
+            assert peak < 3.5 * m.nbytes, (g.layer_cells, peak / m.nbytes)
 
     def test_thin_layer_pairs_with_eta_surface_field(self, small_geom):
-        # the two modes differ only in the surface field of the torque:
+        # the two layers differ only in the surface field of the torque:
         # thin - sharp = -dV sum (u x (h_surf(eta) - h_surf(dz))) . phi
-        assert small_geom.eta_cells == 2
+        assert small_geom.layer_cells == 2
+        one = sharp_geom(small_geom)
         params, u, H = self._random_case(small_geom)
-        dh = (thin_layer_field(u, small_geom, params, cells=2)
-              - thin_layer_field(u, small_geom, params, cells=1))
+        dh = (thin_layer_field(u, small_geom, params)
+              - thin_layer_field(u, one, params))
         torque = np.cross(u, dh)
         gaps = []
         for fn in fn_library(small_geom):
-            thin = stationarity_form(u, H, params, small_geom, fn, bc_mode="thin_layer")
-            sharp = stationarity_form(u, H, params, small_geom, fn, bc_mode="sharp")
+            thin = stationarity_form(u, H, params, small_geom, fn)
+            sharp = stationarity_form(u, H, params, one, fn)
             want = -small_geom.cell_volume * np.sum(torque * eval_on_cells(fn, small_geom))
             assert thin - sharp == pytest.approx(want, rel=1e-9, abs=1e-13)
             gaps.append(abs(thin - sharp))
@@ -301,6 +299,7 @@ class TestStationarity:
     def test_forms_equal_face_sum_oracle(self, small_geom, bc_mode):
         # m x h_tot paired with phi is the face-sum form, for any field
         # (non-unit m, penalty on) and every library function
+        small_geom = layer_geom(small_geom, bc_mode)
         rng = np.random.default_rng(8)
         shape = small_geom.field_shape()
         kraw = rng.standard_normal((3, 3))
@@ -315,8 +314,8 @@ class TestStationarity:
         stat, weak = [], []
         for fn in lib:
             phi = eval_on_cells(fn, small_geom)
-            want = face_stationary_form(ms[0], hs[0], params, small_geom, phi, bc_mode)
-            got = stationarity_form(ms[0], hs[0], params, small_geom, fn, bc_mode)
+            want = face_stationary_form(ms[0], hs[0], params, small_geom, phi)
+            got = stationarity_form(ms[0], hs[0], params, small_geom, fn)
             stat.append((got, want))
             want = 0.0
             for n in range(2):
@@ -327,16 +326,14 @@ class TestStationarity:
                 want += dt * dV * (np.sum(m_dot * phi)
                                    - params.alpha * np.sum(np.cross(m_mid, m_dot) * phi))
                 want -= dt * one_a2 * face_stationary_form(m_mid, h_mid, params,
-                                                           small_geom, phi, bc_mode)
-            got = weak_residual_m(samples, fn, small_geom, params, signed=True,
-                                  bc_mode=bc_mode)
+                                                           small_geom, phi)
+            got = weak_residual_m(samples, fn, small_geom, params, signed=True)
             weak.append((got, want))
         # relative to the largest value over the library
         for pairs in (stat, weak):
             scale = max(abs(want) for _, want in pairs)
             assert max(abs(got - want) for got, want in pairs) <= 1e-13 * scale
-        report = stationarity_report(ms[0], hs[0], params, small_geom, lib,
-                                     bc_mode=bc_mode)
+        report = stationarity_report(ms[0], hs[0], params, small_geom, lib)
         assert report == [(fn.name, abs(got)) for fn, (got, _) in zip(lib, stat)]
 
     def test_library_has_27_entries(self):

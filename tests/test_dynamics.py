@@ -10,17 +10,17 @@ from scipy.ndimage import gaussian_filter
 
 from spinlayer import maxwell as mx
 from spinlayer import presets
-from spinlayer.dynamics import (CONSTRAINTS, PENALIZED, PROJECTED, SchemeConfig,
-                                SimState, _advance_m, _state_terms,
+from spinlayer.dynamics import (BC_MODES, CONSTRAINTS, PENALIZED, PROJECTED,
+                                SchemeConfig, SimState, _advance_m, _state_terms,
                                 exchange_dt_bound, llg_rhs, run, step,
                                 validate_stability)
 from spinlayer.effective_field import assemble_h_tot
-from spinlayer.energetics import BC_MODES, MaterialParams, _vector_field
+from spinlayer.energetics import MaterialParams, _vector_field
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 from conftest import (box_midpoint_h_cells, gilbert_projection_rhs, gilbert_solve,
-                      random_unit_field)
+                      layer_geom, random_unit_field)
 
 
 def plain_params(**overrides):
@@ -131,8 +131,8 @@ def test_llg_rhs_matches_gilbert_solve_then_projection(seed, alpha, bc_mode,
     # the closed Landau-Lifshitz form and the in-place h_tot equal the
     # term-by-term Gilbert solve (and projection) for any m: random norms
     # in 0..2 with one zero cell, every energy term and the penalty on
-    geom = build_geometry(GeometryConfig(1.0, 0.75, 0.5, 0.5, 4, 3, 3, 3,
-                                         eta=2 * 0.5 / 3))
+    geom = layer_geom(build_geometry(GeometryConfig(1.0, 0.75, 0.5, 0.5, 4, 3, 3, 3,
+                                                    eta=2 * 0.5 / 3)), bc_mode)
     rng = np.random.default_rng(seed)
     shape = geom.field_shape()
     kraw = rng.standard_normal((3, 3))
@@ -188,7 +188,7 @@ def test_llg_rhs_guard_matches_the_scalar_form_bit_for_bit(constraint):
     m[0, 1, 1] = 1e-151
     h = rng.standard_normal(m.shape)
     scheme = SchemeConfig(dt=1e-3, constraint=constraint)
-    F = assemble_h_tot(m, h, geom, params, scheme.bc_mode)
+    F = assemble_h_tot(m, h, geom, params)
     got = llg_rhs(m, h, geom, params, scheme)
     want = scalar_guard_rate(m, F, params.alpha, constraint)
     assert np.isfinite(want).all()
@@ -320,6 +320,24 @@ class TestStep:
         assert str(err.value).startswith("electromagnetic field ")
         assert " became non-finite at step 251, t=0.25, first at index (" in str(err.value)
 
+    @pytest.mark.parametrize("eta, bc_mode", [(None, "thin_layer"), (0.25, "sharp")])
+    def test_bc_mode_must_name_the_geometry_layer(self, eta, bc_mode):
+        # the spacer layer is the geometry's; a scheme word that names the
+        # other one is rejected, by the state and so by run, in both
+        # directions, and the matching word is accepted
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2, eta=eta))
+        m = random_unit_field(geom, seed=3)
+        params = plain_params(ks=0.1, j1=0.1)
+        other = "sharp" if bc_mode == "thin_layer" else "thin_layer"
+        scheme = SchemeConfig(dt=1e-3, bc_mode=bc_mode)
+        with pytest.raises(ValueError, match=f"bc_mode '{bc_mode}' does not name the "
+                                             f"geometry's spacer layer, '{other}'"):
+            SimState(t=0.0, m=m, em=None, geom=geom, params=params, scheme=scheme)
+        with pytest.raises(ValueError, match="spacer layer"):
+            run(geom, params, scheme, m, None, None, t_end=1e-3)
+        scheme = SchemeConfig(dt=1e-3, bc_mode=other)
+        assert run(geom, params, scheme, m, None, None, t_end=1e-3).final_state.n == 1
+
     def test_steps_are_counted(self):
         geom, params, em, m, h = single_spin_setup()
         scheme = SchemeConfig(dt=1e-3)
@@ -436,7 +454,7 @@ class TestLayout:
                                else ("penalized", "thin_layer"))
         scheme = SchemeConfig(dt=1e-3, subcycles=2, integrator=integrator,
                               constraint=constraint, bc_mode=bc_mode)
-        return geom, params, box, scheme
+        return layer_geom(geom, bc_mode), params, box, scheme
 
     @pytest.mark.parametrize("integrator", ["heun", "rk4"])
     def test_run_in_either_input_layout_gives_the_same_bits(self, integrator):
@@ -521,7 +539,7 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
         step(state, accum)
 
     def ledger_terms():
-        return _state_terms(state.m, em, geom, params, "sharp", state.workspace().tmp)
+        return _state_terms(state.m, em, geom, params, state.workspace().tmp)
     ledger_terms()
     peaks = []
     for f in (lambda: step(state, accum), ledger_terms):
@@ -547,8 +565,8 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
 def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc_mode):
     # every LLG stage, the surface field included, works in the state's
     # workspace; what remains is small bookkeeping
-    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 32, 32, 16, 16,
-                                         eta=2 * 0.5 / 16))
+    geom = layer_geom(build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 32, 32, 16, 16,
+                                                    eta=2 * 0.5 / 16)), bc_mode)
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
                           ks=0.01, j1=0.01, j2=0.01, penalty_k=10.0)
     scheme = SchemeConfig(dt=1e-5, integrator=integrator, constraint=constraint,

@@ -7,14 +7,13 @@ from spinlayer import maxwell as mx
 from spinlayer.dynamics import PROJECTED, SchemeConfig, run
 from spinlayer.effective_field import (assemble_h_tot, laplacian_neumann,
                                        penalty_field, thin_layer_field)
-from spinlayer.energetics import (SHARP, THIN_LAYER, MaterialParams,
-                                  anisotropy_energy, exchange_energy, penalty_energy,
-                                  thin_layer_energy, total_energy,
+from spinlayer.energetics import (MaterialParams, anisotropy_energy, exchange_energy,
+                                  penalty_energy, thin_layer_energy, total_energy,
                                   uniform_k_matrix)
-from spinlayer.errors import ThinLayerInactive
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import face_laplacian, fd_gradient, random_unit_field, spacer_oracle
+from conftest import (face_laplacian, fd_gradient, random_unit_field, sharp_geom,
+                      spacer_oracle)
 
 
 def plain_params(**overrides):
@@ -128,53 +127,60 @@ class TestNonlinearGhost:
     def _params(self):
         return plain_params(ks=0.5, j1=0.7, j2=0.3)
 
-    def test_inplane_equal_traces_give_homogeneous(self, small_geom):
+    def test_inplane_equal_traces_give_homogeneous(self, small_sharp_geom):
         # equal in-plane traces: no torque, the field is parallel to m
-        m = np.zeros(small_geom.field_shape())
+        m = np.zeros(small_sharp_geom.field_shape())
         m[..., 0] = 1.0
-        field = assemble_h_tot(m, None, small_geom, self._params(), SHARP)
+        field = assemble_h_tot(m, None, small_sharp_geom, self._params())
         assert np.abs(np.cross(m, field)).max() < 1e-15
 
-    def test_aligned_normal_state_stationary(self, small_geom):
-        m = np.zeros(small_geom.field_shape())
+    def test_aligned_normal_state_stationary(self, small_sharp_geom):
+        m = np.zeros(small_sharp_geom.field_shape())
         m[..., 2] = 1.0
-        field = assemble_h_tot(m, None, small_geom, self._params(), SHARP)
+        field = assemble_h_tot(m, None, small_sharp_geom, self._params())
         assert np.abs(field).max() < 1e-15
 
-    def test_wedge_identity(self, small_geom):
+    def test_wedge_identity(self, small_sharp_geom):
         # dz gamma x h_surf = Ks (nu.g)(g x nu) + J1 g x g* + 2 J2 (g.g*)(g x g*)
         # on each spacer cell, nu = -e_z above the spacer and +e_z below
-        m = random_unit_field(small_geom, seed=5)
+        m = random_unit_field(small_sharp_geom, seed=5)
         params = self._params()
-        h = thin_layer_field(m, small_geom, params, cells=1)
-        s = small_geom.spacer_index
+        h = thin_layer_field(m, small_sharp_geom, params)
+        s = small_sharp_geom.spacer_index
         gp, gm = m[:, :, s], m[:, :, s - 1]
         for gamma, gstar, nu_z, hs in ((gp, gm, -1.0, h[:, :, s]),
                                        (gm, gp, +1.0, h[:, :, s - 1])):
             nu = np.zeros_like(gamma)
             nu[..., 2] = nu_z
-            lhs = small_geom.dz * np.cross(gamma, hs)
+            lhs = small_sharp_geom.dz * np.cross(gamma, hs)
             rhs = (params.ks * np.sum(nu * gamma, -1)[..., None] * np.cross(gamma, nu)
                    + params.j1 * np.cross(gamma, gstar)
                    + 2 * params.j2 * np.sum(gamma * gstar, -1)[..., None]
                    * np.cross(gamma, gstar))
             assert np.abs(lhs - rhs).max() < 1e-14
         # supported exactly on the two spacer cells
-        mask = np.ones(small_geom.nz_total, dtype=bool)
+        mask = np.ones(small_sharp_geom.nz_total, dtype=bool)
         mask[[s - 1, s]] = False
         assert np.abs(h[:, :, mask]).max() == 0.0
 
-    def test_homogeneous_when_constants_vanish(self, small_geom):
-        m = random_unit_field(small_geom, seed=2)
-        assert not thin_layer_field(m, small_geom, plain_params(), cells=1).any()
+    def test_homogeneous_when_constants_vanish(self, small_sharp_geom):
+        m = random_unit_field(small_sharp_geom, seed=2)
+        assert not thin_layer_field(m, small_sharp_geom, plain_params()).any()
 
 
 class TestThinLayerField:
-    def test_inactive_raises(self):
+    def test_no_eta_is_the_one_cell_layer(self):
+        # a geometry without eta carries the sharp layer: the field of a
+        # uniform in-plane m is -Ks/dz on the two spacer cells, 0 elsewhere
         g = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 3, 3))
+        assert g.layer_cells == 1
         m = np.zeros(g.field_shape())
-        with pytest.raises(ThinLayerInactive):
-            thin_layer_field(m, g, plain_params(ks=1.0))
+        m[..., 0] = 1.0
+        field = thin_layer_field(m, g, plain_params(ks=0.4))
+        s = g.spacer_index
+        assert np.allclose(field[:, :, [s - 1, s], 0], -0.4 / g.dz)
+        field[:, :, [s - 1, s], 0] = 0.0
+        assert not field.any()
 
     def test_uniform_normal_zero(self, small_geom):
         m = np.zeros(small_geom.field_shape())
@@ -252,23 +258,23 @@ class TestAssembleHTot:
         base.update(kw)
         return MaterialParams(**base)
 
-    def test_uniform_aligned_zero(self, small_geom):
+    def test_uniform_aligned_zero(self, small_sharp_geom):
         # easy axis e_z, m parallel, no fields: K m parallel to m gives torque
         # but the assembled field is -K m + surface contributions; with the
         # all-normal state surface terms vanish and -Km is along m
-        m = np.zeros(small_geom.field_shape())
+        m = np.zeros(small_sharp_geom.field_shape())
         m[..., 2] = 1.0
         params = plain_params(a_exch=0.7)
-        field = assemble_h_tot(m, None, small_geom, params, SHARP)
+        field = assemble_h_tot(m, None, small_sharp_geom, params)
         assert np.abs(field).max() < 1e-14
 
-    def test_pure_zeeman(self, small_geom):
+    def test_pure_zeeman(self, small_sharp_geom):
         rng = np.random.default_rng(23)
-        m = rng.standard_normal(small_geom.field_shape())
-        h = np.zeros(small_geom.field_shape())
+        m = rng.standard_normal(small_sharp_geom.field_shape())
+        h = np.zeros(small_sharp_geom.field_shape())
         h[..., 0] = 1.7
         params = plain_params(a_exch=0.0)
-        field = assemble_h_tot(m, h, small_geom, params, SHARP)
+        field = assemble_h_tot(m, h, small_sharp_geom, params)
         assert np.allclose(field, h)
 
     def test_variational_thin_layer_penalized(self, small_geom):
@@ -276,22 +282,22 @@ class TestAssembleHTot:
         m = rng.standard_normal(small_geom.field_shape())
         m /= np.linalg.norm(m, axis=-1, keepdims=True)
         params = self._params(small_geom, penalty_k=2.0)
-        field = assemble_h_tot(m, None, small_geom, params, THIN_LAYER)
+        field = assemble_h_tot(m, None, small_geom, params)
         g = fd_gradient(lambda mm: thin_energy(mm, small_geom, params, True), m)
         ref = -g / small_geom.cell_volume
         rel = np.linalg.norm(field - ref, axis=-1) / (1.0 + np.linalg.norm(ref, axis=-1))
         assert rel.max() < 1e-6
 
-    def test_variational_sharp_tangential(self, small_geom):
+    def test_variational_sharp_tangential(self, small_sharp_geom):
         # the sharp field matches the gradient of the closed-form spacer
         # integrals in the tangent space of unit m
         rng = np.random.default_rng(31)
-        m = rng.standard_normal(small_geom.field_shape())
+        m = rng.standard_normal(small_sharp_geom.field_shape())
         m /= np.linalg.norm(m, axis=-1, keepdims=True)
-        params = self._params(small_geom)
-        field = assemble_h_tot(m, None, small_geom, params, SHARP)
-        g = fd_gradient(lambda mm: sharp_energy(mm, small_geom, params), m)
-        ref = -g / small_geom.cell_volume
+        params = self._params(small_sharp_geom)
+        field = assemble_h_tot(m, None, small_sharp_geom, params)
+        g = fd_gradient(lambda mm: sharp_energy(mm, small_sharp_geom, params), m)
+        ref = -g / small_sharp_geom.cell_volume
 
         def tang(v):
             return v - np.sum(v * m, axis=-1, keepdims=True) * m
@@ -300,22 +306,22 @@ class TestAssembleHTot:
                / (1.0 + np.linalg.norm(ref, axis=-1)))
         assert rel.max() < 1e-6
 
-    def test_sharp_reduces_to_homogeneous_without_surface(self, small_geom):
+    def test_sharp_reduces_to_homogeneous_without_surface(self, small_sharp_geom):
         rng = np.random.default_rng(37)
-        m = rng.standard_normal(small_geom.field_shape())
+        m = rng.standard_normal(small_sharp_geom.field_shape())
         params = plain_params(a_exch=0.9)
-        sharp = assemble_h_tot(m, None, small_geom, params, SHARP)
-        assert np.allclose(sharp, 0.9 * laplacian_neumann(m, small_geom), atol=1e-13)
+        sharp = assemble_h_tot(m, None, small_sharp_geom, params)
+        assert np.allclose(sharp, 0.9 * laplacian_neumann(m, small_sharp_geom), atol=1e-13)
 
-    def test_variational_sharp_penalized_full_gradient(self, small_geom):
+    def test_variational_sharp_penalized_full_gradient(self, small_sharp_geom):
         # sharp + penalized runs are unconstrained, so the whole field,
         # including its component along m, must be minus the gradient
         rng = np.random.default_rng(41)
-        m = 1.3 * rng.standard_normal(small_geom.field_shape())
-        params = self._params(small_geom, penalty_k=2.0)
-        field = assemble_h_tot(m, None, small_geom, params, SHARP)
-        g = fd_gradient(lambda mm: sharp_energy(mm, small_geom, params, True), m)
-        ref = -g / small_geom.cell_volume
+        m = 1.3 * rng.standard_normal(small_sharp_geom.field_shape())
+        params = self._params(small_sharp_geom, penalty_k=2.0)
+        field = assemble_h_tot(m, None, small_sharp_geom, params)
+        g = fd_gradient(lambda mm: sharp_energy(mm, small_sharp_geom, params, True), m)
+        ref = -g / small_sharp_geom.cell_volume
         rel = np.linalg.norm(field - ref, axis=-1) / (1.0 + np.linalg.norm(ref, axis=-1))
         assert rel.max() < 1e-6
 
@@ -340,9 +346,10 @@ def test_eta_to_zero_converges_to_sharp():
     for nz in (4, 8, 16):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, nz, nz,
                                              eta=2 * 0.5 / nz))
+        layers = {"sharp": sharp_geom(geom), "thin_layer": geom}
         m = _smooth_profile(geom)
-        e_sharp = total_energy(m, None, geom, params, bc_mode=SHARP).total
-        e_thin = total_energy(m, None, geom, params, bc_mode=THIN_LAYER).total
+        e_sharp = total_energy(m, None, layers["sharp"], params).total
+        e_thin = total_energy(m, None, geom, params).total
         energy_gaps.append(abs(e_thin - e_sharp))
         dzs.append(geom.dz)
 
@@ -353,10 +360,10 @@ def test_eta_to_zero_converges_to_sharp():
         em.hx[...] = 0.1
         em.hz[...] = 0.05
         finals = []
-        for mode in (SHARP, THIN_LAYER):
+        for mode, g in layers.items():
             scheme = SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=mode,
                                   frozen_em=True)
-            finals.append(run(geom, params, scheme, m, em.copy(), None, t_end,
+            finals.append(run(g, params, scheme, m, em.copy(), None, t_end,
                               log_every=1000).final_state.m)
         traj_gaps.append(float(np.sqrt(np.sum((finals[1] - finals[0]) ** 2)
                                        * geom.cell_volume)))

@@ -11,12 +11,11 @@ from spinlayer.energetics import (EnergyBreakdown, MaterialParams, _vector_field
                                   maxwell_energy, penalty_energy,
                                   thin_layer_energy, total_energy,
                                   uniform_k_matrix)
-from spinlayer.errors import ThinLayerInactive
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer import maxwell as mx
 from spinlayer.summation import dot
 
-from conftest import random_unit_field, spacer_oracle
+from conftest import random_unit_field, sharp_geom, spacer_oracle
 
 
 def plain_params(geom=None, **overrides):
@@ -150,8 +149,9 @@ class TestAnisotropy:
 
 
 def sharp_surface(m, geom, params):
-    """(surf_anis, superexch_q, superexch_biq) of the sharp-mode breakdown."""
-    bd = total_energy(m, None, geom, params, bc_mode="sharp")
+    """(surf_anis, superexch_q, superexch_biq) of the breakdown on the
+    sharp layer of geom's grid."""
+    bd = total_energy(m, None, sharp_geom(geom), params)
     return bd.surf_anis, bd.superexch_q, bd.superexch_biq
 
 
@@ -228,11 +228,15 @@ class TestSurfaceEnergies:
 
 
 class TestThinLayer:
-    def test_inactive_raises(self):
+    def test_no_eta_is_the_one_cell_layer(self):
+        # a geometry without eta carries the sharp layer, whose sums are
+        # the closed-form spacer integrals of the adjacent-cell traces
         g = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 3, 3))
-        m = np.zeros(g.field_shape())
-        with pytest.raises(ThinLayerInactive):
-            thin_layer_energy(m, g, plain_params(ks=1.0))
+        assert g.layer_cells == 1 and g.layer_slice() == slice(2, 4)
+        m = random_unit_field(g, seed=3)
+        params = plain_params(ks=0.3, j1=0.7, j2=0.45)
+        got = thin_layer_energy(m, g, params, split=True)
+        assert got == pytest.approx(spacer_oracle(m, g, params), rel=1e-14)
 
     def test_uniform_normal_zero(self, small_geom):
         m = np.zeros(small_geom.field_shape())
@@ -284,17 +288,16 @@ class TestThinLayer:
             np.copyto(cm, m)
             m = cm
         params = plain_params(ks=0.3, j1=0.7, j2=0.2)
-        for cells in (1, small_geom.eta_cells):
-            ml = m[:, :, small_geom.layer_slice(cells), :]
+        for geom in (sharp_geom(small_geom), small_geom):
+            ml = m[:, :, geom.layer_slice(), :]
             ms = ml[:, :, ::-1, :]
-            w = small_geom.face_area / (2.0 * cells)
+            w = geom.face_area / (2.0 * geom.layer_cells)
             jump, wedge = ml - ms, np.cross(ml, ms)
             want = (params.ks * w * dot(ml[..., :2], ml[..., :2]),
                     0.5 * params.j1 * w * dot(jump, jump),
                     params.j2 * w * dot(wedge, wedge))
             for tmp in (None, np.full(3 * m.size, np.nan)):
-                assert thin_layer_energy(m, small_geom, params, split=True,
-                                         cells=cells, tmp=tmp) == want
+                assert thin_layer_energy(m, geom, params, split=True, tmp=tmp) == want
 
     def test_eta_limit_first_order(self):
         # smooth-in-z profile: |E_eta - E_sharp| = O(eta)
@@ -375,7 +378,7 @@ class TestTotalEnergy:
     def test_ground_state_zero(self, small_geom):
         m = np.zeros(small_geom.field_shape())
         m[..., 2] = 1.0
-        bd = total_energy(m, None, small_geom, plain_params(), bc_mode="sharp")
+        bd = total_energy(m, None, small_geom, plain_params())
         assert bd.total == 0.0
 
     def test_components_sum(self, small_geom):
@@ -388,7 +391,7 @@ class TestTotalEnergy:
         params = plain_params(
             a_exch=0.3, ks=0.2, j1=0.1, j2=0.4, penalty_k=1.5,
             k_matrix=uniform_k_matrix(np.diag([0.2, 0.1, 0.3]), small_geom))
-        bd = total_energy(m, em, small_geom, params, bc_mode="thin_layer")
+        bd = total_energy(m, em, small_geom, params)
         parts = [bd.exchange, bd.anisotropy, bd.maxwell_h, bd.maxwell_e,
                  bd.surf_anis, bd.superexch_q, bd.superexch_biq, bd.penalty]
         assert bd.total == math.fsum(parts)
@@ -397,13 +400,14 @@ class TestTotalEnergy:
         rng = np.random.default_rng(13)
         m = rng.standard_normal(small_geom.field_shape())
         params = plain_params(a_exch=0.3, ks=0.2, j1=0.1, j2=0.4)
-        bd = total_energy(m, None, small_geom, params, bc_mode="sharp")
+        sharp = sharp_geom(small_geom)
+        bd = total_energy(m, None, sharp, params)
         assert bd.exchange == exchange_energy(m, small_geom, params)
         assert (bd.surf_anis, bd.superexch_q, bd.superexch_biq) == \
-            thin_layer_energy(m, small_geom, params, split=True, cells=1)
+            thin_layer_energy(m, sharp, params, split=True)
         assert (bd.surf_anis, bd.superexch_q, bd.superexch_biq) == pytest.approx(
             spacer_oracle(m, small_geom, params), rel=1e-14)
-        bd_thin = total_energy(m, None, small_geom, params, bc_mode="thin_layer")
+        bd_thin = total_energy(m, None, small_geom, params)
         assert (bd_thin.surf_anis, bd_thin.superexch_q, bd_thin.superexch_biq) == \
             thin_layer_energy(m, small_geom, params, split=True)
         assert bd.penalty == 0.0  # penalty_k = 0
@@ -417,14 +421,14 @@ class TestTotalEnergy:
         pen = plain_params(a_exch=0.3, ks=0.2, j1=0.1, j2=0.4, penalty_k=2.0)
         p_field = penalty_field(m, pen)
         assert np.abs(p_field).max() > 1.0
-        for mode in ("sharp", "thin_layer"):
-            e_free = total_energy(m, None, small_geom, free, bc_mode=mode)
-            e_pen = total_energy(m, None, small_geom, pen, bc_mode=mode)
+        for geom in (sharp_geom(small_geom), small_geom):
+            e_free = total_energy(m, None, geom, free)
+            e_pen = total_energy(m, None, geom, pen)
             assert e_free.penalty == 0.0
-            assert e_pen.penalty == penalty_energy(m, small_geom, pen) > 0.0
+            assert e_pen.penalty == penalty_energy(m, geom, pen) > 0.0
             assert e_pen.total == math.fsum(e_free.as_tuple()[:-1] + (e_pen.penalty,))
-            f_free = assemble_h_tot(m, h, small_geom, free, mode)
-            f_pen = assemble_h_tot(m, h, small_geom, pen, mode)
+            f_free = assemble_h_tot(m, h, geom, free)
+            f_pen = assemble_h_tot(m, h, geom, pen)
             assert np.allclose(f_pen - f_free, p_field, rtol=0, atol=1e-13)
 
 
@@ -437,7 +441,7 @@ def test_every_component_nonnegative(seed):
     kraw = rng.standard_normal((3, 3))
     params = MaterialParams(a_exch=0.5, k_matrix=uniform_k_matrix(kraw @ kraw.T, geom),
                             ks=0.3, j1=0.2, j2=0.6, alpha=1.0, penalty_k=1.0)
-    for mode in ("sharp", "thin_layer"):
-        bd = total_energy(m, None, geom, params, bc_mode=mode)
+    for g in (sharp_geom(geom), geom):
+        bd = total_energy(m, None, g, params)
         for name in EnergyBreakdown.COLUMNS:
-            assert getattr(bd, name) >= -1e-13, f"{name} negative in {mode}"
+            assert getattr(bd, name) >= -1e-13, f"{name} negative, {g.layer_cells} cells"

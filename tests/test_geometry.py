@@ -21,8 +21,11 @@ class TestBuildGeometry:
 
     def test_eta_cells(self):
         g = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 8, 8, 4, 4, eta=0.25))
-        assert g.eta_cells == 2
-        assert g.eta_cells * g.dz == pytest.approx(g.eta)
+        assert g.layer_cells == 2
+        assert g.layer_cells * g.dz == pytest.approx(g.eta)
+        # without eta the layer is the sharp one, one cell deep
+        sharp = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 8, 8, 4, 4))
+        assert sharp.layer_cells == 1
 
     def test_eta_not_multiple_rejected(self):
         with pytest.raises((NonTilingGrid, EtaTooLarge)):
@@ -56,31 +59,31 @@ class TestBuildGeometry:
 
 
 class TestTraces:
-    """The spacer traces are the two cells of the one-cell layer that
-    sharp mode uses: layer_slice(1), lower plane first."""
+    """The spacer traces are the two cells of the sharp one-cell layer:
+    its layer_slice(), lower plane first."""
 
-    def test_uniform(self, small_geom):
-        m = np.zeros(small_geom.field_shape())
+    def test_uniform(self, small_sharp_geom):
+        m = np.zeros(small_sharp_geom.field_shape())
         m[..., 2] = 1.0
-        layer = m[:, :, small_geom.layer_slice(1)]
-        assert layer.shape == (small_geom.nx, small_geom.ny, 2, 3)
+        layer = m[:, :, small_sharp_geom.layer_slice()]
+        assert layer.shape == (small_sharp_geom.nx, small_sharp_geom.ny, 2, 3)
         assert np.allclose(layer, [0, 0, 1])
 
-    def test_sign_split(self, small_geom):
-        m = np.zeros(small_geom.field_shape())
-        s = small_geom.spacer_index
+    def test_sign_split(self, small_sharp_geom):
+        m = np.zeros(small_sharp_geom.field_shape())
+        s = small_sharp_geom.spacer_index
         m[:, :, s:, 0] = 1.0
         m[:, :, :s, 0] = -1.0
-        layer = m[:, :, small_geom.layer_slice(1)]
+        layer = m[:, :, small_sharp_geom.layer_slice()]
         assert np.allclose(layer[:, :, 1, 0], 1.0)
         assert np.allclose(layer[:, :, 0, 0], -1.0)
 
-    def test_against_direct_indexing(self, small_geom):
-        m = random_unit_field(small_geom, seed=11)
-        layer = m[:, :, small_geom.layer_slice(1)]
-        s = small_geom.spacer_index
-        for i in range(small_geom.nx):
-            for j in range(small_geom.ny):
+    def test_against_direct_indexing(self, small_sharp_geom):
+        m = random_unit_field(small_sharp_geom, seed=11)
+        layer = m[:, :, small_sharp_geom.layer_slice()]
+        s = small_sharp_geom.spacer_index
+        for i in range(small_sharp_geom.nx):
+            for j in range(small_sharp_geom.ny):
                 assert np.array_equal(layer[i, j, 1], m[i, j, s])
                 assert np.array_equal(layer[i, j, 0], m[i, j, s - 1])
 
@@ -96,7 +99,6 @@ def test_eta_layer_fits_or_raises(nzm, nzp, ec):
             build_geometry(cfg)
     else:
         g = build_geometry(cfg)
-        assert g.eta_cells == (ec if eta is not None else 0)
-        if g.eta_cells >= 1:
-            sl = g.layer_slice()
-            assert sl.stop - sl.start == 2 * ec
+        assert g.layer_cells == (ec if eta is not None else 1)
+        sl = g.layer_slice()
+        assert sl.stop - sl.start == 2 * g.layer_cells

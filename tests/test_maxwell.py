@@ -671,3 +671,25 @@ class TestEnergyBehavior:
             mx.fdtd_step(em, None, np.zeros(3), params, dt)
         refl = np.abs(em.ey[30:100, 2, box.nz // 2]).max()
         assert refl < 0.02
+
+
+class TestAppliedCurrent:
+    def test_closed_form_near_the_peak(self):
+        f = mx.AppliedCurrent((1.0, -2.0, 0.0), t0=0.5, width=0.25)
+        for t in (0.5, 0.6, 3.0, 10.0, 10.1):
+            z = (t - 0.5) / 0.25
+            want = f.amplitude * np.exp(-0.5 * z ** 2)
+            assert f.value(t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t0, width, t", [
+        (1e300, 1.0, 0.5),        # a distant pulse: (t - t0)/width = -1e300
+        (0.01, 1e-200, 0.5),      # a narrow pulse: (t - t0)/width = 4.9e199
+        (0.0, 1.0, 1e155),        # just past where the square overflows
+        (0.0, 1.0, 40.0),         # where the Gaussian has underflowed
+    ])
+    def test_zero_where_the_gaussian_underflows(self, t0, width, t):
+        # the square of (t - t0)/width overflows a Python float beyond
+        # ~1.3e154; the Gaussian is 0 long before, and so is the current
+        f = mx.AppliedCurrent((1.0, -2.0, 0.5), t0=t0, width=width)
+        got = f.value(t)
+        assert got.shape == (3,) and not got.any()

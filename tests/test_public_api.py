@@ -93,6 +93,22 @@ def test_preset_words_are_spelled_in_config_only():
     assert found == {word: {"config.py"} for word in PRESET_WORDS}
 
 
+# the spacer layer is the geometry's (`DomainGeometry.layer_cells`): the
+# words that name it are spelled only by the config and by the scheme's
+# bc_mode check in dynamics, and no energy, field or diagnostic takes one
+LAYER_WORDS = {"sharp", "thin_layer"}
+
+
+def test_layer_words_are_spelled_in_config_and_dynamics_only():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in LAYER_WORDS:
+                found.setdefault(node.value, set()).add(path.name)
+    assert set(found) == LAYER_WORDS
+    assert set().union(*found.values()) <= {"config.py", "dynamics.py"}, found
+
+
 def _unused_imports(path):
     """Names bound by the module-level imports of `path` that no Name in
     the module reads."""
