@@ -3,7 +3,8 @@
 Subcommands:
     run <config>    execute a simulation, writing energy.csv, the
                     effective configuration, and field snapshots
-    check <config>  validate a configuration and echo the effective form
+    check <config>  validate a configuration and its first step, and
+                    echo the effective form
     diag <dir>      recompute the final diagnostics row from the stored
                     snapshots of a finished run
 
@@ -90,7 +91,11 @@ def _write_state_snapshots(outdir: str, tag: str, state_m, em, geom, t: float):
 def _cmd_check(args) -> int:
     try:
         config = _load_config(args.config, args)
-        build_setup(config)
+        setup = build_setup(config)
+        with np.errstate(all="ignore"):   # non-finite values raise NonFinite
+            dynamics.step(dynamics.SimState(
+                t=0.0, m=setup.m0, em=setup.em, geom=setup.geom,
+                params=setup.params, scheme=setup.scheme), setup.f)
     except OSError as exc:
         return _fail(4, "io", str(exc))
     except ConfigError as exc:

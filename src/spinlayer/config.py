@@ -340,8 +340,8 @@ class RunSetup:
 
 def build_setup(config: RunConfig) -> RunSetup:
     """Materialize grids, parameters and initial fields: `build_model`,
-    then `set_initial_fields`, then `_check_first_rate`, so that `check`
-    rejects an initial state whose first step `run` could not take."""
+    then `set_initial_fields`, then `_check_first_rate`, which names a
+    non-finite initial h or first rate; `check` then takes the first step."""
     setup = build_model(config)
     with np.errstate(all="ignore"):   # non-finite values raise NonFinite
         set_initial_fields(setup)

@@ -22,7 +22,7 @@ from .energetics import (MaterialParams, _dot, _scalars, _store, _vector_copy,
                          _vector_field, total_energy)
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
-from .maxwell import AppliedCurrent, EMState, interp_h_to_cells
+from .maxwell import AppliedCurrent, EMState
 from .summation import dot
 
 HEUN = "heun"
@@ -46,7 +46,6 @@ class SchemeConfig:
     constraint: str = PROJECTED
     bc_mode: str = SHARP
     stability_c: float = 0.25
-    frozen_em: bool = False
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -75,7 +74,7 @@ def validate_stability(scheme: SchemeConfig, geom: DomainGeometry,
     if scheme.dt > bound * (1.0 + 1e-12):
         raise CFLViolation(
             f"dt={scheme.dt:g} exceeds the exchange stability bound {bound:g}")
-    if not scheme.frozen_em and box is not None:
+    if box is not None:
         yee = maxwell.cfl_limit(box, params)
         if scheme.dt / scheme.subcycles > yee * (1.0 + 1e-12):
             raise CFLViolation(
@@ -101,10 +100,10 @@ class _Workspace:
 
 @dataclass
 class SimState:
-    """The stepped state.  m is taken in as a component-major copy that
-    the state owns, whatever layout the caller's m has; the scheme's
-    bc_mode must name the geometry's spacer layer (`thin_layer` exactly
-    when the geometry has one)."""
+    """The stepped state: m (a component-major copy the state owns), the
+    Maxwell state em or a fixed cell field h_fixed (at most one), and the
+    dissipation, Ohmic and source integrals of the steps taken.  The
+    scheme's bc_mode must name the geometry's spacer layer."""
 
     t: float
     m: np.ndarray
@@ -112,8 +111,11 @@ class SimState:
     geom: DomainGeometry
     params: MaterialParams
     scheme: SchemeConfig
-    h_cells_frozen: Optional[np.ndarray] = field(default=None, init=False)
+    h_fixed: Optional[np.ndarray] = None
     n: int = 0   # steps taken
+    dissipation: float = 0.0
+    ohmic: float = 0.0
+    source: float = 0.0
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,15 +126,14 @@ class SimState:
         self.m = _vector_copy(self.m)
         if not np.isfinite(self.m).all():
             raise NonFinite("initial magnetization is not finite")
-        if self.scheme.frozen_em and self.em is not None:
-            self.h_cells_frozen = interp_h_to_cells(self.em)
+        if self.em is not None and self.h_fixed is not None:
+            raise ValueError("a state takes em or h_fixed, not both")
 
     def h_cells(self) -> Optional[np.ndarray]:
-        """h on the body cells, None for h = 0 (no Maxwell state): the
-        frozen field, or the Maxwell h (`maxwell.stage_h_cells`, valid
-        until its workspace is next used)."""
-        if self.scheme.frozen_em or self.em is None:
-            return self.h_cells_frozen
+        """h on the body cells: the Maxwell h (`maxwell.stage_h_cells`,
+        valid until its workspace is next used), else h_fixed (None: h = 0)."""
+        if self.em is None:
+            return self.h_fixed
         return maxwell.stage_h_cells(self.em)
 
     def workspace(self) -> _Workspace:
@@ -261,9 +262,8 @@ def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
     return out
 
 
-def step(state: SimState, accum: Optional[dict] = None,
-         f: Optional[AppliedCurrent] = None) -> SimState:
-    """Advance the coupled state by one dt (in place).
+def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
+    """Advance the coupled state and its integrals by one dt (in place).
 
     The new m is one of the workspace's two `m_next` buffers (the one the
     old m is not), so an m from two steps back is overwritten: copy it to
@@ -280,7 +280,7 @@ def step(state: SimState, accum: Optional[dict] = None,
     _advance_m(m, h_cells, dt, geom, params, scheme, work, m_new)
     m_dot_eff = work.k[0]
     f_rate, f_new, f_m = map(_store, (m_dot_eff, m_new, m))
-    if not scheme.frozen_em and state.em is not None:
+    if state.em is not None:
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
         f_new -= f_m
         f_new /= dt
@@ -297,14 +297,11 @@ def step(state: SimState, accum: Optional[dict] = None,
 
     np.subtract(f_new, f_m, out=f_rate)
     f_rate /= dt
-    if not scheme.frozen_em and state.em is not None:
+    if state.em is not None:
         maxwell.advance(state.em, m_dot_eff, f, params, dt, scheme.subcycles,
-                        state.t, step_no, accum)
-
-    if accum is not None:
-        alpha = params.alpha
-        accum["dissipation"] += (dt * alpha / (1.0 + alpha**2)
-                                 * geom.cell_volume * dot(m_dot_eff, m_dot_eff))
+                        state.t, step_no, state)
+    state.dissipation += (dt * params.alpha / (1.0 + params.alpha**2)
+                          * geom.cell_volume * dot(m_dot_eff, m_dot_eff))
     state.m = m_new
     state.t += dt
     state.n = step_no
@@ -327,15 +324,16 @@ class Trajectory:
     """In-memory result of a run: the ledger rows and the final state."""
 
     ledger: EnergyLedger
-    final_state: Optional[SimState] = None
+    final_state: SimState
 
 
 def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         m0: np.ndarray, em: Optional[EMState], f: Optional[AppliedCurrent],
         t_end: float, log_every: int = 1,
         on_row: Optional[Callable] = None,
-        on_state: Optional[Callable] = None) -> Trajectory:
-    """Run the coupled system to t_end and collect the energy ledger.
+        on_state: Optional[Callable] = None,
+        h_fixed: Optional[np.ndarray] = None) -> Trajectory:
+    """Run the coupled system, or m in h_fixed, to t_end and collect the ledger.
 
     A ledger row is recorded at t=0, every log_every-th step, and at the
     final step.  The two hooks are the only way to see a run as it goes,
@@ -350,22 +348,21 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         raise ValueError("log_every must be at least 1")
     box = em.box if em is not None else None
     validate_stability(scheme, geom, params, box)
-    state = SimState(t=0.0, m=m0, em=em, geom=geom, params=params, scheme=scheme)
+    state = SimState(t=0.0, m=m0, em=em, geom=geom, params=params, scheme=scheme,
+                     h_fixed=h_fixed)
     if em is not None and em.div0 is None:
         maxwell.record_div0(em, state.m)
 
     n_steps = int(round(t_end / scheme.dt)) if t_end > 0 else 0
 
     ledger = EnergyLedger()
-    accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
 
     def record():
         breakdown, saturation_dev, drift = _state_terms(
             state.m, em, geom, params, state.workspace().tmp)
         row = ledger.append(
-            t=state.t, breakdown=breakdown,
-            dissipation=accum["dissipation"], ohmic=accum["ohmic"],
-            source=accum["source"], saturation_dev=saturation_dev,
+            t=state.t, breakdown=breakdown, dissipation=state.dissipation,
+            ohmic=state.ohmic, source=state.source, saturation_dev=saturation_dev,
             divergence_drift=drift)
         if on_row is not None:
             on_row(row)
@@ -374,7 +371,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     if on_state is not None:
         on_state(state, 0)
     for n in range(1, n_steps + 1):
-        step(state, accum, f)
+        step(state, f)
         logged = n % log_every == 0 or n == n_steps
         if logged:
             record()

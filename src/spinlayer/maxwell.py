@@ -740,7 +740,7 @@ def _apply_mur(box: BoxGeometry, planes: list, params: MaterialParams, dt: float
 
 
 def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
-              params: MaterialParams, dt: float, accum: Optional[dict] = None) -> EMState:
+              params: MaterialParams, dt: float, acc=None) -> EMState:
     """One leapfrog step: e update (semi-implicit conduction), then h.
 
     dm_faces is the magnetization increment of the step, dt times the
@@ -748,10 +748,9 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
     the body rate), or None; the rate vanishes outside the body, so only
     those slabs feel it.  The fields are updated in place through buffers
     and views the state's workspace built once, so a warm step slices
-    nothing and allocates nothing box-sized.  When `accum` is given, the
-    Ohmic and source work of this step is added under keys "ohmic" and
-    "source" using the midpoint e, which matches the semi-implicit update
-    identity exactly.
+    nothing and allocates nothing box-sized.  The step's Ohmic and source
+    work, taken at the midpoint e as the semi-implicit update's identity
+    has them, is added to `acc.ohmic` and `acc.source` when acc is given.
     """
     box = em.box
     limit = cfl_limit(box, params)
@@ -784,14 +783,14 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
                 np.multiply(e_body, 1.0 - beta, out=e_new)
                 e_new += ce
             e_new /= 1.0 + beta
-            if accum is not None:
+            if acc is not None:
                 # e_mid is twice the midpoint e; the factors 0.25 and 0.5
                 # rescale exactly, so the sums keep the midpoint's bits
                 np.add(e_body, e_new, out=e_mid)
-                accum["ohmic"] += dt * (sigma / mu0) * dV * (0.25 * dot(e_mid, e_mid))
+                acc.ohmic += dt * (sigma / mu0) * dV * (0.25 * dot(e_mid, e_mid))
                 if fc != 0.0:
                     e_mid *= 0.5 * fc
-                    accum["source"] += dt * (sigma / mu0) * dV * esum(e_mid)
+                    acc.source += dt * (sigma / mu0) * dV * esum(e_mid)
     np.add(em.e, work.curl, out=em.e)
     if sigma != 0.0:
         for e_body, e_new in zip(work.e_body, work.e_new):
@@ -847,10 +846,11 @@ def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float,
 
 def advance(em: EMState, m_dot: np.ndarray, f: Optional[AppliedCurrent],
             params: MaterialParams, dt: float, subcycles: int, t: float, step: int,
-            accum: Optional[dict] = None):
+            acc):
     """Advance em over the coupled step [t, t + dt] in `subcycles` leapfrog
-    substeps, with the current f (or none) at each substep's midpoint,
-    then check that the fields are finite (step and t name the step).
+    substeps (`fdtd_step`, adding their work to acc), with the current f
+    (or none) at each substep's midpoint, then check that the fields are
+    finite (step and t name the step).
 
     The realized magnetization rate m_dot is constant over the step and
     zero outside the body, so it is transferred once, onto the body face
@@ -864,7 +864,7 @@ def advance(em: EMState, m_dot: np.ndarray, f: Optional[AppliedCurrent],
     for i in range(subcycles):
         t_mid = t + (i + 0.5) * dt_sub
         f_value = f.value(t_mid) if f is not None else no_current
-        fdtd_step(em, dm_faces, f_value, params, dt_sub, accum)
+        fdtd_step(em, dm_faces, f_value, params, dt_sub, acc)
     em.assert_finite(step, t)
 
 

@@ -10,7 +10,7 @@ alignment, and reruns agree to the last bit.  Their rounding error is of
 order 1e-15 of the sum of the magnitudes of the terms, seven orders below
 the tightest energy tolerance used anywhere.
 
-Time accumulations go through math.fsum, which is exact.
+`fsum` (math.fsum, exact) adds the energy terms of a ledger row.
 """
 
 import math

@@ -313,10 +313,10 @@ def box_midpoint_h_cells(em, m_dot_pred, dt, mu0):
     return box_faces_to_body_cells(hx, hy, hz, box)
 
 
-def box_fdtd_step(em, m_dot, f_value, params, dt, accum=None):
+def box_fdtd_step(em, m_dot, f_value, params, dt, acc=None):
     """One leapfrog step with dt times the box-face transfer of the
     embedded rate subtracted from h on every face."""
-    mx.fdtd_step(em, None, f_value, params, dt, accum)
+    mx.fdtd_step(em, None, f_value, params, dt, acc)
     rate = padded_cells_to_faces(embed_cell_field(m_dot, em.box))
     for h, mf in zip((em.hx, em.hy, em.hz), rate):
         h -= mf * dt
@@ -397,7 +397,7 @@ def plain_fields(em):
     return {name: getattr(em, name).copy() for name in FIELD_NAMES}
 
 
-def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, accum):
+def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, acc):
     """One leapfrog step on the plain arrays `f` (by name), in place: e
     with semi-implicit conduction on the body edges, Mur1 on the six box
     faces, then h with dt times the body rate `m_dot` (cells) transferred
@@ -416,8 +416,8 @@ def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, accum):
         e_body = e[mask]
         e_new = ((1.0 - beta) * e_body + k * (ce[mask] - sigma * fc)) / (1.0 + beta)
         e_mid = 0.5 * (e_body + e_new)
-        accum["ohmic"] += dt * (sigma / mu0) * dV * math.fsum(e_mid * e_mid)
-        accum["source"] += dt * (sigma / mu0) * dV * math.fsum(fc * e_mid)
+        acc.ohmic += dt * (sigma / mu0) * dV * math.fsum(e_mid * e_mid)
+        acc.source += dt * (sigma / mu0) * dV * math.fsum(fc * e_mid)
         e += k * ce
         e[mask] = e_new
     if bc == mx.MUR1:

@@ -238,18 +238,17 @@ def test_criterion_5_penalization_limit():
     m0 = random_unit_m(geom, seed=3, smooth_cells=1.0)
     dt, t_end = 2e-5, 0.2
 
+    h_fixed = mx.interp_h_to_cells(em0)
     proj = run(geom, MaterialParams(**base),
-               SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=SHARP,
-                            frozen_em=True),
-               m0, em0.copy(), None, t_end, log_every=1000)
+               SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=SHARP),
+               m0, None, None, t_end, log_every=1000, h_fixed=h_fixed)
     m_proj = proj.final_state.m
 
     sats, gaps = [], []
     for k in (1e2, 1e3, 1e4):
         traj = run(geom, MaterialParams(penalty_k=k, **base),
-                   SchemeConfig(dt=dt, constraint=PENALIZED, bc_mode=SHARP,
-                                frozen_em=True),
-                   m0, em0.copy(), None, t_end, log_every=50)
+                   SchemeConfig(dt=dt, constraint=PENALIZED, bc_mode=SHARP),
+                   m0, None, None, t_end, log_every=50, h_fixed=h_fixed)
         sats.append(max(r.saturation_dev for r in traj.ledger.rows))
         gaps.append(float(np.sqrt(np.sum((traj.final_state.m - m_proj) ** 2)
                                   * geom.cell_volume)))
@@ -308,18 +307,16 @@ def test_criterion_6_thin_layer_limit():
     em0.hx[...] = 0.1
     em0.hz[...] = 0.05
     dt, t_end = 5e-4, 0.2
-    sharp = run(geom0, params,
-                SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=SHARP,
-                             frozen_em=True),
-                m0_of(geom0), em0.copy(), None, t_end, log_every=100)
+    h_fixed = mx.interp_h_to_cells(em0)
+    sharp = run(geom0, params, SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=SHARP),
+                m0_of(geom0), None, None, t_end, log_every=100, h_fixed=h_fixed)
     traj_gaps = []
     for mult in (4, 2, 1):
         geom_eta = build_geometry(
             GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, nz, nz, eta=mult * 0.5 / nz))
         tl = run(geom_eta, params,
-                 SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=THIN_LAYER,
-                              frozen_em=True),
-                 m0_of(geom_eta), em0.copy(), None, t_end, log_every=100)
+                 SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=THIN_LAYER),
+                 m0_of(geom_eta), None, None, t_end, log_every=100, h_fixed=h_fixed)
         traj_gaps.append(float(np.sqrt(
             np.sum((tl.final_state.m - sharp.final_state.m) ** 2)
             * geom0.cell_volume)))
@@ -398,10 +395,9 @@ def test_criterion_8_single_spin_oracle():
 
     errs = {}
     for dt in (4e-4, 2e-4, 1e-4):
-        scheme = SchemeConfig(dt=dt, frozen_em=True, constraint=PROJECTED,
-                              bc_mode=SHARP)
-        state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
-                         scheme=scheme)
+        scheme = SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=SHARP)
+        state = SimState(t=0.0, m=m0.copy(), em=None, geom=geom, params=params,
+                         scheme=scheme, h_fixed=mx.interp_h_to_cells(em))
         worst = 0.0
         for _ in range(int(round(1.0 / dt))):
             step(state)

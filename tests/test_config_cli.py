@@ -561,6 +561,24 @@ class TestCli:
                            "finite at t=0, first at cell (0, 0, 0)\n")
         assert not outdir.exists()
 
+    def test_check_takes_the_first_step_run_takes(self, tmp_path, capsys):
+        # j2 = 1e300 leaves the first rate finite but overflows the surface
+        # field within the first step: check takes that step, so both
+        # commands exit 3 with the same line, and check creates no directory
+        outdir = tmp_path / "out"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(outdir).replace("j2 = 0.01", "j2 = 1e300"))
+        for command in ("check", "run"):
+            if command == "run":
+                assert not outdir.exists()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+                assert main([command, str(cfg_path)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: numeric: magnetization m became non-finite at "
+                           "step 1, t=0, first at cell (0, 0, 0)\n")
+
     def test_diag_reduces_over_the_run_layout(self, tmp_path, monkeypatch):
         # the final m snapshot is row-major on disk; diag reads it back into
         # the component-major layout the run's ledger summed over

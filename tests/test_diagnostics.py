@@ -107,9 +107,10 @@ class TestWeakResidual:
         x = (np.arange(geom.nx) + 0.5) * geom.dx
         m0[..., 2] += 0.3 * np.sin(np.pi * x)[:, None, None]
         m0 /= np.linalg.norm(m0, axis=-1, keepdims=True)
-        scheme = SchemeConfig(dt=dt, frozen_em=True, constraint="projected")
+        scheme = SchemeConfig(dt=dt, constraint="projected")
         samples = FieldSamples()
-        run(geom, params, scheme, m0, em, None, t_end=t_end, on_state=samples)
+        run(geom, params, scheme, m0, None, None, t_end=t_end, on_state=samples,
+            h_fixed=mx.interp_h_to_cells(em))
         return geom, params, samples
 
     def test_zero_test_function_gives_zero(self):
@@ -125,9 +126,10 @@ class TestWeakResidual:
         m0[..., 2] = 1.0
         box = mx.make_box(geom, padding=2)
         em = mx.empty_em_state(box)
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected")
+        scheme = SchemeConfig(dt=1e-3, constraint="projected")
         samples = FieldSamples()
-        run(geom, params, scheme, m0, em, None, t_end=0.01, on_state=samples)
+        run(geom, params, scheme, m0, None, None, t_end=0.01, on_state=samples,
+            h_fixed=mx.interp_h_to_cells(em))
         lib = fn_library(geom)
         for fn in lib[:6]:
             assert weak_residual_m(samples, fn, geom, params) < 1e-14

@@ -95,7 +95,7 @@ def test_gilbert_residual_contract(seed, alpha):
 class TestLlgRhs:
     def test_aligned_state_is_stationary(self):
         geom, params, em, m, h = single_spin_setup(h=(0, 0, 1), m0=(0, 0, 1))
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
+        scheme = SchemeConfig(dt=1e-3)
         h_cells = mx.interp_h_to_cells(em)
         m_dot = llg_rhs(m, h_cells, geom, params, scheme)
         assert np.abs(m_dot).max() < 1e-14
@@ -103,7 +103,7 @@ class TestLlgRhs:
     def test_reproduces_landau_lifshitz_form(self):
         # m perpendicular to h, projected mode: -m x h - alpha m x (m x h)
         geom, params, em, m, h = single_spin_setup(alpha=0.3)
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected")
+        scheme = SchemeConfig(dt=1e-3, constraint="projected")
         h_cells = mx.interp_h_to_cells(em)
         m_dot = llg_rhs(m, h_cells, geom, params, scheme)
         expected = -np.cross(m, h_cells) - 0.3 * np.cross(m, np.cross(m, h_cells))
@@ -112,7 +112,7 @@ class TestLlgRhs:
     def test_penalized_keeps_parallel_component(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 2, 2, 1, 1))
         params = plain_params(alpha=0.5, penalty_k=2.0)
-        scheme = SchemeConfig(dt=1e-4, frozen_em=True, constraint="penalized")
+        scheme = SchemeConfig(dt=1e-4, constraint="penalized")
         rng = np.random.default_rng(3)
         m = 1.3 * random_unit_field(geom, seed=4)
         h_cells = np.zeros(geom.field_shape())
@@ -198,9 +198,9 @@ def test_llg_rhs_guard_matches_the_scalar_form_bit_for_bit(constraint):
 class TestStep:
     def test_aligned_state_only_time_moves(self):
         geom, params, em, m, h = single_spin_setup(h=(0, 0, 1), m0=(0, 0, 1))
-        scheme = SchemeConfig(dt=1e-2, frozen_em=True)
-        state = SimState(t=0.0, m=m.copy(), em=em, geom=geom, params=params,
-                         scheme=scheme)
+        scheme = SchemeConfig(dt=1e-2)
+        state = SimState(t=0.0, m=m.copy(), em=None, geom=geom, params=params,
+                         scheme=scheme, h_fixed=mx.interp_h_to_cells(em))
         step(state)
         assert state.t == pytest.approx(1e-2)
         assert np.allclose(state.m, m, atol=1e-15)
@@ -210,9 +210,9 @@ class TestStep:
         sol = solve_ivp(
             lambda t, y: -np.cross(y, h) - 0.2 * np.cross(y, np.cross(y, h)),
             (0.0, 1.0), m0[0, 0, 0], rtol=1e-12, atol=1e-14, dense_output=True)
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
-        state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
-                         scheme=scheme)
+        scheme = SchemeConfig(dt=1e-3)
+        state = SimState(t=0.0, m=m0.copy(), em=None, geom=geom, params=params,
+                         scheme=scheme, h_fixed=mx.interp_h_to_cells(em))
         worst = 0.0
         for _ in range(1000):
             step(state)
@@ -227,9 +227,9 @@ class TestStep:
             (0.0, 1.0), m0[0, 0, 0], rtol=1e-12, atol=1e-14, dense_output=True)
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            scheme = SchemeConfig(dt=dt, frozen_em=True)
-            state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
-                             scheme=scheme)
+            scheme = SchemeConfig(dt=dt)
+            state = SimState(t=0.0, m=m0.copy(), em=None, geom=geom, params=params,
+                             scheme=scheme, h_fixed=mx.interp_h_to_cells(em))
             worst = 0.0
             for _ in range(int(round(1.0 / dt))):
                 step(state)
@@ -246,9 +246,9 @@ class TestStep:
             (0.0, 0.5), m0[0, 0, 0], rtol=1e-12, atol=1e-14, dense_output=True)
         final = {}
         for integ in ("heun", "rk4"):
-            scheme = SchemeConfig(dt=2e-3, frozen_em=True, integrator=integ)
-            state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
-                             scheme=scheme)
+            scheme = SchemeConfig(dt=2e-3, integrator=integ)
+            state = SimState(t=0.0, m=m0.copy(), em=None, geom=geom, params=params,
+                             scheme=scheme, h_fixed=mx.interp_h_to_cells(em))
             for _ in range(250):
                 step(state)
             final[integ] = np.linalg.norm(state.m[0, 0, 0] - sol.sol(state.t))
@@ -257,8 +257,7 @@ class TestStep:
     def test_projected_norm_exact(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
         params = plain_params(a_exch=0.01, alpha=1.0)
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected",
-                              bc_mode="sharp")
+        scheme = SchemeConfig(dt=1e-3, constraint="projected", bc_mode="sharp")
         state = SimState(t=0.0, m=random_unit_field(geom, 5), em=None, geom=geom,
                          params=params, scheme=scheme)
         for _ in range(20):
@@ -269,18 +268,18 @@ class TestStep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_guard(self):
         geom, params, em, m, h = single_spin_setup()
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
-        state = SimState(t=0.0, m=m.copy(), em=em, geom=geom, params=params,
-                         scheme=scheme)
+        scheme = SchemeConfig(dt=1e-3)
+        state = SimState(t=0.0, m=m.copy(), em=None, geom=geom, params=params,
+                         scheme=scheme, h_fixed=mx.interp_h_to_cells(em))
         state.m[0, 0, 0, 0] = np.inf
         with pytest.raises(NonFinite):
             step(state)
 
     def test_zero_norm_projection_rejected(self):
         geom, params, em, m, h = single_spin_setup(h=(0.0, 0.0, 0.0))
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True, constraint="projected")
-        state = SimState(t=0.0, m=np.zeros(geom.field_shape()), em=em, geom=geom,
-                         params=params, scheme=scheme)
+        scheme = SchemeConfig(dt=1e-3, constraint="projected")
+        state = SimState(t=0.0, m=np.zeros(geom.field_shape()), em=None, geom=geom,
+                         params=params, scheme=scheme, h_fixed=mx.interp_h_to_cells(em))
         with pytest.raises(NonFinite):
             step(state)
 
@@ -344,6 +343,34 @@ class TestStep:
         traj = run(geom, params, scheme, m, em, None, t_end=5e-3)
         assert traj.final_state.n == 5
 
+    def test_final_state_holds_the_last_row_integrals(self):
+        # the state owns the integrals that the ledger rows read: after a
+        # coupled sigma > 0 run with a pulse, bit for bit the last row's
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        params = plain_params(a_exch=0.01, sigma=2.0)
+        box = mx.make_box(geom, padding=2)
+        em = mx.empty_em_state(box)
+        m0 = random_unit_field(geom, seed=5)
+        mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
+        f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=5e-3, width=3e-3)
+        traj = run(geom, params, SchemeConfig(dt=1e-3, subcycles=2), m0, em, f,
+                   t_end=1e-2, log_every=3)
+        state, last = traj.final_state, traj.ledger.rows[-1]
+        assert state.n == 10 and last.t == state.t
+        assert state.dissipation > 0.0 and state.ohmic > 0.0 and state.source != 0.0
+        for name in ("dissipation", "ohmic", "source"):
+            assert getattr(state, name).hex() == getattr(last, name).hex()
+
+    def test_state_takes_em_or_h_fixed_not_both(self):
+        geom, params, em, m, h = single_spin_setup()
+        h_fixed = mx.interp_h_to_cells(em)
+        scheme = SchemeConfig(dt=1e-3)
+        with pytest.raises(ValueError, match="em or h_fixed, not both"):
+            SimState(t=0.0, m=m, em=em, geom=geom, params=params, scheme=scheme,
+                     h_fixed=h_fixed)
+        with pytest.raises(ValueError, match="em or h_fixed, not both"):
+            run(geom, params, scheme, m, em, None, t_end=1e-3, h_fixed=h_fixed)
+
     def test_exchange_stability_bound_enforced(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
         params = plain_params(a_exch=1.0)
@@ -373,10 +400,9 @@ class TestPenalizedConstraint:
         for k in (50.0, 100.0):
             params = plain_params(a_exch=0.01, alpha=1.0, penalty_k=k,
                                   ks=0.05, j1=0.05, j2=0.02)
-            scheme = SchemeConfig(dt=2e-4, frozen_em=True, constraint="penalized",
-                                  bc_mode="sharp")
-            traj = run(geom, params, scheme, m0, em0.copy(), None, t_end=0.2,
-                       log_every=20)
+            scheme = SchemeConfig(dt=2e-4, constraint="penalized", bc_mode="sharp")
+            traj = run(geom, params, scheme, m0, None, None, t_end=0.2,
+                       log_every=20, h_fixed=mx.interp_h_to_cells(em0))
             sat[k] = max(r.saturation_dev for r in traj.ledger.rows)
         assert sat[100.0] < sat[50.0]
 
@@ -384,25 +410,28 @@ class TestPenalizedConstraint:
 class TestRun:
     def test_t_end_zero_gives_initial_row_only(self):
         geom, params, em, m, h = single_spin_setup()
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
-        traj = run(geom, params, scheme, m, em, None, t_end=0.0)
+        scheme = SchemeConfig(dt=1e-3)
+        traj = run(geom, params, scheme, m, None, None, t_end=0.0,
+                   h_fixed=mx.interp_h_to_cells(em))
         assert len(traj.ledger.rows) == 1
         assert traj.ledger.rows[0].t == 0.0
 
     @pytest.mark.parametrize("log_every", [0, -2])
     def test_log_every_below_one_rejected(self, log_every):
         geom, params, em, m, h = single_spin_setup()
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
+        scheme = SchemeConfig(dt=1e-3)
         with pytest.raises(ValueError, match="log_every"):
-            run(geom, params, scheme, m, em, None, t_end=3e-3, log_every=log_every)
+            run(geom, params, scheme, m, None, None, t_end=3e-3, log_every=log_every,
+                h_fixed=mx.interp_h_to_cells(em))
 
     def test_nonfinite_m0_rejected_at_step_zero(self):
         geom, params, em, m, h = single_spin_setup()
         m = m.copy()
         m[0, 0, 0, 1] = np.nan
-        scheme = SchemeConfig(dt=1e-3, frozen_em=True)
+        scheme = SchemeConfig(dt=1e-3)
         with pytest.raises(NonFinite):
-            run(geom, params, scheme, m, em, None, t_end=1e-3)
+            run(geom, params, scheme, m, None, None, t_end=1e-3,
+                h_fixed=mx.interp_h_to_cells(em))
 
     def test_deterministic_rerun_bitwise(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
@@ -534,15 +563,14 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
     m_in = m0.copy()
     state = SimState(t=0.0, m=m_in, em=em, geom=geom, params=params,
                      scheme=SchemeConfig(dt=1e-4, subcycles=2))
-    accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
     for _ in range(3):
-        step(state, accum)
+        step(state)
 
     def ledger_terms():
         return _state_terms(state.m, em, geom, params, state.workspace().tmp)
     ledger_terms()
     peaks = []
-    for f in (lambda: step(state, accum), ledger_terms):
+    for f in (lambda: step(state), ledger_terms):
         tracemalloc.start()
         try:
             f()
@@ -553,7 +581,7 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
     # the new m alternates between two workspace buffers, never the
     # caller's, so the m of the step before stays intact
     before, kept = state.m, state.m.copy()
-    step(state, accum)
+    step(state)
     assert state.m is not before and np.array_equal(before, kept)
     assert np.array_equal(m_in, m0)
 
@@ -617,8 +645,7 @@ def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
     state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
                      scheme=SchemeConfig(dt=1e-3, subcycles=2))
     f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3)
-    accum = {"dissipation": 0.0, "ohmic": 0.0, "source": 0.0}
-    step(state, accum, f)
+    step(state, f)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm coupled step built a view")
@@ -627,5 +654,5 @@ def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
                  "_body_faces", "_body_edge_slabs", "_body_face_slabs"):
         monkeypatch.setattr(mx, name, forbidden)
     for _ in range(3):
-        step(state, accum, f)
-    assert accum["source"] != 0.0
+        step(state, f)
+    assert state.source != 0.0

@@ -361,10 +361,9 @@ def test_eta_to_zero_converges_to_sharp():
         em.hz[...] = 0.05
         finals = []
         for mode, g in layers.items():
-            scheme = SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=mode,
-                                  frozen_em=True)
-            finals.append(run(g, params, scheme, m, em.copy(), None, t_end,
-                              log_every=1000).final_state.m)
+            scheme = SchemeConfig(dt=dt, constraint=PROJECTED, bc_mode=mode)
+            finals.append(run(g, params, scheme, m, None, None, t_end, log_every=1000,
+                              h_fixed=mx.interp_h_to_cells(em)).final_state.m)
         traj_gaps.append(float(np.sqrt(np.sum((finals[1] - finals[0]) ** 2)
                                        * geom.cell_volume)))
     slope = float(np.polyfit(np.log(dzs), np.log(energy_gaps), 1)[0])
