@@ -23,7 +23,7 @@ from . import dynamics, maxwell, snapshots
 from .config import RunConfig, _parse, _validate, build_model, build_setup, parse_config
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
-from .energetics import EnergyBreakdown, _vector_copy
+from .energetics import EnergyBreakdown, _vector_field
 from .errors import ConfigError, SimulationError
 
 # numeric failures (exit 3): the simulator's own, and float overflow or
@@ -191,35 +191,40 @@ def recompute_final_row(outdir: str):
     energy.csv row bit for bit because the same routines produce both.
     A snapshot that is not the run's raises `snapshots.SnapshotError`.
 
+    Each snapshot is copied into the state's fields (m, and the stores of
+    `setup.em`) before the next is read, and the initial divergence is
+    recorded between the initial and the final ones, so no snapshot is
+    held beside another.  Once the row is computed the Maxwell workspace
+    is dropped and the omega-limit field is solved into the h store.
+
     Returns (row dict, stationarity report rows)."""
     with open(os.path.join(outdir, "effective_config")) as fh:
         config = parse_config(fh.read())
     setup = build_model(config)   # the fields come from the snapshots
-    geom, box = setup.geom, setup.box
-
-    def read(name, field_id, dims):
-        return snapshots.read_field(os.path.join(outdir, name), field_id, dims)
-
+    geom, box, em = setup.geom, setup.box, setup.em
     cells, yee = (geom.nx, geom.ny, geom.nz_total), (box.nx, box.ny, box.nz)
-    _, (m0_arr,) = read("state_initial_m.snap", snapshots.FIELD_M, cells)
-    _, h0_arrays = read("state_initial_h.snap", snapshots.FIELD_H, yee)
-    t_final, (m_file,) = read("state_final_m.snap", snapshots.FIELD_M, cells)
-    # the ledger's sums run in memory order: reduce over the run's layout
-    m_arr = _vector_copy(m_file)
-    _, h_arrays = read("state_final_h.snap", snapshots.FIELD_H, yee)
-    _, e_arrays = read("state_final_e.snap", snapshots.FIELD_E, yee)
+    # the ledger's sums run in memory order: m has the run's layout
+    m = _vector_field(cells + (3,))
 
-    em = setup.em
-    em.hx, em.hy, em.hz = h0_arrays
-    maxwell.record_div0(em, m0_arr)
-    em.hx, em.hy, em.hz = h_arrays
-    em.ex, em.ey, em.ez = e_arrays
+    def load(name, field_id, dims, targets):
+        t, arrays = snapshots.read_field(os.path.join(outdir, name), field_id, dims)
+        for target, a in zip(targets, arrays):
+            np.copyto(target, a)
+        return t
 
-    breakdown, saturation_dev, drift = _state_terms(m_arr, em, geom, setup.params)
+    load("state_initial_m.snap", snapshots.FIELD_M, cells, [m])
+    load("state_initial_h.snap", snapshots.FIELD_H, yee, (em.hx, em.hy, em.hz))
+    maxwell.record_div0(em, m)
+    t_final = load("state_final_m.snap", snapshots.FIELD_M, cells, [m])
+    load("state_final_h.snap", snapshots.FIELD_H, yee, (em.hx, em.hy, em.hz))
+    load("state_final_e.snap", snapshots.FIELD_E, yee, (em.ex, em.ey, em.ez))
+
+    breakdown, saturation_dev, drift = _state_terms(m, em, geom, setup.params)
     values = (t_final,) + breakdown.as_tuple() + (saturation_dev, drift)
+    em.work = None   # the workspace is only needed for the row's drift
 
-    H = omega_limit_field_cells(m_arr, box, geom)
-    stationarity = stationarity_report(m_arr, H, setup.params, geom)
+    H = omega_limit_field_cells(m, box, geom, out=em.h)
+    stationarity = stationarity_report(m, H, setup.params, geom)
     return dict(zip(DIAG_COLUMNS, values)), stationarity
 
 

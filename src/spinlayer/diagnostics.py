@@ -224,17 +224,21 @@ def stationarity_residual(u, H_cells, params, geom,
     return max(r for _, r in report)
 
 
-def omega_limit_field(u: np.ndarray, box: maxwell.BoxGeometry) -> np.ndarray:
+def omega_limit_field(u: np.ndarray, box: maxwell.BoxGeometry,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Field H with div(H + u_bar) = 0 and curl H = 0 on the box.
 
     H = -grad(phi) with Lap(phi) = div(u_bar); gradients of cell scalars
-    are exactly curl-free on the staggered grid.  Returns an h store.
+    are exactly curl-free on the staggered grid.  Returns an h store:
+    `out` (its pads zero), written in place, or a fresh one.
     """
-    return maxwell.init_divfree(u, (0.0, 0.0, 0.0), box)
+    return maxwell.init_divfree(u, (0.0, 0.0, 0.0), box, out=out)
 
 
 def omega_limit_field_cells(u: np.ndarray, box: maxwell.BoxGeometry,
-                            geom: DomainGeometry) -> np.ndarray:
-    """omega_limit_field averaged to the body cells (from the body face
-    slabs only), for the stationarity form; geom is not read."""
-    return maxwell._body_cells(omega_limit_field(u, box), box)
+                            geom: DomainGeometry,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """omega_limit_field, solved into the h store `out` if given, averaged
+    to the body cells (from the body face slabs only), for the
+    stationarity form; geom is not read."""
+    return maxwell._body_cells(omega_limit_field(u, box, out), box)

@@ -25,6 +25,7 @@ which is unconditionally stable in sigma and keeps the Ohmic dissipation
 sign-definite.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -580,23 +581,35 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     return -4.0 * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2 / h**2
 
 
-def _dst1(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _dst_parts(shape: tuple) -> tuple:
+    """Floats of the largest odd extension and of the largest spectrum
+    (complex, two floats an entry) of `_dst1`'s passes over `shape`; their
+    sum is the size of its work buffer."""
+    size = math.prod(shape)
+    return (max(size // n * 2 * (n + 1) for n in shape),
+            max(size // n * 2 * (n + 2) for n in shape))
+
+
+def _dst1(x: np.ndarray, work: np.ndarray, out: np.ndarray,
+          scale: float = 1.0) -> np.ndarray:
     """Type-I discrete sine transform of the 3-D array x along axes 0, 1
-    and 2, in that order, the result along axis 0 times `scale`: the bits
-    of scipy.fft.dstn(x, type=1), and with scale = 1/prod(2(n+1)) those
-    of its idstn.
+    and 2, in that order, the result along axis 0 times `scale`, written
+    into `out` (which may be x): the bits of scipy.fft.dstn(x, type=1),
+    and with scale = 1/prod(2(n+1)) those of its idstn.
 
     Each axis is pocketfft's DST-I of length n: the real FFT of the odd
     extension (0, x, 0, -x reversed) of length 2(n+1), whose negated
-    imaginary parts 1..n are the transform.  The axis being
-    transformed is last in one reused extension buffer, filled from the
-    previous pass's imaginary parts with the axes turned one step (so
-    after three passes they are back in order) and with that pass's sign
-    and scale as one factor.
+    imaginary parts 1..n are the transform.  The axis being transformed
+    is last in the extension, filled from the previous pass's imaginary
+    parts with the axes turned one step (so after three passes they are
+    back in order) and with that pass's sign and scale as one factor.
+    The extension and the spectrum are carved from the flat float buffer
+    `work` (`sum(_dst_parts(x.shape))` entries), so the call allocates
+    nothing.
     """
     size = x.size
-    ext = np.empty(max(size // n * 2 * (n + 1) for n in x.shape))
-    spec = np.empty(max(size // n * (n + 2) for n in x.shape), dtype=complex)
+    n_ext, n_spec = _dst_parts(x.shape)
+    ext, spec = work[:n_ext], work[n_ext:n_ext + n_spec].view(complex)
     im, factor = x, 1.0
     for axis, n in enumerate(x.shape):
         src = im.transpose(1, 2, 0)
@@ -611,10 +624,11 @@ def _dst1(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
         im = s.imag[..., 1:n + 1]
         # -(im * scale) is im * -scale bit for bit
         factor = -scale if axis == 0 else -1.0
-    return np.negative(im)
+    return np.negative(im, out=out)
 
 
-def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
+def poisson_solve(rhs: np.ndarray, box: BoxGeometry, work: Optional[np.ndarray] = None,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve Lap(phi) = rhs at cell centers with zero-Dirichlet ghosts.
 
     The 7-point Laplacian of the box is the Kronecker sum of three 1-D
@@ -622,13 +636,26 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry) -> np.ndarray:
     sine transform, so the solve is a forward DST-I, a division by the
     summed eigenvalues and an inverse DST-I (the fast Poisson solver of
     Buzbee, Golub & Nielson 1970): O(N log N), no factorisation.
+
+    Both transforms run in one flat work buffer (`work`, at least
+    `sum(_dst_parts(rhs.shape))` floats), and the eigenvalue sum
+    (lx + ly) + lz is formed in it between them.  The forward result is
+    divided in place and overwritten by phi, in `out` (an array shaped
+    like rhs; fresh when None).
     """
-    lam = (_dirichlet_eigenvalues(box.nx, box.dx)[:, None, None]
-           + _dirichlet_eigenvalues(box.ny, box.dy)[None, :, None]
-           + _dirichlet_eigenvalues(box.nz, box.dz)[None, None, :])
+    if work is None:
+        work = np.empty(sum(_dst_parts(rhs.shape)))
+    if out is None:
+        out = np.empty(rhs.shape)
+    _dst1(rhs, work, out)
+    lam = work[:rhs.size].reshape(rhs.shape)
+    np.add(_dirichlet_eigenvalues(box.nx, box.dx)[:, None, None],
+           _dirichlet_eigenvalues(box.ny, box.dy)[None, :, None], out=lam)
+    lam += _dirichlet_eigenvalues(box.nz, box.dz)[None, None, :]
+    out /= lam
     # idstn's normalisation as pocketfft forms it, in long double
     scale = float(1 / np.longdouble(8 * (box.nx + 1) * (box.ny + 1) * (box.nz + 1)))
-    return _dst1(_dst1(rhs) / lam, scale)
+    return _dst1(out, work, out, scale)
 
 
 def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
@@ -640,6 +667,10 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     magnetostatic field.  m0 is the body magnetization; m_bar, its zero
     extension to the box, lives on the body face slabs.  Returns the h
     store: `out` (its pads zero), written in place, or a fresh one.
+
+    One flat scratch serves m_bar and the divergence of the rhs, then the
+    solve's work buffer, then the residual's divergence; only the rhs
+    (kept for the residual) and phi have arrays of their own.
     """
     h = np.zeros(store_shape(box)) if out is None else out
     faces = face_views(h, box)
@@ -647,15 +678,14 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     for a, raw in zip(faces, h_raw):
         a[...] = raw
     # h holds h_raw + m_bar for the rhs, then grad phi, then h_raw - grad phi
-    n = box.nx * _strides(box)[0]
-    scratch = np.empty(3 * h[0].size)
-    rhs = _divergence(_plus_m_bar(h, m0, box, h, scratch), box, scratch)
-    phi = poisson_solve(rhs, box)
+    scratch = np.empty(max(2 * h[0].size, sum(_dst_parts((box.nx, box.ny, box.nz)))))
+    rhs = _divergence(_plus_m_bar(h, m0, box, h, scratch), box, scratch).copy()
+    phi = poisson_solve(rhs, box, scratch)
     grad_cells(phi, box, out=faces)
 
     # the solve's residual div(grad phi) - rhs over the whole box, which
     # is -div(h + m_bar) of the final h up to roundoff
-    resid = _divergence(h, box, scratch[n:])
+    resid = _divergence(h, box, scratch)
     resid -= rhs
     resid = np.abs(resid, out=resid).max()
     rhs_max = np.abs(rhs, out=rhs).max()

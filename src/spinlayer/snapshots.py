@@ -84,10 +84,11 @@ def read_snapshot(path):
             raise ValueError("truncated snapshot payload")
         arrays = []
         for shape, count in zip(shapes, counts):
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            # read straight into the array: one payload-sized buffer a block
+            a = np.empty(shape, dtype="<f8")
+            if fh.readinto(a) != count * 8:
                 raise ValueError("truncated snapshot payload")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+            arrays.append(a)
     return field_id, dims, (dx, dy, dz), t, arrays
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,17 @@ from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_lay
 from spinlayer.energetics import _vector_field, apply_k
 from spinlayer.summation import dot
 from spinlayer.geometry import GeometryConfig, build_geometry
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -20,6 +20,8 @@ from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
 from spinlayer.errors import ParseError, ValidationError
 
+from conftest import traced_peak
+
 MINIMAL = """
 [geometry]
 lx = 1.0
@@ -261,7 +263,25 @@ def _h_over_m(outdir):
     return path
 
 
-SNAPSHOT_DAMAGE = [_truncated_m, _bad_magic_e, _h_of_a_larger_box, _h_over_m]
+def _truncated_initial_h(outdir):
+    path = outdir / "state_initial_h.snap"
+    path.write_bytes(path.read_bytes()[:-8])
+    return path
+
+
+def _initial_m_of_another_grid(outdir):
+    path = outdir / "state_initial_m.snap"
+    _, dims, spacings, t, _ = snapshots.read_snapshot(path)
+    dims = dims[:2] + (dims[2] + 1,)
+    m = np.zeros(dims + (3,))
+    m[..., 2] = 1.0
+    snapshots.write_snapshot(path, snapshots.FIELD_M, dims, spacings, t, [m])
+    return path
+
+
+# diag reads the initial snapshots between computations, the final ones after
+SNAPSHOT_DAMAGE = [_truncated_m, _bad_magic_e, _h_of_a_larger_box, _h_over_m,
+                   _truncated_initial_h, _initial_m_of_another_grid]
 
 
 class TestCli:
@@ -479,6 +499,34 @@ class TestCli:
         assert captured.err.startswith(f"error: io: {path}: ") and captured.out == ""
         assert captured.err.count("\n") == 1
         assert not (outdir / "diag_report.csv").exists()
+
+    def test_diag_peak_below_eight_stores(self, tmp_path):
+        # the benchmark's `cli` input on the README grid (32^3 Yee box),
+        # two steps: diag holds the stepped fields (m and the two stores),
+        # the Maxwell workspace and one snapshot at a time, then drops the
+        # workspace and solves the omega-limit field into the h store
+        outdir = tmp_path / "out"
+        text = README_CONFIG
+        for old, new in [("eta = 0.25", "eta = 0.125"),
+                         ("penalty_k = 0.0", "penalty_k = 10.0"),
+                         ("integrator = heun", "integrator = rk4"),
+                         ("constraint = projected", "constraint = penalized"),
+                         ("bc_mode = sharp", "bc_mode = thin_layer"),
+                         ("bc = pec", "bc = mur1"),
+                         ("f = zero", "f = pulse 0.5 0.2 0.0 0.012 0.006"),
+                         ("directory = out", f"directory = {outdir}"),
+                         ("snapshots = off", "snapshots = on"),
+                         ("t_end = 24.0", "t_end = 0.024")]:
+            assert old in text
+            text = text.replace(old, new)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 0
+        warm = cli_module.recompute_final_row(str(outdir))
+        again, peak = traced_peak(cli_module.recompute_final_row, str(outdir))
+        assert again == warm
+        store = 8 * 3 * 33 ** 3   # one h store of the 32^3 box
+        assert peak < 8 * store, peak / store
 
     def test_diag_builds_no_initial_fields(self, tmp_path, monkeypatch):
         # diag replaces m0, h and e by the stored snapshots, so it never

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from spinlayer.summation import dot
 
 from conftest import (FieldSamples, box_divergence, eval_on_cells, face_stationary_form,
                       field_stationary_value, layer_geom, random_unit_field,
-                      sharp_geom, stationarity_form, weak_residual_m)
+                      sharp_geom, stationarity_form, traced_peak, weak_residual_m)
 
 
 def plain_params(**overrides):
@@ -51,12 +50,7 @@ def test_ledger_row_allocates_nothing_box_sized():
                     mx.divergence_drift(em, m), saturation_deviation(m, tmp))
 
         warm = row()
-        tracemalloc.start()
-        try:
-            again = row()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        again, peak = traced_peak(row)
         assert again == warm
         assert again[0] == total_energy(m, em, g, params)
         assert peak < m[..., 0].nbytes // 8, g.layer_cells
@@ -270,12 +264,7 @@ class TestStationarity:
         H = random_unit_field(geom, seed=63)
         for g in (sharp_geom(geom), geom):
             warm = stationarity_report(m, H, params, g)
-            tracemalloc.start()
-            try:
-                again = stationarity_report(m, H, params, g)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            again, peak = traced_peak(stationarity_report, m, H, params, g)
             assert again == warm
             assert peak < 3.5 * m.nbytes, (g.layer_cells, peak / m.nbytes)
 
@@ -359,6 +348,21 @@ class TestOmegaLimitField:
         center = Hc[geom.nx // 2, geom.ny // 2, geom.nz_total // 2]
         # interior field opposes the magnetization of a flat slab
         assert center[2] < -0.5
+
+    def test_cells_peak_below_three_and_a_half_stores(self):
+        # on the 32^3 box of W1 and the README config: the h store, the
+        # projection's scratch, rhs and phi, and the body cell field
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
+        box = mx.make_box(geom, padding=8)
+        u = random_unit_field(geom, seed=13)
+        warm = omega_limit_field_cells(u, box, geom)
+        again, peak = traced_peak(omega_limit_field_cells, u, box, geom)
+        store = np.zeros(mx.store_shape(box))
+        assert again.tobytes() == warm.tobytes()
+        assert peak < 3.5 * store.nbytes, peak / store.nbytes
+        # solved into a given store: the same cells, and the store holds H
+        assert omega_limit_field_cells(u, box, geom, out=store).tobytes() == warm.tobytes()
+        assert store.tobytes() == omega_limit_field(u, box).tobytes()
 
     def test_discrete_characterization(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 from conftest import (box_midpoint_h_cells, gilbert_projection_rhs, gilbert_solve,
-                      layer_geom, random_unit_field)
+                      layer_geom, random_unit_field, traced_peak)
 
 
 def plain_params(**overrides):
@@ -569,14 +568,7 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
     def ledger_terms():
         return _state_terms(state.m, em, geom, params, state.workspace().tmp)
     ledger_terms()
-    peaks = []
-    for f in (lambda: step(state), ledger_terms):
-        tracemalloc.start()
-        try:
-            f()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(f)[1] for f in (lambda: step(state), ledger_terms)]
     assert max(peaks) < m0.nbytes
     # the new m alternates between two workspace buffers, never the
     # caller's, so the m of the step before stays intact
@@ -604,12 +596,7 @@ def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc
     out = np.empty_like(state.m)
     advance = (state.m, None, scheme.dt, geom, params, scheme, state.workspace(), out)
     _advance_m(*advance)
-    tracemalloc.start()
-    try:
-        _advance_m(*advance)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_advance_m, *advance)
     assert peak < geom.nx * geom.ny * 8   # below one scalar plane of the body
 
 

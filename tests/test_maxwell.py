@@ -1,4 +1,3 @@
-import tracemalloc
 import types
 
 import numpy as np
@@ -14,7 +13,8 @@ from spinlayer.geometry import GeometryConfig, build_geometry
 from conftest import (FIELD_NAMES, box_divergence, box_faces_to_body_cells,
                       box_fdtd_step, edge_store, face_store, padded_cells_to_faces,
                       plain_curl_e, plain_curl_h, plain_div, plain_fdtd_step,
-                      plain_fields, plain_init_divfree, random_unit_field)
+                      plain_fields, plain_init_divfree, random_unit_field,
+                      traced_peak)
 
 
 def em_params(**overrides):
@@ -182,6 +182,19 @@ class TestInitDivfree:
         assert_same_bits(mx.init_divfree(m, h0, box, out=out), want)
         assert_same_bits(mx.init_divfree(m, h0, box), want)
 
+    def test_projection_peak_below_two_and_a_half_stores(self):
+        # on the 32^3 box of W1 and the README config, into a given store:
+        # the rhs and phi (a box scalar each) and one flat scratch that
+        # serves m_bar, both divergences and both DST-I transforms
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
+        box = mx.make_box(geom, padding=8)
+        m = random_unit_field(geom, seed=25)
+        h = np.zeros(mx.store_shape(box))
+        want = mx.init_divfree(m, (0.1, -0.2, 0.3), box, out=h).copy()
+        _, peak = traced_peak(mx.init_divfree, m, (0.1, -0.2, 0.3), box, out=h)
+        assert_same_bits(h, want)
+        assert peak < 2.5 * h.nbytes, peak / h.nbytes
+
     def test_magnetostatic_residual(self, small_geom):
         box = mx.make_box(small_geom, padding=4)
         m = np.zeros(small_geom.field_shape())
@@ -217,6 +230,10 @@ class TestPoisson:
         assert phi.shape == rhs.shape
         resid = kron_laplacian(box) @ phi.ravel() - rhs.ravel()
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(rhs)
+        # phi overwrites the forward transform in `out`, which may be the rhs
+        again = rhs.copy()
+        assert mx.poisson_solve(again, box, out=again) is again
+        assert again.tobytes() == phi.tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (9, 9, 9), (6, 8, 11), (4, 1, 6),
                                        (2, 22, 66)])
@@ -294,13 +311,11 @@ class TestFdtdStep:
         f_value = np.array([0.1, 0.0, -0.2])
         acc = types.SimpleNamespace(ohmic=0.0, source=0.0)
         mx.fdtd_step(em, dm_faces, f_value, params, dt, acc)   # warm
-        tracemalloc.start()
-        try:
+
+        def substeps():
             for _ in range(8):
                 mx.fdtd_step(em, dm_faces, f_value, params, dt, acc)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(substeps)
         assert peak < em.ex.nbytes
 
     def test_warm_substep_builds_no_views(self, monkeypatch):
