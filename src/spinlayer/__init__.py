@@ -13,9 +13,9 @@ from .effective_field import (assemble_h_tot, laplacian_neumann, penalty_field,
 from .maxwell import (AppliedCurrent, EMState, divergence_drift, empty_em_state,
                       fdtd_step, init_divfree, interp_h_to_cells, make_box)
 from .dynamics import SchemeConfig, SimState, Trajectory, llg_rhs, run, step
-from .diagnostics import (EnergyLedger, energy_inequality_residual,
-                          omega_limit_field, saturation_deviation,
-                          stationarity_residual, test_function_library)
+from .diagnostics import (energy_inequality_residual, omega_limit_field,
+                          saturation_deviation, stationarity_residual,
+                          test_function_library)
 from .config import RunConfig, build_setup, parse_config
 
 __version__ = "0.1.0"

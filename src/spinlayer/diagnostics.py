@@ -1,9 +1,9 @@
-"""Verifiable quantities: energy ledger, stationarity residual,
+"""Verifiable quantities: energy ledger rows, stationarity residual,
 saturation deviation, and the curl-free field attached to a candidate
 long-time state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -21,6 +21,16 @@ CSV_COLUMNS = (("t",) + EnergyBreakdown.COLUMNS
 
 @dataclass
 class LedgerRow:
+    """One row of the energy ledger at time t: the energy breakdown, the
+    integrals accumulated since t = 0,
+
+    dissipation: (alpha/(1+alpha^2)) * int |dm/dt|^2
+    ohmic:       (sigma/mu0) * int |e|^2 over the body
+    source:      (sigma/mu0) * int e.f over the body
+
+    and the saturation deviation and divergence drift of the state.
+    """
+
     t: float
     breakdown: EnergyBreakdown
     dissipation: float
@@ -35,47 +45,16 @@ class LedgerRow:
                    self.saturation_dev, self.divergence_drift))
 
 
-@dataclass
-class EnergyLedger:
-    """Time series of energies and the accumulated dissipation integrals.
+def energy_inequality_residual(first: LedgerRow, row: LedgerRow) -> float:
+    """LHS - RHS of the dissipation inequality at the time T of `row`,
+    scored against the run's first row (t = 0):
 
-    dissipation: (alpha/(1+alpha^2)) * int |dm/dt|^2
-    ohmic:       (sigma/mu0) * int |e|^2 over the body
-    source:      (sigma/mu0) * int e.f over the body
+        E(T) + dissipation + Ohmic + source - E(0).
+
+    Nonpositive (or below tolerance) means the inequality holds.
     """
-
-    rows: List[LedgerRow] = field(default_factory=list)
-
-    def append(self, t, breakdown, dissipation, ohmic, source,
-               saturation_dev, divergence_drift) -> LedgerRow:
-        row = LedgerRow(t, breakdown, dissipation, ohmic, source,
-                        saturation_dev, divergence_drift)
-        self.rows.append(row)
-        return row
-
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.rows])
-
-    def totals(self) -> np.ndarray:
-        return np.array([r.breakdown.total for r in self.rows])
-
-    def row_at(self, T: float) -> LedgerRow:
-        ts = self.times()
-        i = int(np.argmin(np.abs(ts - T)))
-        if abs(ts[i] - T) > 1e-9 * max(1.0, abs(T)) + 1e-12:
-            raise ValueError(f"no ledger row at t={T:g} (nearest {ts[i]:g})")
-        return self.rows[i]
-
-
-def energy_inequality_residual(ledger: EnergyLedger, T: float) -> float:
-    """LHS - RHS of the dissipation inequality at time T.
-
-    Nonpositive (or below tolerance) means the inequality holds:
-    E(T) + dissipation + Ohmic + source <= E(0).
-    """
-    row = ledger.row_at(T)
-    e0 = ledger.rows[0].breakdown.total
-    return (row.breakdown.total + row.dissipation + row.ohmic + row.source) - e0
+    return (row.breakdown.total + row.dissipation + row.ohmic + row.source
+            - first.breakdown.total)
 
 
 def saturation_deviation(m: np.ndarray, tmp: Optional[np.ndarray] = None) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import maxwell
-from .diagnostics import EnergyLedger, saturation_deviation
+from .diagnostics import LedgerRow, saturation_deviation
 from .effective_field import assemble_h_tot
 from .energetics import (MaterialParams, _dot, _scalars, _store, _vector_copy,
                          _vector_field, total_energy)
@@ -87,15 +87,21 @@ class _Workspace:
 
     `k` holds the stage rates (two for Heun, four for RK4), `m_stage` the
     stage magnetization, `m_next` the two buffers a step's new m
-    alternates between and `tmp` the scratch of `llg_rhs` and of the
-    ledger row; the fields are component-major, like the state's m.
+    alternates between; the fields are component-major, like the state's
+    m.  `tmp`, the flat scratch of `llg_rhs` and of the ledger row, holds
+    the one scratch rule of the kernels, m.size + max(2 m.size, 12 per
+    cell of the spacer layer) entries: `llg_rhs` keeps h_tot in the first
+    m.size and `assemble_h_tot` takes the rest, so a stage and a row
+    allocate nothing field-sized at any layer depth.
     """
 
-    def __init__(self, shape: tuple, stages: int):
+    def __init__(self, geom: DomainGeometry, stages: int):
+        shape = geom.field_shape()
+        size, layer = int(np.prod(shape)), 2 * geom.layer_cells * geom.nx * geom.ny
         self.k = [_vector_field(shape) for _ in range(stages)]
         self.m_stage = _vector_field(shape)
         self.m_next = (_vector_field(shape), _vector_field(shape))
-        self.tmp = np.empty(3 * int(np.prod(shape)))
+        self.tmp = np.empty(size + max(2 * size, 12 * layer))
 
 
 @dataclass
@@ -139,7 +145,7 @@ class SimState:
     def workspace(self) -> _Workspace:
         if self.work is None:
             stages = 2 if self.scheme.integrator == HEUN else 4
-            self.work = _Workspace(self.m.shape, stages)
+            self.work = _Workspace(self.geom, stages)
         return self.work
 
 
@@ -167,8 +173,8 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
       integrator at its nominal order.
 
     h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
-    `tmp` (a flat float array of at least 3 * m.size entries) makes the
-    call allocation-free (see `assemble_h_tot` for the surface layers).
+    `tmp` (a flat float array sized by the scratch rule of `_Workspace`)
+    makes the call allocation-free.
     """
     if out is None:
         out = np.empty_like(m)
@@ -321,9 +327,9 @@ def _state_terms(m: np.ndarray, em: Optional[EMState], geom: DomainGeometry,
 
 @dataclass
 class Trajectory:
-    """In-memory result of a run: the ledger rows and the final state."""
+    """The result of a run: its final state.  The ledger rows went to
+    `run`'s on_row as they were made; none is kept."""
 
-    ledger: EnergyLedger
     final_state: SimState
 
 
@@ -333,14 +339,16 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         on_row: Optional[Callable] = None,
         on_state: Optional[Callable] = None,
         h_fixed: Optional[np.ndarray] = None) -> Trajectory:
-    """Run the coupled system, or m in h_fixed, to t_end and collect the ledger.
+    """Run the coupled system, or m in h_fixed, to t_end.
 
-    A ledger row is recorded at t=0, every log_every-th step, and at the
-    final step.  The two hooks are the only way to see a run as it goes,
-    and run keeps no field samples: on_row receives each ledger row as it
-    is produced, for streaming output, and on_state receives the state
-    and the step number at the same cadence.  The state's buffers are
-    reused by later steps (see `step`), so a hook copies what it keeps.
+    A run is logged at t=0, every log_every-th step, and at the final
+    step.  The two hooks are the only way to see a run as it goes, and
+    run keeps neither rows nor field samples, so its memory does not
+    grow with the step count: on_row receives a `LedgerRow` made at each
+    log (collect them with `on_row=rows.append`; without on_row no row is
+    made), and on_state receives the state and the step number.  The state's
+    buffers are reused by later steps (see `step`), so a hook copies what
+    it keeps.  Returns the final state in a `Trajectory`.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -355,27 +363,19 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
 
     n_steps = int(round(t_end / scheme.dt)) if t_end > 0 else 0
 
-    ledger = EnergyLedger()
-
-    def record():
-        breakdown, saturation_dev, drift = _state_terms(
-            state.m, em, geom, params, state.workspace().tmp)
-        row = ledger.append(
-            t=state.t, breakdown=breakdown, dissipation=state.dissipation,
-            ohmic=state.ohmic, source=state.source, saturation_dev=saturation_dev,
-            divergence_drift=drift)
+    def log(n):
         if on_row is not None:
-            on_row(row)
+            breakdown, saturation_dev, drift = _state_terms(
+                state.m, em, geom, params, state.workspace().tmp)
+            on_row(LedgerRow(state.t, breakdown, state.dissipation, state.ohmic,
+                             state.source, saturation_dev, drift))
+        if on_state is not None:
+            on_state(state, n)
 
-    record()
-    if on_state is not None:
-        on_state(state, 0)
+    log(0)
     for n in range(1, n_steps + 1):
         step(state, f)
-        logged = n % log_every == 0 or n == n_steps
-        if logged:
-            record()
-        if on_state is not None and logged:
-            on_state(state, n)
+        if n % log_every == 0 or n == n_steps:
+            log(n)
     state.work = None   # the stage buffers are only needed while stepping
-    return Trajectory(ledger=ledger, final_state=state)
+    return Trajectory(final_state=state)

@@ -57,32 +57,28 @@ def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
     kernel `assemble_h_tot` adds its exchange field with, at coefficient
     1 on a zeroed field.
 
-    `out` (not aliasing m) receives the Laplacian; `tmp` (a flat float
-    array of at least m.size entries) holds the face differences.  With a
-    component-major m and out (see `energetics._vector_field`) and tmp the
-    call is allocation-free; other layouts are copied through one.
+    `out` (a component-major field, see `energetics._vector_field`, not
+    aliasing m; fresh when omitted) receives the Laplacian; another layout
+    raises ValueError.  `tmp` (a flat float array of at least m.size
+    entries) holds the face differences and makes the call
+    allocation-free for a component-major m.
     """
-    res = _component_major(out, m.shape)
+    out = _out_field(out, m.shape)
     if tmp is None:
         tmp = np.empty(m.size)
-    o = _store(res)
+    o = _store(out)
     o[...] = 0.0
     _add_exchange_fluxes(_store(m), geom, 1.0, o, tmp)
-    return _deliver(res, out)
+    return out
 
 
-def _component_major(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
-    """`out` when it is a component-major field, else a fresh one."""
-    if out is not None and _components(out).flags.c_contiguous:
-        return out
-    return _vector_field(shape)
-
-
-def _deliver(res: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-    """res, copied into the caller's `out` when that is another array."""
-    if out is None or res is out:
-        return res
-    np.copyto(out, res)
+def _out_field(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """`out`, which must be a component-major field, or a fresh one."""
+    if out is None:
+        return _vector_field(shape)
+    if not _components(out).flags.c_contiguous:
+        raise ValueError("out must be a component-major field "
+                         "(energetics._vector_field)")
     return out
 
 
@@ -101,9 +97,10 @@ def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams
     `energetics._vector_field`), so every pass is contiguous and no
     operand runs backwards (numpy buffers a pass that mixes forward and
     backward strides); the terms are added in the order ks, j1, j2 and
-    the block is copied back.  `tmp` (a flat float array of at least
-    12 * 2*layer_cells * nx * ny entries) makes the call allocation-free;
-    a shorter one is replaced by a fresh buffer.
+    the block is copied back.  `tmp` (a flat float array of at least 12
+    entries per layer cell, as the stage scratch of `dynamics._Workspace`
+    has) makes the call allocation-free; a shorter one is replaced by a
+    fresh buffer.
     """
     cells = geom.layer_cells
     sl = geom.layer_slice()
@@ -181,28 +178,28 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     0 - K m) is written in one pass over K m, the exchange face fluxes
     scaled by A/h^2 are added straight into it (the kernel of
     `laplacian_neumann`), then the surface field on its layer planes and
-    the penalty field.  `out` (not aliasing m) receives the field, through
-    a copy when it is not component-major; `tmp` (a flat float array of
-    at least 2 * m.size entries) makes the call allocation-free whenever
-    h_cells is component-major (another layout is read through a copy)
-    and the surface layers fill at most a quarter of the body's depth, so
-    that the scratch blocks of `thin_layer_field` fit in it.
+    the penalty field.  `out` (a component-major field, not aliasing m;
+    fresh when omitted) receives the field; another layout raises
+    ValueError.  `tmp` (a flat float array of at least max(2 * m.size,
+    12 per layer cell) entries, the stage scratch of `dynamics._Workspace`
+    past its first m.size) makes the call allocation-free whenever
+    h_cells is component-major (another layout is read through a copy).
     """
-    res = _component_major(out, m.shape)
+    out = _out_field(out, m.shape)
     if tmp is None:
         tmp = np.empty(2 * m.size)
-    o = _store(res)
+    o = _store(out)
     h = 0.0 if h_cells is None else _store(h_cells)
     if params.k_matrix is not None:
-        apply_k(params, m, out=res, tmp=tmp)
+        apply_k(params, m, out=out, tmp=tmp)
         np.subtract(h, o, out=o)
     else:
         np.copyto(o, h)
     if params.a_exch != 0.0:
         _add_exchange_fluxes(_store(m), geom, params.a_exch, o, tmp)
-    thin_layer_field(m, geom, params, out=res, tmp=tmp)
+    thin_layer_field(m, geom, params, out=out, tmp=tmp)
     if params.penalty_k != 0.0:
         term = _vector_field(m.shape, tmp)
         penalty_field(m, params, out=term, tmp=tmp[m.size:])
         o += _store(term)
-    return _deliver(res, out)
+    return out

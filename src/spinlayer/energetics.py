@@ -279,21 +279,19 @@ def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
 
 
 def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
-                      split: bool = False, tmp: Optional[np.ndarray] = None):
+                      tmp: Optional[np.ndarray] = None) -> Tuple[float, float, float]:
     """Volumized surface energy over the geometry's 2*layer_cells layers
-    hugging the spacer.
-
-    With split=True returns (surface-anisotropy part, quadratic part,
-    biquadratic part), the columns of the breakdown.
+    hugging the spacer, as its three columns of the breakdown: (surface
+    anisotropy, quadratic super-exchange, biquadratic super-exchange).
 
     The layers and their reflection across the spacer are copied into
     blocks laid out like the layers of m, so the jump ml - ms is one flat
     pass laid out as numpy lays out that difference, and the wedge ml x ms
     is formed component by component in a row-major block, as `np.cross`
     forms it; the sums therefore keep the bits of those fresh arrays.
-    `tmp` (a flat float array of at least 10 * 2*layer_cells * nx * ny
-    entries) makes the call allocation-free; a shorter one is replaced by a
-    fresh buffer.
+    `tmp` (a flat float array of at least 10 entries per layer cell, as
+    the stage scratch of `dynamics._Workspace` has) makes the call
+    allocation-free; a shorter one is replaced by a fresh buffer.
     """
     ml = m[:, :, geom.layer_slice(), :]
     w = geom.face_area / (2.0 * geom.layer_cells)      # dV / (2 eta)
@@ -323,9 +321,7 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
                 np.multiply(gl[..., k], gs[..., j], out=t)
                 wedge[..., i] -= t
             e_biq = params.j2 * w * dot(wedge, wedge)
-    if split:
-        return e_ks, e_q, e_biq
-    return fsum([e_ks, e_q, e_biq])
+    return e_ks, e_q, e_biq
 
 
 def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -356,14 +352,14 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
     The surface energies sit on the geometry's spacer layer; the penalty
     term enters whenever params.penalty_k is nonzero, the energy whose
     gradient `effective_field.assemble_h_tot` is.  `tmp` (a flat float
-    array of at least 4 * m.size // 3 entries) is the volume terms'
-    scratch, and the surface terms' whenever their layers fill at most
-    0.45 of the body's depth (see `thin_layer_energy`).
+    array of at least max(4 * m.size // 3, 10 per layer cell) entries, as
+    the stage scratch of `dynamics._Workspace` has) makes the call
+    allocation-free.
     """
     e_h = e_e = 0.0
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)
-    sa, sq, sb = thin_layer_energy(m, geom, params, split=True, tmp=tmp)
+    sa, sq, sb = thin_layer_energy(m, geom, params, tmp=tmp)
     return EnergyBreakdown.assemble(
         exchange=exchange_energy(m, geom, params, tmp),
         anisotropy=anisotropy_energy(m, geom, params, tmp),

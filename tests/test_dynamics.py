@@ -352,9 +352,10 @@ class TestStep:
         m0 = random_unit_field(geom, seed=5)
         mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
         f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=5e-3, width=3e-3)
+        rows = []
         traj = run(geom, params, SchemeConfig(dt=1e-3, subcycles=2), m0, em, f,
-                   t_end=1e-2, log_every=3)
-        state, last = traj.final_state, traj.ledger.rows[-1]
+                   t_end=1e-2, log_every=3, on_row=rows.append)
+        state, last = traj.final_state, rows[-1]
         assert state.n == 10 and last.t == state.t
         assert state.dissipation > 0.0 and state.ohmic > 0.0 and state.source != 0.0
         for name in ("dissipation", "ohmic", "source"):
@@ -400,9 +401,10 @@ class TestPenalizedConstraint:
             params = plain_params(a_exch=0.01, alpha=1.0, penalty_k=k,
                                   ks=0.05, j1=0.05, j2=0.02)
             scheme = SchemeConfig(dt=2e-4, constraint="penalized", bc_mode="sharp")
-            traj = run(geom, params, scheme, m0, None, None, t_end=0.2,
-                       log_every=20, h_fixed=mx.interp_h_to_cells(em0))
-            sat[k] = max(r.saturation_dev for r in traj.ledger.rows)
+            rows = []
+            run(geom, params, scheme, m0, None, None, t_end=0.2, log_every=20,
+                on_row=rows.append, h_fixed=mx.interp_h_to_cells(em0))
+            sat[k] = max(r.saturation_dev for r in rows)
         assert sat[100.0] < sat[50.0]
 
 
@@ -410,10 +412,11 @@ class TestRun:
     def test_t_end_zero_gives_initial_row_only(self):
         geom, params, em, m, h = single_spin_setup()
         scheme = SchemeConfig(dt=1e-3)
-        traj = run(geom, params, scheme, m, None, None, t_end=0.0,
-                   h_fixed=mx.interp_h_to_cells(em))
-        assert len(traj.ledger.rows) == 1
-        assert traj.ledger.rows[0].t == 0.0
+        rows = []
+        run(geom, params, scheme, m, None, None, t_end=0.0, on_row=rows.append,
+            h_fixed=mx.interp_h_to_cells(em))
+        assert len(rows) == 1
+        assert rows[0].t == 0.0
 
     @pytest.mark.parametrize("log_every", [0, -2])
     def test_log_every_below_one_rejected(self, log_every):
@@ -444,12 +447,26 @@ class TestRun:
             mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
             scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                                   bc_mode="sharp")
-            return run(geom, params, scheme, m0, em, None, t_end=0.05)
+            rows = []
+            run(geom, params, scheme, m0, em, None, t_end=0.05,
+                on_row=lambda row: rows.append(row.csv_values()))
+            return rows
 
         a = one_run()
-        b = one_run()
-        for ra, rb in zip(a.ledger.rows, b.ledger.rows):
-            assert ra.csv_values() == rb.csv_values()
+        assert len(a) == 51
+        assert a == one_run()
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # run streams each ledger row to on_row and keeps none, so 300
+        # more logged steps leave its peak where 100 steps put it
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 2, 2, 1, 1))
+        params = plain_params(a_exch=0.01, ks=0.01, j1=0.01, j2=0.01)
+        scheme = SchemeConfig(dt=1e-3)
+        m0 = random_unit_field(geom, seed=4)
+        peaks = [traced_peak(run, geom, params, scheme, m0, None, None,
+                             t_end=steps * scheme.dt, on_row=lambda row: None)[1]
+                 for steps in (100, 400)]
+        assert peaks[1] - peaks[0] < 16 * 1024, peaks
 
     def test_divergence_conserved_in_projected_mode(self):
         # renormalization does not break div(h + m_bar) bookkeeping
@@ -461,8 +478,9 @@ class TestRun:
         mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
         scheme = SchemeConfig(dt=1e-3, subcycles=1, constraint="projected",
                               bc_mode="sharp")
-        traj = run(geom, params, scheme, m0, em, None, t_end=0.1)
-        assert traj.ledger.rows[-1].divergence_drift < 1e-12
+        rows = []
+        run(geom, params, scheme, m0, em, None, t_end=0.1, on_row=rows.append)
+        assert rows[-1].divergence_drift < 1e-12
 
 
 def component_major(a):
@@ -494,13 +512,13 @@ class TestLayout:
         for m_in in (np.ascontiguousarray(m0), m0):
             em = mx.empty_em_state(box)
             mx.init_divfree(m_in, (0.0, 0.0, 0.0), box, out=em.h)
-            traj = run(geom, params, scheme, m_in, em, None, t_end=20 * scheme.dt)
-            results.append(traj)
-        a, b = results
-        assert len(a.ledger.rows) == 21
-        assert [r.csv_values() for r in a.ledger.rows] == \
-            [r.csv_values() for r in b.ledger.rows]
-        ma, mb = a.final_state.m, b.final_state.m
+            rows = []
+            traj = run(geom, params, scheme, m_in, em, None, t_end=20 * scheme.dt,
+                       on_row=lambda row: rows.append(row.csv_values()))
+            results.append((rows, traj.final_state.m))
+        (a, ma), (b, mb) = results
+        assert len(a) == 21
+        assert a == b
         assert (np.ascontiguousarray(ma).view(np.int64)
                 == np.ascontiguousarray(mb).view(np.int64)).all()
         assert component_major(ma) and component_major(mb)
@@ -578,15 +596,19 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
     assert np.array_equal(m_in, m0)
 
 
-@pytest.mark.parametrize("integrator, constraint, bc_mode", [
-    ("heun", "projected", "sharp"),
-    ("rk4", "penalized", "thin_layer"),
+@pytest.mark.parametrize("integrator, constraint, bc_mode, layer_cells", [
+    pytest.param("heun", "projected", "sharp", 2, id="heun-projected-sharp"),
+    pytest.param("rk4", "penalized", "thin_layer", 2, id="rk4-penalized-thin_layer"),
+    pytest.param("rk4", "penalized", "thin_layer", 16, id="rk4-penalized-full_slab"),
 ])
-def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc_mode):
+def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc_mode,
+                                                      layer_cells):
     # every LLG stage, the surface field included, works in the state's
-    # workspace; what remains is small bookkeeping
+    # workspace, also with a thin layer a whole slab deep; what remains is
+    # small bookkeeping
     geom = layer_geom(build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 32, 32, 16, 16,
-                                                    eta=2 * 0.5 / 16)), bc_mode)
+                                                    eta=layer_cells * 0.5 / 16)),
+                      bc_mode)
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
                           ks=0.01, j1=0.01, j2=0.01, penalty_k=10.0)
     scheme = SchemeConfig(dt=1e-5, integrator=integrator, constraint=constraint,

@@ -7,9 +7,9 @@ from spinlayer import maxwell as mx
 from spinlayer.dynamics import PROJECTED, SchemeConfig, run
 from spinlayer.effective_field import (assemble_h_tot, laplacian_neumann,
                                        penalty_field, thin_layer_field)
-from spinlayer.energetics import (MaterialParams, anisotropy_energy, exchange_energy,
-                                  penalty_energy, thin_layer_energy, total_energy,
-                                  uniform_k_matrix)
+from spinlayer.energetics import (MaterialParams, _vector_field, anisotropy_energy,
+                                  exchange_energy, penalty_energy, thin_layer_energy,
+                                  total_energy, uniform_k_matrix)
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 from conftest import (face_laplacian, fd_gradient, random_unit_field, sharp_geom,
@@ -100,9 +100,13 @@ class TestLaplacian:
         assert np.array_equal(laplacian_neumann(m, geom), want)
         # a row-major m is copied into the component-major layout first
         assert np.array_equal(laplacian_neumann(np.ascontiguousarray(m), geom), want)
-        out = np.full(m.shape, np.nan)                      # a row-major out
+        out = _vector_field(m.shape)
+        out[...] = np.nan
         laplacian_neumann(m, geom, out=out, tmp=np.full(m.size, np.nan))
         assert np.array_equal(out, want)
+        # a row-major out would be written through a copy: it is refused
+        with pytest.raises(ValueError, match="component-major"):
+            laplacian_neumann(m, geom, out=np.full(m.shape, np.nan))
         L = sparse_neumann(geom)
         for c in range(3):
             oracle = (L @ m[..., c].ravel()).reshape(m.shape[:3])
@@ -206,7 +210,7 @@ class TestThinLayerField:
         m = rng.standard_normal(small_geom.field_shape())
         params = plain_params(ks=0.4, j1=0.6, j2=0.2)
         field = thin_layer_field(m, small_geom, params)
-        g = fd_gradient(lambda mm: thin_layer_energy(mm, small_geom, params), m)
+        g = fd_gradient(lambda mm: math.fsum(thin_layer_energy(mm, small_geom, params)), m)
         ref = -g / small_geom.cell_volume
         err = np.linalg.norm(field - ref, axis=-1)
         assert err.max() < 1e-6 * (1.0 + np.linalg.norm(ref, axis=-1)).max()
@@ -243,7 +247,7 @@ def sharp_energy(m, geom, params, penalized=False):
 
 def thin_energy(m, geom, params, penalized=False):
     e = (exchange_energy(m, geom, params) + anisotropy_energy(m, geom, params)
-         + thin_layer_energy(m, geom, params))
+         + math.fsum(thin_layer_energy(m, geom, params)))
     if penalized:
         e += penalty_energy(m, geom, params)
     return e

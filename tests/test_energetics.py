@@ -235,21 +235,22 @@ class TestThinLayer:
         assert g.layer_cells == 1 and g.layer_slice() == slice(2, 4)
         m = random_unit_field(g, seed=3)
         params = plain_params(ks=0.3, j1=0.7, j2=0.45)
-        got = thin_layer_energy(m, g, params, split=True)
+        got = thin_layer_energy(m, g, params)
         assert got == pytest.approx(spacer_oracle(m, g, params), rel=1e-14)
 
     def test_uniform_normal_zero(self, small_geom):
         m = np.zeros(small_geom.field_shape())
         m[..., 2] = 1.0
         params = plain_params(ks=1.0, j1=1.0, j2=1.0)
-        assert thin_layer_energy(m, small_geom, params) == pytest.approx(0.0, abs=1e-15)
+        e = math.fsum(thin_layer_energy(m, small_geom, params))
+        assert e == pytest.approx(0.0, abs=1e-15)
 
     def test_sign_profile_closed_form(self, small_geom):
         # m = sign(z) e_x: layer energy Ks + 2 J1 exactly, J2 term zero
         m = np.zeros(small_geom.field_shape())
         m[..., 0] = np.sign(small_geom.z_centers())
         params = plain_params(ks=0.8, j1=0.6, j2=0.9)
-        e = thin_layer_energy(m, small_geom, params)
+        e = math.fsum(thin_layer_energy(m, small_geom, params))
         assert e == pytest.approx(0.8 + 2 * 0.6, rel=1e-12)
         # matches the sharp surface energies of the same trace data
         assert e == pytest.approx(sum(spacer_oracle(m, small_geom, params)), rel=1e-12)
@@ -273,7 +274,7 @@ class TestThinLayer:
                     acc += params.j1 * (0.5 * (mm @ mm + msym @ msym) - mm @ msym)
                     acc += params.j2 * ((msym @ msym) * (mm @ mm) - (mm @ msym) ** 2)
         expected = acc * small_geom.cell_volume / (2 * small_geom.eta)
-        e = thin_layer_energy(m, small_geom, params)
+        e = math.fsum(thin_layer_energy(m, small_geom, params))
         assert e == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("component_major", [False, True])
@@ -297,7 +298,7 @@ class TestThinLayer:
                     0.5 * params.j1 * w * dot(jump, jump),
                     params.j2 * w * dot(wedge, wedge))
             for tmp in (None, np.full(3 * m.size, np.nan)):
-                assert thin_layer_energy(m, geom, params, split=True, tmp=tmp) == want
+                assert thin_layer_energy(m, geom, params, tmp=tmp) == want
 
     def test_eta_limit_first_order(self):
         # smooth-in-z profile: |E_eta - E_sharp| = O(eta)
@@ -315,7 +316,7 @@ class TestThinLayer:
             m[..., 0] = np.cos(ang)
             m[..., 1] = np.sin(ang)
             params = plain_params(ks=ks, j1=j1, j2=j2)
-            gaps.append(abs(thin_layer_energy(m, geom, params) - e_sharp))
+            gaps.append(abs(math.fsum(thin_layer_energy(m, geom, params)) - e_sharp))
             etas.append(eta)
         assert gaps[0] > gaps[1] > gaps[2]
         slope = np.polyfit(np.log(etas), np.log(gaps), 1)[0]
@@ -404,12 +405,12 @@ class TestTotalEnergy:
         bd = total_energy(m, None, sharp, params)
         assert bd.exchange == exchange_energy(m, small_geom, params)
         assert (bd.surf_anis, bd.superexch_q, bd.superexch_biq) == \
-            thin_layer_energy(m, sharp, params, split=True)
+            thin_layer_energy(m, sharp, params)
         assert (bd.surf_anis, bd.superexch_q, bd.superexch_biq) == pytest.approx(
             spacer_oracle(m, small_geom, params), rel=1e-14)
         bd_thin = total_energy(m, None, small_geom, params)
         assert (bd_thin.surf_anis, bd_thin.superexch_q, bd_thin.superexch_biq) == \
-            thin_layer_energy(m, small_geom, params, split=True)
+            thin_layer_energy(m, small_geom, params)
         assert bd.penalty == 0.0  # penalty_k = 0
 
     def test_penalty_enters_iff_penalty_k_nonzero(self, small_geom):
