@@ -27,11 +27,11 @@ sign-definite.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
-from numpy.fft import rfft
 
+from . import dst
 from .errors import CFLViolation, NonFinite, SolverDiverged
 from .geometry import DomainGeometry
 from .energetics import MaterialParams, _vector_field
@@ -89,13 +89,6 @@ def edge_shapes(box: BoxGeometry) -> tuple:
     return ((n[0], n[1] + 1, n[2] + 1),
             (n[0] + 1, n[1], n[2] + 1),
             (n[0] + 1, n[1] + 1, n[2]))
-
-
-def face_shapes(box: BoxGeometry) -> tuple:
-    n = (box.nx, box.ny, box.nz)
-    return ((n[0] + 1, n[1], n[2]),
-            (n[0], n[1] + 1, n[2]),
-            (n[0], n[1], n[2] + 1))
 
 
 def store_shape(box: BoxGeometry) -> tuple:
@@ -348,6 +341,14 @@ def _wall_planes(store: np.ndarray, box: BoxGeometry) -> tuple:
                  for axis in range(3))
 
 
+def _face_pads(store: np.ndarray, box: BoxGeometry) -> tuple:
+    """The pad planes of an h store, per axis as one view of the two
+    components short along it (faces are short along the two axes other
+    than their own)."""
+    n = (box.nx, box.ny, box.nz)
+    return tuple(_off_axis(store, axis, n[axis]) for axis in range(3))
+
+
 def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
                 forward: bool, window: Optional[tuple] = None) -> tuple:
     """The operands of one curl of the store src into the store out, for
@@ -396,8 +397,7 @@ def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
     if window is not None:
         zeros = ()
     elif forward:
-        # faces are short along the two axes other than their own
-        zeros = tuple(_off_axis(out, axis, n[axis]) for axis in range(3))
+        zeros = _face_pads(out, box)
     else:
         # edges are short along their own axis
         zeros = (tuple(out[c][_along(c, n[c])] for c in range(3))
@@ -448,21 +448,29 @@ def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
     return out
 
 
-def grad_cells(phi: np.ndarray, box: BoxGeometry, out=None) -> tuple:
-    """Cell scalar -> gradient on faces, zero-Dirichlet ghosts outside.
+def _gradient(phi: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
+    """Gradient on faces of a cell scalar, with zero-Dirichlet ghosts
+    outside the box, into the store `out`.
 
-    `out` (a face triple of the box) receives the gradient.
+    phi is flat: one store component's index grid, behind one zero
+    x-plane, holding the cells and zero pads (`_phi_cells`), so each face
+    difference, the outermost ones against a zero ghost included, is a
+    flat difference at the axis's offset, and every pad of `out` gets
+    (0 - 0)/h = +0.0.
     """
-    if out is None:
-        out = tuple(np.empty(s) for s in face_shapes(box))
-    for axis, (g, h) in enumerate(zip(out, (box.dx, box.dy, box.dz))):
-        np.subtract(phi[_along(axis, slice(1, None))], phi[_along(axis, slice(None, -1))],
-                    out=g[_along(axis, slice(1, -1))])
-        # the outermost faces difference against a zero ghost cell
-        np.subtract(phi[_along(axis, 0)], 0.0, out=g[_along(axis, 0)])
-        np.subtract(0.0, phi[_along(axis, -1)], out=g[_along(axis, -1)])
+    s0 = _strides(box)[0]
+    size = out[0].size
+    for g, s, h in zip(_flat(out), _strides(box), (box.dx, box.dy, box.dz)):
+        np.subtract(phi[s0:], phi[s0 - s:s0 - s + size], out=g)
         g /= h
     return out
+
+
+def _phi_cells(phi: np.ndarray, box: BoxGeometry) -> np.ndarray:
+    """The (nx, ny, nz) view of the box cells in a flat `_gradient` phi
+    of (nx + 2) (ny + 1) (nz + 1) floats."""
+    grid = phi[_strides(box)[0]:].reshape(box.nx + 1, box.ny + 1, box.nz + 1)
+    return grid[:box.nx, :box.ny, :box.nz]
 
 
 def cells_to_faces(c: np.ndarray, out=None) -> tuple:
@@ -519,18 +527,25 @@ def interp_h_to_cells(em: EMState) -> np.ndarray:
 
 def _plus_m_bar(h: np.ndarray, m: np.ndarray, box: BoxGeometry, out: np.ndarray,
                 tmp: np.ndarray) -> np.ndarray:
-    """h + m_bar in the store `out`, for an h store and the body field m.
-
-    out = h + 0.0 everywhere, then m_bar is added over each component's
-    flat window of the body face slab (`_flat_span`): the component of m
-    is written into the body cells of a zeroed store component in `tmp`
-    (a flat float array of at least two store components) and averaged
-    to faces as (E[j] + E[j - S]) * 0.5, which is the mean of the two
-    cells of a body face (a zero cell beyond the body) and +0.0 on every
-    other face of the window, where it leaves h + 0.0 unchanged.  Every
-    pass but the write of m is flat, so the call allocates nothing.
-    """
+    """h + m_bar in the store `out`, for an h store and the body field m:
+    out = h + 0.0 everywhere, then `_add_m_bar`."""
     np.add(h, 0.0, out=out)
+    return _add_m_bar(out, m, box, tmp)
+
+
+def _add_m_bar(out: np.ndarray, m: np.ndarray, box: BoxGeometry,
+               tmp: np.ndarray) -> np.ndarray:
+    """Add m_bar, for the body field m, to the store `out` in place.
+
+    m_bar is added over each component's flat window of the body face
+    slab (`_flat_span`): the component of m is written into the body
+    cells of a zeroed store component in `tmp` (a flat float array of at
+    least two store components) and averaged to faces as
+    (E[j] + E[j - S]) * 0.5, which is the mean of the two cells of a body
+    face (a zero cell beyond the body) and +0.0 on every other face of
+    the window, where it leaves an entry that is not -0.0 unchanged.
+    Every pass but the write of m is flat, so the call allocates nothing.
+    """
     size = out[0].size
     cells = tmp[:size]
     body = cells.reshape(out.shape[1:])[box.body_slices()]
@@ -581,53 +596,8 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     return -4.0 * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2 / h**2
 
 
-def _dst_parts(shape: tuple) -> tuple:
-    """Floats of the largest odd extension and of the largest spectrum
-    (complex, two floats an entry) of `_dst1`'s passes over `shape`; their
-    sum is the size of its work buffer."""
-    size = math.prod(shape)
-    return (max(size // n * 2 * (n + 1) for n in shape),
-            max(size // n * 2 * (n + 2) for n in shape))
-
-
-def _dst1(x: np.ndarray, work: np.ndarray, out: np.ndarray,
-          scale: float = 1.0) -> np.ndarray:
-    """Type-I discrete sine transform of the 3-D array x along axes 0, 1
-    and 2, in that order, the result along axis 0 times `scale`, written
-    into `out` (which may be x): the bits of scipy.fft.dstn(x, type=1),
-    and with scale = 1/prod(2(n+1)) those of its idstn.
-
-    Each axis is pocketfft's DST-I of length n: the real FFT of the odd
-    extension (0, x, 0, -x reversed) of length 2(n+1), whose negated
-    imaginary parts 1..n are the transform.  The axis being transformed
-    is last in the extension, filled from the previous pass's imaginary
-    parts with the axes turned one step (so after three passes they are
-    back in order) and with that pass's sign and scale as one factor.
-    The extension and the spectrum are carved from the flat float buffer
-    `work` (`sum(_dst_parts(x.shape))` entries), so the call allocates
-    nothing.
-    """
-    size = x.size
-    n_ext, n_spec = _dst_parts(x.shape)
-    ext, spec = work[:n_ext], work[n_ext:n_ext + n_spec].view(complex)
-    im, factor = x, 1.0
-    for axis, n in enumerate(x.shape):
-        src = im.transpose(1, 2, 0)
-        lines = src.shape[:-1]
-        e = ext[:size // n * 2 * (n + 1)].reshape(lines + (2 * (n + 1),))
-        np.multiply(src, factor, out=e[..., 1:n + 1])
-        e[..., 0] = 0.0
-        e[..., n + 1] = 0.0
-        np.negative(e[..., n:0:-1], out=e[..., n + 2:])
-        s = spec[:size // n * (n + 2)].reshape(lines + (n + 2,))
-        rfft(e, axis=-1, out=s)
-        im = s.imag[..., 1:n + 1]
-        # -(im * scale) is im * -scale bit for bit
-        factor = -scale if axis == 0 else -1.0
-    return np.negative(im, out=out)
-
-
-def poisson_solve(rhs: np.ndarray, box: BoxGeometry, work: Optional[np.ndarray] = None,
+def poisson_solve(rhs: np.ndarray, box: BoxGeometry,
+                  work: Optional[Union[np.ndarray, tuple]] = None,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve Lap(phi) = rhs at cell centers with zero-Dirichlet ghosts.
 
@@ -637,25 +607,31 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry, work: Optional[np.ndarray] 
     summed eigenvalues and an inverse DST-I (the fast Poisson solver of
     Buzbee, Golub & Nielson 1970): O(N log N), no factorisation.
 
-    Both transforms run in one flat work buffer (`work`, at least
-    `sum(_dst_parts(rhs.shape))` floats), and the eigenvalue sum
-    (lx + ly) + lz is formed in it between them.  The forward result is
-    divided in place and overwritten by phi, in `out` (an array shaped
-    like rhs; fresh when None).
+    The forward transform's first two passes skip the lines beyond the
+    rhs's reach (`dst.reached_lines`; a projection's rhs is zero outside
+    the body and its one-cell ring), with the same bits.  Both transforms
+    run in the work buffers: `work` is a flat float buffer of at least
+    `sum(dst.parts(rhs.shape))` floats, the odd extensions' part first,
+    or the pair of the two parts.  The eigenvalue sum (lx + ly) + lz is
+    formed in the extensions' part between the transforms.  The forward
+    result is divided in place and overwritten by phi, in `out` (an array
+    shaped like rhs; fresh when None).
     """
+    n_ext, n_spec = dst.parts(rhs.shape)
     if work is None:
-        work = np.empty(sum(_dst_parts(rhs.shape)))
+        work = np.empty(n_ext + n_spec)
+    ext, spec = work if isinstance(work, tuple) else (work[:n_ext], work[n_ext:])
     if out is None:
         out = np.empty(rhs.shape)
-    _dst1(rhs, work, out)
-    lam = work[:rhs.size].reshape(rhs.shape)
+    dst.transform(rhs, ext, spec, out, lines=dst.reached_lines(rhs, ext))
+    lam = ext[:rhs.size].reshape(rhs.shape)
     np.add(_dirichlet_eigenvalues(box.nx, box.dx)[:, None, None],
            _dirichlet_eigenvalues(box.ny, box.dy)[None, :, None], out=lam)
     lam += _dirichlet_eigenvalues(box.nz, box.dz)[None, None, :]
     out /= lam
     # idstn's normalisation as pocketfft forms it, in long double
     scale = float(1 / np.longdouble(8 * (box.nx + 1) * (box.ny + 1) * (box.nz + 1)))
-    return _dst1(out, work, out, scale)
+    return dst.transform(out, ext, spec, out, scale)
 
 
 def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
@@ -668,20 +644,32 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     extension to the box, lives on the body face slabs.  Returns the h
     store: `out` (its pads zero), written in place, or a fresh one.
 
-    One flat scratch serves m_bar and the divergence of the rhs, then the
-    solve's work buffer, then the residual's divergence; only the rhs
-    (kept for the residual) and phi have arrays of their own.
+    Every pass over h runs over whole store components, pads included,
+    which are zeroed at the end.  Once the rhs is formed, h is free until
+    the gradient is written into it, so it holds the solve's odd
+    extensions.  One flat scratch serves m_bar and the divergence of the
+    rhs, then the spectra and phi, then the residual's divergence, and
+    keeps the rhs (for the residual) in its last part.  Phi lies on the
+    store's index grid (`_phi_cells`), so its gradient is flat
+    differences.
     """
-    h = np.zeros(store_shape(box)) if out is None else out
-    faces = face_views(h, box)
+    h = np.empty(store_shape(box)) if out is None else out
     h_raw = tuple(np.asarray(h_raw, dtype=float).reshape(3))
-    for a, raw in zip(faces, h_raw):
-        a[...] = raw
-    # h holds h_raw + m_bar for the rhs, then grad phi, then h_raw - grad phi
-    scratch = np.empty(max(2 * h[0].size, sum(_dst_parts((box.nx, box.ny, box.nz)))))
-    rhs = _divergence(_plus_m_bar(h, m0, box, h, scratch), box, scratch).copy()
-    phi = poisson_solve(rhs, box, scratch)
-    grad_cells(phi, box, out=faces)
+    for a, raw in zip(_flat(h), h_raw):
+        a.fill(raw + 0.0)   # `_plus_m_bar`'s h + 0.0
+    # h holds h_raw + m_bar for the rhs, then the odd extensions, then
+    # grad phi, then h_raw - grad phi
+    shape = (box.nx, box.ny, box.nz)
+    n_ext, n_spec = dst.parts(shape)
+    n_phi = (box.nx + 2) * _strides(box)[0]
+    size = math.prod(shape)
+    scratch = np.empty(max(2 * h[0].size, n_spec + n_phi) + size)
+    rhs = scratch[-size:].reshape(shape)
+    np.copyto(rhs, _divergence(_add_m_bar(h, m0, box, scratch), box, scratch))
+    phi = scratch[n_spec:n_spec + n_phi]
+    phi.fill(0.0)
+    poisson_solve(rhs, box, (_flat(h).reshape(-1)[:n_ext], scratch), _phi_cells(phi, box))
+    _gradient(phi, box, h)
 
     # the solve's residual div(grad phi) - rhs over the whole box, which
     # is -div(h + m_bar) of the final h up to roundoff
@@ -689,8 +677,10 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     resid -= rhs
     resid = np.abs(resid, out=resid).max()
     rhs_max = np.abs(rhs, out=rhs).max()
-    for a, raw in zip(faces, h_raw):
+    for a, raw in zip(_flat(h), h_raw):
         np.subtract(raw, a, out=a)
+    for pad in _face_pads(h, box):
+        pad[...] = 0.0
     if not np.isfinite(resid) or resid > POISSON_TOL * (1.0 + rhs_max):
         raise SolverDiverged(f"divergence projection residual {resid:g} above tolerance")
     return h

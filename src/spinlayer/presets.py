@@ -4,6 +4,7 @@ Every preset returns a component-major field (`energetics._vector_field`),
 the layout `dynamics.run` steps.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -35,6 +36,32 @@ def vortexish_m(geom: DomainGeometry) -> np.ndarray:
     return np.divide(m, np.linalg.norm(m, axis=-1, keepdims=True), out=m)
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_windows(n: int, depth: int, j: int) -> tuple:
+    """The pair term x[i - j] + x[i + j] along axis 0 for i < n, where x
+    is the edge-replicated ("nearest") extension of an n-row block and
+    the padded copy p holds x on rows -depth ... n + depth - 1, as
+    (left, right, rows) slices: p[left] + p[right] gives the term at
+    `rows`, with one triple when j <= depth.
+
+    A term beyond p is the edge row x[0] or x[n - 1]; it is read from the
+    first or last depth + 1 rows of p, which all hold that row, in pieces
+    of at most that many rows.
+    """
+    first, last = j - depth, n + depth - j   # the rows whose terms lie in p
+    cuts = sorted({0, n} | {c for c in (first, last) if 0 < c < n})
+    windows = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece = hi - lo if first <= lo and hi <= last else depth + 1
+        for a in range(lo, hi, piece):
+            b = min(hi, a + piece)
+            windows.append((slice(a - first, b - first) if a >= first else slice(0, b - a),
+                            slice(a + j + depth, b + j + depth) if b <= last
+                            else slice(n + 2 * depth - (b - a), n + 2 * depth),
+                            slice(a, b)))
+    return tuple(windows)
+
+
 def _gaussian_nearest(m: np.ndarray, sigma: float, work: np.ndarray) -> np.ndarray:
     """Gaussian filter of each component of the component-major field m,
     in place, with edge-replicating ("nearest") boundaries, truncated at
@@ -44,11 +71,13 @@ def _gaussian_nearest(m: np.ndarray, sigma: float, work: np.ndarray) -> np.ndarr
     The axes are filtered in order 0, 1, 2 with the normalised sampled
     Gaussian w over the radius r = int(4 sigma + 0.5).  Each output is
     x[0] w[r] plus (x[-j] + x[+j]) w[r-j] for j = r ... 1, outermost pair
-    first.  Each pass works on an edge-padded copy with the filtered axis
-    leading, so every operand is one contiguous block, and writes into
-    the component's own block; the padded copy and the pair term are
-    carved from the flat float buffer `work`, which every pass of every
-    component shares (a fresh one when `work` is too short).
+    first (`_pair_windows`).  Each pass works on an edge-padded copy with
+    the filtered axis leading, so every operand is one contiguous block,
+    and writes into the component's own block; the padded copy and the
+    pair term are carved from the flat float buffer `work` (at least two
+    components' floats), which every pass of every component shares.  The
+    copy is padded r rows a side, or as many as `work` holds (half the
+    axis when it holds three components).
     """
     r = int(4.0 * sigma + 0.5)
     if r == 0:
@@ -58,29 +87,29 @@ def _gaussian_nearest(m: np.ndarray, sigma: float, work: np.ndarray) -> np.ndarr
     w = w / w.sum()
     shape = m.shape[:-1]
     size = math.prod(shape)
-    npad = size + 2 * r * max(size // n for n in shape)
-    if work.size < npad + size:
-        work = np.empty(npad + size)
-    pad, term = work[:npad], work[npad:npad + size]
     for c in range(3):
         a = m[..., c]
         for axis in range(3):
             src = np.moveaxis(a, axis, 0)
             n = src.shape[0]
-            p = pad[:(n + 2 * r) * (size // n)].reshape((n + 2 * r,) + src.shape[1:])
-            p[:r] = src[0]
-            p[r:r + n] = src
-            p[r + n:] = src[-1]
+            depth = min(r, (work.size - 2 * size) // (2 * (size // n)))
+            npad = (n + 2 * depth) * (size // n)
+            p = work[:npad].reshape((n + 2 * depth,) + src.shape[1:])
+            p[:depth] = src[0]
+            p[depth:depth + n] = src
+            p[depth + n:] = src[-1]
             # the previous pass's output is copied into p, so the block is free
-            o, t = _components(m)[c].reshape(src.shape), term.reshape(src.shape)
-            np.multiply(p[r:r + n], w[r], out=o)
+            o = _components(m)[c].reshape(src.shape)
+            t = work[npad:npad + size].reshape(src.shape)
+            np.multiply(p[depth:depth + n], w[r], out=o)
             for j in range(r, 0, -1):
-                np.add(p[r - j:r - j + n], p[r + j:r + j + n], out=t)
+                for left, right, rows in _pair_windows(n, depth, j):
+                    np.add(p[left], p[right], out=t[rows])
                 t *= w[r - j]
                 o += t
             a = np.moveaxis(o, 0, axis)
         # the block holds the last pass's axis order: back to the cell order
-        t = term.reshape(shape)
+        t = work[:size].reshape(shape)
         np.copyto(t, a)
         np.copyto(m[..., c], t)
     return m
@@ -104,8 +133,11 @@ def random_unit_m(geom: DomainGeometry, seed: int, smooth_cells: float = 1.5) ->
     _dot(m, m, norms, t)
     np.sqrt(norms, out=norms)
     # a filtered draw can only hit zero norm with probability zero; guard anyway
-    tiny = norms < 1e-12
-    if tiny.any():
+    if norms.min() < 1e-12:
+        tiny = norms < 1e-12
         m[tiny] = (0.0, 0.0, 1.0)
         norms[tiny] = 1.0   # the norm of (0, 0, 1)
-    return np.divide(m, norms[..., None], out=m)
+    # per component: a broadcast divisor would make numpy buffer it
+    for c in range(3):
+        np.divide(m[..., c], norms, out=m[..., c])
+    return m

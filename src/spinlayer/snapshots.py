@@ -14,13 +14,14 @@ Layout (little endian):
 
 Files are written to "<path>.partial" and renamed into place so a crash
 never leaves a truncated file under the final name.  A file is read back
-through `read_field`, which checks that it holds the field and grid asked
-for.
+through `read_field`, which checks from the header, before reading the
+payload, that it holds the field and grid asked for.
 """
 
 import math
 import os
 import struct
+from typing import Optional
 
 import numpy as np
 
@@ -66,9 +67,11 @@ def write_snapshot(path, field_id: bytes, dims: tuple, spacings: tuple,
     os.replace(tmp, path)
 
 
-def read_snapshot(path):
+def read_snapshot(path, expect: Optional[tuple] = None):
     """Returns (field_id, dims, spacings, t, list of arrays); a malformed
-    file raises ValueError."""
+    file raises ValueError, and so does one whose header names another
+    (field id, dims) than `expect` when that is given, before its payload
+    is read."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -77,6 +80,9 @@ def read_snapshot(path):
         if magic != MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
         dims = (nx, ny, nz)
+        if expect is not None and (field_id, dims) != expect:
+            raise ValueError(f"holds {field_id!r} on {dims} cells, "
+                             f"not {expect[0]!r} on {expect[1]}")
         shapes = _payload_shapes(field_id, dims)
         # check the size before reading: the header's counts are outside input
         counts = [math.prod(shape) for shape in shapes]
@@ -95,14 +101,12 @@ def read_snapshot(path):
 def read_field(path, field_id: bytes, dims: tuple):
     """(t, list of arrays) of the snapshot at path, which must hold
     field_id on a grid of dims cells.  Any other file, and one that cannot
-    be opened or parsed, raises SnapshotError naming the path."""
+    be opened or parsed, raises SnapshotError naming the path; the header
+    is checked before the payload is read."""
     try:
-        got_id, got_dims, _, t, arrays = read_snapshot(path)
+        _, _, _, t, arrays = read_snapshot(path, (field_id, tuple(dims)))
     except OSError as exc:
         raise SnapshotError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc
-    if got_id != field_id or got_dims != tuple(dims):
-        raise SnapshotError(f"{path}: holds {got_id!r} on {got_dims} cells, "
-                            f"not {field_id!r} on {tuple(dims)}")
     return t, arrays

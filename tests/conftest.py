@@ -348,7 +348,15 @@ def plain_init_divfree(m0, h_raw, box):
     mf = padded_cells_to_faces(embed_cell_field(m0, box))
     rhs = plain_div(*(r + 0.0 + f for r, f in zip(raw, mf)), box)
     phi = mx.poisson_solve(rhs, box)
-    return tuple(r - g for r, g in zip(raw, mx.grad_cells(phi, box)))
+    return tuple(r - g for r, g in zip(raw, plain_grad(phi, box)))
+
+
+def plain_grad(phi, box):
+    """Cell scalar -> gradient on faces, with zero ghost cells beyond the
+    box."""
+    return tuple(np.diff(np.pad(phi, [(1, 1) if a == axis else (0, 0) for a in range(3)]),
+                         axis=axis) / h
+                 for axis, h in enumerate((box.dx, box.dy, box.dz)))
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,8 @@ def _truncated_initial_h(outdir):
 def _initial_m_of_another_grid(outdir):
     path = outdir / "state_initial_m.snap"
     _, dims, spacings, t, _ = snapshots.read_snapshot(path)
-    dims = dims[:2] + (dims[2] + 1,)
+    # twice the run's grid: a payload well above what reading a header takes
+    dims = tuple(2 * n for n in dims)
     m = np.zeros(dims + (3,))
     m[..., 2] = 1.0
     snapshots.write_snapshot(path, snapshots.FIELD_M, dims, spacings, t, [m])
@@ -499,6 +500,15 @@ class TestCli:
         assert captured.err.startswith(f"error: io: {path}: ") and captured.out == ""
         assert captured.err.count("\n") == 1
         assert not (outdir / "diag_report.csv").exists()
+        if damage is _initial_m_of_another_grid:
+            # the header is checked first, so the payload is never read
+            dims = snapshots.read_snapshot(outdir / "state_final_m.snap")[1]
+
+            def reject():
+                with pytest.raises(snapshots.SnapshotError, match="holds b'MCEL' on"):
+                    snapshots.read_field(path, snapshots.FIELD_M, dims)
+            payload = path.stat().st_size - snapshots._HEADER.size
+            assert traced_peak(reject)[1] < payload
 
     def test_diag_peak_below_eight_stores(self, tmp_path):
         # the benchmark's `cli` input on the README grid (32^3 Yee box),

@@ -566,6 +566,19 @@ def test_random_preset_matches_scipy_gaussian(grid, sigma):
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("grid", [(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8),     # coupled, cli
+                                  (1.0, 1.0, 0.5, 0.5, 32, 32, 16, 16)])  # llg_only
+def test_random_preset_filters_in_the_spent_draw(grid):
+    # a warm call holds m and the draw, whose buffer serves the filter's
+    # edge-padded copy and pair term, also where the radius (16 cells at
+    # smooth_cells 4) spans the 16-cell axes; the bits stay scipy's
+    geom = build_geometry(GeometryConfig(*grid))
+    presets.random_unit_m(geom, 5, 4.0)
+    m, peak = traced_peak(presets.random_unit_m, geom, 5, 4.0)
+    assert peak <= 2.1 * m.nbytes, peak / m.nbytes
+    assert np.ascontiguousarray(m).tobytes() == scipy_random_unit_m(geom, 5, 4.0).tobytes()
+
+
 def test_warm_coupled_step_allocates_less_than_a_body_field():
     # the stage-begin cell h, the new m, the predictor, the subcycles and
     # the ledger row's terms all work in the state's buffers; what remains is

@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 import scipy.sparse
 
+from spinlayer import dst
 from spinlayer import maxwell as mx
 from spinlayer.energetics import MaterialParams, maxwell_energy
 from spinlayer.errors import CFLViolation
@@ -13,7 +14,7 @@ from spinlayer.geometry import GeometryConfig, build_geometry
 from conftest import (FIELD_NAMES, box_divergence, box_faces_to_body_cells,
                       box_fdtd_step, edge_store, face_store, padded_cells_to_faces,
                       plain_curl_e, plain_curl_h, plain_div, plain_fdtd_step,
-                      plain_fields, plain_init_divfree, random_unit_field,
+                      plain_fields, plain_grad, plain_init_divfree, random_unit_field,
                       traced_peak)
 
 
@@ -52,8 +53,11 @@ class TestOperators:
     def test_curl_grad_zero(self, small_geom):
         box = mx.make_box(small_geom, padding=3)
         rng = np.random.default_rng(3)
-        phi = rng.standard_normal((box.nx, box.ny, box.nz))
-        g = face_store(mx.grad_cells(phi, box), box)
+        phi = np.zeros((box.nx + 2) * (box.ny + 1) * (box.nz + 1))
+        cells = mx._phi_cells(phi, box)
+        cells[...] = rng.standard_normal((box.nx, box.ny, box.nz))
+        g = mx._gradient(phi, box, np.full(mx.store_shape(box), np.nan))
+        assert_same_bits(g, face_store(plain_grad(cells, box), box))   # pads zero
         assert np.abs(mx.curl_h(g, box)).max() < 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 0.37])
@@ -99,8 +103,8 @@ class TestOperators:
         box = mx.make_box(small_geom, padding=2)
         rng = np.random.default_rng(4)
         c = rng.standard_normal((box.nx, box.ny, box.nz, 3))
-        f = tuple(rng.standard_normal(s) for s in mx.face_shapes(box))
         cf = mx.cells_to_faces(c)
+        f = tuple(rng.standard_normal(a.shape) for a in cf)
         fc = mx.faces_to_cells(*f)
         lhs = sum(float(np.sum(a * b)) for a, b in zip(f, cf))
         rhs = float(np.sum(fc * c))
@@ -184,8 +188,8 @@ class TestInitDivfree:
 
     def test_projection_peak_below_two_and_a_half_stores(self):
         # on the 32^3 box of W1 and the README config, into a given store:
-        # the rhs and phi (a box scalar each) and one flat scratch that
-        # serves m_bar, both divergences and both DST-I transforms
+        # one flat scratch that serves m_bar, both divergences, the DST-I
+        # spectra, phi and the rhs; the odd extensions go into the store
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
         box = mx.make_box(geom, padding=8)
         m = random_unit_field(geom, seed=25)
@@ -252,6 +256,70 @@ class TestPoisson:
                + mx._dirichlet_eigenvalues(box.nz, box.dz)[None, None, :])
         want = scipy.fft.idstn(scipy.fft.dstn(rhs, type=1) / lam, type=1)
         assert mx.poisson_solve(rhs, box).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, support, minus_zero", [
+        ((32, 32, 32), np.s_[7:25, 7:25, 7:25], None),      # W1: body and ring
+        ((12, 9, 20), np.s_[2:7, 3:6, 5:14], None),         # non-cubic
+        ((10, 12, 14), np.s_[3:8, 0:5, 9:14], None),        # on the y = 0, z = nz walls
+        ((16, 16, 16), np.s_[4:12, 4:12, 4:12], np.s_[:, 1, :]),   # -0.0 plane outside
+        ((16, 16, 16), np.s_[4:12, 4:12, 4:12], np.s_[:, 14, 2]),  # -0.0 x-line outside
+        ((16, 12, 10), np.s_[0:0], np.s_[2:9, 5:9, 3:6]),  # only zeros: their signs show
+    ], ids=["w1", "non_cubic", "wall", "minus_zero_plane", "minus_zero_line",
+            "signed_zeros"])
+    def test_sub_box_rhs_matches_scipy_dst_bit_for_bit(self, shape, support, minus_zero):
+        # the forward transform skips the lines beyond the rhs's entries
+        # that are not +0.0 (a -0.0 entry counts as one) and copies their
+        # zero spectra in: the bits of the transform of every line.  Those
+        # zeros' signs reach the result only where a whole line of a later
+        # pass is zero, as in an rhs of signed zeros alone
+        box = mx.BoxGeometry(*shape, dx=0.1, dy=0.2, dz=0.05, ox=0, oy=0, oz=0,
+                             mx=1, my=1, mz=1)
+        rhs = np.zeros(shape)
+        rhs[support] = np.random.default_rng(26).standard_normal(rhs[support].shape)
+        if minus_zero is not None:
+            rhs[minus_zero] = -0.0
+        lam = (mx._dirichlet_eigenvalues(box.nx, box.dx)[:, None, None]
+               + mx._dirichlet_eigenvalues(box.ny, box.dy)[None, :, None]
+               + mx._dirichlet_eigenvalues(box.nz, box.dz)[None, None, :])
+        ext, spec = (np.empty(n) for n in dst.parts(shape))
+        lines = dst.reached_lines(rhs, ext)
+        forward = dst.transform(rhs, ext, spec, np.empty(shape), lines=lines)
+        assert forward.tobytes() == scipy.fft.dstn(rhs, type=1).tobytes()
+        want = scipy.fft.idstn(scipy.fft.dstn(rhs, type=1) / lam, type=1)
+        assert mx.poisson_solve(rhs, box).tobytes() == want.tobytes()
+
+    def test_forward_transform_skips_lines_beyond_the_rhs(self, monkeypatch):
+        # W1's projection rhs is +0.0 outside the body and its one-cell
+        # ring, 18 cells along each axis of the 32^3 box: the forward
+        # transform's pass 1 takes the 18 x 18 x-lines of that ring, pass 2
+        # the y-lines of its 18 z-planes, pass 3 and the inverse all lines
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8))
+        box = mx.make_box(geom, padding=8)
+        m = random_unit_field(geom, seed=27)
+        mx.init_divfree(m, (0.1, -0.2, 0.3), box)     # the zero spectra are cached
+        lines, real_fft = [], dst.rfft
+
+        def counting_rfft(e, *args, **kwargs):
+            lines.append(e.size // e.shape[-1])
+            return real_fft(e, *args, **kwargs)
+        monkeypatch.setattr(dst, "rfft", counting_rfft)
+        h = mx.init_divfree(m, (0.1, -0.2, 0.3), box)
+        assert lines == [18 * 18, 18 * 32] + [32 * 32] * 4
+        lines.clear()
+        rhs = np.random.default_rng(27).standard_normal((32, 32, 32))
+        mx.poisson_solve(rhs, box)
+        assert lines == [32 * 32] * 6
+        # the skip keeps the projection's bits, and allocates nothing
+        # box-sized: what tracemalloc sees is numpy's iterator buffers,
+        # which have a fixed size
+        monkeypatch.undo()
+        assert_same_bits(h, face_store(plain_init_divfree(m, (0.1, -0.2, 0.3), box), box))
+        work, out = np.empty(sum(dst.parts(rhs.shape))), np.empty(rhs.shape)
+        m_bar = mx._plus_m_bar(np.zeros_like(h), m, box, np.empty_like(h), work)
+        rhs = mx._divergence(m_bar, box, work).copy()
+        assert dst.reached_lines(rhs, work) == ((7, 25), (7, 25))
+        _, peak = traced_peak(mx.poisson_solve, rhs, box, work, out)
+        assert peak < rhs.nbytes, peak / rhs.nbytes
 
     def test_w1_projection_residual(self):
         # the 32^3 Yee box of the criterion-3 runs
