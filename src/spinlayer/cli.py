@@ -9,10 +9,12 @@ Subcommands:
                     snapshots of a finished run
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 I/O error.
+4 I/O error.  The commands raise; `main` runs the chosen one under one
+`np.errstate` and maps its failure to the exit code and one stderr line.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -26,22 +28,11 @@ from .dynamics import _state_terms
 from .energetics import EnergyBreakdown, _vector_field
 from .errors import ConfigError, SimulationError
 
-# numeric failures (exit 3): the simulator's own, and float overflow or
-# division by zero in Python arithmetic on extreme inputs
-_NUMERIC_ERRORS = (SimulationError, ArithmeticError)
-
 DIAG_COLUMNS = ("t",) + EnergyBreakdown.COLUMNS + ("saturation_dev", "divergence_drift")
 
 
 def _fmt_row(values) -> str:
     return ",".join(format(v, ".17g") for v in values)
-
-
-def _atomic_write_text(path: str, text: str):
-    tmp = path + ".partial"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -57,6 +48,38 @@ def _lock_owner(lock: str) -> str:
     except OSError as exc:
         return f"an unknown owner (unreadable: {exc})"
     return owner or "an unknown owner (empty lock file)"
+
+
+@contextlib.contextmanager
+def _locked(outdir: str):
+    """Create outdir and hold its lock file, which records this process as
+    the owner, for the block; the lock is removed however the block ends.
+    Every failure to take the lock is an OSError naming what failed."""
+    lock = os.path.join(outdir, "lock")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory: {exc}") from exc
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise OSError(f"output directory is locked: {lock} is held by "
+                      f"{_lock_owner(lock)}; remove it if that run has ended") from None
+    except OSError as exc:
+        raise OSError(f"cannot lock output directory: {exc}") from exc
+    try:
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(f"pid {os.getpid()} started "
+                         f"{time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
+        except OSError as exc:
+            raise OSError(f"cannot write the lock file: {exc}") from exc
+        yield
+    finally:
+        try:
+            os.remove(lock)
+        except OSError:
+            pass
 
 
 def _load_config(path: str, args) -> RunConfig:
@@ -75,115 +98,56 @@ def _load_config(path: str, args) -> RunConfig:
     return config
 
 
-def _write_state_snapshots(outdir: str, tag: str, state_m, em, geom, t: float):
-    dims = (geom.nx, geom.ny, geom.nz_total)
-    sp = (geom.dx, geom.dy, geom.dz)
-    box = em.box
-    bdims = (box.nx, box.ny, box.nz)
-    snapshots.write_snapshot(os.path.join(outdir, f"{tag}_m.snap"),
-                             snapshots.FIELD_M, dims, sp, t, [state_m])
-    snapshots.write_snapshot(os.path.join(outdir, f"{tag}_h.snap"),
-                             snapshots.FIELD_H, bdims, sp, t, [em.hx, em.hy, em.hz])
-    snapshots.write_snapshot(os.path.join(outdir, f"{tag}_e.snap"),
-                             snapshots.FIELD_E, bdims, sp, t, [em.ex, em.ey, em.ez])
+def _write_state(outdir: str, names, geom, t: float, m, em=None):
+    """Snapshots of one state at time t, at the grid's spacings, as
+    `<name>.snap` in outdir for each of names in turn: m on the body's
+    cells, then with em its h and e stores on the Yee box."""
+    fields = [(snapshots.FIELD_M, (geom.nx, geom.ny, geom.nz_total), [m])]
+    if em is not None:
+        yee = (em.box.nx, em.box.ny, em.box.nz)
+        fields += [(snapshots.FIELD_H, yee, [em.hx, em.hy, em.hz]),
+                   (snapshots.FIELD_E, yee, [em.ex, em.ey, em.ez])]
+    for name, (field_id, dims, arrays) in zip(names, fields, strict=True):
+        snapshots.write_snapshot(os.path.join(outdir, f"{name}.snap"), field_id, dims,
+                                 (geom.dx, geom.dy, geom.dz), t, arrays)
 
 
 def _cmd_check(args) -> int:
-    try:
-        config = _load_config(args.config, args)
-        setup = build_setup(config)
-        with np.errstate(all="ignore"):   # non-finite values raise NonFinite
-            dynamics.step(dynamics.SimState(
-                t=0.0, m=setup.m0, em=setup.em, geom=setup.geom,
-                params=setup.params, scheme=setup.scheme), setup.f)
-    except OSError as exc:
-        return _fail(4, "io", str(exc))
-    except ConfigError as exc:
-        return _fail(2, "config", str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(3, "numeric", str(exc))
+    config = _load_config(args.config, args)
+    setup = build_setup(config)
+    dynamics.step(dynamics.SimState(
+        t=0.0, m=setup.m0, em=setup.em, geom=setup.geom,
+        params=setup.params, scheme=setup.scheme), setup.f)
     sys.stdout.write(config.to_text())
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load_config(args.config, args)
-        setup = build_setup(config)
-    except OSError as exc:
-        return _fail(4, "io", str(exc))
-    except ConfigError as exc:
-        return _fail(2, "config", str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(3, "numeric", str(exc))
+    config = _load_config(args.config, args)
+    setup = build_setup(config)
+    outdir, geom = config.directory, setup.geom
+    with _locked(outdir):
+        with snapshots._atomic_open(os.path.join(outdir, "effective_config"), "w") as fh:
+            fh.write(config.to_text())
+        _write_state(outdir, ("state_initial_m", "state_initial_h", "state_initial_e"),
+                     geom, 0.0, setup.m0, setup.em)
+        # a failed run leaves the rows logged so far in energy.csv.partial
+        with snapshots._atomic_open(os.path.join(outdir, "energy.csv"), "w") as csv_fh:
+            csv_fh.write(",".join(CSV_COLUMNS) + "\n")
 
-    outdir = config.directory
-    lock = os.path.join(outdir, "lock")
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        return _fail(4, "io", f"cannot create output directory: {exc}")
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return _fail(4, "io", f"output directory is locked: {lock} is held by "
-                              f"{_lock_owner(lock)}; remove it if that run has ended")
-    except OSError as exc:
-        return _fail(4, "io", f"cannot lock output directory: {exc}")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"pid {os.getpid()} started "
-                     f"{time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
-    except OSError as exc:
-        try:
-            os.remove(lock)
-        except OSError:
-            pass
-        return _fail(4, "io", f"cannot write the lock file: {exc}")
+            def on_row(row):
+                csv_fh.write(_fmt_row(row.csv_values()) + "\n")
 
-    csv_tmp = os.path.join(outdir, "energy.csv.partial")
-    code = 0
-    try:
-        _atomic_write_text(os.path.join(outdir, "effective_config"), config.to_text())
-        _write_state_snapshots(outdir, "state_initial", setup.m0, setup.em,
-                               setup.geom, 0.0)
-        csv_fh = open(csv_tmp, "w")
-        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
+            def on_state(state, step_idx):
+                if config.snapshots_on and step_idx > 0:
+                    _write_state(outdir, (f"m_{step_idx:08d}",), geom, state.t, state.m)
 
-        def on_row(row):
-            csv_fh.write(_fmt_row(row.csv_values()) + "\n")
-
-        def on_state(state, step_idx):
-            if config.snapshots_on and step_idx > 0:
-                path = os.path.join(outdir, f"m_{step_idx:08d}.snap")
-                snapshots.write_snapshot(
-                    path, snapshots.FIELD_M,
-                    (setup.geom.nx, setup.geom.ny, setup.geom.nz_total),
-                    (setup.geom.dx, setup.geom.dy, setup.geom.dz),
-                    state.t, [state.m])
-
-        try:
-            with np.errstate(all="ignore"):   # non-finite values raise NonFinite
-                traj = dynamics.run(setup.geom, setup.params, setup.scheme,
-                                    setup.m0, setup.em, setup.f, config.t_end,
-                                    log_every=config.cadence,
-                                    on_row=on_row, on_state=on_state)
-        except _NUMERIC_ERRORS as exc:
-            csv_fh.close()
-            return _fail(3, "numeric", str(exc))
-        csv_fh.close()
-        os.replace(csv_tmp, os.path.join(outdir, "energy.csv"))
-        final = traj.final_state
-        _write_state_snapshots(outdir, "state_final", final.m, final.em,
-                               setup.geom, final.t)
-    except OSError as exc:
-        code = _fail(4, "io", str(exc))
-    finally:
-        try:
-            os.remove(lock)
-        except OSError:
-            pass
-    return code
+            final = dynamics.run(geom, setup.params, setup.scheme, setup.m0, setup.em,
+                                 setup.f, config.t_end, log_every=config.cadence,
+                                 on_row=on_row, on_state=on_state).final_state
+        _write_state(outdir, ("state_final_m", "state_final_h", "state_final_e"),
+                     geom, final.t, final.m, final.em)
+    return 0
 
 
 def recompute_final_row(outdir: str):
@@ -229,23 +193,13 @@ def recompute_final_row(outdir: str):
 
 
 def _cmd_diag(args) -> int:
-    try:
-        row, stationarity = recompute_final_row(args.directory)
-    except OSError as exc:
-        return _fail(4, "io", str(exc))
-    except ConfigError as exc:
-        return _fail(2, "config", str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(3, "numeric", str(exc))
+    row, stationarity = recompute_final_row(args.directory)
     text = ",".join(DIAG_COLUMNS) + "\n" + _fmt_row(row.values()) + "\n"
     stat_text = "test_fn,residual\n" + "".join(
         f"{name},{format(value, '.17g')}\n" for name, value in stationarity)
-    try:
-        _atomic_write_text(os.path.join(args.directory, "diag_report.csv"), text)
-        _atomic_write_text(os.path.join(args.directory, "stationarity.csv"),
-                           stat_text)
-    except OSError as exc:
-        return _fail(4, "io", str(exc))
+    for name, content in (("diag_report.csv", text), ("stationarity.csv", stat_text)):
+        with snapshots._atomic_open(os.path.join(args.directory, name), "w") as fh:
+            fh.write(content)
     sys.stdout.write(text)
     return 0
 
@@ -269,11 +223,19 @@ def main(argv=None) -> int:
     p_diag.add_argument("directory")
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_diag(args)
+    command = {"run": _cmd_run, "check": _cmd_check, "diag": _cmd_diag}[args.command]
+    # numeric failures (exit 3) are the simulator's own, ConfigError aside,
+    # and float overflow or division by zero in Python arithmetic on
+    # extreme inputs
+    try:
+        with np.errstate(all="ignore"):   # non-finite values raise NonFinite
+            return command(args)
+    except OSError as exc:
+        return _fail(4, "io", str(exc))
+    except ConfigError as exc:
+        return _fail(2, "config", str(exc))
+    except (SimulationError, ArithmeticError) as exc:
+        return _fail(3, "numeric", str(exc))
 
 
 if __name__ == "__main__":

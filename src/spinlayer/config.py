@@ -438,9 +438,8 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
     if kind == "vortexish":
         return presets.vortexish_m(geom)
     if kind == "random":
-        smooth = config.m0[2] if len(config.m0) == 3 else 1.5
         seed = config.seed if config.seed else config.m0[1]
-        return presets.random_unit_m(geom, seed, smooth_cells=smooth)
+        return presets.random_unit_m(geom, seed, *config.m0[2:])
     # the parser admits one more preset, "snapshot"
     try:
         _, (m,) = snapshots.read_field(config.m0[1], snapshots.FIELD_M,

@@ -27,7 +27,7 @@ sign-definite.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -597,7 +597,7 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
 
 
 def poisson_solve(rhs: np.ndarray, box: BoxGeometry,
-                  work: Optional[Union[np.ndarray, tuple]] = None,
+                  work: Optional[tuple] = None,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve Lap(phi) = rhs at cell centers with zero-Dirichlet ghosts.
 
@@ -610,17 +610,16 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry,
     The forward transform's first two passes skip the lines beyond the
     rhs's reach (`dst.reached_lines`; a projection's rhs is zero outside
     the body and its one-cell ring), with the same bits.  Both transforms
-    run in the work buffers: `work` is a flat float buffer of at least
-    `sum(dst.parts(rhs.shape))` floats, the odd extensions' part first,
-    or the pair of the two parts.  The eigenvalue sum (lx + ly) + lz is
-    formed in the extensions' part between the transforms.  The forward
-    result is divided in place and overwritten by phi, in `out` (an array
-    shaped like rhs; fresh when None).
+    run in the work buffers: `work` is the pair of flat float buffers
+    of the odd extensions and the spectra, of at least the sizes
+    `dst.parts(rhs.shape)` (fresh when None).  The eigenvalue sum
+    (lx + ly) + lz is formed in the extensions' buffer between the
+    transforms.  The forward result is divided in place and overwritten
+    by phi, in `out` (an array shaped like rhs; fresh when None).
     """
-    n_ext, n_spec = dst.parts(rhs.shape)
     if work is None:
-        work = np.empty(n_ext + n_spec)
-    ext, spec = work if isinstance(work, tuple) else (work[:n_ext], work[n_ext:])
+        work = tuple(np.empty(n) for n in dst.parts(rhs.shape))
+    ext, spec = work
     if out is None:
         out = np.empty(rhs.shape)
     dst.transform(rhs, ext, spec, out, lines=dst.reached_lines(rhs, ext))

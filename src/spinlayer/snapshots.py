@@ -12,12 +12,14 @@ Layout (little endian):
                    HYEE -> (nx+1,ny,nz), (nx,ny+1,nz), (nx,ny,nz+1) blocks
                    EYEE -> (nx,ny+1,nz+1), (nx+1,ny,nz+1), (nx+1,ny+1,nz)
 
-Files are written to "<path>.partial" and renamed into place so a crash
-never leaves a truncated file under the final name.  A file is read back
-through `read_field`, which checks from the header, before reading the
-payload, that it holds the field and grid asked for.
+Files are written through `_atomic_open`, the one writer of a run
+directory: it writes "<path>.partial" and renames it into place, so a
+crash never leaves a truncated file under the final name.  A file is
+read back through `read_field`, which checks from the header, before
+reading the payload, that it holds the field and grid asked for.
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -38,6 +40,16 @@ class SnapshotError(OSError):
     grid than the one asked for; an I/O error to the command line."""
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode: str):
+    """`open(<path>.partial, mode)` for the block, renamed to path when the
+    block completes; a block that raises leaves the closed .partial file."""
+    tmp = str(path) + ".partial"
+    with open(tmp, mode) as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
 def _payload_shapes(field_id: bytes, dims: tuple) -> list:
     nx, ny, nz = dims
     if field_id == FIELD_M:
@@ -56,15 +68,13 @@ def write_snapshot(path, field_id: bytes, dims: tuple, spacings: tuple,
         raise ValueError(f"{field_id!r} expects {len(shapes)} arrays")
     header = _HEADER.pack(MAGIC, field_id, *map(int, dims), *map(float, spacings),
                           float(t))
-    tmp = str(path) + ".partial"
-    with open(tmp, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(header)
         for arr, shape in zip(arrays, shapes):
             a = np.asarray(arr, dtype="<f8")
             if a.shape != shape:
                 raise ValueError(f"array shape {a.shape} does not match {shape}")
             fh.write(a.tobytes(order="C"))   # row-major bytes in any layout
-    os.replace(tmp, path)
 
 
 def read_snapshot(path, expect: Optional[tuple] = None):

@@ -18,7 +18,7 @@ from spinlayer import cli as cli_module
 from spinlayer import dynamics, snapshots
 from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
-from spinlayer.errors import ParseError, ValidationError
+from spinlayer.errors import NonFinite, ParseError, ValidationError
 
 from conftest import traced_peak
 
@@ -662,8 +662,7 @@ class TestCli:
         cfg_path.write_text(text)
         assert main(["run", str(cfg_path)]) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_snapshot_exit_3(self, tmp_path):
+    def test_nan_snapshot_exit_3(self, tmp_path, capsys):
         bad = np.full((4, 4, 4, 3), np.nan)
         snap = tmp_path / "bad.snap"
         snapshots.write_snapshot(snap, snapshots.FIELD_M, (4, 4, 4),
@@ -673,7 +672,11 @@ class TestCli:
         text = minimal_config(outdir).replace(
             "m = random 11", f"m = snapshot {snap}")
         cfg_path.write_text(text)
-        assert main(["run", str(cfg_path)]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+            assert main(["run", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: numeric: divergence projection residual nan above tolerance\n")
 
     def test_flag_overrides_recorded(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -687,6 +690,62 @@ class TestCli:
         assert eff.seed == 42
         assert any(n.startswith("m_") and n.endswith(".snap")
                    for n in os.listdir(outdir))
+
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("check", cli_module, "build_setup"),
+        ("run", cli_module, "build_setup"),
+        ("run", dynamics, "run"),   # inside the lock
+        ("diag", cli_module, "recompute_final_row"),
+    ], ids=["check", "run-setup", "run-steps", "diag"])
+    @pytest.mark.parametrize("error, code, kind", [
+        (OSError("disk gone"), 4, "io"),
+        (ValidationError("initial.m", "bad"), 2, "config"),
+        (NonFinite("m became non-finite"), 3, "numeric"),
+        (OverflowError("math range error"), 3, "numeric"),
+    ], ids=["OSError", "ValidationError", "NonFinite", "OverflowError"])
+    def test_main_maps_each_failure_to_its_exit_code(
+            self, tmp_path, capsys, monkeypatch, command, module, name, error, code,
+            kind):
+        # the one map of main: one stderr line, no stdout, and no lock left
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        if command == "diag":
+            assert main(["run", str(cfg_path)]) == 0
+
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(module, name, fail)
+        capsys.readouterr()
+        target = outdir if command == "diag" else cfg_path
+        assert main([command, str(target)]) == code
+        assert capsys.readouterr() == ("", f"error: {kind}: {error}\n")
+        assert not (outdir / "lock").exists()
+
+    def test_snapshot_write_failure_midrun_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the third step's m snapshot cannot be written: the run stops with
+        # one line, removes its lock, and leaves the closed ledger of the
+        # rows logged so far (steps 0 to 3) under the .partial suffix
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "full"))
+        assert main(["run", str(cfg_path)]) == 0
+        full = (tmp_path / "full" / "energy.csv").read_text().splitlines()
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        write = snapshots.write_snapshot
+
+        def no_space_at_step_3(path, *args):
+            if os.path.basename(path) == "m_00000003.snap":
+                raise OSError(28, "No space left on device")
+            write(path, *args)
+        monkeypatch.setattr(snapshots, "write_snapshot", no_space_at_step_3)
+        assert main(["--snapshots", "on", "run", str(cfg_path)]) == 4
+        assert capsys.readouterr().err == "error: io: [Errno 28] No space left on device\n"
+        names = set(os.listdir(outdir))
+        assert {"m_00000001.snap", "m_00000002.snap", "energy.csv.partial"} <= names
+        assert not names & {"lock", "energy.csv", "m_00000003.snap", "state_final_m.snap"}
+        assert (outdir / "energy.csv.partial").read_text().splitlines() == full[:5]
 
 
 class TestRunVariants:
@@ -733,6 +792,22 @@ class TestRunVariants:
         assert done.stderr == ("error: numeric: magnetization m became non-finite at "
                                "step 1, t=0, first at cell (0, 0, 0)\n")
 
+    def test_diag_of_an_overflowing_state_warns_nothing(self, tmp_path):
+        # a final m scaled by 1e200 overflows the energies: diag reports the
+        # row (exit 0), and numpy's RuntimeWarnings stay off stderr
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["run", str(cfg_path)]) == 0
+        path = outdir / "state_final_m.snap"
+        field_id, dims, spacings, t, (m,) = snapshots.read_snapshot(path)
+        snapshots.write_snapshot(path, field_id, dims, spacings, t, [m * 1e200])
+        done = subprocess.run([sys.executable, "-m", "spinlayer.cli", "diag", str(outdir)],
+                              env=_package_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
+
     def test_mur_boundary_via_config(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
@@ -741,8 +816,7 @@ class TestRunVariants:
         cfg_path.write_text(text)
         assert main(["run", str(cfg_path)]) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_partial_output_preserved_on_midrun_failure(self, tmp_path):
+    def test_partial_output_preserved_on_midrun_failure(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
         # a penalized run with a grossly unstable dt for the chosen k blows
@@ -752,7 +826,12 @@ class TestRunVariants:
             "dt = 0.002", "dt = 0.002\nconstraint = penalized")
         text = text.replace("sigma = 1.0", "sigma = 1.0\npenalty_k = 1e7")
         cfg_path.write_text(text)
-        assert main(["run", str(cfg_path)]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+            assert main(["run", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: numeric: magnetization m became non-finite at step 3, "
+            "t=0.004, first at cell (0, 0, 0)\n")
         names = os.listdir(outdir)
         assert "energy.csv" not in names
         assert "energy.csv.partial" in names
