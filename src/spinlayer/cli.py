@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -25,8 +26,8 @@ from . import dynamics, maxwell, snapshots
 from .config import RunConfig, _parse, _validate, build_model, build_setup, parse_config
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
-from .energetics import EnergyBreakdown, _vector_field
-from .errors import ConfigError, SimulationError
+from .energetics import EnergyBreakdown, _dot, _scalars, _vector_field
+from .errors import ConfigError, NonFinite, SimulationError
 
 DIAG_COLUMNS = ("t",) + EnergyBreakdown.COLUMNS + ("saturation_dev", "divergence_drift")
 
@@ -150,10 +151,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_stored_state(m, em):
+    """Raise NonFinite naming the field and the first cell of the stored
+    final state (m, then h and e) where it is not finite or its square,
+    which the ledger sums, overflows."""
+    def check(name, where, square):
+        bad = ~np.isfinite(square)
+        if bad.any():
+            raise NonFinite(f"stored final {name} is not finite or overflows when "
+                            f"squared, first at {where} {dynamics._first_bad_cell(bad)}")
+
+    check("magnetization m", "cell", _dot(m, m, *_scalars(None, m.shape[:-1], 2)))
+    for name in ("hx", "hy", "hz", "ex", "ey", "ez"):
+        check(f"electromagnetic field {name}", "index", np.square(getattr(em, name)))
+
+
 def recompute_final_row(outdir: str):
     """Diagnostics of the stored final state; values match the final
     energy.csv row bit for bit because the same routines produce both.
-    A snapshot that is not the run's raises `snapshots.SnapshotError`.
+    A snapshot that is not the run's raises `snapshots.SnapshotError`; a
+    state whose diagnostics are not finite raises NonFinite
+    (`_check_stored_state` names the field and cell where it can).
 
     Each snapshot is copied into the state's fields (m, and the stores of
     `setup.em`) before the next is read, and the initial divergence is
@@ -182,6 +200,7 @@ def recompute_final_row(outdir: str):
     t_final = load("state_final_m.snap", snapshots.FIELD_M, cells, [m])
     load("state_final_h.snap", snapshots.FIELD_H, yee, (em.hx, em.hy, em.hz))
     load("state_final_e.snap", snapshots.FIELD_E, yee, (em.ex, em.ey, em.ez))
+    _check_stored_state(m, em)
 
     breakdown, saturation_dev, drift = _state_terms(m, em, geom, setup.params)
     values = (t_final,) + breakdown.as_tuple() + (saturation_dev, drift)
@@ -189,6 +208,11 @@ def recompute_final_row(outdir: str):
 
     H = omega_limit_field_cells(m, box, geom, out=em.h)
     stationarity = stationarity_report(m, H, setup.params, geom)
+    bad = [name for name, v in list(zip(DIAG_COLUMNS, values)) + stationarity
+           if not math.isfinite(v)]
+    if bad:
+        raise NonFinite(f"{len(bad)} diagnostics of the stored final state are not "
+                        f"finite, first {bad[0]}")
     return dict(zip(DIAG_COLUMNS, values)), stationarity
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import maxwell
 from .effective_field import assemble_h_tot
-from .energetics import EnergyBreakdown, MaterialParams, _dot, _scalars
+from .energetics import EnergyBreakdown, MaterialParams, _aligned_empty, _dot, _scalars
 from .geometry import DomainGeometry
 from .summation import dot
 
@@ -137,7 +137,7 @@ def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
     F_1, has been formed in place.  Each is formed as `np.cross` forms
     it, m_j F_k - m_k F_j, so the torque has the bits of np.cross(m, F).
     """
-    tmp = np.empty(2 * m.size)
+    tmp = _aligned_empty(2 * m.size)
     f = assemble_h_tot(m, h_cells, geom, params, tmp=tmp)
     t0, t1, t = _scalars(tmp, m.shape[:-1], 3)
     for i, out in ((0, t0), (1, t1), (2, f[..., 2])):
@@ -185,7 +185,7 @@ def stationarity_report(u, H_cells, params, geom,
         test_fns = test_function_library(geom)
     torque = _torque(u, H_cells, params, geom)
     coords = _axis_coords(geom)
-    s = np.empty(torque.shape[:-1])
+    s = _aligned_empty(torque.shape[:-1])
     report = []
     shape = None
     for fn in test_fns:

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import DomainGeometry
-from .energetics import (MaterialParams, _components, _dot, _face_differences,
-                         _scalars, _store, _vector_field, apply_k)
+from .energetics import (MaterialParams, _aligned_empty, _components, _dot,
+                         _face_differences, _scalars, _store, _vector_field, apply_k)
 
 
 def _add_exchange_fluxes(f: np.ndarray, geom: DomainGeometry, coef: float,
@@ -65,7 +65,7 @@ def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
     """
     out = _out_field(out, m.shape)
     if tmp is None:
-        tmp = np.empty(m.size)
+        tmp = _aligned_empty(m.size)
     o = _store(out)
     o[...] = 0.0
     _add_exchange_fluxes(_store(m), geom, 1.0, o, tmp)
@@ -109,7 +109,7 @@ def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams
     shape = (2 * cells,) + m.shape[:2]
     p = math.prod(shape)
     if tmp is None or tmp.size < 12 * p:
-        tmp = np.empty(12 * p)
+        tmp = _aligned_empty(12 * p)
     ml, ms, f = (_vector_field(shape + (3,), tmp[k * 3 * p:]) for k in range(3))
     mdotms, msms, t = _scalars(tmp[9 * p:], shape, 3)
     # the layers with z first: m[:, :, sl, :] in the index order of ml
@@ -187,7 +187,7 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     """
     out = _out_field(out, m.shape)
     if tmp is None:
-        tmp = np.empty(2 * m.size)
+        tmp = _aligned_empty(2 * m.size)
     o = _store(out)
     h = 0.0 if h_cells is None else _store(h_cells)
     if params.k_matrix is not None:

@@ -14,11 +14,17 @@ axis and n cells along the others; the store entries beyond a
 component's shape (one pad plane per short axis) are zero and stay zero.
 Because every component shares one index grid, a difference along an axis
 is a difference at a fixed offset (S0, S1 or 1) of the flattened store,
-so both curls are one kernel of whole-array contiguous passes, and the
-leapfrog updates are single passes over the stores.  The kernel is split
-in two: `_curl_views` slices the operands and `_apply_curl` runs the
-passes, so the coupled step, whose Maxwell half is `stage_h_cells`,
-`_midpoint_h_cells` and `advance`, applies view sets built once.
+so both curls are one kernel of contiguous passes over whole store
+components.  The kernel is split in two: `_curl_views` slices the
+operands of each component and `_apply_curl` runs the passes of one, so
+the coupled step, whose Maxwell half is `stage_h_cells`,
+`_midpoint_h_cells` and `advance`, applies view sets built once.  The
+step forms one curl component at a time in a scratch of one store
+component and applies it to its field component before forming the
+next.  The scratch is offset so that the range each component writes
+starts on a 64-byte boundary: the components of a store cannot all start
+on one, since a store component has an odd number of entries when nx,
+ny and nz are even.
 
 The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
@@ -34,7 +40,7 @@ import numpy as np
 from . import dst
 from .errors import CFLViolation, NonFinite, SolverDiverged
 from .geometry import DomainGeometry
-from .energetics import MaterialParams, _vector_field
+from .energetics import MaterialParams, _aligned_empty, _vector_field
 from .summation import dot, esum
 
 PEC = "pec"
@@ -176,21 +182,25 @@ def _body_edge_masks(box: BoxGeometry) -> tuple:
 
 class _Workspace:
     """Preallocated buffers of one EMState, and the views of its stores
-    that a coupled step touches, built once.
+    that a coupled step touches, built once.  Every buffer starts on a
+    64-byte boundary (`energetics._aligned_empty`).
 
-    `curl` is the output store of every curl (and, between steps, h +
-    m_bar for the ledger's divergence drift).  `curl_h_views`,
-    `curl_e_views` and `body_curl_e_views` are the operands (`_curl_views`)
-    of the backward curl of the h store, the forward curl of the e store
-    and the predictor's forward curl on the window spanning the faces of
-    the body cells, `body_curl_faces` its views of those faces.  The
-    predictor forms its h in `body_faces` and averages it into
+    `scratch` is one store component long, plus the slack of its offsets:
+    each curl component is formed in it and applied at once, and between
+    steps the ledger's divergence drift forms each component of h + m_bar
+    in it.  `curl_h_views`, `curl_e_views` and `body_curl_e_views` are the
+    per-component operands (`_curl_views`) of the backward curl of the h
+    store, the forward curl of the e store and the predictor's forward
+    curl on the window spanning the faces of the body cells, all formed in
+    the scratch; `curl_body` views the backward curl's components on the
+    body edge slabs and `body_curl_faces` the predictor's on the body face
+    slabs.  `e_parts` and `h_parts` are the flat components of the stores.
+    The predictor forms its h in `body_faces` and averages it into
     `body_cells`, which before that holds the stage-begin cell h.
-    `body_h` views the h store on the same faces, and `e_body` and
-    `curl_body` view the e store and `curl` on the body edge slabs.
-    `tmp` is a flat scratch of two store components: the second difference
-    quotient of a curl, m_bar's cells and faces, the two divergence terms
-    (and the drift's div0).
+    `body_h` views the h store on the body face slabs, and `e_body` the e
+    store on the body edge slabs.  `tmp` is a flat scratch of two store
+    components: the second difference quotient of a curl, m_bar's faces
+    and the two divergence terms.
     `e_new` and `e_mid` (one block per component) hold the conduction
     update and twice the midpoint e on the body edge slabs.  `rate_faces`
     (a triple of the body face slabs) holds the predicted rate, then the
@@ -200,21 +210,26 @@ class _Workspace:
 
     def __init__(self, em: "EMState"):
         box = em.box
-        self.curl = np.zeros(store_shape(box))
-        self.tmp = np.empty(2 * self.curl[0].size)
-        self.curl_h_views = _curl_views(em.h, box, self.curl, self.tmp, False)
-        self.curl_e_views = _curl_views(em.e, box, self.curl, self.tmp, True)
+        size = em.e[0].size
+        self.scratch = _aligned_empty(size + 7)
+        self.tmp = _aligned_empty(2 * size)
+        self.e_parts, self.h_parts = tuple(_flat(em.e)), tuple(_flat(em.h))
+        self.curl_h_views = _curl_views(em.h, box, self.scratch, self.tmp, False)
+        self.curl_e_views = _curl_views(em.e, box, self.scratch, self.tmp, True)
         window = tuple(_flat_span(slab, box) for slab in _body_face_slabs(box))
-        self.body_curl_e_views = _curl_views(em.e, box, self.curl, self.tmp, True, window)
-        self.body_curl_faces = _body_faces(self.curl, box)
+        self.body_curl_e_views = _curl_views(em.e, box, self.scratch, self.tmp, True, window)
+        grid = store_shape(box)[1:]
+        self.body_curl_faces = _body_faces([term[-1].reshape(grid)
+                                            for term in self.body_curl_e_views], box)
         self.body_h = _body_faces(em.h, box)
         slabs = _body_edge_slabs(box)
         self.e_body = tuple(em.e[c][slab] for c, slab in enumerate(slabs))
-        self.curl_body = tuple(self.curl[c][slab] for c, slab in enumerate(slabs))
-        self.e_new = tuple(np.empty(e.shape) for e in self.e_body)
-        self.e_mid = tuple(np.empty(e.shape) for e in self.e_body)
-        self.rate_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
-        self.body_faces = tuple(np.empty(f.shape) for f in self.body_curl_faces)
+        self.curl_body = tuple(term[-1].reshape(grid)[slab]
+                               for term, slab in zip(self.curl_h_views, slabs))
+        self.e_new = tuple(_aligned_empty(e.shape) for e in self.e_body)
+        self.e_mid = tuple(_aligned_empty(e.shape) for e in self.e_body)
+        self.rate_faces = tuple(_aligned_empty(f.shape) for f in self.body_curl_faces)
+        self.body_faces = tuple(_aligned_empty(f.shape) for f in self.body_curl_faces)
         self.body_cells = _vector_field((box.mx, box.my, box.mz, 3))
         self.mur = _mur_planes(em.e, box) if em.bc == MUR1 else None
 
@@ -233,7 +248,9 @@ def _component(index: int, doc: str) -> property:
 @dataclass
 class EMState:
     """Electromagnetic state: the e and h stores (see the module
-    docstring) and the bookkeeping of the box.
+    docstring), the bookkeeping of the box, and div0, the initial
+    div(h + m_bar) that `record_div0` records in the flat layout of
+    `_div_planes` (its cells are `_plane_cells` of it).
 
     `ex` ... `hz` are views of the stores, so writing into them writes
     the fields; assigning to one (`em.hx = a`) copies `a` into the store.
@@ -264,7 +281,10 @@ class EMState:
         self._views = edge_views(self.e, self.box) + face_views(self.h, self.box)
 
     def copy(self) -> "EMState":
-        return EMState(self.box, self.e.copy(), self.h.copy(), self.bc,
+        e, h = _aligned_empty(self.e.shape), _aligned_empty(self.h.shape)
+        np.copyto(e, self.e)
+        np.copyto(h, self.h)
+        return EMState(self.box, e, h, self.bc,
                        None if self.div0 is None else self.div0.copy())
 
     @property
@@ -296,7 +316,8 @@ def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
     """Zero fields on the box with outer boundary bc (PEC or MUR1)."""
     if bc not in BOUNDARIES:
         raise ValueError(f"unknown boundary {bc!r} (choose from {BOUNDARIES})")
-    return EMState(box, np.zeros(store_shape(box)), np.zeros(store_shape(box)), bc=bc)
+    return EMState(box, _aligned_empty(store_shape(box), zero=True),
+                   _aligned_empty(store_shape(box), zero=True), bc=bc)
 
 
 class AppliedCurrent:
@@ -351,7 +372,7 @@ def _face_pads(store: np.ndarray, box: BoxGeometry) -> tuple:
 
 def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
                 forward: bool, window: Optional[tuple] = None) -> tuple:
-    """The operands of one curl of the store src into the store out, for
+    """The operands of one curl of the store src, per component, for
     `_apply_curl`: for each component c, with (a, b) the next two axes in
     cyclic order,
 
@@ -359,26 +380,29 @@ def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
 
     which is (scale/h_a) D_a src[b] - (scale/h_b) D_b src[a] up to
     roundoff; D is the forward (edges -> faces) or backward (faces ->
-    edges) difference, a flat difference at the axis's offset.  Per
-    component the views are (p1, p0, q1, q0, o, t, r, h_b): the minuend
-    and subtrahend of each difference, the output range, the scratch
-    `tmp` (a flat float array of at least one store component) cut to it,
-    and the two spacing factors.
+    edges) difference, a flat difference at the axis's offset.  `out` is
+    the (3, N) flat store written into, or a flat scratch of N + 7 entries
+    that holds one component at a time, from the offset (-lo) mod 8: the
+    range [lo, hi) a component writes then starts on a 64-byte boundary
+    when the scratch does.  Per component the operands are (p1, p0, q1,
+    q0, o, t, r, h_b, zeros, dest): the minuend and subtrahend of each
+    difference, the output range, the scratch `tmp` (a flat float array
+    of at least one store component) cut to it, the two spacing factors,
+    the planes zeroed after the passes, and the flat component written.
 
     The entries a flat difference cannot reach, and those where it wraps
-    to the next row or plane, all lie on planes that are zeroed after the
-    passes, the second item of the returned pair: the pad planes of each
-    component and, for the backward curl, the wall edges.  With `window`
-    (per component, a range of flat indices) only those entries of `out`
-    are written, and nothing is zeroed.
+    to the next row or plane, all lie on those planes: the component's
+    pad planes and, for the backward curl, its edges on the box walls.
+    With `window` (per component, a range of flat indices) only the
+    entries within it are written, and nothing is zeroed.
     """
     n = (box.nx, box.ny, box.nz)
     spacing = (box.dx, box.dy, box.dz)
     strides = _strides(box)
-    size = out[0].size
+    size = src[0].size
     if tmp is None:
-        tmp = np.empty(size)
-    s_flat, o_flat = _flat(src), _flat(out)
+        tmp = _aligned_empty(size)
+    s_flat = _flat(src)
     terms = []
     for c in range(3):
         a, b = (c + 1) % 3, (c + 2) % 3
@@ -387,38 +411,42 @@ def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
         lo, hi = (0, size - reach) if forward else (reach, size)
         if window is not None:
             lo, hi = max(lo, window[c].start), min(hi, window[c].stop)
+        dest = out[c] if out.ndim == 2 else out[-lo % 8:][:size]
+        grid = dest.reshape(store_shape(box)[1:])
+        if window is not None:
+            zeros = ()
+        elif forward:
+            # faces are short along the two axes other than their own
+            zeros = (grid[_along(a, n[a])], grid[_along(b, n[b])])
+        else:
+            # edges are short along their own axis; the planes 0 and n
+            # along each other axis are the walls
+            zeros = (grid[_along(c, n[c])],) + tuple(
+                grid[_along(w, slice(0, n[w] + 1, n[w]))] for w in (a, b))
         # (minuend, subtrahend) offsets of the two differences
         pa, pb = ((sa, 0), (sb, 0)) if forward else ((0, -sa), (0, -sb))
         p, q = s_flat[b], s_flat[a]
         terms.append((p[lo + pa[0]:hi + pa[0]], p[lo + pa[1]:hi + pa[1]],
                       q[lo + pb[0]:hi + pb[0]], q[lo + pb[1]:hi + pb[1]],
-                      o_flat[c][lo:hi], tmp[:hi - lo], spacing[b] / spacing[a],
-                      spacing[b]))
-    if window is not None:
-        zeros = ()
-    elif forward:
-        zeros = _face_pads(out, box)
-    else:
-        # edges are short along their own axis
-        zeros = (tuple(out[c][_along(c, n[c])] for c in range(3))
-                 + _wall_planes(out, box))
-    return tuple(terms), zeros
+                      dest[lo:hi], tmp[:hi - lo], spacing[b] / spacing[a],
+                      spacing[b], zeros, dest))
+    return tuple(terms)
 
 
-def _apply_curl(views: tuple, scale: float):
-    """Run the curl whose operands `_curl_views` sliced: per component
-    (scale/h_b) (r D_a p - D_b q) in four passes, five when r != 1, then
-    the zero planes."""
-    terms, zeros = views
-    for p1, p0, q1, q0, o, t, r, h in terms:
-        np.subtract(p1, p0, out=o)
-        if r != 1.0:
-            o *= r
-        np.subtract(q1, q0, out=t)
-        o -= t
-        o *= scale / h
+def _apply_curl(term: tuple, scale: float) -> np.ndarray:
+    """Form one component of the curl whose operands `_curl_views`
+    sliced: (scale/h_b) (r D_a p - D_b q) in four passes, five when
+    r != 1, then its zero planes.  Returns the flat component."""
+    p1, p0, q1, q0, o, t, r, h, zeros, dest = term
+    np.subtract(p1, p0, out=o)
+    if r != 1.0:
+        o *= r
+    np.subtract(q1, q0, out=t)
+    o -= t
+    o *= scale / h
     for plane in zeros:
         plane[...] = 0.0
+    return dest
 
 
 def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
@@ -429,8 +457,9 @@ def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
     component) make the call allocation-free.
     """
     if out is None:
-        out = np.empty(store_shape(box))
-    _apply_curl(_curl_views(e, box, out, tmp, True), scale)
+        out = _aligned_empty(store_shape(box))
+    for term in _curl_views(e, box, _flat(out), tmp, True):
+        _apply_curl(term, scale)
     return out
 
 
@@ -443,8 +472,9 @@ def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
     component) make the call allocation-free.
     """
     if out is None:
-        out = np.empty(store_shape(box))
-    _apply_curl(_curl_views(h, box, out, tmp, False), scale)
+        out = _aligned_empty(store_shape(box))
+    for term in _curl_views(h, box, _flat(out), tmp, False):
+        _apply_curl(term, scale)
     return out
 
 
@@ -483,7 +513,7 @@ def cells_to_faces(c: np.ndarray, out=None) -> tuple:
     """
     if out is None:
         n = c.shape[:3]
-        out = tuple(np.empty(tuple(k + (i == axis) for i, k in enumerate(n)))
+        out = tuple(_aligned_empty(tuple(k + (i == axis) for i, k in enumerate(n)))
                     for axis in range(3))
     for axis, f in enumerate(out):
         ci = c[..., axis]
@@ -525,64 +555,73 @@ def interp_h_to_cells(em: EMState) -> np.ndarray:
     return _body_cells(em.h, em.box)
 
 
-def _plus_m_bar(h: np.ndarray, m: np.ndarray, box: BoxGeometry, out: np.ndarray,
-                tmp: np.ndarray) -> np.ndarray:
-    """h + m_bar in the store `out`, for an h store and the body field m:
-    out = h + 0.0 everywhere, then `_add_m_bar`."""
-    np.add(h, 0.0, out=out)
-    return _add_m_bar(out, m, box, tmp)
+def _m_bar_face(m: np.ndarray, c: int, box: BoxGeometry, cells: np.ndarray,
+                face: np.ndarray) -> tuple:
+    """Component c of m_bar, for the body field m, on the flat window of
+    its body face slab (`_flat_span`), as (window, the face values).
+
+    The component of m is written into the body cells of `cells` (a flat
+    float array of one store component) after zeroing its reach, and
+    averaged to faces as (E[j] + E[j - S]) * 0.5 into `face` (a flat
+    float array of at least the window's length).  That is the mean of the
+    two cells of a body face (a zero cell beyond the body) and +0.0 on
+    every other face of the window, where adding it leaves an entry that
+    is not -0.0 unchanged.  Every pass but the write of m is flat, so the
+    call allocates nothing.
+    """
+    S = _strides(box)[c]
+    window = _flat_span(_body_face_slabs(box)[c], box)
+    lo, hi = window.start, window.stop
+    cells[lo - S:hi] = 0.0
+    np.copyto(cells.reshape(store_shape(box)[1:])[box.body_slices()], m[..., c])
+    face = face[:hi - lo]
+    np.add(cells[lo:hi], cells[lo - S:hi - S], out=face)
+    face *= 0.5
+    return window, face
 
 
 def _add_m_bar(out: np.ndarray, m: np.ndarray, box: BoxGeometry,
                tmp: np.ndarray) -> np.ndarray:
-    """Add m_bar, for the body field m, to the store `out` in place.
-
-    m_bar is added over each component's flat window of the body face
-    slab (`_flat_span`): the component of m is written into the body
-    cells of a zeroed store component in `tmp` (a flat float array of at
-    least two store components) and averaged to faces as
-    (E[j] + E[j - S]) * 0.5, which is the mean of the two cells of a body
-    face (a zero cell beyond the body) and +0.0 on every other face of
-    the window, where it leaves an entry that is not -0.0 unchanged.
-    Every pass but the write of m is flat, so the call allocates nothing.
-    """
+    """Add m_bar, for the body field m, to the store `out` in place
+    (`_m_bar_face`); `tmp` is a flat float array of at least two store
+    components, the cells in the first and the faces from the first
+    multiple of 8 entries after it."""
     size = out[0].size
-    cells = tmp[:size]
-    body = cells.reshape(out.shape[1:])[box.body_slices()]
-    for c, (S, slab) in enumerate(zip(_strides(box), _body_face_slabs(box))):
-        window = _flat_span(slab, box)
-        lo, hi = window.start, window.stop
-        cells[lo - S:hi] = 0.0
-        np.copyto(body, m[..., c])
-        face = tmp[size:size + hi - lo]
-        np.add(cells[lo:hi], cells[lo - S:hi - S], out=face)
-        face *= 0.5
-        dst = out[c].reshape(-1)[lo:hi]
-        dst += face
+    for c, part in enumerate(_flat(out)):
+        window, face = _m_bar_face(m, c, box, tmp[:size], tmp[_next8(size):])
+        part[window] += face
     return out
 
 
-def _divergence(f: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
-    """Divergence of the face field of the store f at the box cell centers.
+def _next8(n: int) -> int:
+    """The first multiple of 8 at or after n: a float array carved from a
+    64-byte aligned buffer at that offset starts on a boundary."""
+    return -(-n // 8) * 8
 
-    Each difference is a flat one at the axis's offset, over the flat
-    range of the cells' x-planes, taken as (D_x f_x)/dx + (D_y f_y)/dy,
-    then + (D_z f_z)/dz.  `out` is a flat scratch of at least
-    2 nx (ny+1) (nz+1) entries; the returned (nx, ny, nz) array views its
-    first part.
+
+def _divergence(parts, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
+    """Divergence of a face field at the box cell centers, from its three
+    flat store components `parts` (an iterable; each is used before the
+    next is taken), on the cells' x-planes of the store index grid, flat:
+    (D_x f_x)/dx + (D_y f_y)/dy, then + (D_z f_z)/dz.  Each difference is
+    a flat one at the axis's offset, so the entries of each plane's pad
+    rows are not the divergence (`_plane_cells` views the cells).  `out`
+    is a flat scratch of at least two store components: the divergence is
+    formed at its start and each later term from the first multiple of 8
+    entries after it (`_next8`).
     """
-    f = _flat(f)
-    s0, s1, s2 = _strides(box)
-    n = box.nx * s0
-    div, t = out[:n], out[n:2 * n]
-    np.subtract(f[0][s0:s0 + n], f[0][:n], out=div)
-    div /= box.dx
-    np.subtract(f[1][s1:s1 + n], f[1][:n], out=t)
-    t /= box.dy
-    div += t
-    np.subtract(f[2][s2:s2 + n], f[2][:n], out=t)
-    t /= box.dz
-    div += t
+    n = box.nx * _strides(box)[0]
+    div, t = out[:n], out[_next8(n):][:n]
+    for part, S, h, d in zip(parts, _strides(box), (box.dx, box.dy, box.dz), (div, t, t)):
+        np.subtract(part[S:S + n], part[:n], out=d)
+        d /= h
+        if d is t:
+            div += t
+    return div
+
+
+def _plane_cells(div: np.ndarray, box: BoxGeometry) -> np.ndarray:
+    """The (nx, ny, nz) view of the box cells in a flat `_divergence`."""
     return div.reshape(box.nx, box.ny + 1, box.nz + 1)[:, :box.ny, :box.nz]
 
 
@@ -618,10 +657,10 @@ def poisson_solve(rhs: np.ndarray, box: BoxGeometry,
     by phi, in `out` (an array shaped like rhs; fresh when None).
     """
     if work is None:
-        work = tuple(np.empty(n) for n in dst.parts(rhs.shape))
+        work = tuple(_aligned_empty(n) for n in dst.parts(rhs.shape))
     ext, spec = work
     if out is None:
-        out = np.empty(rhs.shape)
+        out = _aligned_empty(rhs.shape)
     dst.transform(rhs, ext, spec, out, lines=dst.reached_lines(rhs, ext))
     lam = ext[:rhs.size].reshape(rhs.shape)
     np.add(_dirichlet_eigenvalues(box.nx, box.dx)[:, None, None],
@@ -652,19 +691,20 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     store's index grid (`_phi_cells`), so its gradient is flat
     differences.
     """
-    h = np.empty(store_shape(box)) if out is None else out
+    h = _aligned_empty(store_shape(box)) if out is None else out
     h_raw = tuple(np.asarray(h_raw, dtype=float).reshape(3))
     for a, raw in zip(_flat(h), h_raw):
-        a.fill(raw + 0.0)   # `_plus_m_bar`'s h + 0.0
+        a.fill(raw + 0.0)   # `_div_planes`'s h + 0.0
     # h holds h_raw + m_bar for the rhs, then the odd extensions, then
     # grad phi, then h_raw - grad phi
     shape = (box.nx, box.ny, box.nz)
     n_ext, n_spec = dst.parts(shape)
     n_phi = (box.nx + 2) * _strides(box)[0]
     size = math.prod(shape)
-    scratch = np.empty(max(2 * h[0].size, n_spec + n_phi) + size)
+    scratch = _aligned_empty(max(2 * h[0].size, n_spec + n_phi) + size)
     rhs = scratch[-size:].reshape(shape)
-    np.copyto(rhs, _divergence(_add_m_bar(h, m0, box, scratch), box, scratch))
+    _add_m_bar(h, m0, box, scratch)
+    np.copyto(rhs, _plane_cells(_divergence(_flat(h), box, scratch), box))
     phi = scratch[n_spec:n_spec + n_phi]
     phi.fill(0.0)
     poisson_solve(rhs, box, (_flat(h).reshape(-1)[:n_ext], scratch), _phi_cells(phi, box))
@@ -672,7 +712,7 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
 
     # the solve's residual div(grad phi) - rhs over the whole box, which
     # is -div(h + m_bar) of the final h up to roundoff
-    resid = _divergence(h, box, scratch)
+    resid = _plane_cells(_divergence(_flat(h), box, scratch), box)
     resid -= rhs
     resid = np.abs(resid, out=resid).max()
     rhs_max = np.abs(rhs, out=rhs).max()
@@ -686,38 +726,51 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
 
 
 def divergence_drift(em: EMState, m: np.ndarray) -> float:
-    """Max deviation of div(h + m_bar) from its recorded initial values.
+    """Max deviation of div(h + m_bar) from its recorded initial values
+    (`record_div0`; zero when none is recorded).
 
-    h + m_bar is formed in the workspace's curl store and its divergence
-    in its `tmp`, on the box's x-planes of the store index grid
-    (`_divergence`); with the pad rows of those planes zeroed and div0
-    written into the same layout, the difference and its maximum are flat
-    passes, so the call allocates nothing."""
-    box = em.box
-    tmp = em.workspace().tmp
-    _div_h_plus_m_bar(em, m)
-    n = box.nx * _strides(box)[0]
-    current, ref = tmp[:n], tmp[n:2 * n]
-    planes = [a.reshape(box.nx, box.ny + 1, box.nz + 1) for a in (current, ref)]
-    planes[1][:, :box.ny, :box.nz] = 0.0 if em.div0 is None else em.div0
-    for p in planes:
-        p[:, box.ny, :] = 0.0
-        p[:, :, box.nz] = 0.0
-    np.subtract(current, ref, out=current)
+    Both are in the flat layout of `_div_planes`, so the difference and
+    its maximum are flat passes, and the call allocates nothing."""
+    current = _div_planes(em, m)
+    if em.div0 is not None:
+        current -= em.div0
     np.abs(current, out=current)
     return float(current.max())
 
 
 def record_div0(em: EMState, m: np.ndarray):
-    em.div0 = _div_h_plus_m_bar(em, m).copy()
+    """Record div(h + m_bar) for the body field m as the state's div0, in
+    the flat layout of `_div_planes`."""
+    em.div0 = _div_planes(em, m).copy()
 
 
-def _div_h_plus_m_bar(em: EMState, m: np.ndarray) -> np.ndarray:
-    """div(h + m_bar) for the body field m, in the workspace (valid until
-    it is next used)."""
-    work = em.workspace()
-    return _divergence(_plus_m_bar(em.h, m, em.box, work.curl, work.tmp), em.box,
-                       work.tmp)
+def _div_planes(em: EMState, m: np.ndarray) -> np.ndarray:
+    """div(h + m_bar) for the body field m as a flat `_divergence` with
+    the entries of the pad rows zero, in the workspace's tmp (valid until
+    the workspace is next used).
+
+    Each component of h + m_bar is formed in the workspace's scratch and
+    its term of the divergence taken at once: the scratch first holds the
+    cells of m_bar's component (`_m_bar_face`), whose faces go into the
+    buffer of the divergence's later terms, then h + 0.0 with the faces
+    added.
+    """
+    box, work = em.box, em.workspace()
+    part = work.scratch[:em.h[0].size]
+    faces = work.tmp[_next8(box.nx * _strides(box)[0]):]
+
+    def h_plus_m_bar():
+        for c, h in enumerate(work.h_parts):
+            window, face = _m_bar_face(m, c, box, part, faces)
+            np.add(h, 0.0, out=part)
+            part[window] += face
+            yield part
+
+    div = _divergence(h_plus_m_bar(), box, work.tmp)
+    planes = div.reshape(box.nx, box.ny + 1, box.nz + 1)
+    planes[:, box.ny, :] = 0.0
+    planes[:, :, box.nz] = 0.0
+    return div
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +792,8 @@ def _mur_planes(e: np.ndarray, box: BoxGeometry) -> list:
     planes = []
     for axis, dst in enumerate(_wall_planes(e, box)):
         inner = _off_axis(e, axis, slice(1, n[axis], n[axis] - 2))
-        planes.append((axis, dst, inner, np.empty(dst.shape), np.empty(dst.shape)))
+        planes.append((axis, dst, inner, _aligned_empty(dst.shape),
+                       _aligned_empty(dst.shape)))
     return planes
 
 
@@ -767,9 +821,12 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
     the body rate), or None; the rate vanishes outside the body, so only
     those slabs feel it.  The fields are updated in place through buffers
     and views the state's workspace built once, so a warm step slices
-    nothing and allocates nothing box-sized.  The step's Ohmic and source
-    work, taken at the midpoint e as the semi-implicit update's identity
-    has them, is added to `acc.ohmic` and `acc.source` when acc is given.
+    nothing and allocates nothing box-sized: each curl component is formed
+    in the workspace's scratch and applied to its field component (with
+    its conduction update) before the next is formed.  The step's Ohmic
+    and source work, taken at the midpoint e as the semi-implicit update's
+    identity has them, is added to `acc.ohmic` and `acc.source` when acc
+    is given.
     """
     box = em.box
     limit = cfl_limit(box, params)
@@ -779,28 +836,29 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
     work = em.workspace()
     sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
     k = dt / eps0
-    _apply_curl(work.curl_h_views, k)
     if em.bc == MUR1:
         # the boundary and next-inner planes before the update
         for _, dst, inner, old, inner_old in work.mur:
             np.copyto(old, dst)
             np.copyto(inner_old, inner)
 
-    if sigma != 0.0:
-        # conduction acts on the body edges only, where e becomes
-        # ((1 - beta) e + k (curl h - sigma f)) / (1 + beta); outside them
-        # the update is the vacuum one below
-        dV = box.cell_volume
-        beta = sigma * dt / (2.0 * eps0)
-        for e_body, ce, fc, e_new, e_mid in zip(work.e_body, work.curl_body, f_value,
-                                                work.e_new, work.e_mid):
+    dV = box.cell_volume
+    beta = sigma * dt / (2.0 * eps0)
+    for term, e, e_body, curl_body, fc, e_new, e_mid in zip(
+            work.curl_h_views, work.e_parts, work.e_body, work.curl_body, f_value,
+            work.e_new, work.e_mid):
+        ce = _apply_curl(term, k)
+        if sigma != 0.0:
+            # conduction acts on the body edges only, where e becomes
+            # ((1 - beta) e + k (curl h - sigma f)) / (1 + beta); outside
+            # them the update is the vacuum one, e += curl h
             if fc != 0.0:
-                np.subtract(ce, k * sigma * fc, out=e_new)
+                np.subtract(curl_body, k * sigma * fc, out=e_new)
                 np.multiply(e_body, 1.0 - beta, out=e_mid)
                 e_new += e_mid
             else:
                 np.multiply(e_body, 1.0 - beta, out=e_new)
-                e_new += ce
+                e_new += curl_body
             e_new /= 1.0 + beta
             if acc is not None:
                 # e_mid is twice the midpoint e; the factors 0.25 and 0.5
@@ -810,19 +868,18 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
                 if fc != 0.0:
                     e_mid *= 0.5 * fc
                     acc.source += dt * (sigma / mu0) * dV * esum(e_mid)
-    np.add(em.e, work.curl, out=em.e)
-    if sigma != 0.0:
-        for e_body, e_new in zip(work.e_body, work.e_new):
+        e += ce
+        if sigma != 0.0:
             np.copyto(e_body, e_new)
 
     if em.bc == MUR1:
         _apply_mur(box, work.mur, params, dt)
 
-    _apply_curl(work.curl_e_views, dt / mu0)
-    np.subtract(em.h, work.curl, out=em.h)
-    if dm_faces is not None:
-        for h, dm in zip(work.body_h, dm_faces):
-            h -= dm
+    for term, h, h_body, dm in zip(work.curl_e_views, work.h_parts, work.body_h,
+                                   dm_faces or (None,) * 3):
+        h -= _apply_curl(term, dt / mu0)
+        if dm is not None:
+            h_body -= dm
     return em
 
 
@@ -853,10 +910,11 @@ def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float,
     """
     work = em.workspace()
     half = 0.5 * dt
-    _apply_curl(work.body_curl_e_views, half / params.mu0)
     rate = cells_to_faces(m_dot, out=work.rate_faces)
-    for f, h, c, r in zip(work.body_faces, work.body_h, work.body_curl_faces, rate):
+    for term, f, h, c, r in zip(work.body_curl_e_views, work.body_faces, work.body_h,
+                                work.body_curl_faces, rate):
         # f = h - (half/mu0) curl e - half m_dot, in that order
+        _apply_curl(term, half / params.mu0)
         np.subtract(h, c, out=f)
         r *= half
         f -= r

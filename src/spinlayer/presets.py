@@ -10,7 +10,7 @@ import math
 import numpy as np
 from numpy.random import default_rng
 
-from .energetics import _components, _dot, _scalars, _vector_field
+from .energetics import _aligned_empty, _components, _dot, _scalars, _vector_field
 from .geometry import DomainGeometry
 
 # z component of the vortex core, as a fraction of the shorter base side
@@ -124,7 +124,7 @@ def random_unit_m(geom: DomainGeometry, seed: int, smooth_cells: float = 1.5) ->
     norms, which `_dot` sums in np.linalg.norm's order.
     """
     m = _vector_field(geom.field_shape())
-    draw = default_rng(seed).standard_normal(m.shape)
+    draw = default_rng(seed).standard_normal(out=_aligned_empty(m.shape))
     np.copyto(m, draw)
     work = draw.reshape(-1)
     if smooth_cells > 0:

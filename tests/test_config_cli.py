@@ -792,21 +792,30 @@ class TestRunVariants:
         assert done.stderr == ("error: numeric: magnetization m became non-finite at "
                                "step 1, t=0, first at cell (0, 0, 0)\n")
 
-    def test_diag_of_an_overflowing_state_warns_nothing(self, tmp_path):
-        # a final m scaled by 1e200 overflows the energies: diag reports the
-        # row (exit 0), and numpy's RuntimeWarnings stay off stderr
+    @pytest.mark.parametrize("scale, error", [
+        (1e200, "stored final magnetization m is not finite or overflows when squared, "
+                "first at cell (0, 0, 0)\n"),
+        # |m|^2 is finite, but the biquadratic energy is quartic in m
+        (1e80, "29 diagnostics of the stored final state are not finite, first "
+               "superexch_biq\n"),
+    ], ids=["square", "quartic"])
+    def test_diag_of_an_overflowing_state_exits_3(self, tmp_path, scale, error):
+        # a final m whose energies overflow fails as a non-finite run does:
+        # exit 3, one stderr line without numpy's RuntimeWarnings, no report
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
         cfg_path.write_text(minimal_config(outdir))
         assert main(["run", str(cfg_path)]) == 0
         path = outdir / "state_final_m.snap"
         field_id, dims, spacings, t, (m,) = snapshots.read_snapshot(path)
-        snapshots.write_snapshot(path, field_id, dims, spacings, t, [m * 1e200])
+        snapshots.write_snapshot(path, field_id, dims, spacings, t, [m * scale])
         done = subprocess.run([sys.executable, "-m", "spinlayer.cli", "diag", str(outdir)],
                               env=_package_env(), capture_output=True, text=True,
                               timeout=120)
-        assert done.returncode == 0
-        assert done.stderr == ""
+        assert done.returncode == 3
+        assert done.stderr == "error: numeric: " + error
+        assert done.stdout == ""
+        assert not {"diag_report.csv", "stationarity.csv"} & set(os.listdir(outdir))
 
     def test_mur_boundary_via_config(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.ndimage import gaussian_filter
 
+from spinlayer import dynamics, presets
 from spinlayer import maxwell as mx
-from spinlayer import presets
 from spinlayer.dynamics import (BC_MODES, CONSTRAINTS, PENALIZED, PROJECTED,
                                 SchemeConfig, SimState, _advance_m, _state_terms,
                                 exchange_dt_bound, llg_rhs, run, step,
@@ -678,3 +678,44 @@ def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
     for _ in range(3):
         step(state, f)
     assert state.source != 0.0
+
+
+@pytest.mark.parametrize("bc", mx.BOUNDARIES)
+@pytest.mark.parametrize("body, component", [((0.6, 0.4, 6, 5, 3, 2), 11 * 10 * 10),
+                                             ((0.5, 0.5, 6, 6, 3, 3), 11 ** 3)],
+                         ids=["even_component", "odd_component"])
+def test_warm_coupled_step_writes_into_aligned_buffers(bc, body, component, monkeypatch):
+    # every buffer a coupled step writes with out= starts on a 64-byte
+    # boundary, also on a box whose odd store component leaves the second
+    # component of each store off it
+    geom = build_geometry(GeometryConfig(1.0, 1.0, *body))
+    params = plain_params(a_exch=0.01, sigma=2.0)
+    box = mx.make_box(geom, padding=2)
+    em = mx.empty_em_state(box, bc=bc)
+    assert em.e[0].size == component
+    m0 = random_unit_field(geom, seed=43)
+    mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
+    state = SimState(t=0.0, m=m0, em=em, geom=geom, params=params,
+                     scheme=SchemeConfig(dt=1e-3, subcycles=2))
+    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3)
+    step(state, f)
+
+    written = []
+
+    def recording_llg_rhs(*args, out=None, tmp=None):
+        written.extend((out, tmp))
+        return llg_rhs(*args, out=out, tmp=tmp)
+
+    monkeypatch.setattr(dynamics, "llg_rhs", recording_llg_rhs)
+    step(state, f)
+    assert len(written) == 8   # Heun, with the predictor's two stages
+    work, mwork = state.workspace(), em.workspace()
+    written += [em.e, em.h, state.m, *work.k, work.m_stage, *work.m_next, work.tmp,
+                mwork.scratch, mwork.tmp, *mwork.e_new, *mwork.e_mid,
+                *mwork.rate_faces, *mwork.body_faces, mwork.body_cells]
+    if bc == mx.MUR1:
+        written += [buf for _, _, _, old, inner_old in mwork.mur
+                    for buf in (old, inner_old)]
+    for views in (mwork.curl_h_views, mwork.curl_e_views, mwork.body_curl_e_views):
+        written += [term[i] for term in views for i in (4, 5)]   # o and t
+    assert [a.ctypes.data % 64 for a in written] == [0] * len(written)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlayer.effective_field import assemble_h_tot, penalty_field
-from spinlayer.energetics import (EnergyBreakdown, MaterialParams, _vector_field,
-                                  anisotropy_energy, apply_k, exchange_energy,
-                                  maxwell_energy, penalty_energy,
+from spinlayer.energetics import (EnergyBreakdown, MaterialParams, _aligned_empty,
+                                  _vector_field, anisotropy_energy, apply_k,
+                                  exchange_energy, maxwell_energy, penalty_energy,
                                   thin_layer_energy, total_energy,
                                   uniform_k_matrix)
 from spinlayer.geometry import GeometryConfig, build_geometry
@@ -446,3 +446,18 @@ def test_every_component_nonnegative(seed):
         bd = total_energy(m, None, g, params)
         for name in EnergyBreakdown.COLUMNS:
             assert getattr(bd, name) >= -1e-13, f"{name} negative, {g.layer_cells} cells"
+
+
+@pytest.mark.parametrize("shape", [1, 7, 35937, (3, 11, 10, 10), (4, 4, 3, 3)])
+def test_aligned_empty_starts_on_a_64_byte_boundary(shape):
+    for zero in (False, True):
+        a = _aligned_empty(shape, zero=zero)
+        assert a.shape == (shape if isinstance(shape, tuple) else (shape,))
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.ctypes.data % 64 == 0
+        # the slack before the data is under one cache line
+        owner = a.base
+        assert owner.flags.owndata
+        assert 0 <= a.ctypes.data - owner.ctypes.data <= 56
+        if zero:
+            assert not a.any()
