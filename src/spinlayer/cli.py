@@ -23,7 +23,8 @@ import time
 import numpy as np
 
 from . import dynamics, maxwell, snapshots
-from .config import RunConfig, _parse, _validate, build_model, build_setup, parse_config
+from .config import (RunConfig, _override_seed, _parse, _validate, build_model,
+                     build_setup, parse_config)
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
 from .energetics import EnergyBreakdown, _dot, _scalars, _vector_field
@@ -94,7 +95,7 @@ def _load_config(path: str, args) -> RunConfig:
     if args.snapshots is not None:
         config.snapshots_on = args.snapshots == "on"
     if args.seed is not None:
-        config.seed = args.seed
+        _override_seed(config, args.seed)
     _validate(config)
     return config
 
@@ -183,8 +184,8 @@ def recompute_final_row(outdir: str):
     with open(os.path.join(outdir, "effective_config")) as fh:
         config = parse_config(fh.read())
     setup = build_model(config)   # the fields come from the snapshots
-    geom, box, em = setup.geom, setup.box, setup.em
-    cells, yee = (geom.nx, geom.ny, geom.nz_total), (box.nx, box.ny, box.nz)
+    geom, em = setup.geom, setup.em
+    cells, yee = (geom.nx, geom.ny, geom.nz_total), (em.box.nx, em.box.ny, em.box.nz)
     # the ledger's sums run in memory order: m has the run's layout
     m = _vector_field(cells + (3,))
 
@@ -206,7 +207,7 @@ def recompute_final_row(outdir: str):
     values = (t_final,) + breakdown.as_tuple() + (saturation_dev, drift)
     em.work = None   # the workspace is only needed for the row's drift
 
-    H = omega_limit_field_cells(m, box, geom, out=em.h)
+    H = omega_limit_field_cells(m, em.box, geom, out=em.h)
     stationarity = stationarity_report(m, H, setup.params, geom)
     bad = [name for name, v in list(zip(DIAG_COLUMNS, values)) + stationarity
            if not math.isfinite(v)]

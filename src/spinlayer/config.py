@@ -318,10 +318,10 @@ def _validate(config: RunConfig):
         raise ValidationError("run.t_end", "must be nonnegative")
     if config.bc_mode == THIN_LAYER and config.eta is None:
         raise ValidationError("geometry.eta", "required in thin_layer mode")
-    if config.m0[0] == "random" and config.m0[1] < 0:
-        raise ValidationError("initial.m", "seed must be nonnegative")
     if config.m0[0] == "random" and config.seed < 0:
         raise ValidationError("run.seed", "must be nonnegative")
+    if config.m0[0] == "random" and config.m0[1] < 0:
+        raise ValidationError("initial.m", "seed must be nonnegative")
 
 
 @dataclass
@@ -332,7 +332,6 @@ class RunSetup:
     geom: object
     params: MaterialParams
     scheme: SchemeConfig
-    box: object
     em: object
     m0: Optional[np.ndarray]   # None until `set_initial_fields`
     f: Optional[AppliedCurrent]   # None: no current
@@ -397,7 +396,7 @@ def build_model(config: RunConfig) -> RunSetup:
     dynamics.validate_stability(scheme, geom, params, box)
 
     return RunSetup(config=config, geom=geom, params=params, scheme=scheme,
-                    box=box, em=maxwell.empty_em_state(box, bc=config.bc), m0=None,
+                    em=maxwell.empty_em_state(box, bc=config.bc), m0=None,
                     f=_build_current(config))
 
 
@@ -407,7 +406,7 @@ def set_initial_fields(setup: RunSetup):
     of a random magnetization preset."""
     config, em = setup.config, setup.em
     setup.m0 = _build_m0(config, setup.geom)
-    maxwell.init_divfree(setup.m0, _h_raw(config), setup.box, out=em.h)
+    maxwell.init_divfree(setup.m0, _h_raw(config), em.box, out=em.h)
     _set_e0(config, em)
     if config.bc == maxwell.PEC:
         maxwell.zero_boundary_tangential_e(em)
@@ -447,6 +446,14 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
     except snapshots.SnapshotError as exc:
         raise ValidationError("initial.m", str(exc)) from exc
     return _vector_copy(m)
+
+
+def _override_seed(config: RunConfig, seed: int):
+    """A command-line seed, also as a random preset's seed: a [run] seed
+    of 0 means no override, a flag of 0 takes effect."""
+    config.seed = seed
+    if config.m0[0] == "random":
+        config.m0 = ("random", seed) + config.m0[2:]
 
 
 def _h_raw(config: RunConfig) -> tuple:

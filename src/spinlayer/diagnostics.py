@@ -10,7 +10,8 @@ import numpy as np
 
 from . import maxwell
 from .effective_field import assemble_h_tot
-from .energetics import EnergyBreakdown, MaterialParams, _aligned_empty, _dot, _scalars
+from .energetics import (EnergyBreakdown, MaterialParams, _aligned_empty, _dot,
+                         _kernel_scratch, _scalars)
 from .geometry import DomainGeometry
 from .summation import dot
 
@@ -133,11 +134,12 @@ def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
 
     The torque overwrites the component-major h_tot F of
     `assemble_h_tot`: components 0 and 1 are formed in the scratch of the
-    assembly and copied in after component 2, which reads only F_0 and
-    F_1, has been formed in place.  Each is formed as `np.cross` forms
-    it, m_j F_k - m_k F_j, so the torque has the bits of np.cross(m, F).
+    assembly (`_kernel_scratch`) and copied in after component 2, which
+    reads only F_0 and F_1, has been formed in place.  Each is formed as
+    `np.cross` forms it, m_j F_k - m_k F_j, so the torque has the bits of
+    np.cross(m, F).
     """
-    tmp = _aligned_empty(2 * m.size)
+    tmp = _kernel_scratch(geom, h_tot=False)
     f = assemble_h_tot(m, h_cells, geom, params, tmp=tmp)
     t0, t1, t = _scalars(tmp, m.shape[:-1], 3)
     for i, out in ((0, t0), (1, t1), (2, f[..., 2])):

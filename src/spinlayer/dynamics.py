@@ -18,8 +18,8 @@ import numpy as np
 from . import maxwell
 from .diagnostics import LedgerRow, saturation_deviation
 from .effective_field import assemble_h_tot
-from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _scalars,
-                         _store, _vector_copy, _vector_field, total_energy)
+from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _kernel_scratch,
+                         _scalars, _store, _vector_copy, _vector_field, total_energy)
 from .errors import CFLViolation, NonFinite
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState
@@ -89,20 +89,17 @@ class _Workspace:
     stage magnetization, `m_next` the two buffers a step's new m
     alternates between; the fields are component-major, like the state's
     m, and every buffer starts on a 64-byte boundary (`_aligned_empty`).
-    `tmp`, the flat scratch of `llg_rhs` and of the ledger row, holds
-    the one scratch rule of the kernels, m.size + max(2 m.size, 12 per
-    cell of the spacer layer) entries: `llg_rhs` keeps h_tot in the first
-    m.size and `assemble_h_tot` takes the rest, so a stage and a row
+    `tmp`, the flat scratch of `llg_rhs` and of the ledger row, is the
+    one scratch of the kernels (`_kernel_scratch`), so a stage and a row
     allocate nothing field-sized at any layer depth.
     """
 
     def __init__(self, geom: DomainGeometry, stages: int):
         shape = geom.field_shape()
-        size, layer = int(np.prod(shape)), 2 * geom.layer_cells * geom.nx * geom.ny
         self.k = [_vector_field(shape) for _ in range(stages)]
         self.m_stage = _vector_field(shape)
         self.m_next = (_vector_field(shape), _vector_field(shape))
-        self.tmp = _aligned_empty(size + max(2 * size, 12 * layer))
+        self.tmp = _kernel_scratch(geom)
 
 
 @dataclass
@@ -174,13 +171,13 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
       integrator at its nominal order.
 
     h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
-    `tmp` (a flat float array sized by the scratch rule of `_Workspace`)
+    `tmp` (a flat float array at least as long as `_kernel_scratch`'s)
     makes the call allocation-free.
     """
     if out is None:
         out = _empty_like(m, _aligned_empty(m.size))
     if tmp is None:
-        tmp = _aligned_empty(3 * m.size)
+        tmp = _kernel_scratch(geom)
     alpha = params.alpha
     F = assemble_h_tot(m, h_cells, geom, params, out=_vector_field(m.shape, tmp),
                        tmp=tmp[m.size:])

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import DomainGeometry
-from .energetics import (MaterialParams, _aligned_empty, _components, _dot,
-                         _face_differences, _scalars, _store, _vector_field, apply_k)
+from .energetics import (MaterialParams, _aligned_empty, _components, _dot, _face_differences,
+                         _kernel_scratch, _scalars, _store, _vector_field, apply_k)
 
 
 def _add_exchange_fluxes(f: np.ndarray, geom: DomainGeometry, coef: float,
@@ -98,9 +98,8 @@ def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams
     operand runs backwards (numpy buffers a pass that mixes forward and
     backward strides); the terms are added in the order ks, j1, j2 and
     the block is copied back.  `tmp` (a flat float array of at least 12
-    entries per layer cell, as the stage scratch of `dynamics._Workspace`
-    has) makes the call allocation-free; a shorter one is replaced by a
-    fresh buffer.
+    entries per layer cell, as `energetics._kernel_scratch` has) makes the
+    call allocation-free.
     """
     cells = geom.layer_cells
     sl = geom.layer_slice()
@@ -108,7 +107,7 @@ def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams
         out = np.zeros_like(m)
     shape = (2 * cells,) + m.shape[:2]
     p = math.prod(shape)
-    if tmp is None or tmp.size < 12 * p:
+    if tmp is None:
         tmp = _aligned_empty(12 * p)
     ml, ms, f = (_vector_field(shape + (3,), tmp[k * 3 * p:]) for k in range(3))
     mdotms, msms, t = _scalars(tmp[9 * p:], shape, 3)
@@ -181,13 +180,13 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     the penalty field.  `out` (a component-major field, not aliasing m;
     fresh when omitted) receives the field; another layout raises
     ValueError.  `tmp` (a flat float array of at least max(2 * m.size,
-    12 per layer cell) entries, the stage scratch of `dynamics._Workspace`
-    past its first m.size) makes the call allocation-free whenever
-    h_cells is component-major (another layout is read through a copy).
+    12 per layer cell) entries, `energetics._kernel_scratch`) makes the
+    call allocation-free whenever h_cells is component-major (another
+    layout is read through a copy).
     """
     out = _out_field(out, m.shape)
     if tmp is None:
-        tmp = _aligned_empty(2 * m.size)
+        tmp = _kernel_scratch(geom, h_tot=False)
     o = _store(out)
     h = 0.0 if h_cells is None else _store(h_cells)
     if params.k_matrix is not None:

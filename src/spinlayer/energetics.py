@@ -54,6 +54,16 @@ def _aligned_empty(shape, zero: bool = False) -> np.ndarray:
     return buf[start:start + size].reshape(shape)
 
 
+def _kernel_scratch(geom: DomainGeometry, h_tot: bool = True) -> np.ndarray:
+    """The one scratch rule of the kernels, m a field of the geometry:
+    max(2 m.size, 12 per spacer-layer cell) entries for `assemble_h_tot`
+    and the energies at any layer depth; with `h_tot`, m.size more in
+    front for the h_tot of `llg_rhs`."""
+    size = math.prod(geom.field_shape())
+    layer = 2 * geom.layer_cells * geom.nx * geom.ny
+    return _aligned_empty((size if h_tot else 0) + max(2 * size, 12 * layer))
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Material and model constants.
@@ -307,8 +317,7 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     is formed component by component in a row-major block, as `np.cross`
     forms it; the sums therefore keep the bits of those fresh arrays.
     `tmp` (a flat float array of at least 10 entries per layer cell, as
-    the stage scratch of `dynamics._Workspace` has) makes the call
-    allocation-free; a shorter one is replaced by a fresh buffer.
+    `_kernel_scratch` has) makes the call allocation-free.
     """
     ml = m[:, :, geom.layer_slice(), :]
     w = geom.face_area / (2.0 * geom.layer_cells)      # dV / (2 eta)
@@ -320,7 +329,7 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
         e_ks = params.ks * w * dot(inplane, inplane)
     if params.j1 != 0.0 or params.j2 != 0.0:
         p = math.prod(ml.shape[:-1])
-        if tmp is None or tmp.size < 10 * p:
+        if tmp is None:
             tmp = _aligned_empty(10 * p)
         flat = [tmp[k * 3 * p:(k + 1) * 3 * p] for k in range(3)]
         gl, gs, jump = (_empty_like(ml, b) for b in flat)
@@ -370,8 +379,7 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
     term enters whenever params.penalty_k is nonzero, the energy whose
     gradient `effective_field.assemble_h_tot` is.  `tmp` (a flat float
     array of at least max(4 * m.size // 3, 10 per layer cell) entries, as
-    the stage scratch of `dynamics._Workspace` has) makes the call
-    allocation-free.
+    `_kernel_scratch` has) makes the call allocation-free.
     """
     e_h = e_e = 0.0
     if em is not None:

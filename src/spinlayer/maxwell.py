@@ -29,6 +29,8 @@ ny and nz are even.
 The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
 sign-definite.
+div(h + m_bar), which `init_divfree` projects to zero and the ledger's
+drift measures, is one kernel, `_div_h_plus_m_bar`.
 """
 
 import math
@@ -170,16 +172,6 @@ def _flat_span(slab: tuple, box: BoxGeometry) -> slice:
                  sum((s.stop - 1) * k for s, k in zip(slab, strides)) + 1)
 
 
-def _body_edge_masks(box: BoxGeometry) -> tuple:
-    """Boolean masks of the body edge slabs."""
-    masks = []
-    for shape, slab in zip(edge_shapes(box), _body_edge_slabs(box)):
-        mask = np.zeros(shape, dtype=bool)
-        mask[slab] = True
-        masks.append(mask)
-    return tuple(masks)
-
-
 class _Workspace:
     """Preallocated buffers of one EMState, and the views of its stores
     that a coupled step touches, built once.  Every buffer starts on a
@@ -290,7 +282,10 @@ class EMState:
     @property
     def omega_masks(self) -> tuple:
         """Boolean masks of the body edge slabs, one per e component."""
-        return _body_edge_masks(self.box)
+        masks = tuple(np.zeros(shape, dtype=bool) for shape in edge_shapes(self.box))
+        for mask, slab in zip(masks, _body_edge_slabs(self.box)):
+            mask[slab] = True
+        return masks
 
     def workspace(self) -> _Workspace:
         if self.work is None:
@@ -483,10 +478,10 @@ def _gradient(phi: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
     outside the box, into the store `out`.
 
     phi is flat: one store component's index grid, behind one zero
-    x-plane, holding the cells and zero pads (`_phi_cells`), so each face
-    difference, the outermost ones against a zero ghost included, is a
-    flat difference at the axis's offset, and every pad of `out` gets
-    (0 - 0)/h = +0.0.
+    x-plane, holding the cells and zero pads (`_plane_cells` of
+    phi[S0:-S0]), so each face difference, the outermost ones against a
+    zero ghost included, is a flat difference at the axis's offset, and
+    every pad of `out` gets (0 - 0)/h = +0.0.
     """
     s0 = _strides(box)[0]
     size = out[0].size
@@ -494,13 +489,6 @@ def _gradient(phi: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
         np.subtract(phi[s0:], phi[s0 - s:s0 - s + size], out=g)
         g /= h
     return out
-
-
-def _phi_cells(phi: np.ndarray, box: BoxGeometry) -> np.ndarray:
-    """The (nx, ny, nz) view of the box cells in a flat `_gradient` phi
-    of (nx + 2) (ny + 1) (nz + 1) floats."""
-    grid = phi[_strides(box)[0]:].reshape(box.nx + 1, box.ny + 1, box.nz + 1)
-    return grid[:box.nx, :box.ny, :box.nz]
 
 
 def cells_to_faces(c: np.ndarray, out=None) -> tuple:
@@ -580,19 +568,6 @@ def _m_bar_face(m: np.ndarray, c: int, box: BoxGeometry, cells: np.ndarray,
     return window, face
 
 
-def _add_m_bar(out: np.ndarray, m: np.ndarray, box: BoxGeometry,
-               tmp: np.ndarray) -> np.ndarray:
-    """Add m_bar, for the body field m, to the store `out` in place
-    (`_m_bar_face`); `tmp` is a flat float array of at least two store
-    components, the cells in the first and the faces from the first
-    multiple of 8 entries after it."""
-    size = out[0].size
-    for c, part in enumerate(_flat(out)):
-        window, face = _m_bar_face(m, c, box, tmp[:size], tmp[_next8(size):])
-        part[window] += face
-    return out
-
-
 def _next8(n: int) -> int:
     """The first multiple of 8 at or after n: a float array carved from a
     64-byte aligned buffer at that offset starts on a boundary."""
@@ -623,6 +598,28 @@ def _divergence(parts, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
 def _plane_cells(div: np.ndarray, box: BoxGeometry) -> np.ndarray:
     """The (nx, ny, nz) view of the box cells in a flat `_divergence`."""
     return div.reshape(box.nx, box.ny + 1, box.nz + 1)[:, :box.ny, :box.nz]
+
+
+def _div_h_plus_m_bar(h_parts, m: np.ndarray, box: BoxGeometry, part: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """div(h + m_bar) for the body field m, h given as three flat store
+    components or three floats (a uniform h), as the flat `_divergence`
+    in `out`.
+
+    Each component of h + m_bar is formed in `part` (one store component)
+    and its term taken at once: `part` first holds the cells of m_bar's
+    component (`_m_bar_face`), whose faces go into the buffer of the later
+    terms, then h + 0.0 with the faces added."""
+    faces = out[_next8(box.nx * _strides(box)[0]):]
+
+    def h_plus_m_bar():
+        for c, h in enumerate(h_parts):
+            window, face = _m_bar_face(m, c, box, part, faces)
+            np.add(h, 0.0, out=part)
+            part[window] += face
+            yield part
+
+    return _divergence(h_plus_m_bar(), box, out)
 
 
 # ---------------------------------------------------------------------------
@@ -683,31 +680,31 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     store: `out` (its pads zero), written in place, or a fresh one.
 
     Every pass over h runs over whole store components, pads included,
-    which are zeroed at the end.  Once the rhs is formed, h is free until
-    the gradient is written into it, so it holds the solve's odd
-    extensions.  One flat scratch serves m_bar and the divergence of the
-    rhs, then the spectra and phi, then the residual's divergence, and
-    keeps the rhs (for the residual) in its last part.  Phi lies on the
-    store's index grid (`_phi_cells`), so its gradient is flat
-    differences.
+    which are zeroed at the end.  h is free until the gradient is written
+    into it: its first component is `_div_h_plus_m_bar`'s buffer for the
+    rhs, then it holds the solve's odd extensions.  One flat scratch
+    serves m_bar's faces and the divergence of the rhs, then the spectra
+    and phi, then the residual's divergence, and keeps the rhs (for the
+    residual) in its last part.  Phi lies on the store's index grid
+    (`_plane_cells` of phi[S0:-S0]), so its gradient is flat differences.
     """
     h = _aligned_empty(store_shape(box)) if out is None else out
     h_raw = tuple(np.asarray(h_raw, dtype=float).reshape(3))
-    for a, raw in zip(_flat(h), h_raw):
-        a.fill(raw + 0.0)   # `_div_planes`'s h + 0.0
-    # h holds h_raw + m_bar for the rhs, then the odd extensions, then
-    # grad phi, then h_raw - grad phi
+    # h holds the components of h_raw + m_bar for the rhs, then the odd
+    # extensions, then grad phi, then h_raw - grad phi
     shape = (box.nx, box.ny, box.nz)
     n_ext, n_spec = dst.parts(shape)
-    n_phi = (box.nx + 2) * _strides(box)[0]
+    S0 = _strides(box)[0]
+    n_phi = (box.nx + 2) * S0
     size = math.prod(shape)
     scratch = _aligned_empty(max(2 * h[0].size, n_spec + n_phi) + size)
     rhs = scratch[-size:].reshape(shape)
-    _add_m_bar(h, m0, box, scratch)
-    np.copyto(rhs, _plane_cells(_divergence(_flat(h), box, scratch), box))
+    np.copyto(rhs, _plane_cells(_div_h_plus_m_bar(h_raw, m0, box, _flat(h)[0], scratch),
+                                box))
     phi = scratch[n_spec:n_spec + n_phi]
     phi.fill(0.0)
-    poisson_solve(rhs, box, (_flat(h).reshape(-1)[:n_ext], scratch), _phi_cells(phi, box))
+    poisson_solve(rhs, box, (_flat(h).reshape(-1)[:n_ext], scratch),
+                  _plane_cells(phi[S0:-S0], box))
     _gradient(phi, box, h)
 
     # the solve's residual div(grad phi) - rhs over the whole box, which
@@ -747,26 +744,11 @@ def record_div0(em: EMState, m: np.ndarray):
 def _div_planes(em: EMState, m: np.ndarray) -> np.ndarray:
     """div(h + m_bar) for the body field m as a flat `_divergence` with
     the entries of the pad rows zero, in the workspace's tmp (valid until
-    the workspace is next used).
-
-    Each component of h + m_bar is formed in the workspace's scratch and
-    its term of the divergence taken at once: the scratch first holds the
-    cells of m_bar's component (`_m_bar_face`), whose faces go into the
-    buffer of the divergence's later terms, then h + 0.0 with the faces
-    added.
+    the workspace is next used): `_div_h_plus_m_bar` of the h store with
+    the workspace's scratch as its buffer.
     """
     box, work = em.box, em.workspace()
-    part = work.scratch[:em.h[0].size]
-    faces = work.tmp[_next8(box.nx * _strides(box)[0]):]
-
-    def h_plus_m_bar():
-        for c, h in enumerate(work.h_parts):
-            window, face = _m_bar_face(m, c, box, part, faces)
-            np.add(h, 0.0, out=part)
-            part[window] += face
-            yield part
-
-    div = _divergence(h_plus_m_bar(), box, work.tmp)
+    div = _div_h_plus_m_bar(work.h_parts, m, box, work.scratch[:em.h[0].size], work.tmp)
     planes = div.reshape(box.nx, box.ny + 1, box.nz + 1)
     planes[:, box.ny, :] = 0.0
     planes[:, :, box.nz] = 0.0

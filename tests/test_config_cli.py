@@ -691,6 +691,21 @@ class TestCli:
         assert any(n.startswith("m_") and n.endswith(".snap")
                    for n in os.listdir(outdir))
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seed_flag_draws_its_field(self, tmp_path, seed):
+        # --seed S gives the field of `m = random S` for every S >= 0, zero
+        # included, and so does its echo, whose [run] seed = 0 means no
+        # override
+        text = minimal_config(tmp_path / "out")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        args = argparse.Namespace(log_every=None, snapshots=None, seed=seed)
+        flagged = cli_module._load_config(str(cfg_path), args)
+        want = build_setup(parse_config(text.replace("m = random 11",
+                                                     f"m = random {seed}"))).m0
+        for config in (flagged, parse_config(flagged.to_text())):
+            assert np.array_equal(build_setup(config).m0, want)
+
 
     @pytest.mark.parametrize("command, module, name", [
         ("check", cli_module, "build_setup"),

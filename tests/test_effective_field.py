@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from spinlayer import effective_field
 from spinlayer import maxwell as mx
-from spinlayer.dynamics import PROJECTED, SchemeConfig, run
+from spinlayer.diagnostics import stationarity_report
+from spinlayer.dynamics import PROJECTED, SchemeConfig, llg_rhs, run
 from spinlayer.effective_field import (assemble_h_tot, laplacian_neumann,
                                        penalty_field, thin_layer_field)
 from spinlayer.energetics import (MaterialParams, _vector_field, anisotropy_energy,
@@ -214,6 +216,26 @@ class TestThinLayerField:
         ref = -g / small_geom.cell_volume
         err = np.linalg.norm(field - ref, axis=-1)
         assert err.max() < 1e-6 * (1.0 + np.linalg.norm(ref, axis=-1)).max()
+
+    def test_deep_layer_scratch_comes_from_the_rule(self, monkeypatch):
+        # a layer three cells deep on four-cell slabs takes 12 * 96 = 1152
+        # floats of scratch, more than 2 m.size = 768: the scratch rule
+        # covers it, so neither the stationarity torque nor a default
+        # llg_rhs allocates inside thin_layer_field
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 4, 4,
+                                             eta=3 * 0.5 / 4))
+        assert geom.layer_cells == 3
+        params = plain_params(j1=0.1)
+        m = random_unit_field(geom, seed=29)
+        fresh, aligned_empty = [], effective_field._aligned_empty
+
+        def spy(shape, *args, **kwargs):
+            fresh.append(shape)
+            return aligned_empty(shape, *args, **kwargs)
+        monkeypatch.setattr(effective_field, "_aligned_empty", spy)
+        stationarity_report(m, None, params, geom)
+        llg_rhs(m, None, geom, params, SchemeConfig(dt=1e-3))
+        assert fresh == []
 
 
 class TestPenaltyField:

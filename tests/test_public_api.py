@@ -109,6 +109,20 @@ def test_layer_words_are_spelled_in_config_and_dynamics_only():
     assert set().union(*found.values()) <= {"config.py", "dynamics.py"}, found
 
 
+def test_m_bar_face_has_one_caller():
+    # div(h + m_bar) is one kernel, `maxwell._div_h_plus_m_bar`: the
+    # projection's rhs and the ledger's drift both form m_bar through it
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_m_bar_face":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert len(callers) == 1, callers
+
+
 def _unused_imports(path):
     """Names bound by the module-level imports of `path` that no Name in
     the module reads."""
