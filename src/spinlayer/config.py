@@ -322,6 +322,12 @@ def _validate(config: RunConfig):
         raise ValidationError("run.seed", "must be nonnegative")
     if config.m0[0] == "random" and config.m0[1] < 0:
         raise ValidationError("initial.m", "seed must be nonnegative")
+    if config.m0[0] == "random" and len(config.m0) > 2:
+        # beyond the longest axis the filter only adds passes
+        longest = max(config.nx, config.ny, config.nz_minus + config.nz_plus)
+        if not 0 <= config.m0[2] <= longest:
+            raise ValidationError("initial.m", f"smoothing must be between 0 and "
+                                               f"{longest} cells, the longest body axis")
 
 
 @dataclass

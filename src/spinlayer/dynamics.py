@@ -36,6 +36,11 @@ CONSTRAINTS = (PROJECTED, PENALIZED)
 SHARP = "sharp"
 THIN_LAYER = "thin_layer"
 BC_MODES = (SHARP, THIN_LAYER)
+# per integrator: each stage after the first as (d, w), its m being
+# m + (dt / d) * (the rate before it) and w its rate's weight in the sum
+# (the first rate's is 1), and the divisor of the weighted sum
+_TABLEAUX = {HEUN: (((1.0, 1.0),), 2.0),
+             RK4: (((2.0, 2.0), (2.0, 2.0), (1.0, 1.0)), 6.0)}
 
 
 @dataclass
@@ -83,22 +88,27 @@ def validate_stability(scheme: SchemeConfig, geom: DomainGeometry,
 
 
 class _Workspace:
-    """Preallocated buffers of one SimState's LLG stages.
+    """Preallocated buffers of one SimState's LLG stages, Heun and RK4 alike.
 
-    `k` holds the stage rates (two for Heun, four for RK4), `m_stage` the
-    stage magnetization, `m_next` the two buffers a step's new m
-    alternates between; the fields are component-major, like the state's
-    m, and every buffer starts on a 64-byte boundary (`_aligned_empty`).
-    `tmp`, the flat scratch of `llg_rhs` and of the ledger row, is the
-    one scratch of the kernels (`_kernel_scratch`), so a stage and a row
-    allocate nothing field-sized at any layer depth.
+    `k` holds the two stage rates: k[0] the first rate, into which the
+    later ones are summed, and k[1] the latest stage's rate.  `m_next` holds
+    the two buffers a step's new m alternates between; each stage m is
+    formed in the step's new m, which is dead until the final combination.
+    A given `m`, the state's own copy of m0, is the first of them.  The
+    fields are component-major, like the state's m, and every buffer starts
+    on a 64-byte boundary (`_aligned_empty`).  `tmp`, the flat scratch of
+    `llg_rhs` and of the ledger row, is the one scratch of the kernels
+    (`_kernel_scratch`: three fields' floats while the spacer layer is at
+    most half the body's depth), so a stage and a row allocate nothing
+    field-sized at any layer depth.  A stepped state thus holds about seven
+    field arrays, 24 bytes per cell each: two rates, two m buffers and three
+    in `tmp`.
     """
 
-    def __init__(self, geom: DomainGeometry, stages: int):
+    def __init__(self, geom: DomainGeometry, m: Optional[np.ndarray] = None):
         shape = geom.field_shape()
-        self.k = [_vector_field(shape) for _ in range(stages)]
-        self.m_stage = _vector_field(shape)
-        self.m_next = (_vector_field(shape), _vector_field(shape))
+        self.k = (_vector_field(shape), _vector_field(shape))
+        self.m_next = (_vector_field(shape) if m is None else m, _vector_field(shape))
         self.tmp = _kernel_scratch(geom)
 
 
@@ -121,13 +131,16 @@ class SimState:
     ohmic: float = 0.0
     source: float = 0.0
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
+    # the copy of m0 made here, until the workspace adopts it (if still m)
+    _m0_copy: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         layer = SHARP if self.geom.eta is None else THIN_LAYER
         if self.scheme.bc_mode != layer:
             raise ValueError(f"bc_mode {self.scheme.bc_mode!r} does not name the "
                              f"geometry's spacer layer, {layer!r}")
-        self.m = _vector_copy(self.m)
+        self.m = self._m0_copy = _vector_copy(self.m)
         if not np.isfinite(self.m).all():
             raise NonFinite("initial magnetization is not finite")
         if self.em is not None and self.h_fixed is not None:
@@ -142,8 +155,9 @@ class SimState:
 
     def workspace(self) -> _Workspace:
         if self.work is None:
-            stages = 2 if self.scheme.integrator == HEUN else 4
-            self.work = _Workspace(self.geom, stages)
+            # adopt the state's own copy of m0, never an array a caller assigned
+            own, self._m0_copy = self._m0_copy, None
+            self.work = _Workspace(self.geom, own if self.m is own else None)
         return self.work
 
 
@@ -229,40 +243,34 @@ def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
         m[..., i] /= norms
 
 
+def _add_rate(f_sum: np.ndarray, f_rate: np.ndarray, weight: float):
+    """f_sum += weight * f_rate, f_rate scaled in place unless weight is 1."""
+    if weight != 1.0:
+        f_rate *= weight
+    f_sum += f_rate
+
+
 def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
     """One Heun or RK4 step of m at frozen h into `out` (component-major,
-    not aliasing m), using only the buffers of `work`.  The stage
-    combinations run on the flat stores (`_store`)."""
-    k, m_stage = work.k, work.m_stage
-    fm, fs, fo, *fk = map(_store, (m, m_stage, out, *k))
+    not aliasing m or h_cells), using only `out` and the buffers of `work`.
 
-    def rhs(mm, kk):
-        return llg_rhs(mm, h_cells, geom, params, scheme, out=kk, tmp=work.tmp)
-
-    def stage(c, fkk):
-        np.multiply(fkk, c, out=fs)
-        np.add(fm, fs, out=fs)
-        return m_stage
-
-    if scheme.integrator == HEUN:
-        f1, f2 = fk
-        rhs(m, k[0])
-        rhs(stage(dt, f1), k[1])
-        f1 += f2
-        f1 *= 0.5 * dt
-    else:
-        f1, f2, f3, f4 = fk
-        rhs(m, k[0])
-        rhs(stage(0.5 * dt, f1), k[1])
-        rhs(stage(0.5 * dt, f2), k[2])
-        rhs(stage(dt, f3), k[3])
-        f2 *= 2.0
-        f1 += f2
-        f3 *= 2.0
-        f1 += f3
-        f1 += f4
-        f1 *= dt / 6.0
-    np.add(fm, f1, out=fo)
+    Each later stage m is m + (dt / d) times the rate before it, formed in
+    `out`; its rate goes to work.k[1] and, once the next stage is formed,
+    is added into work.k[0] with its weight w, so the sum is the tableau's
+    ((k0 + w1 k1) + w2 k2) + w3 k3 in that order.  The stage combinations
+    run on the flat stores (`_store`)."""
+    stages, divisor = _TABLEAUX[scheme.integrator]
+    fm, fo, f_sum, f_rate = map(_store, (m, out, *work.k))
+    llg_rhs(m, h_cells, geom, params, scheme, out=work.k[0], tmp=work.tmp)
+    for i, (d, _) in enumerate(stages):
+        np.multiply(f_rate if i else f_sum, dt / d, out=fo)
+        np.add(fm, fo, out=fo)
+        if i:
+            _add_rate(f_sum, f_rate, stages[i - 1][1])
+        llg_rhs(out, h_cells, geom, params, scheme, out=work.k[1], tmp=work.tmp)
+    _add_rate(f_sum, f_rate, stages[-1][1])
+    f_sum *= dt / divisor
+    np.add(fm, f_sum, out=fo)
     return out
 
 
@@ -271,7 +279,11 @@ def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
 
     The new m is one of the workspace's two `m_next` buffers (the one the
     old m is not), so an m from two steps back is overwritten: copy it to
-    keep it.
+    keep it.  One of them is the state's own copy of m0 (if m is still that
+    copy when the workspace is built); an array the caller handed in or
+    assigned is never written.  Beside the caller's m0, a
+    stepped state holds two stage rates, the two m buffers and the kernel
+    scratch (`_Workspace`): about seven field arrays of 24 bytes per cell.
     """
     scheme = state.scheme
     geom, params = state.geom, state.params

@@ -881,8 +881,9 @@ def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float,
     spurious electromagnetic energy per step, a sign-definite O(dt)
     fraction of the dissipated energy that swamps the energy-inequality
     diagnostic.  Centering the Zeeman coupling with an explicit predictor
-    reduces the coupling error to O(dt^3) per step at the cost of one
-    extra field evaluation; divergence bookkeeping is unaffected because
+    reduces the coupling error to O(dt^3) per step at the cost of a whole
+    extra step of the integrator (`dynamics.step`: two field evaluations
+    for Heun, four for RK4); divergence bookkeeping is unaffected because
     the h update still uses the realized rate.
 
     The body cells average only the body face slabs, so (dt/2 mu0) curl e

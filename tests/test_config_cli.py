@@ -362,6 +362,8 @@ class TestCli:
         ("padding = 2", "padding = 0", "maxwell.padding"),
         ("t_end = 0.02", "t_end = -0.02", "run.t_end"),
         ("m = random 11", "m = random -1", "initial.m"),
+        ("m = random 11", "m = random 11 -1", "initial.m"),
+        ("m = random 11", "m = random 11 1e300", "initial.m"),
         ("m = random 11", "m = uniform 0 0 0", "initial.m"),
         ("[output]", "[current]\nf = pulse 1 0 0 0.01 0\n[output]", "current.f"),
         ("[output]", "[current]\nf = pulse 1 0 0 0.01 -0.005\n[output]", "current.f"),

@@ -44,7 +44,7 @@ def test_ledger_row_allocates_nothing_box_sized():
     mx.record_div0(em, m)
     m = random_unit_field(geom, seed=61)
     for g in (sharp_geom(geom), geom, build_geometry(GeometryConfig(*grid, eta=0.5))):
-        tmp = _Workspace(g, 2).tmp
+        tmp = _Workspace(g).tmp
 
         def row():
             return (total_energy(m, em, g, params, tmp=tmp),

@@ -532,8 +532,8 @@ class TestLayout:
             on_state=lambda state, n: seen.append((state.m, state.workspace())))
         for m, work in seen:
             assert component_major(m)
-            assert all(component_major(k) for k in work.k)
-            assert len(work.k) == 4 and component_major(work.m_stage)
+            assert len(work.k) == 2 and len(work.m_next) == 2
+            assert all(component_major(a) for a in (*work.k, *work.m_next))
         assert component_major(em.workspace().body_cells)
         assert component_major(mx.faces_to_cells(*em.workspace().body_h))
 
@@ -635,6 +635,51 @@ def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc
     assert peak < geom.nx * geom.ny * 8   # below one scalar plane of the body
 
 
+@pytest.mark.parametrize("integrator", ["heun", "rk4"])
+def test_fresh_run_holds_seven_fields(integrator):
+    # beside the caller's m0 a run holds two stage rates, two m buffers (one
+    # the state's own copy of m0) and the three-field kernel scratch, Heun
+    # and RK4 alike; a separate stage m, a separate copy of m0 and four RK4
+    # rates would read about 9.1 (Heun) and 11.1 (RK4)
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 24, 24, 12, 12))
+    params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
+                          ks=0.01, j1=0.01, j2=0.01)
+    scheme = SchemeConfig(dt=1e-3, integrator=integrator)
+    m0 = random_unit_field(geom, seed=13)
+    rows = []
+    traj, peak = traced_peak(run, geom, params, scheme, m0, None, None, 3 * scheme.dt,
+                             on_row=rows.append)
+    assert len(rows) == 4 and traj.final_state.n == 3
+    assert peak < 7.5 * m0.nbytes, peak / m0.nbytes
+
+
+@pytest.mark.parametrize("integrator", ["heun", "rk4"])
+def test_state_never_writes_a_callers_m(integrator):
+    # the workspace adopts the state's own copy of m0 as an m buffer, never
+    # the array handed in nor one assigned before the first step
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 3, 2, 2))
+    params = plain_params(a_exch=0.01)
+    scheme = SchemeConfig(dt=1e-3, integrator=integrator)
+    handed, assigned = random_unit_field(geom, seed=14), random_unit_field(geom, seed=15)
+    kept = handed.copy(), assigned.copy()
+    state = SimState(t=0.0, m=handed, em=None, geom=geom, params=params, scheme=scheme)
+    own = state.m
+    assert own is not handed
+    state.m = assigned
+    seen = set()
+    for _ in range(4):
+        step(state)
+        seen.add(id(state.m))
+    assert np.array_equal(handed, kept[0]) and np.array_equal(assigned, kept[1])
+    assert not {id(own), id(handed), id(assigned)} & seen and len(seen) == 2
+    # with its own copy still in place, the state steps in it
+    state = SimState(t=0.0, m=handed, em=None, geom=geom, params=params, scheme=scheme)
+    own = state.m
+    step(state)
+    step(state)
+    assert state.m is own and np.array_equal(handed, kept[0])
+
+
 def test_midpoint_h_matches_box_form():
     # curl e and the rate on the body faces only: the predicted body h is
     # bit-identical to the form that embeds the rate into the whole box
@@ -710,7 +755,7 @@ def test_warm_coupled_step_writes_into_aligned_buffers(bc, body, component, monk
     step(state, f)
     assert len(written) == 8   # Heun, with the predictor's two stages
     work, mwork = state.workspace(), em.workspace()
-    written += [em.e, em.h, state.m, *work.k, work.m_stage, *work.m_next, work.tmp,
+    written += [em.e, em.h, state.m, *work.k, *work.m_next, work.tmp,
                 mwork.scratch, mwork.tmp, *mwork.e_new, *mwork.e_mid,
                 *mwork.rate_faces, *mwork.body_faces, mwork.body_cells]
     if bc == mx.MUR1:
