@@ -9,8 +9,9 @@ Subcommands:
                     snapshots of a finished run
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 I/O error.  The commands raise; `main` runs the chosen one under one
-`np.errstate` and maps its failure to the exit code and one stderr line.
+4 I/O error or memory exhausted.  The commands raise; `main` runs the
+chosen one under one `np.errstate` and maps its failure to the exit code
+and one stderr line.
 """
 
 import argparse
@@ -24,11 +25,11 @@ import numpy as np
 
 from . import dynamics, maxwell, snapshots
 from .config import (RunConfig, _override_seed, _parse, _validate, build_model,
-                     build_setup, parse_config)
+                     build_setup, parse_config, read_config_text)
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
 from .energetics import EnergyBreakdown, _dot, _scalars, _vector_field
-from .errors import ConfigError, NonFinite, SimulationError
+from .errors import ConfigError, NonFinite, SimulationError, first_bad_cell
 
 DIAG_COLUMNS = ("t",) + EnergyBreakdown.COLUMNS + ("saturation_dev", "divergence_drift")
 
@@ -87,9 +88,7 @@ def _locked(outdir: str):
 def _load_config(path: str, args) -> RunConfig:
     """The config file with the command-line overrides applied, then
     validated."""
-    with open(path) as fh:
-        text = fh.read()
-    config = _parse(text)
+    config = _parse(read_config_text(path))
     if args.log_every is not None:
         config.cadence = args.log_every
     if args.snapshots is not None:
@@ -160,7 +159,7 @@ def _check_stored_state(m, em):
         bad = ~np.isfinite(square)
         if bad.any():
             raise NonFinite(f"stored final {name} is not finite or overflows when "
-                            f"squared, first at {where} {dynamics._first_bad_cell(bad)}")
+                            f"squared, first at {where} {first_bad_cell(bad)}")
 
     check("magnetization m", "cell", _dot(m, m, *_scalars(None, m.shape[:-1], 2)))
     for name in ("hx", "hy", "hz", "ex", "ey", "ez"):
@@ -181,8 +180,7 @@ def recompute_final_row(outdir: str):
     is dropped and the omega-limit field is solved into the h store.
 
     Returns (row dict, stationarity report rows)."""
-    with open(os.path.join(outdir, "effective_config")) as fh:
-        config = parse_config(fh.read())
+    config = parse_config(read_config_text(os.path.join(outdir, "effective_config")))
     setup = build_model(config)   # the fields come from the snapshots
     geom, em = setup.geom, setup.em
     cells, yee = (geom.nx, geom.ny, geom.nz_total), (em.box.nx, em.box.ny, em.box.nz)
@@ -257,6 +255,8 @@ def main(argv=None) -> int:
             return command(args)
     except OSError as exc:
         return _fail(4, "io", str(exc))
+    except MemoryError as exc:
+        return _fail(4, "memory", str(exc))
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
     except (SimulationError, ArithmeticError) as exc:

@@ -4,13 +4,15 @@ Sectioned key = value text, one assignment per line, '#' comments.
 Values are split like a shell command line, so quotes keep a space or a
 '#' inside one value.  Unknown sections or keys, malformed quoting and
 non-finite numbers are rejected with the offending line number;
-semantic problems surface as ValidationError naming the field.  The
-canonical echo from `to_text` parses back to an identical config.
+semantic problems surface as ValidationError naming the field.  Each
+key is declared once, as a RunConfig field with its section, converter
+and default (`_key`); the field order is the order of the canonical echo
+`to_text`, which parses back to an identical config.
 """
 
 import math
 import shlex
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,8 @@ from . import dynamics, maxwell, presets, snapshots
 from .dynamics import (BC_MODES, CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED, SHARP,
                        THIN_LAYER, SchemeConfig)
 from .energetics import MaterialParams, _vector_copy
-from .errors import NonFinite, ParseError, SimulationError, ValidationError
+from .errors import (NonFinite, ParseError, SimulationError, ValidationError,
+                     first_bad_cell)
 from .geometry import GeometryConfig, build_geometry
 from .maxwell import AppliedCurrent
 
@@ -32,72 +35,6 @@ def _fmt(v) -> str:
     if isinstance(v, str):
         return shlex.quote(v)
     return str(v)
-
-
-@dataclass
-class RunConfig:
-    # geometry
-    lx: float = 1.0
-    ly: float = 1.0
-    l_minus: float = 0.5
-    l_plus: float = 0.5
-    nx: int = 8
-    ny: int = 8
-    nz_minus: int = 4
-    nz_plus: int = 4
-    eta: Optional[float] = None
-    trace_order: int = 1   # only 1 is accepted
-    # material
-    a_exch: float = 0.0
-    k_diag: Optional[tuple] = None
-    k_matrix: Optional[tuple] = None   # 9 entries, row major
-    ks: float = 0.0
-    j1: float = 0.0
-    j2: float = 0.0
-    alpha: float = 1.0
-    mu0: float = 1.0
-    eps0: float = 1.0
-    sigma: float = 0.0
-    penalty_k: float = 0.0
-    # scheme
-    dt: float = 1e-3
-    integrator: str = HEUN
-    constraint: str = PROJECTED
-    bc_mode: str = SHARP
-    subcycles: int = 1
-    stability_c: float = 0.25
-    # maxwell
-    padding: int = 8
-    bc: str = maxwell.PEC
-    frozen: bool = False   # only off is accepted
-    # initial
-    m0: tuple = ("uniform", 0.0, 0.0, 1.0)
-    h0: tuple = ("zero",)   # the magnetostatic field, as `magnetostatic`
-    e0: tuple = ("zero",)
-    # current
-    f: tuple = ("zero",)    # no current
-    # output
-    directory: str = "out"
-    cadence: int = 1
-    snapshots_on: bool = False
-    # run
-    t_end: float = 0.0
-    seed: int = 0
-
-    def to_text(self) -> str:
-        """The canonical echo: every key of every section in schema order,
-        unset optional keys left out; it parses back to this config."""
-        lines = []
-        for section, keys in _SCHEMA.items():
-            lines.append(f"[{section}]")
-            for key, (attr, _) in keys.items():
-                value = getattr(self, attr)
-                if value is None:
-                    continue
-                values = value if isinstance(value, tuple) else (value,)
-                lines.append(f"{key} = " + " ".join(_fmt(v) for v in values))
-            lines.append("")
-        return "\n".join(lines)
 
 
 def _to_float(tok, line):
@@ -145,11 +82,7 @@ def _to_path(tok, line):
     return tok
 
 
-_VEC3 = ((_to_float,) * 3, ())
-_NO_ARGS = ((), ())
-
-
-# section -> key -> (attr, converter); converters get (tokens, line)
+# converters get (tokens, line)
 def _scalar(conv):
     def convert(tokens, line):
         if len(tokens) != 1:
@@ -174,70 +107,87 @@ def _floats(n):
     return convert
 
 
-_SCHEMA = {
-    "geometry": {
-        "lx": ("lx", _scalar(_to_float)),
-        "ly": ("ly", _scalar(_to_float)),
-        "l_minus": ("l_minus", _scalar(_to_float)),
-        "l_plus": ("l_plus", _scalar(_to_float)),
-        "nx": ("nx", _scalar(_to_int)),
-        "ny": ("ny", _scalar(_to_int)),
-        "nz_minus": ("nz_minus", _scalar(_to_int)),
-        "nz_plus": ("nz_plus", _scalar(_to_int)),
-        "eta": ("eta", _scalar(_to_float)),
-        "trace_order": ("trace_order", _scalar(_to_int)),
-    },
-    "material": {
-        "a_exch": ("a_exch", _scalar(_to_float)),
-        "ks": ("ks", _scalar(_to_float)),
-        "j1": ("j1", _scalar(_to_float)),
-        "j2": ("j2", _scalar(_to_float)),
-        "alpha": ("alpha", _scalar(_to_float)),
-        "mu0": ("mu0", _scalar(_to_float)),
-        "eps0": ("eps0", _scalar(_to_float)),
-        "sigma": ("sigma", _scalar(_to_float)),
-        "penalty_k": ("penalty_k", _scalar(_to_float)),
-        "k_diag": ("k_diag", _floats(3)),
-        "k_matrix": ("k_matrix", _floats(9)),
-    },
-    "scheme": {
-        "dt": ("dt", _scalar(_to_float)),
-        "integrator": ("integrator", _choice(INTEGRATORS)),
-        "constraint": ("constraint", _choice(CONSTRAINTS)),
-        "bc_mode": ("bc_mode", _choice(BC_MODES)),
-        "subcycles": ("subcycles", _scalar(_to_int)),
-        "stability_c": ("stability_c", _scalar(_to_float)),
-    },
-    "maxwell": {
-        "padding": ("padding", _scalar(_to_int)),
-        "bc": ("bc", _choice(maxwell.BOUNDARIES)),
-        "frozen": ("frozen", _scalar(_to_bool)),
-    },
-    "initial": {
-        "m": ("m0", lambda toks, ln: _preset(toks, ln, {
-            "uniform": _VEC3, "vortexish": _NO_ARGS,
-            "random": ((_to_int,), (_to_float,)),   # seed [smooth_cells]
-            "snapshot": ((_to_path,), ())})),
-        "h0": ("h0", lambda toks, ln: _preset(
-            toks, ln, {"zero": _NO_ARGS, "magnetostatic": _NO_ARGS, "uniform": _VEC3})),
-        "e0": ("e0", lambda toks, ln: _preset(
-            toks, ln, {"zero": _NO_ARGS, "uniform": _VEC3})),
-    },
-    "current": {
-        # pulse ax ay az t0 width
-        "f": ("f", lambda toks, ln: _preset(
-            toks, ln, {"zero": _NO_ARGS, "pulse": ((_to_float,) * 5, ())})),
-    },
-    "output": {
-        "directory": ("directory", lambda toks, ln: " ".join(toks)),
-        "cadence": ("cadence", _scalar(_to_int)),
-        "snapshots": ("snapshots_on", _scalar(_to_bool)),
-    },
-    "run": {
-        "t_end": ("t_end", _scalar(_to_float)),
-        "seed": ("seed", _scalar(_to_int)),
-    },
-}
+_FLOAT, _INT, _BOOL = _scalar(_to_float), _scalar(_to_int), _scalar(_to_bool)
+_VEC3 = ((_to_float,) * 3, ())
+_NO_ARGS = ((), ())
+
+
+def _key(section: str, convert, default, key: Optional[str] = None):
+    """A RunConfig field that is one line of the text: its default, its
+    section, its converter and its key, the attribute's name unless given."""
+    return field(default=default, metadata={"text": (section, key, convert)})
+
+
+@dataclass
+class RunConfig:
+    """One field per key of the text (`_key`), in the order of the echo."""
+
+    lx: float = _key("geometry", _FLOAT, 1.0)
+    ly: float = _key("geometry", _FLOAT, 1.0)
+    l_minus: float = _key("geometry", _FLOAT, 0.5)
+    l_plus: float = _key("geometry", _FLOAT, 0.5)
+    nx: int = _key("geometry", _INT, 8)
+    ny: int = _key("geometry", _INT, 8)
+    nz_minus: int = _key("geometry", _INT, 4)
+    nz_plus: int = _key("geometry", _INT, 4)
+    eta: Optional[float] = _key("geometry", _FLOAT, None)
+    trace_order: int = _key("geometry", _INT, 1)   # only 1 is accepted
+    a_exch: float = _key("material", _FLOAT, 0.0)
+    ks: float = _key("material", _FLOAT, 0.0)
+    j1: float = _key("material", _FLOAT, 0.0)
+    j2: float = _key("material", _FLOAT, 0.0)
+    alpha: float = _key("material", _FLOAT, 1.0)
+    mu0: float = _key("material", _FLOAT, 1.0)
+    eps0: float = _key("material", _FLOAT, 1.0)
+    sigma: float = _key("material", _FLOAT, 0.0)
+    penalty_k: float = _key("material", _FLOAT, 0.0)
+    k_diag: Optional[tuple] = _key("material", _floats(3), None)
+    k_matrix: Optional[tuple] = _key("material", _floats(9), None)   # row major
+    dt: float = _key("scheme", _FLOAT, 1e-3)
+    integrator: str = _key("scheme", _choice(INTEGRATORS), HEUN)
+    constraint: str = _key("scheme", _choice(CONSTRAINTS), PROJECTED)
+    bc_mode: str = _key("scheme", _choice(BC_MODES), SHARP)
+    subcycles: int = _key("scheme", _INT, 1)
+    stability_c: float = _key("scheme", _FLOAT, 0.25)
+    padding: int = _key("maxwell", _INT, 8)
+    bc: str = _key("maxwell", _choice(maxwell.BOUNDARIES), maxwell.PEC)
+    frozen: bool = _key("maxwell", _BOOL, False)   # only off is accepted
+    m0: tuple = _key("initial", lambda toks, ln: _preset(toks, ln, {
+        "uniform": _VEC3, "vortexish": _NO_ARGS,
+        "random": ((_to_int,), (_to_float,)),   # seed [smooth_cells]
+        "snapshot": ((_to_path,), ())}), ("uniform", 0.0, 0.0, 1.0), key="m")
+    h0: tuple = _key("initial", lambda toks, ln: _preset(   # zero: as magnetostatic
+        toks, ln, {"zero": _NO_ARGS, "magnetostatic": _NO_ARGS, "uniform": _VEC3}), ("zero",))
+    e0: tuple = _key("initial", lambda toks, ln: _preset(
+        toks, ln, {"zero": _NO_ARGS, "uniform": _VEC3}), ("zero",))
+    f: tuple = _key("current", lambda toks, ln: _preset(   # pulse ax ay az t0 width
+        toks, ln, {"zero": _NO_ARGS, "pulse": ((_to_float,) * 5, ())}), ("zero",))
+    directory: str = _key("output", lambda toks, ln: " ".join(toks), "out")
+    cadence: int = _key("output", _INT, 1)
+    snapshots_on: bool = _key("output", _BOOL, False, key="snapshots")
+    t_end: float = _key("run", _FLOAT, 0.0)
+    seed: int = _key("run", _INT, 0)
+
+    def to_text(self) -> str:
+        """The canonical echo: every key of every section in field order,
+        unset optional keys left out; it parses back to this config."""
+        lines = []
+        for section, keys in _SCHEMA.items():
+            lines.append(f"[{section}]")
+            for key, (attr, _) in keys.items():
+                value = getattr(self, attr)
+                if value is None:
+                    continue
+                values = value if isinstance(value, tuple) else (value,)
+                lines.append(f"{key} = " + " ".join(_fmt(v) for v in values))
+            lines.append("")
+        return "\n".join(lines)
+
+
+_SCHEMA = {}   # section -> key -> (attr, converter), in RunConfig's field order
+for _field in fields(RunConfig):
+    _section, _name, _convert = _field.metadata["text"]
+    _SCHEMA.setdefault(_section, {})[_name or _field.name] = (_field.name, _convert)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -250,6 +200,18 @@ def parse_config(text: str) -> RunConfig:
     config = _parse(text)
     _validate(config)
     return config
+
+
+def read_config_text(path: str) -> str:
+    """A configuration file's text as UTF-8 whatever the locale; a byte that
+    is not UTF-8 raises ParseError with its line, numbered as in `_parse`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"not UTF-8: byte {data[exc.start]:#04x}") from None
 
 
 def _parse(text: str) -> RunConfig:
@@ -397,7 +359,10 @@ def build_model(config: RunConfig) -> RunSetup:
         constraint=config.constraint, bc_mode=config.bc_mode,
         stability_c=config.stability_c)
 
-    box = maxwell.make_box(geom, config.padding)
+    try:
+        box = maxwell.make_box(geom, config.padding)
+    except ValueError as exc:
+        raise ValidationError("maxwell.padding", str(exc)) from exc
     # the bounds `dynamics.run` enforces, so `check` rejects what `run` would
     dynamics.validate_stability(scheme, geom, params, box)
 
@@ -425,11 +390,11 @@ def _check_first_rate(setup: RunSetup):
     field and its first bad cell."""
     h = maxwell.interp_h_to_cells(setup.em)
     rate = dynamics.llg_rhs(setup.m0, h, setup.geom, setup.params, setup.scheme)
-    for name, field in (("h on the body cells", h), ("rate dm/dt", rate)):
-        bad = ~np.isfinite(field).all(axis=-1)
+    for name, values in (("h on the body cells", h), ("rate dm/dt", rate)):
+        bad = ~np.isfinite(values).all(axis=-1)
         if bad.any():
             raise NonFinite(f"initial {name} is not finite at t=0, first at cell "
-                            f"{dynamics._first_bad_cell(bad)}")
+                            f"{first_bad_cell(bad)}")
 
 
 def _build_m0(config: RunConfig, geom) -> np.ndarray:
@@ -469,20 +434,16 @@ def _h_raw(config: RunConfig) -> tuple:
 
 
 def _set_e0(config: RunConfig, em):
-    if config.e0[0] == "zero":
-        return
-    vec = np.asarray(config.e0[1:4], dtype=float)
-    em.ex[...] = vec[0]
-    em.ey[...] = vec[1]
-    em.ez[...] = vec[2]
+    if config.e0[0] == "uniform":
+        for component, value in zip((em.ex, em.ey, em.ez), config.e0[1:4]):
+            component[...] = value
 
 
 def _build_current(config: RunConfig) -> Optional[AppliedCurrent]:
     """The pulse of `f = pulse ax ay az t0 width`, or None for `f = zero`."""
     if config.f[0] == "zero":
         return None
-    ax, ay, az, t0, width = config.f[1:6]
     try:
-        return AppliedCurrent((ax, ay, az), t0, width)
+        return AppliedCurrent(config.f[1:4], *config.f[4:6])
     except ValueError as exc:
         raise ValidationError("current.f", str(exc)) from exc

@@ -20,7 +20,7 @@ from .diagnostics import LedgerRow, saturation_deviation
 from .effective_field import assemble_h_tot
 from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _kernel_scratch,
                          _scalars, _store, _vector_copy, _vector_field, total_energy)
-from .errors import CFLViolation, NonFinite
+from .errors import CFLViolation, NonFinite, first_bad_cell
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState
 from .summation import dot
@@ -142,7 +142,8 @@ class SimState:
                              f"geometry's spacer layer, {layer!r}")
         self.m = self._m0_copy = _vector_copy(self.m)
         if not np.isfinite(self.m).all():
-            raise NonFinite("initial magnetization is not finite")
+            raise NonFinite("initial magnetization is not finite, first at cell "
+                            f"{first_bad_cell(~np.isfinite(self.m).all(axis=-1))}")
         if self.em is not None and self.h_fixed is not None:
             raise ValueError("a state takes em or h_fixed, not both")
 
@@ -222,11 +223,6 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
     return out
 
 
-def _first_bad_cell(bad: np.ndarray) -> tuple:
-    """Index of the first cell flagged in the boolean cell mask `bad`."""
-    return tuple(int(i) for i in np.argwhere(bad)[0])
-
-
 def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
     """Scale every cell of m to unit norm in place; tmp is a flat float
     array of at least 2 * m.size // 3 entries.  step_no and t name the
@@ -236,7 +232,7 @@ def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
     np.sqrt(norms, out=norms)
     # min/max propagate NaN, so this one test catches zero, inf and NaN
     if not (norms.min() > 0.0 and norms.max() < np.inf):
-        cell = _first_bad_cell(~(np.isfinite(norms) & (norms > 0.0)))
+        cell = first_bad_cell(~(np.isfinite(norms) & (norms > 0.0)))
         raise NonFinite(f"renormalization of m at step {step_no}, t={t:g} hit a "
                         f"zero or non-finite norm, first at cell {cell}")
     for i in range(3):
@@ -305,7 +301,7 @@ def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
 
     step_no = state.n + 1
     if not np.isfinite(f_new).all():
-        cell = _first_bad_cell(~np.isfinite(m_new).all(axis=-1))
+        cell = first_bad_cell(~np.isfinite(m_new).all(axis=-1))
         raise NonFinite(f"magnetization m became non-finite at step {step_no}, "
                         f"t={state.t:g}, first at cell {cell}")
     if scheme.constraint == PROJECTED:

@@ -1,4 +1,7 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and `first_bad_cell`,
+which the NonFinite messages use to name a cell."""
+
+import numpy as np
 
 
 class SimulationError(Exception):
@@ -47,3 +50,8 @@ class ValidationError(ConfigError):
         super().__init__(f"{field}: {reason}")
         self.field = field
         self.reason = reason
+
+
+def first_bad_cell(bad: np.ndarray) -> tuple:
+    """Index of the first entry flagged in the boolean mask `bad`."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])

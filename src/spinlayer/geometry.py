@@ -96,8 +96,9 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
     without.
 
     Raises NonTilingGrid when the two slabs demand different dz, when
-    eta is not a whole number of cell layers or when trace_order is not
-    1, and EtaTooLarge when the thin layer would not fit inside a slab.
+    eta is not a whole number of cell layers, when trace_order is not 1
+    or when numpy could not index a field on the cells, and EtaTooLarge
+    when the thin layer would not fit inside a slab.
     """
     for name in ("base_lx", "base_ly", "l_minus", "l_plus"):
         if getattr(config, name) <= 0:
@@ -105,6 +106,11 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
     for name in ("nx", "ny", "nz_minus", "nz_plus"):
         if getattr(config, name) < 1:
             raise NonTilingGrid(f"{name} must be at least 1")
+    # numpy indexes no array of more bytes than intp holds, whatever the memory
+    nz = config.nz_minus + config.nz_plus
+    if 24 * config.nx * config.ny * nz > np.iinfo(np.intp).max:
+        raise NonTilingGrid(f"a body of {config.nx} x {config.ny} x {nz} cells is too "
+                            f"large for numpy to index")
     if config.trace_order != 1:
         raise NonTilingGrid("trace_order must be 1")
 

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import dst
-from .errors import CFLViolation, NonFinite, SolverDiverged
+from .errors import CFLViolation, NonFinite, SolverDiverged, first_bad_cell
 from .geometry import DomainGeometry
 from .energetics import MaterialParams, _aligned_empty, _vector_field
 from .summation import dot, esum
@@ -82,7 +82,7 @@ class BoxGeometry:
 def make_box(geom: DomainGeometry, padding: int = 8) -> BoxGeometry:
     if padding < 1:
         raise ValueError("box padding must be at least 1 cell")
-    return BoxGeometry(
+    box = BoxGeometry(
         nx=geom.nx + 2 * padding,
         ny=geom.ny + 2 * padding,
         nz=geom.nz_total + 2 * padding,
@@ -90,6 +90,11 @@ def make_box(geom: DomainGeometry, padding: int = 8) -> BoxGeometry:
         ox=padding, oy=padding, oz=padding,
         mx=geom.nx, my=geom.ny, mz=geom.nz_total,
     )
+    # numpy indexes no array of more bytes than intp holds, whatever the memory
+    if 8 * math.prod(store_shape(box)) > np.iinfo(np.intp).max:
+        raise ValueError(f"a Yee box of {box.nx} x {box.ny} x {box.nz} cells is too "
+                         f"large for numpy to index")
+    return box
 
 
 def edge_shapes(box: BoxGeometry) -> tuple:
@@ -302,7 +307,7 @@ class EMState:
             for name, a in zip(("ex", "ey", "ez", "hx", "hy", "hz")[first:first + 3],
                                self._views[first:first + 3]):
                 if not np.isfinite(a).all():
-                    index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+                    index = first_bad_cell(~np.isfinite(a))
                     raise NonFinite(f"electromagnetic field {name} became non-finite "
                                     f"at step {step}, t={t:g}, first at index {index}")
 

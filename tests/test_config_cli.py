@@ -180,6 +180,199 @@ class TestParse:
         assert err.value.line == 3
 
 
+# Echoes written by the last release whose keys were declared apart from
+# RunConfig's fields.  `diag` reparses a run directory's effective_config,
+# so these bytes, their key order included, must stay loadable and stable.
+DEFAULT_ECHO = """\
+[geometry]
+lx = 1
+ly = 1
+l_minus = 0.5
+l_plus = 0.5
+nx = 8
+ny = 8
+nz_minus = 4
+nz_plus = 4
+trace_order = 1
+
+[material]
+a_exch = 0
+ks = 0
+j1 = 0
+j2 = 0
+alpha = 1
+mu0 = 1
+eps0 = 1
+sigma = 0
+penalty_k = 0
+
+[scheme]
+dt = 0.001
+integrator = heun
+constraint = projected
+bc_mode = sharp
+subcycles = 1
+stability_c = 0.25
+
+[maxwell]
+padding = 8
+bc = pec
+frozen = off
+
+[initial]
+m = uniform 0 0 1
+h0 = zero
+e0 = zero
+
+[current]
+f = zero
+
+[output]
+directory = out
+cadence = 1
+snapshots = off
+
+[run]
+t_end = 0
+seed = 0
+"""
+
+README_ECHO = """\
+[geometry]
+lx = 1
+ly = 1
+l_minus = 0.5
+l_plus = 0.5
+nx = 16
+ny = 16
+nz_minus = 8
+nz_plus = 8
+eta = 0.25
+trace_order = 1
+
+[material]
+a_exch = 0.01
+ks = 0.01
+j1 = 0.01
+j2 = 0.01
+alpha = 1
+mu0 = 1
+eps0 = 1
+sigma = 10
+penalty_k = 0
+k_diag = 0.050000000000000003 0.02 0
+
+[scheme]
+dt = 0.012
+integrator = heun
+constraint = projected
+bc_mode = sharp
+subcycles = 8
+stability_c = 0.25
+
+[maxwell]
+padding = 8
+bc = pec
+frozen = off
+
+[initial]
+m = random 1234 4
+h0 = magnetostatic
+e0 = zero
+
+[current]
+f = zero
+
+[output]
+directory = out
+cadence = 1
+snapshots = off
+
+[run]
+t_end = 24
+seed = 0
+"""
+
+OLD_EFFECTIVE_CONFIG = """\
+[geometry]
+lx = 1
+ly = 1
+l_minus = 0.5
+l_plus = 0.5
+nx = 4
+ny = 4
+nz_minus = 2
+nz_plus = 2
+eta = 0.25
+trace_order = 1
+
+[material]
+a_exch = 0.01
+ks = 0.02
+j1 = 0.02
+j2 = 0.01
+alpha = 1
+mu0 = 1
+eps0 = 1
+sigma = 1
+penalty_k = 0
+k_matrix = 0.050000000000000003 0 0 0 0.02 0 0 0 0
+
+[scheme]
+dt = 0.002
+integrator = rk4
+constraint = penalized
+bc_mode = thin_layer
+subcycles = 2
+stability_c = 0.25
+
+[maxwell]
+padding = 2
+bc = mur1
+frozen = off
+
+[initial]
+m = random 11 1
+h0 = zero
+e0 = uniform 0 0.10000000000000001 0
+
+[current]
+f = pulse 0.5 0 0 0.01 0.0050000000000000001
+
+[output]
+directory = '/tmp/old run'
+cadence = 2
+snapshots = on
+
+[run]
+t_end = 0.02
+seed = 0
+"""
+
+
+class TestEcho:
+    def test_default_echo_is_pinned(self):
+        assert RunConfig().to_text() == DEFAULT_ECHO
+
+    def test_readme_echo_is_pinned(self):
+        assert parse_config(README_CONFIG).to_text() == README_ECHO
+
+    def test_old_effective_config_loads(self):
+        # every key written, the single-valued trace_order and frozen and
+        # the h0 = zero and seed = 0 of older echoes included
+        cfg = parse_config(OLD_EFFECTIVE_CONFIG)
+        assert cfg == RunConfig(
+            nx=4, ny=4, nz_minus=2, nz_plus=2, eta=0.25, trace_order=1,
+            a_exch=0.01, ks=0.02, j1=0.02, j2=0.01, sigma=1.0,
+            k_matrix=(0.05, 0.0, 0.0, 0.0, 0.02, 0.0, 0.0, 0.0, 0.0),
+            dt=0.002, integrator="rk4", constraint="penalized", bc_mode="thin_layer",
+            subcycles=2, padding=2, bc="mur1", frozen=False,
+            m0=("random", 11, 1.0), h0=("zero",), e0=("uniform", 0.0, 0.1, 0.0),
+            f=("pulse", 0.5, 0.0, 0.0, 0.01, 0.005), directory="/tmp/old run",
+            cadence=2, snapshots_on=True, t_end=0.02, seed=0)
+        assert cfg.to_text() == OLD_EFFECTIVE_CONFIG
+
+
 class TestBuildSetup:
     def test_magnetostatic_h0_divfree(self, tmp_path):
         setup = build_setup(parse_config(minimal_config(tmp_path / "o")))
@@ -427,6 +620,54 @@ class TestCli:
 
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.cfg")]) == 4
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("old, new, code, error", [
+        # numpy could index these stores (87 PiB each) but no machine holds
+        # them; the first allocation fails before any memory is touched
+        ("padding = 2", "padding = 80000", 4, "error: memory: Unable to allocate "),
+        # beyond what numpy can index at all: rejected with the key named
+        ("padding = 2", "padding = 10000000", 2,
+         "error: config: maxwell.padding: a Yee box of 20000004 x 20000004 x "
+         "20000004 cells is too large for numpy to index"),
+        ("nx = 4", "nx = 100000000000000000", 2,
+         "error: config: geometry: a body of 100000000000000000 x 4 x 4 cells is "
+         "too large for numpy to index"),
+    ], ids=["padding-80000", "padding-1e7", "body"])
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys, command, old, new,
+                                        code, error):
+        # one error line, no traceback and no output directory
+        outdir = tmp_path / "out"
+        text = minimal_config(outdir).replace(old, new)
+        assert new in text
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        assert main([command, str(cfg_path)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error) and err.count("\n") == 1
+        assert not outdir.exists()
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        # the bad byte's line is named, counted as the parser counts lines,
+        # after a line holding a multi-byte character
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes("# é\r\n[geometry]\nlx = 1.0".encode() + b"\xff\n")
+        assert main(["check", str(cfg_path)]) == 2
+        assert capsys.readouterr() == ("", "error: config: line 3: not UTF-8: byte 0xff\n")
+
+    def test_diag_of_an_effective_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["run", str(cfg_path)]) == 0
+        effective = outdir / "effective_config"
+        lines = effective.read_bytes().split(b"\n")
+        lines[3] += b" \xff"
+        effective.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["diag", str(outdir)]) == 2
+        assert capsys.readouterr() == ("", "error: config: line 4: not UTF-8: byte 0xff\n")
+        assert not {"diag_report.csv", "stationarity.csv"} & set(os.listdir(outdir))
 
     def test_run_writes_artifacts(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -720,7 +961,8 @@ class TestCli:
         (ValidationError("initial.m", "bad"), 2, "config"),
         (NonFinite("m became non-finite"), 3, "numeric"),
         (OverflowError("math range error"), 3, "numeric"),
-    ], ids=["OSError", "ValidationError", "NonFinite", "OverflowError"])
+        (MemoryError("Unable to allocate 1.00 PiB"), 4, "memory"),
+    ], ids=["OSError", "ValidationError", "NonFinite", "OverflowError", "MemoryError"])
     def test_main_maps_each_failure_to_its_exit_code(
             self, tmp_path, capsys, monkeypatch, command, module, name, error, code,
             kind):

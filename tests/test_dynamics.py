@@ -435,6 +435,22 @@ class TestRun:
             run(geom, params, scheme, m, None, None, t_end=1e-3,
                 h_fixed=mx.interp_h_to_cells(em))
 
+    def test_nonfinite_m0_names_its_first_cell(self):
+        # the state and so run name the first cell holding a NaN
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        m = random_unit_field(geom, seed=9)
+        m[2, 1, 3, 1] = np.nan
+        m[3, 3, 3, 0] = np.nan
+        scheme = SchemeConfig(dt=1e-3)
+        message = "initial magnetization is not finite, first at cell (2, 1, 3)"
+        with pytest.raises(NonFinite) as err:
+            SimState(t=0.0, m=m, em=None, geom=geom, params=plain_params(),
+                     scheme=scheme)
+        assert str(err.value) == message
+        with pytest.raises(NonFinite) as err:
+            run(geom, plain_params(), scheme, m, None, None, t_end=1e-3)
+        assert str(err.value) == message
+
     def test_deterministic_rerun_bitwise(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
         params = plain_params(a_exch=0.01, alpha=1.0, ks=0.03, j1=0.02, j2=0.01,
