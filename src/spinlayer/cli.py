@@ -3,10 +3,17 @@
 Subcommands:
     run <config>    execute a simulation, writing energy.csv, the
                     effective configuration, and field snapshots
-    check <config>  validate a configuration and its first step, and
-                    echo the effective form
+    check <config>  validate a configuration, step it through
+                    `dynamics.run` as far as its first step (the steps
+                    and ledger rows run takes, none written), and echo
+                    the effective form
     diag <dir>      recompute the final diagnostics row from the stored
                     snapshots of a finished run
+
+`run` and `check` form every ledger row through `dynamics.run`, which
+rejects a row with a value that is not finite (exit 3, naming the step,
+t and first column); `diag` rejects a recomputed row by the same rule
+(`errors.check_finite`).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 I/O error or memory exhausted.  The commands raise; `main` runs the
@@ -16,7 +23,6 @@ and one stderr line.
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 import time
@@ -29,7 +35,7 @@ from .config import (RunConfig, _override_seed, _parse, _validate, build_model,
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
 from .energetics import EnergyBreakdown, _dot, _scalars, _vector_field
-from .errors import ConfigError, NonFinite, SimulationError, first_bad_cell
+from .errors import ConfigError, NonFinite, SimulationError, check_finite, first_bad_cell
 
 DIAG_COLUMNS = ("t",) + EnergyBreakdown.COLUMNS + ("saturation_dev", "divergence_drift")
 
@@ -116,9 +122,9 @@ def _write_state(outdir: str, names, geom, t: float, m, em=None):
 def _cmd_check(args) -> int:
     config = _load_config(args.config, args)
     setup = build_setup(config)
-    dynamics.step(dynamics.SimState(
-        t=0.0, m=setup.m0, em=setup.em, geom=setup.geom,
-        params=setup.params, scheme=setup.scheme), setup.f)
+    # the steps and rows of run, as far as its first step
+    dynamics.run(setup.geom, setup.params, setup.scheme, setup.m0, setup.em, setup.f,
+                 min(config.t_end, config.dt), on_row=lambda row: None)
     sys.stdout.write(config.to_text())
     return 0
 
@@ -207,11 +213,9 @@ def recompute_final_row(outdir: str):
 
     H = omega_limit_field_cells(m, em.box, geom, out=em.h)
     stationarity = stationarity_report(m, H, setup.params, geom)
-    bad = [name for name, v in list(zip(DIAG_COLUMNS, values)) + stationarity
-           if not math.isfinite(v)]
-    if bad:
-        raise NonFinite(f"{len(bad)} diagnostics of the stored final state are not "
-                        f"finite, first {bad[0]}")
+    names, stat_values = zip(*stationarity)
+    check_finite(DIAG_COLUMNS + names, values + stat_values,
+                 "diagnostics of the stored final state")
     return dict(zip(DIAG_COLUMNS, values)), stationarity
 
 

@@ -23,7 +23,7 @@ from .dynamics import (BC_MODES, CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED, SHAR
 from .energetics import MaterialParams, _vector_copy
 from .errors import (NonFinite, ParseError, SimulationError, ValidationError,
                      first_bad_cell)
-from .geometry import GeometryConfig, build_geometry
+from .geometry import GeometryConfig, _is_multiple, build_geometry
 from .maxwell import AppliedCurrent
 
 
@@ -308,8 +308,13 @@ class RunSetup:
 def build_setup(config: RunConfig) -> RunSetup:
     """Materialize grids, parameters and initial fields: `build_model`,
     then `set_initial_fields`, then `_check_first_rate`, which names a
-    non-finite initial h or first rate; `check` then takes the first step."""
+    non-finite initial h or first rate; `check` then steps through
+    `dynamics.run` as far as the first step.  A t_end that is not a whole
+    number of steps of dt (to a relative 1e-9) raises ValidationError."""
     setup = build_model(config)
+    if not _is_multiple(config.t_end, config.dt):
+        raise ValidationError("run.t_end", f"t_end={config.t_end:g} is not a whole "
+                                           f"number of steps of dt={config.dt:g}")
     with np.errstate(all="ignore"):   # non-finite values raise NonFinite
         set_initial_fields(setup)
         _check_first_rate(setup)

@@ -16,11 +16,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import maxwell
-from .diagnostics import LedgerRow, saturation_deviation
+from .diagnostics import CSV_COLUMNS, LedgerRow, saturation_deviation
 from .effective_field import assemble_h_tot
 from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _kernel_scratch,
                          _scalars, _store, _vector_copy, _vector_field, total_energy)
-from .errors import CFLViolation, NonFinite, first_bad_cell
+from .errors import CFLViolation, NonFinite, check_finite, first_bad_cell
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState
 from .summation import dot
@@ -345,16 +345,19 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         on_row: Optional[Callable] = None,
         on_state: Optional[Callable] = None,
         h_fixed: Optional[np.ndarray] = None) -> Trajectory:
-    """Run the coupled system, or m in h_fixed, to t_end.
+    """Run the coupled system, or m in h_fixed, to t_end: round(t_end/dt)
+    steps.
 
     A run is logged at t=0, every log_every-th step, and at the final
     step.  The two hooks are the only way to see a run as it goes, and
     run keeps neither rows nor field samples, so its memory does not
     grow with the step count: on_row receives a `LedgerRow` made at each
     log (collect them with `on_row=rows.append`; without on_row no row is
-    made), and on_state receives the state and the step number.  The state's
-    buffers are reused by later steps (see `step`), so a hook copies what
-    it keeps.  Returns the final state in a `Trajectory`.
+    made), and on_state receives the state and the step number.  Each row
+    is checked before on_row sees it: a value that is not finite raises
+    NonFinite naming the step, t and first such column (`check_finite`).
+    The state's buffers are reused by later steps (see `step`), so a hook
+    copies what it keeps.  Returns the final state in a `Trajectory`.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -373,8 +376,11 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         if on_row is not None:
             breakdown, saturation_dev, drift = _state_terms(
                 state.m, em, geom, params, state.workspace().tmp)
-            on_row(LedgerRow(state.t, breakdown, state.dissipation, state.ohmic,
-                             state.source, saturation_dev, drift))
+            row = LedgerRow(state.t, breakdown, state.dissipation, state.ohmic,
+                            state.source, saturation_dev, drift)
+            check_finite(CSV_COLUMNS, row.csv_values(),
+                         "ledger values at step {}, t={:g}", n, state.t)
+            on_row(row)
         if on_state is not None:
             on_state(state, n)
 

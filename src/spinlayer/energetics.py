@@ -26,8 +26,9 @@ Discretization notes:
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import operator
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -215,33 +216,33 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    exchange: float
-    anisotropy: float
-    maxwell_h: float
-    maxwell_e: float
-    surf_anis: float
-    superexch_q: float
-    superexch_biq: float
-    penalty: float
-    total: float
+    """The energy terms of a state, each 0.0 unless given, and their exact
+    sum `total`.  The fields, in order, are the breakdown's columns of the
+    ledger (`COLUMNS`)."""
 
-    COLUMNS = (
-        "exchange", "anisotropy", "maxwell_h", "maxwell_e", "surf_anis",
-        "superexch_q", "superexch_biq", "penalty", "total",
-    )
+    exchange: float = 0.0
+    anisotropy: float = 0.0
+    maxwell_h: float = 0.0
+    maxwell_e: float = 0.0
+    surf_anis: float = 0.0
+    superexch_q: float = 0.0
+    superexch_biq: float = 0.0
+    penalty: float = 0.0
+    total: float = field(init=False)
 
-    @staticmethod
-    def assemble(exchange=0.0, anisotropy=0.0, maxwell_h=0.0, maxwell_e=0.0,
-                 surf_anis=0.0, superexch_q=0.0, superexch_biq=0.0,
-                 penalty=0.0) -> "EnergyBreakdown":
-        total = fsum([exchange, anisotropy, maxwell_h, maxwell_e,
-                      surf_anis, superexch_q, superexch_biq, penalty])
-        return EnergyBreakdown(exchange, anisotropy, maxwell_h, maxwell_e,
-                               surf_anis, superexch_q, superexch_biq,
-                               penalty, total)
+    COLUMNS: ClassVar[Tuple[str, ...]]   # the field names, set below
+
+    def __post_init__(self):
+        vars(self).update(total=fsum(_energy_terms(self)))   # frozen: past __setattr__
 
     def as_tuple(self) -> tuple:
-        return tuple(getattr(self, c) for c in self.COLUMNS)
+        """The columns' values; an attrgetter, unlike a generator over the
+        columns, leaves no cyclic garbage behind a row."""
+        return _energy_terms(self) + (self.total,)
+
+
+EnergyBreakdown.COLUMNS = tuple(f.name for f in fields(EnergyBreakdown))
+_energy_terms = operator.attrgetter(*(f.name for f in fields(EnergyBreakdown) if f.init))
 
 
 def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -385,7 +386,7 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)
     sa, sq, sb = thin_layer_energy(m, geom, params, tmp=tmp)
-    return EnergyBreakdown.assemble(
+    return EnergyBreakdown(
         exchange=exchange_energy(m, geom, params, tmp),
         anisotropy=anisotropy_energy(m, geom, params, tmp),
         maxwell_h=e_h,

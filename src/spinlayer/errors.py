@@ -1,5 +1,8 @@
-"""Exception types shared across the simulator, and `first_bad_cell`,
-which the NonFinite messages use to name a cell."""
+"""Exception types shared across the simulator, `first_bad_cell`, which
+the NonFinite messages use to name a cell, and `check_finite`, the one
+rule that rejects a row of diagnostics with a value that is not finite."""
+
+import math
 
 import numpy as np
 
@@ -55,3 +58,13 @@ class ValidationError(ConfigError):
 def first_bad_cell(bad: np.ndarray) -> tuple:
     """Index of the first entry flagged in the boolean mask `bad`."""
     return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def check_finite(names, values, what: str, *args):
+    """Raise NonFinite if any of `values` (named, in order, by `names`) is
+    not finite: "<count> <what> are not finite, first <name>", where `what`
+    is formatted with `args` only on failure."""
+    if all(map(math.isfinite, values)):
+        return
+    bad = [name for name, v in zip(names, values, strict=True) if not math.isfinite(v)]
+    raise NonFinite(f"{len(bad)} {what.format(*args)} are not finite, first {bad[0]}")

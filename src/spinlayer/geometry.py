@@ -86,7 +86,11 @@ class DomainGeometry:
 
 
 def _is_multiple(value: float, step: float) -> bool:
+    """Whether value is a whole number of steps, to a relative 1e-9; a
+    ratio that overflows is not."""
     ratio = value / step
+    if not np.isfinite(ratio):
+        return False
     return abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
 
 

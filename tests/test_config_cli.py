@@ -880,6 +880,71 @@ class TestCli:
             assert err == ("error: numeric: magnetization m became non-finite at "
                            "step 1, t=0, first at cell (0, 0, 0)\n")
 
+    def test_check_takes_no_step_run_does_not_take(self, tmp_path, capsys):
+        # with t_end = 0 run takes no step and logs its one row; check steps
+        # only as far as run does, so both exit 0 although j2 = 1e300
+        # overflows the first step
+        outdir = tmp_path / "out"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(outdir).replace("j2 = 0.01", "j2 = 1e300")
+                            .replace("t_end = 0.02", "t_end = 0"))
+        for command in ("check", "run"):
+            if command == "run":
+                assert not outdir.exists()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+                assert main([command, str(cfg_path)]) == 0
+            assert capsys.readouterr().err == ""
+        assert len((outdir / "energy.csv").read_text().splitlines()) == 2
+
+    def test_nonfinite_ledger_row_exit_3(self, tmp_path, capsys):
+        # e0 = 1e155 overflows maxwell_e, and so total, in the t = 0 row:
+        # run and check both exit 3 naming the step, t and first column;
+        # run's energy.csv.partial holds the header and no row, and check
+        # creates no directory
+        outdir = tmp_path / "out"
+        cfg_path = tmp_path / "run.cfg"
+        text = (minimal_config(outdir)
+                .replace("dt = 0.002", "dt = 0.002\nsubcycles = 4")
+                .replace("m = random 11", "m = random 3 1.0")
+                .replace("h0 = magnetostatic", "h0 = magnetostatic\ne0 = uniform 1e155 0 0")
+                .replace("t_end = 0.02", "t_end = 0.002"))
+        assert "e0 = uniform 1e155" in text and "subcycles = 4" in text
+        cfg_path.write_text(text)
+        for command in ("check", "run"):
+            if command == "run":
+                assert not outdir.exists()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+                assert main([command, str(cfg_path)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: numeric: 2 ledger values at step 0, t=0 are not "
+                           "finite, first maxwell_e\n")
+        names = os.listdir(outdir)
+        assert "energy.csv" not in names and "lock" not in names
+        partial = (outdir / "energy.csv.partial").read_text()
+        assert partial == ",".join(cli_module.CSV_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("t_end, dt", [("0.005", "0.002"), ("0.007", "0.002"),
+                                           ("1e+300", "1e-10")])
+    def test_t_end_off_the_step_grid_exit_2(self, tmp_path, capsys, t_end, dt):
+        # none is a whole number of steps: run would round the first two to
+        # 0.004 and 0.008, and the step count of the third overflows.  check
+        # and run both exit 2 naming run.t_end, and neither creates the
+        # directory
+        outdir = tmp_path / "out"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(outdir).replace("t_end = 0.02", f"t_end = {t_end}")
+                            .replace("dt = 0.002", f"dt = {dt}"))
+        for command in ("check", "run"):
+            assert main([command, str(cfg_path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: config: run.t_end: t_end={t_end} is not a whole "
+                           f"number of steps of dt={dt}\n")
+        assert not outdir.exists()
+
     def test_diag_reduces_over_the_run_layout(self, tmp_path, monkeypatch):
         # the final m snapshot is row-major on disk; diag reads it back into
         # the component-major layout the run's ledger summed over
@@ -1088,8 +1153,9 @@ class TestRunVariants:
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
         # a penalized run with a grossly unstable dt for the chosen k blows
-        # up after a few steps: the ledger written so far must survive with
-        # the .partial suffix and no energy.csv may appear
+        # up after a few steps, first in the step-2 row: the ledger written
+        # so far must survive with the .partial suffix and no energy.csv
+        # may appear
         text = minimal_config(outdir).replace(
             "dt = 0.002", "dt = 0.002\nconstraint = penalized")
         text = text.replace("sigma = 1.0", "sigma = 1.0\npenalty_k = 1e7")
@@ -1098,8 +1164,8 @@ class TestRunVariants:
             warnings.simplefilter("error")   # a numpy RuntimeWarning fails
             assert main(["run", str(cfg_path)]) == 3
         assert capsys.readouterr().err == (
-            "error: numeric: magnetization m became non-finite at step 3, "
-            "t=0.004, first at cell (0, 0, 0)\n")
+            "error: numeric: 3 ledger values at step 2, t=0.004 are not finite, "
+            "first superexch_biq\n")
         names = os.listdir(outdir)
         assert "energy.csv" not in names
         assert "energy.csv.partial" in names

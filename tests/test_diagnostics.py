@@ -1,17 +1,20 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinlayer import maxwell as mx
-from spinlayer.diagnostics import (TestFunction, energy_inequality_residual,
+from spinlayer.diagnostics import (LedgerRow, TestFunction, energy_inequality_residual,
                                    omega_limit_field, omega_limit_field_cells,
                                    saturation_deviation, stationarity_report,
                                    stationarity_residual)
 from spinlayer.diagnostics import test_function_library as fn_library
 from spinlayer.dynamics import SchemeConfig, _Workspace, run
 from spinlayer.effective_field import assemble_h_tot, thin_layer_field
-from spinlayer.energetics import MaterialParams, total_energy, uniform_k_matrix
+from spinlayer.energetics import (EnergyBreakdown, MaterialParams, total_energy,
+                                  uniform_k_matrix)
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.summation import dot
 
@@ -55,6 +58,28 @@ def test_ledger_row_allocates_nothing_box_sized():
         assert again == warm
         assert again[0] == total_energy(m, em, g, params)
         assert peak < m[..., 0].nbytes // 8, g.layer_cells
+
+
+
+def test_row_values_leave_no_cyclic_garbage():
+    # with the cyclic collector off, whatever reading a row's values leaves
+    # in a reference cycle stays live: 400 rows read through csv_values
+    # (and so EnergyBreakdown.as_tuple) must keep under 2 KB
+    rows = [LedgerRow(0.1 * i, EnergyBreakdown(exchange=1.0, maxwell_e=2.0),
+                      0.0, 0.0, 0.0, 0.0, 0.0) for i in range(400)]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for row in rows:
+            row.csv_values()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert live < 2048, live
 
 
 class TestEnergyInequality:

@@ -451,6 +451,22 @@ class TestRun:
             run(geom, plain_params(), scheme, m, None, None, t_end=1e-3)
         assert str(err.value) == message
 
+    def test_nonfinite_row_names_its_step_and_first_column(self):
+        # e = 1e155 overflows maxwell_e and so total in the t = 0 row: run
+        # raises naming the step, t and first column, before on_row sees it
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        params = plain_params(a_exch=0.01)
+        em = mx.empty_em_state(mx.make_box(geom, padding=2))
+        em.ex[...] = 1e155
+        rows = []
+        with pytest.raises(NonFinite) as err:
+            run(geom, params, SchemeConfig(dt=2e-3, subcycles=4),
+                random_unit_field(geom, seed=3), em, None, t_end=2e-3,
+                on_row=rows.append)
+        assert str(err.value) == ("2 ledger values at step 0, t=0 are not "
+                                  "finite, first maxwell_e")
+        assert rows == []
+
     def test_deterministic_rerun_bitwise(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
         params = plain_params(a_exch=0.01, alpha=1.0, ks=0.03, j1=0.02, j2=0.01,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -381,6 +382,19 @@ class TestTotalEnergy:
         m[..., 2] = 1.0
         bd = total_energy(m, None, small_geom, plain_params())
         assert bd.total == 0.0
+
+    def test_columns_are_the_fields_and_total_their_sum(self):
+        # each term defaults to 0.0; total is no argument but the fsum of
+        # the terms, and the columns are the fields in order, total last
+        bd = EnergyBreakdown(exchange=0.1, maxwell_e=0.2, penalty=1e-17)
+        assert EnergyBreakdown.COLUMNS == tuple(f.name for f in dataclasses.fields(bd))
+        assert bd.as_tuple() == tuple(getattr(bd, c) for c in EnergyBreakdown.COLUMNS)
+        assert bd.as_tuple() == (0.1, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 1e-17,
+                                 math.fsum([0.1, 0.2, 1e-17]))
+        assert bd.total == math.fsum(bd.as_tuple()[:-1])
+        assert EnergyBreakdown().as_tuple() == (0.0,) * len(EnergyBreakdown.COLUMNS)
+        with pytest.raises(TypeError):
+            EnergyBreakdown(total=1.0)
 
     def test_components_sum(self, small_geom):
         rng = np.random.default_rng(12)

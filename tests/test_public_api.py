@@ -5,6 +5,9 @@ and every module-level import of the package and of the tests is read."""
 import ast
 import pathlib
 
+from spinlayer.diagnostics import CSV_COLUMNS
+from spinlayer.energetics import EnergyBreakdown
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spinlayer"
 TESTS = ROOT / "tests"
@@ -91,6 +94,25 @@ def test_preset_words_are_spelled_in_config_only():
             if isinstance(node, ast.Constant) and node.value in PRESET_WORDS:
                 found.setdefault(node.value, set()).add(path.name)
     assert found == {word: {"config.py"} for word in PRESET_WORDS}
+
+
+# the ledger's energy columns are the fields of `EnergyBreakdown`, declared
+# once: no module spells a column's name, which it reads through the class
+def test_energy_columns_are_spelled_as_fields_only():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in EnergyBreakdown.COLUMNS:
+                found.setdefault(node.value, set()).add(f"{path.name}:{node.lineno}")
+    assert found == {}
+
+
+def test_readme_lists_the_energy_csv_columns():
+    text = (ROOT / "README.md").read_text()
+    intro = "`energy.csv` has one row per logged step with the fixed columns"
+    assert intro in text
+    block = text.split(intro, 1)[1].split("```")[1]
+    assert tuple(c.strip() for c in block.split(",")) == CSV_COLUMNS
 
 
 # the spacer layer is the geometry's (`DomainGeometry.layer_cells`): the
