@@ -34,7 +34,7 @@ from .config import (RunConfig, _override_seed, _parse, _validate, build_model,
                      build_setup, parse_config, read_config_text)
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
-from .energetics import EnergyBreakdown, _dot, _scalars, _vector_field
+from .energetics import EnergyBreakdown, _dot, _norm_views, _vector_field
 from .errors import ConfigError, NonFinite, SimulationError, check_finite, first_bad_cell
 
 DIAG_COLUMNS = ("t",) + EnergyBreakdown.COLUMNS + ("saturation_dev", "divergence_drift")
@@ -167,7 +167,8 @@ def _check_stored_state(m, em):
             raise NonFinite(f"stored final {name} is not finite or overflows when "
                             f"squared, first at {where} {first_bad_cell(bad)}")
 
-    check("magnetization m", "cell", _dot(m, m, *_scalars(None, m.shape[:-1], 2)))
+    square, t, parts = _norm_views(m, None)
+    check("magnetization m", "cell", _dot(parts, parts, square, t))
     for name in ("hx", "hy", "hz", "ex", "ey", "ez"):
         check(f"electromagnetic field {name}", "index", np.square(getattr(em, name)))
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import maxwell
 from .effective_field import assemble_h_tot
 from .energetics import (EnergyBreakdown, MaterialParams, _aligned_empty, _dot,
-                         _kernel_scratch, _scalars)
+                         _kernel_scratch, _norm_views, _scalars, _views)
 from .geometry import DomainGeometry
 from .summation import dot
 
@@ -60,9 +60,10 @@ def energy_inequality_residual(first: LedgerRow, row: LedgerRow) -> float:
 
 def saturation_deviation(m: np.ndarray, tmp: Optional[np.ndarray] = None) -> float:
     """max over cells of | |m| - 1 |; `tmp` (a flat float array of at
-    least 2 * m.size // 3 entries) makes the call allocation-free."""
-    dev, tmp = _scalars(tmp, m.shape[:-1], 2)
-    _dot(m, m, dev, tmp)
+    least 2 * m.size // 3 entries) makes the call allocation-free, and a
+    stepped state's scratch runs it on views built once (`_views`)."""
+    dev, t, parts = _views(_norm_views, m, tmp)
+    _dot(parts, parts, dev, t)
     np.sqrt(dev, out=dev)
     dev -= 1.0
     np.abs(dev, out=dev)

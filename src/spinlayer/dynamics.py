@@ -19,7 +19,8 @@ from . import maxwell
 from .diagnostics import CSV_COLUMNS, LedgerRow, saturation_deviation
 from .effective_field import assemble_h_tot
 from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _kernel_scratch,
-                         _scalars, _store, _vector_copy, _vector_field, total_energy)
+                         _parts, _scalars, _store, _vector_copy, _vector_field, _ViewMemo,
+                         _views, total_energy)
 from .errors import CFLViolation, NonFinite, check_finite, first_bad_cell
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState
@@ -88,7 +89,8 @@ def validate_stability(scheme: SchemeConfig, geom: DomainGeometry,
 
 
 class _Workspace:
-    """Preallocated buffers of one SimState's LLG stages, Heun and RK4 alike.
+    """Preallocated buffers of one SimState's LLG stages, Heun and RK4 alike,
+    and the views of them that a step and a ledger row run on.
 
     `k` holds the two stage rates: k[0] the first rate, into which the
     later ones are summed, and k[1] the latest stage's rate.  `m_next` holds
@@ -103,6 +105,14 @@ class _Workspace:
     field-sized at any layer depth.  A stepped state thus holds about seven
     field arrays, 24 bytes per cell each: two rates, two m buffers and three
     in `tmp`.
+
+    Beside them a state holds views only, no new array: `views`, the memo
+    (`energetics._ViewMemo`) of the views the stage's and the row's
+    kernels build on `tmp` at their first call for a set of operands (per
+    step, each pair of an m buffer and a rate buffer, h being the Maxwell
+    body cells, h_fixed or none); `flat`, the flat store and components
+    of each buffer of `k` and `m_next`; and `norms`, the two scalar fields
+    of `tmp` the renormalization uses.
     """
 
     def __init__(self, geom: DomainGeometry, m: Optional[np.ndarray] = None):
@@ -110,6 +120,15 @@ class _Workspace:
         self.k = (_vector_field(shape), _vector_field(shape))
         self.m_next = (_vector_field(shape) if m is None else m, _vector_field(shape))
         self.tmp = _kernel_scratch(geom)
+        self.views = _ViewMemo(self.tmp)
+        self.flat = {id(a): (_store(a), _parts(a)) for a in self.k + self.m_next}
+        self.norms = _scalars(self.tmp, shape[:-1], 2)
+
+    def store(self, a: np.ndarray) -> tuple:
+        """(flat store, components) of a: built once for the buffers of
+        the workspace, for this call for another field."""
+        views = self.flat.get(id(a))
+        return (_store(a), _parts(a)) if views is None else views
 
 
 @dataclass
@@ -162,6 +181,16 @@ class SimState:
         return self.work
 
 
+def _rhs_views(m: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> tuple:
+    """The operands of `llg_rhs`: h_tot in tmp's first field, the rest of
+    tmp (the scratch of its assembly), the components of m, of h_tot and
+    of out, and three scalar fields of the rest of tmp."""
+    h_tot = _vector_field(m.shape, tmp)
+    rest = tmp[m.size:]
+    return (h_tot, rest, _parts(m), _parts(h_tot), _parts(out),
+            *_scalars(rest, m.shape[:-1], 3))
+
+
 def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
             params: MaterialParams, scheme: SchemeConfig,
             out: Optional[np.ndarray] = None,
@@ -187,21 +216,22 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
 
     h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
     `tmp` (a flat float array at least as long as `_kernel_scratch`'s)
-    makes the call allocation-free.
+    makes the call allocation-free.  With a stepped state's scratch as
+    `tmp` the call runs on the views built for its operands at its first
+    call (`_Workspace.views`); otherwise it builds them for this call.
     """
     if out is None:
         out = _empty_like(m, _aligned_empty(m.size))
     if tmp is None:
         tmp = _kernel_scratch(geom)
+    h_tot, rest, mc, F, v, w, s, t = _views(_rhs_views, m, out, tmp)
+    assemble_h_tot(m, h_cells, geom, params, out=h_tot, tmp=rest)
     alpha = params.alpha
-    F = assemble_h_tot(m, h_cells, geom, params, out=_vector_field(m.shape, tmp),
-                       tmp=tmp[m.size:])
-    w, s, t = _scalars(tmp[m.size:], m.shape[:-1], 3)
-    _dot(m, m, w, t)
+    _dot(mc, mc, w, t)
     # an array operand keeps numpy off its slow path for a scalar one
     t.fill(1e-300)
     np.maximum(w, t, out=w)
-    _dot(m, F, s, t)
+    _dot(mc, F, s, t)
     if scheme.constraint == PENALIZED:
         s /= -alpha**2                        # -(m.F) / alpha^2
     else:
@@ -210,24 +240,25 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
     np.divide(1.0 + alpha**2, w, out=w)       # (1 + alpha^2) / (alpha^2 + |m|^2)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        v = out[..., i]
+        vi = v[i]
         # v = -(m x F)_i = m_k F_j - m_j F_k, then + alpha (F_i - s m_i), then * w
-        np.multiply(m[..., k], F[..., j], out=v)
-        np.multiply(m[..., j], F[..., k], out=t)
-        v -= t
-        np.multiply(s, m[..., i], out=t)
-        np.subtract(F[..., i], t, out=t)
-        t *= alpha
-        v += t
-        v *= w
+        np.multiply(mc[k], F[j], out=vi)
+        np.multiply(mc[j], F[k], out=t)
+        vi -= t
+        np.multiply(s, mc[i], out=t)
+        np.subtract(F[i], t, out=t)
+        if alpha != 1.0:                      # t * 1.0 is t, bit for bit
+            t *= alpha
+        vi += t
+        vi *= w
     return out
 
 
-def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
-    """Scale every cell of m to unit norm in place; tmp is a flat float
-    array of at least 2 * m.size // 3 entries.  step_no and t name the
+def _renormalize(m: tuple, norms: np.ndarray, scratch: np.ndarray, step_no: int,
+                 t: float):
+    """Scale every cell of m (its three components) to unit norm in place,
+    with the scalar fields norms and scratch.  step_no and t name the
     step in a NonFinite message."""
-    norms, scratch = _scalars(tmp, m.shape[:-1], 2)
     _dot(m, m, norms, scratch)
     np.sqrt(norms, out=norms)
     # min/max propagate NaN, so this one test catches zero, inf and NaN
@@ -235,8 +266,8 @@ def _renormalize(m: np.ndarray, step_no: int, t: float, tmp: np.ndarray):
         cell = first_bad_cell(~(np.isfinite(norms) & (norms > 0.0)))
         raise NonFinite(f"renormalization of m at step {step_no}, t={t:g} hit a "
                         f"zero or non-finite norm, first at cell {cell}")
-    for i in range(3):
-        m[..., i] /= norms
+    for mi in m:
+        mi /= norms
 
 
 def _add_rate(f_sum: np.ndarray, f_rate: np.ndarray, weight: float):
@@ -254,9 +285,9 @@ def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
     `out`; its rate goes to work.k[1] and, once the next stage is formed,
     is added into work.k[0] with its weight w, so the sum is the tableau's
     ((k0 + w1 k1) + w2 k2) + w3 k3 in that order.  The stage combinations
-    run on the flat stores (`_store`)."""
+    run on the flat stores (`_Workspace.store`)."""
     stages, divisor = _TABLEAUX[scheme.integrator]
-    fm, fo, f_sum, f_rate = map(_store, (m, out, *work.k))
+    (fm, _), (fo, _), (f_sum, _), (f_rate, _) = map(work.store, (m, out, *work.k))
     llg_rhs(m, h_cells, geom, params, scheme, out=work.k[0], tmp=work.tmp)
     for i, (d, _) in enumerate(stages):
         np.multiply(f_rate if i else f_sum, dt / d, out=fo)
@@ -291,7 +322,7 @@ def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
     m_new = work.m_next[m is work.m_next[0]]
     _advance_m(m, h_cells, dt, geom, params, scheme, work, m_new)
     m_dot_eff = work.k[0]
-    f_rate, f_new, f_m = map(_store, (m_dot_eff, m_new, m))
+    (f_rate, _), (f_new, m_parts), (f_m, _) = map(work.store, (m_dot_eff, m_new, m))
     if state.em is not None:
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
         f_new -= f_m
@@ -305,7 +336,7 @@ def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
         raise NonFinite(f"magnetization m became non-finite at step {step_no}, "
                         f"t={state.t:g}, first at cell {cell}")
     if scheme.constraint == PROJECTED:
-        _renormalize(m_new, step_no, state.t, work.tmp)
+        _renormalize(m_parts, *work.norms, step_no, state.t)
 
     np.subtract(f_new, f_m, out=f_rate)
     f_rate /= dt

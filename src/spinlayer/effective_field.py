@@ -24,24 +24,37 @@ import numpy as np
 
 from .geometry import DomainGeometry
 from .energetics import (MaterialParams, _aligned_empty, _components, _dot, _face_differences,
-                         _kernel_scratch, _scalars, _store, _vector_field, apply_k)
+                         _face_views, _kernel_scratch, _parts, _scalars, _store,
+                         _vector_field, _views, apply_k)
 
 
-def _add_exchange_fluxes(f: np.ndarray, geom: DomainGeometry, coef: float,
-                         o: np.ndarray, tmp: np.ndarray):
-    """Add coef times the Neumann Laplacian of the flat store f into the
-    flat store o (both `_store`s of cell 3-vector fields of the geometry).
-
-    Per axis the face differences of `_face_differences` (in tmp, a flat
-    float array of at least f.size entries), scaled by coef/h^2, are added
-    to the cell below each face and subtracted from the cell above, as two
-    flat passes at the axis' stride.
-    """
+def _flux_views(f: np.ndarray, geom: DomainGeometry, coef: float, o: np.ndarray,
+                tmp: np.ndarray) -> tuple:
+    """The operands of `_add_exchange_fluxes`, per axis: the face views of
+    the flat store f in tmp (`_face_views`; a flat float array of at least
+    f.size entries), the ranges of the flat store o below and above the
+    faces, and coef/h^2."""
+    views = []
     for axis, h in enumerate((geom.dx, geom.dy, geom.dz)):
-        flux, S = _face_differences(f, geom, axis, tmp)
-        flux *= coef / h**2
-        o[:-S] += flux
-        o[S:] -= flux
+        faces = _face_views(f, geom, axis, tmp)
+        S = faces[-1]
+        views.append((faces, o[:-S], o[S:], coef / h**2))
+    return tuple(views)
+
+
+def _add_exchange_fluxes(views: tuple):
+    """Add coef times the Neumann Laplacian of a field into o (both flat
+    stores of cell 3-vector fields of the geometry; `_flux_views`).
+
+    Per axis the face differences of `_face_differences`, scaled by
+    coef/h^2, are added to the cell below each face and subtracted from
+    the cell above, as two flat passes at the axis' stride.
+    """
+    for faces, below, above, c in views:
+        flux = _face_differences(faces)
+        flux *= c
+        below += flux
+        above -= flux
 
 
 def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
@@ -68,7 +81,7 @@ def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
         tmp = _aligned_empty(m.size)
     o = _store(out)
     o[...] = 0.0
-    _add_exchange_fluxes(_store(m), geom, 1.0, o, tmp)
+    _add_exchange_fluxes(_flux_views(_store(m), geom, 1.0, o, tmp))
     return out
 
 
@@ -80,6 +93,26 @@ def _out_field(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
         raise ValueError("out must be a component-major field "
                          "(energetics._vector_field)")
     return out
+
+
+def _thin_layer_views(m: np.ndarray, geom: DomainGeometry, out: np.ndarray,
+                      tmp: np.ndarray) -> tuple:
+    """The operands of `thin_layer_field`'s passes: the layers of m and of
+    out with z first, the blocks ml, ms (the reflection across the
+    spacer) and f in tmp, with the layers of ml reversed; the flat stores
+    of the three blocks and of the scratch s after them (three blocks'
+    components long), and the first two components' range of ml, f and
+    s; the components of ml and ms, three scalar fields of s and the
+    weight 1/eta."""
+    cells = geom.layer_cells
+    sl = geom.layer_slice()
+    shape = (2 * cells,) + m.shape[:2]
+    p = math.prod(shape)
+    ml, ms, f = (_vector_field(shape + (3,), tmp[k * 3 * p:]) for k in range(3))
+    flats = tuple(tmp[k * 3 * p:(k + 1) * 3 * p] for k in range(4))
+    return (m[:, :, sl, :].transpose(2, 0, 1, 3), out[:, :, sl, :].transpose(2, 0, 1, 3),
+            ml, ms, f, ml[::-1], flats, tuple(flats[k][:2 * p] for k in (0, 2, 3)),
+            _parts(ml), _parts(ms), _scalars(flats[3], shape, 3), 1.0 / (cells * geom.dz))
 
 
 def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -96,50 +129,49 @@ def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams
     gathered into component-major (2*layer_cells, nx, ny, 3) blocks (see
     `energetics._vector_field`), so every pass is contiguous and no
     operand runs backwards (numpy buffers a pass that mixes forward and
-    backward strides); the terms are added in the order ks, j1, j2 and
-    the block is copied back.  `tmp` (a flat float array of at least 12
-    entries per layer cell, as `energetics._kernel_scratch` has) makes the
-    call allocation-free.
+    backward strides); the terms are added in the order ks, j1, j2, each
+    pass that is alike for the components it acts on taken once over
+    their blocks, and the block is copied back.  `tmp` (a flat float array of at least
+    12 entries per layer cell, as `energetics._kernel_scratch` has) makes
+    the call allocation-free.
     """
-    cells = geom.layer_cells
-    sl = geom.layer_slice()
     if out is None:
         out = np.zeros_like(m)
-    shape = (2 * cells,) + m.shape[:2]
-    p = math.prod(shape)
     if tmp is None:
-        tmp = _aligned_empty(12 * p)
-    ml, ms, f = (_vector_field(shape + (3,), tmp[k * 3 * p:]) for k in range(3))
-    mdotms, msms, t = _scalars(tmp[9 * p:], shape, 3)
-    # the layers with z first: m[:, :, sl, :] in the index order of ml
-    layer = out[:, :, sl, :].transpose(2, 0, 1, 3)
-    np.copyto(ml, m[:, :, sl, :].transpose(2, 0, 1, 3))
-    np.copyto(ms, ml[::-1])             # reflection across the spacer
+        tmp = _aligned_empty(12 * 2 * geom.layer_cells * m.shape[0] * m.shape[1])
+    (src, layer, ml, ms, f, reversed_ml, (fl_ml, fl_ms, fl_f, s), (ml2, f2, s2), mlc, msc,
+     (mdotms, msms, t), w) = _views(_thin_layer_views, m, geom, out, tmp)
+    np.copyto(ml, src)
+    np.copyto(ms, reversed_ml)          # reflection across the spacer
     np.copyto(f, layer)
-    w = 1.0 / (cells * geom.dz)         # 2 / (2 eta)
     if params.ks != 0.0:
-        # Ks ((m.nu) nu - m) with nu = +-e_z keeps only the in-plane part
-        for i in range(2):
-            np.multiply(ml[..., i], params.ks * w, out=t)
-            f[..., i] -= t
+        # Ks ((m.nu) nu - m) with nu = +-e_z keeps only the in-plane part:
+        # components 0 and 1, one pass over their blocks
+        np.multiply(ml2, params.ks * w, out=s2)
+        f2 -= s2
     if params.j1 != 0.0:
-        for i in range(3):
-            np.subtract(ms[..., i], ml[..., i], out=t)
-            t *= params.j1 * w
-            f[..., i] += t
+        np.subtract(fl_ms, fl_ml, out=s)
+        s *= params.j1 * w
+        fl_f += s
     if params.j2 != 0.0:
-        # 2 J2 ((m.ms) ms - |ms|^2 m), component by component
-        _dot(ml, ms, mdotms, t)
-        _dot(ms, ms, msms, t)
-        c = 2.0 * params.j2 * w
-        for i in range(3):
-            np.multiply(mdotms, ms[..., i], out=t)
-            ml[..., i] *= msms          # component i of ml is not read again
-            t -= ml[..., i]
-            t *= c
-            f[..., i] += t
+        # 2 J2 ((m.ms) ms - |ms|^2 m): the products component by component,
+        # in place in ms and ml (neither is read again), then one pass each
+        _dot(mlc, msc, mdotms, t)
+        _dot(msc, msc, msms, t)
+        for mi, msi in zip(mlc, msc):
+            msi *= mdotms
+            mi *= msms
+        fl_ms -= fl_ml
+        fl_ms *= 2.0 * params.j2 * w
+        fl_f += fl_ms
     np.copyto(layer, f)
     return out
+
+
+def _penalty_views(m: np.ndarray, out: np.ndarray, tmp: Optional[np.ndarray]) -> tuple:
+    """A scalar field of tmp (fresh when None) and the components of m
+    and of out."""
+    return (*_scalars(tmp, m.shape[:-1], 1), _parts(m), _parts(out))
 
 
 def penalty_field(m: np.ndarray, params: MaterialParams,
@@ -152,13 +184,29 @@ def penalty_field(m: np.ndarray, params: MaterialParams,
     """
     if out is None:
         out = np.empty_like(m)
-    (p,) = _scalars(tmp, m.shape[:-1], 1)
-    _dot(m, m, p, out[..., 0])           # out is scratch until written
+    p, mc, oc = _views(_penalty_views, m, out, tmp)
+    _dot(mc, mc, p, oc[0])              # out is scratch until written
     p -= 1.0
     p *= -params.penalty_k
-    for i in range(3):
-        np.multiply(p, m[..., i], out=out[..., i])
+    for mi, oi in zip(mc, oc):
+        np.multiply(p, mi, out=oi)
     return out
+
+
+def _h_tot_views(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
+                 params: MaterialParams, out: np.ndarray, tmp: np.ndarray) -> tuple:
+    """The operands of `assemble_h_tot`'s passes: out and h_cells
+    component first (h_cells None as 0.0), read in place in any layout;
+    the exchange fluxes (`_flux_views`, none when A is zero); and, for a
+    nonzero penalty, the field of tmp the penalty field is formed in, the
+    scratch after it and the flat stores of out and of that field."""
+    penalty = None
+    if params.penalty_k != 0.0:
+        term = _vector_field(m.shape, tmp)
+        penalty = (term, tmp[m.size:], _store(out), _store(term))
+    return (_components(out), 0.0 if h_cells is None else _components(h_cells),
+            _flux_views(_store(m), geom, params.a_exch, _store(out), tmp)
+            if params.a_exch != 0.0 else (), penalty)
 
 
 def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
@@ -181,24 +229,24 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     fresh when omitted) receives the field; another layout raises
     ValueError.  `tmp` (a flat float array of at least max(2 * m.size,
     12 per layer cell) entries, `energetics._kernel_scratch`) makes the
-    call allocation-free whenever h_cells is component-major (another
-    layout is read through a copy).
+    call allocation-free whenever m and h_cells are component-major (m
+    in another layout is read through a copy, h_cells in place), and a
+    stepped state's scratch runs it on views built once
+    (`energetics._views`).
     """
     out = _out_field(out, m.shape)
     if tmp is None:
         tmp = _kernel_scratch(geom, h_tot=False)
-    o = _store(out)
-    h = 0.0 if h_cells is None else _store(h_cells)
+    o, h, fluxes, penalty = _views(_h_tot_views, m, h_cells, geom, params, out, tmp)
     if params.k_matrix is not None:
         apply_k(params, m, out=out, tmp=tmp)
         np.subtract(h, o, out=o)
     else:
         np.copyto(o, h)
-    if params.a_exch != 0.0:
-        _add_exchange_fluxes(_store(m), geom, params.a_exch, o, tmp)
+    _add_exchange_fluxes(fluxes)
     thin_layer_field(m, geom, params, out=out, tmp=tmp)
-    if params.penalty_k != 0.0:
-        term = _vector_field(m.shape, tmp)
-        penalty_field(m, params, out=term, tmp=tmp[m.size:])
-        o += _store(term)
+    if penalty is not None:
+        term, term_tmp, fo, fterm = penalty
+        penalty_field(m, params, out=term, tmp=term_tmp)
+        fo += fterm
     return out

@@ -17,6 +17,9 @@ Discretization notes:
   contiguous block, so the component-wise kernels make contiguous passes
   and a difference along an axis is a flat difference of the store at a
   fixed offset.
+* Every kernel runs on views of its operands, which a public function
+  builds for the call or, handed a stepped state's scratch, takes from
+  the state's memo, built at the first call (`_views`, `_ViewMemo`).
 * The surface energies live on the geometry's `layer_cells` whole cell
   layers per side with weight 1/(2 eta), eta = layer_cells*dz: eta/dz
   cells with a thin layer, one cell (the sharp layer) without.  With one
@@ -27,6 +30,7 @@ Discretization notes:
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional, Tuple
 
@@ -63,6 +67,52 @@ def _kernel_scratch(geom: DomainGeometry, h_tot: bool = True) -> np.ndarray:
     size = math.prod(geom.field_shape())
     layer = 2 * geom.layer_cells * geom.nx * geom.ny
     return _aligned_empty((size if h_tot else 0) + max(2 * size, 12 * layer))
+
+
+_MEMO_SIZE = 64
+# the view memo of each stepped state, by the id of its kernel scratch's
+# buffer (the `base` of every view carved from the scratch)
+_MEMOS = weakref.WeakValueDictionary()
+
+
+class _ViewMemo(dict):
+    """The views the kernels built on one stepped state's scratch, kept
+    as long as the state's workspace keeps the memo.
+
+    A kernel handed a scratch carved from the state's (`_views`), with a
+    component-major m, runs on the views built for the same operands the
+    first time; views that hand a scratch on to another kernel hold it,
+    so that kernel finds its views too.  An entry is keyed by the builder
+    and the ids of the operands and holds the operands, so no id of a
+    live key is reused; a full memo is emptied before it takes a new
+    entry.  The views of a component-major m copy no operand, so an entry
+    stays valid as the operands' values change.
+    """
+
+    def __init__(self, scratch: np.ndarray):
+        super().__init__()
+        _MEMOS[id(scratch.base)] = self
+
+
+def _views(build, m: np.ndarray, *operands):
+    """build(m, *operands): the views a kernel runs on.  The last operand
+    is the kernel scratch; when it is carved from a stepped state's
+    (`_ViewMemo`) and m is component-major, the views are built once and
+    reused, otherwise they are built for this call."""
+    tmp = operands[-1]
+    memo = None if tmp is None or tmp.base is None else _MEMOS.get(id(tmp.base))
+    if memo is None:
+        return build(m, *operands)
+    key = (build, id(m), *map(id, operands))
+    entry = memo.get(key)
+    if entry is not None:
+        return entry[2]
+    views = build(m, *operands)
+    if _components(m).flags.c_contiguous:
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        memo[key] = (m, operands, views)
+    return views
 
 
 @dataclass(frozen=True)
@@ -149,6 +199,11 @@ def _components(a: np.ndarray) -> np.ndarray:
     return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
 
 
+def _parts(a: np.ndarray) -> tuple:
+    """The three component views of the (..., 3) field a."""
+    return tuple(_components(a))
+
+
 def _vector_copy(a) -> np.ndarray:
     """A component-major copy of the (..., 3) field a."""
     out = _vector_field(np.shape(a))
@@ -175,41 +230,51 @@ def _empty_like(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return store.transpose([order.index(i) for i in range(a.ndim)])
 
 
-def _face_differences(f: np.ndarray, geom: DomainGeometry, axis: int,
-                      out: np.ndarray) -> tuple:
-    """Differences across the exchange faces normal to `axis`.
+def _face_views(f: np.ndarray, geom: DomainGeometry, axis: int, out: np.ndarray) -> tuple:
+    """The operands of `_face_differences` across the exchange faces
+    normal to `axis`: (f[S:], f[:-S], d, the planes zeroed, S).
 
     f is the flat store (`_store`) of a cell 3-vector field of the
-    geometry, out a flat float buffer of at least f.size entries.  With S
-    the flat stride of the axis, out[j] = f[j + S] - f[j] is the
-    difference from cell j to its neighbour along the axis; the entries
-    whose neighbour lies past the outer boundary (where the flat
-    difference wraps into the next row or component) and, along z, those
-    across the spacer face are set to 0, so every coupled face appears
-    once and no other.  Returns (out[:f.size - S], S).
+    geometry, out a flat float buffer of at least f.size entries, d =
+    out[:f.size - S] the differences and S the flat stride of the axis.
+    The planes zeroed are the entries whose neighbour lies past the outer
+    boundary (where the flat difference wraps into the next row or
+    component) and, along z, those across the spacer face.
     """
     dims = (3,) + geom.field_shape()[:-1]
     S = math.prod(dims[axis + 2:])
     n = f.size
-    d = out[:n - S]
-    np.subtract(f[S:], f[:-S], out=d)
     faces = out[:n].reshape(dims)
     last = [slice(None)] * 4
     last[axis + 1] = -1
-    faces[tuple(last)] = 0.0       # the outer boundary
+    zeros = (faces[tuple(last)],)                           # the outer boundary
     if axis == 2:
-        faces[:, :, :, geom.spacer_index - 1] = 0.0   # no exchange across the spacer
-    return d, S
+        zeros += (faces[:, :, :, geom.spacer_index - 1],)   # no exchange across the spacer
+    return f[S:], f[:-S], out[:n - S], zeros, S
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Per-cell a . b of two (..., 3) fields into out, summed in component
-    order (as np.sum over the last axis does); tmp is scratch shaped like
-    out."""
-    np.multiply(a[..., 0], b[..., 0], out=out)
-    np.multiply(a[..., 1], b[..., 1], out=tmp)
+def _face_differences(views: tuple) -> np.ndarray:
+    """Differences across the exchange faces of one axis, from the
+    operands of `_face_views`: d[j] = f[j + S] - f[j] is the difference
+    from cell j to its neighbour along the axis, and the entries of the
+    zeroed planes are 0, so every coupled face appears once and no other.
+    Returns d."""
+    f1, f0, d, zeros, _ = views
+    np.subtract(f1, f0, out=d)
+    for plane in zeros:
+        plane[...] = 0.0
+    return d
+
+
+def _dot(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Per-cell a . b of two fields given component first (`_components`,
+    or the tuple of their three component views) into out, summed in
+    component order (as np.sum over the last axis does); tmp is scratch
+    shaped like out."""
+    np.multiply(a[0], b[0], out=out)
+    np.multiply(a[1], b[1], out=tmp)
     out += tmp
-    np.multiply(a[..., 2], b[..., 2], out=tmp)
+    np.multiply(a[2], b[2], out=tmp)
     out += tmp
     return out
 
@@ -245,6 +310,14 @@ EnergyBreakdown.COLUMNS = tuple(f.name for f in fields(EnergyBreakdown))
 _energy_terms = operator.attrgetter(*(f.name for f in fields(EnergyBreakdown) if f.init))
 
 
+def _exchange_views(m: np.ndarray, geom: DomainGeometry, tmp: np.ndarray) -> tuple:
+    """Per axis, the face views of m in tmp (`_face_views`) and the
+    spacing."""
+    f = _store(m)
+    return tuple((_face_views(f, geom, axis, tmp), h)
+                 for axis, h in enumerate((geom.dx, geom.dy, geom.dz)))
+
+
 def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
                     tmp: Optional[np.ndarray] = None) -> float:
     """(A/2) * sum over interior faces of |difference quotient|^2 * dV.
@@ -254,13 +327,22 @@ def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
     m.size entries) holds them."""
     if params.a_exch == 0.0:
         return 0.0
-    f = _store(m)
-    buf = _aligned_empty(f.size) if tmp is None else tmp
+    buf = _aligned_empty(m.size) if tmp is None else tmp
     acc = 0.0
-    for axis, h in enumerate((geom.dx, geom.dy, geom.dz)):
-        d, _ = _face_differences(f, geom, axis, buf)
+    for faces, h in _views(_exchange_views, m, geom, buf):
+        d = _face_differences(faces)
         acc += dot(d, d) / h**2
     return 0.5 * params.a_exch * geom.cell_volume * acc
+
+
+def _k_views(m: np.ndarray, params: MaterialParams, out: np.ndarray,
+             tmp: Optional[np.ndarray]) -> tuple:
+    """The operands of `apply_k`: per component of out, its view and
+    the (component of m, K_ij) pairs of the nonzero K_ij in the order
+    j = 0, 2, 1; and a scalar field of tmp (fresh when None)."""
+    k, mc = params.k_matrix, _parts(m)
+    return (tuple((o, tuple((mc[j], k[i, j]) for j in (0, 2, 1) if k[i, j] != 0.0))
+                  for i, o in enumerate(_parts(out))), *_scalars(tmp, m.shape[:-1], 1))
 
 
 def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = None,
@@ -275,35 +357,53 @@ def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = N
     if params.k_matrix is None:
         out[...] = 0.0
         return out
-    k = params.k_matrix
-    (t,) = _scalars(tmp, m.shape[:-1], 1)
-    for i in range(3):
+    rows, t = _views(_k_views, m, params, out, tmp)
+    for o, terms in rows:
         # (K_i0 m0 + K_i2 m2) + K_i1 m1 over the nonzero entries: the
         # summation order of np.einsum("ij,...j->...i"), whose zero terms
         # add nothing to a finite m, so both agree up to the sign of zero
-        o = out[..., i]
-        terms = [j for j in (0, 2, 1) if k[i, j] != 0.0]
         if not terms:
             o[...] = 0.0
             continue
-        np.multiply(m[..., terms[0]], k[i, terms[0]], out=o)
-        for j in terms[1:]:
-            np.multiply(m[..., j], k[i, j], out=t)
+        (mj, kij), *rest = terms
+        np.multiply(mj, kij, out=o)
+        for mj, kij in rest:
+            np.multiply(mj, kij, out=t)
             o += t
     return out
+
+
+def _anisotropy_views(m: np.ndarray, tmp: np.ndarray) -> tuple:
+    """K m laid out like m in tmp, and the scratch after it."""
+    return _empty_like(m, tmp), tmp[m.size:]
 
 
 def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
                       tmp: Optional[np.ndarray] = None) -> float:
     """(dV/2) sum of K m . m; `tmp` (a flat float array of at least
-    4 * m.size // 3 entries) holds K m and its scratch."""
+    4 * m.size // 3 entries) holds K m, laid out like m, and its scratch."""
     if params.k_matrix is None:
         return 0.0
     if tmp is None:
-        km = apply_k(params, m)
-    else:
-        km = apply_k(params, m, out=_vector_field(m.shape, tmp), tmp=tmp[m.size:])
+        tmp = _aligned_empty(4 * m.size // 3)
+    km, rest = _views(_anisotropy_views, m, tmp)
+    apply_k(params, m, out=km, tmp=rest)
     return 0.5 * geom.cell_volume * dot(km, m)
+
+
+def _thin_layer_energy_views(m: np.ndarray, geom: DomainGeometry, tmp: np.ndarray) -> tuple:
+    """The operands of `thin_layer_energy`: the in-plane components of
+    the layers of m, the layers and their reflection across the spacer,
+    the three blocks laid out like the layers and their flat stores, the
+    row-major wedge, the components of the first two blocks and of the
+    wedge, and the wedge's scalar scratch."""
+    ml = m[:, :, geom.layer_slice(), :]
+    p = math.prod(ml.shape[:-1])
+    flat = tuple(tmp[k * 3 * p:(k + 1) * 3 * p] for k in range(3))
+    gl, gs, jump = (_empty_like(ml, b) for b in flat)
+    wedge = flat[2].reshape(ml.shape)           # row-major, as np.cross
+    return (ml[..., :2], ml, ml[:, :, ::-1, :], gl, gs, flat, jump, wedge, _parts(gl),
+            _parts(gs), _parts(wedge), tmp[9 * p:10 * p].reshape(ml.shape[:-1]))
 
 
 def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -320,35 +420,35 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     `tmp` (a flat float array of at least 10 entries per layer cell, as
     `_kernel_scratch` has) makes the call allocation-free.
     """
-    ml = m[:, :, geom.layer_slice(), :]
+    if tmp is None:
+        tmp = _aligned_empty(10 * 2 * geom.layer_cells * geom.nx * geom.ny)
+    inplane, ml, mirror, gl, gs, flat, jump, wedge, glc, gsc, wc, t = _views(
+        _thin_layer_energy_views, m, geom, tmp)
     w = geom.face_area / (2.0 * geom.layer_cells)      # dV / (2 eta)
-
     e_ks = e_q = e_biq = 0.0
     if params.ks != 0.0:
         # |m x nu|^2 with nu = +-e_z is the in-plane part of |m|^2
-        inplane = ml[..., :2]
         e_ks = params.ks * w * dot(inplane, inplane)
     if params.j1 != 0.0 or params.j2 != 0.0:
-        p = math.prod(ml.shape[:-1])
-        if tmp is None:
-            tmp = _aligned_empty(10 * p)
-        flat = [tmp[k * 3 * p:(k + 1) * 3 * p] for k in range(3)]
-        gl, gs, jump = (_empty_like(ml, b) for b in flat)
         np.copyto(gl, ml)
-        np.copyto(gs, ml[:, :, ::-1, :])    # reflection across the spacer
+        np.copyto(gs, mirror)
         if params.j1 != 0.0:
             np.subtract(flat[0], flat[1], out=flat[2])
             e_q = 0.5 * params.j1 * w * dot(jump, jump)
         if params.j2 != 0.0:
-            wedge = flat[2].reshape(ml.shape)          # row-major, as np.cross
-            t = tmp[9 * p:10 * p].reshape(ml.shape[:-1])
-            for i in range(3):
+            for i, o in enumerate(wc):
                 j, k = (i + 1) % 3, (i + 2) % 3
-                np.multiply(gl[..., j], gs[..., k], out=wedge[..., i])
-                np.multiply(gl[..., k], gs[..., j], out=t)
-                wedge[..., i] -= t
+                np.multiply(glc[j], gsc[k], out=o)
+                np.multiply(glc[k], gsc[j], out=t)
+                o -= t
             e_biq = params.j2 * w * dot(wedge, wedge)
     return e_ks, e_q, e_biq
+
+
+def _norm_views(m: np.ndarray, tmp: Optional[np.ndarray]) -> tuple:
+    """Two scalar fields of tmp (fresh when None) and the components of
+    m: the operands of a per-cell |m|^2 and a pass over it."""
+    return (*_scalars(tmp, m.shape[:-1], 2), _parts(m))
 
 
 def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -357,8 +457,8 @@ def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
     least 2 * m.size // 3 entries) holds the per-cell terms."""
     if params.penalty_k == 0.0:
         return 0.0
-    dev, t = _scalars(tmp, m.shape[:-1], 2)
-    _dot(m, m, dev, t)
+    dev, t, mc = _views(_norm_views, m, tmp)
+    _dot(mc, mc, dev, t)
     dev -= 1.0
     return 0.25 * params.penalty_k * geom.cell_volume * dot(dev, dev)
 
@@ -380,8 +480,11 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
     term enters whenever params.penalty_k is nonzero, the energy whose
     gradient `effective_field.assemble_h_tot` is.  `tmp` (a flat float
     array of at least max(4 * m.size // 3, 10 per layer cell) entries, as
-    `_kernel_scratch` has) makes the call allocation-free.
+    `_kernel_scratch` has) makes the call allocation-free, and a stepped
+    state's scratch runs every term on views built once (`_views`).
     """
+    if tmp is None:
+        tmp = _kernel_scratch(geom, h_tot=False)
     e_h = e_e = 0.0
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)

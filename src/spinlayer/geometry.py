@@ -20,6 +20,9 @@ import numpy as np
 from .errors import EtaTooLarge, NonTilingGrid
 
 _REL_TOL = 1e-9
+# the largest distance from a whole number of steps a ratio may have: k*dt
+# over dt lands within about 1.2e-7 of k for every k up to 1e9
+_ABS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,14 @@ class DomainGeometry:
 
 
 def _is_multiple(value: float, step: float) -> bool:
-    """Whether value is a whole number of steps, to a relative 1e-9; a
-    ratio that overflows is not."""
+    """Whether value is a whole number of steps, to a relative 1e-9 of
+    the step count and at most 1e-6 steps (the relative bound alone grows
+    with the count, and beyond 5e8 steps passes a ratio halfway between
+    two counts); a ratio that overflows is not."""
     ratio = value / step
     if not np.isfinite(ratio):
         return False
-    return abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
+    return abs(ratio - round(ratio)) <= min(_REL_TOL * max(1.0, abs(ratio)), _ABS_TOL)
 
 
 def build_geometry(config: GeometryConfig) -> DomainGeometry:

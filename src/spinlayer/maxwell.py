@@ -30,7 +30,8 @@ The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
 sign-definite.
 div(h + m_bar), which `init_divfree` projects to zero and the ledger's
-drift measures, is one kernel, `_div_h_plus_m_bar`.
+drift measures, is one kernel, `_div_terms`, on views built per call
+(`_div_h_plus_m_bar`) or, for the drift, once per state.
 """
 
 import math
@@ -184,7 +185,7 @@ class _Workspace:
 
     `scratch` is one store component long, plus the slack of its offsets:
     each curl component is formed in it and applied at once, and between
-    steps the ledger's divergence drift forms each component of h + m_bar
+    steps the drift forms its blocks of h + m_bar and its later terms
     in it.  `curl_h_views`, `curl_e_views` and `body_curl_e_views` are the
     per-component operands (`_curl_views`) of the backward curl of the h
     store, the forward curl of the e store and the predictor's forward
@@ -203,6 +204,9 @@ class _Workspace:
     (a triple of the body face slabs) holds the predicted rate, then the
     increment dt x rate of a step's subcycles.  `mur` holds the Mur1
     planes with their buffers (`_mur_planes`) if the state's `bc` is MUR1.
+    `div_views` are the drift's operands (`_div_views`) in the scratch and
+    tmp, and `div_pads` the pad rows of its divergence; like every view
+    here they are views of the buffers above and the stores, no new array.
     """
 
     def __init__(self, em: "EMState"):
@@ -229,6 +233,9 @@ class _Workspace:
         self.body_faces = tuple(_aligned_empty(f.shape) for f in self.body_curl_faces)
         self.body_cells = _vector_field((box.mx, box.my, box.mz, 3))
         self.mur = _mur_planes(em.e, box) if em.bc == MUR1 else None
+        self.div_views = _div_views(self.h_parts, box, self.scratch[:size], self.tmp)
+        planes = self.div_views[0].reshape(box.nx, box.ny + 1, box.nz + 1)
+        self.div_pads = (planes[:, box.ny, :], planes[:, :, box.nz])
 
 
 def _component(index: int, doc: str) -> property:
@@ -548,31 +555,6 @@ def interp_h_to_cells(em: EMState) -> np.ndarray:
     return _body_cells(em.h, em.box)
 
 
-def _m_bar_face(m: np.ndarray, c: int, box: BoxGeometry, cells: np.ndarray,
-                face: np.ndarray) -> tuple:
-    """Component c of m_bar, for the body field m, on the flat window of
-    its body face slab (`_flat_span`), as (window, the face values).
-
-    The component of m is written into the body cells of `cells` (a flat
-    float array of one store component) after zeroing its reach, and
-    averaged to faces as (E[j] + E[j - S]) * 0.5 into `face` (a flat
-    float array of at least the window's length).  That is the mean of the
-    two cells of a body face (a zero cell beyond the body) and +0.0 on
-    every other face of the window, where adding it leaves an entry that
-    is not -0.0 unchanged.  Every pass but the write of m is flat, so the
-    call allocates nothing.
-    """
-    S = _strides(box)[c]
-    window = _flat_span(_body_face_slabs(box)[c], box)
-    lo, hi = window.start, window.stop
-    cells[lo - S:hi] = 0.0
-    np.copyto(cells.reshape(store_shape(box)[1:])[box.body_slices()], m[..., c])
-    face = face[:hi - lo]
-    np.add(cells[lo:hi], cells[lo - S:hi - S], out=face)
-    face *= 0.5
-    return window, face
-
-
 def _next8(n: int) -> int:
     """The first multiple of 8 at or after n: a float array carved from a
     64-byte aligned buffer at that offset starts on a boundary."""
@@ -605,26 +587,97 @@ def _plane_cells(div: np.ndarray, box: BoxGeometry) -> np.ndarray:
     return div.reshape(box.nx, box.ny + 1, box.nz + 1)[:, :box.ny, :box.nz]
 
 
+def _quotient(h: float) -> tuple:
+    """(ufunc, operand) dividing by h: the product with 1/h when h is a
+    power of two, whose exact reciprocal rounds the same quotient at a
+    fraction of a division's cost; else the division."""
+    r = 1.0 / h
+    return (np.multiply, r) if math.frexp(h)[0] == 0.5 and math.isfinite(r) else (np.divide, h)
+
+
+def _div_views(h_parts, box: BoxGeometry, part: np.ndarray, out: np.ndarray) -> tuple:
+    """The operands of `_div_terms`: the divergence at the start of `out`
+    (see `_divergence`) and, per component c of h + m_bar, the ranges of
+    h (three flat store components, or three floats for a uniform h)
+    whose flat difference is the term of every cell, the term's buffer
+    (the divergence for c = 0, else `part`, one store component), the
+    division by h_c (`_quotient`), and the blocks with c first that the
+    body's faces along c reach: h on the face planes o - 1 to o + m + 1
+    along c (the body's along the others), its copy P and the cells of m
+    zero-extended along c (both at the start of `part`), the faces of
+    m_bar and then the differences D of P (at the start of the later
+    buffer of `out`), and the term on the block's cells.  Every block is
+    contiguous: a ufunc over a strided one would use numpy's iterator
+    buffers."""
+    n = box.nx * _strides(box)[0]
+    div, later = out[:n], out[_next8(n):][:n]
+    body = box.body_slices()
+    terms = []
+    for c, (h, S, hc) in enumerate(zip(h_parts, _strides(box), (box.dx, box.dy, box.dz))):
+        order = (c,) + tuple(a for a in range(3) if a != c)
+        o, m = body[c].start, body[c].stop - body[c].start
+        rest = tuple(body[a].stop - body[a].start for a in order[1:])
+        P, E = (part[:k * math.prod(rest)].reshape((k,) + rest) for k in (m + 3, m + 2))
+        D, face = (later[:k * math.prod(rest)].reshape((k,) + rest) for k in (m + 2, m + 1))
+        if isinstance(h, np.ndarray):
+            faces = body[:c] + (slice(o - 1, o + m + 2),) + body[c + 1:]
+            hi, lo = h[S:S + n], h[:n]
+            h_block = h.reshape(store_shape(box)[1:])[faces].transpose(order)
+        else:
+            hi = lo = h_block = h
+        d = div if c == 0 else part[:n]
+        cells = body[:c] + (slice(o - 1, o + m + 1),) + body[c + 1:]
+        d_block = d.reshape(box.nx, box.ny + 1, box.nz + 1)[cells].transpose(order)
+        terms.append((hi, lo, d, _quotient(hc), h_block, (P, P[1:-1], P[1:], P[:-1]), D,
+                      d_block, order, (E[1:-1], (E[0], E[-1]), E[1:], E[:-1]), face))
+    return div, tuple(terms)
+
+
+def _m_bar_face(m_c: np.ndarray, cells: tuple, face: np.ndarray):
+    """Component c of m_bar on the faces along c of the body cells, from
+    the body field's component m_c (c first; `_div_views`): each face is
+    the mean of its two cells, (above + below) * 0.5, a zero cell beyond
+    the body."""
+    body, ends, above, below = cells
+    for plane in ends:
+        plane[...] = 0.0
+    np.copyto(body, m_c)
+    np.add(above, below, out=face)
+    face *= 0.5
+
+
+def _div_terms(views: tuple, m: np.ndarray) -> np.ndarray:
+    """div(h + m_bar) for the body field m on the operands of
+    `_div_views`, as the flat `_divergence`.  Each term is taken straight
+    from h, (h[j + S] - h[j]) / h_c, and on the block of cells m_bar
+    reaches it is replaced by the differences of P = (h + 0.0) + m_bar,
+    as h + m_bar was formed when the whole component was copied: on the
+    block the bits are those, off it they differ at most in the sign of
+    a zero (not at all for a uniform h)."""
+    div, terms = views
+    for c, (hi, lo, d, (by, hc), h_block, (P, P_body, P_hi, P_lo), D, d_block, order, cells,
+            face) in enumerate(terms):
+        _m_bar_face(m[..., c].transpose(order), cells, face)
+        np.copyto(P, h_block)
+        P += 0.0
+        P_body += face
+        np.subtract(P_hi, P_lo, out=D)
+        by(D, hc, out=D)
+        np.subtract(hi, lo, out=d)
+        by(d, hc, out=d)
+        np.copyto(d_block, D)
+        if d is not div:
+            div += d
+    return div
+
+
 def _div_h_plus_m_bar(h_parts, m: np.ndarray, box: BoxGeometry, part: np.ndarray,
                       out: np.ndarray) -> np.ndarray:
     """div(h + m_bar) for the body field m, h given as three flat store
     components or three floats (a uniform h), as the flat `_divergence`
-    in `out`.
-
-    Each component of h + m_bar is formed in `part` (one store component)
-    and its term taken at once: `part` first holds the cells of m_bar's
-    component (`_m_bar_face`), whose faces go into the buffer of the later
-    terms, then h + 0.0 with the faces added."""
-    faces = out[_next8(box.nx * _strides(box)[0]):]
-
-    def h_plus_m_bar():
-        for c, h in enumerate(h_parts):
-            window, face = _m_bar_face(m, c, box, part, faces)
-            np.add(h, 0.0, out=part)
-            part[window] += face
-            yield part
-
-    return _divergence(h_plus_m_bar(), box, out)
+    in `out` (at least two store components), with `part` (one store
+    component) as scratch: `_div_terms` on views built for the call."""
+    return _div_terms(_div_views(h_parts, box, part, out), m)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +748,7 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     """
     h = _aligned_empty(store_shape(box)) if out is None else out
     h_raw = tuple(np.asarray(h_raw, dtype=float).reshape(3))
-    # h holds the components of h_raw + m_bar for the rhs, then the odd
+    # h holds the blocks of h_raw + m_bar for the rhs, then the odd
     # extensions, then grad phi, then h_raw - grad phi
     shape = (box.nx, box.ny, box.nz)
     n_ext, n_spec = dst.parts(shape)
@@ -749,14 +802,13 @@ def record_div0(em: EMState, m: np.ndarray):
 def _div_planes(em: EMState, m: np.ndarray) -> np.ndarray:
     """div(h + m_bar) for the body field m as a flat `_divergence` with
     the entries of the pad rows zero, in the workspace's tmp (valid until
-    the workspace is next used): `_div_h_plus_m_bar` of the h store with
-    the workspace's scratch as its buffer.
+    the workspace is next used): `_div_terms` of the h store on the
+    workspace's `div_views`.
     """
-    box, work = em.box, em.workspace()
-    div = _div_h_plus_m_bar(work.h_parts, m, box, work.scratch[:em.h[0].size], work.tmp)
-    planes = div.reshape(box.nx, box.ny + 1, box.nz + 1)
-    planes[:, box.ny, :] = 0.0
-    planes[:, :, box.nz] = 0.0
+    work = em.workspace()
+    div = _div_terms(work.div_views, m)
+    for pad in work.div_pads:
+        pad[...] = 0.0
     return div
 
 
@@ -773,12 +825,15 @@ def _mur_planes(e: np.ndarray, box: BoxGeometry) -> list:
     """Per axis: the boundary planes 0 and n of the two tangential e
     components as one view of the e store (`_wall_planes`), their inner
     neighbours 1 and n - 1 as another, and buffers for the old values of
-    both.  The box needs 3 cells or more along every axis (`make_box`
+    both, each with the wall axis second so that its passes run along
+    rows.  The box needs 3 cells or more along every axis (`make_box`
     gives at least 3), so that no boundary plane is another's neighbour."""
     n = (box.nx, box.ny, box.nz)
     planes = []
     for axis, dst in enumerate(_wall_planes(e, box)):
-        inner = _off_axis(e, axis, slice(1, n[axis], n[axis] - 2))
+        order = (0, axis + 1) + tuple(a for a in (1, 2, 3) if a != axis + 1)
+        dst = dst.transpose(order)
+        inner = _off_axis(e, axis, slice(1, n[axis], n[axis] - 2)).transpose(order)
         planes.append((axis, dst, inner, _aligned_empty(dst.shape),
                        _aligned_empty(dst.shape)))
     return planes

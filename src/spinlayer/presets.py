@@ -130,7 +130,8 @@ def random_unit_m(geom: DomainGeometry, seed: int, smooth_cells: float = 1.5) ->
     if smooth_cells > 0:
         _gaussian_nearest(m, smooth_cells, work)
     norms, t = _scalars(work, m.shape[:-1], 2)
-    _dot(m, m, norms, t)
+    parts = _components(m)
+    _dot(parts, parts, norms, t)
     np.sqrt(norms, out=norms)
     # a filtered draw can only hit zero norm with probability zero; guard anyway
     if norms.min() < 1e-12:

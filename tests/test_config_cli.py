@@ -927,12 +927,13 @@ class TestCli:
         assert partial == ",".join(cli_module.CSV_COLUMNS) + "\n"
 
     @pytest.mark.parametrize("t_end, dt", [("0.005", "0.002"), ("0.007", "0.002"),
-                                           ("1e+300", "1e-10")])
+                                           ("1e+300", "1e-10"), ("1000000.001", "0.002")])
     def test_t_end_off_the_step_grid_exit_2(self, tmp_path, capsys, t_end, dt):
         # none is a whole number of steps: run would round the first two to
-        # 0.004 and 0.008, and the step count of the third overflows.  check
-        # and run both exit 2 naming run.t_end, and neither creates the
-        # directory
+        # 0.004 and 0.008, the step count of the third overflows, and the
+        # fourth is 500000000.5 steps, within a relative 1e-9 of a whole
+        # count but half a step off it.  check and run both exit 2 naming
+        # run.t_end, and neither creates the directory
         outdir = tmp_path / "out"
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(minimal_config(outdir).replace("t_end = 0.02", f"t_end = {t_end}")
@@ -941,8 +942,8 @@ class TestCli:
             assert main([command, str(cfg_path)]) == 2
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == (f"error: config: run.t_end: t_end={t_end} is not a whole "
-                           f"number of steps of dt={dt}\n")
+            assert err == (f"error: config: run.t_end: t_end={float(t_end):g} is not a "
+                           f"whole number of steps of dt={dt}\n")
         assert not outdir.exists()
 
     def test_diag_reduces_over_the_run_layout(self, tmp_path, monkeypatch):

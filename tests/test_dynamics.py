@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.ndimage import gaussian_filter
 
-from spinlayer import dynamics, presets
+from spinlayer import diagnostics, dynamics, effective_field, energetics, presets
 from spinlayer import maxwell as mx
 from spinlayer.dynamics import (BC_MODES, CONSTRAINTS, PENALIZED, PROJECTED,
                                 SchemeConfig, SimState, _advance_m, _state_terms,
                                 exchange_dt_bound, llg_rhs, run, step,
                                 validate_stability)
 from spinlayer.effective_field import assemble_h_tot
-from spinlayer.energetics import MaterialParams, _vector_field
+from spinlayer.energetics import MaterialParams, _vector_field, total_energy
 from spinlayer.errors import CFLViolation, NonFinite
-from spinlayer.geometry import GeometryConfig, build_geometry
+from spinlayer.geometry import DomainGeometry, GeometryConfig, build_geometry
 
-from conftest import (box_midpoint_h_cells, gilbert_projection_rhs, gilbert_solve,
-                      layer_geom, random_unit_field, traced_peak)
+from conftest import (box_divergence, box_midpoint_h_cells, gilbert_projection_rhs,
+                      gilbert_solve, layer_geom, random_unit_field, traced_peak)
 
 
 def plain_params(**overrides):
@@ -755,6 +755,114 @@ def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
     for _ in range(3):
         step(state, f)
     assert state.source != 0.0
+
+
+# the helpers every view builder of the stage and of the ledger row calls:
+# a warm step or row that calls one has built a view
+VIEW_HELPERS = ("_vector_field", "_scalars", "_parts", "_empty_like", "_face_views",
+                "_flux_views", "_div_views")
+
+
+def _forbid_view_helpers(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm step or ledger row built a view")
+
+    for module in (energetics, effective_field, dynamics, diagnostics, mx):
+        for name in VIEW_HELPERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(DomainGeometry, "layer_slice", forbidden)   # the layer blocks'
+
+
+VIEW_GRID = [pytest.param(constraint, bc_mode, penalty_k, integrator, field,
+                          id=f"{constraint}-{bc_mode}-k{penalty_k:g}-{integrator}-{field}")
+             for constraint in CONSTRAINTS for bc_mode in BC_MODES
+             for penalty_k in (0.0, 10.0) for integrator in dynamics.INTEGRATORS
+             for field in ("em", "none", "h_fixed")]
+
+
+def _view_state(constraint, bc_mode, penalty_k, integrator, field):
+    """A small stepped state of the given kind, two steps and two rows
+    warm: every (m buffer, rate buffer) pair of the stage and both m
+    buffers of the row have been seen.  Returns the state, the current,
+    the row and the initial m and h."""
+    # dy = 0.15 is no power of two: the drift divides along y, and along x
+    # and z multiplies by the exact reciprocal
+    geom = layer_geom(build_geometry(GeometryConfig(1.0, 0.6, 0.5, 0.5, 4, 4, 4, 4,
+                                                    eta=0.25)), bc_mode)
+    params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]), ks=0.01,
+                          j1=0.01, j2=0.01, sigma=2.0, penalty_k=penalty_k)
+    scheme = SchemeConfig(dt=1e-3, subcycles=2, integrator=integrator,
+                          constraint=constraint, bc_mode=bc_mode)
+    box = mx.make_box(geom, padding=2)
+    em = mx.empty_em_state(box)
+    m0 = random_unit_field(geom, seed=70)
+    mx.init_divfree(m0, (0.1, 0.0, -0.2), box, out=em.h)
+    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3) if field == "em" else None
+    state = SimState(t=0.0, m=m0, em=em if field == "em" else None, geom=geom,
+                     params=params, scheme=scheme,
+                     h_fixed=mx.interp_h_to_cells(em) if field == "h_fixed" else None)
+    if state.em is not None:
+        mx.record_div0(em, state.m)
+    initial = (m0, em.h.copy())
+
+    def row():
+        return _state_terms(state.m, state.em, geom, params, state.workspace().tmp)
+    for _ in range(2):
+        step(state, f)
+        row()
+    return state, f, row, initial
+
+
+def plain_drift(em, m, m0, h0):
+    """max |div(h + m_bar) - its initial value| from whole face arrays."""
+    return float(np.abs(box_divergence(em.h, m, em.box) - box_divergence(h0, m0, em.box)).max())
+
+
+@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
+def test_warm_step_and_row_build_no_llg_or_row_view(constraint, bc_mode, penalty_k,
+                                                    integrator, field, monkeypatch):
+    # the stage's views (h_tot's terms, the rate) and the row's (every
+    # energy, the saturation deviation, the drift) are built once per
+    # state, for each m buffer and rate buffer they meet; warm steps and
+    # rows only run on them
+    state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field)
+    _forbid_view_helpers(monkeypatch)
+    for _ in range(2):
+        step(state, f)
+        row()
+    assert state.n == 4
+
+
+@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
+def test_workspace_views_keep_the_bits_of_the_per_call_path(constraint, bc_mode, penalty_k,
+                                                            integrator, field, monkeypatch):
+    # on a stepped state's scratch llg_rhs, assemble_h_tot and
+    # total_energy run on views built once, with the bits of the same
+    # calls building their views per call; the drift, taken from the h
+    # store on the Maxwell workspace's views, has the bits of div(h +
+    # m_bar) formed on whole face arrays, also where h holds +-0.0
+    state, f, row, (m0, h0) = _view_state(constraint, bc_mode, penalty_k, integrator, field)
+    geom, params, scheme, em = state.geom, state.params, state.scheme, state.em
+    work, m, h = state.workspace(), state.m, state.h_cells()
+    h_tot = _vector_field(m.shape)
+    assemble_h_tot(m, h, geom, params, out=h_tot, tmp=work.tmp)   # builds its views
+    _forbid_view_helpers(monkeypatch)
+    rate = llg_rhs(m, h, geom, params, scheme, out=work.k[1], tmp=work.tmp).copy()
+    assemble_h_tot(m, h, geom, params, out=h_tot, tmp=work.tmp)
+    energies = total_energy(m, em, geom, params, tmp=work.tmp)
+    drift = row()[2]
+    monkeypatch.undo()
+    assert rate.tobytes() == llg_rhs(m, h, geom, params, scheme).tobytes()
+    assert h_tot.tobytes() == assemble_h_tot(m, h, geom, params).tobytes()
+    assert energies.as_tuple() == total_energy(m, em, geom, params).as_tuple()
+    if em is None:
+        return
+    assert drift == plain_drift(em, m, m0, h0)
+    # +-0.0 in h, on and off the faces m_bar reaches
+    em.hx = np.where(np.arange(em.hx.shape[2]) % 2 == 0, -0.0, 0.0)
+    em.hz[em.box.ox:em.box.ox + 2] = -0.0
+    assert mx.divergence_drift(em, m) == plain_drift(em, m, m0, h0)
 
 
 @pytest.mark.parametrize("bc", mx.BOUNDARIES)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlayer.errors import EtaTooLarge, NonTilingGrid
-from spinlayer.geometry import GeometryConfig, build_geometry
+from spinlayer.geometry import GeometryConfig, _is_multiple, build_geometry
 
 from conftest import random_unit_field
 
@@ -102,3 +102,23 @@ def test_eta_layer_fits_or_raises(nzm, nzp, ec):
         assert g.layer_cells == (ec if eta is not None else 1)
         sl = g.layer_slice()
         assert sl.stop - sl.start == 2 * g.layer_cells
+
+
+@pytest.mark.parametrize("dt", [0.002, 1e-3, 0.012, 0.0244140625, 3e-5, 0.1])
+def test_whole_step_counts_up_to_1e9_are_multiples(dt):
+    # k * dt over dt lands within about 1.2e-7 of k for every k up to 1e9,
+    # inside the absolute bound of 1e-6 steps; a count halfway between two
+    # whole ones is not a multiple at any size, where the relative bound
+    # alone (1e-9 of the count) passed it beyond 5e8 steps
+    for k in (1, 7, 10**6, 10**9):
+        assert _is_multiple(k * dt, dt), k
+        assert not _is_multiple((k + 0.5) * dt, dt), k
+
+
+def test_small_counts_keep_the_relative_bound():
+    # the eta rule (eta / dz) and short runs keep the relative 1e-9
+    assert _is_multiple(0.25 * (1 + 1e-10), 0.125)
+    assert not _is_multiple(0.25 * (1 + 1e-8), 0.125)
+    g = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 8, 8, 4, 4, eta=0.25 * (1 + 1e-10)))
+    assert g.layer_cells == 2
+
