@@ -310,7 +310,8 @@ def build_setup(config: RunConfig) -> RunSetup:
     then `set_initial_fields`, then `_check_first_rate`, which names a
     non-finite initial h or first rate; `check` then steps through
     `dynamics.run` as far as the first step.  A t_end that is not a whole
-    number of steps of dt (to a relative 1e-9) raises ValidationError."""
+    number of steps of dt (to a relative 1e-9 of the step count and at
+    most 1e-6 steps, `geometry._is_multiple`) raises ValidationError."""
     setup = build_model(config)
     if not _is_multiple(config.t_end, config.dt):
         raise ValidationError("run.t_end", f"t_end={config.t_end:g} is not a whole "

@@ -60,8 +60,9 @@ def energy_inequality_residual(first: LedgerRow, row: LedgerRow) -> float:
 
 def saturation_deviation(m: np.ndarray, tmp: Optional[np.ndarray] = None) -> float:
     """max over cells of | |m| - 1 |; `tmp` (a flat float array of at
-    least 2 * m.size // 3 entries) makes the call allocation-free, and a
-    stepped state's scratch runs it on views built once (`_views`)."""
+    least 2 * m.size // 3 entries, or the views of `_norm_views`, as a
+    ledger row shares them with the penalty energy) makes the call
+    allocation-free."""
     dev, t, parts = _views(_norm_views, m, tmp)
     _dot(parts, parts, dev, t)
     np.sqrt(dev, out=dev)

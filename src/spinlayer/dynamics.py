@@ -17,10 +17,10 @@ import numpy as np
 
 from . import maxwell
 from .diagnostics import CSV_COLUMNS, LedgerRow, saturation_deviation
-from .effective_field import assemble_h_tot
-from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _kernel_scratch,
-                         _parts, _scalars, _store, _vector_copy, _vector_field, _ViewMemo,
-                         _views, total_energy)
+from .effective_field import _h_tot_views, assemble_h_tot
+from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _energy_views,
+                         _kernel_scratch, _parts, _scalars, _store, _vector_copy,
+                         _vector_field, _views, total_energy)
 from .errors import CFLViolation, NonFinite, check_finite, first_bad_cell
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState
@@ -106,23 +106,26 @@ class _Workspace:
     field arrays, 24 bytes per cell each: two rates, two m buffers and three
     in `tmp`.
 
-    Beside them a state holds views only, no new array: `views`, the memo
-    (`energetics._ViewMemo`) of the views the stage's and the row's
-    kernels build on `tmp` at their first call for a set of operands (per
-    step, each pair of an m buffer and a rate buffer, h being the Maxwell
-    body cells, h_fixed or none); `flat`, the flat store and components
-    of each buffer of `k` and `m_next`; and `norms`, the two scalar fields
-    of `tmp` the renormalization uses.
+    Beside them a state holds views only, no new array, built here (at
+    its first step or row) for `params`, so a warm stage or row slices
+    nothing: `views`, by their buffers' ids, those of `llg_rhs`
+    (`_rhs_views`) per (m buffer, rate buffer) pair and of the row's
+    energies (`energetics._energy_views`) per m buffer, all on `tmp`;
+    `flat`, the flat store and components of each buffer of `k` and
+    `m_next`; and `norms`, the renormalization's two scalar fields of `tmp`.
     """
 
-    def __init__(self, geom: DomainGeometry, m: Optional[np.ndarray] = None):
-        shape = geom.field_shape()
+    def __init__(self, geom: DomainGeometry, params: MaterialParams,
+                 m: Optional[np.ndarray] = None):
+        shape, self.geom, self.params = geom.field_shape(), geom, params
         self.k = (_vector_field(shape), _vector_field(shape))
         self.m_next = (_vector_field(shape) if m is None else m, _vector_field(shape))
-        self.tmp = _kernel_scratch(geom)
-        self.views = _ViewMemo(self.tmp)
+        tmp = self.tmp = _kernel_scratch(geom)
+        self.views = {(id(a), id(r)): _rhs_views(a, geom, params, r, tmp)
+                      for a in self.m_next for r in self.k}
+        self.views.update({(id(a),): _energy_views(a, geom, params, tmp) for a in self.m_next})
         self.flat = {id(a): (_store(a), _parts(a)) for a in self.k + self.m_next}
-        self.norms = _scalars(self.tmp, shape[:-1], 2)
+        self.norms = _scalars(tmp, shape[:-1], 2)
 
     def store(self, a: np.ndarray) -> tuple:
         """(flat store, components) of a: built once for the buffers of
@@ -130,13 +133,18 @@ class _Workspace:
         views = self.flat.get(id(a))
         return (_store(a), _parts(a)) if views is None else views
 
+    def views_of(self, *buffers):
+        """`llg_rhs`'s tmp for (m, rate), `_state_terms`' for (m,): the views, else `tmp`."""
+        return self.views.get(tuple(map(id, buffers)), self.tmp)
+
 
 @dataclass
 class SimState:
     """The stepped state: m (a component-major copy the state owns), the
     Maxwell state em or a fixed cell field h_fixed (at most one), and the
     dissipation, Ohmic and source integrals of the steps taken.  The
-    scheme's bc_mode must name the geometry's spacer layer."""
+    scheme's bc_mode must name the geometry's spacer layer, and m, h_fixed
+    and the body of em's box must be on the geometry's cells."""
 
     t: float
     m: np.ndarray
@@ -159,6 +167,16 @@ class SimState:
         if self.scheme.bc_mode != layer:
             raise ValueError(f"bc_mode {self.scheme.bc_mode!r} does not name the "
                              f"geometry's spacer layer, {layer!r}")
+        shape = self.geom.field_shape()
+        for name, a in (("m", self.m), ("h_fixed", self.h_fixed)):
+            if a is not None and np.shape(a) != shape:
+                raise ValueError(f"{name} has shape {np.shape(a)}, not the geometry's "
+                                 f"field shape {shape}")
+        if self.em is not None:
+            box = self.em.box
+            if (box.mx, box.my, box.mz) != shape[:-1]:
+                raise ValueError(f"em's body has {(box.mx, box.my, box.mz)} cells, not "
+                                 f"the geometry's {shape[:-1]}")
         self.m = self._m0_copy = _vector_copy(self.m)
         if not np.isfinite(self.m).all():
             raise NonFinite("initial magnetization is not finite, first at cell "
@@ -174,21 +192,23 @@ class SimState:
         return maxwell.stage_h_cells(self.em)
 
     def workspace(self) -> _Workspace:
-        if self.work is None:
+        work = self.work   # its views are those of one geometry and parameter set
+        if work is None or work.geom is not self.geom or work.params is not self.params:
             # adopt the state's own copy of m0, never an array a caller assigned
             own, self._m0_copy = self._m0_copy, None
-            self.work = _Workspace(self.geom, own if self.m is own else None)
+            self.work = _Workspace(self.geom, self.params, own if self.m is own else None)
         return self.work
 
 
-def _rhs_views(m: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> tuple:
-    """The operands of `llg_rhs`: h_tot in tmp's first field, the rest of
-    tmp (the scratch of its assembly), the components of m, of h_tot and
-    of out, and three scalar fields of the rest of tmp."""
+def _rhs_views(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
+               out: np.ndarray, tmp: np.ndarray) -> tuple:
+    """The operands of `llg_rhs`: h_tot in tmp's first field, the views of
+    its assembly on the rest of tmp (`_h_tot_views`), the components of m,
+    of h_tot and of out, and three scalar fields of the rest of tmp."""
     h_tot = _vector_field(m.shape, tmp)
     rest = tmp[m.size:]
-    return (h_tot, rest, _parts(m), _parts(h_tot), _parts(out),
-            *_scalars(rest, m.shape[:-1], 3))
+    return (h_tot, _h_tot_views(m, geom, params, h_tot, rest), _parts(m), _parts(h_tot),
+            _parts(out), *_scalars(rest, m.shape[:-1], 3))
 
 
 def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
@@ -215,17 +235,16 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
       integrator at its nominal order.
 
     h_cells None means h = 0.  `out` (not aliasing m) receives the rate;
-    `tmp` (a flat float array at least as long as `_kernel_scratch`'s)
-    makes the call allocation-free.  With a stepped state's scratch as
-    `tmp` the call runs on the views built for its operands at its first
-    call (`_Workspace.views`); otherwise it builds them for this call.
+    `tmp` (a flat float array at least as long as `_kernel_scratch`'s, or
+    the views of `_rhs_views` for m and out, as a stepped state's
+    workspace holds them) makes the call allocation-free.
     """
     if out is None:
         out = _empty_like(m, _aligned_empty(m.size))
     if tmp is None:
         tmp = _kernel_scratch(geom)
-    h_tot, rest, mc, F, v, w, s, t = _views(_rhs_views, m, out, tmp)
-    assemble_h_tot(m, h_cells, geom, params, out=h_tot, tmp=rest)
+    h_tot, h_tot_views, mc, F, v, w, s, t = _views(_rhs_views, m, geom, params, out, tmp)
+    assemble_h_tot(m, h_cells, geom, params, out=h_tot, tmp=h_tot_views)
     alpha = params.alpha
     _dot(mc, mc, w, t)
     # an array operand keeps numpy off its slow path for a scalar one
@@ -288,13 +307,14 @@ def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
     run on the flat stores (`_Workspace.store`)."""
     stages, divisor = _TABLEAUX[scheme.integrator]
     (fm, _), (fo, _), (f_sum, _), (f_rate, _) = map(work.store, (m, out, *work.k))
-    llg_rhs(m, h_cells, geom, params, scheme, out=work.k[0], tmp=work.tmp)
+    first, stage = work.views_of(m, work.k[0]), work.views_of(out, work.k[1])
+    llg_rhs(m, h_cells, geom, params, scheme, out=work.k[0], tmp=first)
     for i, (d, _) in enumerate(stages):
         np.multiply(f_rate if i else f_sum, dt / d, out=fo)
         np.add(fm, fo, out=fo)
         if i:
             _add_rate(f_sum, f_rate, stages[i - 1][1])
-        llg_rhs(out, h_cells, geom, params, scheme, out=work.k[1], tmp=work.tmp)
+        llg_rhs(out, h_cells, geom, params, scheme, out=work.k[1], tmp=stage)
     _add_rate(f_sum, f_rate, stages[-1][1])
     f_sum *= dt / divisor
     np.add(fm, f_sum, out=fo)
@@ -355,11 +375,13 @@ def _state_terms(m: np.ndarray, em: Optional[EMState], geom: DomainGeometry,
                  params: MaterialParams, tmp: Optional[np.ndarray] = None) -> tuple:
     """The energy breakdown, saturation deviation and divergence drift of
     a ledger row, `run`'s and `spinlayer diag`'s, for the body field m;
-    `tmp` is `total_energy`'s.  Private, so that the benchmark's tracer
-    (which wraps public functions) books the three terms under `run`."""
-    breakdown = total_energy(m, em, geom, params, tmp=tmp)
+    `tmp` is `total_energy`'s, whose `_norm_views` the deviation shares.
+    Private, so that the benchmark's tracer (which wraps public functions)
+    books the three terms under `run`."""
+    views = _views(_energy_views, m, geom, params, tmp)
+    breakdown = total_energy(m, em, geom, params, tmp=views)
     drift = maxwell.divergence_drift(em, m) if em is not None else 0.0
-    return breakdown, saturation_deviation(m, tmp), drift
+    return breakdown, saturation_deviation(m, views[-1]), drift
 
 
 @dataclass
@@ -406,7 +428,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     def log(n):
         if on_row is not None:
             breakdown, saturation_dev, drift = _state_terms(
-                state.m, em, geom, params, state.workspace().tmp)
+                state.m, em, geom, params, state.workspace().views_of(state.m))
             row = LedgerRow(state.t, breakdown, state.dissipation, state.ohmic,
                             state.source, saturation_dev, drift)
             check_finite(CSV_COLUMNS, row.csv_values(),

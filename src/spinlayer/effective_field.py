@@ -24,8 +24,8 @@ import numpy as np
 
 from .geometry import DomainGeometry
 from .energetics import (MaterialParams, _aligned_empty, _components, _dot, _face_differences,
-                         _face_views, _kernel_scratch, _parts, _scalars, _store,
-                         _vector_field, _views, apply_k)
+                         _face_views, _k_views, _kernel_scratch, _parts, _scalars,
+                         _store, _vector_field, _views, apply_k)
 
 
 def _flux_views(f: np.ndarray, geom: DomainGeometry, coef: float, o: np.ndarray,
@@ -132,8 +132,9 @@ def thin_layer_field(m: np.ndarray, geom: DomainGeometry, params: MaterialParams
     backward strides); the terms are added in the order ks, j1, j2, each
     pass that is alike for the components it acts on taken once over
     their blocks, and the block is copied back.  `tmp` (a flat float array of at least
-    12 entries per layer cell, as `energetics._kernel_scratch` has) makes
-    the call allocation-free.
+    12 entries per layer cell, as `energetics._kernel_scratch` has, or the
+    views of `_thin_layer_views` for m and out) makes the call
+    allocation-free.
     """
     if out is None:
         out = np.zeros_like(m)
@@ -180,7 +181,8 @@ def penalty_field(m: np.ndarray, params: MaterialParams,
     """-k (|m|^2 - 1) m per cell.
 
     `out` (not aliasing m) receives the field; `tmp` (a flat float array of
-    at least m.size // 3 entries) makes the call allocation-free.
+    at least m.size // 3 entries, or the views of `_penalty_views` for m
+    and out) makes the call allocation-free.
     """
     if out is None:
         out = np.empty_like(m)
@@ -193,20 +195,21 @@ def penalty_field(m: np.ndarray, params: MaterialParams,
     return out
 
 
-def _h_tot_views(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
-                 params: MaterialParams, out: np.ndarray, tmp: np.ndarray) -> tuple:
-    """The operands of `assemble_h_tot`'s passes: out and h_cells
-    component first (h_cells None as 0.0), read in place in any layout;
-    the exchange fluxes (`_flux_views`, none when A is zero); and, for a
-    nonzero penalty, the field of tmp the penalty field is formed in, the
-    scratch after it and the flat stores of out and of that field."""
+def _h_tot_views(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
+                 out: np.ndarray, tmp: np.ndarray) -> tuple:
+    """The operands of `assemble_h_tot`'s passes: out component first, the
+    views of `apply_k` (None without anisotropy), the exchange fluxes
+    (`_flux_views`, none when A is zero), the views of `thin_layer_field`
+    and, for a nonzero penalty, the field of tmp the penalty field is formed
+    in, its views on the scratch after it and the flat stores of out and of it."""
     penalty = None
     if params.penalty_k != 0.0:
         term = _vector_field(m.shape, tmp)
-        penalty = (term, tmp[m.size:], _store(out), _store(term))
-    return (_components(out), 0.0 if h_cells is None else _components(h_cells),
+        penalty = (term, _penalty_views(m, term, tmp[m.size:]), _store(out), _store(term))
+    return (_components(out),
+            None if params.k_matrix is None else _k_views(m, params, out, tmp),
             _flux_views(_store(m), geom, params.a_exch, _store(out), tmp)
-            if params.a_exch != 0.0 else (), penalty)
+            if params.a_exch != 0.0 else (), _thin_layer_views(m, geom, out, tmp), penalty)
 
 
 def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
@@ -228,25 +231,25 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
     the penalty field.  `out` (a component-major field, not aliasing m;
     fresh when omitted) receives the field; another layout raises
     ValueError.  `tmp` (a flat float array of at least max(2 * m.size,
-    12 per layer cell) entries, `energetics._kernel_scratch`) makes the
-    call allocation-free whenever m and h_cells are component-major (m
-    in another layout is read through a copy, h_cells in place), and a
-    stepped state's scratch runs it on views built once
-    (`energetics._views`).
+    12 per layer cell) entries, `energetics._kernel_scratch`, or the views
+    of `_h_tot_views` for m and out) makes the call allocation-free
+    whenever m is component-major (m in another layout is read through a
+    copy); h_cells is read in place in any layout.
     """
     out = _out_field(out, m.shape)
     if tmp is None:
         tmp = _kernel_scratch(geom, h_tot=False)
-    o, h, fluxes, penalty = _views(_h_tot_views, m, h_cells, geom, params, out, tmp)
+    o, k_views, fluxes, layer, penalty = _views(_h_tot_views, m, geom, params, out, tmp)
+    h = 0.0 if h_cells is None else _components(h_cells)
     if params.k_matrix is not None:
-        apply_k(params, m, out=out, tmp=tmp)
+        apply_k(params, m, out=out, tmp=k_views)
         np.subtract(h, o, out=o)
     else:
         np.copyto(o, h)
     _add_exchange_fluxes(fluxes)
-    thin_layer_field(m, geom, params, out=out, tmp=tmp)
+    thin_layer_field(m, geom, params, out=out, tmp=layer)
     if penalty is not None:
-        term, term_tmp, fo, fterm = penalty
-        penalty_field(m, params, out=term, tmp=term_tmp)
+        term, term_views, fo, fterm = penalty
+        penalty_field(m, params, out=term, tmp=term_views)
         fo += fterm
     return out

@@ -17,9 +17,10 @@ Discretization notes:
   contiguous block, so the component-wise kernels make contiguous passes
   and a difference along an axis is a flat difference of the store at a
   fixed offset.
-* Every kernel runs on views of its operands, which a public function
-  builds for the call or, handed a stepped state's scratch, takes from
-  the state's memo, built at the first call (`_views`, `_ViewMemo`).
+* Every kernel runs on views of its operands (`_views`): a public
+  kernel's `tmp` is a flat scratch, on which it builds them for the
+  call, or the views its builder `_X_views` built, with its callees'.
+  `dynamics._Workspace` builds a stage's and a ledger row's once.
 * The surface energies live on the geometry's `layer_cells` whole cell
   layers per side with weight 1/(2 eta), eta = layer_cells*dz: eta/dz
   cells with a thin layer, one cell (the sharp layer) without.  With one
@@ -30,7 +31,6 @@ Discretization notes:
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional, Tuple
 
@@ -69,50 +69,12 @@ def _kernel_scratch(geom: DomainGeometry, h_tot: bool = True) -> np.ndarray:
     return _aligned_empty((size if h_tot else 0) + max(2 * size, 12 * layer))
 
 
-_MEMO_SIZE = 64
-# the view memo of each stepped state, by the id of its kernel scratch's
-# buffer (the `base` of every view carved from the scratch)
-_MEMOS = weakref.WeakValueDictionary()
-
-
-class _ViewMemo(dict):
-    """The views the kernels built on one stepped state's scratch, kept
-    as long as the state's workspace keeps the memo.
-
-    A kernel handed a scratch carved from the state's (`_views`), with a
-    component-major m, runs on the views built for the same operands the
-    first time; views that hand a scratch on to another kernel hold it,
-    so that kernel finds its views too.  An entry is keyed by the builder
-    and the ids of the operands and holds the operands, so no id of a
-    live key is reused; a full memo is emptied before it takes a new
-    entry.  The views of a component-major m copy no operand, so an entry
-    stays valid as the operands' values change.
-    """
-
-    def __init__(self, scratch: np.ndarray):
-        super().__init__()
-        _MEMOS[id(scratch.base)] = self
-
-
 def _views(build, m: np.ndarray, *operands):
-    """build(m, *operands): the views a kernel runs on.  The last operand
-    is the kernel scratch; when it is carved from a stepped state's
-    (`_ViewMemo`) and m is component-major, the views are built once and
-    reused, otherwise they are built for this call."""
+    """The views a kernel runs on: its last operand when that is a tuple
+    of views already built (by `build`, for the same operands), else
+    build(m, *operands), built for this call."""
     tmp = operands[-1]
-    memo = None if tmp is None or tmp.base is None else _MEMOS.get(id(tmp.base))
-    if memo is None:
-        return build(m, *operands)
-    key = (build, id(m), *map(id, operands))
-    entry = memo.get(key)
-    if entry is not None:
-        return entry[2]
-    views = build(m, *operands)
-    if _components(m).flags.c_contiguous:
-        if len(memo) >= _MEMO_SIZE:
-            memo.clear()
-        memo[key] = (m, operands, views)
-    return views
+    return tmp if isinstance(tmp, tuple) else build(m, *operands)
 
 
 @dataclass(frozen=True)
@@ -324,7 +286,7 @@ def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
 
     The face differences are those of `laplacian_neumann`, from the one
     kernel `_face_differences`; `tmp` (a flat float array of at least
-    m.size entries) holds them."""
+    m.size entries, or the views of `_exchange_views`) holds them."""
     if params.a_exch == 0.0:
         return 0.0
     buf = _aligned_empty(m.size) if tmp is None else tmp
@@ -350,7 +312,8 @@ def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = N
     """K m per cell; zeros when no anisotropy is configured.
 
     `out` (not aliasing m) receives the result; `tmp` (a flat float array
-    of at least m.size // 3 entries) makes the call allocation-free.
+    of at least m.size // 3 entries, or the views of `_k_views` for m and
+    out) makes the call allocation-free.
     """
     if out is None:
         out = _empty_like(m, _aligned_empty(m.size))
@@ -373,21 +336,24 @@ def apply_k(params: MaterialParams, m: np.ndarray, out: Optional[np.ndarray] = N
     return out
 
 
-def _anisotropy_views(m: np.ndarray, tmp: np.ndarray) -> tuple:
-    """K m laid out like m in tmp, and the scratch after it."""
-    return _empty_like(m, tmp), tmp[m.size:]
+def _anisotropy_views(m: np.ndarray, params: MaterialParams, tmp: np.ndarray) -> tuple:
+    """K m laid out like m in tmp, and the views of `apply_k` into it
+    (`_k_views`) on the scratch after it."""
+    km = _empty_like(m, tmp)
+    return km, _k_views(m, params, km, tmp[m.size:])
 
 
 def anisotropy_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
                       tmp: Optional[np.ndarray] = None) -> float:
     """(dV/2) sum of K m . m; `tmp` (a flat float array of at least
-    4 * m.size // 3 entries) holds K m, laid out like m, and its scratch."""
+    4 * m.size // 3 entries, or the views of `_anisotropy_views`) holds
+    K m, laid out like m, and its scratch."""
     if params.k_matrix is None:
         return 0.0
     if tmp is None:
         tmp = _aligned_empty(4 * m.size // 3)
-    km, rest = _views(_anisotropy_views, m, tmp)
-    apply_k(params, m, out=km, tmp=rest)
+    km, k_views = _views(_anisotropy_views, m, params, tmp)
+    apply_k(params, m, out=km, tmp=k_views)
     return 0.5 * geom.cell_volume * dot(km, m)
 
 
@@ -418,7 +384,8 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     is formed component by component in a row-major block, as `np.cross`
     forms it; the sums therefore keep the bits of those fresh arrays.
     `tmp` (a flat float array of at least 10 entries per layer cell, as
-    `_kernel_scratch` has) makes the call allocation-free.
+    `_kernel_scratch` has, or the views of `_thin_layer_energy_views`)
+    makes the call allocation-free.
     """
     if tmp is None:
         tmp = _aligned_empty(10 * 2 * geom.layer_cells * geom.nx * geom.ny)
@@ -454,7 +421,8 @@ def _norm_views(m: np.ndarray, tmp: Optional[np.ndarray]) -> tuple:
 def penalty_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
                    tmp: Optional[np.ndarray] = None) -> float:
     """(k/4) * integral of (|m|^2 - 1)^2; `tmp` (a flat float array of at
-    least 2 * m.size // 3 entries) holds the per-cell terms."""
+    least 2 * m.size // 3 entries, or the views of `_norm_views`) holds
+    the per-cell terms."""
     if params.penalty_k == 0.0:
         return 0.0
     dev, t, mc = _views(_norm_views, m, tmp)
@@ -472,6 +440,18 @@ def maxwell_energy(em, params: MaterialParams) -> Tuple[float, float]:
     return e_h, e_e
 
 
+def _energy_views(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
+                  tmp: Optional[np.ndarray]) -> tuple:
+    """The views of `total_energy`'s kernels on tmp (fresh when None): the
+    layer energies', the exchange's, the anisotropy's (None without it) and
+    the penalty's `_norm_views`, which a row hands `saturation_deviation` too."""
+    if tmp is None:
+        tmp = _kernel_scratch(geom, h_tot=False)
+    return (_thin_layer_energy_views(m, geom, tmp), _exchange_views(m, geom, tmp),
+            None if params.k_matrix is None else _anisotropy_views(m, params, tmp),
+            _norm_views(m, tmp))
+
+
 def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams,
                  tmp: Optional[np.ndarray] = None) -> EnergyBreakdown:
     """Assemble the full energy.
@@ -480,22 +460,21 @@ def total_energy(m: np.ndarray, em, geom: DomainGeometry, params: MaterialParams
     term enters whenever params.penalty_k is nonzero, the energy whose
     gradient `effective_field.assemble_h_tot` is.  `tmp` (a flat float
     array of at least max(4 * m.size // 3, 10 per layer cell) entries, as
-    `_kernel_scratch` has) makes the call allocation-free, and a stepped
-    state's scratch runs every term on views built once (`_views`).
+    `_kernel_scratch` has, or the views of `_energy_views`) makes the call
+    allocation-free.
     """
-    if tmp is None:
-        tmp = _kernel_scratch(geom, h_tot=False)
+    layer, exchange, anisotropy, norms = _views(_energy_views, m, geom, params, tmp)
     e_h = e_e = 0.0
     if em is not None:
         e_h, e_e = maxwell_energy(em, params)
-    sa, sq, sb = thin_layer_energy(m, geom, params, tmp=tmp)
+    sa, sq, sb = thin_layer_energy(m, geom, params, tmp=layer)
     return EnergyBreakdown(
-        exchange=exchange_energy(m, geom, params, tmp),
-        anisotropy=anisotropy_energy(m, geom, params, tmp),
+        exchange=exchange_energy(m, geom, params, exchange),
+        anisotropy=anisotropy_energy(m, geom, params, anisotropy),
         maxwell_h=e_h,
         maxwell_e=e_e,
         surf_anis=sa,
         superexch_q=sq,
         superexch_biq=sb,
-        penalty=penalty_energy(m, geom, params, tmp),
+        penalty=penalty_energy(m, geom, params, norms),
     )

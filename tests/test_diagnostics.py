@@ -47,11 +47,11 @@ def test_ledger_row_allocates_nothing_box_sized():
     mx.record_div0(em, m)
     m = random_unit_field(geom, seed=61)
     for g in (sharp_geom(geom), geom, build_geometry(GeometryConfig(*grid, eta=0.5))):
-        tmp = _Workspace(g).tmp
+        views = _Workspace(g, params, m).views_of(m)   # m is the workspace's first m buffer
 
         def row():
-            return (total_energy(m, em, g, params, tmp=tmp),
-                    mx.divergence_drift(em, m), saturation_deviation(m, tmp))
+            return (total_energy(m, em, g, params, tmp=views),
+                    mx.divergence_drift(em, m), saturation_deviation(m, views[-1]))
 
         warm = row()
         again, peak = traced_peak(row)

@@ -371,6 +371,46 @@ class TestStep:
         with pytest.raises(ValueError, match="em or h_fixed, not both"):
             run(geom, params, scheme, m, em, None, t_end=1e-3, h_fixed=h_fixed)
 
+    def test_m0_of_another_grid_rejected(self):
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        with pytest.raises(ValueError, match=r"m has shape \(4, 4, 3, 3\), not the "
+                                             r"geometry's field shape \(4, 4, 4, 3\)"):
+            run(geom, plain_params(a_exch=0.01), SchemeConfig(dt=1e-3), np.ones((4, 4, 3, 3)),
+                None, None, t_end=1e-3)
+
+    def test_h_fixed_of_another_grid_rejected(self):
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        with pytest.raises(ValueError, match=r"h_fixed has shape \(4, 4, 3, 3\), not the "
+                                             r"geometry's field shape \(4, 4, 4, 3\)"):
+            run(geom, plain_params(a_exch=0.01), SchemeConfig(dt=1e-3),
+                random_unit_field(geom, seed=3), None, None, t_end=1e-3,
+                h_fixed=np.zeros((4, 4, 3, 3)))
+
+    def test_em_of_another_body_rejected(self):
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        other = build_geometry(GeometryConfig(1.0, 1.0, 0.75, 0.75, 4, 4, 3, 3))
+        em = mx.empty_em_state(mx.make_box(other, padding=2))
+        with pytest.raises(ValueError, match=r"em's body has \(4, 4, 6\) cells, not the "
+                                             r"geometry's \(4, 4, 4\)"):
+            SimState(t=0.0, m=random_unit_field(geom, seed=3), em=em, geom=geom,
+                     params=plain_params(a_exch=0.01), scheme=SchemeConfig(dt=1e-3))
+
+    def test_replaced_params_take_effect_at_the_next_step(self):
+        # the workspace's views hold the parameters (K, A/h^2, the penalty):
+        # a state whose params are replaced steps as a fresh state with them
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        first = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]))
+        then = plain_params(a_exch=0.02, k_matrix=np.diag([0.0, 0.03, 0.01]), penalty_k=10.0)
+        scheme = SchemeConfig(dt=1e-3, constraint="penalized")
+        state = SimState(t=0.0, m=random_unit_field(geom, seed=5), em=None, geom=geom,
+                         params=first, scheme=scheme)
+        step(state)
+        fresh = SimState(t=state.t, m=state.m, em=None, geom=geom, params=then, scheme=scheme)
+        state.params = then
+        step(state)
+        step(fresh)
+        assert state.m.tobytes() == fresh.m.tobytes()
+
     def test_exchange_stability_bound_enforced(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
         params = plain_params(a_exch=1.0)
@@ -629,7 +669,7 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
         step(state)
 
     def ledger_terms():
-        return _state_terms(state.m, em, geom, params, state.workspace().tmp)
+        return _state_terms(state.m, em, geom, params, state.workspace().views_of(state.m))
     ledger_terms()
     peaks = [traced_peak(f)[1] for f in (lambda: step(state), ledger_terms)]
     assert max(peaks) < m0.nbytes
@@ -660,8 +700,9 @@ def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc
                           bc_mode=bc_mode)
     state = SimState(t=0.0, m=random_unit_field(geom, seed=11), em=None,
                      geom=geom, params=params, scheme=scheme)
-    out = np.empty_like(state.m)
-    advance = (state.m, None, scheme.dt, geom, params, scheme, state.workspace(), out)
+    work = state.workspace()
+    out = work.m_next[1]   # the other m buffer: the workspace holds both one's stage views
+    advance = (state.m, None, scheme.dt, geom, params, scheme, work, out)
     _advance_m(*advance)
     _, peak = traced_peak(_advance_m, *advance)
     assert peak < geom.nx * geom.ny * 8   # below one scalar plane of the body
@@ -757,10 +798,11 @@ def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
     assert state.source != 0.0
 
 
-# the helpers every view builder of the stage and of the ledger row calls:
-# a warm step or row that calls one has built a view
+# the helpers every view builder of the stage and of the ledger row calls,
+# and the composite builders: a warm step or row that calls one has built a
+# view
 VIEW_HELPERS = ("_vector_field", "_scalars", "_parts", "_empty_like", "_face_views",
-                "_flux_views", "_div_views")
+                "_flux_views", "_div_views", "_rhs_views", "_h_tot_views", "_energy_views")
 
 
 def _forbid_view_helpers(monkeypatch):
@@ -781,9 +823,9 @@ VIEW_GRID = [pytest.param(constraint, bc_mode, penalty_k, integrator, field,
              for field in ("em", "none", "h_fixed")]
 
 
-def _view_state(constraint, bc_mode, penalty_k, integrator, field):
-    """A small stepped state of the given kind, two steps and two rows
-    warm: every (m buffer, rate buffer) pair of the stage and both m
+def _view_state(constraint, bc_mode, penalty_k, integrator, field, warm=True):
+    """A small state of the given kind, with `warm` two steps and two
+    rows warm: every (m buffer, rate buffer) pair of the stage and both m
     buffers of the row have been seen.  Returns the state, the current,
     the row and the initial m and h."""
     # dy = 0.15 is no power of two: the drift divides along y, and along x
@@ -807,8 +849,9 @@ def _view_state(constraint, bc_mode, penalty_k, integrator, field):
     initial = (m0, em.h.copy())
 
     def row():
-        return _state_terms(state.m, state.em, geom, params, state.workspace().tmp)
-    for _ in range(2):
+        return _state_terms(state.m, state.em, geom, params,
+                            state.workspace().views_of(state.m))
+    for _ in range(2 if warm else 0):
         step(state, f)
         row()
     return state, f, row, initial
@@ -817,6 +860,22 @@ def _view_state(constraint, bc_mode, penalty_k, integrator, field):
 def plain_drift(em, m, m0, h0):
     """max |div(h + m_bar) - its initial value| from whole face arrays."""
     return float(np.abs(box_divergence(em.h, m, em.box) - box_divergence(h0, m0, em.box)).max())
+
+
+@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
+def test_workspace_builds_every_stage_and_row_view(constraint, bc_mode, penalty_k,
+                                                   integrator, field, monkeypatch):
+    # the state's workspace builds the views of the stage (for each m
+    # buffer and rate buffer) and of the row (for each m buffer) with its
+    # buffers, so the first steps and rows already build none
+    state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field,
+                                   warm=False)
+    state.workspace()
+    _forbid_view_helpers(monkeypatch)
+    for _ in range(2):
+        step(state, f)
+        row()
+    assert state.n == 2
 
 
 @pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
@@ -837,25 +896,29 @@ def test_warm_step_and_row_build_no_llg_or_row_view(constraint, bc_mode, penalty
 @pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
 def test_workspace_views_keep_the_bits_of_the_per_call_path(constraint, bc_mode, penalty_k,
                                                             integrator, field, monkeypatch):
-    # on a stepped state's scratch llg_rhs, assemble_h_tot and
-    # total_energy run on views built once, with the bits of the same
-    # calls building their views per call; the drift, taken from the h
-    # store on the Maxwell workspace's views, has the bits of div(h +
-    # m_bar) formed on whole face arrays, also where h holds +-0.0
+    # on a stepped state's workspace views llg_rhs, assemble_h_tot (on
+    # the views of the stage's h_tot), total_energy and the saturation
+    # deviation (on the norm views the row shares with the penalty) have
+    # the bits of the same calls building their views per call; the
+    # drift, taken from the h store on the Maxwell workspace's views, has
+    # the bits of div(h + m_bar) formed on whole face arrays, also where
+    # h holds +-0.0
     state, f, row, (m0, h0) = _view_state(constraint, bc_mode, penalty_k, integrator, field)
     geom, params, scheme, em = state.geom, state.params, state.scheme, state.em
     work, m, h = state.workspace(), state.m, state.h_cells()
-    h_tot = _vector_field(m.shape)
-    assemble_h_tot(m, h, geom, params, out=h_tot, tmp=work.tmp)   # builds its views
+    stage, energy_views = work.views_of(m, work.k[1]), work.views_of(m)
+    assert isinstance(stage, tuple) and isinstance(energy_views, tuple)
+    h_tot, h_tot_views = stage[:2]
     _forbid_view_helpers(monkeypatch)
-    rate = llg_rhs(m, h, geom, params, scheme, out=work.k[1], tmp=work.tmp).copy()
-    assemble_h_tot(m, h, geom, params, out=h_tot, tmp=work.tmp)
-    energies = total_energy(m, em, geom, params, tmp=work.tmp)
-    drift = row()[2]
+    rate = llg_rhs(m, h, geom, params, scheme, out=work.k[1], tmp=stage).copy()
+    h_tot = assemble_h_tot(m, h, geom, params, out=h_tot, tmp=h_tot_views).copy()
+    energies = total_energy(m, em, geom, params, tmp=energy_views)
+    _, saturation_dev, drift = row()
     monkeypatch.undo()
     assert rate.tobytes() == llg_rhs(m, h, geom, params, scheme).tobytes()
     assert h_tot.tobytes() == assemble_h_tot(m, h, geom, params).tobytes()
     assert energies.as_tuple() == total_energy(m, em, geom, params).as_tuple()
+    assert saturation_dev.hex() == diagnostics.saturation_deviation(m).hex()
     if em is None:
         return
     assert drift == plain_drift(em, m, m0, h0)
@@ -885,16 +948,18 @@ def test_warm_coupled_step_writes_into_aligned_buffers(bc, body, component, monk
     f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3)
     step(state, f)
 
-    written = []
+    written, stages = [], []
 
     def recording_llg_rhs(*args, out=None, tmp=None):
-        written.extend((out, tmp))
+        written.extend((out, tmp[0]))   # the stage's views: h_tot first, in the scratch
+        stages.append(tmp)
         return llg_rhs(*args, out=out, tmp=tmp)
 
     monkeypatch.setattr(dynamics, "llg_rhs", recording_llg_rhs)
     step(state, f)
     assert len(written) == 8   # Heun, with the predictor's two stages
     work, mwork = state.workspace(), em.workspace()
+    assert all(any(t is v for v in work.views.values()) for t in stages)
     written += [em.e, em.h, state.m, *work.k, *work.m_next, work.tmp,
                 mwork.scratch, mwork.tmp, *mwork.e_new, *mwork.e_mid,
                 *mwork.rate_faces, *mwork.body_faces, mwork.body_cells]
