@@ -157,28 +157,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _check_stored_state(m, em):
-    """Raise NonFinite naming the field and the first cell of the stored
-    final state (m, then h and e) where it is not finite or its square,
-    which the ledger sums, overflows."""
-    def check(name, where, square):
+def _check_stored(name: str, targets):
+    """Raise NonFinite naming the stored field and its first cell (m) or
+    index (a component of h or e) where the snapshot `name`, copied into
+    targets, is not finite or its square, which the ledger sums,
+    overflows."""
+    _, which, letter = name[:-len(".snap")].split("_")   # state_<which>_<letter>
+    if letter == "m":
+        square, t, parts = _norm_views(targets[0], None)
+        checks = [("magnetization m", "cell", _dot(parts, parts, square, t))]
+    else:
+        checks = [(f"electromagnetic field {letter}{axis}", "index", np.square(a))
+                  for axis, a in zip("xyz", targets)]
+    for field, where, square in checks:
         bad = ~np.isfinite(square)
         if bad.any():
-            raise NonFinite(f"stored final {name} is not finite or overflows when "
+            raise NonFinite(f"stored {which} {field} is not finite or overflows when "
                             f"squared, first at {where} {first_bad_cell(bad)}")
-
-    square, t, parts = _norm_views(m, None)
-    check("magnetization m", "cell", _dot(parts, parts, square, t))
-    for name in ("hx", "hy", "hz", "ex", "ey", "ez"):
-        check(f"electromagnetic field {name}", "index", np.square(getattr(em, name)))
 
 
 def recompute_final_row(outdir: str):
     """Diagnostics of the stored final state; values match the final
     energy.csv row bit for bit because the same routines produce both.
     A snapshot that is not the run's raises `snapshots.SnapshotError`; a
-    state whose diagnostics are not finite raises NonFinite
-    (`_check_stored_state` names the field and cell where it can).
+    stored field that is not finite, or whose square overflows, raises
+    NonFinite as it is loaded (`_check_stored` names the field and its
+    cell or index), and so do diagnostics that are not finite.
 
     Each snapshot is copied into the state's fields (m, and the stores of
     `setup.em`) before the next is read, and the initial divergence is
@@ -198,6 +202,7 @@ def recompute_final_row(outdir: str):
         t, arrays = snapshots.read_field(os.path.join(outdir, name), field_id, dims)
         for target, a in zip(targets, arrays):
             np.copyto(target, a)
+        _check_stored(name, targets)
         return t
 
     load("state_initial_m.snap", snapshots.FIELD_M, cells, [m])
@@ -206,7 +211,6 @@ def recompute_final_row(outdir: str):
     t_final = load("state_final_m.snap", snapshots.FIELD_M, cells, [m])
     load("state_final_h.snap", snapshots.FIELD_H, yee, (em.hx, em.hy, em.hz))
     load("state_final_e.snap", snapshots.FIELD_E, yee, (em.ex, em.ey, em.ez))
-    _check_stored_state(m, em)
 
     breakdown, saturation_dev, drift = _state_terms(m, em, geom, setup.params)
     values = (t_final,) + breakdown.as_tuple() + (saturation_dev, drift)

@@ -21,8 +21,7 @@ from . import dynamics, maxwell, presets, snapshots
 from .dynamics import (BC_MODES, CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED, SHARP,
                        THIN_LAYER, SchemeConfig)
 from .energetics import MaterialParams, _vector_copy
-from .errors import (NonFinite, ParseError, SimulationError, ValidationError,
-                     first_bad_cell)
+from .errors import ParseError, SimulationError, ValidationError, _check_cells
 from .geometry import GeometryConfig, _is_multiple, build_geometry
 from .maxwell import AppliedCurrent
 
@@ -380,9 +379,11 @@ def build_model(config: RunConfig) -> RunSetup:
 def set_initial_fields(setup: RunSetup):
     """m0, the divergence-free initial h and e0 of the config, and the
     recorded initial divergence.  A nonzero [run] seed overrides the seed
-    of a random magnetization preset."""
+    of a random magnetization preset.  An m0 that is not finite raises
+    NonFinite naming its first bad cell, before the projection reads it."""
     config, em = setup.config, setup.em
     setup.m0 = _build_m0(config, setup.geom)
+    _check_cells(setup.m0, "initial magnetization is not finite")
     maxwell.init_divfree(setup.m0, _h_raw(config), em.box, out=em.h)
     _set_e0(config, em)
     if config.bc == maxwell.PEC:
@@ -397,10 +398,7 @@ def _check_first_rate(setup: RunSetup):
     h = maxwell.interp_h_to_cells(setup.em)
     rate = dynamics.llg_rhs(setup.m0, h, setup.geom, setup.params, setup.scheme)
     for name, values in (("h on the body cells", h), ("rate dm/dt", rate)):
-        bad = ~np.isfinite(values).all(axis=-1)
-        if bad.any():
-            raise NonFinite(f"initial {name} is not finite at t=0, first at cell "
-                            f"{first_bad_cell(bad)}")
+        _check_cells(values, f"initial {name} is not finite at t=0")
 
 
 def _build_m0(config: RunConfig, geom) -> np.ndarray:

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import maxwell
 from .effective_field import assemble_h_tot
-from .energetics import (EnergyBreakdown, MaterialParams, _aligned_empty, _dot,
-                         _kernel_scratch, _norm_views, _scalars, _views)
+from .energetics import (EnergyBreakdown, MaterialParams, _aligned_empty, _components,
+                         _cross, _dot, _kernel_scratch, _norm_views, _scalars, _views)
 from .geometry import DomainGeometry
 from .summation import dot
 
@@ -138,17 +138,13 @@ def _torque(m: np.ndarray, h_cells: np.ndarray, params: MaterialParams,
     `assemble_h_tot`: components 0 and 1 are formed in the scratch of the
     assembly (`_kernel_scratch`) and copied in after component 2, which
     reads only F_0 and F_1, has been formed in place.  Each is formed as
-    `np.cross` forms it, m_j F_k - m_k F_j, so the torque has the bits of
-    np.cross(m, F).
+    `np.cross` forms it, m_j F_k - m_k F_j (`_cross`), so the torque has
+    the bits of np.cross(m, F).
     """
     tmp = _kernel_scratch(geom, h_tot=False)
     f = assemble_h_tot(m, h_cells, geom, params, tmp=tmp)
     t0, t1, t = _scalars(tmp, m.shape[:-1], 3)
-    for i, out in ((0, t0), (1, t1), (2, f[..., 2])):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(m[..., j], f[..., k], out=out)
-        np.multiply(m[..., k], f[..., j], out=t)
-        out -= t
+    _cross(_components(m), _components(f), (t0, t1, f[..., 2]), t)
     np.copyto(f[..., 0], t0)
     np.copyto(f[..., 1], t1)
     return f

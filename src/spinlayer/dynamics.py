@@ -18,10 +18,10 @@ import numpy as np
 from . import maxwell
 from .diagnostics import CSV_COLUMNS, LedgerRow, saturation_deviation
 from .effective_field import _h_tot_views, assemble_h_tot
-from .energetics import (MaterialParams, _aligned_empty, _dot, _empty_like, _energy_views,
-                         _kernel_scratch, _parts, _scalars, _store, _vector_copy,
+from .energetics import (MaterialParams, _aligned_empty, _cross, _dot, _empty_like,
+                         _energy_views, _kernel_scratch, _parts, _scalars, _store,
                          _vector_field, _views, total_energy)
-from .errors import CFLViolation, NonFinite, check_finite, first_bad_cell
+from .errors import CFLViolation, NonFinite, _check_cells, check_finite, first_bad_cell
 from .geometry import DomainGeometry
 from .maxwell import AppliedCurrent, EMState
 from .summation import dot
@@ -89,62 +89,45 @@ def validate_stability(scheme: SchemeConfig, geom: DomainGeometry,
 
 
 class _Workspace:
-    """Preallocated buffers of one SimState's LLG stages, Heun and RK4 alike,
-    and the views of them that a step and a ledger row run on.
+    """The buffers of one SimState's LLG stages and ledger rows, Heun and
+    RK4 alike, in two slots, and the views of them, built here once for
+    the state's geometry and parameters, so a step or row slices nothing.
 
-    `k` holds the two stage rates: k[0] the first rate, into which the
-    later ones are summed, and k[1] the latest stage's rate.  `m_next` holds
-    the two buffers a step's new m alternates between; each stage m is
-    formed in the step's new m, which is dead until the final combination.
-    A given `m`, the state's own copy of m0, is the first of them.  The
-    fields are component-major, like the state's m, and every buffer starts
-    on a 64-byte boundary (`_aligned_empty`).  `tmp`, the flat scratch of
-    `llg_rhs` and of the ledger row, is the one scratch of the kernels
-    (`_kernel_scratch`: three fields' floats while the spacer layer is at
-    most half the body's depth), so a stage and a row allocate nothing
-    field-sized at any layer depth.  A stepped state thus holds about seven
-    field arrays, 24 bytes per cell each: two rates, two m buffers and three
-    in `tmp`.
-
-    Beside them a state holds views only, no new array, built here (at
-    its first step or row) for `params`, so a warm stage or row slices
-    nothing: `views`, by their buffers' ids, those of `llg_rhs`
-    (`_rhs_views`) per (m buffer, rate buffer) pair and of the row's
-    energies (`energetics._energy_views`) per m buffer, all on `tmp`;
-    `flat`, the flat store and components of each buffer of `k` and
-    `m_next`; and `norms`, the renormalization's two scalar fields of `tmp`.
+    Slot i pairs the m buffer m[i] with the rate buffer k[i] and holds
+    `rhs[i]`, the views of `llg_rhs` from m[i] into k[i] (`_rhs_views`);
+    `row[i]`, those of the row's energies of m[i] (`_energy_views`); and
+    `flat[i]`, the flat store and components of m[i] and the flat store of
+    k[i].  A step from slot i (`_advance_m`) keeps its first rate, the
+    rates' weighted sum and then the realized rate in k[i], and forms each
+    later stage m, its rate and the new m in slot 1 - i.  Every buffer is
+    component-major and starts on a 64-byte boundary (`_aligned_empty`).
+    `tmp` is the one scratch of the kernels (`_kernel_scratch`: three
+    fields while the spacer layer is at most half the body deep); the
+    stage and row views and `norms`, the renormalization's two scalar
+    fields, lie on it.  A stepped state thus holds about seven field
+    arrays of 24 bytes per cell, and views of them only.
     """
 
-    def __init__(self, geom: DomainGeometry, params: MaterialParams,
-                 m: Optional[np.ndarray] = None):
+    def __init__(self, geom: DomainGeometry, params: MaterialParams):
         shape, self.geom, self.params = geom.field_shape(), geom, params
+        self.m = (_vector_field(shape), _vector_field(shape))
         self.k = (_vector_field(shape), _vector_field(shape))
-        self.m_next = (_vector_field(shape) if m is None else m, _vector_field(shape))
         tmp = self.tmp = _kernel_scratch(geom)
-        self.views = {(id(a), id(r)): _rhs_views(a, geom, params, r, tmp)
-                      for a in self.m_next for r in self.k}
-        self.views.update({(id(a),): _energy_views(a, geom, params, tmp) for a in self.m_next})
-        self.flat = {id(a): (_store(a), _parts(a)) for a in self.k + self.m_next}
+        slots = tuple(zip(self.m, self.k))
+        self.rhs = tuple(_rhs_views(m, geom, params, k, tmp) for m, k in slots)
+        self.row = tuple(_energy_views(m, geom, params, tmp) for m in self.m)
+        self.flat = tuple((_store(m), _parts(m), _store(k)) for m, k in slots)
         self.norms = _scalars(tmp, shape[:-1], 2)
-
-    def store(self, a: np.ndarray) -> tuple:
-        """(flat store, components) of a: built once for the buffers of
-        the workspace, for this call for another field."""
-        views = self.flat.get(id(a))
-        return (_store(a), _parts(a)) if views is None else views
-
-    def views_of(self, *buffers):
-        """`llg_rhs`'s tmp for (m, rate), `_state_terms`' for (m,): the views, else `tmp`."""
-        return self.views.get(tuple(map(id, buffers)), self.tmp)
 
 
 @dataclass
 class SimState:
-    """The stepped state: m (a component-major copy the state owns), the
-    Maxwell state em or a fixed cell field h_fixed (at most one), and the
-    dissipation, Ohmic and source integrals of the steps taken.  The
-    scheme's bc_mode must name the geometry's spacer layer, and m, h_fixed
-    and the body of em's box must be on the geometry's cells."""
+    """The stepped state: m (one of its workspace's m buffers, into which
+    the caller's m0 is copied), the Maxwell state em or a fixed cell field
+    h_fixed (at most one), and the dissipation, Ohmic and source integrals
+    of the steps taken.  The scheme's bc_mode must name the geometry's
+    spacer layer, and m, h_fixed and the body of em's box must be on the
+    geometry's cells."""
 
     t: float
     m: np.ndarray
@@ -158,9 +141,6 @@ class SimState:
     ohmic: float = 0.0
     source: float = 0.0
     work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
-    # the copy of m0 made here, until the workspace adopts it (if still m)
-    _m0_copy: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                           compare=False)
 
     def __post_init__(self):
         layer = SHARP if self.geom.eta is None else THIN_LAYER
@@ -177,12 +157,10 @@ class SimState:
             if (box.mx, box.my, box.mz) != shape[:-1]:
                 raise ValueError(f"em's body has {(box.mx, box.my, box.mz)} cells, not "
                                  f"the geometry's {shape[:-1]}")
-        self.m = self._m0_copy = _vector_copy(self.m)
-        if not np.isfinite(self.m).all():
-            raise NonFinite("initial magnetization is not finite, first at cell "
-                            f"{first_bad_cell(~np.isfinite(self.m).all(axis=-1))}")
         if self.em is not None and self.h_fixed is not None:
             raise ValueError("a state takes em or h_fixed, not both")
+        self.workspace()
+        _check_cells(self.m, "initial magnetization is not finite")
 
     def h_cells(self) -> Optional[np.ndarray]:
         """h on the body cells: the Maxwell h (`maxwell.stage_h_cells`,
@@ -192,12 +170,17 @@ class SimState:
         return maxwell.stage_h_cells(self.em)
 
     def workspace(self) -> _Workspace:
-        work = self.work   # its views are those of one geometry and parameter set
+        """The state's workspace, built here (first when the state is made)
+        and rebuilt when geom or params is replaced.  An m that is no m
+        buffer of it (m0, an assigned array, an old workspace's) is copied
+        into slot 0, so a caller's array is never written."""
+        work = self.work
         if work is None or work.geom is not self.geom or work.params is not self.params:
-            # adopt the state's own copy of m0, never an array a caller assigned
-            own, self._m0_copy = self._m0_copy, None
-            self.work = _Workspace(self.geom, self.params, own if self.m is own else None)
-        return self.work
+            work = self.work = _Workspace(self.geom, self.params)
+        if self.m is not work.m[0] and self.m is not work.m[1]:
+            np.copyto(work.m[0], self.m)
+            self.m = work.m[0]
+        return work
 
 
 def _rhs_views(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
@@ -257,15 +240,11 @@ def llg_rhs(m: np.ndarray, h_cells: Optional[np.ndarray], geom: DomainGeometry,
         s /= w                                # (m.F) / |m|^2
     w += alpha**2
     np.divide(1.0 + alpha**2, w, out=w)       # (1 + alpha^2) / (alpha^2 + |m|^2)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        vi = v[i]
-        # v = -(m x F)_i = m_k F_j - m_j F_k, then + alpha (F_i - s m_i), then * w
-        np.multiply(mc[k], F[j], out=vi)
-        np.multiply(mc[j], F[k], out=t)
-        vi -= t
-        np.multiply(s, mc[i], out=t)
-        np.subtract(F[i], t, out=t)
+    _cross(F, mc, v, t)                       # -m x F
+    for vi, Fi, mi in zip(v, F, mc):
+        # + alpha (F_i - s m_i), then * w
+        np.multiply(s, mi, out=t)
+        np.subtract(Fi, t, out=t)
         if alpha != 1.0:                      # t * 1.0 is t, bit for bit
             t *= alpha
         vi += t
@@ -296,25 +275,27 @@ def _add_rate(f_sum: np.ndarray, f_rate: np.ndarray, weight: float):
     f_sum += f_rate
 
 
-def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
-    """One Heun or RK4 step of m at frozen h into `out` (component-major,
-    not aliasing m or h_cells), using only `out` and the buffers of `work`.
+def _advance_m(work: _Workspace, i: int, h_cells, dt: float, scheme: SchemeConfig):
+    """One Heun or RK4 step at frozen h of the m in slot i of `work` into
+    the other slot's m buffer (component-major, not aliasing h_cells),
+    using only the buffers and views of `work`.
 
-    Each later stage m is m + (dt / d) times the rate before it, formed in
-    `out`; its rate goes to work.k[1] and, once the next stage is formed,
-    is added into work.k[0] with its weight w, so the sum is the tableau's
-    ((k0 + w1 k1) + w2 k2) + w3 k3 in that order.  The stage combinations
-    run on the flat stores (`_Workspace.store`)."""
+    The first rate goes to k[i]; each later stage m is m + (dt / d) times
+    the rate before it, formed in m[1 - i]; its rate goes to k[1 - i] and,
+    once the next stage is formed, is added into k[i] with its weight w, so
+    the sum is the tableau's ((k0 + w1 k1) + w2 k2) + w3 k3 in that order.
+    The stage combinations run on the slots' flat stores."""
     stages, divisor = _TABLEAUX[scheme.integrator]
-    (fm, _), (fo, _), (f_sum, _), (f_rate, _) = map(work.store, (m, out, *work.k))
-    first, stage = work.views_of(m, work.k[0]), work.views_of(out, work.k[1])
-    llg_rhs(m, h_cells, geom, params, scheme, out=work.k[0], tmp=first)
-    for i, (d, _) in enumerate(stages):
-        np.multiply(f_rate if i else f_sum, dt / d, out=fo)
+    geom, params, j = work.geom, work.params, 1 - i
+    (fm, _, f_sum), (fo, _, f_rate) = work.flat[i], work.flat[j]
+    out = work.m[j]
+    llg_rhs(work.m[i], h_cells, geom, params, scheme, out=work.k[i], tmp=work.rhs[i])
+    for s, (d, _) in enumerate(stages):
+        np.multiply(f_rate if s else f_sum, dt / d, out=fo)
         np.add(fm, fo, out=fo)
-        if i:
-            _add_rate(f_sum, f_rate, stages[i - 1][1])
-        llg_rhs(out, h_cells, geom, params, scheme, out=work.k[1], tmp=stage)
+        if s:
+            _add_rate(f_sum, f_rate, stages[s - 1][1])
+        llg_rhs(out, h_cells, geom, params, scheme, out=work.k[j], tmp=work.rhs[j])
     _add_rate(f_sum, f_rate, stages[-1][1])
     f_sum *= dt / divisor
     np.add(fm, f_sum, out=fo)
@@ -324,31 +305,29 @@ def _advance_m(m, h_cells, dt, geom, params, scheme, work, out):
 def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
     """Advance the coupled state and its integrals by one dt (in place).
 
-    The new m is one of the workspace's two `m_next` buffers (the one the
+    The new m is the workspace's other m buffer (`_Workspace`: the one the
     old m is not), so an m from two steps back is overwritten: copy it to
-    keep it.  One of them is the state's own copy of m0 (if m is still that
-    copy when the workspace is built); an array the caller handed in or
-    assigned is never written.  Beside the caller's m0, a
-    stepped state holds two stage rates, the two m buffers and the kernel
-    scratch (`_Workspace`): about seven field arrays of 24 bytes per cell.
+    keep it.  An array the caller handed in or assigned is never written.
+    Beside the caller's m0, a stepped state holds two m buffers, two
+    stage rates and the kernel scratch: about seven field arrays of 24
+    bytes per cell.
     """
     scheme = state.scheme
-    geom, params = state.geom, state.params
+    params = state.params
     dt = scheme.dt
     h_cells = state.h_cells()
 
     work = state.workspace()
-    m = state.m
-    m_new = work.m_next[m is work.m_next[0]]
-    _advance_m(m, h_cells, dt, geom, params, scheme, work, m_new)
-    m_dot_eff = work.k[0]
-    (f_rate, _), (f_new, m_parts), (f_m, _) = map(work.store, (m_dot_eff, m_new, m))
+    i = int(state.m is work.m[1])   # the slot of the old m
+    m_new = _advance_m(work, i, h_cells, dt, scheme)
+    m_dot_eff = work.k[i]
+    (f_m, _, f_rate), (f_new, m_parts, _) = work.flat[i], work.flat[1 - i]
     if state.em is not None:
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
         f_new -= f_m
         f_new /= dt
         h_mid = maxwell._midpoint_h_cells(state.em, m_new, dt, params)
-        _advance_m(m, h_mid, dt, geom, params, scheme, work, m_new)
+        _advance_m(work, i, h_mid, dt, scheme)
 
     step_no = state.n + 1
     if not np.isfinite(f_new).all():
@@ -364,7 +343,7 @@ def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
         maxwell.advance(state.em, m_dot_eff, f, params, dt, scheme.subcycles,
                         state.t, step_no, state)
     state.dissipation += (dt * params.alpha / (1.0 + params.alpha**2)
-                          * geom.cell_volume * dot(m_dot_eff, m_dot_eff))
+                          * state.geom.cell_volume * dot(m_dot_eff, m_dot_eff))
     state.m = m_new
     state.t += dt
     state.n = step_no
@@ -427,8 +406,9 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
 
     def log(n):
         if on_row is not None:
+            work = state.workspace()
             breakdown, saturation_dev, drift = _state_terms(
-                state.m, em, geom, params, state.workspace().views_of(state.m))
+                state.m, em, geom, params, work.row[state.m is work.m[1]])
             row = LedgerRow(state.t, breakdown, state.dissipation, state.ohmic,
                             state.source, saturation_dev, drift)
             check_finite(CSV_COLUMNS, row.csv_values(),

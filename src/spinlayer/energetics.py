@@ -241,6 +241,18 @@ def _dot(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cross(a, b, out, tmp: np.ndarray):
+    """Per-cell a x b of two fields given component first (as for `_dot`)
+    into the three component views out, each formed as `np.cross` forms
+    it, a_j b_k - a_k b_j; tmp is scratch shaped like a component."""
+    for i, o in enumerate(out):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=o)
+        np.multiply(a[k], b[j], out=tmp)
+        o -= tmp
+    return out
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """The energy terms of a state, each 0.0 unless given, and their exact
@@ -382,7 +394,7 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
     blocks laid out like the layers of m, so the jump ml - ms is one flat
     pass laid out as numpy lays out that difference, and the wedge ml x ms
     is formed component by component in a row-major block, as `np.cross`
-    forms it; the sums therefore keep the bits of those fresh arrays.
+    forms it (`_cross`); the sums therefore keep the bits of those fresh arrays.
     `tmp` (a flat float array of at least 10 entries per layer cell, as
     `_kernel_scratch` has, or the views of `_thin_layer_energy_views`)
     makes the call allocation-free.
@@ -403,11 +415,7 @@ def thin_layer_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParam
             np.subtract(flat[0], flat[1], out=flat[2])
             e_q = 0.5 * params.j1 * w * dot(jump, jump)
         if params.j2 != 0.0:
-            for i, o in enumerate(wc):
-                j, k = (i + 1) % 3, (i + 2) % 3
-                np.multiply(glc[j], gsc[k], out=o)
-                np.multiply(glc[k], gsc[j], out=t)
-                o -= t
+            _cross(glc, gsc, wc, t)
             e_biq = params.j2 * w * dot(wedge, wedge)
     return e_ks, e_q, e_biq
 

@@ -1,6 +1,8 @@
 """Exception types shared across the simulator, `first_bad_cell`, which
-the NonFinite messages use to name a cell, and `check_finite`, the one
-rule that rejects a row of diagnostics with a value that is not finite."""
+the NonFinite messages use to name a cell, `_check_cells`, the one rule
+that rejects an initial field with a cell that is not finite, and
+`check_finite`, the one rule that rejects a row of diagnostics with a
+value that is not finite."""
 
 import math
 
@@ -58,6 +60,14 @@ class ValidationError(ConfigError):
 def first_bad_cell(bad: np.ndarray) -> tuple:
     """Index of the first entry flagged in the boolean mask `bad`."""
     return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _check_cells(field: np.ndarray, what: str):
+    """Raise NonFinite "<what>, first at cell <cell>" when the (..., 3)
+    field is not finite, naming its first such cell."""
+    bad = ~np.isfinite(field).all(axis=-1)
+    if bad.any():
+        raise NonFinite(f"{what}, first at cell {first_bad_cell(bad)}")
 
 
 def check_finite(names, values, what: str, *args):

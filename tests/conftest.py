@@ -39,6 +39,19 @@ def small_sharp_geom(small_geom):
     return sharp_geom(small_geom)
 
 
+@pytest.fixture
+def perturbed_poisson(monkeypatch):
+    """maxwell.poisson_solve with one cell of its phi perturbed after the
+    solve, so the projection's residual is far above its tolerance."""
+    solve = mx.poisson_solve
+
+    def perturbed(*args, **kwargs):
+        phi = solve(*args, **kwargs)
+        phi[1, 1, 1] += 1.0
+        return phi
+    monkeypatch.setattr(mx, "poisson_solve", perturbed)
+
+
 def sharp_geom(geom):
     """The grid of geom with the sharp spacer layer, one cell deep: the
     geometry `build_geometry` makes from the same request without eta."""

@@ -972,20 +972,43 @@ class TestCli:
         assert main(["run", str(cfg_path)]) == 3
 
     def test_nan_snapshot_exit_3(self, tmp_path, capsys):
-        bad = np.full((4, 4, 4, 3), np.nan)
-        snap = tmp_path / "bad.snap"
-        snapshots.write_snapshot(snap, snapshots.FIELD_M, (4, 4, 4),
-                                 (0.25, 0.25, 0.25), 0.0, [bad])
+        # m0 is checked before the projection reads it: check and run both
+        # exit 3 naming the first bad cell, and run creates no directory
+        one_bad = np.zeros((4, 4, 4, 3))
+        one_bad[..., 2] = 1.0
+        one_bad[1, 2, 3] = (np.nan, 0.0, 0.0)
         cfg_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
-        text = minimal_config(outdir).replace(
-            "m = random 11", f"m = snapshot {snap}")
-        cfg_path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # a numpy RuntimeWarning fails
-            assert main(["run", str(cfg_path)]) == 3
-        assert capsys.readouterr().err == (
-            "error: numeric: divergence projection residual nan above tolerance\n")
+        for bad, cell in ((np.full((4, 4, 4, 3), np.nan), "(0, 0, 0)"),
+                          (one_bad, "(1, 2, 3)")):
+            snap = tmp_path / "bad.snap"
+            snapshots.write_snapshot(snap, snapshots.FIELD_M, (4, 4, 4),
+                                     (0.25, 0.25, 0.25), 0.0, [bad])
+            cfg_path.write_text(minimal_config(outdir).replace(
+                "m = random 11", f"m = snapshot {snap}"))
+            for command in ("check", "run"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+                    assert main([command, str(cfg_path)]) == 3
+                assert capsys.readouterr().err == (
+                    "error: numeric: initial magnetization is not finite, first at cell "
+                    f"{cell}\n")
+        assert not outdir.exists()
+
+    def test_check_of_a_diverged_projection_exits_3(self, tmp_path, capsys,
+                                                    perturbed_poisson):
+        # SolverDiverged from the initial projection is a numeric failure:
+        # one stderr line, no traceback
+        outdir = tmp_path / "out"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(README_CONFIG.replace("directory = out",
+                                                  f"directory = {outdir}"))
+        assert main(["check", str(cfg_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: numeric: divergence projection residual ")
+        assert err.endswith(" above tolerance\n")
+        assert not outdir.exists()
 
     def test_flag_overrides_recorded(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -1140,6 +1163,36 @@ class TestRunVariants:
         assert done.returncode == 3
         assert done.stderr == "error: numeric: " + error
         assert done.stdout == ""
+        assert not {"diag_report.csv", "stationarity.csv"} & set(os.listdir(outdir))
+
+    @pytest.mark.parametrize("name, component, index, value, error", [
+        ("state_initial_m.snap", 0, (1, 2, 3, 0), np.nan,
+         "stored initial magnetization m is not finite or overflows when squared, "
+         "first at cell (1, 2, 3)\n"),
+        ("state_initial_h.snap", 1, (0, 0, 0), np.inf,
+         "stored initial electromagnetic field hy is not finite or overflows when "
+         "squared, first at index (0, 0, 0)\n"),
+    ], ids=["m", "h"])
+    def test_diag_names_a_corrupt_initial_snapshot(self, tmp_path, capsys, name, component,
+                                                   index, value, error):
+        # the initial m and h, which the recorded divergence reads, are
+        # checked as they are loaded, as the final state is
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir).replace(
+            "m = random 11", "m = random 3 1.0").replace(
+            "dt = 0.002", "dt = 0.001").replace("t_end = 0.02", "t_end = 0.002"))
+        assert main(["--snapshots", "on", "run", str(cfg_path)]) == 0
+        path = outdir / name
+        field_id, dims, spacings, t, fields = snapshots.read_snapshot(path)
+        fields = [np.array(a) for a in fields]
+        fields[component][index] = value
+        snapshots.write_snapshot(path, field_id, dims, spacings, t, fields)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy RuntimeWarning fails
+            assert main(["diag", str(outdir)]) == 3
+        assert capsys.readouterr() == ("", "error: numeric: " + error)
         assert not {"diag_report.csv", "stationarity.csv"} & set(os.listdir(outdir))
 
     def test_mur_boundary_via_config(self, tmp_path):

@@ -47,7 +47,10 @@ def test_ledger_row_allocates_nothing_box_sized():
     mx.record_div0(em, m)
     m = random_unit_field(geom, seed=61)
     for g in (sharp_geom(geom), geom, build_geometry(GeometryConfig(*grid, eta=0.5))):
-        views = _Workspace(g, params, m).views_of(m)   # m is the workspace's first m buffer
+        work = _Workspace(g, params)
+        np.copyto(work.m[0], m)
+        m = work.m[0]   # the row runs on slot 0: its m buffer and its views
+        views = work.row[0]
 
         def row():
             return (total_energy(m, em, g, params, tmp=views),

@@ -604,8 +604,8 @@ class TestLayout:
             on_state=lambda state, n: seen.append((state.m, state.workspace())))
         for m, work in seen:
             assert component_major(m)
-            assert len(work.k) == 2 and len(work.m_next) == 2
-            assert all(component_major(a) for a in (*work.k, *work.m_next))
+            assert len(work.k) == 2 and len(work.m) == 2
+            assert all(component_major(a) for a in (*work.k, *work.m))
         assert component_major(em.workspace().body_cells)
         assert component_major(mx.faces_to_cells(*em.workspace().body_h))
 
@@ -669,7 +669,7 @@ def test_warm_coupled_step_allocates_less_than_a_body_field():
         step(state)
 
     def ledger_terms():
-        return _state_terms(state.m, em, geom, params, state.workspace().views_of(state.m))
+        return _state_terms(state.m, em, geom, params, _row_views(state))
     ledger_terms()
     peaks = [traced_peak(f)[1] for f in (lambda: step(state), ledger_terms)]
     assert max(peaks) < m0.nbytes
@@ -701,8 +701,8 @@ def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc
     state = SimState(t=0.0, m=random_unit_field(geom, seed=11), em=None,
                      geom=geom, params=params, scheme=scheme)
     work = state.workspace()
-    out = work.m_next[1]   # the other m buffer: the workspace holds both one's stage views
-    advance = (state.m, None, scheme.dt, geom, params, scheme, work, out)
+    assert state.m is work.m[0]   # a step from slot 0 forms its stages in slot 1
+    advance = (work, 0, None, scheme.dt, scheme)
     _advance_m(*advance)
     _, peak = traced_peak(_advance_m, *advance)
     assert peak < geom.nx * geom.ny * 8   # below one scalar plane of the body
@@ -728,23 +728,22 @@ def test_fresh_run_holds_seven_fields(integrator):
 
 @pytest.mark.parametrize("integrator", ["heun", "rk4"])
 def test_state_never_writes_a_callers_m(integrator):
-    # the workspace adopts the state's own copy of m0 as an m buffer, never
-    # the array handed in nor one assigned before the first step
+    # the workspace copies the array handed in, and one assigned before the
+    # first step, into its m buffer of slot 0, and never writes either
     geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 3, 2, 2))
     params = plain_params(a_exch=0.01)
     scheme = SchemeConfig(dt=1e-3, integrator=integrator)
     handed, assigned = random_unit_field(geom, seed=14), random_unit_field(geom, seed=15)
     kept = handed.copy(), assigned.copy()
     state = SimState(t=0.0, m=handed, em=None, geom=geom, params=params, scheme=scheme)
-    own = state.m
-    assert own is not handed
+    assert state.m is not handed
     state.m = assigned
     seen = set()
     for _ in range(4):
         step(state)
         seen.add(id(state.m))
     assert np.array_equal(handed, kept[0]) and np.array_equal(assigned, kept[1])
-    assert not {id(own), id(handed), id(assigned)} & seen and len(seen) == 2
+    assert not {id(handed), id(assigned)} & seen and len(seen) == 2
     # with its own copy still in place, the state steps in it
     state = SimState(t=0.0, m=handed, em=None, geom=geom, params=params, scheme=scheme)
     own = state.m
@@ -823,11 +822,16 @@ VIEW_GRID = [pytest.param(constraint, bc_mode, penalty_k, integrator, field,
              for field in ("em", "none", "h_fixed")]
 
 
+def _row_views(state):
+    """The ledger row's views of the slot of the state's m, as `run` takes them."""
+    work = state.workspace()
+    return work.row[state.m is work.m[1]]
+
+
 def _view_state(constraint, bc_mode, penalty_k, integrator, field, warm=True):
     """A small state of the given kind, with `warm` two steps and two
-    rows warm: every (m buffer, rate buffer) pair of the stage and both m
-    buffers of the row have been seen.  Returns the state, the current,
-    the row and the initial m and h."""
+    rows warm: the stage and row views of both slots have been used.
+    Returns the state, the current, the row and the initial m and h."""
     # dy = 0.15 is no power of two: the drift divides along y, and along x
     # and z multiplies by the exact reciprocal
     geom = layer_geom(build_geometry(GeometryConfig(1.0, 0.6, 0.5, 0.5, 4, 4, 4, 4,
@@ -849,8 +853,7 @@ def _view_state(constraint, bc_mode, penalty_k, integrator, field, warm=True):
     initial = (m0, em.h.copy())
 
     def row():
-        return _state_terms(state.m, state.em, geom, params,
-                            state.workspace().views_of(state.m))
+        return _state_terms(state.m, state.em, geom, params, _row_views(state))
     for _ in range(2 if warm else 0):
         step(state, f)
         row()
@@ -865,9 +868,9 @@ def plain_drift(em, m, m0, h0):
 @pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
 def test_workspace_builds_every_stage_and_row_view(constraint, bc_mode, penalty_k,
                                                    integrator, field, monkeypatch):
-    # the state's workspace builds the views of the stage (for each m
-    # buffer and rate buffer) and of the row (for each m buffer) with its
-    # buffers, so the first steps and rows already build none
+    # the state's workspace builds the views of the stage and of the row
+    # for each of its two slots with its buffers, so the first steps and
+    # rows already build none
     state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field,
                                    warm=False)
     state.workspace()
@@ -883,14 +886,33 @@ def test_warm_step_and_row_build_no_llg_or_row_view(constraint, bc_mode, penalty
                                                     integrator, field, monkeypatch):
     # the stage's views (h_tot's terms, the rate) and the row's (every
     # energy, the saturation deviation, the drift) are built once per
-    # state, for each m buffer and rate buffer they meet; warm steps and
-    # rows only run on them
+    # state, for each of its two slots; warm steps and rows only run on
+    # them
     state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field)
     _forbid_view_helpers(monkeypatch)
     for _ in range(2):
         step(state, f)
         row()
     assert state.n == 4
+
+
+@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
+def test_assigned_m_steps_and_rows_in_the_workspace_views(constraint, bc_mode, penalty_k,
+                                                          integrator, field, monkeypatch):
+    # an array the caller assigns to a warm state's m is copied into a
+    # workspace buffer, so the steps and rows after it build no view and
+    # never write the array
+    state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field)
+    assigned = random_unit_field(state.geom, seed=71)
+    kept = assigned.copy()
+    state.m = assigned
+    _forbid_view_helpers(monkeypatch)
+    for _ in range(2):
+        step(state, f)
+        row()
+    work = state.workspace()
+    assert state.m is work.m[0] or state.m is work.m[1]
+    assert np.array_equal(assigned, kept)
 
 
 @pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
@@ -906,11 +928,12 @@ def test_workspace_views_keep_the_bits_of_the_per_call_path(constraint, bc_mode,
     state, f, row, (m0, h0) = _view_state(constraint, bc_mode, penalty_k, integrator, field)
     geom, params, scheme, em = state.geom, state.params, state.scheme, state.em
     work, m, h = state.workspace(), state.m, state.h_cells()
-    stage, energy_views = work.views_of(m, work.k[1]), work.views_of(m)
+    i = int(m is work.m[1])   # the slot of the state's m
+    stage, energy_views = work.rhs[i], work.row[i]
     assert isinstance(stage, tuple) and isinstance(energy_views, tuple)
     h_tot, h_tot_views = stage[:2]
     _forbid_view_helpers(monkeypatch)
-    rate = llg_rhs(m, h, geom, params, scheme, out=work.k[1], tmp=stage).copy()
+    rate = llg_rhs(m, h, geom, params, scheme, out=work.k[i], tmp=stage).copy()
     h_tot = assemble_h_tot(m, h, geom, params, out=h_tot, tmp=h_tot_views).copy()
     energies = total_energy(m, em, geom, params, tmp=energy_views)
     _, saturation_dev, drift = row()
@@ -959,8 +982,8 @@ def test_warm_coupled_step_writes_into_aligned_buffers(bc, body, component, monk
     step(state, f)
     assert len(written) == 8   # Heun, with the predictor's two stages
     work, mwork = state.workspace(), em.workspace()
-    assert all(any(t is v for v in work.views.values()) for t in stages)
-    written += [em.e, em.h, state.m, *work.k, *work.m_next, work.tmp,
+    assert all(any(t is v for v in work.rhs) for t in stages)
+    written += [em.e, em.h, state.m, *work.k, *work.m, work.tmp,
                 mwork.scratch, mwork.tmp, *mwork.e_new, *mwork.e_mid,
                 *mwork.rate_faces, *mwork.body_faces, mwork.body_cells]
     if bc == mx.MUR1:

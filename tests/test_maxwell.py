@@ -8,7 +8,7 @@ import scipy.sparse
 from spinlayer import dst
 from spinlayer import maxwell as mx
 from spinlayer.energetics import MaterialParams, maxwell_energy
-from spinlayer.errors import CFLViolation
+from spinlayer.errors import CFLViolation, SolverDiverged
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 from conftest import (FIELD_NAMES, box_divergence, box_faces_to_body_cells,
@@ -198,6 +198,14 @@ class TestInitDivfree:
         _, peak = traced_peak(mx.init_divfree, m, (0.1, -0.2, 0.3), box, out=h)
         assert_same_bits(h, want)
         assert peak < 2.5 * h.nbytes, peak / h.nbytes
+
+    def test_a_solve_off_its_residual_raises_solver_diverged(self, small_geom,
+                                                              perturbed_poisson):
+        box = mx.make_box(small_geom, padding=3)
+        m = random_unit_field(small_geom, seed=6)
+        with pytest.raises(SolverDiverged, match="divergence projection residual .* above "
+                                                 "tolerance"):
+            mx.init_divfree(m, (0.0, 0.0, 0.0), box)
 
     def test_magnetostatic_residual(self, small_geom):
         box = mx.make_box(small_geom, padding=4)
