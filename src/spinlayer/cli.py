@@ -245,7 +245,8 @@ def main(argv=None) -> int:
                         help="ledger row cadence in steps")
     parser.add_argument("--snapshots", choices=("on", "off"), default=None)
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the random-preset seed")
+                        help="seed of a random m preset, written into the preset "
+                             "(0 included)")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute a simulation")
     p_run.add_argument("config")

@@ -7,7 +7,9 @@ non-finite numbers are rejected with the offending line number;
 semantic problems surface as ValidationError naming the field.  Each
 key is declared once, as a RunConfig field with its section, converter
 and default (`_key`); the field order is the order of the canonical echo
-`to_text`, which parses back to an identical config.
+`to_text`, which parses back to an identical config.  Keys that older
+echoes wrote and that set no field now are read by `_RETIRED`'s rules,
+so an old run directory's effective_config still loads to the same run.
 """
 
 import math
@@ -111,6 +113,14 @@ _VEC3 = ((_to_float,) * 3, ())
 _NO_ARGS = ((), ())
 
 
+def _to_h0(tokens, line):
+    """The h0 preset; `zero`, its old spelling, reads as `magnetostatic`,
+    the same field."""
+    h0 = _preset(tokens, line, {"magnetostatic": _NO_ARGS, "zero": _NO_ARGS,
+                                "uniform": _VEC3})
+    return ("magnetostatic",) if h0 == ("zero",) else h0
+
+
 def _key(section: str, convert, default, key: Optional[str] = None):
     """A RunConfig field that is one line of the text: its default, its
     section, its converter and its key, the attribute's name unless given."""
@@ -150,13 +160,11 @@ class RunConfig:
     stability_c: float = _key("scheme", _FLOAT, 0.25)
     padding: int = _key("maxwell", _INT, 8)
     bc: str = _key("maxwell", _choice(maxwell.BOUNDARIES), maxwell.PEC)
-    frozen: bool = _key("maxwell", _BOOL, False)   # only off is accepted
     m0: tuple = _key("initial", lambda toks, ln: _preset(toks, ln, {
         "uniform": _VEC3, "vortexish": _NO_ARGS,
         "random": ((_to_int,), (_to_float,)),   # seed [smooth_cells]
         "snapshot": ((_to_path,), ())}), ("uniform", 0.0, 0.0, 1.0), key="m")
-    h0: tuple = _key("initial", lambda toks, ln: _preset(   # zero: as magnetostatic
-        toks, ln, {"zero": _NO_ARGS, "magnetostatic": _NO_ARGS, "uniform": _VEC3}), ("zero",))
+    h0: tuple = _key("initial", _to_h0, ("magnetostatic",))
     e0: tuple = _key("initial", lambda toks, ln: _preset(
         toks, ln, {"zero": _NO_ARGS, "uniform": _VEC3}), ("zero",))
     f: tuple = _key("current", lambda toks, ln: _preset(   # pulse ax ay az t0 width
@@ -165,7 +173,6 @@ class RunConfig:
     cadence: int = _key("output", _INT, 1)
     snapshots_on: bool = _key("output", _BOOL, False, key="snapshots")
     t_end: float = _key("run", _FLOAT, 0.0)
-    seed: int = _key("run", _INT, 0)
 
     def to_text(self) -> str:
         """The canonical echo: every key of every section in field order,
@@ -187,6 +194,12 @@ _SCHEMA = {}   # section -> key -> (attr, converter), in RunConfig's field order
 for _field in fields(RunConfig):
     _section, _name, _convert = _field.metadata["text"]
     _SCHEMA.setdefault(_section, {})[_name or _field.name] = (_field.name, _convert)
+
+# Keys that older echoes wrote and that set no field now, with their
+# converters.  `frozen` must be off: a frozen h has no Zeeman term in the
+# energy ledger.  A nonzero `seed` overrode the random preset's seed, so
+# `_parse` writes it there and an old effective_config draws the same m0.
+_RETIRED = {"maxwell": {"frozen": _BOOL}, "run": {"seed": _INT}}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -219,6 +232,7 @@ def _parse(text: str) -> RunConfig:
     config = RunConfig()
     section = None
     seen = set()
+    retired = {}   # key -> value of the `_RETIRED` keys given
     for lineno, raw in enumerate(text.splitlines(), start=1):
         key, eq, value = raw.partition("=")
         if "#" in key:                 # a comment starts before any '='
@@ -240,15 +254,23 @@ def _parse(text: str) -> RunConfig:
             tokens = shlex.split(value, comments=True)
         except ValueError as exc:
             raise ParseError(lineno, f"bad value for {key!r}: {exc}")
-        if key not in _SCHEMA[section]:
+        old = _RETIRED.get(section, {})
+        if key not in _SCHEMA[section] and key not in old:
             raise ParseError(lineno, f"unknown key {key!r} in [{section}]")
         if not tokens:
             raise ParseError(lineno, f"missing value for {key!r}")
         if (section, key) in seen:
             raise ParseError(lineno, f"duplicate key {key!r} in [{section}]")
         seen.add((section, key))
+        if key in old:
+            retired[key] = old[key](tokens, lineno)
+            continue
         attr, converter = _SCHEMA[section][key]
         setattr(config, attr, converter(tokens, lineno))
+    if retired.get("frozen"):
+        raise ValidationError("maxwell.frozen", "only off is accepted")
+    if retired.get("seed"):
+        _override_seed(config, retired["seed"])
     return config
 
 
@@ -270,17 +292,12 @@ def _validate(config: RunConfig):
         raise ValidationError("scheme.stability_c", "must be positive")
     if config.padding < 1:
         raise ValidationError("maxwell.padding", "must be at least 1")
-    if config.frozen:
-        # a frozen h has no Zeeman term in the energy ledger
-        raise ValidationError("maxwell.frozen", "only off is accepted")
     if config.cadence < 1:
         raise ValidationError("output.cadence", "must be at least 1")
     if config.t_end < 0:
         raise ValidationError("run.t_end", "must be nonnegative")
     if config.bc_mode == THIN_LAYER and config.eta is None:
         raise ValidationError("geometry.eta", "required in thin_layer mode")
-    if config.m0[0] == "random" and config.seed < 0:
-        raise ValidationError("run.seed", "must be nonnegative")
     if config.m0[0] == "random" and config.m0[1] < 0:
         raise ValidationError("initial.m", "seed must be nonnegative")
     if config.m0[0] == "random" and len(config.m0) > 2:
@@ -378,8 +395,7 @@ def build_model(config: RunConfig) -> RunSetup:
 
 def set_initial_fields(setup: RunSetup):
     """m0, the divergence-free initial h and e0 of the config, and the
-    recorded initial divergence.  A nonzero [run] seed overrides the seed
-    of a random magnetization preset.  An m0 that is not finite raises
+    recorded initial divergence.  An m0 that is not finite raises
     NonFinite naming its first bad cell, before the projection reads it."""
     config, em = setup.config, setup.em
     setup.m0 = _build_m0(config, setup.geom)
@@ -412,8 +428,7 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
     if kind == "vortexish":
         return presets.vortexish_m(geom)
     if kind == "random":
-        seed = config.seed if config.seed else config.m0[1]
-        return presets.random_unit_m(geom, seed, *config.m0[2:])
+        return presets.random_unit_m(geom, *config.m0[1:])
     # the parser admits one more preset, "snapshot"
     try:
         _, (m,) = snapshots.read_field(config.m0[1], snapshots.FIELD_M,
@@ -424,15 +439,14 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
 
 
 def _override_seed(config: RunConfig, seed: int):
-    """A command-line seed, also as a random preset's seed: a [run] seed
-    of 0 means no override, a flag of 0 takes effect."""
-    config.seed = seed
+    """A command-line seed, 0 included, as the random preset's seed; it
+    leaves any other m preset alone."""
     if config.m0[0] == "random":
         config.m0 = ("random", seed) + config.m0[2:]
 
 
 def _h_raw(config: RunConfig) -> tuple:
-    """The uniform raw h that `init_divfree` projects: zero for `zero` and
+    """The uniform raw h that `init_divfree` projects: zero for
     `magnetostatic`, the vector for `uniform`."""
     return config.h0[1:4] if config.h0[0] == "uniform" else (0.0, 0.0, 0.0)
 

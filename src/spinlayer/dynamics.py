@@ -127,7 +127,9 @@ class SimState:
     h_fixed (at most one), and the dissipation, Ohmic and source integrals
     of the steps taken.  The scheme's bc_mode must name the geometry's
     spacer layer, and m, h_fixed and the body of em's box must be on the
-    geometry's cells."""
+    geometry's cells.  The workspace `work` is no constructor argument:
+    `workspace()` builds each state its own, so a `dataclasses.replace`
+    copy steps in buffers of its own."""
 
     t: float
     m: np.ndarray
@@ -140,7 +142,8 @@ class SimState:
     dissipation: float = 0.0
     ohmic: float = 0.0
     source: float = 0.0
-    work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
+    work: Optional[_Workspace] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         layer = SHARP if self.geom.eta is None else THIN_LAYER

@@ -259,7 +259,8 @@ class EMState:
     `ex` ... `hz` are views of the stores, so writing into them writes
     the fields; assigning to one (`em.hx = a`) copies `a` into the store.
     The stores are never rebound: the component views and the workspace
-    are built on them once.
+    are built on them once.  The workspace `work` is no constructor
+    argument: `workspace()` builds each state its own on first use.
     """
 
     box: BoxGeometry
@@ -267,7 +268,8 @@ class EMState:
     h: np.ndarray
     bc: str = PEC
     div0: Optional[np.ndarray] = None
-    work: Optional[_Workspace] = field(default=None, repr=False, compare=False)
+    work: Optional[_Workspace] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     ex = _component(0, "e on x edges")
     ey = _component(1, "e on y edges")

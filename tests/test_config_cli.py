@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spinlayer import config as config_module
 from spinlayer import cli as cli_module
-from spinlayer import dynamics, snapshots
+from spinlayer import dynamics, presets, snapshots
 from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
 from spinlayer.errors import NonFinite, ParseError, ValidationError
@@ -153,12 +153,11 @@ class TestParse:
         assert parse_config(cfg.to_text()) == cfg
 
     def test_preset_words_map_to_values(self, tmp_path):
-        # the h0 and current words are spelled in the config only: both h0
-        # words build the magnetostatic field, and `f = zero` is no current
+        # the h0 and current words are spelled in the config only: `h0 =
+        # zero`, the old spelling, reads as magnetostatic, and `f = zero`
+        # is no current
         base = minimal_config(tmp_path / "o")
-        h = [build_setup(parse_config(base.replace("h0 = magnetostatic", f"h0 = {word}"))).em.h
-             for word in ("zero", "magnetostatic")]
-        assert h[0].tobytes() == h[1].tobytes()
+        assert parse_config(base.replace("h0 = magnetostatic", "h0 = zero")) == parse_config(base)
         assert build_setup(parse_config(base + "[current]\nf = zero\n")).f is None
         pulse = build_setup(parse_config(base + "[current]\nf = pulse 1 0 0 0.01 0.005\n")).f
         assert (pulse.amplitude.tolist(), pulse.t0, pulse.width) == ([1.0, 0.0, 0.0], 0.01, 0.005)
@@ -180,9 +179,10 @@ class TestParse:
         assert err.value.line == 3
 
 
-# Echoes written by the last release whose keys were declared apart from
-# RunConfig's fields.  `diag` reparses a run directory's effective_config,
-# so these bytes, their key order included, must stay loadable and stable.
+# Echoes written by the releases before `[maxwell] frozen` and `[run] seed`
+# were retired and `h0 = zero` became `magnetostatic`.  `diag` reparses a
+# run directory's effective_config, so these bytes must still load to the
+# same run, and today's echo is them with those three edits (`_new_echo`).
 DEFAULT_ECHO = """\
 [geometry]
 lx = 1
@@ -350,27 +350,55 @@ seed = 0
 """
 
 
+def _new_echo(old: str) -> str:
+    """An old echo as this release writes it: without the retired
+    `frozen = off` and `seed = 0` lines, and h0's `zero` as magnetostatic."""
+    lines = [line for line in old.splitlines(keepends=True)
+             if line not in ("frozen = off\n", "seed = 0\n")]
+    return "".join(lines).replace("h0 = zero\n", "h0 = magnetostatic\n")
+
+
 class TestEcho:
     def test_default_echo_is_pinned(self):
-        assert RunConfig().to_text() == DEFAULT_ECHO
+        assert parse_config(DEFAULT_ECHO) == RunConfig()
+        assert RunConfig().to_text() == _new_echo(DEFAULT_ECHO)
 
     def test_readme_echo_is_pinned(self):
-        assert parse_config(README_CONFIG).to_text() == README_ECHO
+        cfg = parse_config(README_CONFIG)
+        assert parse_config(README_ECHO) == cfg
+        assert cfg.to_text() == _new_echo(README_ECHO)
 
     def test_old_effective_config_loads(self):
-        # every key written, the single-valued trace_order and frozen and
-        # the h0 = zero and seed = 0 of older echoes included
+        # every key written, the single-valued trace_order and the retired
+        # frozen = off, h0 = zero and seed = 0 included: it loads to the
+        # same run, whose m0 is the parent's draw, and the new echo of it
+        # round-trips
         cfg = parse_config(OLD_EFFECTIVE_CONFIG)
         assert cfg == RunConfig(
             nx=4, ny=4, nz_minus=2, nz_plus=2, eta=0.25, trace_order=1,
             a_exch=0.01, ks=0.02, j1=0.02, j2=0.01, sigma=1.0,
             k_matrix=(0.05, 0.0, 0.0, 0.0, 0.02, 0.0, 0.0, 0.0, 0.0),
             dt=0.002, integrator="rk4", constraint="penalized", bc_mode="thin_layer",
-            subcycles=2, padding=2, bc="mur1", frozen=False,
-            m0=("random", 11, 1.0), h0=("zero",), e0=("uniform", 0.0, 0.1, 0.0),
+            subcycles=2, padding=2, bc="mur1",
+            m0=("random", 11, 1.0), h0=("magnetostatic",), e0=("uniform", 0.0, 0.1, 0.0),
             f=("pulse", 0.5, 0.0, 0.0, 0.01, 0.005), directory="/tmp/old run",
-            cadence=2, snapshots_on=True, t_end=0.02, seed=0)
-        assert cfg.to_text() == OLD_EFFECTIVE_CONFIG
+            cadence=2, snapshots_on=True, t_end=0.02)
+        setup = build_setup(cfg)
+        assert setup.m0.tobytes() == presets.random_unit_m(setup.geom, 11, 1.0).tobytes()
+        assert cfg.to_text() == _new_echo(OLD_EFFECTIVE_CONFIG)
+        assert parse_config(cfg.to_text()) == cfg
+
+    def test_old_run_seed_is_the_random_preset_seed(self):
+        # a nonzero [run] seed overrode the preset's seed, wherever the
+        # section stands, so an old echo holding one reruns its field
+        old = OLD_EFFECTIVE_CONFIG.replace("seed = 0", "seed = 5")
+        cfg = parse_config(old)
+        assert cfg.m0 == ("random", 5, 1.0)
+        setup = build_setup(cfg)
+        assert setup.m0.tobytes() == presets.random_unit_m(setup.geom, 5, 1.0).tobytes()
+        run_first = "[run]\nseed = 5\n" + OLD_EFFECTIVE_CONFIG.replace("seed = 0\n", "")
+        assert parse_config(run_first).m0 == ("random", 5, 1.0)
+        assert "seed" not in cfg.to_text()
 
 
 class TestBuildSetup:
@@ -382,7 +410,7 @@ class TestBuildSetup:
     def test_seed_override_changes_field(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path / "o"))
         a = build_setup(cfg).m0
-        cfg.seed = 99
+        config_module._override_seed(cfg, 99)
         b = build_setup(cfg).m0
         assert not np.allclose(a, b)
 
@@ -509,7 +537,7 @@ class TestCli:
         outdir = tmp_path / "out"
         cfg_path = tmp_path / "run.cfg"
         text = minimal_config(outdir).replace("padding = 2", "padding = 2\nfrozen = off")
-        assert not parse_config(text).frozen
+        assert parse_config(text) == parse_config(minimal_config(outdir))
         cfg_path.write_text(text.replace("frozen = off", "frozen = on"))
         assert main([command, str(cfg_path)]) == 2
         assert "maxwell.frozen" in capsys.readouterr().err
@@ -542,7 +570,7 @@ class TestCli:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(minimal_config(tmp_path / "out"))
         assert main(["--seed", "-1", "check", str(cfg_path)]) == 2
-        assert "run.seed" in capsys.readouterr().err
+        assert "initial.m: seed must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new, field", [
         ("alpha = 1.0", "alpha = 0", "material.alpha"),
@@ -720,13 +748,13 @@ class TestCli:
         self._run_and_diag(tmp_path, minimal_config(tmp_path / "out"))
 
     def test_diag_rereads_the_default_h0(self, tmp_path):
-        # a config without h0 echoes the default kind, `zero`, into
-        # effective_config, and diag parses that file again: the kind must
-        # stay valid for diag to read such a run
+        # a config without h0 echoes the default kind, `magnetostatic`,
+        # into effective_config, and diag parses that file again: the kind
+        # must stay valid for diag to read such a run
         text = minimal_config(tmp_path / "out").replace("h0 = magnetostatic\n", "")
         assert "h0" not in text
         outdir = self._run_and_diag(tmp_path, text)
-        assert "h0 = zero" in (outdir / "effective_config").read_text().splitlines()
+        assert "h0 = magnetostatic" in (outdir / "effective_config").read_text().splitlines()
 
     @pytest.mark.parametrize("damage", SNAPSHOT_DAMAGE, ids=lambda f: f.__name__[1:])
     def test_diag_bad_snapshot_exit_4(self, tmp_path, capsys, damage):
@@ -1019,15 +1047,14 @@ class TestCli:
         eff = parse_config((outdir / "effective_config").read_text())
         assert eff.cadence == 5
         assert eff.snapshots_on is True
-        assert eff.seed == 42
+        assert eff.m0 == ("random", 42)
         assert any(n.startswith("m_") and n.endswith(".snap")
                    for n in os.listdir(outdir))
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_seed_flag_draws_its_field(self, tmp_path, seed):
         # --seed S gives the field of `m = random S` for every S >= 0, zero
-        # included, and so does its echo, whose [run] seed = 0 means no
-        # override
+        # included, and so does its echo, which records S in the preset
         text = minimal_config(tmp_path / "out")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text)

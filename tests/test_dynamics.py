@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -410,6 +411,24 @@ class TestStep:
         step(state)
         step(fresh)
         assert state.m.tobytes() == fresh.m.tobytes()
+
+    def test_a_replaced_copy_steps_in_buffers_of_its_own(self):
+        # the workspace is no constructor argument, so a dataclasses.replace
+        # copy builds its own: stepping the copy leaves the original's m
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        em = mx.empty_em_state(mx.make_box(geom, padding=2))
+        m0 = random_unit_field(geom, seed=5)
+        mx.init_divfree(m0, (0.0, 0.0, 0.0), em.box, out=em.h)
+        state = SimState(t=0.0, m=m0, em=em, geom=geom,
+                         params=plain_params(a_exch=0.01, sigma=2.0),
+                         scheme=SchemeConfig(dt=1e-3, subcycles=2))
+        step(state)
+        before = state.m.tobytes()
+        copy = dataclasses.replace(state, em=em.copy())
+        step(copy)
+        step(copy)
+        assert state.m.tobytes() == before
+        assert copy.m.tobytes() != before
 
     def test_exchange_stability_bound_enforced(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
@@ -992,3 +1011,42 @@ def test_warm_coupled_step_writes_into_aligned_buffers(bc, body, component, monk
     for views in (mwork.curl_h_views, mwork.curl_e_views, mwork.body_curl_e_views):
         written += [term[i] for term in views for i in (4, 5)]   # o and t
     assert [a.ctypes.data % 64 for a in written] == [0] * len(written)
+
+
+# Symmetries of the square box, as maps of an axial cell field (m and h):
+# the cells move with the map and the components turn with it, reversed by
+# a reflection's determinant.
+def _mirror_x(v):
+    out = v[::-1].copy()   # x -> -x; an axial vector keeps vx, flips vy, vz
+    out[..., 1:] *= -1.0
+    return out
+
+
+def _rotate_z(v):
+    out = np.rot90(v, 1, axes=(0, 1)).copy()   # (x, y) -> (-y, x)
+    out[..., 0], out[..., 1] = -out[..., 1], out[..., 0].copy()
+    return out
+
+
+def _coupled_final_m(geom, m0, bc):
+    """The final m of a tiny coupled run from m0, its initial h the
+    magnetostatic field of m0."""
+    params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.05, 0.0]), ks=0.02,
+                          j1=0.03, j2=0.01, alpha=0.3, sigma=10.0)
+    em = mx.empty_em_state(mx.make_box(geom, padding=2), bc=bc)
+    mx.init_divfree(m0, (0.0, 0.0, 0.0), em.box, out=em.h)
+    scheme = SchemeConfig(dt=0.002, subcycles=4)
+    return run(geom, params, scheme, m0, em, None, t_end=1.0).final_state.m
+
+
+@pytest.mark.parametrize("bc", mx.BOUNDARIES)
+@pytest.mark.parametrize("symmetry", [_mirror_x, _rotate_z], ids=["mirror_x", "rotate_z"])
+def test_coupled_step_commutes_with_the_box_symmetries(bc, symmetry):
+    # the run of the mapped m0 is the map of the run, until long after the
+    # fields have reached the walls (0.5 away at speed 1)
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+    m0 = presets.random_unit_m(geom, 5, 1.0)
+    final = _coupled_final_m(geom, m0, bc)
+    want = symmetry(final)
+    assert np.abs(want - final).max() > 0.1   # the map moves the run's m
+    assert np.abs(_coupled_final_m(geom, symmetry(m0), bc) - want).max() <= 1e-13
