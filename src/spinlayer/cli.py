@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import dynamics, maxwell, snapshots
-from .config import (RunConfig, _override_seed, _parse, _validate, build_model,
+from .config import (RunConfig, _parse, _seed_flag, _validate, build_model,
                      build_setup, parse_config, read_config_text)
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
@@ -100,7 +100,7 @@ def _load_config(path: str, args) -> RunConfig:
     if args.snapshots is not None:
         config.snapshots_on = args.snapshots == "on"
     if args.seed is not None:
-        _override_seed(config, args.seed)
+        _seed_flag(config, args.seed)
     _validate(config)
     return config
 

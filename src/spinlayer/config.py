@@ -439,15 +439,24 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
 
 
 def _override_seed(config: RunConfig, seed: int):
-    """A command-line seed, 0 included, as the random preset's seed; it
-    leaves any other m preset alone."""
+    """A seed, 0 included, as the random preset's seed; it leaves any
+    other m preset alone (as an old echo's retired `[run] seed` is)."""
     if config.m0[0] == "random":
         config.m0 = ("random", seed) + config.m0[2:]
 
 
+def _seed_flag(config: RunConfig, seed: int):
+    """The command line's --seed: `_override_seed`, refused on an m preset
+    other than random, where it would do nothing."""
+    if config.m0[0] != "random":
+        raise ValidationError("--seed", f"only a random m preset takes a seed, "
+                                        f"not {config.m0[0]}")
+    _override_seed(config, seed)
+
+
 def _h_raw(config: RunConfig) -> tuple:
-    """The uniform raw h that `init_divfree` projects: zero for
-    `magnetostatic`, the vector for `uniform`."""
+    """The uniform raw h that `init_divfree` adds to the magnetostatic
+    field: zero for `magnetostatic`, the vector for `uniform`."""
     return config.h0[1:4] if config.h0[0] == "uniform" else (0.0, 0.0, 0.0)
 
 

@@ -29,9 +29,10 @@ ny and nz are even.
 The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
 sign-definite.
-div(h + m_bar), which `init_divfree` projects to zero and the ledger's
-drift measures, is one kernel, `_div_terms`, on views built per call
-(`_div_h_plus_m_bar`) or, for the drift, once per state.
+div(h + m_bar) is one kernel, `_div_terms`, on an h store: the
+projection `init_divfree` forms its rhs div(0 + m_bar) and checks its
+result with it on views built per call (`_div_h_plus_m_bar`), and the
+ledger's drift measures it on views built once per state.
 """
 
 import math
@@ -233,7 +234,7 @@ class _Workspace:
         self.body_faces = tuple(_aligned_empty(f.shape) for f in self.body_curl_faces)
         self.body_cells = _vector_field((box.mx, box.my, box.mz, 3))
         self.mur = _mur_planes(em.e, box) if em.bc == MUR1 else None
-        self.div_views = _div_views(self.h_parts, box, self.scratch[:size], self.tmp)
+        self.div_views = _div_views(em.h, box, self.scratch[:size], self.tmp)
         planes = self.div_views[0].reshape(box.nx, box.ny + 1, box.nz + 1)
         self.div_pads = (planes[:, box.ny, :], planes[:, :, box.nz])
 
@@ -563,29 +564,9 @@ def _next8(n: int) -> int:
     return -(-n // 8) * 8
 
 
-def _divergence(parts, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
-    """Divergence of a face field at the box cell centers, from its three
-    flat store components `parts` (an iterable; each is used before the
-    next is taken), on the cells' x-planes of the store index grid, flat:
-    (D_x f_x)/dx + (D_y f_y)/dy, then + (D_z f_z)/dz.  Each difference is
-    a flat one at the axis's offset, so the entries of each plane's pad
-    rows are not the divergence (`_plane_cells` views the cells).  `out`
-    is a flat scratch of at least two store components: the divergence is
-    formed at its start and each later term from the first multiple of 8
-    entries after it (`_next8`).
-    """
-    n = box.nx * _strides(box)[0]
-    div, t = out[:n], out[_next8(n):][:n]
-    for part, S, h, d in zip(parts, _strides(box), (box.dx, box.dy, box.dz), (div, t, t)):
-        np.subtract(part[S:S + n], part[:n], out=d)
-        d /= h
-        if d is t:
-            div += t
-    return div
-
-
 def _plane_cells(div: np.ndarray, box: BoxGeometry) -> np.ndarray:
-    """The (nx, ny, nz) view of the box cells in a flat `_divergence`."""
+    """The (nx, ny, nz) view of the box cells in a flat divergence
+    (`_div_terms`)."""
     return div.reshape(box.nx, box.ny + 1, box.nz + 1)[:, :box.ny, :box.nz]
 
 
@@ -597,41 +578,43 @@ def _quotient(h: float) -> tuple:
     return (np.multiply, r) if math.frexp(h)[0] == 0.5 and math.isfinite(r) else (np.divide, h)
 
 
-def _div_views(h_parts, box: BoxGeometry, part: np.ndarray, out: np.ndarray) -> tuple:
-    """The operands of `_div_terms`: the divergence at the start of `out`
-    (see `_divergence`) and, per component c of h + m_bar, the ranges of
-    h (three flat store components, or three floats for a uniform h)
-    whose flat difference is the term of every cell, the term's buffer
-    (the divergence for c = 0, else `part`, one store component), the
-    division by h_c (`_quotient`), and the blocks with c first that the
-    body's faces along c reach: h on the face planes o - 1 to o + m + 1
-    along c (the body's along the others), its copy P and the cells of m
-    zero-extended along c (both at the start of `part`), the faces of
-    m_bar and then the differences D of P (at the start of the later
-    buffer of `out`), and the term on the block's cells.  Every block is
-    contiguous: a ufunc over a strided one would use numpy's iterator
-    buffers."""
+def _div_views(h: np.ndarray, box: BoxGeometry, part: np.ndarray, out: np.ndarray) -> tuple:
+    """The operands of `_div_terms` for the h store h.
+
+    The divergence is flat, on the cells' x-planes of the store index
+    grid, at the start of `out` (a flat scratch of at least two store
+    components), and each later term from the first multiple of 8 entries
+    after it (`_next8`).  Each term is a flat difference at the axis's
+    offset, so the entries of each plane's pad rows are not the divergence
+    (`_plane_cells` views the cells).  Per component c of h + m_bar the
+    operands are the ranges of h whose flat difference is the term of
+    every cell, the term's buffer (the divergence for c = 0, else `part`,
+    one store component), the division by h_c (`_quotient`), and the
+    blocks with c first that the body's faces along c reach: h on the face
+    planes o - 1 to o + m + 1 along c (the body's along the others), its
+    copy P and the cells of m zero-extended along c (both at the start of
+    `part`), the faces of m_bar and then the differences D of P (at the
+    start of the later buffer of `out`), and the term on the block's
+    cells.  Every block is contiguous: a ufunc over a strided one would
+    use numpy's iterator buffers."""
     n = box.nx * _strides(box)[0]
     div, later = out[:n], out[_next8(n):][:n]
     body = box.body_slices()
     terms = []
-    for c, (h, S, hc) in enumerate(zip(h_parts, _strides(box), (box.dx, box.dy, box.dz))):
+    for c, (h_c, S, hc) in enumerate(zip(_flat(h), _strides(box), (box.dx, box.dy, box.dz))):
         order = (c,) + tuple(a for a in range(3) if a != c)
         o, m = body[c].start, body[c].stop - body[c].start
         rest = tuple(body[a].stop - body[a].start for a in order[1:])
         P, E = (part[:k * math.prod(rest)].reshape((k,) + rest) for k in (m + 3, m + 2))
         D, face = (later[:k * math.prod(rest)].reshape((k,) + rest) for k in (m + 2, m + 1))
-        if isinstance(h, np.ndarray):
-            faces = body[:c] + (slice(o - 1, o + m + 2),) + body[c + 1:]
-            hi, lo = h[S:S + n], h[:n]
-            h_block = h.reshape(store_shape(box)[1:])[faces].transpose(order)
-        else:
-            hi = lo = h_block = h
+        faces = body[:c] + (slice(o - 1, o + m + 2),) + body[c + 1:]
+        h_block = h[c][faces].transpose(order)
         d = div if c == 0 else part[:n]
         cells = body[:c] + (slice(o - 1, o + m + 1),) + body[c + 1:]
         d_block = d.reshape(box.nx, box.ny + 1, box.nz + 1)[cells].transpose(order)
-        terms.append((hi, lo, d, _quotient(hc), h_block, (P, P[1:-1], P[1:], P[:-1]), D,
-                      d_block, order, (E[1:-1], (E[0], E[-1]), E[1:], E[:-1]), face))
+        terms.append((h_c[S:S + n], h_c[:n], d, _quotient(hc), h_block,
+                      (P, P[1:-1], P[1:], P[:-1]), D, d_block, order,
+                      (E[1:-1], (E[0], E[-1]), E[1:], E[:-1]), face))
     return div, tuple(terms)
 
 
@@ -650,12 +633,12 @@ def _m_bar_face(m_c: np.ndarray, cells: tuple, face: np.ndarray):
 
 def _div_terms(views: tuple, m: np.ndarray) -> np.ndarray:
     """div(h + m_bar) for the body field m on the operands of
-    `_div_views`, as the flat `_divergence`.  Each term is taken straight
-    from h, (h[j + S] - h[j]) / h_c, and on the block of cells m_bar
+    `_div_views`, as a flat divergence.  Each term is taken straight from
+    the h store, (h[j + S] - h[j]) / h_c, and on the block of cells m_bar
     reaches it is replaced by the differences of P = (h + 0.0) + m_bar,
     as h + m_bar was formed when the whole component was copied: on the
     block the bits are those, off it they differ at most in the sign of
-    a zero (not at all for a uniform h)."""
+    a zero."""
     div, terms = views
     for c, (hi, lo, d, (by, hc), h_block, (P, P_body, P_hi, P_lo), D, d_block, order, cells,
             face) in enumerate(terms):
@@ -673,13 +656,13 @@ def _div_terms(views: tuple, m: np.ndarray) -> np.ndarray:
     return div
 
 
-def _div_h_plus_m_bar(h_parts, m: np.ndarray, box: BoxGeometry, part: np.ndarray,
+def _div_h_plus_m_bar(h: np.ndarray, m: np.ndarray, box: BoxGeometry, part: np.ndarray,
                       out: np.ndarray) -> np.ndarray:
-    """div(h + m_bar) for the body field m, h given as three flat store
-    components or three floats (a uniform h), as the flat `_divergence`
-    in `out` (at least two store components), with `part` (one store
-    component) as scratch: `_div_terms` on views built for the call."""
-    return _div_terms(_div_views(h_parts, box, part, out), m)
+    """div(h + m_bar) for the h store h and the body field m, as a flat
+    divergence in `out` (at least two store components), with `part` (one
+    store component) as scratch: `_div_terms` on views built for the
+    call."""
+    return _div_terms(_div_views(h, box, part, out), m)
 
 
 # ---------------------------------------------------------------------------
@@ -733,52 +716,50 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Magnetic excitation with div(h + m_bar) = 0 at every cell center.
 
-    h_raw, a uniform 3-vector, is corrected by a gradient: h = h_raw -
-    grad phi with Lap phi = div(h_raw + m_bar); h_raw = 0 gives the
-    magnetostatic field.  m0 is the body magnetization; m_bar, its zero
-    extension to the box, lives on the body face slabs.  Returns the h
-    store: `out` (its pads zero), written in place, or a fresh one.
+    h = h_raw - grad phi with Lap phi = div m_bar: h_raw, a uniform
+    3-vector, is divergence-free and enters after the solve; h_raw = 0
+    gives the magnetostatic field.  m0 is the body magnetization; m_bar,
+    its zero extension to the box, lives on the body face slabs.  The rhs
+    is `_div_h_plus_m_bar` of the zeroed h store, and -grad phi is checked
+    with the same kernel, max|div(h + m_bar)| <= POISSON_TOL (1 +
+    max|rhs|), before h_raw is added, so that a large h_raw does not
+    swamp the check.  Returns the h store: `out` (its pads zero), written
+    in place, or a fresh one.
 
     Every pass over h runs over whole store components, pads included,
-    which are zeroed at the end.  h is free until the gradient is written
-    into it: its first component is `_div_h_plus_m_bar`'s buffer for the
-    rhs, then it holds the solve's odd extensions.  One flat scratch
-    serves m_bar's faces and the divergence of the rhs, then the spectra
-    and phi, then the residual's divergence, and keeps the rhs (for the
-    residual) in its last part.  Phi lies on the store's index grid
+    which are zeroed at the end.  h is the zeroed store of the rhs, then
+    holds the solve's odd extensions, then -grad phi.  One flat scratch
+    holds the divergence (the rhs, read in place by the solve) at its
+    start and, after it, the divergence's later terms and `part` buffer,
+    then the spectra and phi.  Phi lies on the store's index grid
     (`_plane_cells` of phi[S0:-S0]), so its gradient is flat differences.
     """
     h = _aligned_empty(store_shape(box)) if out is None else out
-    h_raw = tuple(np.asarray(h_raw, dtype=float).reshape(3))
-    # h holds the blocks of h_raw + m_bar for the rhs, then the odd
-    # extensions, then grad phi, then h_raw - grad phi
     shape = (box.nx, box.ny, box.nz)
     n_ext, n_spec = dst.parts(shape)
     S0 = _strides(box)[0]
     n_phi = (box.nx + 2) * S0
-    size = math.prod(shape)
-    scratch = _aligned_empty(max(2 * h[0].size, n_spec + n_phi) + size)
-    rhs = scratch[-size:].reshape(shape)
-    np.copyto(rhs, _plane_cells(_div_h_plus_m_bar(h_raw, m0, box, _flat(h)[0], scratch),
-                                box))
-    phi = scratch[n_spec:n_spec + n_phi]
+    n = _next8(box.nx * S0)
+    scratch = _aligned_empty(n + max(n + h[0].size, n_spec + n_phi))
+    part, after = scratch[2 * n:][:h[0].size], scratch[n:]
+    h.fill(0.0)
+    rhs = _plane_cells(_div_h_plus_m_bar(h, m0, box, part, scratch), box)
+    rhs_max = max(rhs.max(), -rhs.min())
+    phi = after[n_spec:n_spec + n_phi]
     phi.fill(0.0)
-    poisson_solve(rhs, box, (_flat(h).reshape(-1)[:n_ext], scratch),
+    poisson_solve(rhs, box, (_flat(h).reshape(-1)[:n_ext], after),
                   _plane_cells(phi[S0:-S0], box))
-    _gradient(phi, box, h)
+    np.negative(_gradient(phi, box, h), out=h)
 
-    # the solve's residual div(grad phi) - rhs over the whole box, which
-    # is -div(h + m_bar) of the final h up to roundoff
-    resid = _plane_cells(_divergence(_flat(h), box, scratch), box)
-    resid -= rhs
-    resid = np.abs(resid, out=resid).max()
-    rhs_max = np.abs(rhs, out=rhs).max()
-    for a, raw in zip(_flat(h), h_raw):
-        np.subtract(raw, a, out=a)
-    for pad in _face_pads(h, box):
-        pad[...] = 0.0
+    div = _div_h_plus_m_bar(h, m0, box, part, scratch)
+    resid = _plane_cells(np.abs(div, out=div), box).max()
     if not np.isfinite(resid) or resid > POISSON_TOL * (1.0 + rhs_max):
         raise SolverDiverged(f"divergence projection residual {resid:g} above tolerance")
+    # -grad phi + h_raw rounds as h_raw - grad phi
+    for a, raw in zip(_flat(h), np.asarray(h_raw, dtype=float).reshape(3)):
+        a += raw
+    for pad in _face_pads(h, box):
+        pad[...] = 0.0
     return h
 
 
@@ -802,8 +783,8 @@ def record_div0(em: EMState, m: np.ndarray):
 
 
 def _div_planes(em: EMState, m: np.ndarray) -> np.ndarray:
-    """div(h + m_bar) for the body field m as a flat `_divergence` with
-    the entries of the pad rows zero, in the workspace's tmp (valid until
+    """div(h + m_bar) for the body field m as a flat divergence with the
+    entries of the pad rows zero, in the workspace's tmp (valid until
     the workspace is next used): `_div_terms` of the h store on the
     workspace's `div_views`.
     """

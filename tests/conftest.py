@@ -10,7 +10,7 @@ from spinlayer import maxwell as mx
 from spinlayer.diagnostics import _axis_coords, _stationary_value, _torque
 from spinlayer.dynamics import PROJECTED
 from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_layer_field
-from spinlayer.energetics import _vector_field, apply_k
+from spinlayer.energetics import MaterialParams, _vector_field, apply_k
 from spinlayer.summation import dot
 from spinlayer.geometry import GeometryConfig, build_geometry
 
@@ -139,6 +139,14 @@ def gilbert_projection_rhs(m, h_cells, geom, params, scheme):
         m2 = np.maximum(np.sum(m * m, axis=-1), 1e-300)
         v -= (np.sum(v * m, axis=-1) / m2)[..., None] * m
     return v
+
+
+def plain_params(**overrides):
+    """MaterialParams with exchange A = 1, alpha = 1 and no other term,
+    but for the overrides."""
+    kw = dict(a_exch=1.0, k_matrix=None, ks=0.0, j1=0.0, j2=0.0, alpha=1.0)
+    kw.update(overrides)
+    return MaterialParams(**kw)
 
 
 def fd_gradient(energy_fn, m, step=1e-5):
@@ -355,11 +363,11 @@ def box_divergence(h, m, box):
 
 def plain_init_divfree(m0, h_raw, box):
     """The projection on face triples: h = h_raw - grad phi with
-    Lap phi = div(h_raw + m_bar), h_raw a uniform vector, m_bar embedded
+    Lap phi = div(0 + m_bar), h_raw a uniform vector, m_bar embedded
     into the box."""
     raw = tuple(float(v) for v in h_raw)
     mf = padded_cells_to_faces(embed_cell_field(m0, box))
-    rhs = plain_div(*(r + 0.0 + f for r, f in zip(raw, mf)), box)
+    rhs = plain_div(*(0.0 + f for f in mf), box)
     phi = mx.poisson_solve(rhs, box)
     return tuple(r - g for r, g in zip(raw, plain_grad(phi, box)))
 

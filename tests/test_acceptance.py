@@ -27,7 +27,7 @@ from spinlayer.energetics import (MaterialParams, _vector_field, anisotropy_ener
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.presets import random_unit_m
 
-from conftest import box_divergence, sharp_geom, spacer_oracle
+from conftest import box_divergence, fd_gradient, sharp_geom, spacer_oracle
 
 
 def report(num, name, detail):
@@ -108,19 +108,6 @@ def test_criterion_1_gilbert_inversion():
 # 2. Variational consistency
 
 
-def _fd_gradient(energy_fn, m, step_size=1e-5):
-    g = np.zeros_like(m)
-    it = np.nditer(m, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        mp = m.copy()
-        mp[idx] += step_size
-        mn = m.copy()
-        mn[idx] -= step_size
-        g[idx] = (energy_fn(mp) - energy_fn(mn)) / (2.0 * step_size)
-    return g
-
-
 def test_criterion_2_variational_consistency():
     t0 = time.time()
     geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 8, 8, 4, 4, eta=0.25))
@@ -137,7 +124,7 @@ def test_criterion_2_variational_consistency():
                 + penalty_energy(mm, geom, params))
 
     field = assemble_h_tot(m, None, geom, params)
-    ref = -_fd_gradient(thin_energy, m) / geom.cell_volume
+    ref = -fd_gradient(thin_energy, m) / geom.cell_volume
     rel_thin = (np.linalg.norm(field - ref, axis=-1)
                 / (1.0 + np.linalg.norm(ref, axis=-1))).max()
     assert rel_thin < 1e-6
@@ -148,7 +135,7 @@ def test_criterion_2_variational_consistency():
                 + sum(spacer_oracle(mm, geom, params)))
 
     field_s = assemble_h_tot(m, None, sharp_geom(geom), params)
-    ref_s = -_fd_gradient(sharp_energy, m) / geom.cell_volume
+    ref_s = -fd_gradient(sharp_energy, m) / geom.cell_volume
 
     def tangential(v):
         return v - np.sum(v * m, axis=-1, keepdims=True) * m

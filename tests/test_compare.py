@@ -55,3 +55,52 @@ def test_head_against_itself_is_identical_and_a_change_is_named(tmp_path, capsys
         f"coupled/state_final_m.snap: first at array 0, index (1, 2, 3, 0) ({was!r} "
         f"against {2 * was!r}); largest relative difference 0.5",
     ]
+
+
+def _line(correct=True, **values):
+    """A canned result line of `bench/run.py --trace 0`."""
+    return {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+            "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+
+def test_pairs_report_medians_iqrs_wins_and_marks(capsys):
+    # wall_s: head 1.3x slower in the median, beyond its 0.25 bound;
+    # setup_s: one pair tied, head won the other three, ok; steps_per_s
+    # (higher is better): base's IQR exceeds the bound, unresolved
+    base = ((1.0, 0.10, 100.0), (1.1, 0.10, 160.0), (0.9, 0.10, 100.0), (1.0, 0.10, 50.0))
+    head = ((1.3, 0.10, 101.0), (1.4, 0.09, 101.0), (1.2, 0.09, 99.0), (1.3, 0.09, 101.0))
+    lines = [tuple(_line(wall_s=w, setup_s=s, steps_per_s=r) for w, s, r in pair)
+             for pair in zip(base, head)]
+    failures = compare.compare_pairs(lines, "coupled")
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "coupled: setup_s base 0.1 (IQR 0), head 0.09 (IQR 0.0025), head won 3 of 4, ok",
+        "coupled: wall_s base 1 (IQR 0.05), head 1.3 (IQR 0.05), head won 0 of 4, worse",
+        "coupled: steps_per_s base 100 (IQR 27.5), head 101 (IQR 0.5), head won 2 of 4, "
+        "unresolved",
+    ]
+    assert failures == ["coupled: wall_s worse by 30.0%, beyond its bound 25%"]
+
+
+def test_pairs_fail_on_a_run_that_is_not_correct(capsys):
+    lines = [(_line(wall_s=1.0), _line(wall_s=1.0)),
+             (_line(wall_s=1.0), _line(False, wall_s=1.0))]
+    assert compare.compare_pairs(lines, "cli") == [
+        "cli: the head run of pair 2 is not correct"]
+    assert capsys.readouterr().out == (
+        "cli: wall_s base 1 (IQR 0), head 1 (IQR 0), head won 0 of 2, ok\n")
+
+
+def test_pairs_alternate_which_tree_runs_first(monkeypatch):
+    calls = []
+
+    def fake_line(tree, workload, seed, size):
+        calls.append((tree, workload, seed, size))
+        return {"tree": tree}
+
+    monkeypatch.setattr(compare, "bench_line", fake_line)
+    trees = {"base": "B", "head": "H"}
+    lines = compare.run_pairs(trees, "llg_only", 3, "tiny")
+    assert [seed for _, _, seed, _ in calls] == [1, 1, 2, 2, 3, 3]
+    assert [tree for tree, *_ in calls] == ["B", "H", "H", "B", "B", "H"]
+    assert lines == [({"tree": "B"}, {"tree": "H"})] * 3

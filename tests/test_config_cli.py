@@ -572,6 +572,21 @@ class TestCli:
         assert main(["--seed", "-1", "check", str(cfg_path)]) == 2
         assert "initial.m: seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["5", "-1"])
+    @pytest.mark.parametrize("preset", ["uniform 0 0 1", "vortexish"])
+    def test_seed_flag_on_a_preset_without_a_seed_exit_2(self, tmp_path, capsys, seed,
+                                                          preset):
+        # --seed would do nothing there, so it is refused, naming the flag
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "out").replace(
+            "m = random 11", f"m = {preset}"))
+        assert main(["--seed", seed, "check", str(cfg_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: config: --seed: only a random m preset takes a seed, "
+                       f"not {preset.split()[0]}\n")
+        assert main(["check", str(cfg_path)]) == 0
+
     @pytest.mark.parametrize("old, new, field", [
         ("alpha = 1.0", "alpha = 0", "material.alpha"),
         ("dt = 0.002", "dt = -0.002", "scheme.dt"),

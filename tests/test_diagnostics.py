@@ -13,20 +13,14 @@ from spinlayer.diagnostics import (LedgerRow, TestFunction, energy_inequality_re
 from spinlayer.diagnostics import test_function_library as fn_library
 from spinlayer.dynamics import SchemeConfig, _Workspace, run
 from spinlayer.effective_field import assemble_h_tot, thin_layer_field
-from spinlayer.energetics import (EnergyBreakdown, MaterialParams, total_energy,
-                                  uniform_k_matrix)
+from spinlayer.energetics import EnergyBreakdown, total_energy, uniform_k_matrix
 from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.summation import dot
 
 from conftest import (FieldSamples, box_divergence, eval_on_cells, face_stationary_form,
-                      field_stationary_value, layer_geom, random_unit_field,
-                      sharp_geom, stationarity_form, traced_peak, weak_residual_m)
-
-
-def plain_params(**overrides):
-    kw = dict(a_exch=0.0, k_matrix=None, ks=0.0, j1=0.0, j2=0.0, alpha=1.0)
-    kw.update(overrides)
-    return MaterialParams(**kw)
+                      fd_gradient, field_stationary_value, layer_geom, plain_params,
+                      random_unit_field, sharp_geom, stationarity_form, traced_peak,
+                      weak_residual_m)
 
 
 def test_ledger_row_allocates_nothing_box_sized():
@@ -192,7 +186,7 @@ class TestWeakResidual:
 class TestStationarity:
     def test_uniform_axis_state_zero(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 3, 3, 2, 2))
-        params = plain_params()
+        params = plain_params(a_exch=0.0)
         u = np.zeros(geom.field_shape())
         u[..., 2] = 1.0
         H = np.zeros(geom.field_shape())
@@ -201,7 +195,7 @@ class TestStationarity:
 
     def test_uniform_inplane_j1_only_zero(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 3, 3, 2, 2))
-        params = plain_params(j1=0.8)
+        params = plain_params(a_exch=0.0, j1=0.8)
         u = np.zeros(geom.field_shape())
         u[..., 0] = 1.0
         H = np.zeros(geom.field_shape())
@@ -402,3 +396,24 @@ class TestOmegaLimitField:
         H = omega_limit_field(u, box)
         assert np.abs(mx.curl_h(H, box)).max() < 1e-12
         assert np.abs(box_divergence(H, u, box)).max() < 1e-10
+
+    def test_cells_field_is_minus_the_reduced_energy_gradient(self):
+        # criterion 2 for the reduced energy E(m) = (dV/2) sum |H(m)|^2 over
+        # the faces, H = omega_limit_field(m) = -P m_bar with P the
+        # projection onto gradients: dE/dm = -dV omega_limit_field_cells(m)
+        # holds only if the body cells average the faces as the adjoint of
+        # m -> m_bar and the projection is orthogonal.  E is quadratic, so
+        # central differences leave rounding alone.  Unequal spacings and
+        # a body of unequal sides
+        geom = build_geometry(GeometryConfig(0.9, 1.0, 0.6, 0.4, 3, 4, 3, 2))
+        box = mx.make_box(geom, padding=2)
+        m = random_unit_field(geom, seed=5)
+        dV = box.cell_volume
+
+        def reduced_energy(mm):
+            H = omega_limit_field(mm, box)
+            return 0.5 * dV * math.fsum((H * H).ravel())
+
+        want = -dV * omega_limit_field_cells(m, box, geom)
+        err = np.abs(fd_gradient(reduced_energy, m) - want).max()
+        assert err <= 1e-8 * np.abs(want).max(), err

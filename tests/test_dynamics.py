@@ -15,23 +15,18 @@ from spinlayer.dynamics import (BC_MODES, CONSTRAINTS, PENALIZED, PROJECTED,
                                 exchange_dt_bound, llg_rhs, run, step,
                                 validate_stability)
 from spinlayer.effective_field import assemble_h_tot
-from spinlayer.energetics import MaterialParams, _vector_field, total_energy
+from spinlayer.energetics import _vector_field, total_energy
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import DomainGeometry, GeometryConfig, build_geometry
 
 from conftest import (box_divergence, box_midpoint_h_cells, gilbert_projection_rhs,
-                      gilbert_solve, layer_geom, random_unit_field, traced_peak)
-
-
-def plain_params(**overrides):
-    kw = dict(a_exch=0.0, k_matrix=None, ks=0.0, j1=0.0, j2=0.0, alpha=1.0)
-    kw.update(overrides)
-    return MaterialParams(**kw)
+                      gilbert_solve, layer_geom, plain_params, random_unit_field,
+                      traced_peak)
 
 
 def single_spin_setup(alpha=0.2, h=(0.0, 0.0, 1.0), m0=(1.0, 0.0, 0.0)):
     geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 1, 1, 1, 1))
-    params = plain_params(alpha=alpha)
+    params = plain_params(a_exch=0.0, alpha=alpha)
     box = mx.make_box(geom, padding=2)
     em = mx.empty_em_state(box)
     em.hx[...] = h[0]
@@ -111,7 +106,7 @@ class TestLlgRhs:
 
     def test_penalized_keeps_parallel_component(self):
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 2, 2, 1, 1))
-        params = plain_params(alpha=0.5, penalty_k=2.0)
+        params = plain_params(a_exch=0.0, alpha=0.5, penalty_k=2.0)
         scheme = SchemeConfig(dt=1e-4, constraint="penalized")
         rng = np.random.default_rng(3)
         m = 1.3 * random_unit_field(geom, seed=4)
@@ -300,7 +295,7 @@ class TestStep:
         m[3, 3, 3] = bad_value
         scheme = SchemeConfig(dt=1e-3, constraint=constraint)
         state = SimState(t=0.25, m=m, em=None, geom=geom,
-                         params=plain_params(penalty_k=1.0), scheme=scheme, n=250)
+                         params=plain_params(a_exch=0.0, penalty_k=1.0), scheme=scheme, n=250)
         with pytest.raises(NonFinite) as err:
             step(state)
         assert str(err.value) == message
@@ -326,7 +321,7 @@ class TestStep:
         # directions, and the matching word is accepted
         geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2, eta=eta))
         m = random_unit_field(geom, seed=3)
-        params = plain_params(ks=0.1, j1=0.1)
+        params = plain_params(a_exch=0.0, ks=0.1, j1=0.1)
         other = "sharp" if bc_mode == "thin_layer" else "thin_layer"
         scheme = SchemeConfig(dt=1e-3, bc_mode=bc_mode)
         with pytest.raises(ValueError, match=f"bc_mode '{bc_mode}' does not name the "
@@ -503,11 +498,11 @@ class TestRun:
         scheme = SchemeConfig(dt=1e-3)
         message = "initial magnetization is not finite, first at cell (2, 1, 3)"
         with pytest.raises(NonFinite) as err:
-            SimState(t=0.0, m=m, em=None, geom=geom, params=plain_params(),
+            SimState(t=0.0, m=m, em=None, geom=geom, params=plain_params(a_exch=0.0),
                      scheme=scheme)
         assert str(err.value) == message
         with pytest.raises(NonFinite) as err:
-            run(geom, plain_params(), scheme, m, None, None, t_end=1e-3)
+            run(geom, plain_params(a_exch=0.0), scheme, m, None, None, t_end=1e-3)
         assert str(err.value) == message
 
     def test_nonfinite_row_names_its_step_and_first_column(self):
@@ -780,7 +775,7 @@ def test_midpoint_h_matches_box_form():
     rng = np.random.default_rng(40)
     for a in (em.ex, em.ey, em.ez, em.hx, em.hy, em.hz):
         a[...] = rng.standard_normal(a.shape)
-    params = plain_params(mu0=1.7)
+    params = plain_params(a_exch=0.0, mu0=1.7)
     dt = 3e-3
     m_dot = rng.standard_normal(geom.field_shape())
     want = box_midpoint_h_cells(em, m_dot, dt, params.mu0)
@@ -1050,3 +1045,75 @@ def test_coupled_step_commutes_with_the_box_symmetries(bc, symmetry):
     want = symmetry(final)
     assert np.abs(want - final).max() > 0.1   # the map moves the run's m
     assert np.abs(_coupled_final_m(geom, symmetry(m0), bc) - want).max() <= 1e-13
+
+
+# linear spin waves of the bilayer (Probe K): about m = e_z, with
+# K = diag(k, k, 0), the sharp layer and h = h e_z, h_tot(e_z) = h e_z and
+# psi = m_x + i m_y obeys psi_t = (i - alpha)(L + h) psi.  L is built by
+# hand from the energies, not from the code's fields
+WAVE_GEOM = GeometryConfig(1.0, 0.6, 0.5, 0.5, 4, 3, 4, 4)     # dx 0.25, dy 0.2, dz 0.125
+WAVE = dict(a_exch=0.05, ks=0.5, j1=0.5, j2=0.25)
+WAVE_K, WAVE_ALPHA, WAVE_EPS, WAVE_T = 2.0, 0.2, 1e-4, 0.8
+
+
+def spin_wave_operator(geom, kx, ky, a_exch, ks, j1, j2, k=WAVE_K):
+    """L on the z-columns of the lateral DCT-II mode (kx, ky): exchange
+    per mode A (2 - 2 cos(pi kx / nx)) / dx^2, the same in y, and k on
+    the diagonal; the Neumann second difference A / dz^2 inside each slab,
+    with no bond across the spacer; Ks / dz on the two cells next to the
+    spacer and a (J1 + 2 J2) / dz bond between them (J2's sin^2 of the
+    angle is quadratic in the deviation)."""
+    nz, s = geom.nz_total, geom.spacer_index
+    bond = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    lateral = (a_exch * (2.0 - 2.0 * math.cos(math.pi * kx / geom.nx)) / geom.dx**2
+               + a_exch * (2.0 - 2.0 * math.cos(math.pi * ky / geom.ny)) / geom.dy**2 + k)
+    L = np.diag(np.full(nz, lateral))
+    for lo, hi in ((0, s), (s, nz)):
+        for i in range(lo, hi - 1):
+            L[i:i + 2, i:i + 2] += a_exch / geom.dz**2 * bond
+    L[s - 1, s - 1] += ks / geom.dz
+    L[s, s] += ks / geom.dz
+    L[s - 1:s + 1, s - 1:s + 1] += (j1 + 2.0 * j2) / geom.dz * bond
+    return L
+
+
+def spin_wave_amplitude(kx, ky, z_mode, dt, h):
+    """(amplitude a of the mode at WAVE_T, its rate lambda + h, the
+    largest deviation of psi from a times the mode), stepping
+    m0 = normalize(e_z + WAVE_EPS * mode e_x) in h e_z by Heun, projected."""
+    geom = build_geometry(WAVE_GEOM)
+    lam, vectors = np.linalg.eigh(spin_wave_operator(geom, kx, ky, **WAVE))
+    mode = (np.cos(math.pi * kx * (np.arange(geom.nx) + 0.5) / geom.nx)[:, None, None]
+            * np.cos(math.pi * ky * (np.arange(geom.ny) + 0.5) / geom.ny)[None, :, None]
+            * vectors[:, z_mode])
+    m0 = np.zeros(geom.field_shape())
+    m0[..., 0] = WAVE_EPS * mode
+    m0[..., 2] = 1.0
+    m0 /= np.linalg.norm(m0, axis=-1, keepdims=True)
+    h_fixed = np.zeros(geom.field_shape())
+    h_fixed[..., 2] = h
+    params = plain_params(k_matrix=np.diag([WAVE_K, WAVE_K, 0.0]), alpha=WAVE_ALPHA, **WAVE)
+    m = run(geom, params, SchemeConfig(dt=dt), m0, None, None, WAVE_T,
+            h_fixed=h_fixed).final_state.m
+    psi = m[..., 0] + 1j * m[..., 1]
+    a = np.sum(psi * mode) / np.sum(mode * mode)
+    return a, lam[z_mode] + h, np.abs(psi - a * mode).max()
+
+
+@pytest.mark.parametrize("kx, ky, z_mode, h", [
+    (1, 1, 0, 0.0),     # a lateral mode, lowest in z
+    (0, 0, 1, 0.0),     # the spacer-split partner of the uniform mode
+    (1, 1, 0, 1.5),     # h e_z shifts every rate by h
+], ids=["lateral", "spacer_split", "h_fixed"])
+def test_linear_spin_wave_turns_and_decays_at_its_eigenvalue(kx, ky, z_mode, h):
+    # amplitude exp(-alpha lambda t) and phase lambda t of eps exp((i -
+    # alpha) lambda t), to the Heun error, which falls at order 2 (the
+    # O(eps^2) nonlinearity is far below it)
+    errors = []
+    for dt in (0.004, 0.002):
+        a, rate, off_mode = spin_wave_amplitude(kx, ky, z_mode, dt, h)
+        assert abs(abs(a) / WAVE_EPS - math.exp(-WAVE_ALPHA * rate * WAVE_T)) < 1e-3
+        assert abs(np.angle(a * np.exp(-1j * rate * WAVE_T))) < 1e-3
+        assert off_mode < 1e-9 * WAVE_EPS
+        errors.append(abs(a / WAVE_EPS - np.exp((1j - WAVE_ALPHA) * rate * WAVE_T)))
+    assert math.log2(errors[0] / errors[1]) >= 1.9, errors

@@ -14,14 +14,8 @@ from spinlayer.energetics import (MaterialParams, _vector_field, anisotropy_ener
                                   total_energy, uniform_k_matrix)
 from spinlayer.geometry import GeometryConfig, build_geometry
 
-from conftest import (face_laplacian, fd_gradient, random_unit_field, sharp_geom,
-                      spacer_oracle)
-
-
-def plain_params(**overrides):
-    kw = dict(a_exch=1.0, k_matrix=None, ks=0.0, j1=0.0, j2=0.0, alpha=1.0)
-    kw.update(overrides)
-    return MaterialParams(**kw)
+from conftest import (face_laplacian, fd_gradient, plain_params, random_unit_field,
+                      sharp_geom, spacer_oracle)
 
 
 IRREGULAR_GRIDS = [

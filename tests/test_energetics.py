@@ -16,13 +16,7 @@ from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer import maxwell as mx
 from spinlayer.summation import dot
 
-from conftest import random_unit_field, sharp_geom, spacer_oracle
-
-
-def plain_params(geom=None, **overrides):
-    kw = dict(a_exch=1.0, k_matrix=None, ks=0.0, j1=0.0, j2=0.0, alpha=1.0)
-    kw.update(overrides)
-    return MaterialParams(**kw)
+from conftest import plain_params, random_unit_field, sharp_geom, spacer_oracle
 
 
 class TestMaterialParams:

@@ -167,6 +167,18 @@ class TestInitDivfree:
         for a, b, v in zip(mx.face_views(h, box), mx.face_views(want, box), (0.1, -0.2, 0.3)):
             assert np.abs(a - (b + v)).max() < 1e-12
 
+    @pytest.mark.parametrize("raw", [(0.1, -0.2, 0.3), (1e12, -1e12, 5e11)])
+    def test_uniform_is_added_after_the_magnetostatic_solve(self, small_geom, raw):
+        # h_raw is divergence-free, so it stays out of the rhs: the
+        # projection of m with raw is that of m alone plus raw on every
+        # face, bit for bit, with zero pads, however large raw is
+        box = mx.make_box(small_geom, padding=3)
+        m = random_unit_field(small_geom, seed=6)
+        want = mx.init_divfree(m, (0.0, 0.0, 0.0), box)
+        for f, v in zip(mx.face_views(want, box), raw):
+            f += v
+        assert_same_bits(mx.init_divfree(m, raw, box), want)
+
     @pytest.mark.parametrize("geom, padding", [
         (GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8), 8),               # coupled
         (GeometryConfig(1.0, 1.0, 0.5, 0.5, 16, 16, 8, 8, eta=0.125), 8),    # cli
@@ -324,7 +336,7 @@ class TestPoisson:
         assert_same_bits(h, face_store(plain_init_divfree(m, (0.1, -0.2, 0.3), box), box))
         n_ext, n_spec = dst.parts(rhs.shape)
         work, out = np.empty(n_ext + n_spec), np.empty(rhs.shape)
-        div = mx._div_h_plus_m_bar((0.0,) * 3, m, box, np.empty(h[0].size), work)
+        div = mx._div_h_plus_m_bar(np.zeros_like(h), m, box, np.empty(h[0].size), work)
         rhs = mx._plane_cells(div, box).copy()
         assert dst.reached_lines(rhs, work) == ((7, 25), (7, 25))
         _, peak = traced_peak(mx.poisson_solve, rhs, box,

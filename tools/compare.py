@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Compare the outputs of two source trees bit for bit.
+"""Compare the outputs of two source trees bit for bit, and their speed.
 
     python3 tools/compare.py --base REV [--head REV] [--size full|tiny]
-                             [--workdir DIR]
+                             [--pairs K] [--workdir DIR]
 
 Exports REV with `git archive` as the tree `base`, and `--head REV` (by
 default the working tree's tracked and unignored files) as the tree
@@ -16,14 +16,27 @@ prints the file, the first differing row and column (or array index) and
 the largest relative difference.  The lines in which the two
 effective_config files differ are printed apart and are no failure.
 
-Exit status: 0 identical, 1 some compared file differs, 2 a command
-failed.  The work directory is a fresh temporary one, removed at the end,
-unless --workdir names one (which must not exist yet and is kept).
+With --pairs K, each workload then runs K untraced pairs of
+`python3 <tree>/bench/run.py --workload W --seed i --trace 0 --size S`
+(i = 1..K), one run in each tree, base first in odd pairs and head first
+in even ones.  For each end-to-end metric of
+BENCHMARK.json the tool prints both trees' medians and IQRs and the pairs
+head won by the metric's `better` (a tie counts for neither).  A metric
+is `worse` when head's median is worse than base's by more than the
+metric's relative `bound`, and `unresolved` when a tree's IQR exceeds the
+bound times its median.
+
+Exit status: 0 identical (and, with --pairs, no metric worse and every
+run correct), 1 some compared file differs, a metric is worse or a run
+is not correct, 2 a command failed.  The work directory is a fresh
+temporary one, removed at the end, unless --workdir names one (which
+must not exist yet and is kept).
 """
 
 import argparse
 import difflib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -44,6 +57,7 @@ from spinlayer import snapshots  # noqa: E402
 WORKLOADS = ("coupled", "llg_only", "cli")
 SEED, STEPS = 7, 40
 COMPARED = ("energy.csv", "diag_report.csv", "stationarity.csv")
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 class CommandFailed(Exception):
@@ -162,15 +176,78 @@ def compare_outputs(out_a: Path, out_b: Path, label: str) -> list:
     return found
 
 
+def bench_line(tree: Path, workload: str, seed: int, size: str) -> dict:
+    """The result line (the last line of stdout, JSON) of one untraced
+    benchmark run of workload with the sources of tree."""
+    argv = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--trace", "0", "--size", size]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    try:
+        return json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        raise CommandFailed(f"{tree.name} {workload} seed {seed}: bench/run.py exit "
+                            f"{proc.returncode} without a result line: "
+                            f"{proc.stderr.strip()}") from None
+
+
+def run_pairs(trees: dict, workload: str, pairs: int, size: str) -> list:
+    """(base, head) result lines of `pairs` pairs of runs, seeds 1 to
+    pairs, base first in odd pairs and head first in even ones."""
+    lines = []
+    for i in range(1, pairs + 1):
+        order = ("base", "head") if i % 2 else ("head", "base")
+        line = {side: bench_line(trees[side], workload, i, size) for side in order}
+        lines.append((line["base"], line["head"]))
+    return lines
+
+
+def _quartiles(values: list) -> tuple:
+    """(median, interquartile range)."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), float(q3 - q1)
+
+
+def compare_pairs(lines: list, label: str) -> list:
+    """Print, per end-to-end metric that every run reports, both trees'
+    medians and IQRs, the pairs head won and the mark (ok, worse or
+    unresolved), and return the failures: each run that is not correct
+    and each worse metric."""
+    failures = [f"{label}: the {side} run of pair {i} is not correct"
+                for i, pair in enumerate(lines, 1)
+                for side, line in zip(("base", "head"), pair) if not line.get("correct")]
+    for metric in END_TO_END:
+        name, bound = metric["name"], metric["bound"]
+        if not all(name in line.get("metrics", {}) for pair in lines for line in pair):
+            continue
+        base, head = ([pair[k]["metrics"][name]["value"] for pair in lines] for k in (0, 1))
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        won = sum(sign * (h - b) < 0 for b, h in zip(base, head))
+        (mb, qb), (mh, qh) = _quartiles(base), _quartiles(head)
+        change = sign * (mh - mb) / abs(mb) if mb else 0.0
+        mark = ("worse" if change > bound else
+                "unresolved" if qb > bound * abs(mb) or qh > bound * abs(mh) else "ok")
+        print(f"{label}: {name} base {mb:.6g} (IQR {qb:.3g}), head {mh:.6g} (IQR {qh:.3g}), "
+              f"head won {won} of {len(lines)}, {mark}")
+        if mark == "worse":
+            failures.append(f"{label}: {name} worse by {change:.1%}, beyond its bound "
+                            f"{bound:.0%}")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the commit to compare against")
     parser.add_argument("--head", default=None,
                         help="the commit to compare (default: the working tree)")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--pairs", type=int, default=0,
+                        help="untraced benchmark pairs per workload (default none)")
     parser.add_argument("--workdir", default=None,
                         help="keep the trees and runs here (must not exist)")
     args = parser.parse_args(argv)
+    if args.pairs < 0:
+        parser.error("--pairs must be nonnegative")
 
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="spinlayer-compare-"))
     try:
@@ -183,11 +260,14 @@ def main(argv=None) -> int:
             export_working_tree(trees["head"])
         else:
             export_rev(args.head, trees["head"])
-        found = []
+        found, failures = [], []
         for workload in WORKLOADS:
             outs = [run_workload(tree, workdir / f"{side}-runs" / workload, workload,
                                  args.size) for side, tree in trees.items()]
             found += compare_outputs(*outs, workload)
+        for workload in WORKLOADS if args.pairs > 0 else ():
+            failures += compare_pairs(run_pairs(trees, workload, args.pairs, args.size),
+                                      workload)
     except (CommandFailed, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -196,11 +276,17 @@ def main(argv=None) -> int:
             shutil.rmtree(workdir, ignore_errors=True)
     for line in found:
         print(f"DIFFERS {line}")
+    for line in failures:
+        print(f"PERF {line}")
     head = "the working tree" if args.head is None else args.head
     print(f"{args.base} against {head}, {args.size} inputs: "
           + (f"{len(found)} compared file(s) differ" if found else
              "every compared file is identical"))
-    return 1 if found else 0
+    if args.pairs > 0:
+        print(f"{args.pairs} benchmark pair(s) per workload: "
+              + (f"{len(failures)} failure(s)" if failures else
+                 "no metric worse and every run correct"))
+    return 1 if found or failures else 0
 
 
 if __name__ == "__main__":
