@@ -8,7 +8,8 @@ Subcommands:
                     and ledger rows run takes, none written), and echo
                     the effective form
     diag <dir>      recompute the final diagnostics row from the stored
-                    snapshots of a finished run
+                    snapshots of a finished run; it rereads the run's
+                    effective_config and takes none of the run flags
 
 `run` and `check` form every ledger row through `dynamics.run`, which
 rejects a row with a value that is not finite (exit 3, naming the step,
@@ -35,7 +36,8 @@ from .config import (RunConfig, _parse, _seed_flag, _validate, build_model,
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
 from .energetics import EnergyBreakdown, _dot, _norm_views, _vector_field
-from .errors import ConfigError, NonFinite, SimulationError, check_finite, first_bad_cell
+from .errors import (ConfigError, NonFinite, SimulationError, ValidationError, check_finite,
+                     first_bad_cell)
 
 DIAG_COLUMNS = ("t",) + EnergyBreakdown.COLUMNS + ("saturation_dev", "divergence_drift")
 
@@ -225,6 +227,11 @@ def recompute_final_row(outdir: str):
 
 
 def _cmd_diag(args) -> int:
+    for flag in ("log_every", "snapshots", "seed"):
+        if getattr(args, flag) is not None:
+            raise ValidationError("--" + flag.replace("_", "-"),
+                                  "diag rereads the run's effective_config and takes "
+                                  "no run flag")
     row, stationarity = recompute_final_row(args.directory)
     text = ",".join(DIAG_COLUMNS) + "\n" + _fmt_row(row.values()) + "\n"
     stat_text = "test_fn,residual\n" + "".join(

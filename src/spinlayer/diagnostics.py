@@ -220,4 +220,4 @@ def omega_limit_field_cells(u: np.ndarray, box: maxwell.BoxGeometry,
     """omega_limit_field, solved into the h store `out` if given, averaged
     to the body cells (from the body face slabs only), for the
     stationarity form; geom is not read."""
-    return maxwell._body_cells(omega_limit_field(u, box, out), box)
+    return maxwell.faces_to_cells(*maxwell._body_faces(omega_limit_field(u, box, out), box))

@@ -18,21 +18,23 @@ so both curls are one kernel of contiguous passes over whole store
 components.  The kernel is split in two: `_curl_views` slices the
 operands of each component and `_apply_curl` runs the passes of one, so
 the coupled step, whose Maxwell half is `stage_h_cells`,
-`_midpoint_h_cells` and `advance`, applies view sets built once.  The
-step forms one curl component at a time in a scratch of one store
-component and applies it to its field component before forming the
-next.  The scratch is offset so that the range each component writes
-starts on a 64-byte boundary: the components of a store cannot all start
-on one, since a store component has an odd number of entries when nx,
-ny and nz are even.
+`_midpoint_h_cells` and `advance`, applies view sets built once.  Every
+curl forms one component at a time in a scratch of one store component:
+the step applies it to its field component before forming the next, and
+the standalone curls (`_curl`) copy it into their output store.  The
+scratch is offset so that the range each component writes starts on a
+64-byte boundary: the components of a store cannot all start on one,
+since a store component has an odd number of entries when nx, ny and nz
+are even.
 
 The conduction term sigma (e + f) 1_Omega is integrated semi-implicitly,
 which is unconditionally stable in sigma and keeps the Ohmic dissipation
 sign-definite.
-div(h + m_bar) is one kernel, `_div_terms`, on an h store: the
-projection `init_divfree` forms its rhs div(0 + m_bar) and checks its
-result with it on views built per call (`_div_h_plus_m_bar`), and the
-ledger's drift measures it on views built once per state.
+div(h + m_bar) is one kernel, `_div_terms`, on the operands
+`_div_views` slices from an h store: the projection `init_divfree`
+builds them once per call, forms its rhs div(0 + m_bar) with the kernel
+and checks its result with it, and the ledger's drift measures it on
+operands built once per state.
 """
 
 import math
@@ -380,7 +382,7 @@ def _face_pads(store: np.ndarray, box: BoxGeometry) -> tuple:
     return tuple(_off_axis(store, axis, n[axis]) for axis in range(3))
 
 
-def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
+def _curl_views(src: np.ndarray, box: BoxGeometry, scratch: np.ndarray, tmp: np.ndarray,
                 forward: bool, window: Optional[tuple] = None) -> tuple:
     """The operands of one curl of the store src, per component, for
     `_apply_curl`: for each component c, with (a, b) the next two axes in
@@ -390,11 +392,11 @@ def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
 
     which is (scale/h_a) D_a src[b] - (scale/h_b) D_b src[a] up to
     roundoff; D is the forward (edges -> faces) or backward (faces ->
-    edges) difference, a flat difference at the axis's offset.  `out` is
-    the (3, N) flat store written into, or a flat scratch of N + 7 entries
-    that holds one component at a time, from the offset (-lo) mod 8: the
-    range [lo, hi) a component writes then starts on a 64-byte boundary
-    when the scratch does.  Per component the operands are (p1, p0, q1,
+    edges) difference, a flat difference at the axis's offset.  Each
+    component is written into the flat `scratch` of N + 7 entries, which
+    holds one component at a time, from the offset (-lo) mod 8: the range
+    [lo, hi) a component writes then starts on a 64-byte boundary when the
+    scratch does.  Per component the operands are (p1, p0, q1,
     q0, o, t, r, h_b, zeros, dest): the minuend and subtrahend of each
     difference, the output range, the scratch `tmp` (a flat float array
     of at least one store component) cut to it, the two spacing factors,
@@ -410,8 +412,6 @@ def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
     spacing = (box.dx, box.dy, box.dz)
     strides = _strides(box)
     size = src[0].size
-    if tmp is None:
-        tmp = _aligned_empty(size)
     s_flat = _flat(src)
     terms = []
     for c in range(3):
@@ -421,7 +421,7 @@ def _curl_views(src: np.ndarray, box: BoxGeometry, out: np.ndarray, tmp,
         lo, hi = (0, size - reach) if forward else (reach, size)
         if window is not None:
             lo, hi = max(lo, window[c].start), min(hi, window[c].stop)
-        dest = out[c] if out.ndim == 2 else out[-lo % 8:][:size]
+        dest = scratch[-lo % 8:][:size]
         grid = dest.reshape(store_shape(box)[1:])
         if window is not None:
             zeros = ()
@@ -459,33 +459,40 @@ def _apply_curl(term: tuple, scale: float) -> np.ndarray:
     return dest
 
 
-def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
-           tmp=None) -> np.ndarray:
-    """scale * curl of an e store, on faces, as an h store.
-
-    `out` (a store) and `tmp` (a flat float array of at least one store
-    component) make the call allocation-free.
-    """
+def _curl(src: np.ndarray, box: BoxGeometry, scale: float, out, tmp,
+          forward: bool) -> np.ndarray:
+    """scale * the forward or backward curl of the store src, as a store
+    (`out`, or a fresh one): each component is formed in a scratch of one
+    store component, as the coupled step forms it, and copied into out."""
     if out is None:
         out = _aligned_empty(store_shape(box))
-    for term in _curl_views(e, box, _flat(out), tmp, True):
-        _apply_curl(term, scale)
+    size = src[0].size
+    scratch = _aligned_empty(size + 7)
+    tmp = _aligned_empty(size) if tmp is None else tmp
+    for term, o in zip(_curl_views(src, box, scratch, tmp, forward), _flat(out)):
+        np.copyto(o, _apply_curl(term, scale))
     return out
+
+
+def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
+           tmp=None) -> np.ndarray:
+    """scale * curl of an e store, on faces, as an h store (`_curl`).
+
+    `out` (a store) and `tmp` (a flat float array of at least one store
+    component) are used when given.
+    """
+    return _curl(e, box, scale, out, tmp, True)
 
 
 def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
            tmp=None) -> np.ndarray:
     """scale * curl of an h store, on the interior edges, as an e store;
-    the boundary edges are zero.
+    the boundary edges are zero (`_curl`).
 
     `out` (a store) and `tmp` (a flat float array of at least one store
-    component) make the call allocation-free.
+    component) are used when given.
     """
-    if out is None:
-        out = _aligned_empty(store_shape(box))
-    for term in _curl_views(h, box, _flat(out), tmp, False):
-        _apply_curl(term, scale)
-    return out
+    return _curl(h, box, scale, out, tmp, False)
 
 
 def _gradient(phi: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
@@ -496,13 +503,15 @@ def _gradient(phi: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:
     x-plane, holding the cells and zero pads (`_plane_cells` of
     phi[S0:-S0]), so each face difference, the outermost ones against a
     zero ghost included, is a flat difference at the axis's offset, and
-    every pad of `out` gets (0 - 0)/h = +0.0.
+    every pad of `out` gets (0 - 0)/h = +0.0.  Each quotient divides by h
+    as `_quotient` does.
     """
     s0 = _strides(box)[0]
     size = out[0].size
     for g, s, h in zip(_flat(out), _strides(box), (box.dx, box.dy, box.dz)):
         np.subtract(phi[s0:], phi[s0 - s:s0 - s + size], out=g)
-        g /= h
+        by, q = _quotient(h)
+        by(g, q, out=g)
     return out
 
 
@@ -547,15 +556,10 @@ def faces_to_cells(fx, fy, fz, out=None) -> np.ndarray:
     return out
 
 
-def _body_cells(h: np.ndarray, box: BoxGeometry) -> np.ndarray:
-    """An h store averaged to the body cell centers, from the body face
-    slabs only."""
-    return faces_to_cells(*_body_faces(h, box))
-
-
 def interp_h_to_cells(em: EMState) -> np.ndarray:
-    """Magnetic excitation averaged to body cell centers (`_body_cells`)."""
-    return _body_cells(em.h, em.box)
+    """Magnetic excitation averaged to body cell centers, from the body
+    face slabs only."""
+    return faces_to_cells(*_body_faces(em.h, em.box))
 
 
 def _next8(n: int) -> int:
@@ -656,15 +660,6 @@ def _div_terms(views: tuple, m: np.ndarray) -> np.ndarray:
     return div
 
 
-def _div_h_plus_m_bar(h: np.ndarray, m: np.ndarray, box: BoxGeometry, part: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-    """div(h + m_bar) for the h store h and the body field m, as a flat
-    divergence in `out` (at least two store components), with `part` (one
-    store component) as scratch: `_div_terms` on views built for the
-    call."""
-    return _div_terms(_div_views(h, box, part, out), m)
-
-
 # ---------------------------------------------------------------------------
 # Poisson projection
 
@@ -719,9 +714,10 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     h = h_raw - grad phi with Lap phi = div m_bar: h_raw, a uniform
     3-vector, is divergence-free and enters after the solve; h_raw = 0
     gives the magnetostatic field.  m0 is the body magnetization; m_bar,
-    its zero extension to the box, lives on the body face slabs.  The rhs
-    is `_div_h_plus_m_bar` of the zeroed h store, and -grad phi is checked
-    with the same kernel, max|div(h + m_bar)| <= POISSON_TOL (1 +
+    its zero extension to the box, lives on the body face slabs.  The
+    operands of `_div_terms` on the h store are built once
+    (`_div_views`): the rhs is the kernel on the zeroed store, and -grad
+    phi is checked with it, max|div(h + m_bar)| <= POISSON_TOL (1 +
     max|rhs|), before h_raw is added, so that a large h_raw does not
     swamp the check.  Returns the h store: `out` (its pads zero), written
     in place, or a fresh one.
@@ -742,8 +738,9 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
     n = _next8(box.nx * S0)
     scratch = _aligned_empty(n + max(n + h[0].size, n_spec + n_phi))
     part, after = scratch[2 * n:][:h[0].size], scratch[n:]
+    views = _div_views(h, box, part, scratch)
     h.fill(0.0)
-    rhs = _plane_cells(_div_h_plus_m_bar(h, m0, box, part, scratch), box)
+    rhs = _plane_cells(_div_terms(views, m0), box)
     rhs_max = max(rhs.max(), -rhs.min())
     phi = after[n_spec:n_spec + n_phi]
     phi.fill(0.0)
@@ -751,7 +748,7 @@ def init_divfree(m0: np.ndarray, h_raw, box: BoxGeometry,
                   _plane_cells(phi[S0:-S0], box))
     np.negative(_gradient(phi, box, h), out=h)
 
-    div = _div_h_plus_m_bar(h, m0, box, part, scratch)
+    div = _div_terms(views, m0)
     resid = _plane_cells(np.abs(div, out=div), box).max()
     if not np.isfinite(resid) or resid > POISSON_TOL * (1.0 + rhs_max):
         raise SolverDiverged(f"divergence projection residual {resid:g} above tolerance")

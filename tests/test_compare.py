@@ -104,3 +104,27 @@ def test_pairs_alternate_which_tree_runs_first(monkeypatch):
     assert [seed for _, _, seed, _ in calls] == [1, 1, 2, 2, 3, 3]
     assert [tree for tree, *_ in calls] == ["B", "H", "H", "B", "B", "H"]
     assert lines == [({"tree": "B"}, {"tree": "H"})] * 3
+
+
+def test_pairs_mark_a_gain_by_the_claim_rule(capsys):
+    # ten pairs.  wall_s: head wins nine and loses one, and its median
+    # beats base's by more than base's IQR, a gain; setup_s: the same
+    # margin but head wins only eight, a near miss; steps_per_s (higher is
+    # better): head wins eight and ties two, which count for neither;
+    # step_ms_p50: head wins all ten by less than base's IQR
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+    wall = [b - 0.05 for b in base[:9]] + [1.02]
+    setup = [b - 0.05 for b in base[:8]] + [1.02, 1.03]
+    rate = [b + 0.05 for b in base[:8]] + base[8:]
+    p50 = [b - 0.001 for b in base]
+    lines = [(_line(wall_s=b, setup_s=b, steps_per_s=b, step_ms_p50=b),
+              _line(wall_s=w, setup_s=s, steps_per_s=r, step_ms_p50=p))
+             for b, w, s, r, p in zip(base, wall, setup, rate, p50)]
+    assert compare.compare_pairs(lines, "coupled") == []
+    marks = {line.split()[1]: line.rpartition(", ")[2]
+             for line in capsys.readouterr().out.splitlines()}
+    assert marks == {"setup_s": "ok", "wall_s": "gain", "steps_per_s": "ok",
+                     "step_ms_p50": "ok"}
+    # nine of the pairs alone are too few to claim the same gain
+    compare.compare_pairs(lines[:9], "coupled")
+    assert "gain" not in capsys.readouterr().out

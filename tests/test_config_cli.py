@@ -587,6 +587,23 @@ class TestCli:
                        f"not {preset.split()[0]}\n")
         assert main(["check", str(cfg_path)]) == 0
 
+    @pytest.mark.parametrize("flag, value", [("--log-every", "5"), ("--log-every", "-1"),
+                                             ("--snapshots", "on"), ("--seed", "3")])
+    def test_run_flag_given_to_diag_exit_2(self, tmp_path, capsys, flag, value):
+        # diag rereads the run's effective_config, where a run flag would
+        # do nothing, so it is refused, naming the flag, and nothing is
+        # written
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main([flag, value, "diag", str(outdir)]) == 2
+        assert capsys.readouterr() == ("", f"error: config: {flag}: diag rereads the run's "
+                                           f"effective_config and takes no run flag\n")
+        assert not (outdir / "diag_report.csv").exists()
+        assert main(["diag", str(outdir)]) == 0
+
     @pytest.mark.parametrize("old, new, field", [
         ("alpha = 1.0", "alpha = 0", "material.alpha"),
         ("dt = 0.002", "dt = -0.002", "scheme.dt"),

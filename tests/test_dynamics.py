@@ -1048,7 +1048,7 @@ def test_coupled_step_commutes_with_the_box_symmetries(bc, symmetry):
 
 
 # linear spin waves of the bilayer (Probe K): about m = e_z, with
-# K = diag(k, k, 0), the sharp layer and h = h e_z, h_tot(e_z) = h e_z and
+# K = diag(k, k, 0), the spacer layer and h = h e_z, h_tot(e_z) = h e_z and
 # psi = m_x + i m_y obeys psi_t = (i - alpha)(L + h) psi.  L is built by
 # hand from the energies, not from the code's fields
 WAVE_GEOM = GeometryConfig(1.0, 0.6, 0.5, 0.5, 4, 3, 4, 4)     # dx 0.25, dy 0.2, dz 0.125
@@ -1056,14 +1056,18 @@ WAVE = dict(a_exch=0.05, ks=0.5, j1=0.5, j2=0.25)
 WAVE_K, WAVE_ALPHA, WAVE_EPS, WAVE_T = 2.0, 0.2, 1e-4, 0.8
 
 
-def spin_wave_operator(geom, kx, ky, a_exch, ks, j1, j2, k=WAVE_K):
+def spin_wave_operator(geom, kx, ky, a_exch, ks, j1, j2, k=WAVE_K, layer_cells=1):
     """L on the z-columns of the lateral DCT-II mode (kx, ky): exchange
     per mode A (2 - 2 cos(pi kx / nx)) / dx^2, the same in y, and k on
     the diagonal; the Neumann second difference A / dz^2 inside each slab,
-    with no bond across the spacer; Ks / dz on the two cells next to the
-    spacer and a (J1 + 2 J2) / dz bond between them (J2's sin^2 of the
-    angle is quadratic in the deviation)."""
+    with no bond across the spacer.  The surface energies act on the
+    `layer_cells` cells on each side of the spacer (eta = layer_cells dz;
+    the sharp layer is one cell) at weight dV / (2 eta) per cell, each
+    cell paired with its mirror across the spacer: Ks / eta on each of
+    them and a (J1 + 2 J2) / eta bond between mirror cells (J2's sin^2
+    of the angle is quadratic in the deviation)."""
     nz, s = geom.nz_total, geom.spacer_index
+    eta = layer_cells * geom.dz
     bond = np.array([[1.0, -1.0], [-1.0, 1.0]])
     lateral = (a_exch * (2.0 - 2.0 * math.cos(math.pi * kx / geom.nx)) / geom.dx**2
                + a_exch * (2.0 - 2.0 * math.cos(math.pi * ky / geom.ny)) / geom.dy**2 + k)
@@ -1071,18 +1075,27 @@ def spin_wave_operator(geom, kx, ky, a_exch, ks, j1, j2, k=WAVE_K):
     for lo, hi in ((0, s), (s, nz)):
         for i in range(lo, hi - 1):
             L[i:i + 2, i:i + 2] += a_exch / geom.dz**2 * bond
-    L[s - 1, s - 1] += ks / geom.dz
-    L[s, s] += ks / geom.dz
-    L[s - 1:s + 1, s - 1:s + 1] += (j1 + 2.0 * j2) / geom.dz * bond
+    for below, above in zip(range(s - 1, s - 1 - layer_cells, -1), range(s, s + layer_cells)):
+        L[below, below] += ks / eta
+        L[above, above] += ks / eta
+        pair = np.ix_((below, above), (below, above))
+        L[pair] += (j1 + 2.0 * j2) / eta * bond
     return L
 
 
-def spin_wave_amplitude(kx, ky, z_mode, dt, h):
+def spin_wave_amplitude(kx, ky, z_mode, dt, h, layer_cells=None):
     """(amplitude a of the mode at WAVE_T, its rate lambda + h, the
     largest deviation of psi from a times the mode), stepping
-    m0 = normalize(e_z + WAVE_EPS * mode e_x) in h e_z by Heun, projected."""
-    geom = build_geometry(WAVE_GEOM)
-    lam, vectors = np.linalg.eigh(spin_wave_operator(geom, kx, ky, **WAVE))
+    m0 = normalize(e_z + WAVE_EPS * mode e_x) in h e_z by Heun, projected,
+    on the sharp layer, or on a thin layer of `layer_cells` cells."""
+    if layer_cells is None:
+        geom, scheme = build_geometry(WAVE_GEOM), SchemeConfig(dt=dt)
+    else:
+        geom = build_geometry(dataclasses.replace(WAVE_GEOM, eta=layer_cells * 0.125))
+        assert geom.layer_cells == layer_cells
+        scheme = SchemeConfig(dt=dt, bc_mode="thin_layer")
+    lam, vectors = np.linalg.eigh(spin_wave_operator(geom, kx, ky, **WAVE,
+                                                     layer_cells=layer_cells or 1))
     mode = (np.cos(math.pi * kx * (np.arange(geom.nx) + 0.5) / geom.nx)[:, None, None]
             * np.cos(math.pi * ky * (np.arange(geom.ny) + 0.5) / geom.ny)[None, :, None]
             * vectors[:, z_mode])
@@ -1093,27 +1106,53 @@ def spin_wave_amplitude(kx, ky, z_mode, dt, h):
     h_fixed = np.zeros(geom.field_shape())
     h_fixed[..., 2] = h
     params = plain_params(k_matrix=np.diag([WAVE_K, WAVE_K, 0.0]), alpha=WAVE_ALPHA, **WAVE)
-    m = run(geom, params, SchemeConfig(dt=dt), m0, None, None, WAVE_T,
-            h_fixed=h_fixed).final_state.m
+    m = run(geom, params, scheme, m0, None, None, WAVE_T, h_fixed=h_fixed).final_state.m
     psi = m[..., 0] + 1j * m[..., 1]
     a = np.sum(psi * mode) / np.sum(mode * mode)
     return a, lam[z_mode] + h, np.abs(psi - a * mode).max()
 
 
-@pytest.mark.parametrize("kx, ky, z_mode, h", [
-    (1, 1, 0, 0.0),     # a lateral mode, lowest in z
-    (0, 0, 1, 0.0),     # the spacer-split partner of the uniform mode
-    (1, 1, 0, 1.5),     # h e_z shifts every rate by h
-], ids=["lateral", "spacer_split", "h_fixed"])
-def test_linear_spin_wave_turns_and_decays_at_its_eigenvalue(kx, ky, z_mode, h):
+@pytest.mark.parametrize("kx, ky, z_mode, h, layer_cells", [
+    (1, 1, 0, 0.0, None),     # a lateral mode, lowest in z
+    (0, 0, 1, 0.0, None),     # the spacer-split partner of the uniform mode
+    (1, 1, 0, 1.5, None),     # h e_z shifts every rate by h
+    (1, 1, 0, 0.0, 2),        # the same two modes on a thin layer, eta = 2 dz
+    (0, 0, 1, 0.0, 2),
+], ids=["lateral", "spacer_split", "h_fixed", "thin_lateral", "thin_spacer_split"])
+def test_linear_spin_wave_turns_and_decays_at_its_eigenvalue(kx, ky, z_mode, h,
+                                                             layer_cells):
     # amplitude exp(-alpha lambda t) and phase lambda t of eps exp((i -
     # alpha) lambda t), to the Heun error, which falls at order 2 (the
     # O(eps^2) nonlinearity is far below it)
     errors = []
     for dt in (0.004, 0.002):
-        a, rate, off_mode = spin_wave_amplitude(kx, ky, z_mode, dt, h)
+        a, rate, off_mode = spin_wave_amplitude(kx, ky, z_mode, dt, h, layer_cells)
         assert abs(abs(a) / WAVE_EPS - math.exp(-WAVE_ALPHA * rate * WAVE_T)) < 1e-3
         assert abs(np.angle(a * np.exp(-1j * rate * WAVE_T))) < 1e-3
         assert off_mode < 1e-9 * WAVE_EPS
         errors.append(abs(a / WAVE_EPS - np.exp((1j - WAVE_ALPHA) * rate * WAVE_T)))
     assert math.log2(errors[0] / errors[1]) >= 1.9, errors
+
+
+def test_coupled_step_converges_at_second_order_in_dt():
+    # the coupled Heun step, its Maxwell half included, at order 2 in dt
+    # with the subcycle count fixed: the end states of dt0, dt0/2, dt0/4
+    # and dt0/8 (dt0 half the exchange bound) over T = 64 dt0, their
+    # successive differences and the order of the finest pair, for m and
+    # for the h store
+    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 6, 6, 3, 3))
+    params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.05, 0.0]), ks=0.02,
+                          j1=0.03, j2=0.01, alpha=0.3, sigma=10.0)
+    m0 = presets.random_unit_m(geom, 3)
+    box = mx.make_box(geom, padding=4)
+    dt0 = 0.5 * exchange_dt_bound(geom, params)
+    ends = []
+    for k in range(4):
+        em = mx.empty_em_state(box)
+        mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
+        final = run(geom, params, SchemeConfig(dt=dt0 / 2**k, subcycles=2), m0, em, None,
+                    64 * dt0, log_every=1 << 30).final_state
+        ends.append((final.m, final.em.h))
+    for field in (0, 1):
+        diffs = [np.abs(a[field] - b[field]).max() for a, b in zip(ends, ends[1:])]
+        assert math.log2(diffs[1] / diffs[2]) >= 1.9, diffs

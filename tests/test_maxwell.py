@@ -336,7 +336,8 @@ class TestPoisson:
         assert_same_bits(h, face_store(plain_init_divfree(m, (0.1, -0.2, 0.3), box), box))
         n_ext, n_spec = dst.parts(rhs.shape)
         work, out = np.empty(n_ext + n_spec), np.empty(rhs.shape)
-        div = mx._div_h_plus_m_bar(np.zeros_like(h), m, box, np.empty(h[0].size), work)
+        views = mx._div_views(np.zeros_like(h), box, np.empty(h[0].size), work)
+        div = mx._div_terms(views, m)
         rhs = mx._plane_cells(div, box).copy()
         assert dst.reached_lines(rhs, work) == ((7, 25), (7, 25))
         _, peak = traced_peak(mx.poisson_solve, rhs, box,

@@ -132,8 +132,9 @@ def test_layer_words_are_spelled_in_config_and_dynamics_only():
 
 
 def test_m_bar_face_has_one_caller():
-    # div(h + m_bar) is one kernel, `maxwell._div_h_plus_m_bar`: the
-    # projection's rhs and the ledger's drift both form m_bar through it
+    # div(h + m_bar) is one kernel, `maxwell._div_terms`: the
+    # projection's rhs and check and the ledger's drift all form m_bar
+    # through it
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

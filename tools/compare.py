@@ -23,8 +23,11 @@ in even ones.  For each end-to-end metric of
 BENCHMARK.json the tool prints both trees' medians and IQRs and the pairs
 head won by the metric's `better` (a tie counts for neither).  A metric
 is `worse` when head's median is worse than base's by more than the
-metric's relative `bound`, and `unresolved` when a tree's IQR exceeds the
-bound times its median.
+metric's relative `bound`; else `gain` when at least ten pairs ran, head
+won at least nine in ten of them and its median is better than base's
+by more than base's IQR (the rule a claimed gain must meet, so a claim
+needs K >= 10); else `unresolved` when a tree's IQR exceeds the bound
+times its median.
 
 Exit status: 0 identical (and, with --pairs, no metric worse and every
 run correct), 1 some compared file differs, a metric is worse or a run
@@ -210,9 +213,9 @@ def _quartiles(values: list) -> tuple:
 
 def compare_pairs(lines: list, label: str) -> list:
     """Print, per end-to-end metric that every run reports, both trees'
-    medians and IQRs, the pairs head won and the mark (ok, worse or
-    unresolved), and return the failures: each run that is not correct
-    and each worse metric."""
+    medians and IQRs, the pairs head won and the mark (ok, worse, gain or
+    unresolved; see the module docstring), and return the failures: each
+    run that is not correct and each worse metric."""
     failures = [f"{label}: the {side} run of pair {i} is not correct"
                 for i, pair in enumerate(lines, 1)
                 for side, line in zip(("base", "head"), pair) if not line.get("correct")]
@@ -225,7 +228,8 @@ def compare_pairs(lines: list, label: str) -> list:
         won = sum(sign * (h - b) < 0 for b, h in zip(base, head))
         (mb, qb), (mh, qh) = _quartiles(base), _quartiles(head)
         change = sign * (mh - mb) / abs(mb) if mb else 0.0
-        mark = ("worse" if change > bound else
+        gain = len(lines) >= 10 and 10 * won >= 9 * len(lines) and sign * (mb - mh) > qb
+        mark = ("worse" if change > bound else "gain" if gain else
                 "unresolved" if qb > bound * abs(mb) or qh > bound * abs(mh) else "ok")
         print(f"{label}: {name} base {mb:.6g} (IQR {qb:.3g}), head {mh:.6g} (IQR {qh:.3g}), "
               f"head won {won} of {len(lines)}, {mark}")
@@ -242,7 +246,8 @@ def main(argv=None) -> int:
                         help="the commit to compare (default: the working tree)")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--pairs", type=int, default=0,
-                        help="untraced benchmark pairs per workload (default none)")
+                        help="untraced benchmark pairs per workload (default none; "
+                             "a gain is marked only from 10 pairs on)")
     parser.add_argument("--workdir", default=None,
                         help="keep the trees and runs here (must not exist)")
     args = parser.parse_args(argv)
