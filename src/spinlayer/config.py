@@ -327,11 +327,16 @@ def build_setup(config: RunConfig) -> RunSetup:
     non-finite initial h or first rate; `check` then steps through
     `dynamics.run` as far as the first step.  A t_end that is not a whole
     number of steps of dt (to a relative 1e-9 of the step count and at
-    most 1e-6 steps, `geometry._is_multiple`) raises ValidationError."""
+    most 1e-6 steps, `geometry._is_multiple`) raises ValidationError, as
+    does a current with sigma = 0, which the conduction term sigma (e + f)
+    never reads."""
     setup = build_model(config)
     if not _is_multiple(config.t_end, config.dt):
         raise ValidationError("run.t_end", f"t_end={config.t_end:g} is not a whole "
                                            f"number of steps of dt={config.dt:g}")
+    if setup.f is not None and config.sigma == 0.0:
+        raise ValidationError("current.f", "the current enters only through "
+                                           "sigma (e + f), and sigma = 0")
     with np.errstate(all="ignore"):   # non-finite values raise NonFinite
         set_initial_fields(setup)
         _check_first_rate(setup)

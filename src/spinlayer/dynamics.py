@@ -10,6 +10,7 @@ realized magnetization rate (m_new - m_old)/dt.  Using the realized rate
 keeps div(h + m_bar) conserved to roundoff in both constraint modes.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,8 +55,10 @@ class SchemeConfig:
     stability_c: float = 0.25
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # written so that NaN fails each test
+        for name in ("dt", "stability_c"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.subcycles < 1:
             raise ValueError("subcycles must be at least 1")
         for name, options in (("integrator", INTEGRATORS),

@@ -46,53 +46,20 @@ def _add_exchange_fluxes(views: tuple):
     """Add coef times the Neumann Laplacian of a field into o (both flat
     stores of cell 3-vector fields of the geometry; `_flux_views`).
 
-    Per axis the face differences of `_face_differences`, scaled by
-    coef/h^2, are added to the cell below each face and subtracted from
-    the cell above, as two flat passes at the axis' stride.
+    The Laplacian is the 7-point one, homogeneous Neumann on the outer
+    boundary and on both sides of the spacer, written as the divergence
+    of the face difference quotients with the spacer face left out: the
+    faces of `exchange_energy`, so A times it is the exact gradient
+    -grad(exchange_energy)/dV.  Per axis the face differences of
+    `_face_differences`, scaled by coef/h^2, are added to the cell below
+    each face and subtracted from the cell above, as two flat passes at
+    the axis' stride.
     """
     for faces, below, above, c in views:
         flux = _face_differences(faces)
         flux *= c
         below += flux
         above -= flux
-
-
-def laplacian_neumann(m: np.ndarray, geom: DomainGeometry,
-                      out: Optional[np.ndarray] = None,
-                      tmp: Optional[np.ndarray] = None) -> np.ndarray:
-    """7-point Laplacian, homogeneous Neumann on the outer boundary and
-    on both sides of the spacer.
-
-    Written as the divergence of the face difference quotients with the
-    spacer face left out, it is the exact gradient of the exchange face
-    sum: A * laplacian_neumann(m) = -grad(exchange_energy) / dV.  The
-    faces are those of `exchange_energy`; the Laplacian is the flux
-    kernel `assemble_h_tot` adds its exchange field with, at coefficient
-    1 on a zeroed field.
-
-    `out` (a component-major field, see `energetics._vector_field`, not
-    aliasing m; fresh when omitted) receives the Laplacian; another layout
-    raises ValueError.  `tmp` (a flat float array of at least m.size
-    entries) holds the face differences and makes the call
-    allocation-free for a component-major m.
-    """
-    out = _out_field(out, m.shape)
-    if tmp is None:
-        tmp = _aligned_empty(m.size)
-    o = _store(out)
-    o[...] = 0.0
-    _add_exchange_fluxes(_flux_views(_store(m), geom, 1.0, o, tmp))
-    return out
-
-
-def _out_field(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
-    """`out`, which must be a component-major field, or a fresh one."""
-    if out is None:
-        return _vector_field(shape)
-    if not _components(out).flags.c_contiguous:
-        raise ValueError("out must be a component-major field "
-                         "(energetics._vector_field)")
-    return out
 
 
 def _thin_layer_views(m: np.ndarray, geom: DomainGeometry, out: np.ndarray,
@@ -226,17 +193,21 @@ def assemble_h_tot(m: np.ndarray, h_cells: Optional[np.ndarray],
 
     The field is summed in place in a component-major field: h - K m (or
     0 - K m) is written in one pass over K m, the exchange face fluxes
-    scaled by A/h^2 are added straight into it (the kernel of
-    `laplacian_neumann`), then the surface field on its layer planes and
-    the penalty field.  `out` (a component-major field, not aliasing m;
-    fresh when omitted) receives the field; another layout raises
-    ValueError.  `tmp` (a flat float array of at least max(2 * m.size,
+    scaled by A/h^2 are added straight into it (`_add_exchange_fluxes`;
+    with A = 1 and no other term the field is the Neumann Laplacian of
+    m), then the surface field on its layer planes and the penalty
+    field.  `out` (a component-major field, not aliasing m; fresh when
+    omitted) receives the field; another layout raises ValueError.  `tmp` (a flat float array of at least max(2 * m.size,
     12 per layer cell) entries, `energetics._kernel_scratch`, or the views
     of `_h_tot_views` for m and out) makes the call allocation-free
     whenever m is component-major (m in another layout is read through a
     copy); h_cells is read in place in any layout.
     """
-    out = _out_field(out, m.shape)
+    if out is None:
+        out = _vector_field(m.shape)
+    elif not _components(out).flags.c_contiguous:
+        raise ValueError("out must be a component-major field "
+                         "(energetics._vector_field)")
     if tmp is None:
         tmp = _kernel_scratch(geom, h_tot=False)
     o, k_views, fluxes, layer, penalty = _views(_h_tot_views, m, geom, params, out, tmp)

@@ -99,17 +99,19 @@ class MaterialParams:
     penalty_k: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.mu0 <= 0 or self.eps0 <= 0:
-            raise ValueError("mu0 and eps0 must be positive")
+        # written so that NaN fails each test
+        for name in ("alpha", "mu0", "eps0"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("a_exch", "ks", "j1", "j2", "sigma", "penalty_k"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if self.k_matrix is not None:
             k = np.array(self.k_matrix, dtype=float)   # kept as a validated copy
             if k.shape != (3, 3):
                 raise ValueError(f"k_matrix must be one 3x3 matrix, not shape {k.shape}")
+            if not np.isfinite(k).all():
+                raise ValueError("k_matrix must be finite")
             asym = np.max(np.abs(k - k.T))
             if asym > _PSD_TOL:
                 raise ValueError(f"k_matrix not symmetric (max |K-K^T| = {asym:g})")
@@ -296,8 +298,9 @@ def exchange_energy(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,
                     tmp: Optional[np.ndarray] = None) -> float:
     """(A/2) * sum over interior faces of |difference quotient|^2 * dV.
 
-    The face differences are those of `laplacian_neumann`, from the one
-    kernel `_face_differences`; `tmp` (a flat float array of at least
+    The face differences are those of the exchange field's fluxes
+    (`effective_field._add_exchange_fluxes`), from the one kernel
+    `_face_differences`; `tmp` (a flat float array of at least
     m.size entries, or the views of `_exchange_views`) holds them."""
     if params.a_exch == 0.0:
         return 0.0

@@ -12,6 +12,7 @@ geometry has a thin layer, and one cell deep (the sharp layer, the thin
 layer at eta = dz) when it does not.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,9 +110,10 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
     or when numpy could not index a field on the cells, and EtaTooLarge
     when the thin layer would not fit inside a slab.
     """
+    # written so that NaN fails each test
     for name in ("base_lx", "base_ly", "l_minus", "l_plus"):
-        if getattr(config, name) <= 0:
-            raise NonTilingGrid(f"{name} must be positive")
+        if not 0 < getattr(config, name) < math.inf:
+            raise NonTilingGrid(f"{name} must be positive and finite")
     for name in ("nx", "ny", "nz_minus", "nz_plus"):
         if getattr(config, name) < 1:
             raise NonTilingGrid(f"{name} must be at least 1")
@@ -136,8 +138,8 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
 
     layer_cells = 1
     if config.eta is not None:
-        if config.eta <= 0:
-            raise NonTilingGrid("eta must be positive when given")
+        if not 0 < config.eta < math.inf:
+            raise NonTilingGrid("eta must be positive and finite when given")
         if config.eta > min(config.l_minus, config.l_plus) + _REL_TOL * dz:
             raise EtaTooLarge(
                 f"eta={config.eta:g} exceeds the smaller slab height "

@@ -18,11 +18,11 @@ so both curls are one kernel of contiguous passes over whole store
 components.  The kernel is split in two: `_curl_views` slices the
 operands of each component and `_apply_curl` runs the passes of one, so
 the coupled step, whose Maxwell half is `stage_h_cells`,
-`_midpoint_h_cells` and `advance`, applies view sets built once.  Every
-curl forms one component at a time in a scratch of one store component:
-the step applies it to its field component before forming the next, and
-the standalone curls (`_curl`) copy it into their output store.  The
-scratch is offset so that the range each component writes starts on a
+`_midpoint_h_cells` and `advance`, applies the view sets its state's
+workspace builds once; there is no other entry to the curls.  Every
+curl forms one component at a time in a scratch of one store component,
+which the step applies to its field component before forming the next.
+The scratch is offset so that the range each component writes starts on a
 64-byte boundary: the components of a store cannot all start on one,
 since a store component has an odd number of entries when nx, ny and nz
 are even.
@@ -457,42 +457,6 @@ def _apply_curl(term: tuple, scale: float) -> np.ndarray:
     for plane in zeros:
         plane[...] = 0.0
     return dest
-
-
-def _curl(src: np.ndarray, box: BoxGeometry, scale: float, out, tmp,
-          forward: bool) -> np.ndarray:
-    """scale * the forward or backward curl of the store src, as a store
-    (`out`, or a fresh one): each component is formed in a scratch of one
-    store component, as the coupled step forms it, and copied into out."""
-    if out is None:
-        out = _aligned_empty(store_shape(box))
-    size = src[0].size
-    scratch = _aligned_empty(size + 7)
-    tmp = _aligned_empty(size) if tmp is None else tmp
-    for term, o in zip(_curl_views(src, box, scratch, tmp, forward), _flat(out)):
-        np.copyto(o, _apply_curl(term, scale))
-    return out
-
-
-def curl_e(e: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
-           tmp=None) -> np.ndarray:
-    """scale * curl of an e store, on faces, as an h store (`_curl`).
-
-    `out` (a store) and `tmp` (a flat float array of at least one store
-    component) are used when given.
-    """
-    return _curl(e, box, scale, out, tmp, True)
-
-
-def curl_h(h: np.ndarray, box: BoxGeometry, scale: float = 1.0, out=None,
-           tmp=None) -> np.ndarray:
-    """scale * curl of an h store, on the interior edges, as an e store;
-    the boundary edges are zero (`_curl`).
-
-    `out` (a store) and `tmp` (a flat float array of at least one store
-    component) are used when given.
-    """
-    return _curl(h, box, scale, out, tmp, False)
 
 
 def _gradient(phi: np.ndarray, box: BoxGeometry, out: np.ndarray) -> np.ndarray:

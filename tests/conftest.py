@@ -9,7 +9,7 @@ import pytest
 from spinlayer import maxwell as mx
 from spinlayer.diagnostics import _axis_coords, _stationary_value, _torque
 from spinlayer.dynamics import PROJECTED
-from spinlayer.effective_field import laplacian_neumann, penalty_field, thin_layer_field
+from spinlayer.effective_field import penalty_field, thin_layer_field
 from spinlayer.energetics import MaterialParams, _vector_field, apply_k
 from spinlayer.summation import dot
 from spinlayer.geometry import GeometryConfig, build_geometry
@@ -83,7 +83,8 @@ def face_laplacian(m, geom):
     """The Neumann Laplacian axis by axis on the (..., 3) index grid: each
     face flux is added to the cell below the face and subtracted from the
     cell above, with no flux across the spacer.  The reference that
-    `laplacian_neumann` reproduces bit for bit (up to the sign of zero)."""
+    `assemble_h_tot` with A = 1 and no other term (`plain_params()`)
+    reproduces bit for bit (up to the sign of zero)."""
     out = np.zeros(m.shape)
     s = geom.spacer_index
     for axis, h in ((0, geom.dx), (1, geom.dy), (2, geom.dz)):
@@ -130,7 +131,7 @@ def gilbert_projection_rhs(m, h_cells, geom, params, scheme):
     if params.k_matrix is not None:
         h -= apply_k(params, m)
     if params.a_exch != 0.0:
-        h += params.a_exch * laplacian_neumann(m, geom)
+        h += params.a_exch * face_laplacian(m, geom)
     thin_layer_field(m, geom, params, out=h)
     if params.penalty_k != 0.0:
         h += penalty_field(m, params)
@@ -139,6 +140,40 @@ def gilbert_projection_rhs(m, h_cells, geom, params, scheme):
         m2 = np.maximum(np.sum(m * m, axis=-1), 1e-300)
         v -= (np.sum(v * m, axis=-1) / m2)[..., None] * m
     return v
+
+
+def relax(m, field, evals):
+    """Barzilai-Borwein descent on the sphere (Exl et al. 2014, J. Appl.
+    Phys. 115:17D118, "LaBonte's method revisited"), the oracle of a
+    critical point of the energy whose negative gradient per cell volume
+    is field(m):
+
+        m <- normalize(m + tau g),   g = h - (m.h) m,   h = field(m),
+
+    with tau the BB1 step s.s/s.y and the BB2 step s.y/y.y in turn (s the
+    change of m, y minus that of g), from tau = 0.01 at the first step.
+    Stops after `evals` field evaluations, or once s.y is no longer
+    positive, which happens at the rounding floor.  Returns (m, the
+    evaluations used).
+    """
+    def tangential(m, h):
+        return h - np.sum(m * h, axis=-1, keepdims=True) * m
+
+    m = np.array(m)
+    g = tangential(m, field(m))
+    tau, used = 0.01, 1
+    while used < evals:
+        m_new = m + tau * g
+        m_new /= np.linalg.norm(m_new, axis=-1, keepdims=True)
+        g_new = tangential(m_new, field(m_new))
+        used += 1
+        s, y = m_new - m, g - g_new
+        sy = float(np.sum(s * y))
+        m, g = m_new, g_new
+        if not sy > 0.0:
+            break
+        tau = float(np.sum(s * s)) / sy if used % 2 == 0 else sy / float(np.sum(y * y))
+    return m, used
 
 
 def plain_params(**overrides):
@@ -338,7 +373,7 @@ def box_midpoint_h_cells(em, m_dot_pred, dt, mu0):
     box and the rate embedded into the box."""
     box = em.box
     half = 0.5 * dt
-    chx, chy, chz = mx.face_views(mx.curl_e(em.e, box, half / mu0), box)
+    chx, chy, chz = mx.face_views(workspace_curl(em, True, half / mu0), box)
     mdx, mdy, mdz = padded_cells_to_faces(embed_cell_field(m_dot_pred, box))
     hx = em.hx - chx - half * mdx
     hy = em.hy - chy - half * mdy
@@ -404,6 +439,19 @@ def face_store(components, box):
     for view, a in zip(mx.face_views(store, box), components):
         view[...] = a
     return store
+
+
+def workspace_curl(em, forward, scale=1.0):
+    """scale * the forward curl of em.e (on faces, an h store) or the
+    backward curl of em.h (on the interior edges, an e store): the view
+    set of em's workspace, applied component by component in its scratch
+    (`_apply_curl`) as the coupled step applies it, each component copied
+    into a fresh store."""
+    work = em.workspace()
+    out = np.empty(mx.store_shape(em.box))
+    for term, o in zip(work.curl_e_views if forward else work.curl_h_views, mx._flat(out)):
+        np.copyto(o, mx._apply_curl(term, scale))
+    return out
 
 
 def plain_curl_e(ex, ey, ez, box):

@@ -1006,6 +1006,32 @@ class TestCli:
                            f"whole number of steps of dt={dt}\n")
         assert not outdir.exists()
 
+    def test_pulse_without_conduction_exit_2(self, tmp_path, capsys):
+        # sigma (e + f) is the current's only entry: with sigma = 0 a pulse
+        # would be evaluated every substep and never read.  check and run
+        # exit 2 naming current.f and create no directory
+        outdir = tmp_path / "out"
+        pulse = minimal_config(outdir).replace(
+            "[output]", "[current]\nf = pulse 1 0 0 0.01 0.005\n\n[output]")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(pulse.replace("sigma = 1.0", "sigma = 0.0"))
+        for command in ("check", "run"):
+            assert main([command, str(cfg_path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: config: current.f: the current enters only through "
+                           "sigma (e + f), and sigma = 0\n")
+        assert not outdir.exists()
+        # diag builds no initial fields: it still reads a run directory
+        # whose effective_config holds the pair, as older runs wrote it
+        cfg_path.write_text(pulse)
+        assert main(["run", str(cfg_path)]) == 0
+        effective = outdir / "effective_config"
+        text = effective.read_text()
+        assert "sigma = 1\n" in text
+        effective.write_text(text.replace("sigma = 1\n", "sigma = 0\n"))
+        assert main(["diag", str(outdir)]) == 0
+
     def test_diag_reduces_over_the_run_layout(self, tmp_path, monkeypatch):
         # the final m snapshot is row-major on disk; diag reads it back into
         # the component-major layout the run's ledger summed over

@@ -190,6 +190,15 @@ def test_llg_rhs_guard_matches_the_scalar_form_bit_for_bit(constraint):
     assert (np.ascontiguousarray(got).view(np.int64) == want.view(np.int64)).all()
 
 
+@pytest.mark.parametrize("name", ["dt", "stability_c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scheme_rejects_non_finite_numbers_naming_them(name, value):
+    # a NaN stability_c used to skip the exchange bound, a NaN dt to fail
+    # in the step count's int()
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        SchemeConfig(**{"dt": 1e-3, name: value})
+
+
 class TestStep:
     def test_aligned_state_only_time_moves(self):
         geom, params, em, m, h = single_spin_setup(h=(0, 0, 1), m0=(0, 0, 1))

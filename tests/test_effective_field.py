@@ -7,11 +7,10 @@ from spinlayer import effective_field
 from spinlayer import maxwell as mx
 from spinlayer.diagnostics import stationarity_report
 from spinlayer.dynamics import PROJECTED, SchemeConfig, llg_rhs, run
-from spinlayer.effective_field import (assemble_h_tot, laplacian_neumann,
-                                       penalty_field, thin_layer_field)
-from spinlayer.energetics import (MaterialParams, _vector_field, anisotropy_energy,
-                                  exchange_energy, penalty_energy, thin_layer_energy,
-                                  total_energy, uniform_k_matrix)
+from spinlayer.effective_field import assemble_h_tot, penalty_field, thin_layer_field
+from spinlayer.energetics import (MaterialParams, _kernel_scratch, _vector_field,
+                                  anisotropy_energy, exchange_energy, penalty_energy,
+                                  thin_layer_energy, total_energy, uniform_k_matrix)
 from spinlayer.geometry import GeometryConfig, build_geometry
 
 from conftest import (face_laplacian, fd_gradient, plain_params, random_unit_field,
@@ -51,11 +50,17 @@ def sparse_neumann(geom):
     return L
 
 
+def laplacian(m, geom, **kw):
+    """The Neumann Laplacian of m: the assembled field with exchange
+    A = 1 and no other term."""
+    return assemble_h_tot(m, None, geom, plain_params(), **kw)
+
+
 class TestLaplacian:
     def test_constant_zero(self, small_geom):
         m = np.zeros(small_geom.field_shape())
         m[..., 1] = 3.0
-        lap = laplacian_neumann(m, small_geom)
+        lap = laplacian(m, small_geom)
         assert np.abs(lap).max() == 0.0
 
     def test_cosine_interior(self):
@@ -67,7 +72,7 @@ class TestLaplacian:
             x = (np.arange(nx) + 0.5) * geom.dx
             m = np.zeros(geom.field_shape())
             m[..., 0] = np.cos(q * x)[:, None, None]
-            lap = laplacian_neumann(m, geom)
+            lap = laplacian(m, geom)
             interior = lap[2:-2, :, :, 0]
             target = -q**2 * m[2:-2, :, :, 0]
             errs.append(np.abs(interior - target).max())
@@ -80,7 +85,7 @@ class TestLaplacian:
         L = sparse_neumann(geom)
         rng = np.random.default_rng(0)
         m = rng.standard_normal(geom.field_shape())
-        lap = laplacian_neumann(m, geom)
+        lap = laplacian(m, geom)
         for c in range(3):
             oracle = (L @ m[..., c].ravel()).reshape(m.shape[:3])
             assert np.allclose(lap[..., c], oracle, atol=1e-11)
@@ -93,16 +98,18 @@ class TestLaplacian:
         m = random_unit_field(geom, seed=3)
         m *= 1.0 + np.arange(m.size).reshape(m.shape) % 7   # not unit, not smooth
         want = face_laplacian(m, geom)
-        assert np.array_equal(laplacian_neumann(m, geom), want)
+        assert np.array_equal(laplacian(m, geom), want)
         # a row-major m is copied into the component-major layout first
-        assert np.array_equal(laplacian_neumann(np.ascontiguousarray(m), geom), want)
+        assert np.array_equal(laplacian(np.ascontiguousarray(m), geom), want)
         out = _vector_field(m.shape)
         out[...] = np.nan
-        laplacian_neumann(m, geom, out=out, tmp=np.full(m.size, np.nan))
+        tmp = _kernel_scratch(geom, h_tot=False)
+        tmp[...] = np.nan
+        laplacian(m, geom, out=out, tmp=tmp)
         assert np.array_equal(out, want)
         # a row-major out would be written through a copy: it is refused
         with pytest.raises(ValueError, match="component-major"):
-            laplacian_neumann(m, geom, out=np.full(m.shape, np.nan))
+            laplacian(m, geom, out=np.full(m.shape, np.nan))
         L = sparse_neumann(geom)
         for c in range(3):
             oracle = (L @ m[..., c].ravel()).reshape(m.shape[:3])
@@ -116,7 +123,7 @@ class TestLaplacian:
         params = plain_params(a_exch=0.7)
         m = random_unit_field(geom, seed=5)
         g = fd_gradient(lambda mm: exchange_energy(mm, geom, params), m)
-        want = -params.a_exch * laplacian_neumann(m, geom) * geom.cell_volume
+        want = -params.a_exch * laplacian(m, geom) * geom.cell_volume
         assert np.abs(g - want).max() < 1e-7 * np.abs(want).max()
 
 
@@ -331,7 +338,7 @@ class TestAssembleHTot:
         m = rng.standard_normal(small_sharp_geom.field_shape())
         params = plain_params(a_exch=0.9)
         sharp = assemble_h_tot(m, None, small_sharp_geom, params)
-        assert np.allclose(sharp, 0.9 * laplacian_neumann(m, small_sharp_geom), atol=1e-13)
+        assert np.allclose(sharp, 0.9 * face_laplacian(m, small_sharp_geom), atol=1e-13)
 
     def test_variational_sharp_penalized_full_gradient(self, small_sharp_geom):
         # sharp + penalized runs are unconstrained, so the whole field,

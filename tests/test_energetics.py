@@ -45,6 +45,15 @@ class TestMaterialParams:
             with pytest.raises(ValueError):
                 plain_params(**{name: -1.0})
 
+    @pytest.mark.parametrize("name", ["a_exch", "ks", "j1", "j2", "alpha", "mu0", "eps0",
+                                      "sigma", "penalty_k", "k_matrix"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_constants_naming_them(self, name, value):
+        # a comparison with NaN is false, so `x <= 0` alone lets NaN through
+        given = np.diag([0.1, value, 0.0]) if name == "k_matrix" else value
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
+            plain_params(**{name: given})
+
 
 class TestExchange:
     def test_uniform_is_zero(self, small_geom):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,13 @@ class TestBuildGeometry:
     def test_nonpositive_extent_rejected(self):
         with pytest.raises(NonTilingGrid):
             build_geometry(GeometryConfig(0.0, 1.0, 0.5, 0.5, 8, 8, 4, 4))
+
+    @pytest.mark.parametrize("name", ["base_lx", "base_ly", "l_minus", "l_plus", "eta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_extent_rejected_naming_it(self, name, value):
+        config = GeometryConfig(1.0, 1.0, 0.5, 0.5, 8, 8, 4, 4, eta=0.25)
+        with pytest.raises(NonTilingGrid, match=f"^{name} must be positive and finite"):
+            build_geometry(dataclasses.replace(config, **{name: value}))
 
     @pytest.mark.parametrize("order", [0, 2])
     def test_trace_order_other_than_one_rejected(self, order):

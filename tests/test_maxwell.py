@@ -15,7 +15,7 @@ from conftest import (FIELD_NAMES, box_divergence, box_faces_to_body_cells,
                       box_fdtd_step, edge_store, face_store, padded_cells_to_faces,
                       plain_curl_e, plain_curl_h, plain_div, plain_fdtd_step,
                       plain_fields, plain_grad, plain_init_divfree, random_unit_field,
-                      traced_peak)
+                      traced_peak, workspace_curl)
 
 
 def em_params(**overrides):
@@ -40,14 +40,14 @@ class TestOperators:
         # edge and face sums
         box = mx.make_box(small_geom, padding=3)
         em = random_em(box, seed=1)
-        lhs = float(np.sum(mx.curl_h(em.h, box) * em.e))
-        rhs = float(np.sum(em.h * mx.curl_e(em.e, box)))
+        lhs = float(np.sum(workspace_curl(em, False) * em.e))
+        rhs = float(np.sum(em.h * workspace_curl(em, True)))
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_div_curl_zero(self, small_geom):
         box = mx.make_box(small_geom, padding=3)
         em = random_em(box, seed=2, pec=False)
-        ch = mx.face_views(mx.curl_e(em.e, box), box)
+        ch = mx.face_views(workspace_curl(em, True), box)
         assert np.abs(plain_div(*ch, box)).max() < 1e-12
 
     def test_curl_grad_zero(self, small_geom):
@@ -57,9 +57,11 @@ class TestOperators:
         phi = np.zeros((box.nx + 2) * s0)
         cells = mx._plane_cells(phi[s0:-s0], box)
         cells[...] = rng.standard_normal((box.nx, box.ny, box.nz))
-        g = mx._gradient(phi, box, np.full(mx.store_shape(box), np.nan))
+        em = mx.empty_em_state(box)
+        em.h[...] = np.nan
+        g = mx._gradient(phi, box, em.h)
         assert_same_bits(g, face_store(plain_grad(cells, box), box))   # pads zero
-        assert np.abs(mx.curl_h(g, box)).max() < 1e-12
+        assert np.abs(workspace_curl(em, False)).max() < 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_curls_match_plain_reference(self, scale):
@@ -70,7 +72,7 @@ class TestOperators:
             box = mx.BoxGeometry(nx=7, ny=5, nz=6, dx=dx, dy=dy, dz=dz,
                                  ox=2, oy=2, oz=2, mx=3, my=1, mz=2)
             em = random_em(box, seed=7, pec=False)
-            ce, ch = mx.curl_h(em.h, box, scale), mx.curl_e(em.e, box, scale)
+            ce, ch = workspace_curl(em, False, scale), workspace_curl(em, True, scale)
             for got, want in zip(mx.edge_views(ce, box) + mx.face_views(ch, box),
                                  plain_curl_h(em.hx, em.hy, em.hz, box)
                                  + plain_curl_e(em.ex, em.ey, em.ez, box)):
@@ -80,20 +82,24 @@ class TestOperators:
             assert_same_bits(ch, face_store(mx.face_views(ch, box), box))
 
     def test_curl_overwrites_a_used_buffer(self, small_geom):
-        # both curls share the workspace store: each must set every entry
+        # both curls form each component in the workspace scratch: each
+        # must set every entry of the component it returns
         box = mx.make_box(small_geom, padding=2)
         em = random_em(box, seed=8, pec=False)
-        out = np.full(mx.store_shape(box), np.nan)
-        assert_same_bits(mx.curl_h(em.h, box, out=out), mx.curl_h(em.h, box))
-        out[...] = np.nan
-        assert_same_bits(mx.curl_e(em.e, box, out=out), mx.curl_e(em.e, box))
+        work = em.workspace()
+        for views, forward in ((work.curl_h_views, False), (work.curl_e_views, True)):
+            want = workspace_curl(em, forward)
+            for term, ref in zip(views, mx._flat(want)):
+                work.scratch[...] = np.nan
+                work.tmp[...] = np.nan
+                assert_same_bits(mx._apply_curl(term, 1.0), ref)
 
     def test_window_matches_full_curl(self, small_geom):
         # the predictor's window computes the body faces bit for bit
         box = mx.make_box(small_geom, padding=2)
         em = random_em(box, seed=9, pec=False)
         work = em.workspace()
-        want = mx._body_faces(mx.curl_e(em.e, box, 0.25), box)
+        want = mx._body_faces(workspace_curl(em, True, 0.25), box)
         for term, got, ref in zip(work.body_curl_e_views, work.body_curl_faces, want):
             work.scratch[...] = np.nan
             mx._apply_curl(term, 0.25)

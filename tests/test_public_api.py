@@ -16,9 +16,6 @@ TESTS = ROOT / "tests"
 REACHED_BY_TESTS_ONLY = {
     "energy_inequality_residual": "acceptance criterion 3 scores its last row with it",
     "stationarity_residual": "acceptance criterion 7 scores the end state with it",
-    "laplacian_neumann": "the flux kernel at coefficient 1, the oracle of its tests",
-    "curl_h": "the standalone backward curl the adjointness and reference tests check",
-    "curl_e": "the standalone forward curl the adjointness and reference tests check",
 }
 
 
