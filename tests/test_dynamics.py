@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -749,32 +750,6 @@ def test_fresh_run_holds_seven_fields(integrator):
     assert peak < 7.5 * m0.nbytes, peak / m0.nbytes
 
 
-@pytest.mark.parametrize("integrator", ["heun", "rk4"])
-def test_state_never_writes_a_callers_m(integrator):
-    # the workspace copies the array handed in, and one assigned before the
-    # first step, into its m buffer of slot 0, and never writes either
-    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 3, 2, 2))
-    params = plain_params(a_exch=0.01)
-    scheme = SchemeConfig(dt=1e-3, integrator=integrator)
-    handed, assigned = random_unit_field(geom, seed=14), random_unit_field(geom, seed=15)
-    kept = handed.copy(), assigned.copy()
-    state = SimState(t=0.0, m=handed, em=None, geom=geom, params=params, scheme=scheme)
-    assert state.m is not handed
-    state.m = assigned
-    seen = set()
-    for _ in range(4):
-        step(state)
-        seen.add(id(state.m))
-    assert np.array_equal(handed, kept[0]) and np.array_equal(assigned, kept[1])
-    assert not {id(handed), id(assigned)} & seen and len(seen) == 2
-    # with its own copy still in place, the state steps in it
-    state = SimState(t=0.0, m=handed, em=None, geom=geom, params=params, scheme=scheme)
-    own = state.m
-    step(state)
-    step(state)
-    assert state.m is own and np.array_equal(handed, kept[0])
-
-
 def test_midpoint_h_matches_box_form():
     # curl e and the rate on the body faces only: the predicted body h is
     # bit-identical to the form that embeds the rate into the whole box
@@ -793,68 +768,17 @@ def test_midpoint_h_matches_box_form():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bc", mx.BOUNDARIES)
-def test_warm_coupled_step_builds_no_curl_views(bc, monkeypatch):
-    # the workspace builds the curl operands, the predictor's window, the
-    # body slabs and the Mur1 planes once; a warm coupled step (stage-begin
-    # h, predictor, rate transfer, subcycles) only applies them
-    geom = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 6, 5, 3, 2))
-    params = plain_params(a_exch=0.01, sigma=2.0)
-    box = mx.make_box(geom, padding=2)
-    em = mx.empty_em_state(box, bc=bc)
-    m0 = random_unit_field(geom, seed=42)
-    mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
-    state = SimState(t=0.0, m=m0.copy(), em=em, geom=geom, params=params,
-                     scheme=SchemeConfig(dt=1e-3, subcycles=2))
-    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3)
-    step(state, f)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a warm coupled step built a view")
-
-    for name in ("_curl_views", "_flat_span", "_mur_planes", "_off_axis", "_wall_planes",
-                 "_body_faces", "_body_edge_slabs", "_body_face_slabs"):
-        monkeypatch.setattr(mx, name, forbidden)
-    for _ in range(3):
-        step(state, f)
-    assert state.source != 0.0
-
-
-# the helpers every view builder of the stage and of the ledger row calls,
-# and the composite builders: a warm step or row that calls one has built a
-# view
-VIEW_HELPERS = ("_vector_field", "_scalars", "_parts", "_empty_like", "_face_views",
-                "_flux_views", "_div_views", "_rhs_views", "_h_tot_views", "_energy_views")
-
-
-def _forbid_view_helpers(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a warm step or ledger row built a view")
-
-    for module in (energetics, effective_field, dynamics, diagnostics, mx):
-        for name in VIEW_HELPERS:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(DomainGeometry, "layer_slice", forbidden)   # the layer blocks'
-
-
-VIEW_GRID = [pytest.param(constraint, bc_mode, penalty_k, integrator, field,
-                          id=f"{constraint}-{bc_mode}-k{penalty_k:g}-{integrator}-{field}")
-             for constraint in CONSTRAINTS for bc_mode in BC_MODES
-             for penalty_k in (0.0, 10.0) for integrator in dynamics.INTEGRATORS
-             for field in ("em", "none", "h_fixed")]
-
-
 def _row_views(state):
     """The ledger row's views of the slot of the state's m, as `run` takes them."""
     work = state.workspace()
     return work.row[state.m is work.m[1]]
 
 
-def _view_state(constraint, bc_mode, penalty_k, integrator, field, warm=True):
-    """A small state of the given kind, with `warm` two steps and two
-    rows warm: the stage and row views of both slots have been used.
-    Returns the state, the current, the row and the initial m and h."""
+def _view_inputs(constraint, bc_mode, penalty_k, integrator, field, bc=mx.PEC):
+    """The inputs of a small run of the given kind: the geometry, the
+    parameters, the scheme, m0, em (its h the divergence-free field of
+    m0, its outer wall bc) with field "em", the current that goes with
+    em, and with field "h_fixed" that h on the cells."""
     # dy = 0.15 is no power of two: the drift divides along y, and along x
     # and z multiplies by the exact reciprocal
     geom = layer_geom(build_geometry(GeometryConfig(1.0, 0.6, 0.5, 0.5, 4, 4, 4, 4,
@@ -864,23 +788,14 @@ def _view_state(constraint, bc_mode, penalty_k, integrator, field, warm=True):
     scheme = SchemeConfig(dt=1e-3, subcycles=2, integrator=integrator,
                           constraint=constraint, bc_mode=bc_mode)
     box = mx.make_box(geom, padding=2)
-    em = mx.empty_em_state(box)
+    em = mx.empty_em_state(box, bc=bc)
     m0 = random_unit_field(geom, seed=70)
     mx.init_divfree(m0, (0.1, 0.0, -0.2), box, out=em.h)
-    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3) if field == "em" else None
-    state = SimState(t=0.0, m=m0, em=em if field == "em" else None, geom=geom,
-                     params=params, scheme=scheme,
-                     h_fixed=mx.interp_h_to_cells(em) if field == "h_fixed" else None)
-    if state.em is not None:
-        mx.record_div0(em, state.m)
-    initial = (m0, em.h.copy())
-
-    def row():
-        return _state_terms(state.m, state.em, geom, params, _row_views(state))
-    for _ in range(2 if warm else 0):
-        step(state, f)
-        row()
-    return state, f, row, initial
+    if field != "em":
+        return (geom, params, scheme, m0, None, None,
+                mx.interp_h_to_cells(em) if field == "h_fixed" else None)
+    f = mx.AppliedCurrent((0.5, 0.2, 0.0), t0=2e-3, width=1e-3)
+    return geom, params, scheme, m0, em, f, None
 
 
 def plain_drift(em, m, m0, h0):
@@ -888,90 +803,196 @@ def plain_drift(em, m, m0, h0):
     return float(np.abs(box_divergence(em.h, m, em.box) - box_divergence(h0, m0, em.box)).max())
 
 
-@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
-def test_workspace_builds_every_stage_and_row_view(constraint, bc_mode, penalty_k,
-                                                   integrator, field, monkeypatch):
-    # the state's workspace builds the views of the stage and of the row
-    # for each of its two slots with its buffers, so the first steps and
-    # rows already build none
-    state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field,
-                                   warm=False)
-    state.workspace()
-    _forbid_view_helpers(monkeypatch)
-    for _ in range(2):
-        step(state, f)
-        row()
-    assert state.n == 2
+def _grid_points():
+    """Every combination of constraint, bc_mode, penalty_k, integrator and
+    field that `_view_inputs` takes, em under both outer walls (Mur1's
+    planes run lines of their own): 64 points.  Traced with sys.settrace,
+    a step and a row of them run 16 distinct sets of package lines today
+    (bc_mode and none against h_fixed change no set), but a rework of the
+    step may split any of those sets, so the property tests run them all."""
+    points = []
+    for constraint in CONSTRAINTS:
+        for bc_mode in BC_MODES:
+            for penalty_k in (0.0, 10.0):
+                for integrator in dynamics.INTEGRATORS:
+                    name = f"{constraint}-{bc_mode}-k{penalty_k:g}-{integrator}"
+                    points += [pytest.param(constraint, bc_mode, penalty_k, integrator,
+                                            field, bc, id=f"{name}-{field}{suffix}")
+                               for field, bc, suffix in (("em", mx.PEC, "-pec"),
+                                                         ("em", mx.MUR1, "-mur1"),
+                                                         ("none", mx.PEC, ""),
+                                                         ("h_fixed", mx.PEC, ""))]
+    return points
 
 
-@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
-def test_warm_step_and_row_build_no_llg_or_row_view(constraint, bc_mode, penalty_k,
-                                                    integrator, field, monkeypatch):
-    # the stage's views (h_tot's terms, the rate) and the row's (every
-    # energy, the saturation deviation, the drift) are built once per
-    # state, for each of its two slots; warm steps and rows only run on
-    # them
-    state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field)
-    _forbid_view_helpers(monkeypatch)
-    for _ in range(2):
-        step(state, f)
-        row()
-    assert state.n == 4
+GRID_POINTS = _grid_points()
+POINT_ARGS = "constraint, bc_mode, penalty_k, integrator, field, bc"
 
 
-@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
-def test_assigned_m_steps_and_rows_in_the_workspace_views(constraint, bc_mode, penalty_k,
-                                                          integrator, field, monkeypatch):
-    # an array the caller assigns to a warm state's m is copied into a
-    # workspace buffer, so the steps and rows after it build no view and
-    # never write the array
-    state, f, row, _ = _view_state(constraint, bc_mode, penalty_k, integrator, field)
-    assigned = random_unit_field(state.geom, seed=71)
-    kept = assigned.copy()
-    state.m = assigned
-    _forbid_view_helpers(monkeypatch)
-    for _ in range(2):
-        step(state, f)
-        row()
-    work = state.workspace()
-    assert state.m is work.m[0] or state.m is work.m[1]
-    assert np.array_equal(assigned, kept)
+@pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
+def test_steps_and_rows_allocate_no_views(constraint, bc_mode, penalty_k, integrator,
+                                          field, bc):
+    # a state's workspaces build the views of its stages, rows, predictor
+    # and substeps for both slots when the state is made, so a run's first
+    # steps and rows, and those after an m is assigned, allocate only
+    # numpy's iterator buffers and small bookkeeping: 1.6 KB without a
+    # field and 4.7 (PEC) to 5.8 KB (Mur1) with em on this 4x4x(4+4) grid,
+    # whose m is 3 KB.  Views built per call raise the peak: the stage's
+    # to 11.3 KB or more, the substep's curls to 9.9 KB
+    point = (constraint, bc_mode, penalty_k, integrator, field, bc)
+    geom, params, scheme, m0, em, f, h_fixed = _view_inputs(*point)
+    # numpy fills its ufunc caches on a process's first steps and rows
+    run(geom, params, scheme, m0, em, f, 2 * scheme.dt, on_row=lambda row: None,
+        h_fixed=h_fixed)
+    geom, params, scheme, m0, em, f, h_fixed = _view_inputs(*point)
+    assigned = random_unit_field(geom, seed=71)
+    peaks = []
+
+    def trace(state, n):   # steps and rows 1 to 4, m assigned after step 2
+        if n == 0:
+            tracemalloc.start()
+        elif n == 2:
+            state.m = assigned
+        elif n == 4:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    try:
+        run(geom, params, scheme, m0, em, f, 4 * scheme.dt, on_row=lambda row: None,
+            on_state=trace, h_fixed=h_fixed)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 7 * 1024, peaks
 
 
-@pytest.mark.parametrize("constraint, bc_mode, penalty_k, integrator, field", VIEW_GRID)
+# the builders of the views a step, a row and a substep run on (the
+# composite ones build theirs with the others)
+VIEW_BUILDERS = ("_vector_field", "_scalars", "_parts", "_empty_like", "_face_views",
+                 "_flux_views", "_h_tot_views", "_rhs_views", "_energy_views", "_div_views",
+                 "_curl_views", "_flat_span", "_off_axis", "_wall_planes", "_mur_planes",
+                 "_body_faces", "_body_edge_slabs", "_body_face_slabs")
+
+
+@pytest.mark.parametrize(POINT_ARGS, [
+    pytest.param("projected", "thin_layer", 10.0, "rk4", "em", mx.MUR1,
+                 id="projected-thin_layer-k10-rk4-em-mur1"),
+    pytest.param("penalized", "sharp", 0.0, "heun", "none", mx.PEC,
+                 id="penalized-sharp-k0-heun-none")])
+def test_steps_and_rows_call_no_view_builder(constraint, bc_mode, penalty_k,
+                                             integrator, field, bc, monkeypatch):
+    # the one test that names the view builders: views of a few hundred
+    # bytes built per call (the stage-begin h's three body-face views)
+    # raise no peak that test_steps_and_rows_allocate_no_views could see.
+    # The two points run every line that a point of GRID_POINTS runs
+    geom, params, scheme, m0, em, f, h_fixed = _view_inputs(
+        constraint, bc_mode, penalty_k, integrator, field, bc)
+    assigned = random_unit_field(geom, seed=71)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step or row built a view")
+
+    def forbid(state, n):   # from the first step on, and after m is assigned
+        if n == 2:
+            state.m = assigned
+        elif n == 0:
+            for name in VIEW_BUILDERS:
+                homes = [module for module in
+                         (energetics, effective_field, dynamics, diagnostics, mx)
+                         if hasattr(module, name)]
+                assert homes, f"{name} is gone: the test would not see it called"
+                for module in homes:
+                    monkeypatch.setattr(module, name, forbidden)
+            monkeypatch.setattr(DomainGeometry, "layer_slice", forbidden)
+
+    final = run(geom, params, scheme, m0, em, f, 4 * scheme.dt, on_row=lambda row: None,
+                on_state=forbid, h_fixed=h_fixed).final_state
+    assert final.n == 4
+
+
+@pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
 def test_workspace_views_keep_the_bits_of_the_per_call_path(constraint, bc_mode, penalty_k,
-                                                            integrator, field, monkeypatch):
-    # on a stepped state's workspace views llg_rhs, assemble_h_tot (on
-    # the views of the stage's h_tot), total_energy and the saturation
-    # deviation (on the norm views the row shares with the penalty) have
-    # the bits of the same calls building their views per call; the
-    # drift, taken from the h store on the Maxwell workspace's views, has
-    # the bits of div(h + m_bar) formed on whole face arrays, also where
-    # h holds +-0.0
-    state, f, row, (m0, h0) = _view_state(constraint, bc_mode, penalty_k, integrator, field)
-    geom, params, scheme, em = state.geom, state.params, state.scheme, state.em
-    work, m, h = state.workspace(), state.m, state.h_cells()
-    i = int(m is work.m[1])   # the slot of the state's m
-    stage, energy_views = work.rhs[i], work.row[i]
-    assert isinstance(stage, tuple) and isinstance(energy_views, tuple)
-    h_tot, h_tot_views = stage[:2]
-    _forbid_view_helpers(monkeypatch)
-    rate = llg_rhs(m, h, geom, params, scheme, out=work.k[i], tmp=stage).copy()
-    h_tot = assemble_h_tot(m, h, geom, params, out=h_tot, tmp=h_tot_views).copy()
-    energies = total_energy(m, em, geom, params, tmp=energy_views)
-    _, saturation_dev, drift = row()
-    monkeypatch.undo()
-    assert rate.tobytes() == llg_rhs(m, h, geom, params, scheme).tobytes()
-    assert h_tot.tobytes() == assemble_h_tot(m, h, geom, params).tobytes()
-    assert energies.as_tuple() == total_energy(m, em, geom, params).as_tuple()
-    assert saturation_dev.hex() == diagnostics.saturation_deviation(m).hex()
+                                                            integrator, field, bc):
+    # a run's rows (every energy, the saturation deviation) have the bits
+    # of the same terms formed per call of the state's m, and so do
+    # llg_rhs and assemble_h_tot on the stepped state's stage views
+    geom, params, scheme, m0, em, f, h_fixed = _view_inputs(
+        constraint, bc_mode, penalty_k, integrator, field, bc)
+    rows, checked = [], []
+
+    def check(state, n):
+        m, h, row = state.m, state.h_cells(), rows[-1]
+        work = state.workspace()
+        i = int(m is work.m[1])   # the slot of the state's m
+        rate = llg_rhs(m, h, geom, params, scheme, out=work.k[i], tmp=work.rhs[i])
+        assert rate.tobytes() == llg_rhs(m, h, geom, params, scheme).tobytes()
+        h_tot, h_tot_views = work.rhs[i][:2]
+        h_tot = assemble_h_tot(m, h, geom, params, out=h_tot, tmp=h_tot_views)
+        assert h_tot.tobytes() == assemble_h_tot(m, h, geom, params).tobytes()
+        assert row.breakdown.as_tuple() == total_energy(m, em, geom, params).as_tuple()
+        assert row.saturation_dev.hex() == diagnostics.saturation_deviation(m).hex()
+        checked.append(n)
+
+    run(geom, params, scheme, m0, em, f, 2 * scheme.dt, on_row=rows.append,
+        on_state=check, h_fixed=h_fixed)
+    assert checked == [0, 1, 2]
+
+
+@pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
+def test_row_drift_is_the_whole_array_drift(constraint, bc_mode, penalty_k, integrator,
+                                            field, bc):
+    # a run's rows read the drift of div(h + m_bar) formed on whole face
+    # arrays (0.0 without em), and so does divergence_drift where h holds
+    # +-0.0, on and off the faces m_bar reaches
+    geom, params, scheme, m0, em, f, h_fixed = _view_inputs(
+        constraint, bc_mode, penalty_k, integrator, field, bc)
+    h0 = None if em is None else em.h.copy()
+    rows, checked = [], []
+
+    def check(state, n):
+        drift = 0.0 if em is None else plain_drift(em, state.m, m0, h0)
+        assert rows[-1].divergence_drift == drift
+        checked.append(n)
+
+    final = run(geom, params, scheme, m0, em, f, 2 * scheme.dt, on_row=rows.append,
+                on_state=check, h_fixed=h_fixed).final_state
+    assert checked == [0, 1, 2]
     if em is None:
         return
-    assert drift == plain_drift(em, m, m0, h0)
-    # +-0.0 in h, on and off the faces m_bar reaches
     em.hx = np.where(np.arange(em.hx.shape[2]) % 2 == 0, -0.0, 0.0)
     em.hz[em.box.ox:em.box.ox + 2] = -0.0
-    assert mx.divergence_drift(em, m) == plain_drift(em, m, m0, h0)
+    assert mx.divergence_drift(em, final.m) == plain_drift(em, final.m, m0, h0)
+
+
+@pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
+def test_state_never_writes_a_callers_m(constraint, bc_mode, penalty_k, integrator,
+                                        field, bc):
+    # the workspace copies the array handed in, one assigned before the
+    # first step and one assigned to a stepped state into its m buffer of
+    # slot 0, and never writes any of them
+    point = (constraint, bc_mode, penalty_k, integrator, field, bc)
+    geom = _view_inputs(*point)[0]
+    handed, assigned, later = (random_unit_field(geom, seed=s) for s in (14, 15, 16))
+    kept = handed.copy(), assigned.copy(), later.copy()
+
+    def new_state():
+        geom, params, scheme, _, em, _, h_fixed = _view_inputs(*point)
+        return SimState(t=0.0, m=handed, em=em, geom=geom, params=params, scheme=scheme,
+                        h_fixed=h_fixed)
+    state = new_state()
+    assert state.m is not handed
+    state.m = assigned
+    seen = set()
+    for n in range(6):
+        if n == 4:
+            state.m = later
+        step(state)
+        seen.add(id(state.m))
+    assert all(np.array_equal(a, b) for a, b in zip((handed, assigned, later), kept))
+    assert not {id(handed), id(assigned), id(later)} & seen and len(seen) == 2
+    # with its own copy still in place, the state steps in it
+    state = new_state()
+    own = state.m
+    step(state)
+    step(state)
+    assert state.m is own and np.array_equal(handed, kept[0])
 
 
 @pytest.mark.parametrize("bc", mx.BOUNDARIES)
@@ -1143,12 +1164,14 @@ def test_linear_spin_wave_turns_and_decays_at_its_eigenvalue(kx, ky, z_mode, h,
     assert math.log2(errors[0] / errors[1]) >= 1.9, errors
 
 
-def test_coupled_step_converges_at_second_order_in_dt():
-    # the coupled Heun step, its Maxwell half included, at order 2 in dt
-    # with the subcycle count fixed: the end states of dt0, dt0/2, dt0/4
-    # and dt0/8 (dt0 half the exchange bound) over T = 64 dt0, their
-    # successive differences and the order of the finest pair, for m and
-    # for the h store
+@pytest.mark.parametrize("integrator", ["heun", "rk4"])
+def test_coupled_step_converges_at_second_order_in_dt(integrator):
+    # the coupled step, its Maxwell half included, at order 2 in dt with
+    # the subcycle count fixed, RK4 as well as Heun (the predicted midpoint
+    # h that both freeze couples at second order): the end states of dt0,
+    # dt0/2, dt0/4 and dt0/8 (dt0 half the exchange bound) over T = 64 dt0,
+    # their successive differences and the order of the finest pair, for m
+    # and for the h store
     geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 6, 6, 3, 3))
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.05, 0.0]), ks=0.02,
                           j1=0.03, j2=0.01, alpha=0.3, sigma=10.0)
@@ -1159,7 +1182,8 @@ def test_coupled_step_converges_at_second_order_in_dt():
     for k in range(4):
         em = mx.empty_em_state(box)
         mx.init_divfree(m0, (0.0, 0.0, 0.0), box, out=em.h)
-        final = run(geom, params, SchemeConfig(dt=dt0 / 2**k, subcycles=2), m0, em, None,
+        scheme = SchemeConfig(dt=dt0 / 2**k, subcycles=2, integrator=integrator)
+        final = run(geom, params, scheme, m0, em, None,
                     64 * dt0, log_every=1 << 30).final_state
         ends.append((final.m, final.em.h))
     for field in (0, 1):

@@ -415,30 +415,6 @@ class TestFdtdStep:
         _, peak = traced_peak(substeps)
         assert peak < em.ex.nbytes
 
-    def test_warm_substep_builds_no_views(self, monkeypatch):
-        # the first substep builds the workspace with its curl operands,
-        # body slabs and Mur1 planes; later ones only apply them
-        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.6, 0.4, 6, 5, 3, 2))
-        box = mx.make_box(geom, padding=3)
-        em = random_em(box, seed=24, pec=False)
-        em.bc = mx.MUR1
-        params = em_params(sigma=2.0)
-        dt = 0.5 * mx.cfl_limit(box, params)
-        m_dot = np.random.default_rng(25).standard_normal(geom.field_shape())
-        dm_faces = tuple(dt * f for f in mx.cells_to_faces(m_dot))
-        f_value = np.array([0.3, 0.0, -0.2])
-        acc = types.SimpleNamespace(ohmic=0.0, source=0.0)
-        mx.fdtd_step(em, dm_faces, f_value, params, dt, acc)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a warm substep built a view")
-
-        for name in ("_curl_views", "_off_axis", "_wall_planes", "_along",
-                     "_body_faces", "_body_edge_slabs", "_body_face_slabs"):
-            monkeypatch.setattr(mx, name, forbidden)
-        for _ in range(8):
-            mx.fdtd_step(em, dm_faces, f_value, params, dt, acc)
-
     def test_plane_wave_speed(self):
         # Gaussian pulse in vacuum propagates at 1/sqrt(mu0 eps0) within 2%.
         # The z extent is tall enough that the clamped wall edges stay
