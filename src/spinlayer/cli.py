@@ -31,8 +31,8 @@ import time
 import numpy as np
 
 from . import dynamics, maxwell, snapshots
-from .config import (RunConfig, _parse, _seed_flag, _validate, build_model,
-                     build_setup, parse_config, read_config_text)
+from .config import (RunConfig, _seed_flag, build_model, build_setup, parse_config,
+                     read_config_text)
 from .diagnostics import CSV_COLUMNS, omega_limit_field_cells, stationarity_report
 from .dynamics import _state_terms
 from .energetics import EnergyBreakdown, _dot, _norm_views, _vector_field
@@ -94,16 +94,15 @@ def _locked(outdir: str):
 
 
 def _load_config(path: str, args) -> RunConfig:
-    """The config file with the command-line overrides applied, then
-    validated."""
-    config = _parse(read_config_text(path))
+    """The config file with the command-line overrides applied; the
+    values are checked as `build_setup` uses them."""
+    config = parse_config(read_config_text(path))
     if args.log_every is not None:
         config.cadence = args.log_every
     if args.snapshots is not None:
         config.snapshots_on = args.snapshots == "on"
     if args.seed is not None:
         _seed_flag(config, args.seed)
-    _validate(config)
     return config
 
 

@@ -3,18 +3,19 @@
 Sectioned key = value text, one assignment per line, '#' comments.
 Values are split like a shell command line, so quotes keep a space or a
 '#' inside one value.  Unknown sections or keys, malformed quoting and
-non-finite numbers are rejected with the offending line number;
-semantic problems surface as ValidationError naming the field.  Each
-key is declared once, as a RunConfig field with its section, converter
-and default (`_key`); the field order is the order of the canonical echo
+non-finite numbers are rejected with the offending line number; a value
+the run cannot take is refused where `build_setup` uses it.  Each key
+is declared once, as a RunConfig field with its section, converter and
+default (`_key`); the field order is the order of the canonical echo
 `to_text`, which parses back to an identical config.  Keys that older
 echoes wrote and that set no field now are read by `_RETIRED`'s rules,
 so an old run directory's effective_config still loads to the same run.
 """
 
+import contextlib
 import math
 import shlex
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -198,25 +199,13 @@ for _field in fields(RunConfig):
 # Keys that older echoes wrote and that set no field now, with their
 # converters.  `frozen` must be off: a frozen h has no Zeeman term in the
 # energy ledger.  A nonzero `seed` overrode the random preset's seed, so
-# `_parse` writes it there and an old effective_config draws the same m0.
+# `parse_config` writes it there: an old effective_config draws one m0.
 _RETIRED = {"maxwell": {"frozen": _BOOL}, "run": {"seed": _INT}}
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate configuration text.
-
-    The first problem is reported with its line number (ParseError) or
-    field name (ValidationError); the returned config has all defaults
-    filled in.
-    """
-    config = _parse(text)
-    _validate(config)
-    return config
 
 
 def read_config_text(path: str) -> str:
     """A configuration file's text as UTF-8 whatever the locale; a byte that
-    is not UTF-8 raises ParseError with its line, numbered as in `_parse`."""
+    is not UTF-8 raises ParseError with its line, numbered as parsed."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -226,9 +215,11 @@ def read_config_text(path: str) -> str:
         raise ParseError(line, f"not UTF-8: byte {data[exc.start]:#04x}") from None
 
 
-def _parse(text: str) -> RunConfig:
-    """Configuration text -> RunConfig, checked line by line but not yet
-    validated as a whole (`_validate`)."""
+def parse_config(text: str) -> RunConfig:
+    """Configuration text -> RunConfig with all defaults filled in, checked
+    line by line (ParseError with the line's number) but not for values
+    the run cannot take (`build_model`), the retired `frozen = on` aside.
+    In sharp mode a given eta is dropped: the one-cell layer takes none."""
     config = RunConfig()
     section = None
     seen = set()
@@ -271,46 +262,14 @@ def _parse(text: str) -> RunConfig:
         raise ValidationError("maxwell.frozen", "only off is accepted")
     if retired.get("seed"):
         _override_seed(config, retired["seed"])
+    if config.bc_mode == SHARP:
+        config.eta = None
     return config
-
-
-def _validate(config: RunConfig):
-    """Raise ValidationError naming the first field whose value the run
-    cannot take; the one check of values from the text and from
-    command-line overrides alike."""
-    if config.trace_order != 1:
-        raise ValidationError("geometry.trace_order", "must be 1")
-    if config.k_diag is not None and config.k_matrix is not None:
-        raise ValidationError("material.k_matrix", "give k_diag or k_matrix, not both")
-    if config.alpha <= 0:
-        raise ValidationError("material.alpha", "must be positive")
-    if config.dt <= 0:
-        raise ValidationError("scheme.dt", "must be positive")
-    if config.subcycles < 1:
-        raise ValidationError("scheme.subcycles", "must be at least 1")
-    if config.stability_c <= 0:
-        raise ValidationError("scheme.stability_c", "must be positive")
-    if config.padding < 1:
-        raise ValidationError("maxwell.padding", "must be at least 1")
-    if config.cadence < 1:
-        raise ValidationError("output.cadence", "must be at least 1")
-    if config.t_end < 0:
-        raise ValidationError("run.t_end", "must be nonnegative")
-    if config.bc_mode == THIN_LAYER and config.eta is None:
-        raise ValidationError("geometry.eta", "required in thin_layer mode")
-    if config.m0[0] == "random" and config.m0[1] < 0:
-        raise ValidationError("initial.m", "seed must be nonnegative")
-    if config.m0[0] == "random" and len(config.m0) > 2:
-        # beyond the longest axis the filter only adds passes
-        longest = max(config.nx, config.ny, config.nz_minus + config.nz_plus)
-        if not 0 <= config.m0[2] <= longest:
-            raise ValidationError("initial.m", f"smoothing must be between 0 and "
-                                               f"{longest} cells, the longest body axis")
 
 
 @dataclass
 class RunSetup:
-    """Everything dynamics.run needs, built from a validated config."""
+    """Everything dynamics.run needs, built from a config."""
 
     config: RunConfig
     geom: object
@@ -325,12 +284,16 @@ def build_setup(config: RunConfig) -> RunSetup:
     """Materialize grids, parameters and initial fields: `build_model`,
     then `set_initial_fields`, then `_check_first_rate`, which names a
     non-finite initial h or first rate; `check` then steps through
-    `dynamics.run` as far as the first step.  A t_end that is not a whole
-    number of steps of dt (to a relative 1e-9 of the step count and at
-    most 1e-6 steps, `geometry._is_multiple`) raises ValidationError, as
-    does a current with sigma = 0, which the conduction term sigma (e + f)
-    never reads."""
+    `dynamics.run` as far as the first step.  A cadence below 1, and a
+    t_end that is negative or not a whole number of steps of dt (to a
+    relative 1e-9 of the step count and at most 1e-6 steps,
+    `geometry._is_multiple`) raise ValidationError, as does a current
+    with sigma = 0, which the conduction term sigma (e + f) never reads."""
     setup = build_model(config)
+    if config.cadence < 1:
+        raise ValidationError("output.cadence", "must be at least 1")
+    if config.t_end < 0:
+        raise ValidationError("run.t_end", "must be nonnegative")
     if not _is_multiple(config.t_end, config.dt):
         raise ValidationError("run.t_end", f"t_end={config.t_end:g} is not a whole "
                                            f"number of steps of dt={config.dt:g}")
@@ -343,53 +306,60 @@ def build_setup(config: RunConfig) -> RunSetup:
     return setup
 
 
+@contextlib.contextmanager
+def _refused(field: str):
+    """A constructor's refusal (ValueError or a geometry error) as
+    ValidationError naming the config section or key it was given."""
+    try:
+        yield
+    except (ValueError, SimulationError) as exc:
+        raise ValidationError(field, str(exc)) from exc
+
+
 def build_model(config: RunConfig) -> RunSetup:
     """Grids, parameters, the applied current and a zero electromagnetic
     state; `m0` is left None.
 
     The geometry's spacer layer is the eta layer in thin_layer mode and
-    the one-cell layer in sharp mode, where a given eta is validated but
-    not used.  Geometry and material violations are reported as
-    ValidationError so the command line can attribute them to config
-    fields; a dt beyond the exchange or Yee stability bound raises
-    CFLViolation, as `dynamics.run` would.
+    the one-cell layer in sharp mode, which takes no eta.  Each
+    constructor checks its own values, and its refusal is reported as
+    ValidationError naming the config section or key (`_refused`); a dt
+    beyond the exchange or Yee stability bound raises CFLViolation, as
+    `dynamics.run` would.
     """
-    request = GeometryConfig(
-        base_lx=config.lx, base_ly=config.ly,
-        l_minus=config.l_minus, l_plus=config.l_plus,
-        nx=config.nx, ny=config.ny,
-        nz_minus=config.nz_minus, nz_plus=config.nz_plus,
-        eta=config.eta, trace_order=config.trace_order)
-    try:
-        geom = build_geometry(request)
-    except SimulationError as exc:
-        raise ValidationError("geometry", str(exc)) from exc
-    if config.bc_mode == SHARP and geom.eta is not None:
-        geom = build_geometry(replace(request, eta=None))
+    if (config.eta is None) == (config.bc_mode == THIN_LAYER):
+        raise ValidationError("geometry.eta", "required in thin_layer mode, "
+                                              "refused in sharp mode")
+    with _refused("geometry"):
+        geom = build_geometry(GeometryConfig(
+            base_lx=config.lx, base_ly=config.ly,
+            l_minus=config.l_minus, l_plus=config.l_plus,
+            nx=config.nx, ny=config.ny,
+            nz_minus=config.nz_minus, nz_plus=config.nz_plus,
+            eta=config.eta, trace_order=config.trace_order))
 
+    if config.k_diag is not None and config.k_matrix is not None:
+        raise ValidationError("material.k_matrix", "give k_diag or k_matrix, not both")
     k = None
     if config.k_matrix is not None:
         k = np.reshape(config.k_matrix, (3, 3))
     elif config.k_diag is not None:
         k = np.diag(config.k_diag)
-    try:
+    with _refused("material"):
         params = MaterialParams(
             a_exch=config.a_exch, k_matrix=k, ks=config.ks,
             j1=config.j1, j2=config.j2, alpha=config.alpha,
             mu0=config.mu0, eps0=config.eps0, sigma=config.sigma,
             penalty_k=config.penalty_k)
-    except ValueError as exc:
-        raise ValidationError("material", str(exc)) from exc
 
-    scheme = SchemeConfig(
-        dt=config.dt, subcycles=config.subcycles, integrator=config.integrator,
-        constraint=config.constraint, bc_mode=config.bc_mode,
-        stability_c=config.stability_c)
+    with _refused("scheme"):
+        scheme = SchemeConfig(
+            dt=config.dt, subcycles=config.subcycles, integrator=config.integrator,
+            constraint=config.constraint, bc_mode=config.bc_mode,
+            stability_c=config.stability_c)
 
-    try:
+    with _refused("maxwell.padding"):
         box = maxwell.make_box(geom, config.padding)
-    except ValueError as exc:
-        raise ValidationError("maxwell.padding", str(exc)) from exc
     # the bounds `dynamics.run` enforces, so `check` rejects what `run` would
     dynamics.validate_stability(scheme, geom, params, box)
 
@@ -433,7 +403,15 @@ def _build_m0(config: RunConfig, geom) -> np.ndarray:
     if kind == "vortexish":
         return presets.vortexish_m(geom)
     if kind == "random":
-        return presets.random_unit_m(geom, *config.m0[1:])
+        seed, *smooth = config.m0[1:]
+        if seed < 0:
+            raise ValidationError("initial.m", "seed must be nonnegative")
+        # beyond the longest axis the filter only adds passes
+        longest = max(geom.nx, geom.ny, geom.nz_total)
+        if smooth and not 0 <= smooth[0] <= longest:
+            raise ValidationError("initial.m", f"smoothing must be between 0 and "
+                                               f"{longest} cells, the longest body axis")
+        return presets.random_unit_m(geom, seed, *smooth)
     # the parser admits one more preset, "snapshot"
     try:
         _, (m,) = snapshots.read_field(config.m0[1], snapshots.FIELD_M,
@@ -475,7 +453,5 @@ def _build_current(config: RunConfig) -> Optional[AppliedCurrent]:
     """The pulse of `f = pulse ax ay az t0 width`, or None for `f = zero`."""
     if config.f[0] == "zero":
         return None
-    try:
+    with _refused("current.f"):
         return AppliedCurrent(config.f[1:4], *config.f[4:6])
-    except ValueError as exc:
-        raise ValidationError("current.f", str(exc)) from exc

@@ -282,6 +282,8 @@ class EMState:
     hz = _component(5, "h on z faces")
 
     def __post_init__(self):
+        if self.bc not in BOUNDARIES:
+            raise ValueError(f"unknown boundary {self.bc!r} (choose from {BOUNDARIES})")
         for name in ("e", "h"):
             store = getattr(self, name)
             if store.shape != store_shape(self.box) or not store.flags.c_contiguous:
@@ -326,8 +328,6 @@ class EMState:
 
 def empty_em_state(box: BoxGeometry, bc: str = PEC) -> EMState:
     """Zero fields on the box with outer boundary bc (PEC or MUR1)."""
-    if bc not in BOUNDARIES:
-        raise ValueError(f"unknown boundary {bc!r} (choose from {BOUNDARIES})")
     return EMState(box, _aligned_empty(store_shape(box), zero=True),
                    _aligned_empty(store_shape(box), zero=True), bc=bc)
 

@@ -103,13 +103,44 @@ class TestParse:
             parse_config("lx = 1.0\n")
 
     def test_eta_nontiling_is_validation_error(self, tmp_path):
-        text = minimal_config(tmp_path) + "\n[geometry]\n"
-        # splice eta into the geometry block instead
         text = minimal_config(tmp_path).replace(
-            "nz_plus = 2", "nz_plus = 2\neta = 0.3")
+            "nz_plus = 2", "nz_plus = 2\neta = 0.3").replace(
+            "dt = 0.002", "dt = 0.002\nbc_mode = thin_layer")
         with pytest.raises(ValidationError) as err:
             build_setup(parse_config(text))
         assert "geometry" in err.value.field
+
+    def test_sharp_mode_drops_eta(self, tmp_path):
+        # the one-cell layer takes no eta: a given one, tiling or not, is
+        # dropped at load, so check accepts it and echoes none
+        for eta in ("0.3", "0.25"):
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(minimal_config(tmp_path / "out").replace(
+                "nz_plus = 2", f"nz_plus = 2\neta = {eta}"))
+            assert parse_config(cfg_path.read_text()) == parse_config(
+                minimal_config(tmp_path / "out"))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["check", str(cfg_path)]) == 0
+            assert "\neta = " not in out.getvalue()
+
+    @pytest.mark.parametrize("preset, count", [
+        ("uniform 1 0", "3"), ("random", "1 to 2"), ("random 1 2 3", "1 to 2"),
+        ("vortexish 1", "0")])
+    def test_preset_argument_count_reports_line(self, tmp_path, preset, count):
+        with pytest.raises(ParseError, match=f"^line {M_LINE}: preset "
+                                             f"'{preset.split()[0]}' takes {count} "):
+            parse_config(minimal_config(tmp_path).replace("m = random 11", f"m = {preset}"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[geometry]\nlx 1.0\n", "expected 'key = value'"),
+        ("[geometry]\nlx =\n", "missing value for 'lx'"),
+        ("[geometry]\nlx = inf\n", "expected a finite number, got 'inf'"),
+        ("[material]\nk_diag = 1 2\n", "expected 3 numbers"),
+        ("[output]\nsnapshots = maybe\n", "expected on/off, got 'maybe'")])
+    def test_malformed_line_reports_line(self, text, message):
+        with pytest.raises(ParseError, match=f"^line 2: {message}"):
+            parse_config(text)
 
     def test_threads_key_unknown(self):
         with pytest.raises(ParseError) as err:
@@ -117,10 +148,54 @@ class TestParse:
         assert err.value.line == 2
 
     def test_thin_layer_requires_eta(self, tmp_path):
-        text = minimal_config(tmp_path).replace(
-            "dt = 0.002", "dt = 0.002\nbc_mode = thin_layer")
+        # and a config built in code that pairs an eta with sharp mode,
+        # where the layer is one cell deep, is refused
+        cfg = parse_config(minimal_config(tmp_path).replace(
+            "dt = 0.002", "dt = 0.002\nbc_mode = thin_layer"))
+        with pytest.raises(ValidationError) as err:
+            build_setup(cfg)
+        assert err.value.field == "geometry.eta"
+        with pytest.raises(ValidationError) as err:
+            build_setup(RunConfig(eta=0.25))
+        assert err.value.field == "geometry.eta"
+
+    def test_values_are_not_checked_at_parse(self):
+        # every value below is out of range, yet parsing refuses only a
+        # malformed line or the retired frozen = on; the set-up refuses
+        text = """
+[geometry]
+nx = 0
+eta = -1
+trace_order = 2
+[material]
+alpha = 0
+k_diag = 1 1 1
+k_matrix = 1 0 0 0 1 0 0 0 1
+[scheme]
+dt = -1
+bc_mode = thin_layer
+subcycles = 0
+stability_c = 0
+[maxwell]
+padding = 0
+[initial]
+m = random -1 1e300
+[current]
+f = pulse 1 0 0 0 -1
+[output]
+cadence = 0
+[run]
+t_end = -1
+"""
+        cfg = parse_config(text)
+        assert (cfg.nx, cfg.eta, cfg.trace_order, cfg.alpha, cfg.dt, cfg.subcycles,
+                cfg.stability_c, cfg.padding, cfg.m0, cfg.cadence, cfg.t_end) == (
+            0, -1.0, 2, 0.0, -1.0, 0, 0.0, 0, ("random", -1, 1e300), 0, -1.0)
         with pytest.raises(ValidationError):
-            parse_config(text)
+            build_setup(cfg)
+        with pytest.raises(ValidationError) as err:
+            parse_config(text + "[maxwell]\nfrozen = on\n")
+        assert err.value.field == "maxwell.frozen"
 
     def test_preset_arguments_typed(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path).replace(
@@ -364,9 +439,11 @@ class TestEcho:
         assert RunConfig().to_text() == _new_echo(DEFAULT_ECHO)
 
     def test_readme_echo_is_pinned(self):
+        # the README config is in sharp mode, which drops its eta at load
         cfg = parse_config(README_CONFIG)
         assert parse_config(README_ECHO) == cfg
-        assert cfg.to_text() == _new_echo(README_ECHO)
+        assert cfg.eta is None
+        assert cfg.to_text() == _new_echo(README_ECHO).replace("eta = 0.25\n", "")
 
     def test_old_effective_config_loads(self):
         # every key written, the single-valued trace_order and the retired
@@ -453,6 +530,19 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="truncated snapshot payload"):
             snapshots.read_snapshot(path)
 
+    def test_malformed_write_or_header_rejected(self, tmp_path):
+        path, m = tmp_path / "m.snap", np.zeros((2, 2, 2, 3))
+        for field_id, arrays, message in (
+                (b"XXXX", [m], "unknown snapshot field id b'XXXX'"),
+                (snapshots.FIELD_M, [m, m], "b'MCEL' expects 1 arrays"),
+                (snapshots.FIELD_M, [m[:1]], r"array shape \(1, 2, 2, 3\) does not match")):
+            with pytest.raises(ValueError, match=message):
+                snapshots.write_snapshot(path, field_id, (2, 2, 2), (1, 1, 1), 0.0, arrays)
+            assert not path.exists()
+        path.write_bytes(snapshots.MAGIC)
+        with pytest.raises(ValueError, match="truncated snapshot header"):
+            snapshots.read_snapshot(path)
+
 
 # ways to spoil one snapshot of a finished run; each returns the file
 
@@ -528,7 +618,8 @@ class TestCli:
         cfg_path.write_text(minimal_config(tmp_path / "out").replace(
             "nz_plus = 2", "nz_plus = 2\ntrace_order = 2"))
         assert main(["check", str(cfg_path)]) == 2
-        assert "geometry.trace_order" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: config: geometry: trace_order must be 1\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["check", "run"])
     def test_frozen_on_exit_2(self, tmp_path, capsys, command):
@@ -604,24 +695,24 @@ class TestCli:
         assert not (outdir / "diag_report.csv").exists()
         assert main(["diag", str(outdir)]) == 0
 
-    @pytest.mark.parametrize("old, new, field", [
-        ("alpha = 1.0", "alpha = 0", "material.alpha"),
-        ("dt = 0.002", "dt = -0.002", "scheme.dt"),
-        ("dt = 0.002", "dt = 0.002\nsubcycles = 0", "scheme.subcycles"),
-        ("dt = 0.002", "dt = 0.002\nstability_c = 0", "scheme.stability_c"),
-        ("dt = 0.002", "dt = 0.002\nstability_c = -1", "scheme.stability_c"),
+    @pytest.mark.parametrize("old, new, prefix", [
+        ("alpha = 1.0", "alpha = 0", "material: alpha must "),
+        ("dt = 0.002", "dt = -0.002", "scheme: dt must "),
+        ("dt = 0.002", "dt = 0.002\nsubcycles = 0", "scheme: subcycles must "),
+        ("dt = 0.002", "dt = 0.002\nstability_c = 0", "scheme: stability_c must "),
+        ("dt = 0.002", "dt = 0.002\nstability_c = -1", "scheme: stability_c must "),
         ("alpha = 1.0", "alpha = 1.0\nk_diag = 0.05 0.02 0.0\n"
-                        "k_matrix = 0.05 0 0 0 0.02 0 0 0 0", "material.k_matrix"),
-        ("padding = 2", "padding = 0", "maxwell.padding"),
-        ("t_end = 0.02", "t_end = -0.02", "run.t_end"),
-        ("m = random 11", "m = random -1", "initial.m"),
-        ("m = random 11", "m = random 11 -1", "initial.m"),
-        ("m = random 11", "m = random 11 1e300", "initial.m"),
-        ("m = random 11", "m = uniform 0 0 0", "initial.m"),
-        ("[output]", "[current]\nf = pulse 1 0 0 0.01 0\n[output]", "current.f"),
-        ("[output]", "[current]\nf = pulse 1 0 0 0.01 -0.005\n[output]", "current.f"),
+                        "k_matrix = 0.05 0 0 0 0.02 0 0 0 0", "material.k_matrix: "),
+        ("padding = 2", "padding = 0", "maxwell.padding: "),
+        ("t_end = 0.02", "t_end = -0.02", "run.t_end: "),
+        ("m = random 11", "m = random -1", "initial.m: "),
+        ("m = random 11", "m = random 11 -1", "initial.m: "),
+        ("m = random 11", "m = random 11 1e300", "initial.m: "),
+        ("m = random 11", "m = uniform 0 0 0", "initial.m: "),
+        ("[output]", "[current]\nf = pulse 1 0 0 0.01 0\n[output]", "current.f: "),
+        ("[output]", "[current]\nf = pulse 1 0 0 0.01 -0.005\n[output]", "current.f: "),
     ])
-    def test_check_names_the_field_it_rejects(self, tmp_path, capsys, old, new, field):
+    def test_check_names_the_field_it_rejects(self, tmp_path, capsys, old, new, prefix):
         outdir = tmp_path / "out"
         text = minimal_config(outdir)
         assert text.count(old) == 1
@@ -629,7 +720,7 @@ class TestCli:
         cfg_path.write_text(text.replace(old, new))
         assert main(["check", str(cfg_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: config: {field}: ") and captured.out == ""
+        assert captured.err.startswith(f"error: config: {prefix}") and captured.out == ""
         assert not outdir.exists()
 
     def test_k_matrix_runs_the_bits_of_k_diag(self, tmp_path, capsys):
@@ -864,6 +955,67 @@ class TestCli:
         os.makedirs(outdir)
         (outdir / "lock").write_text("")
         assert main(["run", str(cfg_path)]) == 4
+
+    def test_output_directory_under_a_file_exit_4(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        (tmp_path / "file").write_text("")
+        cfg_path.write_text(minimal_config(tmp_path / "file" / "out"))
+        assert main(["run", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: io: cannot create output directory: ")
+
+    def test_lock_that_is_a_directory_names_no_owner(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        os.makedirs(outdir / "lock")
+        assert main(["run", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: output directory is locked: {outdir / 'lock'} "
+                              f"is held by an unknown owner (unreadable: ")
+        assert os.listdir(outdir) == ["lock"]
+
+    @pytest.mark.parametrize("name, error", [
+        ("open", "cannot lock output directory: [Errno 13] Permission denied"),
+        ("fdopen", "cannot write the lock file: [Errno 28] No space left on device")])
+    def test_lock_that_cannot_be_taken_exit_4(self, tmp_path, capsys, monkeypatch, name,
+                                              error):
+        # an OSError in creating or writing the lock file names the step
+        # that failed; nothing is written and no lock is left
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        real_open = os.open
+
+        def no_permission(path, *args):
+            if os.path.basename(path) == "lock":
+                raise PermissionError(13, "Permission denied")
+            return real_open(path, *args)
+
+        def full_disk(fd, *args):
+            os.close(fd)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, name, {"open": no_permission, "fdopen": full_disk}[name])
+        assert main(["run", str(cfg_path)]) == 4
+        assert capsys.readouterr().err == f"error: io: {error}\n"
+        assert os.listdir(outdir) == []
+
+    def test_lock_removed_during_the_run_exit_0(self, tmp_path, monkeypatch):
+        # the lock is removed however the block ends, and one already gone
+        # is no failure
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        real_run = dynamics.run
+
+        def run_without_lock(*args, **kwargs):
+            os.remove(outdir / "lock")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "run", run_without_lock)
+        assert main(["run", str(cfg_path)]) == 0
+        assert (outdir / "state_final_m.snap").exists()
 
     def test_lock_names_its_owner(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "run.cfg"

@@ -200,6 +200,20 @@ def test_scheme_rejects_non_finite_numbers_naming_them(name, value):
         SchemeConfig(**{"dt": 1e-3, name: value})
 
 
+@pytest.mark.parametrize("name", ["integrator", "constraint", "bc_mode"])
+def test_scheme_rejects_an_unknown_word_naming_it(name):
+    with pytest.raises(ValueError, match=f"^unknown {name} 'euler'"):
+        SchemeConfig(dt=1e-3, **{name: "euler"})
+
+
+@pytest.mark.parametrize("t_end, log_every, message", [
+    (-1e-2, 1, "t_end must be nonnegative"), (1e-2, 0, "log_every must be at least 1")])
+def test_run_rejects_a_negative_t_end_or_cadence(t_end, log_every, message):
+    geom, params, em, m, _ = single_spin_setup()
+    with pytest.raises(ValueError, match=message):
+        run(geom, params, SchemeConfig(dt=1e-2), m, em, None, t_end, log_every=log_every)
+
+
 class TestStep:
     def test_aligned_state_only_time_moves(self):
         geom, params, em, m, h = single_spin_setup(h=(0, 0, 1), m0=(0, 0, 1))

@@ -151,6 +151,12 @@ class TestAnisotropy:
         for got in (apply_k(params, m), apply_k(params, m, out=out, tmp=np.empty(m.size))):
             assert got.shape == want.shape and (got == want).all()
 
+    def test_apply_k_without_k_is_zero(self, small_geom):
+        m = np.random.default_rng(44).standard_normal(small_geom.field_shape())
+        out = np.full(m.shape, np.nan)
+        assert apply_k(plain_params(), m, out=out) is out
+        assert (out == 0.0).all() and (apply_k(plain_params(), m) == 0.0).all()
+
 
 def sharp_surface(m, geom, params):
     """(surf_anis, superexch_q, superexch_biq) of the breakdown on the

@@ -52,6 +52,12 @@ class TestBuildGeometry:
         with pytest.raises(NonTilingGrid, match=f"^{name} must be positive and finite"):
             build_geometry(dataclasses.replace(config, **{name: value}))
 
+    @pytest.mark.parametrize("name", ["nx", "ny", "nz_minus", "nz_plus"])
+    def test_count_below_one_rejected_naming_it(self, name):
+        config = GeometryConfig(1.0, 1.0, 0.5, 0.5, 8, 8, 4, 4)
+        with pytest.raises(NonTilingGrid, match=f"^{name} must be at least 1"):
+            build_geometry(dataclasses.replace(config, **{name: 0}))
+
     @pytest.mark.parametrize("order", [0, 2])
     def test_trace_order_other_than_one_rejected(self, order):
         with pytest.raises(NonTilingGrid):

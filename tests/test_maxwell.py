@@ -372,6 +372,10 @@ class TestFdtdStep:
         assert [mx.empty_em_state(box, bc=bc).bc for bc in mx.BOUNDARIES] == ["pec", "mur1"]
         with pytest.raises(ValueError, match="'mur'"):
             mx.empty_em_state(box, bc="mur")
+        # the state itself refuses one, so no stepper reads it as PEC
+        store = np.zeros(mx.store_shape(box))
+        with pytest.raises(ValueError, match="'mur'"):
+            mx.EMState(box, store, store.copy(), bc="mur")
 
     def test_nothing_moves(self, small_geom):
         box = mx.make_box(small_geom, padding=2)
