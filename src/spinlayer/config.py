@@ -147,7 +147,6 @@ class RunConfig:
     j1: float = _key("material", _FLOAT, 0.0)
     j2: float = _key("material", _FLOAT, 0.0)
     alpha: float = _key("material", _FLOAT, 1.0)
-    mu0: float = _key("material", _FLOAT, 1.0)
     eps0: float = _key("material", _FLOAT, 1.0)
     sigma: float = _key("material", _FLOAT, 0.0)
     penalty_k: float = _key("material", _FLOAT, 0.0)
@@ -196,11 +195,11 @@ for _field in fields(RunConfig):
     _section, _name, _convert = _field.metadata["text"]
     _SCHEMA.setdefault(_section, {})[_name or _field.name] = (_field.name, _convert)
 
-# Keys that older echoes wrote and that set no field now, with their
-# converters.  `frozen` must be off: a frozen h has no Zeeman term in the
-# energy ledger.  A nonzero `seed` overrode the random preset's seed, so
-# `parse_config` writes it there: an old effective_config draws one m0.
-_RETIRED = {"maxwell": {"frozen": _BOOL}, "run": {"seed": _INT}}
+# Keys that older echoes wrote and that set no field now, with their converters.
+# `frozen` must be off (a frozen h has no Zeeman term in the energy ledger) and `mu0`
+# 1 (e is measured in units of mu0).  A nonzero `seed` overrode the random preset's
+# seed, so `parse_config` writes it there: an old effective_config draws one m0.
+_RETIRED = {"material": {"mu0": _FLOAT}, "maxwell": {"frozen": _BOOL}, "run": {"seed": _INT}}
 
 
 def read_config_text(path: str) -> str:
@@ -218,7 +217,7 @@ def read_config_text(path: str) -> str:
 def parse_config(text: str) -> RunConfig:
     """Configuration text -> RunConfig with all defaults filled in, checked
     line by line (ParseError with the line's number) but not for values
-    the run cannot take (`build_model`), the retired `frozen = on` aside.
+    the run cannot take (`build_model`), a refused retired value aside.
     In sharp mode a given eta is dropped: the one-cell layer takes none."""
     config = RunConfig()
     section = None
@@ -260,6 +259,9 @@ def parse_config(text: str) -> RunConfig:
         setattr(config, attr, converter(tokens, lineno))
     if retired.get("frozen"):
         raise ValidationError("maxwell.frozen", "only off is accepted")
+    if retired.get("mu0", 1.0) != 1.0:
+        raise ValidationError("material.mu0", "only 1 is accepted; for mu0 = M give "
+                              "eps0 * M, sigma * M, and f's amplitude and e0 over M")
     if retired.get("seed"):
         _override_seed(config, retired["seed"])
     if config.bc_mode == SHARP:
@@ -349,8 +351,7 @@ def build_model(config: RunConfig) -> RunSetup:
         params = MaterialParams(
             a_exch=config.a_exch, k_matrix=k, ks=config.ks,
             j1=config.j1, j2=config.j2, alpha=config.alpha,
-            mu0=config.mu0, eps0=config.eps0, sigma=config.sigma,
-            penalty_k=config.penalty_k)
+            eps0=config.eps0, sigma=config.sigma, penalty_k=config.penalty_k)
 
     with _refused("scheme"):
         scheme = SchemeConfig(

@@ -26,8 +26,8 @@ class LedgerRow:
     integrals accumulated since t = 0,
 
     dissipation: (alpha/(1+alpha^2)) * int |dm/dt|^2
-    ohmic:       (sigma/mu0) * int |e|^2 over the body
-    source:      (sigma/mu0) * int e.f over the body
+    ohmic:       sigma * int |e|^2 over the body
+    source:      sigma * int e.f over the body
 
     and the saturation deviation and divergence drift of the state.
     """

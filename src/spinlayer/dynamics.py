@@ -332,7 +332,7 @@ def step(state: SimState, f: Optional[AppliedCurrent] = None) -> SimState:
         # predicted rate (m_pred - m)/dt, then the step at the midpoint h
         f_new -= f_m
         f_new /= dt
-        h_mid = maxwell._midpoint_h_cells(state.em, m_new, dt, params)
+        h_mid = maxwell._midpoint_h_cells(state.em, m_new, dt)
         _advance_m(work, i, h_mid, dt, scheme)
 
     step_no = state.n + 1
@@ -428,5 +428,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         step(state, f)
         if n % log_every == 0 or n == n_steps:
             log(n)
-    state.work = None   # the stage buffers are only needed while stepping
+    state.work = None   # the stage and Maxwell buffers are only needed while stepping
+    if em is not None:
+        em.work = None
     return Trajectory(final_state=state)

@@ -83,8 +83,8 @@ class MaterialParams:
 
     k_matrix is the one symmetric positive-semidefinite 3x3 anisotropy
     matrix of the body (the anisotropy is uniform), or None.  penalty_k is
-    the saturation penalty coefficient; sigma the conductivity inside the
-    body.
+    the saturation penalty coefficient, sigma the conductivity inside the
+    body and eps0 the permittivity, which alone sets the light speed.
     """
 
     a_exch: float
@@ -93,14 +93,13 @@ class MaterialParams:
     j1: float
     j2: float
     alpha: float
-    mu0: float = 1.0
     eps0: float = 1.0
     sigma: float = 0.0
     penalty_k: float = 0.0
 
     def __post_init__(self):
         # written so that NaN fails each test
-        for name in ("alpha", "mu0", "eps0"):
+        for name in ("alpha", "eps0"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("a_exch", "ks", "j1", "j2", "sigma", "penalty_k"):
@@ -122,7 +121,7 @@ class MaterialParams:
 
     @property
     def speed_of_light(self) -> float:
-        return 1.0 / np.sqrt(self.mu0 * self.eps0)
+        return 1.0 / np.sqrt(self.eps0)
 
 
 def uniform_k_matrix(k: np.ndarray, geom: DomainGeometry) -> np.ndarray:
@@ -446,9 +445,7 @@ def maxwell_energy(em, params: MaterialParams) -> Tuple[float, float]:
     """(field energy of h, field energy of e) over the computational box,
     one sum over each store: its pads are zero."""
     dV = em.box.cell_volume
-    e_h = 0.5 * dV * dot(em.h, em.h)
-    e_e = (0.5 * params.eps0 / params.mu0) * dV * dot(em.e, em.e)
-    return e_h, e_e
+    return 0.5 * dV * dot(em.h, em.h), 0.5 * params.eps0 * dV * dot(em.e, em.e)
 
 
 def _energy_views(m: np.ndarray, geom: DomainGeometry, params: MaterialParams,

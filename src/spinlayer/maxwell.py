@@ -820,7 +820,7 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
         raise CFLViolation(f"dt={dt:g} exceeds the Yee bound {limit:g}")
 
     work = em.workspace()
-    sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
+    sigma, eps0 = params.sigma, params.eps0
     k = dt / eps0
     if em.bc == MUR1:
         # the boundary and next-inner planes before the update
@@ -850,10 +850,10 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
                 # e_mid is twice the midpoint e; the factors 0.25 and 0.5
                 # rescale exactly, so the sums keep the midpoint's bits
                 np.add(e_body, e_new, out=e_mid)
-                acc.ohmic += dt * (sigma / mu0) * dV * (0.25 * dot(e_mid, e_mid))
+                acc.ohmic += dt * sigma * dV * (0.25 * dot(e_mid, e_mid))
                 if fc != 0.0:
                     e_mid *= 0.5 * fc
-                    acc.source += dt * (sigma / mu0) * dV * esum(e_mid)
+                    acc.source += dt * sigma * dV * esum(e_mid)
         e += ce
         if sigma != 0.0:
             np.copyto(e_body, e_new)
@@ -863,7 +863,7 @@ def fdtd_step(em: EMState, dm_faces: Optional[tuple], f_value: np.ndarray,
 
     for term, h, h_body, dm in zip(work.curl_e_views, work.h_parts, work.body_h,
                                    dm_faces or (None,) * 3):
-        h -= _apply_curl(term, dt / mu0)
+        h -= _apply_curl(term, dt)
         if dm is not None:
             h_body -= dm
     return em
@@ -877,8 +877,7 @@ def stage_h_cells(em: EMState) -> np.ndarray:
     return faces_to_cells(*work.body_h, out=work.body_cells)
 
 
-def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float,
-                      params: MaterialParams) -> np.ndarray:
+def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float) -> np.ndarray:
     """Predicted Maxwell h at the step midpoint, on magnetization cells.
 
     Freezing h at its stage-begin value injects (dt^2/2)|R^T m_dot|^2 of
@@ -890,7 +889,7 @@ def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float,
     for Heun, four for RK4); divergence bookkeeping is unaffected because
     the h update still uses the realized rate.
 
-    The body cells average only the body face slabs, so (dt/2 mu0) curl e
+    The body cells average only the body face slabs, so (dt/2) curl e
     and the rate m_dot are taken on those faces only; the result is the
     workspace's `body_cells`.  Private, so that the benchmark's tracer
     (which wraps public functions) books its transfers under the step.
@@ -900,8 +899,8 @@ def _midpoint_h_cells(em: EMState, m_dot: np.ndarray, dt: float,
     rate = cells_to_faces(m_dot, out=work.rate_faces)
     for term, f, h, c, r in zip(work.body_curl_e_views, work.body_faces, work.body_h,
                                 work.body_curl_faces, rate):
-        # f = h - (half/mu0) curl e - half m_dot, in that order
-        _apply_curl(term, half / params.mu0)
+        # f = h - half curl e - half m_dot, in that order
+        _apply_curl(term, half)
         np.subtract(h, c, out=f)
         r *= half
         f -= r

@@ -368,12 +368,12 @@ def box_faces_to_body_cells(hx, hy, hz, box):
     return cells[box.body_slices()]
 
 
-def box_midpoint_h_cells(em, m_dot_pred, dt, mu0):
-    """The midpoint-h predictor with (dt/2 mu0) curl e on every face of the
+def box_midpoint_h_cells(em, m_dot_pred, dt):
+    """The midpoint-h predictor with (dt/2) curl e on every face of the
     box and the rate embedded into the box."""
     box = em.box
     half = 0.5 * dt
-    chx, chy, chz = mx.face_views(workspace_curl(em, True, half / mu0), box)
+    chx, chy, chz = mx.face_views(workspace_curl(em, True, half), box)
     mdx, mdy, mdz = padded_cells_to_faces(embed_cell_field(m_dot_pred, box))
     hx = em.hx - chx - half * mdx
     hy = em.hy - chy - half * mdy
@@ -495,7 +495,7 @@ def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, acc):
     mur_planes = (("ey", 0), ("ez", 0), ("ex", 1), ("ez", 1), ("ex", 2), ("ey", 2))
     old = {(name, axis): [np.take(f[name], i, axis=axis).copy() for i in (0, 1, -1, -2)]
            for name, axis in mur_planes}
-    sigma, eps0, mu0 = params.sigma, params.eps0, params.mu0
+    sigma, eps0 = params.sigma, params.eps0
     k = dt / eps0
     beta = sigma * dt / (2.0 * eps0)
     dV = box.cell_volume
@@ -505,8 +505,8 @@ def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, acc):
         e_body = e[mask]
         e_new = ((1.0 - beta) * e_body + k * (ce[mask] - sigma * fc)) / (1.0 + beta)
         e_mid = 0.5 * (e_body + e_new)
-        acc.ohmic += dt * (sigma / mu0) * dV * math.fsum(e_mid * e_mid)
-        acc.source += dt * (sigma / mu0) * dV * math.fsum(fc * e_mid)
+        acc.ohmic += dt * sigma * dV * math.fsum(e_mid * e_mid)
+        acc.source += dt * sigma * dV * math.fsum(fc * e_mid)
         e += k * ce
         e[mask] = e_new
     if bc == mx.MUR1:
@@ -520,4 +520,4 @@ def plain_fdtd_step(f, box, bc, m_dot, f_value, params, dt, acc):
             a[-1] = hi_in_old + coef * (a[-2] - hi_old)
     rate = padded_cells_to_faces(embed_cell_field(m_dot, box))
     for name, ch, r in zip(("hx", "hy", "hz"), plain_curl_e(ex, ey, ez, box), rate):
-        f[name] -= (dt / mu0) * ch + dt * r
+        f[name] -= dt * ch + dt * r

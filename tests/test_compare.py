@@ -128,3 +128,52 @@ def test_pairs_mark_a_gain_by_the_claim_rule(capsys):
     # nine of the pairs alone are too few to claim the same gain
     compare.compare_pairs(lines[:9], "coupled")
     assert "gain" not in capsys.readouterr().out
+
+
+def test_lockstep_runs_both_trees_in_one_child_on_tiny_inputs(tmp_path):
+    # the working tree against itself: per workload, two turns of the A/A
+    # and two of the A/B, each a (base, head) pair of batch times
+    times = compare.run_lockstep({"base": ROOT, "head": ROOT}, 2, "tiny", tmp_path)
+    assert sorted(times) == sorted(compare.WORKLOADS)
+    for workload in compare.WORKLOADS:
+        assert sorted(times[workload]) == ["aa", "ab"]
+        for pairs in times[workload].values():
+            assert len(pairs) == 2
+            assert all(len(pair) == 2 and min(pair) > 0.0 for pair in pairs)
+    assert sorted(p.name for p in (tmp_path / "lockstep").iterdir()) == [
+        "sl_base", "sl_control", "sl_head"]
+
+
+def _turns(ratios):
+    """Canned (base, head) batch times with the given head/base ratios."""
+    return [(0.05, 0.05 * r) for r in ratios]
+
+
+@pytest.mark.parametrize("control, change, mark", [
+    # the A/A's quartiles are 0.98 and 1.02 and its median 1.00
+    ((0.97, 0.98, 1.00, 1.02, 1.03), (1.28, 1.29, 1.30, 1.31, 1.32), "worse"),
+    ((0.97, 0.98, 1.00, 1.02, 1.03), (0.68, 0.69, 0.70, 0.71, 0.72), "gain"),
+    # beyond the A/A's IQR by less than the 0.25 bound
+    ((0.97, 0.98, 1.00, 1.02, 1.03), (1.18, 1.19, 1.20, 1.21, 1.22), "ok"),
+    # beyond the bound but inside a wide A/A
+    ((0.50, 0.60, 1.00, 1.40, 1.50), (1.28, 1.29, 1.30, 1.31, 1.32), "ok"),
+])
+def test_lockstep_marks_by_the_claim_rule(capsys, control, change, mark):
+    times = {"aa": _turns(control), "ab": _turns(change)}
+    failures = compare.compare_lockstep(times, "cli")
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("cli: lockstep A/A head/head ratio 1.0000 (IQR ")
+    assert out[1].startswith("cli: lockstep A/B head/base ratio ")
+    assert out[1].endswith(f", {mark}")
+    assert failures == ([] if mark != "worse" else [
+        "cli: lockstep A/B median ratio 1.3000 beyond the A/A's 1.0000 by more than 25%"])
+
+
+def test_lockstep_reports_medians_iqrs_and_turns_won(capsys):
+    times = {"aa": _turns((0.9, 1.0, 1.1, 1.2)), "ab": _turns((0.95, 0.97, 1.01, 0.99))}
+    assert compare.compare_lockstep(times, "coupled") == []
+    assert capsys.readouterr().out.splitlines() == [
+        "coupled: lockstep A/A head/head ratio 1.0500 (IQR 0.15), head won 1 of 4",
+        "coupled: lockstep A/B head/base ratio 0.9800 (IQR 0.03), head won 3 of 4, ok",
+    ]

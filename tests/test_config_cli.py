@@ -254,10 +254,11 @@ t_end = -1
         assert err.value.line == 3
 
 
-# Echoes written by the releases before `[maxwell] frozen` and `[run] seed`
-# were retired and `h0 = zero` became `magnetostatic`.  `diag` reparses a
-# run directory's effective_config, so these bytes must still load to the
-# same run, and today's echo is them with those three edits (`_new_echo`).
+# Echoes written by the releases before `[maxwell] frozen`, `[run] seed` and
+# `[material] mu0` were retired and `h0 = zero` became `magnetostatic`.
+# `diag` reparses a run directory's effective_config, so these bytes must
+# still load to the same run, and today's echo is them with those four
+# edits (`_new_echo`).
 DEFAULT_ECHO = """\
 [geometry]
 lx = 1
@@ -427,9 +428,10 @@ seed = 0
 
 def _new_echo(old: str) -> str:
     """An old echo as this release writes it: without the retired
-    `frozen = off` and `seed = 0` lines, and h0's `zero` as magnetostatic."""
+    `frozen = off`, `seed = 0` and `mu0 = 1` lines, and h0's `zero` as
+    magnetostatic."""
     lines = [line for line in old.splitlines(keepends=True)
-             if line not in ("frozen = off\n", "seed = 0\n")]
+             if line not in ("frozen = off\n", "seed = 0\n", "mu0 = 1\n")]
     return "".join(lines).replace("h0 = zero\n", "h0 = magnetostatic\n")
 
 
@@ -621,18 +623,45 @@ class TestCli:
         assert capsys.readouterr().err == "error: config: geometry: trace_order must be 1\n"
         assert not (tmp_path / "out").exists()
 
+    MU0_ERROR = ("error: config: material.mu0: only 1 is accepted; for mu0 = M give "
+                 "eps0 * M, sigma * M, and f's amplitude and e0 over M\n")
+
     @pytest.mark.parametrize("command", ["check", "run"])
-    def test_frozen_on_exit_2(self, tmp_path, capsys, command):
-        # a frozen h has no Zeeman term in the ledger, so the mode is
-        # rejected when the config is loaded; off still parses
+    @pytest.mark.parametrize("after, accepted, refused, error", [
+        # a frozen h has no Zeeman term in the ledger
+        ("padding = 2", "frozen = off", "frozen = on",
+         "error: config: maxwell.frozen: only off is accepted\n"),
+        # e is measured in units of mu0, which it absorbs
+        ("alpha = 1.0", "mu0 = 1", "mu0 = 1.7", MU0_ERROR),
+    ], ids=["frozen", "mu0"])
+    def test_retired_key_refuses_all_but_its_old_value_exit_2(
+            self, tmp_path, capsys, command, after, accepted, refused, error):
+        # the value old echoes hold loads to the same run; another is
+        # rejected when the config is loaded, before any file is written
         outdir = tmp_path / "out"
         cfg_path = tmp_path / "run.cfg"
-        text = minimal_config(outdir).replace("padding = 2", "padding = 2\nfrozen = off")
+        text = minimal_config(outdir).replace(after, f"{after}\n{accepted}")
         assert parse_config(text) == parse_config(minimal_config(outdir))
-        cfg_path.write_text(text.replace("frozen = off", "frozen = on"))
+        cfg_path.write_text(text.replace(accepted, refused))
         assert main([command, str(cfg_path)]) == 2
-        assert "maxwell.frozen" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", error)
         assert not outdir.exists()
+
+    def test_diag_of_a_run_with_mu0_other_than_one_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["run", str(cfg_path)]) == 0
+        effective = outdir / "effective_config"
+        text = effective.read_text()
+        effective.write_text(text.replace("[material]\n", "[material]\nmu0 = 1.7\n", 1))
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        capsys.readouterr()
+        assert main(["diag", str(outdir)]) == 2
+        assert capsys.readouterr() == ("", self.MU0_ERROR)
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+        effective.write_text(text.replace("[material]\n", "[material]\nmu0 = 1\n", 1))
+        assert main(["diag", str(outdir)]) == 0
 
     def test_threads_env_ignored(self, tmp_path, capsys, monkeypatch):
         # nothing reads SPINLAYER_THREADS; a malformed value must not matter

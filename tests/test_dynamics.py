@@ -592,6 +592,23 @@ class TestRun:
         run(geom, params, scheme, m0, em, None, t_end=0.1, on_row=rows.append)
         assert rows[-1].divergence_drift < 1e-12
 
+    @pytest.mark.parametrize("bc", [mx.PEC, mx.MUR1])
+    def test_a_finished_run_releases_its_buffers(self, bc):
+        # the stage and Maxwell buffers are only needed while stepping: the
+        # final state keeps neither workspace, and a later drift rebuilds
+        # the Maxwell one and reads the last row's value
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 4, 4, 2, 2))
+        params = plain_params(a_exch=0.01, sigma=2.0)
+        m0 = random_unit_field(geom, seed=9)
+        em = mx.empty_em_state(mx.make_box(geom, padding=2), bc=bc)
+        mx.init_divfree(m0, (0.0, 0.0, 0.0), em.box, out=em.h)
+        rows = []
+        final = run(geom, params, SchemeConfig(dt=1e-3, subcycles=2), m0, em, None,
+                    t_end=5e-3, on_row=rows.append).final_state
+        assert final.work is None and em.work is None
+        assert len(rows) == 6 and rows[-1].divergence_drift > 0.0
+        assert mx.divergence_drift(em, final.m) == rows[-1].divergence_drift
+
 
 def component_major(a):
     """Whether the (..., 3) field a is a view of a C-contiguous (3, ...)
@@ -773,12 +790,11 @@ def test_midpoint_h_matches_box_form():
     rng = np.random.default_rng(40)
     for a in (em.ex, em.ey, em.ez, em.hx, em.hy, em.hz):
         a[...] = rng.standard_normal(a.shape)
-    params = plain_params(a_exch=0.0, mu0=1.7)
     dt = 3e-3
     m_dot = rng.standard_normal(geom.field_shape())
-    want = box_midpoint_h_cells(em, m_dot, dt, params.mu0)
+    want = box_midpoint_h_cells(em, m_dot, dt)
     for _ in range(2):   # the second call reuses the workspace buffers
-        got = mx._midpoint_h_cells(em, m_dot, dt, params)
+        got = mx._midpoint_h_cells(em, m_dot, dt)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -45,8 +45,8 @@ class TestMaterialParams:
             with pytest.raises(ValueError):
                 plain_params(**{name: -1.0})
 
-    @pytest.mark.parametrize("name", ["a_exch", "ks", "j1", "j2", "alpha", "mu0", "eps0",
-                                      "sigma", "penalty_k", "k_matrix"])
+    @pytest.mark.parametrize("name", ["a_exch", "ks", "j1", "j2", "alpha", "eps0", "sigma",
+                                      "penalty_k", "k_matrix"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_constants_naming_them(self, name, value):
         # a comparison with NaN is false, so `x <= 0` alone lets NaN through
@@ -375,13 +375,13 @@ class TestPenaltyAndMaxwell:
         em = mx.empty_em_state(box)
         for a in (em.ex, em.ey, em.ez, em.hx, em.hy, em.hz):
             a[...] = rng.standard_normal(a.shape)
-        params = plain_params(mu0=2.0, eps0=0.5)
+        params = plain_params(eps0=0.5)
         e_h, e_e = maxwell_energy(em, params)
         dv = box.cell_volume
         assert e_h == pytest.approx(
             0.5 * dv * sum(float(np.sum(a * a)) for a in (em.hx, em.hy, em.hz)), rel=1e-12)
         assert e_e == pytest.approx(
-            (0.5 * 0.5 / 2.0) * dv * sum(float(np.sum(a * a)) for a in (em.ex, em.ey, em.ez)),
+            (0.5 * 0.5) * dv * sum(float(np.sum(a * a)) for a in (em.ex, em.ey, em.ez)),
             rel=1e-12)
 
 

@@ -420,7 +420,7 @@ class TestFdtdStep:
         assert peak < em.ex.nbytes
 
     def test_plane_wave_speed(self):
-        # Gaussian pulse in vacuum propagates at 1/sqrt(mu0 eps0) within 2%.
+        # Gaussian pulse in vacuum propagates at 1/sqrt(eps0) within 2%.
         # The z extent is tall enough that the clamped wall edges stay
         # causally disconnected from the center line for the whole run.
         box = mx.BoxGeometry(nx=160, ny=4, nz=160, dx=1.0, dy=1.0, dz=1.0,
@@ -705,7 +705,7 @@ class TestEnergyBehavior:
         e2 = sum(float(np.sum(a * a)) for a in (em.ex, em.ey, em.ez))
         hh = sum(float(np.sum(a * b)) for a, b in
                  zip((em.hx, em.hy, em.hz), h_prev))
-        return 0.5 * hh * dV + 0.5 * params.eps0 / params.mu0 * e2 * dV
+        return 0.5 * hh * dV + 0.5 * params.eps0 * e2 * dV
 
     def test_leapfrog_conservation(self, small_geom):
         """sigma=0, PEC: the leapfrog quadratic invariant is conserved to

@@ -2,7 +2,7 @@
 """Compare the outputs of two source trees bit for bit, and their speed.
 
     python3 tools/compare.py --base REV [--head REV] [--size full|tiny]
-                             [--pairs K] [--workdir DIR]
+                             [--pairs K] [--lockstep K] [--workdir DIR]
 
 Exports REV with `git archive` as the tree `base`, and `--head REV` (by
 default the working tree's tracked and unignored files) as the tree
@@ -29,11 +29,28 @@ by more than base's IQR (the rule a claimed gain must meet, so a claim
 needs K >= 10); else `unresolved` when a tree's IQR exceeds the bound
 times its median.
 
-Exit status: 0 identical (and, with --pairs, no metric worse and every
-run correct), 1 some compared file differs, a metric is worse or a run
-is not correct, 2 a command failed.  The work directory is a fresh
-temporary one, removed at the end, unless --workdir names one (which
-must not exist yet and is kept).
+With --lockstep K, both trees' step loops then run in one child process,
+which imports each tree's `src/spinlayer` under a name of its own
+(symlinks in the work directory; the package imports only relatively).
+Per workload it builds one stepped state per tree from
+`bench/workloads.config_text(w, 1, 100000, size)` (`build_setup`, which
+records div0; `llg_only` steps without its Maxwell state, as the
+benchmark does) and runs one warm-up batch on each.  Then K turns: in
+each, each tree runs one batch of 10 `dynamics.step` calls with a ledger
+row at the workload's cadence, base first in even turns and head first
+in odd ones, and the turn scores head's batch time over base's.  An A/A
+of head against a second import of itself runs first, in the same
+process, as the control.  The tool prints, for the A/A and the A/B, the
+median ratio, its IQR and the turns head won.  The A/B is marked `gain`
+or `worse` only when its median lies outside the A/A's interquartile
+range and differs from the A/A median by more than step_ms_p50's bound,
+else `ok`.
+
+Exit status: 0 identical (and, with --pairs or --lockstep, no metric
+worse and every run correct), 1 some compared file differs, a metric is
+worse or a run is not correct, 2 a command failed.  The work directory
+is a fresh temporary one, removed at the end, unless --workdir names one
+(which must not exist yet and is kept).
 """
 
 import argparse
@@ -61,6 +78,8 @@ WORKLOADS = ("coupled", "llg_only", "cli")
 SEED, STEPS = 7, 40
 COMPARED = ("energy.csv", "diag_report.csv", "stationarity.csv")
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+LOCKSTEP_BOUND = next(m["bound"] for m in END_TO_END if m["name"] == "step_ms_p50")
+BATCH = 10   # steps per lockstep batch
 
 
 class CommandFailed(Exception):
@@ -239,6 +258,102 @@ def compare_pairs(lines: list, label: str) -> list:
     return failures
 
 
+def lockstep_child(turns: int, size: str):
+    """The child process of `run_lockstep`: the modules `sl_control`,
+    `sl_base` and `sl_head` are on its path.  Prints one JSON object,
+    per workload the (base, head) batch times of the A/A ("aa", with
+    sl_control as base) and of the A/B ("ab") turns."""
+    import importlib
+    import time
+
+    trees = {name: importlib.import_module(f"sl_{name}")
+             for name in ("control", "base", "head")}
+
+    def build(sl, workload):
+        setup = sl.config.build_setup(sl.config.parse_config(
+            wl.config_text(workload, 1, 100000, size)))
+        em = None if workload == "llg_only" else setup.em
+        state = sl.dynamics.SimState(t=0.0, m=setup.m0, em=em, geom=setup.geom,
+                                     params=setup.params, scheme=setup.scheme)
+        return sl, state, setup.f
+
+    def batch(sl, state, f, cadence):
+        """BATCH steps with `run`'s ledger row at the cadence; seconds."""
+        t0 = time.perf_counter()
+        for _ in range(BATCH):
+            sl.dynamics.step(state, f)
+            if state.n % cadence == 0:
+                work = state.workspace()
+                sl.dynamics._state_terms(state.m, state.em, state.geom, state.params,
+                                         work.row[state.m is work.m[1]])
+        return time.perf_counter() - t0
+
+    times = {}
+    for workload in WORKLOADS:
+        cadence = wl.CADENCE[workload]
+        runs = {name: build(sl, workload) for name, sl in trees.items()}
+        for run in runs.values():
+            batch(*run, cadence)
+        times[workload] = {}
+        for key, base in (("aa", "control"), ("ab", "base")):
+            pairs = []
+            for turn in range(turns):
+                order = (base, "head") if turn % 2 == 0 else ("head", base)
+                took = {name: batch(*runs[name], cadence) for name in order}
+                pairs.append((took[base], took["head"]))
+            times[workload][key] = pairs
+        del runs   # free this workload's states before the next builds its own
+    print(json.dumps(times))
+
+
+def run_lockstep(trees: dict, turns: int, size: str, workdir: Path) -> dict:
+    """The batch times of `lockstep_child`, run in a child process on the
+    trees' `src/spinlayer`, linked into workdir/lockstep."""
+    links = workdir / "lockstep"
+    links.mkdir()
+    for name, tree in (("control", trees["head"]), ("base", trees["base"]),
+                       ("head", trees["head"])):
+        (links / f"sl_{name}").symlink_to((Path(tree) / "src" / "spinlayer").resolve(),
+                                          target_is_directory=True)
+    code = (f"import sys; sys.path[:0] = [{str(links)!r}, {str(ROOT / 'tools')!r}]; "
+            f"import compare; compare.lockstep_child({turns}, {size!r})")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    try:
+        return json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        raise CommandFailed(f"lockstep exit {proc.returncode} without a result: "
+                            f"{proc.stderr.strip()}") from None
+
+
+def _ratio_quartiles(times: list) -> tuple:
+    """(q1, median, q3, turns head won) of the head/base ratios of
+    (base, head) batch times."""
+    ratios = [head / base for base, head in times]
+    q1, median, q3 = (float(q) for q in np.percentile(ratios, [25, 50, 75]))
+    return q1, median, q3, sum(r < 1.0 for r in ratios)
+
+
+def compare_lockstep(times: dict, label: str) -> list:
+    """Print the A/A's and the A/B's median head/base ratio, IQR and turns
+    head won, and the A/B's mark by the claim rule (see the module
+    docstring); return the failures: a worse A/B."""
+    control, change = _ratio_quartiles(times["aa"]), _ratio_quartiles(times["ab"])
+    q1, aa, q3, _ = control
+    ab = change[1]
+    mark = ("worse" if ab > q3 and ab - aa > LOCKSTEP_BOUND else
+            "gain" if ab < q1 and aa - ab > LOCKSTEP_BOUND else "ok")
+    for name, (lo, median, hi, won), key, end in (
+            ("A/A head/head", control, "aa", ""),
+            ("A/B head/base", change, "ab", f", {mark}")):
+        print(f"{label}: lockstep {name} ratio {median:.4f} (IQR {hi - lo:.3g}), "
+              f"head won {won} of {len(times[key])}{end}")
+    if mark != "worse":
+        return []
+    return [f"{label}: lockstep A/B median ratio {ab:.4f} beyond the A/A's {aa:.4f} "
+            f"by more than {LOCKSTEP_BOUND:.0%}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the commit to compare against")
@@ -248,11 +363,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=0,
                         help="untraced benchmark pairs per workload (default none; "
                              "a gain is marked only from 10 pairs on)")
+    parser.add_argument("--lockstep", type=int, default=0,
+                        help="lockstep turns per workload in one process, after an "
+                             "A/A control (default none)")
     parser.add_argument("--workdir", default=None,
                         help="keep the trees and runs here (must not exist)")
     args = parser.parse_args(argv)
-    if args.pairs < 0:
-        parser.error("--pairs must be nonnegative")
+    if args.pairs < 0 or args.lockstep < 0:
+        parser.error("--pairs and --lockstep must be nonnegative")
 
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="spinlayer-compare-"))
     try:
@@ -273,6 +391,10 @@ def main(argv=None) -> int:
         for workload in WORKLOADS if args.pairs > 0 else ():
             failures += compare_pairs(run_pairs(trees, workload, args.pairs, args.size),
                                       workload)
+        if args.lockstep > 0:
+            times = run_lockstep(trees, args.lockstep, args.size, workdir)
+            for workload in WORKLOADS:
+                failures += compare_lockstep(times[workload], workload)
     except (CommandFailed, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -287,10 +409,10 @@ def main(argv=None) -> int:
     print(f"{args.base} against {head}, {args.size} inputs: "
           + (f"{len(found)} compared file(s) differ" if found else
              "every compared file is identical"))
-    if args.pairs > 0:
-        print(f"{args.pairs} benchmark pair(s) per workload: "
-              + (f"{len(failures)} failure(s)" if failures else
-                 "no metric worse and every run correct"))
+    if args.pairs > 0 or args.lockstep > 0:
+        print(f"{args.pairs} benchmark pair(s), {args.lockstep} lockstep turn(s) per "
+              "workload: " + (f"{len(failures)} failure(s)" if failures else
+                              "no metric worse and every run correct"))
     return 1 if found or failures else 0
 
 
