@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics, maxwell, presets, snapshots
-from .dynamics import (BC_MODES, CONSTRAINTS, HEUN, INTEGRATORS, PROJECTED, SHARP,
-                       THIN_LAYER, SchemeConfig)
+from .dynamics import HEUN, PROJECTED, SHARP, THIN_LAYER, SchemeConfig
 from .energetics import MaterialParams, _vector_copy
 from .errors import ParseError, SimulationError, ValidationError, _check_cells
 from .geometry import GeometryConfig, _is_multiple, build_geometry
@@ -80,7 +79,7 @@ def _preset(tokens, line, kinds):
     return (kind,) + tuple(conv(tok, line) for conv, tok in zip(required + optional, args))
 
 
-def _to_path(tok, line):
+def _to_str(tok, line):
     return tok
 
 
@@ -93,14 +92,6 @@ def _scalar(conv):
     return convert
 
 
-def _choice(options):
-    def convert(tokens, line):
-        if len(tokens) != 1 or tokens[0] not in options:
-            raise ParseError(line, f"expected one of {sorted(options)}")
-        return tokens[0]
-    return convert
-
-
 def _floats(n):
     def convert(tokens, line):
         if len(tokens) != n:
@@ -109,7 +100,7 @@ def _floats(n):
     return convert
 
 
-_FLOAT, _INT, _BOOL = _scalar(_to_float), _scalar(_to_int), _scalar(_to_bool)
+_FLOAT, _INT, _BOOL, _STR = map(_scalar, (_to_float, _to_int, _to_bool, _to_str))
 _VEC3 = ((_to_float,) * 3, ())
 _NO_ARGS = ((), ())
 
@@ -153,17 +144,17 @@ class RunConfig:
     k_diag: Optional[tuple] = _key("material", _floats(3), None)
     k_matrix: Optional[tuple] = _key("material", _floats(9), None)   # row major
     dt: float = _key("scheme", _FLOAT, 1e-3)
-    integrator: str = _key("scheme", _choice(INTEGRATORS), HEUN)
-    constraint: str = _key("scheme", _choice(CONSTRAINTS), PROJECTED)
-    bc_mode: str = _key("scheme", _choice(BC_MODES), SHARP)
+    integrator: str = _key("scheme", _STR, HEUN)
+    constraint: str = _key("scheme", _STR, PROJECTED)
+    bc_mode: str = _key("scheme", _STR, SHARP)
     subcycles: int = _key("scheme", _INT, 1)
     stability_c: float = _key("scheme", _FLOAT, 0.25)
     padding: int = _key("maxwell", _INT, 8)
-    bc: str = _key("maxwell", _choice(maxwell.BOUNDARIES), maxwell.PEC)
+    bc: str = _key("maxwell", _STR, maxwell.PEC)
     m0: tuple = _key("initial", lambda toks, ln: _preset(toks, ln, {
         "uniform": _VEC3, "vortexish": _NO_ARGS,
         "random": ((_to_int,), (_to_float,)),   # seed [smooth_cells]
-        "snapshot": ((_to_path,), ())}), ("uniform", 0.0, 0.0, 1.0), key="m")
+        "snapshot": ((_to_str,), ())}), ("uniform", 0.0, 0.0, 1.0), key="m")
     h0: tuple = _key("initial", _to_h0, ("magnetostatic",))
     e0: tuple = _key("initial", lambda toks, ln: _preset(
         toks, ln, {"zero": _NO_ARGS, "uniform": _VEC3}), ("zero",))
@@ -289,8 +280,11 @@ def build_setup(config: RunConfig) -> RunSetup:
     `dynamics.run` as far as the first step.  A cadence below 1, and a
     t_end that is negative or not a whole number of steps of dt (to a
     relative 1e-9 of the step count and at most 1e-6 steps,
-    `geometry._is_multiple`) raise ValidationError, as does a current
-    with sigma = 0, which the conduction term sigma (e + f) never reads."""
+    `geometry._is_multiple`) raise ValidationError, as do a current with
+    sigma = 0, which the conduction term sigma (e + f) never reads, and a
+    nonzero penalty_k in projected mode, whose rate drops the penalty
+    field, parallel to m.  `diag` loads through `build_model` alone, so a
+    run directory written before these two rules still loads."""
     setup = build_model(config)
     if config.cadence < 1:
         raise ValidationError("output.cadence", "must be at least 1")
@@ -302,6 +296,9 @@ def build_setup(config: RunConfig) -> RunSetup:
     if setup.f is not None and config.sigma == 0.0:
         raise ValidationError("current.f", "the current enters only through "
                                            "sigma (e + f), and sigma = 0")
+    if config.penalty_k != 0.0 and config.constraint == PROJECTED:
+        raise ValidationError("material.penalty_k", "acts only under constraint = "
+                                                    "penalized; projected mode cancels it")
     with np.errstate(all="ignore"):   # non-finite values raise NonFinite
         set_initial_fields(setup)
         _check_first_rate(setup)
@@ -329,6 +326,11 @@ def build_model(config: RunConfig) -> RunSetup:
     beyond the exchange or Yee stability bound raises CFLViolation, as
     `dynamics.run` would.
     """
+    with _refused("scheme"):
+        scheme = SchemeConfig(
+            dt=config.dt, subcycles=config.subcycles, integrator=config.integrator,
+            constraint=config.constraint, bc_mode=config.bc_mode,
+            stability_c=config.stability_c)
     if (config.eta is None) == (config.bc_mode == THIN_LAYER):
         raise ValidationError("geometry.eta", "required in thin_layer mode, "
                                               "refused in sharp mode")
@@ -353,20 +355,15 @@ def build_model(config: RunConfig) -> RunSetup:
             j1=config.j1, j2=config.j2, alpha=config.alpha,
             eps0=config.eps0, sigma=config.sigma, penalty_k=config.penalty_k)
 
-    with _refused("scheme"):
-        scheme = SchemeConfig(
-            dt=config.dt, subcycles=config.subcycles, integrator=config.integrator,
-            constraint=config.constraint, bc_mode=config.bc_mode,
-            stability_c=config.stability_c)
-
     with _refused("maxwell.padding"):
         box = maxwell.make_box(geom, config.padding)
     # the bounds `dynamics.run` enforces, so `check` rejects what `run` would
     dynamics.validate_stability(scheme, geom, params, box)
+    with _refused("maxwell.bc"):
+        em = maxwell.empty_em_state(box, bc=config.bc)
 
-    return RunSetup(config=config, geom=geom, params=params, scheme=scheme,
-                    em=maxwell.empty_em_state(box, bc=config.bc), m0=None,
-                    f=_build_current(config))
+    return RunSetup(config=config, geom=geom, params=params, scheme=scheme, em=em,
+                    m0=None, f=_build_current(config))
 
 
 def set_initial_fields(setup: RunSetup):

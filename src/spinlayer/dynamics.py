@@ -394,8 +394,10 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     made), and on_state receives the state and the step number.  Each row
     is checked before on_row sees it: a value that is not finite raises
     NonFinite naming the step, t and first such column (`check_finite`).
-    The state's buffers are reused by later steps (see `step`), so a hook
-    copies what it keeps.  Returns the final state in a `Trajectory`.
+    The rows of an h_fixed run carry no Zeeman energy -dV sum m.h_fixed,
+    so the energy inequality cannot be read from them.  The state's
+    buffers are reused by later steps (see `step`), so a hook copies what
+    it keeps.  Returns the final state in a `Trajectory`.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")

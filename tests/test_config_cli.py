@@ -160,8 +160,9 @@ class TestParse:
         assert err.value.field == "geometry.eta"
 
     def test_values_are_not_checked_at_parse(self):
-        # every value below is out of range, yet parsing refuses only a
-        # malformed line or the retired frozen = on; the set-up refuses
+        # every value below is out of range, the mode words included, yet
+        # parsing refuses only a malformed line or the retired frozen = on;
+        # the set-up refuses
         text = """
 [geometry]
 nx = 0
@@ -173,11 +174,14 @@ k_diag = 1 1 1
 k_matrix = 1 0 0 0 1 0 0 0 1
 [scheme]
 dt = -1
-bc_mode = thin_layer
+integrator = euler
+constraint = free
+bc_mode = thick
 subcycles = 0
 stability_c = 0
 [maxwell]
 padding = 0
+bc = mur
 [initial]
 m = random -1 1e300
 [current]
@@ -191,6 +195,8 @@ t_end = -1
         assert (cfg.nx, cfg.eta, cfg.trace_order, cfg.alpha, cfg.dt, cfg.subcycles,
                 cfg.stability_c, cfg.padding, cfg.m0, cfg.cadence, cfg.t_end) == (
             0, -1.0, 2, 0.0, -1.0, 0, 0.0, 0, ("random", -1, 1e300), 0, -1.0)
+        assert (cfg.integrator, cfg.constraint, cfg.bc_mode, cfg.bc) == (
+            "euler", "free", "thick", "mur")
         with pytest.raises(ValidationError):
             build_setup(cfg)
         with pytest.raises(ValidationError) as err:
@@ -663,6 +669,22 @@ class TestCli:
         effective.write_text(text.replace("[material]\n", "[material]\nmu0 = 1\n", 1))
         assert main(["diag", str(outdir)]) == 0
 
+    def test_diag_of_a_projected_run_with_a_penalty_exit_0(self, tmp_path, capsys):
+        # the penalty_k rule is build_setup's, so a run directory written
+        # before it still loads; check of the same file refuses it
+        cfg_path = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(minimal_config(outdir))
+        assert main(["run", str(cfg_path)]) == 0
+        effective = outdir / "effective_config"
+        text = effective.read_text()
+        assert text.count("penalty_k = 0\n") == 1
+        effective.write_text(text.replace("penalty_k = 0\n", "penalty_k = 10\n"))
+        capsys.readouterr()
+        assert main(["diag", str(outdir)]) == 0
+        assert main(["check", str(effective)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: material.penalty_k: ")
+
     def test_threads_env_ignored(self, tmp_path, capsys, monkeypatch):
         # nothing reads SPINLAYER_THREADS; a malformed value must not matter
         cfg_path = tmp_path / "run.cfg"
@@ -740,17 +762,30 @@ class TestCli:
         ("m = random 11", "m = uniform 0 0 0", "initial.m: "),
         ("[output]", "[current]\nf = pulse 1 0 0 0.01 0\n[output]", "current.f: "),
         ("[output]", "[current]\nf = pulse 1 0 0 0.01 -0.005\n[output]", "current.f: "),
+        ("dt = 0.002", "dt = 0.002\nintegrator = euler",
+         "scheme: unknown integrator 'euler' (choose from ('heun', 'rk4'))\n"),
+        ("dt = 0.002", "dt = 0.002\nconstraint = free",
+         "scheme: unknown constraint 'free' (choose from "),
+        ("dt = 0.002", "dt = 0.002\nbc_mode = thick\n[geometry]\neta = 0.25",
+         "scheme: unknown bc_mode 'thick' (choose from "),   # before the eta rule
+        ("padding = 2", "padding = 2\nbc = mur",
+         "maxwell.bc: unknown boundary 'mur' (choose from ('pec', 'mur1'))\n"),
+        ("sigma = 1.0", "sigma = 1.0\npenalty_k = 10",
+         "material.penalty_k: acts only under constraint = penalized"),
     ])
     def test_check_names_the_field_it_rejects(self, tmp_path, capsys, old, new, prefix):
+        # on one stderr line, and run refuses it as check does, writing nothing
         outdir = tmp_path / "out"
         text = minimal_config(outdir)
         assert text.count(old) == 1
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text.replace(old, new))
-        assert main(["check", str(cfg_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: config: {prefix}") and captured.out == ""
-        assert not outdir.exists()
+        for command in ("check", "run"):
+            assert main([command, str(cfg_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: config: {prefix}") and captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert not outdir.exists()
 
     def test_k_matrix_runs_the_bits_of_k_diag(self, tmp_path, capsys):
         # a diagonal k_matrix is the matching k_diag; an indefinite one is

@@ -16,7 +16,7 @@ from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer import maxwell as mx
 from spinlayer.summation import dot
 
-from conftest import plain_params, random_unit_field, sharp_geom, spacer_oracle
+from conftest import plain_params, random_unit_field, relax, sharp_geom, spacer_oracle
 
 
 class TestMaterialParams:
@@ -235,6 +235,28 @@ class TestSurfaceEnergies:
         want = spacer_oracle(m, geom, params)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+
+    def test_relaxed_column_meets_the_macrospin_closed_form(self):
+        # each slab of thickness l in an in-plane field h stores -l h sin(t)
+        # + (Ks/2) sin(t)^2 per unit area at its face, least at
+        # sin(t) = l h / Ks = 0.5; exchange pulls the slab towards that
+        # macrospin, whose error falls as 1/A
+        geom = build_geometry(GeometryConfig(1.0, 1.0, 0.5, 0.5, 1, 1, 4, 4))
+        h = np.zeros(geom.field_shape())
+        h[..., 0] = 0.1
+        m0 = np.zeros(geom.field_shape())
+        m0[...] = np.array([0.3, 0.0, 1.0]) / math.hypot(0.3, 1.0)
+        s = geom.spacer_index
+        errors = []
+        for a_exch in (1.0, 10.0):
+            params = plain_params(a_exch=a_exch, ks=0.1)
+            m, _ = relax(m0, lambda m: assemble_h_tot(m, h, geom, params), 5000)
+            slabs = [float(np.mean(m[:, :, part, 0])) - 0.5
+                     for part in (slice(None, s), slice(s, None))]
+            assert slabs[0] == pytest.approx(slabs[1], rel=1e-6)
+            errors.append(slabs[0])
+        assert 0.0 < errors[0] <= 3e-3
+        assert 0.0 < errors[1] <= errors[0] / 9
 
 
 class TestThinLayer:

@@ -32,19 +32,21 @@ times its median.
 With --lockstep K, both trees' step loops then run in one child process,
 which imports each tree's `src/spinlayer` under a name of its own
 (symlinks in the work directory; the package imports only relatively).
-Per workload it builds one stepped state per tree from
+Per workload it builds two stepped states per tree from
 `bench/workloads.config_text(w, 1, 100000, size)` (`build_setup`, which
 records div0; `llg_only` steps without its Maxwell state, as the
-benchmark does) and runs one warm-up batch on each.  Then K turns: in
-each, each tree runs one batch of 10 `dynamics.step` calls with a ledger
-row at the workload's cadence, base first in even turns and head first
-in odd ones, and the turn scores head's batch time over base's.  An A/A
-of head against a second import of itself runs first, in the same
-process, as the control.  The tool prints, for the A/A and the A/B, the
-median ratio, its IQR and the turns head won.  The A/B is marked `gain`
-or `worse` only when its median lies outside the A/A's interquartile
-range and differs from the A/A median by more than step_ms_p50's bound,
-else `ok`.
+benchmark does), one set in each of two opposite build orders, since
+the state built last steps 1-2 % faster, and runs one warm-up batch on
+each.  Then K turns, on the two sets in turn: in each, each tree runs
+one batch of 10 `dynamics.step` calls with a ledger row at the
+workload's cadence, base first in the first two turns of every four and
+head first in the other two, and the turn scores head's batch time over
+base's.  An A/A of head against a second import of itself runs first,
+in the same process, as the control.  The tool prints, for the A/A and
+the A/B, the median ratio, its IQR and the turns head won.  The A/B is
+marked `gain` or `worse` only when its median lies outside the A/A's
+interquartile range and differs from the A/A median by more than
+step_ms_p50's bound, else `ok`.
 
 Exit status: 0 identical (and, with --pairs or --lockstep, no metric
 worse and every run correct), 1 some compared file differs, a metric is
@@ -291,18 +293,23 @@ def lockstep_child(turns: int, size: str):
     times = {}
     for workload in WORKLOADS:
         cadence = wl.CADENCE[workload]
-        runs = {name: build(sl, workload) for name, sl in trees.items()}
-        for run in runs.values():
-            batch(*run, cadence)
+        # the state built last steps faster, so each tree's state is built
+        # once in each order, and the turns alternate between the two sets
+        sets = [{name: build(trees[name], workload) for name in order}
+                for order in (("control", "base", "head"), ("head", "base", "control"))]
+        for runs in sets:
+            for run in runs.values():
+                batch(*run, cadence)
         times[workload] = {}
         for key, base in (("aa", "control"), ("ab", "base")):
             pairs = []
             for turn in range(turns):
-                order = (base, "head") if turn % 2 == 0 else ("head", base)
+                runs = sets[turn % 2]
+                order = (base, "head") if turn % 4 < 2 else ("head", base)
                 took = {name: batch(*runs[name], cadence) for name in order}
                 pairs.append((took[base], took["head"]))
             times[workload][key] = pairs
-        del runs   # free this workload's states before the next builds its own
+        del sets, runs   # free this workload's states before the next builds its own
     print(json.dumps(times))
 
 
