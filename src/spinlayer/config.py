@@ -23,7 +23,7 @@ import numpy as np
 from . import dynamics, maxwell, presets, snapshots
 from .dynamics import HEUN, PROJECTED, SHARP, THIN_LAYER, SchemeConfig
 from .energetics import MaterialParams, _vector_copy
-from .errors import ParseError, SimulationError, ValidationError, _check_cells
+from .errors import ParseError, ValidationError, _check_cells
 from .geometry import GeometryConfig, _is_multiple, build_geometry
 from .maxwell import AppliedCurrent
 
@@ -307,11 +307,11 @@ def build_setup(config: RunConfig) -> RunSetup:
 
 @contextlib.contextmanager
 def _refused(field: str):
-    """A constructor's refusal (ValueError or a geometry error) as
-    ValidationError naming the config section or key it was given."""
+    """A constructor's refusal, a ValueError, as ValidationError naming
+    the config section or key it was given."""
     try:
         yield
-    except (ValueError, SimulationError) as exc:
+    except ValueError as exc:
         raise ValidationError(field, str(exc)) from exc
 
 

@@ -1,4 +1,4 @@
-"""Verifiable quantities: energy ledger rows, stationarity residual,
+"""Verifiable quantities: energy ledger rows, the stationarity report,
 saturation deviation, and the curl-free field attached to a candidate
 long-time state.
 """
@@ -194,13 +194,6 @@ def stationarity_report(u, H_cells, params, geom,
             np.copyto(s, shape(*coords))
         report.append((fn.name, abs(_stationary_value(torque, s, fn.direction, geom))))
     return report
-
-
-def stationarity_residual(u, H_cells, params, geom,
-                          test_fns: Optional[Sequence[TestFunction]] = None) -> float:
-    """Max of |stationary weak form| over the test-function library."""
-    report = stationarity_report(u, H_cells, params, geom, test_fns)
-    return max(r for _, r in report)
 
 
 def omega_limit_field(u: np.ndarray, box: maxwell.BoxGeometry,

@@ -23,7 +23,7 @@ from .energetics import (MaterialParams, _aligned_empty, _cross, _dot, _empty_li
                          _energy_views, _kernel_scratch, _parts, _scalars, _store,
                          _vector_field, _views, total_energy)
 from .errors import CFLViolation, NonFinite, _check_cells, check_finite, first_bad_cell
-from .geometry import DomainGeometry
+from .geometry import DomainGeometry, _is_multiple
 from .maxwell import AppliedCurrent, EMState
 from .summation import dot
 
@@ -129,8 +129,9 @@ class SimState:
     the caller's m0 is copied), the Maxwell state em or a fixed cell field
     h_fixed (at most one), and the dissipation, Ohmic and source integrals
     of the steps taken.  The scheme's bc_mode must name the geometry's
-    spacer layer, and m, h_fixed and the body of em's box must be on the
-    geometry's cells.  The workspace `work` is no constructor argument:
+    spacer layer, a projected scheme takes no penalty_k (its rate drops
+    the penalty field, parallel to m), and m, h_fixed and the body of
+    em's box must be on the geometry's cells.  The workspace `work` is no constructor argument:
     `workspace()` builds each state its own, so a `dataclasses.replace`
     copy steps in buffers of its own."""
 
@@ -153,6 +154,9 @@ class SimState:
         if self.scheme.bc_mode != layer:
             raise ValueError(f"bc_mode {self.scheme.bc_mode!r} does not name the "
                              f"geometry's spacer layer, {layer!r}")
+        if self.scheme.constraint == PROJECTED and self.params.penalty_k != 0.0:
+            raise ValueError("penalty_k acts only under constraint = penalized; "
+                             "projected mode cancels it")
         shape = self.geom.field_shape()
         for name, a in (("m", self.m), ("h_fixed", self.h_fixed)):
             if a is not None and np.shape(a) != shape:
@@ -383,8 +387,10 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
         on_row: Optional[Callable] = None,
         on_state: Optional[Callable] = None,
         h_fixed: Optional[np.ndarray] = None) -> Trajectory:
-    """Run the coupled system, or m in h_fixed, to t_end: round(t_end/dt)
-    steps.
+    """Run the coupled system, or m in h_fixed, to t_end: t_end/dt steps.
+    A t_end that is negative or not a whole number of steps of dt (to a
+    relative 1e-9 of the step count and at most 1e-6 steps,
+    `geometry._is_multiple`) raises ValueError.
 
     A run is logged at t=0, every log_every-th step, and at the final
     step.  The two hooks are the only way to see a run as it goes, and
@@ -401,6 +407,9 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
+    if not _is_multiple(t_end, scheme.dt):
+        raise ValueError(f"t_end={t_end:g} is not a whole number of steps of "
+                         f"dt={scheme.dt:g}")
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
     box = em.box if em is not None else None
@@ -410,7 +419,7 @@ def run(geom: DomainGeometry, params: MaterialParams, scheme: SchemeConfig,
     if em is not None and em.div0 is None:
         maxwell.record_div0(em, state.m)
 
-    n_steps = int(round(t_end / scheme.dt)) if t_end > 0 else 0
+    n_steps = int(round(t_end / scheme.dt))
 
     def log(n):
         if on_row is not None:

@@ -1,6 +1,9 @@
-"""Exception types shared across the simulator, `first_bad_cell`, which
-the NonFinite messages use to name a cell, `_check_cells`, the one rule
-that rejects an initial field with a cell that is not finite, and
+"""The simulator's exception types, each a SimulationError: a ConfigError
+for a refused configuration (exit 2 in the CLI), the others for a failed
+run (exit 3).  A constructor refuses a value with ValueError alone, which
+`config` reports as a ValidationError naming the key.  Also `first_bad_cell`, which the
+NonFinite messages use to name a cell, `_check_cells`, the one rule that
+rejects an initial field with a cell that is not finite, and
 `check_finite`, the one rule that rejects a row of diagnostics with a
 value that is not finite."""
 
@@ -11,14 +14,6 @@ import numpy as np
 
 class SimulationError(Exception):
     """Base class for all spinlayer errors."""
-
-
-class NonTilingGrid(SimulationError):
-    """Grid spacings do not tile the requested extents exactly."""
-
-
-class EtaTooLarge(SimulationError):
-    """Thin-layer thickness exceeds a slab height."""
 
 
 class CFLViolation(SimulationError):

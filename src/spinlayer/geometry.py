@@ -18,8 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EtaTooLarge, NonTilingGrid
-
 _REL_TOL = 1e-9
 # the largest distance from a whole number of steps a ratio may have: k*dt
 # over dt lands within about 1.2e-7 of k for every k up to 1e9
@@ -105,48 +103,44 @@ def build_geometry(config: GeometryConfig) -> DomainGeometry:
     of the spacer layer, `layer_cells`: eta/dz cells with a thin layer, one
     without.
 
-    Raises NonTilingGrid when the two slabs demand different dz, when
-    eta is not a whole number of cell layers, when trace_order is not 1
-    or when numpy could not index a field on the cells, and EtaTooLarge
-    when the thin layer would not fit inside a slab.
+    Raises ValueError when the two slabs demand different dz, when eta is
+    not a whole number of cell layers or would not fit inside a slab, when
+    trace_order is not 1 or when numpy could not index a field on the
+    cells.
     """
     # written so that NaN fails each test
     for name in ("base_lx", "base_ly", "l_minus", "l_plus"):
         if not 0 < getattr(config, name) < math.inf:
-            raise NonTilingGrid(f"{name} must be positive and finite")
+            raise ValueError(f"{name} must be positive and finite")
     for name in ("nx", "ny", "nz_minus", "nz_plus"):
         if getattr(config, name) < 1:
-            raise NonTilingGrid(f"{name} must be at least 1")
+            raise ValueError(f"{name} must be at least 1")
     # numpy indexes no array of more bytes than intp holds, whatever the memory
     nz = config.nz_minus + config.nz_plus
     if 24 * config.nx * config.ny * nz > np.iinfo(np.intp).max:
-        raise NonTilingGrid(f"a body of {config.nx} x {config.ny} x {nz} cells is too "
-                            f"large for numpy to index")
+        raise ValueError(f"a body of {config.nx} x {config.ny} x {nz} cells is too "
+                         f"large for numpy to index")
     if config.trace_order != 1:
-        raise NonTilingGrid("trace_order must be 1")
+        raise ValueError("trace_order must be 1")
 
     dx = config.base_lx / config.nx
     dy = config.base_ly / config.ny
     dz_minus = config.l_minus / config.nz_minus
     dz_plus = config.l_plus / config.nz_plus
     if abs(dz_minus - dz_plus) > _REL_TOL * dz_minus:
-        raise NonTilingGrid(
-            f"slab spacings differ: l_minus/nz_minus={dz_minus:g} "
-            f"but l_plus/nz_plus={dz_plus:g}"
-        )
+        raise ValueError(f"slab spacings differ: l_minus/nz_minus={dz_minus:g} "
+                         f"but l_plus/nz_plus={dz_plus:g}")
     dz = dz_minus
 
     layer_cells = 1
     if config.eta is not None:
         if not 0 < config.eta < math.inf:
-            raise NonTilingGrid("eta must be positive and finite when given")
+            raise ValueError("eta must be positive and finite when given")
         if config.eta > min(config.l_minus, config.l_plus) + _REL_TOL * dz:
-            raise EtaTooLarge(
-                f"eta={config.eta:g} exceeds the smaller slab height "
-                f"{min(config.l_minus, config.l_plus):g}"
-            )
+            raise ValueError(f"eta={config.eta:g} exceeds the smaller slab height "
+                             f"{min(config.l_minus, config.l_plus):g}")
         if not _is_multiple(config.eta, dz):
-            raise NonTilingGrid(f"eta={config.eta:g} is not a multiple of dz={dz:g}")
+            raise ValueError(f"eta={config.eta:g} is not a multiple of dz={dz:g}")
         layer_cells = int(round(config.eta / dz))
 
     return DomainGeometry(

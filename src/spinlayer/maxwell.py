@@ -242,14 +242,8 @@ class _Workspace:
 
 
 def _component(index: int, doc: str) -> property:
-    """A field component as a view of its store; assigning copies into it."""
-    def get(self):
-        return self._views[index]
-
-    def put(self, value):
-        np.copyto(self._views[index], value)
-
-    return property(get, put, doc=doc)
+    """A field component, read-only: a view of its store."""
+    return property(lambda self: self._views[index], doc=doc)
 
 
 @dataclass
@@ -259,11 +253,11 @@ class EMState:
     div(h + m_bar) that `record_div0` records in the flat layout of
     `_div_planes` (its cells are `_plane_cells` of it).
 
-    `ex` ... `hz` are views of the stores, so writing into them writes
-    the fields; assigning to one (`em.hx = a`) copies `a` into the store.
-    The stores are never rebound: the component views and the workspace
-    are built on them once.  The workspace `work` is no constructor
-    argument: `workspace()` builds each state its own on first use.
+    `ex` ... `hz` are read-only attributes, views of the stores, so
+    writing into them (`em.hx[...] = a`) writes the fields.  The stores
+    are never rebound: the component views and the workspace are built
+    on them once.  The workspace `work` is no constructor argument:
+    `workspace()` builds each state its own on first use.
     """
 
     box: BoxGeometry
@@ -290,13 +284,6 @@ class EMState:
                 raise ValueError(f"{name} must be a C-contiguous array of shape "
                                  f"{store_shape(self.box)}")
         self._views = edge_views(self.e, self.box) + face_views(self.h, self.box)
-
-    def copy(self) -> "EMState":
-        e, h = _aligned_empty(self.e.shape), _aligned_empty(self.h.shape)
-        np.copyto(e, self.e)
-        np.copyto(h, self.h)
-        return EMState(self.box, e, h, self.bc,
-                       None if self.div0 is None else self.div0.copy())
 
     @property
     def omega_masks(self) -> tuple:

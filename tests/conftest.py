@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from spinlayer import maxwell as mx
-from spinlayer.diagnostics import _axis_coords, _stationary_value, _torque
+from spinlayer.diagnostics import (_axis_coords, _stationary_value, _torque,
+                                   stationarity_report)
 from spinlayer.dynamics import PROJECTED
 from spinlayer.effective_field import penalty_field, thin_layer_field
 from spinlayer.energetics import MaterialParams, _vector_field, apply_k
@@ -304,6 +305,12 @@ def stationarity_form(u, H_cells, params, geom, test_fn):
     return _stationary_value(torque, s, test_fn.direction, geom)
 
 
+def stationarity_residual(u, H_cells, params, geom, test_fns=None):
+    """Max of |stationary weak form| over `stationarity_report`'s test
+    fields (the library's by default)."""
+    return max(r for _, r in stationarity_report(u, H_cells, params, geom, test_fns))
+
+
 def weak_residual_m(samples, test_fn, geom, params, signed=False):
     """Discrete mismatch of the magnetization weak form over the
     `FieldSamples` of a run.
@@ -479,6 +486,16 @@ def plain_curl_h(hx, hy, hz, box):
     cez[1:-1, 1:-1, :] = ((hy[1:, 1:-1, :] - hy[:-1, 1:-1, :]) / dx
                           - (hx[1:-1, 1:, :] - hx[1:-1, :-1, :]) / dy)
     return cex, cey, cez
+
+
+def copy_em(em):
+    """An EMState on em's box and wall with copies of its stores (aligned,
+    as `empty_em_state` makes them) and of its div0."""
+    dup = mx.empty_em_state(em.box, bc=em.bc)
+    np.copyto(dup.e, em.e)
+    np.copyto(dup.h, em.h)
+    dup.div0 = None if em.div0 is None else em.div0.copy()
+    return dup
 
 
 def plain_fields(em):

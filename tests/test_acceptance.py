@@ -17,8 +17,7 @@ from scipy.integrate import solve_ivp
 from spinlayer import maxwell as mx
 from spinlayer.cli import main as cli_main
 from spinlayer.diagnostics import (energy_inequality_residual,
-                                   omega_limit_field, omega_limit_field_cells,
-                                   stationarity_residual)
+                                   omega_limit_field, omega_limit_field_cells)
 from spinlayer.diagnostics import test_function_library as fn_library
 from spinlayer.dynamics import (PENALIZED, PROJECTED, SHARP, THIN_LAYER, SchemeConfig,
                                 SimState, exchange_dt_bound, llg_rhs, run, step)
@@ -30,7 +29,7 @@ from spinlayer.geometry import GeometryConfig, build_geometry
 from spinlayer.presets import random_unit_m
 
 from conftest import (box_divergence, fd_gradient, relax, sharp_geom, spacer_oracle,
-                      workspace_curl)
+                      stationarity_residual, workspace_curl)
 
 
 def report(num, name, detail):

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from spinlayer import config as config_module
 from spinlayer import cli as cli_module
-from spinlayer import dynamics, presets, snapshots
+from spinlayer import dynamics, maxwell, presets, snapshots
 from spinlayer.cli import main
 from spinlayer.config import RunConfig, build_setup, parse_config
-from spinlayer.errors import NonFinite, ParseError, ValidationError
+from spinlayer.errors import NonFinite, ParseError, SolverDiverged, ValidationError
 
 from conftest import traced_peak
 
@@ -628,6 +628,18 @@ class TestCli:
         assert main(["check", str(cfg_path)]) == 2
         assert capsys.readouterr().err == "error: config: geometry: trace_order must be 1\n"
         assert not (tmp_path / "out").exists()
+
+    def test_numeric_failure_while_building_the_model_exit_3(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # only a constructor's ValueError is reported as the config key it
+        # was given: a numeric failure keeps its own kind and exit status
+        def diverge(*args, **kwargs):
+            raise SolverDiverged("probe")
+        monkeypatch.setattr(maxwell, "make_box", diverge)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(minimal_config(tmp_path / "out"))
+        assert main(["check", str(cfg_path)]) == 3
+        assert capsys.readouterr() == ("", "error: numeric: probe\n")
 
     MU0_ERROR = ("error: config: material.mu0: only 1 is accepted; for mu0 = M give "
                  "eps0 * M, sigma * M, and f's amplitude and e0 over M\n")

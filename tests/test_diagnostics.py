@@ -8,8 +8,7 @@ import pytest
 from spinlayer import maxwell as mx
 from spinlayer.diagnostics import (LedgerRow, TestFunction, energy_inequality_residual,
                                    omega_limit_field, omega_limit_field_cells,
-                                   saturation_deviation, stationarity_report,
-                                   stationarity_residual)
+                                   saturation_deviation, stationarity_report)
 from spinlayer.diagnostics import test_function_library as fn_library
 from spinlayer.dynamics import SchemeConfig, _Workspace, run
 from spinlayer.effective_field import assemble_h_tot, thin_layer_field
@@ -19,8 +18,8 @@ from spinlayer.summation import dot
 
 from conftest import (FieldSamples, box_divergence, eval_on_cells, face_stationary_form,
                       fd_gradient, field_stationary_value, layer_geom, plain_params,
-                      random_unit_field, sharp_geom, stationarity_form, traced_peak,
-                      weak_residual_m, workspace_curl)
+                      random_unit_field, sharp_geom, stationarity_form,
+                      stationarity_residual, traced_peak, weak_residual_m, workspace_curl)
 
 
 def test_ledger_row_allocates_nothing_box_sized():

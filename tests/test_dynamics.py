@@ -20,9 +20,9 @@ from spinlayer.energetics import _vector_field, total_energy
 from spinlayer.errors import CFLViolation, NonFinite
 from spinlayer.geometry import DomainGeometry, GeometryConfig, build_geometry
 
-from conftest import (box_divergence, box_midpoint_h_cells, gilbert_projection_rhs,
-                      gilbert_solve, layer_geom, plain_params, random_unit_field,
-                      traced_peak)
+from conftest import (box_divergence, box_midpoint_h_cells, copy_em,
+                      gilbert_projection_rhs, gilbert_solve, layer_geom, plain_params,
+                      random_unit_field, traced_peak)
 
 
 def single_spin_setup(alpha=0.2, h=(0.0, 0.0, 1.0), m0=(1.0, 0.0, 0.0)):
@@ -318,8 +318,9 @@ class TestStep:
         m[2, 1, 3] = bad_value
         m[3, 3, 3] = bad_value
         scheme = SchemeConfig(dt=1e-3, constraint=constraint)
-        state = SimState(t=0.25, m=m, em=None, geom=geom,
-                         params=plain_params(a_exch=0.0, penalty_k=1.0), scheme=scheme, n=250)
+        params = plain_params(a_exch=0.0, penalty_k=1.0 if constraint == "penalized" else 0.0)
+        state = SimState(t=0.25, m=m, em=None, geom=geom, params=params, scheme=scheme,
+                         n=250)
         with pytest.raises(NonFinite) as err:
             step(state)
         assert str(err.value) == message
@@ -443,7 +444,7 @@ class TestStep:
                          scheme=SchemeConfig(dt=1e-3, subcycles=2))
         step(state)
         before = state.m.tobytes()
-        copy = dataclasses.replace(state, em=em.copy())
+        copy = dataclasses.replace(state, em=copy_em(em))
         step(copy)
         step(copy)
         assert state.m.tobytes() == before
@@ -503,6 +504,43 @@ class TestRun:
         with pytest.raises(ValueError, match="log_every"):
             run(geom, params, scheme, m, None, None, t_end=3e-3, log_every=log_every,
                 h_fixed=mx.interp_h_to_cells(em))
+
+    def test_t_end_off_the_step_grid_rejected(self):
+        # run takes t_end / dt steps, so it refuses a t_end that is no whole
+        # number of steps rather than round it; a million steps are taken
+        # up (the hook stops the run after its first), and t_end = 0 gives
+        # the initial row only (above)
+        class Stopped(Exception):
+            pass
+
+        def stop(state, n):
+            if n == 1:
+                raise Stopped
+        geom, params, em, m, h = single_spin_setup()
+        scheme = SchemeConfig(dt=1e-3)
+        h_fixed = mx.interp_h_to_cells(em)
+        with pytest.raises(ValueError, match=r"^t_end=0\.0025 is not a whole number of "
+                                             r"steps of dt=0\.001$"):
+            run(geom, params, scheme, m, None, None, t_end=2.5 * scheme.dt, h_fixed=h_fixed)
+        with pytest.raises(Stopped):
+            run(geom, params, scheme, m, None, None, t_end=10**6 * scheme.dt,
+                on_state=stop, h_fixed=h_fixed)
+
+    def test_projected_state_refuses_a_penalty(self):
+        # the projected rate drops the penalty field, parallel to m, so a
+        # penalty there would be assembled for nothing; run refuses it
+        # before it forms a row
+        geom, _, em, m, h = single_spin_setup()
+        scheme = SchemeConfig(dt=1e-3, constraint="projected")
+        params = plain_params(penalty_k=10.0)
+        with pytest.raises(ValueError, match="^penalty_k acts only under constraint = "
+                                             "penalized; projected mode cancels it$"):
+            SimState(t=0.0, m=m, em=None, geom=geom, params=params, scheme=scheme)
+        rows = []
+        with pytest.raises(ValueError, match="^penalty_k acts only"):
+            run(geom, params, scheme, m, None, None, t_end=2e-3, on_row=rows.append,
+                h_fixed=mx.interp_h_to_cells(em))
+        assert rows == []
 
     def test_nonfinite_m0_rejected_at_step_zero(self):
         geom, params, em, m, h = single_spin_setup()
@@ -620,11 +658,11 @@ class TestLayout:
     def _coupled(self, integrator):
         geom = build_geometry(GeometryConfig(1.0, 0.75, 0.5, 0.75, 4, 3, 2, 3,
                                              eta=2 * 0.25))
+        constraint, bc_mode, penalty_k = (("projected", "sharp", 0.0) if integrator == "heun"
+                                          else ("penalized", "thin_layer", 2.0))
         params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
-                              ks=0.03, j1=0.02, j2=0.01, sigma=1.0, penalty_k=2.0)
+                              ks=0.03, j1=0.02, j2=0.01, sigma=1.0, penalty_k=penalty_k)
         box = mx.make_box(geom, padding=2)
-        constraint, bc_mode = (("projected", "sharp") if integrator == "heun"
-                               else ("penalized", "thin_layer"))
         scheme = SchemeConfig(dt=1e-3, subcycles=2, integrator=integrator,
                               constraint=constraint, bc_mode=bc_mode)
         return layer_geom(geom, bc_mode), params, box, scheme
@@ -750,7 +788,8 @@ def test_warm_stage_step_allocates_nothing_body_sized(integrator, constraint, bc
                                                     eta=layer_cells * 0.5 / 16)),
                       bc_mode)
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]),
-                          ks=0.01, j1=0.01, j2=0.01, penalty_k=10.0)
+                          ks=0.01, j1=0.01, j2=0.01,
+                          penalty_k=10.0 if constraint == "penalized" else 0.0)
     scheme = SchemeConfig(dt=1e-5, integrator=integrator, constraint=constraint,
                           bc_mode=bc_mode)
     state = SimState(t=0.0, m=random_unit_field(geom, seed=11), em=None,
@@ -804,9 +843,9 @@ def _row_views(state):
     return work.row[state.m is work.m[1]]
 
 
-def _view_inputs(constraint, bc_mode, penalty_k, integrator, field, bc=mx.PEC):
+def _view_inputs(constraint, bc_mode, penalty_k, alpha, integrator, field, bc=mx.PEC):
     """The inputs of a small run of the given kind: the geometry, the
-    parameters, the scheme, m0, em (its h the divergence-free field of
+    parameters (damping alpha), the scheme, m0, em (its h the divergence-free field of
     m0, its outer wall bc) with field "em", the current that goes with
     em, and with field "h_fixed" that h on the cells."""
     # dy = 0.15 is no power of two: the drift divides along y, and along x
@@ -814,7 +853,7 @@ def _view_inputs(constraint, bc_mode, penalty_k, integrator, field, bc=mx.PEC):
     geom = layer_geom(build_geometry(GeometryConfig(1.0, 0.6, 0.5, 0.5, 4, 4, 4, 4,
                                                     eta=0.25)), bc_mode)
     params = plain_params(a_exch=0.01, k_matrix=np.diag([0.05, 0.02, 0.0]), ks=0.01,
-                          j1=0.01, j2=0.01, sigma=2.0, penalty_k=penalty_k)
+                          j1=0.01, j2=0.01, sigma=2.0, penalty_k=penalty_k, alpha=alpha)
     scheme = SchemeConfig(dt=1e-3, subcycles=2, integrator=integrator,
                           constraint=constraint, bc_mode=bc_mode)
     box = mx.make_box(geom, padding=2)
@@ -834,19 +873,22 @@ def plain_drift(em, m, m0, h0):
 
 
 def _grid_points():
-    """Every combination of constraint, bc_mode, penalty_k, integrator and
+    """Every combination of constraint, bc_mode, material, integrator and
     field that `_view_inputs` takes, em under both outer walls (Mur1's
-    planes run lines of their own): 64 points.  Traced with sys.settrace,
-    a step and a row of them run 16 distinct sets of package lines today
-    (bc_mode and none against h_fixed change no set), but a rework of the
-    step may split any of those sets, so the property tests run them all."""
+    planes run lines of their own): 64 points.  The second material damps
+    with alpha = 0.5 (llg_rhs skips its multiply by alpha = 1) and under
+    penalized adds penalty_k = 10 (a projected state refuses a penalty).
+    Traced with sys.settrace, the steps and rows of a 4-step run of them
+    run 24 distinct sets of package lines today, but a rework of the step
+    may split any of those sets, so the property tests run them all."""
     points = []
     for constraint in CONSTRAINTS:
         for bc_mode in BC_MODES:
-            for penalty_k in (0.0, 10.0):
+            for penalty_k, alpha in ((0.0, 1.0),
+                                     (10.0 if constraint == PENALIZED else 0.0, 0.5)):
                 for integrator in dynamics.INTEGRATORS:
-                    name = f"{constraint}-{bc_mode}-k{penalty_k:g}-{integrator}"
-                    points += [pytest.param(constraint, bc_mode, penalty_k, integrator,
+                    name = f"{constraint}-{bc_mode}-k{penalty_k:g}-a{alpha:g}-{integrator}"
+                    points += [pytest.param(constraint, bc_mode, penalty_k, alpha, integrator,
                                             field, bc, id=f"{name}-{field}{suffix}")
                                for field, bc, suffix in (("em", mx.PEC, "-pec"),
                                                          ("em", mx.MUR1, "-mur1"),
@@ -856,12 +898,12 @@ def _grid_points():
 
 
 GRID_POINTS = _grid_points()
-POINT_ARGS = "constraint, bc_mode, penalty_k, integrator, field, bc"
+POINT_ARGS = "constraint, bc_mode, penalty_k, alpha, integrator, field, bc"
 
 
 @pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
-def test_steps_and_rows_allocate_no_views(constraint, bc_mode, penalty_k, integrator,
-                                          field, bc):
+def test_steps_and_rows_allocate_no_views(constraint, bc_mode, penalty_k, alpha,
+                                          integrator, field, bc):
     # a state's workspaces build the views of its stages, rows, predictor
     # and substeps for both slots when the state is made, so a run's first
     # steps and rows, and those after an m is assigned, allocate only
@@ -869,7 +911,7 @@ def test_steps_and_rows_allocate_no_views(constraint, bc_mode, penalty_k, integr
     # field and 4.7 (PEC) to 5.8 KB (Mur1) with em on this 4x4x(4+4) grid,
     # whose m is 3 KB.  Views built per call raise the peak: the stage's
     # to 11.3 KB or more, the substep's curls to 9.9 KB
-    point = (constraint, bc_mode, penalty_k, integrator, field, bc)
+    point = (constraint, bc_mode, penalty_k, alpha, integrator, field, bc)
     geom, params, scheme, m0, em, f, h_fixed = _view_inputs(*point)
     # numpy fills its ufunc caches on a process's first steps and rows
     run(geom, params, scheme, m0, em, f, 2 * scheme.dt, on_row=lambda row: None,
@@ -902,18 +944,18 @@ VIEW_BUILDERS = ("_vector_field", "_scalars", "_parts", "_empty_like", "_face_vi
 
 
 @pytest.mark.parametrize(POINT_ARGS, [
-    pytest.param("projected", "thin_layer", 10.0, "rk4", "em", mx.MUR1,
-                 id="projected-thin_layer-k10-rk4-em-mur1"),
-    pytest.param("penalized", "sharp", 0.0, "heun", "none", mx.PEC,
-                 id="penalized-sharp-k0-heun-none")])
-def test_steps_and_rows_call_no_view_builder(constraint, bc_mode, penalty_k,
+    pytest.param("penalized", "thin_layer", 10.0, 0.5, "rk4", "em", mx.MUR1,
+                 id="penalized-thin_layer-k10-a0.5-rk4-em-mur1"),
+    pytest.param("projected", "sharp", 0.0, 1.0, "heun", "none", mx.PEC,
+                 id="projected-sharp-k0-a1-heun-none")])
+def test_steps_and_rows_call_no_view_builder(constraint, bc_mode, penalty_k, alpha,
                                              integrator, field, bc, monkeypatch):
     # the one test that names the view builders: views of a few hundred
     # bytes built per call (the stage-begin h's three body-face views)
     # raise no peak that test_steps_and_rows_allocate_no_views could see.
     # The two points run every line that a point of GRID_POINTS runs
     geom, params, scheme, m0, em, f, h_fixed = _view_inputs(
-        constraint, bc_mode, penalty_k, integrator, field, bc)
+        constraint, bc_mode, penalty_k, alpha, integrator, field, bc)
     assigned = random_unit_field(geom, seed=71)
 
     def forbidden(*args, **kwargs):
@@ -939,12 +981,12 @@ def test_steps_and_rows_call_no_view_builder(constraint, bc_mode, penalty_k,
 
 @pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
 def test_workspace_views_keep_the_bits_of_the_per_call_path(constraint, bc_mode, penalty_k,
-                                                            integrator, field, bc):
+                                                            alpha, integrator, field, bc):
     # a run's rows (every energy, the saturation deviation) have the bits
     # of the same terms formed per call of the state's m, and so do
     # llg_rhs and assemble_h_tot on the stepped state's stage views
     geom, params, scheme, m0, em, f, h_fixed = _view_inputs(
-        constraint, bc_mode, penalty_k, integrator, field, bc)
+        constraint, bc_mode, penalty_k, alpha, integrator, field, bc)
     rows, checked = [], []
 
     def check(state, n):
@@ -966,13 +1008,13 @@ def test_workspace_views_keep_the_bits_of_the_per_call_path(constraint, bc_mode,
 
 
 @pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
-def test_row_drift_is_the_whole_array_drift(constraint, bc_mode, penalty_k, integrator,
-                                            field, bc):
+def test_row_drift_is_the_whole_array_drift(constraint, bc_mode, penalty_k, alpha,
+                                            integrator, field, bc):
     # a run's rows read the drift of div(h + m_bar) formed on whole face
     # arrays (0.0 without em), and so does divergence_drift where h holds
     # +-0.0, on and off the faces m_bar reaches
     geom, params, scheme, m0, em, f, h_fixed = _view_inputs(
-        constraint, bc_mode, penalty_k, integrator, field, bc)
+        constraint, bc_mode, penalty_k, alpha, integrator, field, bc)
     h0 = None if em is None else em.h.copy()
     rows, checked = [], []
 
@@ -986,18 +1028,18 @@ def test_row_drift_is_the_whole_array_drift(constraint, bc_mode, penalty_k, inte
     assert checked == [0, 1, 2]
     if em is None:
         return
-    em.hx = np.where(np.arange(em.hx.shape[2]) % 2 == 0, -0.0, 0.0)
+    em.hx[...] = np.where(np.arange(em.hx.shape[2]) % 2 == 0, -0.0, 0.0)
     em.hz[em.box.ox:em.box.ox + 2] = -0.0
     assert mx.divergence_drift(em, final.m) == plain_drift(em, final.m, m0, h0)
 
 
 @pytest.mark.parametrize(POINT_ARGS, GRID_POINTS)
-def test_state_never_writes_a_callers_m(constraint, bc_mode, penalty_k, integrator,
-                                        field, bc):
+def test_state_never_writes_a_callers_m(constraint, bc_mode, penalty_k, alpha,
+                                        integrator, field, bc):
     # the workspace copies the array handed in, one assigned before the
     # first step and one assigned to a stepped state into its m buffer of
     # slot 0, and never writes any of them
-    point = (constraint, bc_mode, penalty_k, integrator, field, bc)
+    point = (constraint, bc_mode, penalty_k, alpha, integrator, field, bc)
     geom = _view_inputs(*point)[0]
     handed, assigned, later = (random_unit_field(geom, seed=s) for s in (14, 15, 16))
     kept = handed.copy(), assigned.copy(), later.copy()
